@@ -5,7 +5,7 @@ partitioner, an on-the-fly hierarchical process mapper, exact quality
 metrics, and a batch CLI.
 """
 
-from .partition import UNASSIGNED, PartitionState, compute_lmax
+from .partition import UNASSIGNED, MinBlockHeap, PartitionState, compute_lmax
 from .streams import (FormatError, GraphStreamHeader, HypergraphStreamHeader,
                       StreamedHyperNodeRecord, StreamedNodeRecord,
                       open_graph_stream, open_hypergraph_node_stream,
@@ -15,8 +15,8 @@ from .metrics import QualityReport, comm_cost, cut_net_and_connectivity, \
 from .onepass import (FennelParams, OnePassConfig, fennel_alpha, fennel_assign,
                       fennel_gain, hashing_assign, ldg_assign, run_onepass,
                       run_restream)
-from .freight import (BlockWeightQueue, FreightConfig, NetTracker,
-                      SortedBlocks, freight_assign, run_freight)
+from .freight import (FreightConfig, NetTracker, SortedBlocks, freight_assign,
+                      run_freight)
 from .multisection import (HierarchySpec, MultisectionTree, OmsConfig,
                            build_from_spec, build_hierarchy,
                            heterogeneous_alpha, oms_assign, run_oms)

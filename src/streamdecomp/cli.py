@@ -28,7 +28,7 @@ from .onepass import FennelParams, OnePassConfig, fennel_alpha, run_onepass, \
 from .partition import PartitionState
 from .streams import FormatError, MemoryGraphStream, MemoryHypergraphStream, \
     open_graph_stream, open_hypergraph_node_stream, read_partition, \
-    transpose_hmetis, write_partition
+    total_node_weight, transpose_hmetis, write_partition
 
 GRAPH_ALGOS = ("hashing", "ldg", "fennel", "heistream", "oms")
 
@@ -153,11 +153,17 @@ def _graph_stream_factory(path: str, preload: bool):
     return lambda: open_graph_stream(path)
 
 
+def _total_weight(path: str, header) -> int:
+    """c(V): one weight pre-pass for node-weighted inputs, else n."""
+    return total_node_weight(path) if header.has_node_weights else header.n
+
+
 def _run_graph_algorithm(args, seed: int) -> tuple[PartitionState, float, float]:
     """Returns (state, total_seconds, core_seconds)."""
     t0 = time.perf_counter()
     factory = _graph_stream_factory(args.input, args.time_core)
     header = factory().header
+    total_weight = _total_weight(args.input, header)
     t1 = time.perf_counter()
 
     algo = args.algorithm
@@ -168,18 +174,18 @@ def _run_graph_algorithm(args, seed: int) -> tuple[PartitionState, float, float]
             localsearch_rounds=args.localsearch_rounds, x=args.x,
             passes=args.passes, epsilon=args.epsilon, alpha=args.alpha,
             gamma=args.gamma, seed=seed)
-        state = run_heistream(factory, config)
+        state = run_heistream(factory, config, total_weight)
     elif algo == "oms":
         config = OmsConfig(scorer="fennel", epsilon=args.epsilon,
                            base=args.base, alpha=args.alpha, gamma=args.gamma,
                            hash_bottom_layers=args.hash_bottom_layers,
                            threads=args.threads, seed=seed)
-        state = run_oms(factory(), config, k=args.k)
+        state = run_oms(factory(), config, k=args.k, total_weight=total_weight)
     else:
         config = OnePassConfig(algorithm=algo, passes=args.passes,
                                restream_alpha_growth=args.alpha_growth,
                                seed=seed)
-        state = PartitionState(header.n, args.k, args.epsilon, header.n)
+        state = PartitionState(header.n, args.k, args.epsilon, total_weight)
         params = None
         if algo == "fennel":
             alpha = args.alpha if args.alpha is not None else \
@@ -261,11 +267,12 @@ def cmd_hpartition(args) -> int:
     else:
         factory = lambda: open_hypergraph_node_stream(args.input)
     stream = factory()
+    total_weight = _total_weight(args.input, stream.header)
     t1 = time.perf_counter()
     config = FreightConfig(objective=objective, k=args.k,
                            epsilon=args.epsilon, gamma=args.gamma,
                            alpha=args.alpha, seed=seed)
-    state = run_freight(stream, config)
+    state = run_freight(stream, config, total_weight)
     t2 = time.perf_counter()
     if args.output:
         write_partition(args.output, state.assignment)
@@ -301,13 +308,14 @@ def cmd_map(args) -> int:
     seed = _resolve_seed(args.seed)
     hierarchy = HierarchySpec.parse(args.hierarchy, args.distances)
     t0 = time.perf_counter()
-    factory = _graph_stream_factory(args.input, args.time_core)
+    stream = _graph_stream_factory(args.input, args.time_core)()
+    total_weight = _total_weight(args.input, stream.header)
     t1 = time.perf_counter()
     config = OmsConfig(scorer=args.algorithm, epsilon=args.epsilon,
                        alpha=args.alpha,
                        hash_bottom_layers=args.hash_bottom_layers,
                        threads=args.threads, seed=seed)
-    state = run_oms(factory(), config, spec=hierarchy)
+    state = run_oms(stream, config, spec=hierarchy, total_weight=total_weight)
     t2 = time.perf_counter()
     if args.output:
         write_partition(args.output, state.assignment)

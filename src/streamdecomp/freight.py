@@ -5,13 +5,12 @@ c(V_i)^(gamma-1), where I_obj(i,v) are the incident nets whose most recently
 streamed pin went to block i (the cut-net objective additionally drops nets
 that are already cut).  Instead of scanning all k blocks, the argmax is split
 into the blocks connected to v (solved explicitly in O(|I(v)|)) and the rest
-(solved in O(1) by a min-cardinality query), so per-node work never depends
-on k.
+(solved by a min-weight query, O(1) with unit weights and O(log k) amortized
+with weighted nodes), so per-node work never depends on k.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,46 +91,9 @@ class SortedBlocks:
     def cardinality(self, block: int) -> int:
         return self.bucket_of[block].cardinality
 
-    def rank(self, block: int) -> int:
-        return self.b[block]
-
     def bucket_ranges(self) -> list[tuple[int, int, int]]:
         """(cardinality, l, r) per live bucket, sorted by l.  For checks."""
         return sorted((bk.cardinality, bk.l, bk.r) for bk in self.buckets.values())
-
-
-class BlockWeightQueue:
-    """Bucket priority queue keyed by block weight, for weighted nodes.
-
-    Weights only grow, so a pointer sweeps the bucket array upward; each
-    bucket is a lazy-deleted index heap, making the min query return the
-    lowest-indexed block of minimum weight.
-    """
-
-    def __init__(self, k: int):
-        self.k = k
-        self.weight = [0] * k
-        self.buckets: dict[int, list[int]] = {0: list(range(k))}
-        self.min_weight = 0
-
-    def increment(self, block: int, delta: int) -> None:
-        self.weight[block] += delta
-        heapq.heappush(self.buckets.setdefault(self.weight[block], []), block)
-
-    def min_block(self) -> int:
-        while True:
-            bucket = self.buckets.get(self.min_weight)
-            while bucket:
-                top = bucket[0]
-                if self.weight[top] == self.min_weight:
-                    return top
-                heapq.heappop(bucket)
-            if bucket is not None:
-                del self.buckets[self.min_weight]
-            self.min_weight += 1
-
-    def cardinality(self, block: int) -> int:
-        return self.weight[block]
 
 
 @dataclass
@@ -253,8 +215,6 @@ def _commit(record, block: int, state: PartitionState, tracker: NetTracker,
     state.assign(record.id, block, record.weight)
     if unit:
         blocks.increment(block)
-    else:
-        blocks.increment(block, record.weight)
     for e, _ in record.incident_nets:
         tracker.observe(e, block)
 
@@ -275,7 +235,9 @@ def run_freight(stream, config: FreightConfig,
         total_weight = header.n
     state = PartitionState(header.n, config.k, config.epsilon, total_weight)
     tracker = NetTracker(header.m)
-    blocks = SortedBlocks(config.k) if unit else BlockWeightQueue(config.k)
+    # Weighted nodes: the state's weight heap, kept current by state.assign.
+    # Unit weights keep SortedBlocks, whose min_block tie order differs.
+    blocks = SortedBlocks(config.k) if unit else state.by_weight()
     alpha = config.alpha
     if alpha is None:
         alpha = fennel_alpha(header.n, header.m, config.k, config.gamma)

@@ -83,22 +83,31 @@ def _gains_per_block(record, assignment) -> dict[int, float]:
 def fennel_assign(record, state: PartitionState, params: FennelParams) -> int:
     """Pick the feasible block maximizing the generalized Fennel score.
 
-    Ties go to the lightest block, then the lowest index.
+    Ties go to the lightest block, then the lowest index.  Only the blocks of
+    assigned neighbors and the lightest block are scored: every other block
+    scores ``-c(u)*pen(c(V_i))``, which the lightest block (lowest index
+    first) matches or beats, so per-node work does not depend on k.
     """
     gains = _gains_per_block(record, state.assignment)
+    lightest = state.by_weight().min_block()
+    if lightest not in gains:
+        gains[lightest] = 0.0
+    weight = record.weight
+    block_weight = state.block_weight
     best = None
     best_key = None
-    for i in range(state.k):
-        bw = state.block_weight[i]
-        if params.hard_balance and bw + record.weight > state.l_max:
+    for i, g in gains.items():
+        bw = block_weight[i]
+        if params.hard_balance and bw + weight > state.l_max:
             continue
-        score = fennel_gain(gains.get(i, 0.0), record.weight, bw, params)
-        key = (score, -bw, -i)
+        key = (fennel_gain(g, weight, bw, params), -bw, -i)
         if best_key is None or key > best_key:
             best, best_key = i, key
     if best is None:
-        best = _exhaustion_fallback(record, state)
-    state.assign(record.id, best, record.weight)
+        # The lightest block is full, so every block is: place it there, flagged.
+        state.violations += 1
+        best = lightest
+    state.assign(record.id, best, weight)
     return best
 
 
@@ -106,25 +115,37 @@ def ldg_assign(record, state: PartitionState) -> int:
     """Linear deterministic greedy: affinity times (1 - c(V_i)/L_max).
 
     Ties go to the block with fewer nodes (as LDG defines), then lowest index.
+    With edge weights >= 1 a feasible neighbor block scores > 0 and every
+    other block 0, so only neighbor blocks are scored; without a feasible
+    one the answer is the fewest-nodes block, lowest index first.
     """
     gains = _gains_per_block(record, state.assignment)
+    weight = record.weight
+    l_max = state.l_max
     best = None
     best_key = None
-    for i in range(state.k):
+    for i, g in gains.items():
         bw = state.block_weight[i]
-        if bw + record.weight > state.l_max:
+        if bw + weight > l_max:
             continue
-        score = gains.get(i, 0.0) * (1.0 - bw / state.l_max)
-        key = (score, -state.block_count[i], -i)
+        key = (g * (1.0 - bw / l_max), -state.block_count[i], -i)
         if best_key is None or key > best_key:
             best, best_key = i, key
     if best is None:
-        best = _exhaustion_fallback(record, state)
-    state.assign(record.id, best, record.weight)
+        best = state.by_count().min_block()
+        if state.block_weight[best] + weight > l_max:
+            best = _fewest_feasible(record, state)
+    state.assign(record.id, best, weight)
     return best
 
 
-def _exhaustion_fallback(record, state: PartitionState) -> int:
+def _fewest_feasible(record, state: PartitionState) -> int:
+    # The fewest-nodes block is full.  With unit weights every block is; with
+    # weighted nodes a block with more nodes may still fit, so scan.
+    feasible = [i for i in range(state.k)
+                if state.block_weight[i] + record.weight <= state.l_max]
+    if feasible:
+        return min(feasible, key=lambda i: (state.block_count[i], i))
     # No feasible block: place on the globally lightest one and flag it.
     state.violations += 1
     return min(range(state.k), key=lambda i: (state.block_weight[i], i))
@@ -133,7 +154,6 @@ def _exhaustion_fallback(record, state: PartitionState) -> int:
 @dataclass
 class PassStats:
     pass_index: int
-    edge_gain_moves: int = 0
     assigned: int = 0
 
 
@@ -185,13 +205,11 @@ def run_restream(stream_factory, config: OnePassConfig, state: PartitionState,
                                      state.total_weight)
             current.assignment = state.assignment
             for record in stream_factory():
-                old = state.assignment[record.id]
-                state.assignment[record.id] = UNASSIGNED
+                state.unassign(record.id, record.weight)
                 new = ldg_assign(record, current)
-                state.block_weight[old] -= record.weight
-                state.block_count[old] -= 1
-                state.block_weight[new] += record.weight
-                state.block_count[new] += 1
+                # current shares the assignment array and already wrote it
+                state.assignment[record.id] = UNASSIGNED
+                state.assign(record.id, new, record.weight)
                 stats.assigned += 1
             state.violations += current.violations
         else:

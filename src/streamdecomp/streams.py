@@ -120,43 +120,37 @@ def _graph_header(parts: Sequence[str]) -> GraphStreamHeader:
 
 
 class GraphStream:
-    """Single-pass iterator over a METIS graph file.
+    """Iterator over a METIS graph file, one record at a time.
 
-    Holds one record at a time.  The header is parsed eagerly so ``n``, ``m``
-    and the weight flags are available before the first record.  On
-    exhaustion the degree sum is checked against ``2m``.
+    The header is read when the stream is created, so ``n``, ``m`` and the
+    weight flags are available before the first record; the file is opened
+    again for each iteration and closed when it ends.  On exhaustion the
+    degree sum is checked against ``2m``.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._fh = open(path)
-        self._lines = _tokens(self._fh)
-        head = _nonempty(self._lines)
-        if head is None:
-            self._fh.close()
-            raise FormatError(f"{path}: empty graph file")
-        self.header = _graph_header(head)
+        self.header = read_graph_header(path)
 
     def __iter__(self) -> Iterator[StreamedNodeRecord]:
         header = self.header
         degree_sum = 0
-        node = 0
-        try:
+        with open(self.path) as fh:
+            lines = _tokens(fh)
+            _nonempty(lines)
             for node in range(header.n):
                 try:
-                    parts = next(self._lines)
+                    parts = next(lines)
                 except StopIteration:
                     raise FormatError(
                         f"{self.path}: expected {header.n} node lines, got {node}")
                 record = _parse_node_line(parts, node, header)
                 degree_sum += len(record.neighbors)
                 yield record
-            if degree_sum != 2 * header.m:
-                raise FormatError(
-                    f"{self.path}: edge-count mismatch, header says m={header.m} "
-                    f"but degree sum is {degree_sum}")
-        finally:
-            self._fh.close()
+        if degree_sum != 2 * header.m:
+            raise FormatError(
+                f"{self.path}: edge-count mismatch, header says m={header.m} "
+                f"but degree sum is {degree_sum}")
 
 
 def _parse_node_line(parts: Sequence[str], node: int,
@@ -226,37 +220,31 @@ def _hypergraph_header(parts: Sequence[str]) -> HypergraphStreamHeader:
 
 
 class HypergraphStream:
-    """Single-pass iterator over a node-major hypergraph file."""
+    """Iterator over a node-major hypergraph file, opened per iteration."""
 
     def __init__(self, path: str):
         self.path = path
-        self._fh = open(path)
-        self._lines = _tokens(self._fh)
-        head = _nonempty(self._lines)
-        if head is None:
-            self._fh.close()
-            raise FormatError(f"{path}: empty hypergraph file")
-        self.header = _hypergraph_header(head)
+        self.header = read_hypergraph_header(path)
 
     def __iter__(self) -> Iterator[StreamedHyperNodeRecord]:
         header = self.header
         pin_count = 0
-        try:
+        with open(self.path) as fh:
+            lines = _tokens(fh)
+            _nonempty(lines)
             for node in range(header.n):
                 try:
-                    parts = next(self._lines)
+                    parts = next(lines)
                 except StopIteration:
                     raise FormatError(
                         f"{self.path}: expected {header.n} node lines, got {node}")
                 record = _parse_hypernode_line(parts, node, header)
                 pin_count += len(record.incident_nets)
                 yield record
-            if pin_count != header.pins:
-                raise FormatError(
-                    f"{self.path}: pin-count mismatch, header says {header.pins} "
-                    f"but found {pin_count}")
-        finally:
-            self._fh.close()
+        if pin_count != header.pins:
+            raise FormatError(
+                f"{self.path}: pin-count mismatch, header says {header.pins} "
+                f"but found {pin_count}")
 
 
 def _parse_hypernode_line(parts: Sequence[str], node: int,
@@ -303,6 +291,26 @@ def open_hypergraph_node_stream(path: str) -> HypergraphStream:
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     return HypergraphStream(path)
+
+
+def total_node_weight(path: str) -> int:
+    """c(V) of a node-weighted graph or node-major hypergraph file.
+
+    Both formats put ``n`` first in the header and the node weight first on
+    each node line, so this sums one token per line without parsing the
+    rest; the stream still validates every line when it reads it.
+    """
+    with open(path) as fh:
+        lines = _tokens(fh)
+        head = _nonempty(lines)
+        if head is None:
+            raise FormatError(f"{path}: empty file")
+        total = 0
+        for node, parts in zip(range(int(head[0])), lines):
+            if not parts:
+                raise FormatError(f"node {node}: missing node weight")
+            total += int(parts[0])
+    return total
 
 
 def transpose_hmetis(src: str, dst: str) -> HypergraphStreamHeader:

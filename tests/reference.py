@@ -1,9 +1,10 @@
 """Reference implementations used as oracles by the tests.
 
 These deliberately avoid the production fast paths: the FREIGHT reference
-scans every block per node, the Fennel twin reads neighbor assignments
-straight off the graph, and the multi-pass multi-section reference restreams
-once per tree layer with per-layer weight tables instead of descending a tree.
+and the Fennel and LDG scans score every block per node, the Fennel twin
+reads neighbor assignments straight off the graph, and the multi-pass
+multi-section reference restreams once per tree layer with per-layer weight
+tables instead of descending a tree.
 """
 
 from __future__ import annotations
@@ -12,8 +13,62 @@ import math
 
 from streamdecomp.freight import (FreightConfig, NetTracker, SortedBlocks,
                                   naive_freight_assign, select_block)
-from streamdecomp.onepass import FennelParams, fennel_alpha
+from streamdecomp.onepass import FennelParams, fennel_alpha, fennel_gain
 from streamdecomp.partition import UNASSIGNED, PartitionState
+
+
+def _neighbor_gains(record, assignment) -> dict[int, float]:
+    gains: dict[int, float] = {}
+    for v, w in record.neighbors:
+        block = assignment[v]
+        if block != UNASSIGNED:
+            gains[block] = gains.get(block, 0.0) + w
+    return gains
+
+
+def _exhaustion_fallback(state: PartitionState) -> int:
+    # No feasible block: place on the globally lightest one and flag it.
+    state.violations += 1
+    return min(range(state.k), key=lambda i: (state.block_weight[i], i))
+
+
+def scan_fennel_assign(record, state: PartitionState,
+                       params: FennelParams) -> int:
+    """Fennel by scoring all k blocks: the oracle of ``fennel_assign``."""
+    gains = _neighbor_gains(record, state.assignment)
+    best = None
+    best_key = None
+    for i in range(state.k):
+        bw = state.block_weight[i]
+        if params.hard_balance and bw + record.weight > state.l_max:
+            continue
+        score = fennel_gain(gains.get(i, 0.0), record.weight, bw, params)
+        key = (score, -bw, -i)
+        if best_key is None or key > best_key:
+            best, best_key = i, key
+    if best is None:
+        best = _exhaustion_fallback(state)
+    state.assign(record.id, best, record.weight)
+    return best
+
+
+def scan_ldg_assign(record, state: PartitionState) -> int:
+    """LDG by scoring all k blocks: the oracle of ``ldg_assign``."""
+    gains = _neighbor_gains(record, state.assignment)
+    best = None
+    best_key = None
+    for i in range(state.k):
+        bw = state.block_weight[i]
+        if bw + record.weight > state.l_max:
+            continue
+        score = gains.get(i, 0.0) * (1.0 - bw / state.l_max)
+        key = (score, -state.block_count[i], -i)
+        if best_key is None or key > best_key:
+            best, best_key = i, key
+    if best is None:
+        best = _exhaustion_fallback(state)
+    state.assign(record.id, best, record.weight)
+    return best
 
 
 def run_freight_reference(stream, config: FreightConfig,

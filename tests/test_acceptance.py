@@ -13,13 +13,14 @@ import time
 import numpy as np
 import pytest
 
+from streamdecomp import onepass
 from streamdecomp.freight import FreightConfig, SortedBlocks, run_freight
 from streamdecomp.heistream import HeiStreamConfig, run_heistream
 from streamdecomp.metrics import comm_cost, cut_net_and_connectivity, edge_cut
 from streamdecomp.multisection import HierarchySpec, OmsConfig, run_oms
 from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
                                   fennel_gain, run_onepass, run_restream)
-from streamdecomp.partition import PartitionState, compute_lmax
+from streamdecomp.partition import UNASSIGNED, PartitionState, compute_lmax
 from streamdecomp.streams import (HypergraphStreamHeader,
                                   MemoryHypergraphStream,
                                   StreamedHyperNodeRecord)
@@ -418,3 +419,45 @@ def test_c11_distance_oracle():
     report("C11 distance-oracle",
            f"{pairs} pairs over 20 hierarchies, zero mismatches, "
            f"{elapsed:.1f}s")
+
+
+def test_c12_fennel_k_independence(monkeypatch):
+    """Graph Fennel scores only a node's neighbor blocks plus the lightest
+    block, at k=512 as at k=4096, in the first and in a ReFennel pass.
+
+    Counted, not timed: every ``fennel_gain`` call scores one block, so the
+    check is exact where a wall-clock ratio would be noisy.
+    """
+    graph = random_graph(random.Random(212), 6000, 15000)
+    n, m = graph.header.n, graph.header.m
+    gain_calls = [0]
+    gain = onepass.fennel_gain
+    assign = onepass.fennel_assign
+
+    def counting_gain(*args):
+        gain_calls[0] += 1
+        return gain(*args)
+
+    def checked_assign(record, state, params):
+        blocks = {state.assignment[v] for v, _ in record.neighbors}
+        blocks.discard(UNASSIGNED)
+        before = gain_calls[0]
+        block = assign(record, state, params)
+        assert gain_calls[0] - before <= len(blocks) + 1, \
+            f"node {record.id} at k={state.k}"
+        return block
+
+    monkeypatch.setattr(onepass, "fennel_gain", counting_gain)
+    monkeypatch.setattr(onepass, "fennel_assign", checked_assign)
+    scored = {}
+    for k in (512, 4096):
+        gain_calls[0] = 0
+        state = PartitionState(n, k, 0.03, n)
+        run_restream(lambda: graph,
+                     OnePassConfig(algorithm="fennel", passes=2), state)
+        assert state.is_balanced()
+        scored[k] = gain_calls[0]
+        assert scored[k] <= 2 * (n + 2 * m)
+    report("C12 fennel-k-independence",
+           f"blocks scored over 2 passes: {scored[512]} at k=512, "
+           f"{scored[4096]} at k=4096 (a full scan: {2 * n * 4096})")

@@ -1,11 +1,13 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from streamdecomp.bench import geometric_mean, read_rows, summarize, write_rows
 from streamdecomp.cli import main
+from streamdecomp.partition import compute_lmax
 from streamdecomp.streams import read_partition, write_graph
 
 from generators import random_graph, random_hypergraph
@@ -101,7 +103,7 @@ class TestCliPartition:
         blocks = read_partition(out)
         assert len(blocks) == 60
         assert all(0 <= b < 4 for b in blocks)
-        payload = json.loads(open(mjson).read())
+        payload = json.loads(Path(mjson).read_text())
         for key in ("edge_cut", "cut_net", "connectivity", "imbalance",
                     "comm_cost", "runtime_ms", "algorithm", "k", "epsilon",
                     "seed"):
@@ -114,11 +116,11 @@ class TestCliPartition:
         mjson = str(tmp_path / "metrics.json")
         assert main(["partition", "--input", graph_file, "--algorithm", "ldg",
                      "--k", "4", "--output", out, "--metrics-json", mjson]) == 0
-        first = json.loads(open(mjson).read())
+        first = json.loads(Path(mjson).read_text())
         mjson2 = str(tmp_path / "metrics2.json")
         assert main(["metrics", "--input", graph_file, "--partition", out,
                      "--k", "4", "--metrics-json", mjson2]) == 0
-        second = json.loads(open(mjson2).read())
+        second = json.loads(Path(mjson2).read_text())
         assert second["edge_cut"] == first["edge_cut"]
         assert second["imbalance"] == pytest.approx(first["imbalance"])
 
@@ -135,7 +137,7 @@ class TestCliPartition:
         mjson = str(tmp_path / "m.json")
         assert main(["partition", "--input", graph_file, "--k", "2",
                      "--time-core", "--metrics-json", mjson]) == 0
-        payload = json.loads(open(mjson).read())
+        payload = json.loads(Path(mjson).read_text())
         assert payload["runtime_core_ms"] <= payload["runtime_total_ms"]
 
 
@@ -149,7 +151,7 @@ class TestCliHpartitionAndMap:
         code = main(["hpartition", "--input", nodemajor, "--objective", "con",
                      "--k", "4", "--output", out, "--metrics-json", mjson])
         assert code == 0
-        payload = json.loads(open(mjson).read())
+        payload = json.loads(Path(mjson).read_text())
         assert payload["cut_net"] is not None
         assert payload["connectivity"] >= payload["cut_net"]
         assert payload["algorithm"] == "freight-con"
@@ -159,7 +161,7 @@ class TestCliHpartitionAndMap:
         code = main(["map", "--input", graph_file, "--hierarchy", "2:2",
                      "--distances", "1:10", "--metrics-json", mjson])
         assert code == 0
-        payload = json.loads(open(mjson).read())
+        payload = json.loads(Path(mjson).read_text())
         assert payload["comm_cost"] is not None
         assert payload["k"] == 4
 
@@ -169,7 +171,7 @@ class TestCliHpartitionAndMap:
         mjson = str(tmp_path / "m.json")
         assert main(["partition", "--input", graph_file, "--k", "2",
                      "--metrics-json", mjson]) == 0
-        assert json.loads(open(mjson).read())["seed"] == 77
+        assert json.loads(Path(mjson).read_text())["seed"] == 77
 
 
 class TestCliErrors:
@@ -197,9 +199,89 @@ class TestCliBench:
         rows = read_rows(out)
         assert len(rows) == 3 * 2 * 2   # algorithms x k x repeats
         assert {r["algorithm"] for r in rows} == {"hashing", "ldg", "fennel"}
-        summary = json.loads(open(summary_path).read())
+        summary = json.loads(Path(summary_path).read_text())
         assert len(summary) == 6
         # fennel should not cut more than hashing on this seeded instance
         by_key = {(s["algorithm"], s["k"]): s for s in summary}
         assert by_key[("fennel", "4")]["edge_cut"] <= \
             by_key[("hashing", "4")]["edge_cut"]
+
+
+def _weighted_graph_file(tmp_path, edge_weights: bool) -> tuple[str, list[int]]:
+    rng = random.Random(12 if edge_weights else 11)
+    stream = random_graph(rng, 300, 900, max_edge_weight=9 if edge_weights
+                          else 1, max_node_weight=20)
+    edges = [(r.id, v, w) for r in stream for v, w in r.neighbors if r.id < v]
+    weights = [r.weight for r in stream]
+    path = str(tmp_path / f"w{int(edge_weights)}.graph")
+    write_graph(path, 300, edges, weights)
+    return path, weights
+
+
+def _weighted_hypergraph_file(tmp_path) -> tuple[str, list[int]]:
+    stream = random_hypergraph(random.Random(13), 300, 250, max_pins=6,
+                               max_node_weight=20)
+    lines = [f"300 250 {sum(len(r.incident_nets) for r in stream)} 10"]
+    for r in stream:
+        lines.append(" ".join([str(r.weight)] +
+                              [str(e + 1) for e, _ in r.incident_nets]))
+    path = tmp_path / "w.hgr"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path), [r.weight for r in stream]
+
+
+class TestCliWeightedInputs:
+    """c(V) comes from the node weights: every algorithm keeps the bound."""
+
+    def _check(self, tmp_path, argv, weights, k, exempt=False):
+        out, mjson = str(tmp_path / "part.txt"), str(tmp_path / "m.json")
+        assert main(argv + ["--output", out, "--metrics-json", mjson]) == 0
+        payload = json.loads(Path(mjson).read_text())
+        loads = [0] * k
+        for node, block in enumerate(read_partition(out)):
+            loads[block] += weights[node]
+        fits = max(loads) <= compute_lmax(sum(weights), k, 0.03)
+        assert payload["balanced"] == fits
+        if not exempt:
+            assert fits and payload["violations"] == 0
+        return payload
+
+    @pytest.mark.parametrize("edge_weights", [False, True])
+    def test_graph_algorithms_and_map(self, tmp_path, edge_weights):
+        path, weights = _weighted_graph_file(tmp_path, edge_weights)
+        with open(path) as fh:
+            assert fh.readline().split()[2] == ("11" if edge_weights else "10")
+        for algorithm in ("ldg", "fennel", "heistream", "oms"):
+            for passes in ((1, 3) if algorithm in ("ldg", "fennel") else (1,)):
+                self._check(tmp_path, ["partition", "--input", path, "--k",
+                                       "8", "--algorithm", algorithm,
+                                       "--passes", str(passes),
+                                       "--delta", "64"], weights, 8)
+        # hashing ignores weights and overloads a block here; it must say so
+        payload = self._check(
+            tmp_path, ["partition", "--input", path, "--k", "8",
+                       "--algorithm", "hashing"], weights, 8, exempt=True)
+        assert payload["balanced"] is False
+        self._check(tmp_path, ["map", "--input", path, "--hierarchy", "2:4",
+                               "--distances", "1:10"], weights, 8)
+
+    def test_bench_rows_match_partition(self, tmp_path):
+        path, weights = _weighted_graph_file(tmp_path, True)
+        rows_path = str(tmp_path / "rows.csv")
+        assert main(["bench", "--input", path, "--algorithms",
+                     "hashing,ldg,fennel,heistream,oms", "--k", "8",
+                     "--delta", "64", "--output", rows_path]) == 0
+        for row in read_rows(rows_path):
+            payload = self._check(
+                tmp_path, ["partition", "--input", path, "--k", "8",
+                           "--algorithm", row["algorithm"], "--delta", "64"],
+                weights, 8, exempt=row["algorithm"] == "hashing")
+            assert int(row["edge_cut"]) == payload["edge_cut"]
+            assert float(row["imbalance"]) == \
+                pytest.approx(payload["imbalance"])
+
+    @pytest.mark.parametrize("objective", ["con", "cut"])
+    def test_hpartition(self, tmp_path, objective):
+        path, weights = _weighted_hypergraph_file(tmp_path)
+        self._check(tmp_path, ["hpartition", "--input", path, "--k", "8",
+                               "--objective", objective], weights, 8)

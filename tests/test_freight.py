@@ -7,7 +7,7 @@ from streamdecomp.freight import (CUT, SINGLE_BLOCK, UNTOUCHED,
                                   FreightConfig, NetTracker, SortedBlocks,
                                   freight_assign, run_freight)
 from streamdecomp.metrics import cut_net_and_connectivity
-from streamdecomp.onepass import FennelParams
+from streamdecomp.onepass import FennelParams, fennel_alpha
 from streamdecomp.partition import PartitionState
 from streamdecomp.streams import StreamedHyperNodeRecord
 
@@ -132,6 +132,35 @@ class TestWeightedNodes:
         state = run_freight(stream, config, total_weight=total)
         assert state.is_balanced()
         state.check_consistency([r.weight for r in stream])
+
+    def test_weighted_min_query_is_lowest_index_lightest(self):
+        # the state's weight heap must pick what a scan for the lowest-index
+        # lightest block picks, at eps=0 so the flagged fallback runs too
+        class ScanMin:
+            def __init__(self, state):
+                self.state = state
+
+            def min_block(self):
+                w = self.state.block_weight
+                return min(range(len(w)), key=lambda i: (w[i], i))
+
+        rng = random.Random(33)
+        for objective in ("connectivity", "cutnet"):
+            for k in (3, 8, 64):
+                stream = random_hypergraph(rng, 150, 120, max_pins=5,
+                                           max_node_weight=20)
+                total = sum(r.weight for r in stream)
+                config = FreightConfig(objective=objective, k=k, epsilon=0.0)
+                fast = run_freight(stream, config, total_weight=total)
+                state = PartitionState(150, k, 0.0, total)
+                tracker = NetTracker(stream.header.m)
+                params = FennelParams(alpha=fennel_alpha(150,
+                                                         stream.header.m, k))
+                for record in stream:
+                    freight_assign(record, state, tracker, ScanMin(state),
+                                   config, params, unit=False)
+                assert fast.assignment == state.assignment
+                assert fast.violations == state.violations
 
     def test_weighted_nodes_need_total_weight(self):
         rng = random.Random(32)

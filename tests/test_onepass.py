@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from streamdecomp import onepass
 from streamdecomp.metrics import edge_cut
 from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
                                   fennel_assign, fennel_gain, hashing_assign,
@@ -12,6 +13,7 @@ from streamdecomp.partition import UNASSIGNED, PartitionState
 from streamdecomp.streams import StreamedNodeRecord
 
 from generators import graph_stream_from_edges, random_graph
+from reference import scan_fennel_assign, scan_ldg_assign
 
 
 class TestHashing:
@@ -261,3 +263,97 @@ class TestRestream:
             outcomes[growth] = state.assignment[0] == state.assignment[1]
         assert outcomes[1.0] is True
         assert outcomes[10.0] is False
+
+
+def _partition(stream, algorithm, k, epsilon, passes):
+    total = sum(r.weight for r in stream)
+    state = PartitionState(stream.header.n, k, epsilon, total)
+    config = OnePassConfig(algorithm=algorithm, passes=passes)
+    if passes > 1:
+        run_restream(lambda: stream, config, state)
+    else:
+        run_onepass(stream, config, state)
+    return state
+
+
+def _outcome(state):
+    return (state.assignment, state.violations, state.block_weight,
+            state.block_count)
+
+
+class TestCandidateSelection:
+    """fennel_assign / ldg_assign against the O(k) scans in tests/reference."""
+
+    def _compare(self, monkeypatch, stream, algorithm, k, epsilon, passes):
+        with monkeypatch.context() as mp:
+            mp.setattr(onepass, "fennel_assign", scan_fennel_assign)
+            mp.setattr(onepass, "ldg_assign", scan_ldg_assign)
+            expected = _partition(stream, algorithm, k, epsilon, passes)
+        got = _partition(stream, algorithm, k, epsilon, passes)
+        assert _outcome(got) == _outcome(expected), (algorithm, k, epsilon,
+                                                     passes)
+        return got
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("passes", [1, 3])
+    def test_random_graphs_match_scan(self, monkeypatch, weighted, passes):
+        rng = random.Random(1000 + 10 * passes + weighted)
+        for trial in range(30):
+            n = rng.randint(40, 250)
+            stream = random_graph(rng, n, rng.randint(n, 3 * n),
+                                  max_edge_weight=5 if weighted else 1,
+                                  max_node_weight=20 if weighted else 1)
+            k = rng.choice([2, 3, 8, 17, 64, 256, 512])
+            epsilon = (0.0, 0.03, 0.5)[trial % 3]
+            for algorithm in ("fennel", "ldg"):
+                self._compare(monkeypatch, stream, algorithm, k, epsilon,
+                              passes)
+
+    def test_weighted_eps0_reaches_both_fallbacks(self, monkeypatch):
+        # eps=0 with weights 1..20 leaves late nodes without a feasible block
+        # (flagged fallback) and makes LDG's fewest-nodes block too heavy
+        # while another block still fits (the weighted scan).
+        scans = []
+        original = onepass._fewest_feasible
+
+        def spy(record, state):
+            before = state.violations
+            block = original(record, state)
+            scans.append(state.violations == before)
+            return block
+
+        monkeypatch.setattr(onepass, "_fewest_feasible", spy)
+        rng = random.Random(77)
+        violations = {"fennel": 0, "ldg": 0}
+        for _ in range(6):
+            stream = random_graph(rng, 300, 200, max_edge_weight=3,
+                                  max_node_weight=20)
+            for algorithm in violations:
+                for passes in (1, 3):
+                    state = self._compare(monkeypatch, stream, algorithm, 8,
+                                          0.0, passes)
+                    violations[algorithm] += state.violations
+        assert violations["fennel"] > 0 and violations["ldg"] > 0
+        assert True in scans and False in scans
+
+    def test_ldg_heavy_fewest_block_is_skipped(self):
+        state = PartitionState(10, 2, 0.0, 10)      # l_max = 5
+        state.assign(0, 0, 4)                      # block 0: 1 node, weight 4
+        state.assign(1, 1, 1)
+        state.assign(2, 1, 1)                      # block 1: 2 nodes, weight 2
+        assert ldg_assign(StreamedNodeRecord(3, 2, []), state) == 1
+        assert state.violations == 0
+        assert ldg_assign(StreamedNodeRecord(4, 9, []), state) == 0
+        assert state.violations == 1    # nothing fits: lightest, lowest index
+
+    def test_fennel_lightest_neighbor_block_dominates(self):
+        # the lightest block is also a neighbor block: its positive gain
+        # beats every unconnected block
+        state = PartitionState(6, 4, 1.0, 6)
+        params = FennelParams(alpha=0.5)
+        state.assign(0, 1, 1)
+        state.assign(1, 2, 1)
+        state.assign(2, 3, 1)
+        state.assign(3, 0, 1)
+        assert fennel_assign(StreamedNodeRecord(4, 1, [(1, 1)]), state,
+                             params) == 2

@@ -2,7 +2,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from streamdecomp.freight import BlockWeightQueue, SortedBlocks
+from streamdecomp.freight import SortedBlocks
+from streamdecomp.partition import UNASSIGNED, MinBlockHeap, PartitionState
 
 
 def check_invariants(sb: SortedBlocks):
@@ -93,27 +94,75 @@ def test_invariants_under_arbitrary_sequences(k, raw_sequence):
     assert sb.cardinality(sb.min_block()) == min(counts)
 
 
-class TestBlockWeightQueue:
+class TestMinBlockHeap:
     def test_min_is_lowest_index_of_min_weight(self):
-        q = BlockWeightQueue(4)
+        weights = [0] * 4
+        q = MinBlockHeap(weights)
+
+        def add(block, delta):
+            weights[block] += delta
+            q.update(block)
+
         assert q.min_block() == 0
-        q.increment(0, 5)
-        q.increment(1, 2)
+        add(0, 5)
+        add(1, 2)
         assert q.min_block() == 2      # blocks 2,3 at weight 0, lowest index
-        q.increment(2, 1)
-        q.increment(3, 1)
+        add(2, 1)
+        add(3, 1)
         assert q.min_block() == 2      # 2,3 at weight 1
-        q.increment(2, 4)
+        add(2, 4)
         assert q.min_block() == 3
 
+    def test_decrement_brings_block_back(self):
+        weights = [0] * 3
+        q = MinBlockHeap(weights)
+        for block, delta in ((0, 4), (1, 2), (2, 3), (0, -3), (2, -3)):
+            weights[block] += delta
+            q.update(block)
+        assert weights == [1, 2, 0]
+        assert q.min_block() == 2
+        weights[2] += 1
+        q.update(2)
+        assert q.min_block() == 0      # 0 and 2 tie at weight 1
+        weights[0] += 1
+        q.update(0)
+        weights[0] -= 1
+        q.update(0)                    # same weight as before: still the min
+        assert q.min_block() == 0
+
     def test_matches_scan_oracle(self):
-        rng = random.Random(5)
-        q = BlockWeightQueue(16)
-        weights = [0] * 16
-        for _ in range(2000):
-            b = rng.randrange(16)
-            delta = rng.randint(1, 4)
-            q.increment(b, delta)
-            weights[b] += delta
-            lo = min(range(16), key=lambda i: (weights[i], i))
-            assert q.min_block() == lo
+        # increments and decrements (restreaming removes nodes) at several k
+        for k in (1, 2, 16, 300):
+            rng = random.Random(5 + k)
+            weights = [0] * k
+            q = MinBlockHeap(weights)
+            for step in range(4000):
+                b = rng.randrange(k)
+                delta = rng.randint(1, 4)
+                if weights[b] >= delta and rng.random() < 0.4:
+                    delta = -delta
+                weights[b] += delta
+                q.update(b)
+                if step % 3 == 0:
+                    lo = min(range(k), key=lambda i: (weights[i], i))
+                    assert q.min_block() == lo
+                assert len(q.heap) <= 4 * k   # stale entries stay bounded
+
+    def test_partition_state_keeps_heaps_current(self):
+        rng = random.Random(17)
+        k = 12
+        state = PartitionState(200, k, 0.5, 200 * 3)
+        assert state.by_weight().min_block() == 0
+        assert state.by_count().min_block() == 0
+        weights = {}
+        for _ in range(3000):
+            node = rng.randrange(200)
+            if state.assignment[node] == UNASSIGNED:
+                weights[node] = rng.randint(1, 5)
+                state.assign(node, rng.randrange(k), weights[node])
+            else:
+                state.unassign(node, weights[node])
+            assert state.by_weight().min_block() == min(
+                range(k), key=lambda i: (state.block_weight[i], i))
+            assert state.by_count().min_block() == min(
+                range(k), key=lambda i: (state.block_count[i], i))
