@@ -4,6 +4,9 @@ Commands: partition (graphs), hpartition (hypergraphs), map (process
 mapping), metrics (recompute quality of an existing partition), transpose
 (hMetis net-major to node-major), bench (algorithm/k grids to CSV).
 
+partition, hpartition, map and every bench cell run through one function,
+:func:`execute`; the parsed arguments are the run description.
+
 Exit codes: 0 ok, 1 usage error, 2 input error, 3 internal invariant failure.
 The seed falls back to the STREAMDECOMP_SEED environment variable, then 0.
 """
@@ -11,12 +14,12 @@ The seed falls back to the STREAMDECOMP_SEED environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from pathlib import Path
 
 from . import bench as bench_mod
 from . import metrics as metrics_mod
@@ -40,30 +43,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunSpec:
-    command: str
-    algorithm: str = ""
-    input: str = ""
-    k: int = 2
-    hierarchy: str = ""
-    distances: str = ""
-    epsilon: float = 0.03
-    seed: int = 0
-    repeats: int = 1
-    output: str = ""
-    metrics_json: str = ""
-    metrics_csv: str = ""
-    extra: dict = field(default_factory=dict)
-
-
-def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("STREAMDECOMP_SEED")
-    return int(env) if env else 0
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -96,7 +75,6 @@ def build_parser() -> _Parser:
     p.add_argument("--localsearch-rounds", type=int, default=5)
     p.add_argument("--base", type=int, default=4)
     p.add_argument("--hash-bottom-layers", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("hpartition", help="streaming hypergraph partitioning")
     _add_common(p)
@@ -112,7 +90,6 @@ def build_parser() -> _Parser:
     p.add_argument("--algorithm", choices=("fennel", "ldg"), default="fennel")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--hash-bottom-layers", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("metrics", help="recompute metrics for a partition")
     p.add_argument("--input", required=True)
@@ -146,223 +123,180 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _graph_stream_factory(path: str, preload: bool):
-    if preload:
-        mem = MemoryGraphStream.load(path)
-        return lambda: mem
-    return lambda: open_graph_stream(path)
+def _hierarchy(spec) -> HierarchySpec:
+    return HierarchySpec.parse(spec.hierarchy, spec.distances)
 
 
-def _total_weight(path: str, header) -> int:
-    """c(V): one weight pre-pass for node-weighted inputs, else n."""
-    return total_node_weight(path) if header.has_node_weights else header.n
+# Run functions: (spec, stream, stream factory, c(V)) -> PartitionState.
+# Each names its run_* as a module global, looked up when it is called.
+
+def _onepass(spec, stream, factory, total_weight):
+    header = stream.header
+    state = PartitionState(header.n, spec.k, spec.epsilon, total_weight)
+    config = OnePassConfig(algorithm=spec.algorithm, passes=spec.passes,
+                           restream_alpha_growth=spec.alpha_growth)
+    params = None
+    if spec.algorithm == "fennel":
+        alpha = spec.alpha if spec.alpha is not None else \
+            fennel_alpha(header.n, header.m, spec.k, spec.gamma)
+        params = FennelParams(gamma=spec.gamma, alpha=alpha)
+    if spec.passes > 1 and spec.algorithm != "hashing":
+        return run_restream(factory, config, state, params)
+    return run_onepass(stream, config, state, params)
 
 
-def _run_graph_algorithm(args, seed: int) -> tuple[PartitionState, float, float]:
-    """Returns (state, total_seconds, core_seconds)."""
-    t0 = time.perf_counter()
-    factory = _graph_stream_factory(args.input, args.time_core)
-    header = factory().header
-    total_weight = _total_weight(args.input, header)
-    t1 = time.perf_counter()
+def _heistream(spec, stream, factory, total_weight):
+    config = HeiStreamConfig(
+        k=spec.k, delta=spec.delta, model=spec.model,
+        coarsen_rounds=spec.coarsen_rounds,
+        localsearch_rounds=spec.localsearch_rounds, x=spec.x,
+        passes=spec.passes, epsilon=spec.epsilon, alpha=spec.alpha,
+        gamma=spec.gamma, seed=spec.seed)
+    return run_heistream(factory, config, total_weight)
 
-    algo = args.algorithm
-    if algo == "heistream":
-        config = HeiStreamConfig(
-            k=args.k, delta=args.delta, model=args.model,
-            coarsen_rounds=args.coarsen_rounds,
-            localsearch_rounds=args.localsearch_rounds, x=args.x,
-            passes=args.passes, epsilon=args.epsilon, alpha=args.alpha,
-            gamma=args.gamma, seed=seed)
-        state = run_heistream(factory, config, total_weight)
-    elif algo == "oms":
-        config = OmsConfig(scorer="fennel", epsilon=args.epsilon,
-                           base=args.base, alpha=args.alpha, gamma=args.gamma,
-                           hash_bottom_layers=args.hash_bottom_layers,
-                           threads=args.threads, seed=seed)
-        state = run_oms(factory(), config, k=args.k, total_weight=total_weight)
+
+def _oms(spec, stream, factory, total_weight):
+    config = OmsConfig(scorer="fennel", epsilon=spec.epsilon, base=spec.base,
+                       alpha=spec.alpha, gamma=spec.gamma,
+                       hash_bottom_layers=spec.hash_bottom_layers)
+    return run_oms(stream, config, k=spec.k, total_weight=total_weight)
+
+
+def _map(spec, stream, factory, total_weight):
+    config = OmsConfig(scorer=spec.algorithm, epsilon=spec.epsilon,
+                       alpha=spec.alpha,
+                       hash_bottom_layers=spec.hash_bottom_layers)
+    return run_oms(stream, config, spec=_hierarchy(spec),
+                   total_weight=total_weight)
+
+
+def _freight(spec, stream, factory, total_weight):
+    config = FreightConfig(
+        objective="connectivity" if spec.objective == "con" else "cutnet",
+        k=spec.k, epsilon=spec.epsilon, gamma=spec.gamma, alpha=spec.alpha)
+    return run_freight(stream, config, total_weight)
+
+
+# Reported algorithm name -> (stream kind, run function).
+ALGORITHMS = {
+    **{name: ("graph", _onepass) for name in ("hashing", "ldg", "fennel")},
+    "heistream": ("graph", _heistream),
+    "oms": ("graph", _oms),
+    "oms-fennel": ("graph", _map),
+    "oms-ldg": ("graph", _map),
+    "freight-con": ("hypergraph", _freight),
+    "freight-cut": ("hypergraph", _freight),
+}
+
+
+def _algorithm(spec) -> str:
+    if spec.command == "hpartition":
+        return f"freight-{spec.objective}"
+    if spec.command == "map":
+        return f"oms-{spec.algorithm}"
+    return spec.algorithm
+
+
+def _verify(stream, assignment, block_weight, hypergraph: bool,
+            hierarchy) -> dict:
+    """Quality from a separate pass over ``stream``: the objective (edge cut,
+    or cut-net and connectivity), imbalance, and comm cost with a hierarchy."""
+    quality = metrics_mod.QualityReport(
+        imbalance=metrics_mod.imbalance(block_weight, len(block_weight)))
+    if hypergraph:
+        quality.cut_net, quality.connectivity = \
+            metrics_mod.cut_net_and_connectivity(stream, assignment)
     else:
-        config = OnePassConfig(algorithm=algo, passes=args.passes,
-                               restream_alpha_growth=args.alpha_growth,
-                               seed=seed)
-        state = PartitionState(header.n, args.k, args.epsilon, total_weight)
-        params = None
-        if algo == "fennel":
-            alpha = args.alpha if args.alpha is not None else \
-                fennel_alpha(header.n, header.m, args.k, args.gamma)
-            params = FennelParams(gamma=args.gamma, alpha=alpha)
-        if args.passes > 1 and algo != "hashing":
-            run_restream(factory, config, state, params)
-        else:
-            run_onepass(factory(), config, state, params)
-    t2 = time.perf_counter()
-    return state, t2 - t0, t2 - t1
-
-
-def _emit(report: dict, spec: RunSpec, json_path: str, csv_path: str) -> None:
-    payload = dict(report)
-    payload["runspec"] = {k: v for k, v in asdict(spec).items() if v != ""}
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    if csv_path:
-        bench_mod.write_rows(csv_path, [report])
-
-
-def _graph_report(args, state, seed, total_s, core_s, algorithm,
-                  hierarchy=None) -> dict:
-    cut = metrics_mod.edge_cut(open_graph_stream(args.input), state.assignment)
-    comm = None
+        quality.edge_cut = metrics_mod.edge_cut(stream, assignment)
     if hierarchy is not None:
-        comm = metrics_mod.comm_cost(open_graph_stream(args.input),
-                                     state.assignment, hierarchy)
-    runtime_ms = (core_s if args.time_core else total_s) * 1000.0
-    return {
-        "edge_cut": cut,
-        "cut_net": None,
-        "connectivity": None,
-        "imbalance": metrics_mod.imbalance(state.block_weight, state.k),
-        "comm_cost": comm,
-        "runtime_ms": runtime_ms,
+        quality.comm_cost = metrics_mod.comm_cost(stream, assignment, hierarchy)
+    return quality.as_dict()
+
+
+def execute(spec) -> dict:
+    """One partition, hpartition or map run, from input file to report.
+
+    Opens the stream (or preloads it with ``time_core``), takes c(V), runs
+    and times the algorithm, writes the partition, verifies the objective in
+    a separate pass and warns about capacity violations.
+    """
+    algorithm = _algorithm(spec)
+    kind, run = ALGORITHMS[algorithm]
+    t0 = time.perf_counter()
+    opener = open_graph_stream if kind == "graph" else open_hypergraph_node_stream
+    factory = lambda: opener(spec.input)
+    if spec.time_core:
+        memory = MemoryGraphStream if kind == "graph" else MemoryHypergraphStream
+        preloaded = memory.load(spec.input)
+        factory = lambda: preloaded
+    stream = factory()
+    total_weight = total_node_weight(spec.input) \
+        if stream.header.has_node_weights else stream.header.n
+    t1 = time.perf_counter()
+    state = run(spec, stream, factory, total_weight)
+    t2 = time.perf_counter()
+
+    if spec.output:
+        write_partition(spec.output, state.assignment)
+    if state.violations:
+        print(f"warning: {state.violations} capacity violations", file=sys.stderr)
+    report = _verify(factory(), state.assignment, state.block_weight,
+                     kind == "hypergraph",
+                     _hierarchy(spec) if spec.command == "map" else None)
+    report.update({
+        "runtime_ms": ((t2 - t1) if spec.time_core else (t2 - t0)) * 1000.0,
         "algorithm": algorithm,
         "k": state.k,
         "epsilon": state.epsilon,
-        "seed": seed,
-        "runtime_total_ms": total_s * 1000.0,
-        "runtime_core_ms": core_s * 1000.0,
-        "balanced": state.is_balanced(),
-        "violations": state.violations,
-    }
-
-
-def cmd_partition(args) -> int:
-    seed = _resolve_seed(args.seed)
-    state, total_s, core_s = _run_graph_algorithm(args, seed)
-    if args.output:
-        write_partition(args.output, state.assignment)
-    report = _graph_report(args, state, seed, total_s, core_s, args.algorithm)
-    spec = RunSpec(command="partition", algorithm=args.algorithm,
-                   input=args.input, k=args.k, epsilon=args.epsilon,
-                   seed=seed, output=args.output,
-                   metrics_json=args.metrics_json, metrics_csv=args.metrics_csv,
-                   extra={"passes": args.passes, "delta": args.delta,
-                          "model": args.model, "base": args.base})
-    _emit(report, spec, args.metrics_json, args.metrics_csv)
-    if state.violations:
-        print(f"warning: {state.violations} capacity violations", file=sys.stderr)
-    return 0
-
-
-def cmd_hpartition(args) -> int:
-    seed = _resolve_seed(args.seed)
-    objective = "connectivity" if args.objective == "con" else "cutnet"
-    t0 = time.perf_counter()
-    if args.time_core:
-        mem = MemoryHypergraphStream.load(args.input)
-        factory = lambda: mem
-    else:
-        factory = lambda: open_hypergraph_node_stream(args.input)
-    stream = factory()
-    total_weight = _total_weight(args.input, stream.header)
-    t1 = time.perf_counter()
-    config = FreightConfig(objective=objective, k=args.k,
-                           epsilon=args.epsilon, gamma=args.gamma,
-                           alpha=args.alpha, seed=seed)
-    state = run_freight(stream, config, total_weight)
-    t2 = time.perf_counter()
-    if args.output:
-        write_partition(args.output, state.assignment)
-    cut, conn = metrics_mod.cut_net_and_connectivity(
-        factory(), state.assignment)
-    report = {
-        "edge_cut": None,
-        "cut_net": cut,
-        "connectivity": conn,
-        "imbalance": metrics_mod.imbalance(state.block_weight, state.k),
-        "comm_cost": None,
-        "runtime_ms": ((t2 - t1) if args.time_core else (t2 - t0)) * 1000.0,
-        "algorithm": f"freight-{args.objective}",
-        "k": state.k,
-        "epsilon": state.epsilon,
-        "seed": seed,
+        "seed": spec.seed,
         "runtime_total_ms": (t2 - t0) * 1000.0,
         "runtime_core_ms": (t2 - t1) * 1000.0,
         "balanced": state.is_balanced(),
         "violations": state.violations,
-    }
-    spec = RunSpec(command="hpartition", algorithm=f"freight-{args.objective}",
-                   input=args.input, k=args.k, epsilon=args.epsilon, seed=seed,
-                   output=args.output, metrics_json=args.metrics_json,
-                   metrics_csv=args.metrics_csv)
-    _emit(report, spec, args.metrics_json, args.metrics_csv)
-    if state.violations:
-        print(f"warning: {state.violations} capacity violations", file=sys.stderr)
-    return 0
+    })
+    return report
 
 
-def cmd_map(args) -> int:
-    seed = _resolve_seed(args.seed)
-    hierarchy = HierarchySpec.parse(args.hierarchy, args.distances)
-    t0 = time.perf_counter()
-    stream = _graph_stream_factory(args.input, args.time_core)()
-    total_weight = _total_weight(args.input, stream.header)
-    t1 = time.perf_counter()
-    config = OmsConfig(scorer=args.algorithm, epsilon=args.epsilon,
-                       alpha=args.alpha,
-                       hash_bottom_layers=args.hash_bottom_layers,
-                       threads=args.threads, seed=seed)
-    state = run_oms(stream, config, spec=hierarchy, total_weight=total_weight)
-    t2 = time.perf_counter()
-    if args.output:
-        write_partition(args.output, state.assignment)
-    report = _graph_report(args, state, seed, t2 - t0, t2 - t1,
-                           f"oms-{args.algorithm}", hierarchy)
-    spec = RunSpec(command="map", algorithm=f"oms-{args.algorithm}",
-                   input=args.input, k=hierarchy.k, hierarchy=args.hierarchy,
-                   distances=args.distances, epsilon=args.epsilon, seed=seed,
-                   output=args.output, metrics_json=args.metrics_json,
-                   metrics_csv=args.metrics_csv)
-    _emit(report, spec, args.metrics_json, args.metrics_csv)
+def _emit(report: dict, spec) -> None:
+    payload = dict(report, runspec={k: v for k, v in vars(spec).items()
+                                    if v != ""})
+    text = json.dumps(payload, indent=2) + "\n"
+    if spec.metrics_json:
+        Path(spec.metrics_json).write_text(text)
+    else:
+        sys.stdout.write(text)
+    if spec.metrics_csv:
+        bench_mod.write_rows(spec.metrics_csv, [report])
+
+
+def cmd_run(args) -> int:
+    _emit(execute(args), args)
     return 0
 
 
 def cmd_metrics(args) -> int:
-    assignment = read_partition(args.partition)
-    k = args.k if args.k is not None else (max(assignment) + 1 if assignment else 1)
-    weights = [0] * k
-    quality = metrics_mod.QualityReport()
-    if args.hypergraph:
-        stream = open_hypergraph_node_stream(args.input)
-        for record in stream:
-            weights[assignment[record.id]] += record.weight
-        quality.cut_net, quality.connectivity = \
-            metrics_mod.cut_net_and_connectivity(
-                open_hypergraph_node_stream(args.input), assignment)
-    else:
-        for record in open_graph_stream(args.input):
-            weights[assignment[record.id]] += record.weight
-        quality.edge_cut = metrics_mod.edge_cut(
-            open_graph_stream(args.input), assignment)
+    k, hierarchy = args.k, None
     if args.hierarchy:
-        hierarchy = HierarchySpec.parse(args.hierarchy, args.distances)
-        quality.comm_cost = metrics_mod.comm_cost(
-            open_graph_stream(args.input), assignment, hierarchy)
-    quality.imbalance = metrics_mod.imbalance(weights, k)
-    report = quality.as_dict()
-    report.update({
-        "runtime_ms": None,
-        "algorithm": "metrics",
-        "k": k,
-        "epsilon": args.epsilon,
-        "seed": None,
-    })
-    spec = RunSpec(command="metrics", input=args.input, k=k,
-                   epsilon=args.epsilon)
-    _emit(report, spec, args.metrics_json, args.metrics_csv)
+        if args.hypergraph:
+            raise UsageError("--hierarchy (comm cost) needs a graph input")
+        hierarchy = _hierarchy(args)
+        if k not in (None, hierarchy.k):
+            raise UsageError(f"--k {k} disagrees with the hierarchy's "
+                             f"k={hierarchy.k}")
+        k = hierarchy.k
+    opener = open_hypergraph_node_stream if args.hypergraph \
+        else open_graph_stream
+    stream = opener(args.input)
+    assignment = read_partition(args.partition, stream.header.n, k)
+    if k is None:
+        k = max(assignment) + 1
+    weights = [0] * k
+    for record in stream:
+        weights[assignment[record.id]] += record.weight
+    report = _verify(stream, assignment, weights, args.hypergraph, hierarchy)
+    report.update({"runtime_ms": None, "algorithm": "metrics", "k": k,
+                   "epsilon": args.epsilon, "seed": None})
+    _emit(report, args)
     return 0
 
 
@@ -373,43 +307,31 @@ def cmd_transpose(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    base_seed = _resolve_seed(args.seed)
-    algorithms = args.algorithms.split(",")
+    """Each grid cell is a ``partition --time-core`` run parsed by the
+    partition subparser, so the cells share its defaults."""
+    parser = build_parser()
     ks = [int(t) for t in args.k.split(",")]
     rows = []
-    for path in args.input:
-        for algorithm in algorithms:
-            if algorithm not in GRAPH_ALGOS:
-                raise UsageError(f"unknown algorithm {algorithm!r}")
-            for k in ks:
-                for rep in range(args.repeats):
-                    seed = base_seed + rep
-                    sub = argparse.Namespace(
-                        input=path, algorithm=algorithm, k=k,
-                        epsilon=args.epsilon, seed=seed, passes=args.passes,
-                        alpha=None, alpha_growth=2.0, gamma=1.5,
-                        delta=args.delta, model=args.model, x=4,
-                        coarsen_rounds=5, localsearch_rounds=5,
-                        base=args.base, hash_bottom_layers=0, threads=1,
-                        time_core=True, output="", metrics_json="",
-                        metrics_csv="")
-                    state, total_s, core_s = _run_graph_algorithm(sub, seed)
-                    rows.append(_graph_report(sub, state, seed, total_s,
-                                              core_s, algorithm))
+    for path, algorithm, k, rep in itertools.product(
+            args.input, args.algorithms.split(","), ks, range(args.repeats)):
+        rows.append(execute(parser.parse_args([
+            "partition", "--input", path, "--algorithm", algorithm,
+            "--k", str(k), "--epsilon", str(args.epsilon),
+            "--seed", str(args.seed + rep), "--passes", str(args.passes),
+            "--delta", str(args.delta), "--model", args.model,
+            "--base", str(args.base), "--time-core"])))
     bench_mod.write_rows(args.output, rows)
     if args.summary:
         summary = bench_mod.summarize(bench_mod.read_rows(args.output))
-        with open(args.summary, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        Path(args.summary).write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
 
 COMMANDS = {
-    "partition": cmd_partition,
-    "hpartition": cmd_hpartition,
-    "map": cmd_map,
+    "partition": cmd_run,
+    "hpartition": cmd_run,
+    "map": cmd_run,
     "metrics": cmd_metrics,
     "transpose": cmd_transpose,
     "bench": cmd_bench,
@@ -417,19 +339,19 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if "seed" in args and args.seed is None:
+            args.seed = int(os.environ.get("STREAMDECOMP_SEED") or 0)
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, FileNotFoundError, ValueError, IndexError,
-            KeyError) as exc:
+    except (FormatError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
+    except (AssertionError, IndexError, KeyError) as exc:
+        print(f"internal invariant failure: {exc!r}", file=sys.stderr)
         return 3
 
 

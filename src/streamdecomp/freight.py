@@ -103,7 +103,6 @@ class FreightConfig:
     epsilon: float = 0.03
     gamma: float = 1.5
     alpha: Optional[float] = None       # default sqrt(k)*m/n^1.5 from the header
-    seed: int = 0
 
     def __post_init__(self):
         if self.objective not in ("connectivity", "cutnet"):
@@ -220,8 +219,7 @@ def _commit(record, block: int, state: PartitionState, tracker: NetTracker,
 
 
 def run_freight(stream, config: FreightConfig,
-                total_weight: Optional[int] = None,
-                naive: bool = False) -> PartitionState:
+                total_weight: Optional[int] = None) -> PartitionState:
     """One pass of FREIGHT over a node-major hypergraph stream.
 
     Beyond the current record the decision state is O(m + k): the net tracker
@@ -242,7 +240,6 @@ def run_freight(stream, config: FreightConfig,
     if alpha is None:
         alpha = fennel_alpha(header.n, header.m, config.k, config.gamma)
     params = FennelParams(gamma=config.gamma, alpha=alpha)
-    assign = naive_freight_assign if naive else freight_assign
     for record in stream:
-        assign(record, state, tracker, blocks, config, params, unit)
+        freight_assign(record, state, tracker, blocks, config, params, unit)
     return state

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .partition import UNASSIGNED
+from .streams import FormatError
 
 
 @dataclass
@@ -47,7 +48,7 @@ def edge_cut(graph_stream: Iterable, assignment: Sequence[int]) -> int:
             if assignment[v] != bu:
                 doubled += w
     if doubled % 2 != 0:
-        raise AssertionError("asymmetric adjacency: doubled cut weight is odd")
+        raise FormatError("asymmetric adjacency: doubled cut weight is odd")
     return doubled // 2
 
 

@@ -18,12 +18,9 @@ fallback computes the same value from successive integer divisions.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .onepass import fennel_alpha
 from .partition import UNASSIGNED, PartitionState
@@ -109,29 +106,6 @@ class HierarchySpec:
             if pe_a // h[i] != pe_b // h[i]:
                 return self.distances[i]
         return 0
-
-    def distance_matrix(self) -> np.ndarray:
-        """Full k x k distance matrix from the binary codes (vectorized)."""
-        codes = np.array(self.codes(), dtype=np.int64)
-        if codes.size and int(codes.max()) >= 1 << 52:
-            raise ValueError("codes too wide for exact float log2")
-        x = codes[:, None] ^ codes[None, :]
-        out = np.zeros(x.shape, dtype=np.int64)
-        nz = x > 0
-        sections = (np.floor(np.log2(x, where=nz, out=np.zeros_like(x, dtype=float)))
-                    .astype(np.int64) // self.section_bits)
-        dist = np.array(self.distances, dtype=np.int64)
-        out[nz] = dist[sections[nz]]
-        return out
-
-    def division_distance_matrix(self) -> np.ndarray:
-        """k x k matrix via the division method; independent of the codes."""
-        pes = np.arange(self.k, dtype=np.int64)
-        out = np.zeros((self.k, self.k), dtype=np.int64)
-        for i, h in enumerate(self.division_vector()):
-            q = pes // h
-            out[q[:, None] != q[None, :]] = self.distances[i]
-        return out
 
 
 class TreeBlock:
@@ -263,8 +237,6 @@ class OmsConfig:
     alpha: Optional[float] = None
     gamma: float = 1.5
     hash_bottom_layers: int = 0
-    threads: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.scorer not in ("fennel", "ldg"):
@@ -274,8 +246,7 @@ class OmsConfig:
 
 
 def oms_assign(record, tree: MultisectionTree, state: PartitionState,
-               config: OmsConfig, alpha: float,
-               lock: Optional[threading.Lock] = None) -> int:
+               config: OmsConfig, alpha: float) -> int:
     """Descend the tree, scoring the current block's children at each layer."""
     node = tree.root
     assignment = state.assignment
@@ -287,20 +258,11 @@ def oms_assign(record, tree: MultisectionTree, state: PartitionState,
         else:
             child = _score_child(record, node, tree, state, neighbors,
                                  config, alpha)
-        if lock is None:
-            child.weight += record.weight
-        else:
-            with lock:
-                child.weight += record.weight
+        child.weight += record.weight
         node = child
     block = node.lo
-    if lock is None:
-        tree.root.weight += record.weight
-        state.assign(record.id, block, record.weight)
-    else:
-        with lock:
-            tree.root.weight += record.weight
-            state.assign(record.id, block, record.weight)
+    tree.root.weight += record.weight
+    state.assign(record.id, block, record.weight)
     return block
 
 
@@ -370,32 +332,7 @@ def run_oms(stream, config: OmsConfig,
     if alpha is None:
         alpha = fennel_alpha(header.n, header.m, num_blocks, config.gamma)
 
-    if config.threads <= 1:
-        for record in stream:
-            oms_assign(record, tree, state, config, alpha)
-    else:
-        _run_parallel(stream, tree, state, config, alpha)
+    for record in stream:
+        oms_assign(record, tree, state, config, alpha)
     state.tree = tree
     return state
-
-
-def _run_parallel(stream, tree, state, config, alpha) -> None:
-    """Node-parallel assignment: weight increments are locked, the capacity
-    check deliberately is not, so rare overloads are tolerated and flagged."""
-    weight_lock = threading.Lock()
-    stream_lock = threading.Lock()
-    iterator = iter(stream)
-
-    def worker():
-        while True:
-            with stream_lock:
-                record = next(iterator, None)
-            if record is None:
-                return
-            oms_assign(record, tree, state, config, alpha, lock=weight_lock)
-
-    threads = [threading.Thread(target=worker) for _ in range(config.threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()

@@ -29,7 +29,6 @@ def fennel_alpha(n: int, m: int, k: int, gamma: float = 1.5) -> float:
 class FennelParams:
     gamma: float = 1.5
     alpha: float = 1.0
-    hard_balance: bool = True
 
     def __post_init__(self):
         if self.gamma <= 1.0:
@@ -43,7 +42,6 @@ class OnePassConfig:
     algorithm: str = "fennel"           # hashing | ldg | fennel
     passes: int = 1
     restream_alpha_growth: float = 2.0  # ReFennel multiplier per extra pass
-    seed: int = 0
 
     def __post_init__(self):
         if self.algorithm not in ("hashing", "ldg", "fennel"):
@@ -98,7 +96,7 @@ def fennel_assign(record, state: PartitionState, params: FennelParams) -> int:
     best_key = None
     for i, g in gains.items():
         bw = block_weight[i]
-        if params.hard_balance and bw + weight > state.l_max:
+        if bw + weight > state.l_max:
             continue
         key = (fennel_gain(g, weight, bw, params), -bw, -i)
         if best_key is None or key > best_key:
@@ -151,19 +149,12 @@ def _fewest_feasible(record, state: PartitionState) -> int:
     return min(range(state.k), key=lambda i: (state.block_weight[i], i))
 
 
-@dataclass
-class PassStats:
-    pass_index: int
-    assigned: int = 0
-
-
 def run_onepass(stream, config: OnePassConfig, state: PartitionState,
                 params: Optional[FennelParams] = None) -> PartitionState:
     """One full pass assigning every streamed node. Returns the final state."""
     if params is None and config.algorithm == "fennel":
         h = stream.header
         params = FennelParams(alpha=fennel_alpha(h.n, h.m, state.k))
-    stats = PassStats(pass_index=0)
     for record in stream:
         if config.algorithm == "hashing":
             state.assign(record.id, hashing_assign(record.id, state.k),
@@ -172,8 +163,6 @@ def run_onepass(stream, config: OnePassConfig, state: PartitionState,
             ldg_assign(record, state)
         else:
             fennel_assign(record, state, params)
-        stats.assigned += 1
-    state.pass_stats = [stats]
     return state
 
 
@@ -193,11 +182,8 @@ def run_restream(stream_factory, config: OnePassConfig, state: PartitionState,
         h = stream.header
         params = FennelParams(alpha=fennel_alpha(h.n, h.m, state.k))
     run_onepass(stream, config, state, params)
-    all_stats = list(state.pass_stats)
 
-    node_weights = {}
     for p in range(1, config.passes):
-        stats = PassStats(pass_index=p)
         if config.algorithm == "ldg":
             # Current-pass weights start from zero; the assignment array keeps
             # serving neighbor lookups across passes.
@@ -210,17 +196,12 @@ def run_restream(stream_factory, config: OnePassConfig, state: PartitionState,
                 # current shares the assignment array and already wrote it
                 state.assignment[record.id] = UNASSIGNED
                 state.assign(record.id, new, record.weight)
-                stats.assigned += 1
             state.violations += current.violations
         else:
             pass_params = FennelParams(
                 gamma=params.gamma,
-                alpha=params.alpha * config.restream_alpha_growth ** p,
-                hard_balance=params.hard_balance)
+                alpha=params.alpha * config.restream_alpha_growth ** p)
             for record in stream_factory():
                 state.unassign(record.id, record.weight)
                 fennel_assign(record, state, pass_params)
-                stats.assigned += 1
-        all_stats.append(stats)
-    state.pass_stats = all_stats
     return state

@@ -80,7 +80,6 @@ class PartitionState:
         self.block_weight = [0] * k
         self.block_count = [0] * k
         self.violations = 0
-        self.pass_stats: list = []
         self._by_weight: MinBlockHeap | None = None
         self._by_count: MinBlockHeap | None = None
 

@@ -190,10 +190,8 @@ def _check_neighbor(v: int, w: int, node: int, n: int) -> None:
         raise FormatError(f"node {node}: edge weight must be >= 1")
 
 
-def open_graph_stream(path: str, fmt: str = "metis") -> GraphStream:
+def open_graph_stream(path: str) -> GraphStream:
     """Open a graph file for one streaming pass in ascending node order."""
-    if fmt != "metis":
-        raise ValueError(f"unknown graph format {fmt!r}")
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     return GraphStream(path)
@@ -379,9 +377,17 @@ def write_partition(path: str, assignment: Iterable[int]) -> None:
             out.write(f"{block}\n")
 
 
-def read_partition(path: str) -> list[int]:
+def read_partition(path: str, n: int, k: Optional[int] = None) -> list[int]:
+    """Block ids of nodes 0..n-1, each in [0, k) (only >= 0 without k)."""
     with open(path) as fh:
-        return [int(line) for line in fh if line.strip()]
+        blocks = [int(line) for line in fh if line.strip()]
+    if len(blocks) != n:
+        raise FormatError(f"{path}: expected {n} block ids, got {len(blocks)}")
+    for node, block in enumerate(blocks):
+        if block < 0 or (k is not None and block >= k):
+            raise FormatError(f"{path}: node {node}: block id {block} out "
+                              f"of range for k={k}")
+    return blocks
 
 
 def write_graph(path: str, n: int, edges: Iterable[tuple[int, int, int]],

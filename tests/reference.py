@@ -2,14 +2,17 @@
 
 These deliberately avoid the production fast paths: the FREIGHT reference
 and the Fennel and LDG scans score every block per node, the Fennel twin
-reads neighbor assignments straight off the graph, and the multi-pass
+reads neighbor assignments straight off the graph, the multi-pass
 multi-section reference restreams once per tree layer with per-layer weight
-tables instead of descending a tree.
+tables instead of descending a tree, and the two k x k PE distance matrices
+are built with numpy, which only the tests need.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from streamdecomp.freight import (FreightConfig, NetTracker, SortedBlocks,
                                   naive_freight_assign, select_block)
@@ -40,7 +43,7 @@ def scan_fennel_assign(record, state: PartitionState,
     best_key = None
     for i in range(state.k):
         bw = state.block_weight[i]
-        if params.hard_balance and bw + record.weight > state.l_max:
+        if bw + record.weight > state.l_max:
             continue
         score = fennel_gain(gains.get(i, 0.0), record.weight, bw, params)
         key = (score, -bw, -i)
@@ -167,3 +170,28 @@ def run_multisection_multipass(graph_stream, tree, k: int, epsilon: float,
         if depth > 64:
             raise AssertionError("multi-pass reference failed to converge")
     return [p.lo for p in position]
+
+
+def distance_matrix(spec) -> np.ndarray:
+    """Full k x k distance matrix from the binary codes (vectorized)."""
+    codes = np.array(spec.codes(), dtype=np.int64)
+    if codes.size and int(codes.max()) >= 1 << 52:
+        raise ValueError("codes too wide for exact float log2")
+    x = codes[:, None] ^ codes[None, :]
+    out = np.zeros(x.shape, dtype=np.int64)
+    nz = x > 0
+    sections = (np.floor(np.log2(x, where=nz, out=np.zeros_like(x, dtype=float)))
+                .astype(np.int64) // spec.section_bits)
+    dist = np.array(spec.distances, dtype=np.int64)
+    out[nz] = dist[sections[nz]]
+    return out
+
+
+def division_distance_matrix(spec) -> np.ndarray:
+    """k x k matrix via the division method; independent of the codes."""
+    pes = np.arange(spec.k, dtype=np.int64)
+    out = np.zeros((spec.k, spec.k), dtype=np.int64)
+    for i, h in enumerate(spec.division_vector()):
+        q = pes // h
+        out[q[:, None] != q[None, :]] = spec.distances[i]
+    return out

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import streamdecomp
+from streamdecomp import cli
 from streamdecomp.bench import geometric_mean, read_rows, summarize, write_rows
 from streamdecomp.cli import main
 from streamdecomp.partition import compute_lmax
@@ -100,7 +105,7 @@ class TestCliPartition:
                      "fennel", "--k", "4", "--output", out,
                      "--metrics-json", mjson, "--seed", "1"])
         assert code == 0
-        blocks = read_partition(out)
+        blocks = read_partition(out, 60)
         assert len(blocks) == 60
         assert all(0 <= b < 4 for b in blocks)
         payload = json.loads(Path(mjson).read_text())
@@ -131,7 +136,7 @@ class TestCliPartition:
                          algorithm, "--k", "4", "--output", out,
                          "--delta", "16"])
             assert code == 0, algorithm
-            assert len(read_partition(out)) == 60
+            assert len(read_partition(out, 60, 4)) == 60
 
     def test_partition_time_core(self, graph_file, tmp_path, capsys):
         mjson = str(tmp_path / "m.json")
@@ -187,6 +192,68 @@ class TestCliErrors:
         bad.write_text("3 5\n2\n1 3\n2\n")   # edge count mismatch
         assert main(["partition", "--input", str(bad), "--k", "2"]) == 2
 
+    def test_asymmetric_adjacency_is_exit_2(self, tmp_path, capsys):
+        # node 1 lists node 2 but node 2 lists node 3: the degree sum still
+        # matches m, and the verification pass finds an odd doubled cut
+        bad = tmp_path / "asym_w.graph"
+        bad.write_text("3 1 1\n2 2\n1 3\n\n")
+        part = tmp_path / "p.txt"
+        part.write_text("0\n1\n0\n")
+        assert main(["metrics", "--input", str(bad), "--partition",
+                     str(part)]) == 2
+        bad = tmp_path / "asym.graph"
+        bad.write_text("3 1\n2\n3\n\n")
+        assert main(["partition", "--input", str(bad), "--algorithm",
+                     "heistream", "--passes", "2", "--k", "2"]) == 2
+        assert "asymmetric adjacency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", [["0"] * 59, ["0"] * 61,
+                                       ["0"] * 59 + ["4"]])
+    def test_bad_partition_file_is_exit_2(self, graph_file, tmp_path, lines,
+                                          capsys):
+        part = tmp_path / "p.txt"
+        part.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--input", graph_file, "--partition",
+                     str(part), "--k", "4"]) == 2
+        assert "block id" in capsys.readouterr().err
+
+    def test_metrics_k_must_match_hierarchy(self, graph_file, tmp_path,
+                                            capsys):
+        part = tmp_path / "p.txt"
+        part.write_text("0\n" * 60)
+        assert main(["metrics", "--input", graph_file, "--partition",
+                     str(part), "--k", "2", "--hierarchy", "2:2",
+                     "--distances", "1:10"]) == 1
+
+    def test_index_error_inside_an_algorithm_is_exit_3(self, graph_file,
+                                                       monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise IndexError("list index out of range")
+        monkeypatch.setattr(cli, "run_onepass", broken)
+        assert main(["partition", "--input", graph_file, "--k", "2"]) == 3
+        assert "internal invariant failure" in capsys.readouterr().err
+
+    def test_map_warns_on_capacity_violations(self, tmp_path, capsys):
+        # c(V) = 4, k = 2, eps = 0: L_max = 2, so the weight-3 node overloads
+        graph = tmp_path / "w.graph"
+        graph.write_text("2 0 10\n3\n1\n")
+        mjson = str(tmp_path / "m.json")
+        assert main(["map", "--input", str(graph), "--hierarchy", "2",
+                     "--distances", "1", "--epsilon", "0",
+                     "--metrics-json", mjson]) == 0
+        assert json.loads(Path(mjson).read_text())["violations"] == 1
+        assert "warning: 1 capacity violations" in capsys.readouterr().err
+
+
+def test_runtime_does_not_import_numpy():
+    src = os.path.dirname(os.path.dirname(streamdecomp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, streamdecomp.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
 
 class TestCliBench:
     def test_bench_grid_and_summary(self, graph_file, tmp_path, capsys):
@@ -238,7 +305,7 @@ class TestCliWeightedInputs:
         assert main(argv + ["--output", out, "--metrics-json", mjson]) == 0
         payload = json.loads(Path(mjson).read_text())
         loads = [0] * k
-        for node, block in enumerate(read_partition(out)):
+        for node, block in enumerate(read_partition(out, len(weights), k)):
             loads[block] += weights[node]
         fits = max(loads) <= compute_lmax(sum(weights), k, 0.03)
         assert payload["balanced"] == fits

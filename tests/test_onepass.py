@@ -185,19 +185,13 @@ class TestRunOnepass:
             for part in map(set, itertools.combinations(range(n), size)))
         assert best == 0
 
-    def test_single_pass_has_single_stats_entry(self):
-        stream = graph_stream_from_edges(2, [(0, 1, 1)])
-        state = PartitionState(2, 2, 0.0, 2)
-        run_onepass(stream, OnePassConfig(algorithm="ldg"), state)
-        assert len(state.pass_stats) == 1
-
     def test_determinism(self):
         rng = random.Random(9)
         stream = random_graph(rng, 80, 200)
         results = []
         for _ in range(2):
             state = PartitionState(80, 4, 0.03, 80)
-            run_onepass(stream, OnePassConfig(algorithm="fennel", seed=3), state)
+            run_onepass(stream, OnePassConfig(algorithm="fennel"), state)
             results.append(list(state.assignment))
         assert results[0] == results[1]
 

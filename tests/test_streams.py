@@ -152,7 +152,20 @@ def test_transpose_isolated_node(tmp_path):
 def test_partition_io(tmp_path):
     path = str(tmp_path / "part.txt")
     write_partition(path, [0, 3, 1, 1])
-    assert read_partition(path) == [0, 3, 1, 1]
+    assert read_partition(path, 4) == [0, 3, 1, 1]
+    assert read_partition(path, 4, 4) == [0, 3, 1, 1]
+
+
+@pytest.mark.parametrize("n, k, text", [
+    (4, None, "0\n1\n1\n"),          # too few ids
+    (2, None, "0\n1\n1\n"),          # too many ids
+    (3, 2, "0\n2\n1\n"),             # id >= k
+    (3, None, "0\n-1\n1\n"),         # negative id
+])
+def test_partition_file_must_match_n_and_k(tmp_path, n, k, text):
+    path = write(tmp_path, "part.txt", text)
+    with pytest.raises(FormatError):
+        read_partition(path, n, k)
 
 
 def test_write_graph_round_trip(tmp_path):
