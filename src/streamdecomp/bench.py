@@ -24,12 +24,10 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def write_rows(path: str, rows: Iterable[dict], append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
+def write_rows(path: str, rows: Iterable[dict]) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        if not append:
-            writer.writeheader()
+        writer.writeheader()
         for row in rows:
             writer.writerow({c: ("" if row.get(c) is None else row.get(c))
                              for c in CSV_COLUMNS})

@@ -29,9 +29,9 @@ from .multisection import HierarchySpec, OmsConfig, run_oms
 from .onepass import FennelParams, OnePassConfig, fennel_alpha, run_onepass, \
     run_restream
 from .partition import PartitionState
-from .streams import FormatError, MemoryGraphStream, MemoryHypergraphStream, \
-    open_graph_stream, open_hypergraph_node_stream, read_partition, \
-    total_node_weight, transpose_hmetis, write_partition
+from .streams import FormatError, MemoryStream, open_graph_stream, \
+    open_hypergraph_node_stream, read_partition, total_node_weight, \
+    transpose_hmetis, write_partition
 
 GRAPH_ALGOS = ("hashing", "ldg", "fennel", "heistream", "oms")
 
@@ -226,8 +226,8 @@ def execute(spec) -> dict:
     opener = open_graph_stream if kind == "graph" else open_hypergraph_node_stream
     factory = lambda: opener(spec.input)
     if spec.time_core:
-        memory = MemoryGraphStream if kind == "graph" else MemoryHypergraphStream
-        preloaded = memory.load(spec.input)
+        loaded = opener(spec.input)
+        preloaded = MemoryStream(loaded.header, list(loaded))
         factory = lambda: preloaded
     stream = factory()
     total_weight = total_node_weight(spec.input) \

@@ -123,88 +123,37 @@ def _net_gains(record, tracker: NetTracker, cutnet: bool):
     return gains, counts
 
 
-def _feasible(state: PartitionState, block: int, node_weight: int,
-              unit: bool) -> bool:
-    # Unit-weight instances use the strict cardinality bound of the FREIGHT
-    # argmax; weighted nodes fall back to the hard additive constraint.
-    if unit:
-        return state.block_weight[block] < state.l_max
-    return state.block_weight[block] + node_weight <= state.l_max
-
-
 def freight_assign(record, state: PartitionState, tracker: NetTracker,
                    blocks, config: FreightConfig, params: FennelParams,
                    unit: bool = True) -> int:
-    """Assign one node via the S1/S2 decomposition, then update all state."""
-    gains, counts = _net_gains(record, tracker, config.objective == "cutnet")
+    """Assign one node via the S1/S2 decomposition, then update all state.
 
+    Only the connected blocks (S1) and ``blocks.min_block()`` are scored:
+    every other block has gain 0 and count 0 and is no lighter, so the min
+    block matches or beats it.  A connected block has count >= 1, so the min
+    block wins over it only with a strictly higher score.  ``unit`` says
+    ``blocks`` is a :class:`SortedBlocks` that must be told of the choice.
+    """
+    gains, counts = _net_gains(record, tracker, config.objective == "cutnet")
+    lightest = blocks.min_block()
+    if lightest not in gains:
+        gains[lightest] = 0.0
+        counts[lightest] = 0
+    weight = record.weight
+    block_weight = state.block_weight
     best = None
     best_key = None
     for i, g in gains.items():
-        if not _feasible(state, i, record.weight, unit):
+        bw = block_weight[i]
+        if bw + weight > state.l_max:
             continue
-        key = (fennel_gain(g, record.weight, state.block_weight[i], params),
-               counts[i], -state.block_weight[i], -i)
+        key = (fennel_gain(g, weight, bw, params), counts[i], -bw, -i)
         if best_key is None or key > best_key:
             best, best_key = i, key
-
-    m = blocks.min_block()
-    if not _feasible(state, m, record.weight, unit):
-        # Min-weight block is full, so every block is: flagged fallback.
-        if best is None:
-            state.violations += 1
-            best = m
-    elif m not in gains:
-        alt_key = (fennel_gain(0.0, record.weight, state.block_weight[m],
-                               params), 0)
-        if best_key is None or alt_key > (best_key[0], best_key[1]):
-            best = m
-
-    _commit(record, best, state, tracker, blocks, unit)
-    return best
-
-
-def select_block(gains: dict[int, float], counts: dict[int, int],
-                 node_weight: int, state: PartitionState, params: FennelParams,
-                 blocks, unit: bool = True) -> int:
-    """Full O(k) argmax with the same deterministic tie policy as the fast path.
-
-    Scans every block instead of using the S1/S2 split.  Ties break to the
-    higher contributing-net count, then the lighter block; a residual tie
-    with positive count goes to the lowest index, while an all-zero-count tie
-    (equally light empty-gain blocks) resolves to the structure's min query,
-    the one choice a full scan cannot reproduce order-independently.
-    """
-    best_key = None
-    tied: list[int] = []
-    for i in range(state.k):
-        if not _feasible(state, i, node_weight, unit):
-            continue
-        key = (fennel_gain(gains.get(i, 0.0), node_weight,
-                           state.block_weight[i], params),
-               counts.get(i, 0), -state.block_weight[i])
-        if best_key is None or key > best_key:
-            best_key, tied = key, [i]
-        elif key == best_key:
-            tied.append(i)
-
-    if best_key is None:
+    if best is None:
+        # The min block is full, so every block is: place it there, flagged.
         state.violations += 1
-        return blocks.min_block()
-    if best_key[1] > 0:
-        return min(tied)
-    best = blocks.min_block()
-    if best not in tied:
-        raise AssertionError("min structure disagrees with full scan")
-    return best
-
-
-def naive_freight_assign(record, state: PartitionState, tracker: NetTracker,
-                         blocks, config: FreightConfig, params: FennelParams,
-                         unit: bool = True) -> int:
-    gains, counts = _net_gains(record, tracker, config.objective == "cutnet")
-    best = select_block(gains, counts, record.weight, state, params, blocks,
-                        unit)
+        best = lightest
     _commit(record, best, state, tracker, blocks, unit)
     return best
 

@@ -53,8 +53,7 @@ def edge_cut(graph_stream: Iterable, assignment: Sequence[int]) -> int:
 
 
 def cut_net_and_connectivity(hyper_stream: Iterable,
-                             assignment: Sequence[int],
-                             num_nets: int | None = None) -> tuple[int, int]:
+                             assignment: Sequence[int]) -> tuple[int, int]:
     """(cut-net, lambda-1 connectivity) computed from exact per-net block sets."""
     blocks_of_net: dict[int, set[int]] = {}
     net_weight: dict[int, int] = {}

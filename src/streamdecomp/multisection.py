@@ -172,43 +172,38 @@ def _attach_children(parent: TreeBlock, sizes: list[int]) -> None:
         lo += size
 
 
+def _build(k: int, fanout_at_depth) -> MultisectionTree:
+    """Tree over blocks 0..k-1: a node covering t > 1 leaves at depth d
+    splits into min(f, t) near-equal parts, f = ``fanout_at_depth(d)``,
+    the larger parts first."""
+    root = TreeBlock(0, k - 1)
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.t == 1:
+            continue
+        parts = min(fanout_at_depth(depth), node.t)
+        base, rem = divmod(node.t, parts)
+        _attach_children(node, [base + 1] * rem + [base] * (parts - rem))
+        stack.extend((child, depth + 1) for child in node.children)
+    _set_heights(root)
+    return MultisectionTree(root, k)
+
+
 def build_hierarchy(k: int, b: int = 4) -> MultisectionTree:
     """Artificial recursive b-section tree over blocks 0..k-1 (nh-OMS)."""
     if k < 1 or b < 2:
         raise ValueError("need k >= 1 and b >= 2")
-    root = TreeBlock(0, k - 1)
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        size = node.t
-        if size == 1:
-            continue
-        parts = min(b, size)
-        base, rem = divmod(size, parts)
-        _attach_children(node, [base + 1] * rem + [base] * (parts - rem))
-        stack.extend(node.children)
-    _set_heights(root)
-    return MultisectionTree(root, k)
+    return _build(k, lambda depth: b)
 
 
 def build_from_spec(spec: HierarchySpec) -> MultisectionTree:
-    """Tree mirroring the topology: the root splits along the outermost layer."""
-    k = spec.k
-    root = TreeBlock(0, k - 1)
-    layers = list(reversed(spec.fanouts))  # root partitions along a_l first
+    """Tree mirroring the topology: the root splits along the outermost layer.
 
-    def expand(node: TreeBlock, depth: int) -> None:
-        if depth >= len(layers) or node.t == 1:
-            return
-        fanout = layers[depth]
-        span = node.t // fanout
-        _attach_children(node, [span] * fanout)
-        for child in node.children:
-            expand(child, depth + 1)
-
-    expand(root, 0)
-    _set_heights(root)
-    return MultisectionTree(root, k)
+    k is the product of the fan-outs, so every split is exact.
+    """
+    layers = spec.fanouts[::-1]
+    return _build(spec.k, lambda depth: layers[depth])
 
 
 def _set_heights(node: TreeBlock) -> int:

@@ -14,12 +14,14 @@ convention: ``10`` prefixes each line with the node weight, ``1`` makes every
 net id be followed by the net weight (repeated at each pin so a single pass
 suffices), ``11`` both.
 
-All ids are 1-based on disk and 0-based in memory.
+Both streamed formats put one node on each line: an optional node weight,
+then ids, each followed by its weight when ``fmt`` has the ``1`` bit.  One
+reader (:class:`NodeStream`) and one writer serve both.  All ids are
+1-based on disk and 0-based in memory.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -94,121 +96,31 @@ def _parse_fmt(token: str) -> tuple[bool, bool]:
     return node_w, edge_w
 
 
-def read_graph_header(path: str) -> GraphStreamHeader:
-    with open(path) as fh:
-        head = _nonempty(_tokens(fh))
-    if head is None:
-        raise FormatError(f"{path}: empty graph file")
-    return _graph_header(head)
+def _header_ints(parts: Sequence[str], kind: str) -> list[int]:
+    try:
+        return [int(t) for t in parts]
+    except ValueError as exc:
+        raise FormatError(f"malformed {kind} header: {list(parts)}") from exc
 
 
 def _graph_header(parts: Sequence[str]) -> GraphStreamHeader:
     if len(parts) < 2:
         raise FormatError("graph header needs at least 'n m'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise FormatError(f"malformed graph header: {parts}") from exc
+    n, m = _header_ints(parts[:2], "graph")
     node_w = edge_w = False
     if len(parts) >= 3:
         node_w, edge_w = _parse_fmt(parts[2])
-    if len(parts) >= 4 and int(parts[3]) > 1:
+    if len(parts) >= 4 and _header_ints(parts[3:4], "graph")[0] > 1:
         raise FormatError("multiple node weight constraints (ncon>1) unsupported")
     if n < 1 or m < 0:
         raise FormatError(f"invalid graph header n={n} m={m}")
     return GraphStreamHeader(n, m, node_w, edge_w)
 
 
-class GraphStream:
-    """Iterator over a METIS graph file, one record at a time.
-
-    The header is read when the stream is created, so ``n``, ``m`` and the
-    weight flags are available before the first record; the file is opened
-    again for each iteration and closed when it ends.  On exhaustion the
-    degree sum is checked against ``2m``.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.header = read_graph_header(path)
-
-    def __iter__(self) -> Iterator[StreamedNodeRecord]:
-        header = self.header
-        degree_sum = 0
-        with open(self.path) as fh:
-            lines = _tokens(fh)
-            _nonempty(lines)
-            for node in range(header.n):
-                try:
-                    parts = next(lines)
-                except StopIteration:
-                    raise FormatError(
-                        f"{self.path}: expected {header.n} node lines, got {node}")
-                record = _parse_node_line(parts, node, header)
-                degree_sum += len(record.neighbors)
-                yield record
-        if degree_sum != 2 * header.m:
-            raise FormatError(
-                f"{self.path}: edge-count mismatch, header says m={header.m} "
-                f"but degree sum is {degree_sum}")
-
-
-def _parse_node_line(parts: Sequence[str], node: int,
-                     header: GraphStreamHeader) -> StreamedNodeRecord:
-    idx = 0
-    weight = 1
-    if header.has_node_weights:
-        if not parts:
-            raise FormatError(f"node {node}: missing node weight")
-        weight = int(parts[0])
-        if weight < 1:
-            raise FormatError(f"node {node}: node weight must be >= 1")
-        idx = 1
-    neighbors = []
-    if header.has_edge_weights:
-        if (len(parts) - idx) % 2 != 0:
-            raise FormatError(f"node {node}: dangling edge weight")
-        for j in range(idx, len(parts), 2):
-            v = int(parts[j]) - 1
-            w = int(parts[j + 1])
-            _check_neighbor(v, w, node, header.n)
-            neighbors.append((v, w))
-    else:
-        for j in range(idx, len(parts)):
-            v = int(parts[j]) - 1
-            _check_neighbor(v, 1, node, header.n)
-            neighbors.append((v, 1))
-    return StreamedNodeRecord(node, weight, neighbors)
-
-
-def _check_neighbor(v: int, w: int, node: int, n: int) -> None:
-    if v < 0 or v >= n:
-        raise FormatError(f"node {node}: neighbor out of range ({v + 1} with n={n})")
-    if v == node:
-        raise FormatError(f"node {node}: self-loop not allowed")
-    if w < 1:
-        raise FormatError(f"node {node}: edge weight must be >= 1")
-
-
-def open_graph_stream(path: str) -> GraphStream:
-    """Open a graph file for one streaming pass in ascending node order."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    return GraphStream(path)
-
-
-def read_hypergraph_header(path: str) -> HypergraphStreamHeader:
-    with open(path) as fh:
-        head = _nonempty(_tokens(fh))
-    if head is None:
-        raise FormatError(f"{path}: empty hypergraph file")
-    return _hypergraph_header(head)
-
-
 def _hypergraph_header(parts: Sequence[str]) -> HypergraphStreamHeader:
     if len(parts) < 3:
         raise FormatError("node-major hypergraph header needs 'n m pins'")
-    n, m, pins = int(parts[0]), int(parts[1]), int(parts[2])
+    n, m, pins = _header_ints(parts[:3], "hypergraph")
     node_w = net_w = False
     if len(parts) >= 4:
         node_w, net_w = _parse_fmt(parts[3])
@@ -217,78 +129,117 @@ def _hypergraph_header(parts: Sequence[str]) -> HypergraphStreamHeader:
     return HypergraphStreamHeader(n, m, pins, node_w, net_w)
 
 
-class HypergraphStream:
-    """Iterator over a node-major hypergraph file, opened per iteration."""
+class NodeStream:
+    """Iterator over a node-per-line file: a METIS graph (``graph``) or a
+    node-major hypergraph, one record at a time.
 
-    def __init__(self, path: str):
+    The header is read when the stream is created, so ``n``, ``m`` and the
+    weight flags are available before the first record; the file is opened
+    again for each iteration and closed when it ends.  On exhaustion the
+    number of listed items is checked against the header: ``2m`` neighbor
+    entries for a graph, ``pins`` for a hypergraph.
+    """
+
+    def __init__(self, path: str, graph: bool):
         self.path = path
-        self.header = read_hypergraph_header(path)
+        self.graph = graph
+        with open(path) as fh:
+            head = _nonempty(_tokens(fh))
+        if head is None:
+            kind = "graph" if graph else "hypergraph"
+            raise FormatError(f"{path}: empty {kind} file")
+        self.header = (_graph_header if graph else _hypergraph_header)(head)
 
-    def __iter__(self) -> Iterator[StreamedHyperNodeRecord]:
-        header = self.header
-        pin_count = 0
+    def __iter__(self) -> Iterator:
+        header, graph = self.header, self.graph
+        # Neighbors are node ids (bound n), incident nets net ids (bound m).
+        record, bound, item_weights, expected = (
+            (StreamedNodeRecord, header.n, header.has_edge_weights,
+             2 * header.m) if graph else
+            (StreamedHyperNodeRecord, header.m, header.has_net_weights,
+             header.pins))
+        node_weights = header.has_node_weights
+        listed = 0
         with open(self.path) as fh:
             lines = _tokens(fh)
             _nonempty(lines)
             for node in range(header.n):
-                try:
-                    parts = next(lines)
-                except StopIteration:
-                    raise FormatError(
-                        f"{self.path}: expected {header.n} node lines, got {node}")
-                record = _parse_hypernode_line(parts, node, header)
-                pin_count += len(record.incident_nets)
-                yield record
-        if pin_count != header.pins:
+                parts = next(lines, None)
+                if parts is None:
+                    raise FormatError(f"{self.path}: expected {header.n} "
+                                      f"node lines, got {node}")
+                weight, items = _parse_line(parts, node, node_weights,
+                                            item_weights, bound, graph)
+                listed += len(items)
+                yield record(node, weight, items)
+        if listed != expected:
+            what = "edge" if graph else "pin"
             raise FormatError(
-                f"{self.path}: pin-count mismatch, header says {header.pins} "
-                f"but found {pin_count}")
+                f"{self.path}: {what}-count mismatch, the header gives "
+                f"{expected} entries but the node lines list {listed}")
 
 
-def _parse_hypernode_line(parts: Sequence[str], node: int,
-                          header: HypergraphStreamHeader) -> StreamedHyperNodeRecord:
-    idx = 0
+def _parse_line(parts: Sequence[str], node: int, node_weights: bool,
+                item_weights: bool, bound: int,
+                graph: bool) -> tuple[int, list[tuple[int, int]]]:
+    """Weight and 0-based (id, weight) items of one node line.
+
+    The item checks run over whole lists (min, max, membership) so the
+    per-item work stays in C; a line that fails one goes to
+    :func:`_line_fault`, which names its first bad item.
+    """
     weight = 1
-    if header.has_node_weights:
+    if node_weights:
         if not parts:
             raise FormatError(f"node {node}: missing node weight")
         weight = int(parts[0])
         if weight < 1:
             raise FormatError(f"node {node}: node weight must be >= 1")
-        idx = 1
-    nets = []
+        parts = parts[1:]
+    weights = None
+    if item_weights:
+        if len(parts) % 2:
+            raise FormatError(
+                f"node {node}: dangling {'edge' if graph else 'net'} weight")
+        weights = list(map(int, parts[1::2]))
+        parts = parts[::2]
+    ids = list(map(int, parts))
+    if ids and (min(ids) < 1 or max(ids) > bound
+                or (node + 1 in ids if graph else len(set(ids)) < len(ids))
+                or (weights is not None and min(weights) < 1)):
+        _line_fault(node, ids, weights or [1] * len(ids), bound, graph)
+    if weights is None:
+        return weight, [(v - 1, 1) for v in ids]
+    return weight, [(v - 1, w) for v, w in zip(ids, weights)]
+
+
+def _line_fault(node: int, ids: list[int], weights: list[int], bound: int,
+                graph: bool) -> None:
+    """Raise for the first bad item of a node line, in line order."""
     seen = set()
-    if header.has_net_weights:
-        if (len(parts) - idx) % 2 != 0:
-            raise FormatError(f"node {node}: dangling net weight")
-        for j in range(idx, len(parts), 2):
-            e = int(parts[j]) - 1
-            w = int(parts[j + 1])
-            _check_net(e, w, node, header.m, seen)
-            nets.append((e, w))
-    else:
-        for j in range(idx, len(parts)):
-            e = int(parts[j]) - 1
-            _check_net(e, 1, node, header.m, seen)
-            nets.append((e, 1))
-    return StreamedHyperNodeRecord(node, weight, nets)
+    for v, w in zip(ids, weights):
+        if not 1 <= v <= bound:
+            what, name = ("neighbor", "n") if graph else ("net id", "m")
+            raise FormatError(f"node {node}: {what} out of range "
+                              f"({v} with {name}={bound})")
+        if graph and v == node + 1:
+            raise FormatError(f"node {node}: self-loop not allowed")
+        if not graph and v in seen:
+            raise FormatError(f"node {node}: net {v} listed twice")
+        if w < 1:
+            what = "edge" if graph else "net"
+            raise FormatError(f"node {node}: {what} weight must be >= 1")
+        seen.add(v)
 
 
-def _check_net(e: int, w: int, node: int, m: int, seen: set) -> None:
-    if e < 0 or e >= m:
-        raise FormatError(f"node {node}: net id out of range ({e + 1} with m={m})")
-    if e in seen:
-        raise FormatError(f"node {node}: net {e + 1} listed twice")
-    if w < 1:
-        raise FormatError(f"node {node}: net weight must be >= 1")
-    seen.add(e)
+def open_graph_stream(path: str) -> NodeStream:
+    """Open a METIS graph file for streaming passes in ascending node order."""
+    return NodeStream(path, graph=True)
 
 
-def open_hypergraph_node_stream(path: str) -> HypergraphStream:
-    """Open a node-major hypergraph file for one streaming pass."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    return HypergraphStream(path)
+def open_hypergraph_node_stream(path: str) -> NodeStream:
+    """Open a node-major hypergraph file for streaming passes."""
+    return NodeStream(path, graph=False)
 
 
 def total_node_weight(path: str) -> int:
@@ -352,21 +303,8 @@ def transpose_hmetis(src: str, dst: str) -> HypergraphStreamHeader:
                 node_weights[v] = int(parts[0])
 
     pins = sum(len(nets) for nets in incident)
-    fmt_bits = (10 if node_w else 0) + (1 if net_w else 0)
-    with open(dst, "w") as out:
-        header = f"{n} {m} {pins}"
-        if fmt_bits:
-            header += f" {fmt_bits}"
-        out.write(header + "\n")
-        for v in range(n):
-            fields: list[str] = []
-            if node_w:
-                fields.append(str(node_weights[v]))
-            for e, w in incident[v]:
-                fields.append(str(e + 1))
-                if net_w:
-                    fields.append(str(w))
-            out.write(" ".join(fields) + "\n")
+    _write_node_lines(dst, [n, m, pins], node_weights if node_w else None,
+                      incident, net_w)
     return HypergraphStreamHeader(n, m, pins, node_w, net_w)
 
 
@@ -402,51 +340,39 @@ def write_graph(path: str, n: int, edges: Iterable[tuple[int, int, int]],
         has_edge_w = has_edge_w or w != 1
         m += 1
     has_node_w = node_weights is not None and any(w != 1 for w in node_weights)
-    fmt_bits = (10 if has_node_w else 0) + (1 if has_edge_w else 0)
+    _write_node_lines(path, [n, m], node_weights if has_node_w else None, adj,
+                      has_edge_w)
+
+
+def _write_node_lines(path: str, header: list[int],
+                      node_weights: Sequence[int] | None,
+                      items: Sequence[Sequence[tuple[int, int]]],
+                      item_weights: bool) -> None:
+    """Write a node-per-line file: the header fields plus the fmt bits, then
+    per node its weight (if given) and its 1-based ids, each followed by its
+    weight when ``item_weights``."""
+    fmt_bits = (10 if node_weights is not None else 0) + \
+        (1 if item_weights else 0)
+    if fmt_bits:
+        header = header + [fmt_bits]
     with open(path, "w") as out:
-        header = f"{n} {m}"
-        if fmt_bits:
-            header += f" {fmt_bits}"
-        out.write(header + "\n")
-        for u in range(n):
-            fields = []
-            if has_node_w:
-                fields.append(str(node_weights[u]))
-            for v, w in adj[u]:
-                fields.append(str(v + 1))
-                if has_edge_w:
+        out.write(" ".join(map(str, header)) + "\n")
+        for v, node_items in enumerate(items):
+            fields = [] if node_weights is None else [str(node_weights[v])]
+            for e, w in node_items:
+                fields.append(str(e + 1))
+                if item_weights:
                     fields.append(str(w))
             out.write(" ".join(fields) + "\n")
 
 
-class MemoryGraphStream:
-    """Replayable in-memory graph stream (used when timing excludes parsing)."""
+class MemoryStream:
+    """Replayable in-memory stream of parsed records, graph or hypergraph
+    (used when timing excludes parsing)."""
 
-    def __init__(self, header: GraphStreamHeader, records: list[StreamedNodeRecord]):
+    def __init__(self, header, records: list):
         self.header = header
         self.records = records
 
-    @classmethod
-    def load(cls, path: str) -> "MemoryGraphStream":
-        stream = open_graph_stream(path)
-        return cls(stream.header, list(stream))
-
-    def __iter__(self) -> Iterator[StreamedNodeRecord]:
-        return iter(self.records)
-
-
-class MemoryHypergraphStream:
-    """Replayable in-memory hypergraph stream."""
-
-    def __init__(self, header: HypergraphStreamHeader,
-                 records: list[StreamedHyperNodeRecord]):
-        self.header = header
-        self.records = records
-
-    @classmethod
-    def load(cls, path: str) -> "MemoryHypergraphStream":
-        stream = open_hypergraph_node_stream(path)
-        return cls(stream.header, list(stream))
-
-    def __iter__(self) -> Iterator[StreamedHyperNodeRecord]:
+    def __iter__(self) -> Iterator:
         return iter(self.records)

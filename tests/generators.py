@@ -5,11 +5,11 @@ from __future__ import annotations
 import random
 
 from streamdecomp.streams import (GraphStreamHeader, HypergraphStreamHeader,
-                                  MemoryGraphStream, MemoryHypergraphStream,
-                                  StreamedHyperNodeRecord, StreamedNodeRecord)
+                                  MemoryStream, StreamedHyperNodeRecord,
+                                  StreamedNodeRecord)
 
 
-def graph_stream_from_edges(n, edges, node_weights=None) -> MemoryGraphStream:
+def graph_stream_from_edges(n, edges, node_weights=None) -> MemoryStream:
     """Build an in-memory stream from undirected (u, v, w) triples."""
     adj = [[] for _ in range(n)]
     for u, v, w in edges:
@@ -20,7 +20,7 @@ def graph_stream_from_edges(n, edges, node_weights=None) -> MemoryGraphStream:
     header = GraphStreamHeader(n, len(edges),
                                has_node_weights=node_weights is not None,
                                has_edge_weights=any(w != 1 for *_, w in edges))
-    return MemoryGraphStream(header, records)
+    return MemoryStream(header, records)
 
 
 def random_graph(rng: random.Random, n: int, m: int,
@@ -85,7 +85,7 @@ def planted_partition_graph(rng: random.Random, n: int, groups: int,
 
 
 def hypergraph_stream_from_nets(n, nets, node_weights=None,
-                                num_nets=None) -> MemoryHypergraphStream:
+                                num_nets=None) -> MemoryStream:
     """Build an in-memory node-major stream from net pin lists.
 
     ``nets`` is a list of (pins, weight); empty nets are allowed and simply
@@ -104,7 +104,7 @@ def hypergraph_stream_from_nets(n, nets, node_weights=None,
         n, m, pins_total,
         has_node_weights=node_weights is not None,
         has_net_weights=any(w != 1 for _, w in nets))
-    return MemoryHypergraphStream(header, records)
+    return MemoryStream(header, records)
 
 
 def random_hypergraph(rng: random.Random, n: int, m: int, max_pins: int = 8,
@@ -120,7 +120,7 @@ def random_hypergraph(rng: random.Random, n: int, m: int, max_pins: int = 8,
     return hypergraph_stream_from_nets(n, nets, weights)
 
 
-def graph_as_hypergraph(graph_stream) -> MemoryHypergraphStream:
+def graph_as_hypergraph(graph_stream) -> MemoryStream:
     """Encode every edge of a graph as a net of size two (same weights)."""
     nets = []
     seen = {}

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from streamdecomp.freight import (FreightConfig, NetTracker, SortedBlocks,
-                                  naive_freight_assign, select_block)
+                                  _commit, _net_gains)
 from streamdecomp.onepass import FennelParams, fennel_alpha, fennel_gain
 from streamdecomp.partition import UNASSIGNED, PartitionState
 
@@ -71,6 +71,51 @@ def scan_ldg_assign(record, state: PartitionState) -> int:
     if best is None:
         best = _exhaustion_fallback(state)
     state.assign(record.id, best, record.weight)
+    return best
+
+
+def select_block(gains: dict[int, float], counts: dict[int, int],
+                 node_weight: int, state: PartitionState, params: FennelParams,
+                 blocks) -> int:
+    """Full O(k) argmax with the same deterministic tie policy as the fast path.
+
+    Scans every block instead of using the S1/S2 split.  Ties break to the
+    higher contributing-net count, then the lighter block; a residual tie
+    with positive count goes to the lowest index, while an all-zero-count tie
+    (equally light empty-gain blocks) resolves to the structure's min query,
+    the one choice a full scan cannot reproduce order-independently.
+    """
+    best_key = None
+    tied: list[int] = []
+    for i in range(state.k):
+        if state.block_weight[i] + node_weight > state.l_max:
+            continue
+        key = (fennel_gain(gains.get(i, 0.0), node_weight,
+                           state.block_weight[i], params),
+               counts.get(i, 0), -state.block_weight[i])
+        if best_key is None or key > best_key:
+            best_key, tied = key, [i]
+        elif key == best_key:
+            tied.append(i)
+
+    if best_key is None:
+        state.violations += 1
+        return blocks.min_block()
+    if best_key[1] > 0:
+        return min(tied)
+    best = blocks.min_block()
+    if best not in tied:
+        raise AssertionError("min structure disagrees with full scan")
+    return best
+
+
+def naive_freight_assign(record, state: PartitionState, tracker: NetTracker,
+                         blocks, config: FreightConfig, params: FennelParams,
+                         unit: bool = True) -> int:
+    """FREIGHT by a full scan: the oracle of ``freight_assign``."""
+    gains, counts = _net_gains(record, tracker, config.objective == "cutnet")
+    best = select_block(gains, counts, record.weight, state, params, blocks)
+    _commit(record, best, state, tracker, blocks, unit)
     return best
 
 

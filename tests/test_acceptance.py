@@ -21,8 +21,7 @@ from streamdecomp.multisection import HierarchySpec, OmsConfig, run_oms
 from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
                                   fennel_gain, run_onepass, run_restream)
 from streamdecomp.partition import UNASSIGNED, PartitionState, compute_lmax
-from streamdecomp.streams import (HypergraphStreamHeader,
-                                  MemoryHypergraphStream,
+from streamdecomp.streams import (HypergraphStreamHeader, MemoryStream,
                                   StreamedHyperNodeRecord)
 
 from generators import (banded_matrix_hypergraph, geometric_graph,
@@ -310,8 +309,7 @@ def _k_independence_stream():
         adjacency[u].append(v)     # clique expansion of a size-2 net
         adjacency[v].append(u)
     records = [StreamedHyperNodeRecord(i, 1, incident[i]) for i in range(n)]
-    stream = MemoryHypergraphStream(HypergraphStreamHeader(n, m, 2 * m),
-                                    records)
+    stream = MemoryStream(HypergraphStreamHeader(n, m, 2 * m), records)
     return stream, adjacency, n, m
 
 

@@ -67,6 +67,21 @@ class TestFreightAssign:
         assert chosen == expected
         assert state.block_weight[chosen] == 1
 
+    @pytest.mark.parametrize("alpha, expected", [(0.5, 0), (0.6, 1)])
+    def test_min_block_needs_a_strictly_higher_score(self, alpha, expected):
+        # gamma=2: block 0 (weight 1, gain 1) scores 1 - 2*alpha, the empty
+        # min block 1 scores 0.  At alpha=0.5 the scores tie and the
+        # connected block's net count (1 against 0) keeps the node there.
+        state, tracker, blocks, _ = make_assign_ctx(4, 1, 2)
+        params = FennelParams(gamma=2.0, alpha=alpha)
+        config = FreightConfig(objective="connectivity", k=2)
+        freight_assign(StreamedHyperNodeRecord(0, 1, [(0, 1)]), state,
+                       tracker, blocks, config, params)
+        assert state.assignment[0] == 0 and blocks.min_block() == 1
+        chosen = freight_assign(StreamedHyperNodeRecord(1, 1, [(0, 1)]),
+                                state, tracker, blocks, config, params)
+        assert chosen == expected
+
     def test_cutnet_ignores_already_cut_net(self):
         state, tracker, blocks, params = make_assign_ctx(5, 1, 4)
         config = FreightConfig(objective="cutnet", k=4)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from streamdecomp.streams import (FormatError, open_graph_stream,
@@ -111,6 +113,80 @@ def test_pin_count_mismatch(tmp_path):
     path = write(tmp_path, "h.hgr", "2 1 5\n1\n1\n")
     with pytest.raises(FormatError, match="pin-count mismatch"):
         list(open_hypergraph_node_stream(path))
+
+
+# Every malformed input a node-per-line reader must reject, both formats.
+MALFORMED = [
+    pytest.param("graph", "", "empty graph file",
+                 id="graph-empty"),
+    pytest.param("hyper", "", "empty hypergraph file",
+                 id="hyper-empty"),
+    pytest.param("graph", "3\n", "header needs",
+                 id="graph-short-header"),
+    pytest.param("hyper", "3 2\n", "header needs",
+                 id="hyper-short-header"),
+    pytest.param("graph", "2 1 100\n2\n1\n", "fmt=1xx",
+                 id="graph-fmt-1xx"),
+    pytest.param("hyper", "2 1 2 100\n1\n1\n", "fmt=1xx",
+                 id="hyper-fmt-1xx"),
+    pytest.param("graph", "2 1 10 2\n1 2\n1 1\n", "ncon>1",
+                 id="graph-ncon"),
+    pytest.param("graph", "0 0\n", "invalid graph header",
+                 id="graph-n-below-1"),
+    pytest.param("hyper", "0 0 0\n", "invalid hypergraph header",
+                 id="hyper-n-below-1"),
+    pytest.param("graph", "3 2\n2\n1 3\n", "expected 3 node lines, got 2",
+                 id="graph-missing-line"),
+    pytest.param("hyper", "3 2 4\n1\n1 2\n", "expected 3 node lines, got 2",
+                 id="hyper-missing-line"),
+    pytest.param("graph", "2 1 10\n3 2\n\n", "missing node weight",
+                 id="graph-missing-node-weight"),
+    pytest.param("hyper", "2 1 2 10\n3 1\n\n", "missing node weight",
+                 id="hyper-missing-node-weight"),
+    pytest.param("graph", "2 1 10\n0 2\n1 1\n", "node weight must be >= 1",
+                 id="graph-node-weight-0"),
+    pytest.param("hyper", "2 1 2 10\n0 1\n1 1\n", "node weight must be >= 1",
+                 id="hyper-node-weight-0"),
+    pytest.param("graph", "2 1 1\n2 4\n1\n", "dangling edge weight",
+                 id="graph-dangling-weight"),
+    pytest.param("hyper", "2 1 2 1\n1 4\n1\n", "dangling net weight",
+                 id="hyper-dangling-weight"),
+    pytest.param("graph", "2 1 1\n2 0\n1 0\n", "edge weight must be >= 1",
+                 id="graph-weight-0"),
+    pytest.param("hyper", "2 1 2 1\n1 0\n1 0\n", "net weight must be >= 1",
+                 id="hyper-weight-0"),
+    pytest.param("graph", "2 1\n0\n1\n", "neighbor out of range",
+                 id="graph-id-0"),
+    pytest.param("hyper", "2 1 2\n0\n1\n", "net id out of range",
+                 id="hyper-id-0"),
+    pytest.param("graph", "3 2\n2\n1 9\n2\n", "neighbor out of range",
+                 id="graph-id-above-bound"),
+    pytest.param("hyper", "2 1 2\n1\n2\n", "net id out of range",
+                 id="hyper-id-above-bound"),
+    pytest.param("graph", "2 1\n1\n1\n", "self-loop",
+                 id="graph-self-loop"),
+    pytest.param("hyper", "2 1 3\n1 1\n1\n", "net 1 listed twice",
+                 id="hyper-net-twice"),
+    pytest.param("graph", "3 5\n2\n1 3\n2\n", "edge-count mismatch",
+                 id="graph-total-mismatch"),
+    pytest.param("hyper", "2 1 5\n1\n1\n", "pin-count mismatch",
+                 id="hyper-total-mismatch"),
+    pytest.param("graph", "3 x\n2\n1 3\n2\n", "malformed graph header",
+                 id="graph-non-int-header"),
+    pytest.param("hyper", "2 x 2\n1\n1\n", "malformed hypergraph header",
+                 id="hyper-non-int-header"),
+    pytest.param("graph", "2 1 10 x\n1 2\n1 1\n", "malformed graph header",
+                 id="graph-non-int-ncon"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", MALFORMED)
+def test_malformed_node_file(tmp_path, kind, text, message):
+    path = write(tmp_path, "in.txt", text)
+    opener = open_graph_stream if kind == "graph" \
+        else open_hypergraph_node_stream
+    with pytest.raises(FormatError, match=re.escape(message)):
+        list(opener(path))
 
 
 def test_transpose_round_trips_pin_multiset(tmp_path):
