@@ -15,8 +15,7 @@ from .metrics import QualityReport, comm_cost, cut_net_and_connectivity, \
 from .onepass import (FennelParams, OnePassConfig, fennel_alpha, fennel_assign,
                       fennel_gain, hashing_assign, ldg_assign, run_onepass,
                       run_restream)
-from .freight import (FreightConfig, NetTracker, SortedBlocks, freight_assign,
-                      run_freight)
+from .freight import NetTracker, SortedBlocks, freight_assign, run_freight
 from .multisection import (HierarchySpec, MultisectionTree, OmsConfig,
                            build_from_spec, build_hierarchy,
                            heterogeneous_alpha, oms_assign, run_oms)

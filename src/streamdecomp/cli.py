@@ -23,11 +23,10 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import metrics as metrics_mod
-from .freight import FreightConfig, run_freight
+from .freight import run_freight
 from .heistream import HeiStreamConfig, run_heistream
 from .multisection import HierarchySpec, OmsConfig, run_oms
-from .onepass import FennelParams, OnePassConfig, fennel_alpha, run_onepass, \
-    run_restream
+from .onepass import FennelParams, OnePassConfig, run_onepass, run_restream
 from .partition import PartitionState
 from .streams import FormatError, MemoryStream, open_graph_stream, \
     open_hypergraph_node_stream, read_partition, total_node_weight, \
@@ -90,6 +89,7 @@ def build_parser() -> _Parser:
     p.add_argument("--algorithm", choices=("fennel", "ldg"), default="fennel")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--hash-bottom-layers", type=int, default=0)
+    p.set_defaults(gamma=1.5)
 
     p = sub.add_parser("metrics", help="recompute metrics for a partition")
     p.add_argument("--input", required=True)
@@ -127,54 +127,42 @@ def _hierarchy(spec) -> HierarchySpec:
     return HierarchySpec.parse(spec.hierarchy, spec.distances)
 
 
-# Run functions: (spec, stream, stream factory, c(V)) -> PartitionState.
-# Each names its run_* as a module global, looked up when it is called.
+# Run functions: (spec, stream, stream factory, state, params, hierarchy)
+# -> the state, filled in.  Each names its run_* as a module global, looked
+# up when it is called.
 
-def _onepass(spec, stream, factory, total_weight):
-    header = stream.header
-    state = PartitionState(header.n, spec.k, spec.epsilon, total_weight)
+def _onepass(spec, stream, factory, state, params, hierarchy):
     config = OnePassConfig(algorithm=spec.algorithm, passes=spec.passes,
                            restream_alpha_growth=spec.alpha_growth)
-    params = None
-    if spec.algorithm == "fennel":
-        alpha = spec.alpha if spec.alpha is not None else \
-            fennel_alpha(header.n, header.m, spec.k, spec.gamma)
-        params = FennelParams(gamma=spec.gamma, alpha=alpha)
     if spec.passes > 1 and spec.algorithm != "hashing":
         return run_restream(factory, config, state, params)
     return run_onepass(stream, config, state, params)
 
 
-def _heistream(spec, stream, factory, total_weight):
+def _heistream(spec, stream, factory, state, params, hierarchy):
     config = HeiStreamConfig(
-        k=spec.k, delta=spec.delta, model=spec.model,
+        delta=spec.delta, model=spec.model,
         coarsen_rounds=spec.coarsen_rounds,
         localsearch_rounds=spec.localsearch_rounds, x=spec.x,
-        passes=spec.passes, epsilon=spec.epsilon, alpha=spec.alpha,
-        gamma=spec.gamma, seed=spec.seed)
-    return run_heistream(factory, config, total_weight)
+        passes=spec.passes, seed=spec.seed)
+    return run_heistream(factory, config, state, params)
 
 
-def _oms(spec, stream, factory, total_weight):
-    config = OmsConfig(scorer="fennel", epsilon=spec.epsilon, base=spec.base,
-                       alpha=spec.alpha, gamma=spec.gamma,
+def _oms(spec, stream, factory, state, params, hierarchy):
+    config = OmsConfig(scorer="fennel", base=spec.base,
                        hash_bottom_layers=spec.hash_bottom_layers)
-    return run_oms(stream, config, k=spec.k, total_weight=total_weight)
+    return run_oms(stream, config, state, params)
 
 
-def _map(spec, stream, factory, total_weight):
-    config = OmsConfig(scorer=spec.algorithm, epsilon=spec.epsilon,
-                       alpha=spec.alpha,
+def _map(spec, stream, factory, state, params, hierarchy):
+    config = OmsConfig(scorer=spec.algorithm,
                        hash_bottom_layers=spec.hash_bottom_layers)
-    return run_oms(stream, config, spec=_hierarchy(spec),
-                   total_weight=total_weight)
+    return run_oms(stream, config, state, params, hierarchy)
 
 
-def _freight(spec, stream, factory, total_weight):
-    config = FreightConfig(
-        objective="connectivity" if spec.objective == "con" else "cutnet",
-        k=spec.k, epsilon=spec.epsilon, gamma=spec.gamma, alpha=spec.alpha)
-    return run_freight(stream, config, total_weight)
+def _freight(spec, stream, factory, state, params, hierarchy):
+    return run_freight(stream, state, params,
+                       "connectivity" if spec.objective == "con" else "cutnet")
 
 
 # Reported algorithm name -> (stream kind, run function).
@@ -216,12 +204,17 @@ def _verify(stream, assignment, block_weight, hypergraph: bool,
 def execute(spec) -> dict:
     """One partition, hpartition or map run, from input file to report.
 
-    Opens the stream (or preloads it with ``time_core``), takes c(V), runs
-    and times the algorithm, writes the partition, verifies the objective in
-    a separate pass and warns about capacity violations.
+    The one place that sets up a run: it resolves k (``--k``, or the
+    hierarchy's for ``map``), opens the stream (or preloads it with
+    ``time_core``), takes c(V) and builds the run's PartitionState and
+    FennelParams.  It then runs and times the algorithm, writes the
+    partition, verifies the objective in a separate pass and warns about
+    capacity violations.
     """
     algorithm = _algorithm(spec)
     kind, run = ALGORITHMS[algorithm]
+    hierarchy = _hierarchy(spec) if spec.command == "map" else None
+    k = hierarchy.k if hierarchy is not None else spec.k
     t0 = time.perf_counter()
     opener = open_graph_stream if kind == "graph" else open_hypergraph_node_stream
     factory = lambda: opener(spec.input)
@@ -230,10 +223,14 @@ def execute(spec) -> dict:
         preloaded = MemoryStream(loaded.header, list(loaded))
         factory = lambda: preloaded
     stream = factory()
+    header = stream.header
     total_weight = total_node_weight(spec.input) \
-        if stream.header.has_node_weights else stream.header.n
+        if header.has_node_weights else header.n
+    state = PartitionState(header.n, k, spec.epsilon, total_weight)
+    params = FennelParams.for_stream(header.n, header.m, k, spec.gamma,
+                                     spec.alpha)
     t1 = time.perf_counter()
-    state = run(spec, stream, factory, total_weight)
+    state = run(spec, stream, factory, state, params, hierarchy)
     t2 = time.perf_counter()
 
     if spec.output:
@@ -241,8 +238,7 @@ def execute(spec) -> dict:
     if state.violations:
         print(f"warning: {state.violations} capacity violations", file=sys.stderr)
     report = _verify(factory(), state.assignment, state.block_weight,
-                     kind == "hypergraph",
-                     _hierarchy(spec) if spec.command == "map" else None)
+                     kind == "hypergraph", hierarchy)
     report.update({
         "runtime_ms": ((t2 - t1) if spec.time_core else (t2 - t0)) * 1000.0,
         "algorithm": algorithm,

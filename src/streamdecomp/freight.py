@@ -11,10 +11,7 @@ with weighted nodes), so per-node work never depends on k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .onepass import FennelParams, fennel_alpha, fennel_gain
+from .onepass import FennelParams, fennel_gain
 from .partition import PartitionState
 
 UNTOUCHED, SINGLE_BLOCK, CUT = 0, 1, 2
@@ -96,19 +93,6 @@ class SortedBlocks:
         return sorted((bk.cardinality, bk.l, bk.r) for bk in self.buckets.values())
 
 
-@dataclass
-class FreightConfig:
-    objective: str = "connectivity"     # connectivity | cutnet
-    k: int = 2
-    epsilon: float = 0.03
-    gamma: float = 1.5
-    alpha: Optional[float] = None       # default sqrt(k)*m/n^1.5 from the header
-
-    def __post_init__(self):
-        if self.objective not in ("connectivity", "cutnet"):
-            raise ValueError(f"unknown objective {self.objective!r}")
-
-
 def _net_gains(record, tracker: NetTracker, cutnet: bool):
     """Per-block weighted gain and contributing-net count from the tracker."""
     gains: dict[int, float] = {}
@@ -124,17 +108,18 @@ def _net_gains(record, tracker: NetTracker, cutnet: bool):
 
 
 def freight_assign(record, state: PartitionState, tracker: NetTracker,
-                   blocks, config: FreightConfig, params: FennelParams,
+                   blocks, cutnet: bool, params: FennelParams,
                    unit: bool = True) -> int:
     """Assign one node via the S1/S2 decomposition, then update all state.
 
     Only the connected blocks (S1) and ``blocks.min_block()`` are scored:
     every other block has gain 0 and count 0 and is no lighter, so the min
     block matches or beats it.  A connected block has count >= 1, so the min
-    block wins over it only with a strictly higher score.  ``unit`` says
-    ``blocks`` is a :class:`SortedBlocks` that must be told of the choice.
+    block wins over it only with a strictly higher score.  ``cutnet`` drops
+    the nets that are already cut.  ``unit`` says ``blocks`` is a
+    :class:`SortedBlocks` that must be told of the choice.
     """
-    gains, counts = _net_gains(record, tracker, config.objective == "cutnet")
+    gains, counts = _net_gains(record, tracker, cutnet)
     lightest = blocks.min_block()
     if lightest not in gains:
         gains[lightest] = 0.0
@@ -167,28 +152,22 @@ def _commit(record, block: int, state: PartitionState, tracker: NetTracker,
         tracker.observe(e, block)
 
 
-def run_freight(stream, config: FreightConfig,
-                total_weight: Optional[int] = None) -> PartitionState:
+def run_freight(stream, state: PartitionState, params: FennelParams,
+                objective: str = "connectivity") -> PartitionState:
     """One pass of FREIGHT over a node-major hypergraph stream.
 
-    Beyond the current record the decision state is O(m + k): the net tracker
-    plus block weights; the assignment array only collects the output.
+    ``objective`` is ``connectivity`` or ``cutnet``.  Beyond the current
+    record the decision state is O(m + k): the net tracker plus block
+    weights; the assignment array only collects the output.
     """
-    header = stream.header
-    unit = not header.has_node_weights
-    if total_weight is None:
-        if not unit:
-            raise ValueError("weighted nodes need an explicit total_weight")
-        total_weight = header.n
-    state = PartitionState(header.n, config.k, config.epsilon, total_weight)
-    tracker = NetTracker(header.m)
+    if objective not in ("connectivity", "cutnet"):
+        raise ValueError(f"unknown objective {objective!r}")
+    cutnet = objective == "cutnet"
+    unit = not stream.header.has_node_weights
+    tracker = NetTracker(stream.header.m)
     # Weighted nodes: the state's weight heap, kept current by state.assign.
     # Unit weights keep SortedBlocks, whose min_block tie order differs.
-    blocks = SortedBlocks(config.k) if unit else state.by_weight()
-    alpha = config.alpha
-    if alpha is None:
-        alpha = fennel_alpha(header.n, header.m, config.k, config.gamma)
-    params = FennelParams(gamma=config.gamma, alpha=alpha)
+    blocks = SortedBlocks(state.k) if unit else state.by_weight()
     for record in stream:
-        freight_assign(record, state, tracker, blocks, config, params, unit)
+        freight_assign(record, state, tracker, blocks, cutnet, params, unit)
     return state

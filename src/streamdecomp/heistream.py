@@ -17,22 +17,18 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .onepass import FennelParams, fennel_alpha, fennel_gain
+from .onepass import FennelParams, fennel_gain
 from .partition import UNASSIGNED, PartitionState
 
 
 @dataclass
 class HeiStreamConfig:
-    k: int = 2
     delta: int = 32768
     model: str = "extended"         # basic | extended
     coarsen_rounds: int = 5         # label propagation rounds per level
     localsearch_rounds: int = 5
     x: int = 4                      # coarsest-size parameter
     passes: int = 1
-    epsilon: float = 0.03
-    gamma: float = 1.5
-    alpha: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -45,17 +41,16 @@ class HeiStreamConfig:
 class BatchModel:
     """Model graph of one batch: batch nodes first, artificial nodes last.
 
-    Batch node i maps to global id ``start + i``; artificial node
+    Batch node i is the batch's i-th streamed node; artificial node
     ``num_batch + j`` stands for block j and is fixed.  Adjacency is stored
     on batch nodes only (artificial nodes never move, so their own lists are
     never read).  Ghost contraction may leave fractional edge weights; they
     exist only inside the model.
     """
 
-    def __init__(self, num_batch: int, num_art: int, start: int):
+    def __init__(self, num_batch: int, num_art: int):
         self.num_batch = num_batch
         self.num_art = num_art
-        self.start = start
         n = num_batch + num_art
         self.weight: list[float] = [0] * n        # scoring weight (ghost-inflated)
         self.true_weight: list[int] = [0] * n     # committed weight (capacity)
@@ -91,7 +86,7 @@ def build_model(batch: list, state: PartitionState, config: HeiStreamConfig,
 
     outside = start > 0 or (restream and state.n > nb)
     num_art = state.k if outside else 0
-    model = BatchModel(nb, num_art, start)
+    model = BatchModel(nb, num_art)
 
     edges: list[dict[int, float]] = [dict() for _ in range(nb)]
     ghosts: dict[int, list[tuple[int, int]]] = {}
@@ -209,7 +204,7 @@ def _contract(model: BatchModel, cluster: list[int]) -> tuple[BatchModel, list[i
         if c not in remap:
             remap[c] = len(remap)
     coarse_nb = len(remap)
-    coarse = BatchModel(coarse_nb, model.num_art, model.start)
+    coarse = BatchModel(coarse_nb, model.num_art)
     coarse.ghost_inflation = model.ghost_inflation
     cluster_map = [remap[cluster[v]] for v in range(nb)]
 
@@ -255,8 +250,8 @@ def coarsen(model: BatchModel, config: HeiStreamConfig,
     """Cluster and contract until the model is below max(|B|/(2xk), xk)."""
     if cap is None:
         cap = cluster_cap(state)
-    threshold = max(model.size // (2 * config.x * config.k),
-                    config.x * config.k)
+    threshold = max(model.size // (2 * config.x * state.k),
+                    config.x * state.k)
     levels: list[_Level] = []
     current = model
     while current.size > threshold:
@@ -429,30 +424,16 @@ def partition_batch(batch: list, state: PartitionState,
 
 
 def run_heistream(stream_factory, config: HeiStreamConfig,
-                  total_weight: Optional[int] = None) -> PartitionState:
+                  state: PartitionState, params: FennelParams) -> PartitionState:
     """Buffered streaming partitioning, optionally with restream passes.
 
     ``stream_factory()`` must return a fresh stream over the same node order
     for every pass.
     """
-    stream = stream_factory()
-    header = stream.header
-    if total_weight is None:
-        if header.has_node_weights:
-            raise ValueError("weighted nodes need an explicit total_weight")
-        total_weight = header.n
-    state = PartitionState(header.n, config.k, config.epsilon, total_weight)
-    alpha = config.alpha
-    if alpha is None:
-        alpha = fennel_alpha(header.n, header.m, config.k, config.gamma)
-    params = FennelParams(gamma=config.gamma, alpha=alpha)
     rng = random.Random(config.seed)
-
     for p in range(config.passes):
         restream = p > 0
-        if restream:
-            stream = stream_factory()
-        it = iter(stream)
+        it = iter(stream_factory())
         while True:
             batch = load_batch(it, config.delta)
             if batch is None:

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .onepass import fennel_alpha
+from .onepass import FennelParams
 from .partition import UNASSIGNED, PartitionState
 
 
@@ -227,10 +227,7 @@ def heterogeneous_alpha(block: TreeBlock, alpha: float) -> float:
 @dataclass
 class OmsConfig:
     scorer: str = "fennel"          # fennel | ldg
-    epsilon: float = 0.03
     base: int = 4                   # nh-OMS fan-out when no hierarchy given
-    alpha: Optional[float] = None
-    gamma: float = 1.5
     hash_bottom_layers: int = 0
 
     def __post_init__(self):
@@ -241,7 +238,7 @@ class OmsConfig:
 
 
 def oms_assign(record, tree: MultisectionTree, state: PartitionState,
-               config: OmsConfig, alpha: float) -> int:
+               config: OmsConfig, params: FennelParams) -> int:
     """Descend the tree, scoring the current block's children at each layer."""
     node = tree.root
     assignment = state.assignment
@@ -252,7 +249,7 @@ def oms_assign(record, tree: MultisectionTree, state: PartitionState,
             child = _hash_child(record, node, tree, state)
         else:
             child = _score_child(record, node, tree, state, neighbors,
-                                 config, alpha)
+                                 config, params)
         child.weight += record.weight
         node = child
     block = node.lo
@@ -263,7 +260,8 @@ def oms_assign(record, tree: MultisectionTree, state: PartitionState,
 
 def _score_child(record, node: TreeBlock, tree: MultisectionTree,
                  state: PartitionState, neighbors, config: OmsConfig,
-                 alpha: float) -> TreeBlock:
+                 params: FennelParams) -> TreeBlock:
+    alpha, gamma = params.alpha, params.gamma
     gains = [0.0] * len(node.children)
     for leaf, w in neighbors:
         if node.lo <= leaf <= node.hi:
@@ -276,8 +274,8 @@ def _score_child(record, node: TreeBlock, tree: MultisectionTree,
             continue
         if config.scorer == "fennel":
             a = heterogeneous_alpha(child, alpha)
-            score = gains[idx] - record.weight * a * config.gamma * \
-                child.weight ** (config.gamma - 1.0)
+            score = gains[idx] - record.weight * a * gamma * \
+                child.weight ** (gamma - 1.0)
         else:
             score = gains[idx] * (1.0 - child.weight / capacity)
         key = (score, -child.weight, -idx)
@@ -302,32 +300,24 @@ def _hash_child(record, node: TreeBlock, tree: MultisectionTree,
     return min(node.children, key=lambda c: c.weight)
 
 
-def run_oms(stream, config: OmsConfig,
-            spec: Optional[HierarchySpec] = None,
-            k: Optional[int] = None,
-            total_weight: Optional[int] = None) -> PartitionState:
+def run_oms(stream, config: OmsConfig, state: PartitionState,
+            params: FennelParams,
+            spec: Optional[HierarchySpec] = None) -> PartitionState:
     """One pass of online recursive multi-section.
 
-    Give either a topology ``spec`` (process mapping) or a bare ``k`` with
-    ``config.base`` (nh-OMS graph partitioning).  Only the final leaf block
-    is stored per node; ancestors are implied by the leaf ranges.
+    The tree mirrors the topology ``spec`` (process mapping), or else is the
+    ``config.base``-section tree over ``state.k`` blocks (nh-OMS graph
+    partitioning).  Only the final leaf block is stored per node; ancestors
+    are implied by the leaf ranges.
     """
-    header = stream.header
-    if (spec is None) == (k is None):
-        raise ValueError("provide exactly one of spec or k")
-    tree = build_from_spec(spec) if spec is not None else build_hierarchy(k, config.base)
-    num_blocks = tree.k
-    if total_weight is None:
-        if header.has_node_weights:
-            raise ValueError("weighted nodes need an explicit total_weight")
-        total_weight = header.n
-    state = PartitionState(header.n, num_blocks, config.epsilon, total_weight)
+    if spec is None:
+        tree = build_hierarchy(state.k, config.base)
+    elif spec.k != state.k:
+        raise ValueError(f"hierarchy has k={spec.k}, the state k={state.k}")
+    else:
+        tree = build_from_spec(spec)
     tree.l_max = state.l_max
-    alpha = config.alpha
-    if alpha is None:
-        alpha = fennel_alpha(header.n, header.m, num_blocks, config.gamma)
-
     for record in stream:
-        oms_assign(record, tree, state, config, alpha)
+        oms_assign(record, tree, state, config, params)
     state.tree = tree
     return state

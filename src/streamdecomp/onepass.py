@@ -36,6 +36,14 @@ class FennelParams:
         if self.alpha <= 0.0:
             raise ValueError("alpha must be > 0")
 
+    @classmethod
+    def for_stream(cls, n: int, m: int, k: int, gamma: float = 1.5,
+                   alpha: Optional[float] = None) -> "FennelParams":
+        """Params of one run: ``alpha`` defaults to :func:`fennel_alpha`."""
+        if alpha is None:
+            alpha = fennel_alpha(n, m, k, gamma)
+        return cls(gamma=gamma, alpha=alpha)
+
 
 @dataclass
 class OnePassConfig:
@@ -150,11 +158,8 @@ def _fewest_feasible(record, state: PartitionState) -> int:
 
 
 def run_onepass(stream, config: OnePassConfig, state: PartitionState,
-                params: Optional[FennelParams] = None) -> PartitionState:
+                params: FennelParams) -> PartitionState:
     """One full pass assigning every streamed node. Returns the final state."""
-    if params is None and config.algorithm == "fennel":
-        h = stream.header
-        params = FennelParams(alpha=fennel_alpha(h.n, h.m, state.k))
     for record in stream:
         if config.algorithm == "hashing":
             state.assign(record.id, hashing_assign(record.id, state.k),
@@ -167,7 +172,7 @@ def run_onepass(stream, config: OnePassConfig, state: PartitionState,
 
 
 def run_restream(stream_factory, config: OnePassConfig, state: PartitionState,
-                 params: Optional[FennelParams] = None) -> PartitionState:
+                 params: FennelParams) -> PartitionState:
     """Multi-pass drivers ReLDG / ReFennel.
 
     ``stream_factory()`` must return a fresh stream over the same node order
@@ -177,11 +182,7 @@ def run_restream(stream_factory, config: OnePassConfig, state: PartitionState,
     """
     if config.algorithm == "hashing":
         raise ValueError("restreaming hashing is pointless; use passes=1")
-    stream = stream_factory()
-    if params is None and config.algorithm == "fennel":
-        h = stream.header
-        params = FennelParams(alpha=fennel_alpha(h.n, h.m, state.k))
-    run_onepass(stream, config, state, params)
+    run_onepass(stream_factory(), config, state, params)
 
     for p in range(1, config.passes):
         if config.algorithm == "ldg":

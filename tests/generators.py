@@ -4,9 +4,21 @@ from __future__ import annotations
 
 import random
 
+from streamdecomp.onepass import FennelParams
+from streamdecomp.partition import PartitionState
 from streamdecomp.streams import (GraphStreamHeader, HypergraphStreamHeader,
                                   MemoryStream, StreamedHyperNodeRecord,
                                   StreamedNodeRecord)
+
+
+def run_setup(stream, k: int, epsilon: float = 0.03, gamma: float = 1.5,
+              alpha=None) -> tuple[PartitionState, FennelParams]:
+    """The state and params ``cli.execute`` builds for a run over ``stream``:
+    c(V) is the sum of the streamed node weights, alpha defaults from the
+    header."""
+    header = stream.header
+    state = PartitionState(header.n, k, epsilon, sum(r.weight for r in stream))
+    return state, FennelParams.for_stream(header.n, header.m, k, gamma, alpha)
 
 
 def graph_stream_from_edges(n, edges, node_weights=None) -> MemoryStream:
@@ -84,14 +96,12 @@ def planted_partition_graph(rng: random.Random, n: int, groups: int,
     return graph_stream_from_edges(n, edges)
 
 
-def hypergraph_stream_from_nets(n, nets, node_weights=None,
-                                num_nets=None) -> MemoryStream:
+def hypergraph_stream_from_nets(n, nets, node_weights=None) -> MemoryStream:
     """Build an in-memory node-major stream from net pin lists.
 
     ``nets`` is a list of (pins, weight); empty nets are allowed and simply
     never appear in any record.
     """
-    m = num_nets if num_nets is not None else len(nets)
     incident = [[] for _ in range(n)]
     for e, (pins, w) in enumerate(nets):
         for v in pins:
@@ -101,7 +111,7 @@ def hypergraph_stream_from_nets(n, nets, node_weights=None,
                for i in range(n)]
     pins_total = sum(len(r.incident_nets) for r in records)
     header = HypergraphStreamHeader(
-        n, m, pins_total,
+        n, len(nets), pins_total,
         has_node_weights=node_weights is not None,
         has_net_weights=any(w != 1 for _, w in nets))
     return MemoryStream(header, records)

@@ -14,9 +14,8 @@ import math
 
 import numpy as np
 
-from streamdecomp.freight import (FreightConfig, NetTracker, SortedBlocks,
-                                  _commit, _net_gains)
-from streamdecomp.onepass import FennelParams, fennel_alpha, fennel_gain
+from streamdecomp.freight import NetTracker, SortedBlocks, _commit, _net_gains
+from streamdecomp.onepass import FennelParams, fennel_gain
 from streamdecomp.partition import UNASSIGNED, PartitionState
 
 
@@ -110,47 +109,39 @@ def select_block(gains: dict[int, float], counts: dict[int, int],
 
 
 def naive_freight_assign(record, state: PartitionState, tracker: NetTracker,
-                         blocks, config: FreightConfig, params: FennelParams,
+                         blocks, cutnet: bool, params: FennelParams,
                          unit: bool = True) -> int:
     """FREIGHT by a full scan: the oracle of ``freight_assign``."""
-    gains, counts = _net_gains(record, tracker, config.objective == "cutnet")
+    gains, counts = _net_gains(record, tracker, cutnet)
     best = select_block(gains, counts, record.weight, state, params, blocks)
     _commit(record, best, state, tracker, blocks, unit)
     return best
 
 
-def run_freight_reference(stream, config: FreightConfig,
-                          total_weight=None) -> PartitionState:
-    """FREIGHT by full per-node scans over all k blocks (O(nk))."""
-    header = stream.header
-    if total_weight is None:
-        total_weight = header.n
-    state = PartitionState(header.n, config.k, config.epsilon, total_weight)
-    tracker = NetTracker(header.m)
-    blocks = SortedBlocks(config.k)
-    alpha = config.alpha
-    if alpha is None:
-        alpha = fennel_alpha(header.n, header.m, config.k, config.gamma)
-    params = FennelParams(gamma=config.gamma, alpha=alpha)
+def run_freight_reference(stream, state: PartitionState, params: FennelParams,
+                          objective: str = "connectivity") -> PartitionState:
+    """FREIGHT by full per-node scans over all k blocks (O(nk)).
+
+    Unit node weights only: ties between empty-gain blocks resolve through
+    :class:`SortedBlocks`, as in the unit-weight fast path.
+    """
+    tracker = NetTracker(stream.header.m)
+    blocks = SortedBlocks(state.k)
     for record in stream:
-        naive_freight_assign(record, state, tracker, blocks, config, params)
+        naive_freight_assign(record, state, tracker, blocks,
+                             objective == "cutnet", params)
     return state
 
 
-def run_fennel_twin(graph_stream, k: int, epsilon: float = 0.03,
-                    alpha=None) -> PartitionState:
+def run_fennel_twin(graph_stream, state: PartitionState,
+                    params: FennelParams) -> PartitionState:
     """Fennel over a graph stream with FREIGHT's canonical tie policy.
 
     Gains come from neighbor assignments directly (no net tracker); the shared
     block selector makes the tie handling identical, so on size-2-net inputs
     this is the graph-side half of the Fennel/FREIGHT equivalence.
     """
-    header = graph_stream.header
-    state = PartitionState(header.n, k, epsilon, header.n)
-    blocks = SortedBlocks(k)
-    if alpha is None:
-        alpha = fennel_alpha(header.n, header.m, k)
-    params = FennelParams(alpha=alpha)
+    blocks = SortedBlocks(state.k)
     for record in graph_stream:
         gains: dict[int, float] = {}
         counts: dict[int, int] = {}
@@ -166,9 +157,8 @@ def run_fennel_twin(graph_stream, k: int, epsilon: float = 0.03,
     return state
 
 
-def run_multisection_multipass(graph_stream, tree, k: int, epsilon: float,
-                               alpha: float, scorer: str = "fennel",
-                               gamma: float = 1.5) -> list[int]:
+def run_multisection_multipass(graph_stream, tree, params: FennelParams,
+                               scorer: str = "fennel") -> list[int]:
     """Layer-by-layer restreamed multi-section (one pass per tree layer).
 
     Pass j refines every node's block to one child of its layer-(j-1) block,
@@ -200,8 +190,9 @@ def run_multisection_multipass(graph_stream, tree, k: int, epsilon: float,
                     if other.lo >= child.lo and other.hi <= child.hi:
                         gain += w
                 if scorer == "fennel":
-                    a = alpha / math.sqrt(child.t)
-                    score = gain - record.weight * a * gamma * cw ** (gamma - 1.0)
+                    a = params.alpha / math.sqrt(child.t)
+                    score = gain - record.weight * a * params.gamma * \
+                        cw ** (params.gamma - 1.0)
                 else:
                     score = gain * (1.0 - cw / (child.t * l_max))
                 key = (score, -cw, -idx)

@@ -14,19 +14,19 @@ import numpy as np
 import pytest
 
 from streamdecomp import onepass
-from streamdecomp.freight import FreightConfig, SortedBlocks, run_freight
+from streamdecomp.freight import SortedBlocks, run_freight
 from streamdecomp.heistream import HeiStreamConfig, run_heistream
 from streamdecomp.metrics import comm_cost, cut_net_and_connectivity, edge_cut
 from streamdecomp.multisection import HierarchySpec, OmsConfig, run_oms
 from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
                                   fennel_gain, run_onepass, run_restream)
-from streamdecomp.partition import UNASSIGNED, PartitionState, compute_lmax
+from streamdecomp.partition import UNASSIGNED, compute_lmax
 from streamdecomp.streams import (HypergraphStreamHeader, MemoryStream,
                                   StreamedHyperNodeRecord)
 
 from generators import (banded_matrix_hypergraph, geometric_graph,
                         graph_as_hypergraph, planted_partition_graph,
-                        random_graph, random_hypergraph)
+                        random_graph, random_hypergraph, run_setup)
 from reference import (distance_matrix, division_distance_matrix,
                        run_fennel_twin, run_freight_reference,
                        run_multisection_multipass)
@@ -72,9 +72,9 @@ def test_c01_freight_oracle_equivalence():
                                      for r in stream.records)
         k = 4 if trial % 2 == 0 else 16
         for objective in ("connectivity", "cutnet"):
-            config = FreightConfig(objective=objective, k=k)
-            fast = run_freight(stream, config)
-            slow = run_freight_reference(stream, config)
+            fast = run_freight(stream, *run_setup(stream, k), objective)
+            slow = run_freight_reference(stream, *run_setup(stream, k),
+                                         objective)
             assert fast.assignment == slow.assignment, \
                 f"trial {trial} objective {objective} diverged"
             checked += 1
@@ -154,21 +154,17 @@ def test_c04_oms_single_vs_multipass():
     for trial in range(50):
         n = rng.randint(50, 500)
         stream = random_graph(rng, n, rng.randint(n, 4 * n))
-        alpha = fennel_alpha(n, stream.header.m, spec.k)
-        state = run_oms(stream, OmsConfig(scorer="fennel", epsilon=0.05),
-                        spec=spec)
-        multi = run_multisection_multipass(stream, state.tree, spec.k, 0.05,
-                                           alpha, "fennel")
+        state, params = run_setup(stream, spec.k, 0.05)
+        run_oms(stream, OmsConfig(scorer="fennel"), state, params, spec)
+        multi = run_multisection_multipass(stream, state.tree, params)
         assert state.assignment == multi, f"spec hierarchy trial {trial}"
         runs += 1
         for k, b in ((5, 2), (8, 4), (12, 4), (5, 4), (8, 2), (12, 2)):
             if trial % 8 != 0:
                 continue
-            config = OmsConfig(scorer="fennel", epsilon=0.05, base=b)
-            st = run_oms(stream, config, k=k)
-            alpha_k = fennel_alpha(n, stream.header.m, k)
-            multi_k = run_multisection_multipass(stream, st.tree, k, 0.05,
-                                                 alpha_k, "fennel")
+            st, params_k = run_setup(stream, k, 0.05)
+            run_oms(stream, OmsConfig(scorer="fennel", base=b), st, params_k)
+            multi_k = run_multisection_multipass(stream, st.tree, params_k)
             assert st.assignment == multi_k, f"nh-OMS k={k} b={b}"
             runs += 1
     report("C4 oms-singlepass-equivalence",
@@ -185,30 +181,32 @@ def test_c05_balance_guarantee():
     for k in (2, 8, 32, 128):
         states = []
         for algorithm in ("hashing", "ldg", "fennel"):
-            st = PartitionState(4000, k, 0.03, 4000)
-            run_onepass(graph, OnePassConfig(algorithm=algorithm), st)
+            st = run_onepass(graph, OnePassConfig(algorithm=algorithm),
+                             *run_setup(graph, k))
             states.append((algorithm, st))
         for algorithm in ("ldg", "fennel"):
-            st = PartitionState(4000, k, 0.03, 4000)
-            run_restream(lambda: graph,
-                         OnePassConfig(algorithm=algorithm, passes=2), st)
+            st = run_restream(lambda: graph,
+                              OnePassConfig(algorithm=algorithm, passes=2),
+                              *run_setup(graph, k))
             states.append((f"re{algorithm}", st))
         for model in ("basic", "extended"):
             st = run_heistream(lambda: graph,
-                               HeiStreamConfig(k=k, delta=1024, model=model,
-                                               seed=1))
+                               HeiStreamConfig(delta=1024, model=model,
+                                               seed=1),
+                               *run_setup(graph, k))
             states.append((f"heistream-{model}", st))
         st = run_heistream(lambda: graph,
-                           HeiStreamConfig(k=k, delta=1024, seed=1, passes=2))
+                           HeiStreamConfig(delta=1024, seed=1, passes=2),
+                           *run_setup(graph, k))
         states.append(("heistream-2pass", st))
-        st = run_oms(graph, OmsConfig(epsilon=0.03), k=k)
+        st = run_oms(graph, OmsConfig(), *run_setup(graph, k))
         states.append(("nh-oms", st))
         for objective in ("connectivity", "cutnet"):
-            st = run_freight(hyper, FreightConfig(objective=objective, k=k))
+            st = run_freight(hyper, *run_setup(hyper, k), objective)
             states.append((f"freight-{objective}", st))
         if k == 128:
-            st = run_oms(graph, OmsConfig(epsilon=0.03),
-                         spec=HierarchySpec.parse("4:16:2", "1:10:100"))
+            spec = HierarchySpec.parse("4:16:2", "1:10:100")
+            st = run_oms(graph, OmsConfig(), *run_setup(graph, spec.k), spec)
             states.append(("oms-4:16:2", st))
         for name, st in states:
             assert st.max_block_weight() <= st.l_max, \
@@ -226,18 +224,18 @@ def test_c06_quality_ordering_graphs(quality_graphs):
     heistream_le = 0
     restream_le = 0
     for name, g in quality_graphs:
-        n = g.header.n
-        hs = PartitionState(n, k, 0.03, n)
-        run_onepass(g, OnePassConfig(algorithm="hashing"), hs)
+        hs = run_onepass(g, OnePassConfig(algorithm="hashing"),
+                         *run_setup(g, k))
         cut_hash = edge_cut(g, hs.assignment)
-        fs = PartitionState(n, k, 0.03, n)
-        run_onepass(g, OnePassConfig(algorithm="fennel"), fs)
+        fs = run_onepass(g, OnePassConfig(algorithm="fennel"),
+                         *run_setup(g, k))
         cut_fennel = edge_cut(g, fs.assignment)
         one = run_heistream(lambda: g, HeiStreamConfig(
-            k=k, delta=2 ** 15, model="extended", seed=3))
+            delta=2 ** 15, model="extended", seed=3), *run_setup(g, k))
         cut_one = edge_cut(g, one.assignment)
         two = run_heistream(lambda: g, HeiStreamConfig(
-            k=k, delta=2 ** 15, model="extended", seed=3, passes=2))
+            delta=2 ** 15, model="extended", seed=3, passes=2),
+            *run_setup(g, k))
         cut_two = edge_cut(g, two.assignment)
         fennel_wins += cut_fennel < cut_hash
         heistream_le += cut_one <= cut_fennel
@@ -265,9 +263,9 @@ def test_c07_quality_ordering_hypergraphs():
         hashing = [i % k for i in range(h.header.n)]
         _, conn_hash = cut_net_and_connectivity(h, hashing)
         cut_hash, _ = cut_net_and_connectivity(h, hashing)
-        con = run_freight(h, FreightConfig(objective="connectivity", k=k))
+        con = run_freight(h, *run_setup(h, k), "connectivity")
         _, conn_freight = cut_net_and_connectivity(h, con.assignment)
-        cut = run_freight(h, FreightConfig(objective="cutnet", k=k))
+        cut = run_freight(h, *run_setup(h, k), "cutnet")
         cut_freight, _ = cut_net_and_connectivity(h, cut.assignment)
         con_wins += conn_freight < conn_hash
         cut_wins += cut_freight <= cut_hash
@@ -282,11 +280,11 @@ def test_c08_mapping_quality(quality_graphs):
     spec = HierarchySpec.parse("4:16:2", "1:10:100")
     wins = 0
     for name, g in quality_graphs:
-        n = g.header.n
-        oms = run_oms(g, OmsConfig(scorer="fennel", epsilon=0.03), spec=spec)
+        oms = run_oms(g, OmsConfig(scorer="fennel"), *run_setup(g, spec.k),
+                      spec)
         j_oms = comm_cost(g, oms.assignment, spec)
-        fs = PartitionState(n, spec.k, 0.03, n)
-        run_onepass(g, OnePassConfig(algorithm="fennel"), fs)
+        fs = run_onepass(g, OnePassConfig(algorithm="fennel"),
+                         *run_setup(g, spec.k))
         j_fennel = comm_cost(g, fs.assignment, spec)
         wins += j_oms < j_fennel
     total = len(quality_graphs)
@@ -356,7 +354,7 @@ def test_c09_freight_k_independence():
         best = float("inf")
         for _ in range(2):
             start = time.perf_counter()
-            run_freight(stream, FreightConfig(objective="connectivity", k=k))
+            run_freight(stream, *run_setup(stream, k), "connectivity")
             best = min(best, time.perf_counter() - start)
         freight_times[k] = best
     naive_times = {k: _naive_fennel_runtime(adjacency, n, m, k)
@@ -384,9 +382,9 @@ def test_c10_fennel_freight_equivalence_on_graphs():
         graph = random_graph(rng, n, m)
         hyper = graph_as_hypergraph(graph)
         k = 4 if trial % 2 == 0 else 8
-        freight_state = run_freight(
-            hyper, FreightConfig(objective="connectivity", k=k))
-        fennel_state = run_fennel_twin(graph, k)
+        freight_state = run_freight(hyper, *run_setup(hyper, k),
+                                    "connectivity")
+        fennel_state = run_fennel_twin(graph, *run_setup(graph, k))
         assert freight_state.assignment == fennel_state.assignment, \
             f"trial {trial}"
     report("C10 fennel-freight-equivalence", "20 graphs identical")
@@ -451,9 +449,9 @@ def test_c12_fennel_k_independence(monkeypatch):
     scored = {}
     for k in (512, 4096):
         gain_calls[0] = 0
-        state = PartitionState(n, k, 0.03, n)
-        run_restream(lambda: graph,
-                     OnePassConfig(algorithm="fennel", passes=2), state)
+        state = run_restream(lambda: graph,
+                             OnePassConfig(algorithm="fennel", passes=2),
+                             *run_setup(graph, k))
         assert state.is_balanced()
         scored[k] = gain_calls[0]
         assert scored[k] <= 2 * (n + 2 * m)

@@ -179,7 +179,38 @@ class TestCliHpartitionAndMap:
         assert json.loads(Path(mjson).read_text())["seed"] == 77
 
 
+def _run_argv(algorithm, graph, hypergraph):
+    """Arguments that run one ``cli.ALGORITHMS`` entry at k = 4."""
+    if algorithm.startswith("freight-"):
+        return ["hpartition", "--input", hypergraph, "--k", "4",
+                "--objective", algorithm.split("-")[1]]
+    if algorithm.startswith("oms-"):
+        return ["map", "--input", graph, "--hierarchy", "2:2",
+                "--distances", "1:10", "--algorithm", algorithm.split("-")[1]]
+    return ["partition", "--input", graph, "--k", "4",
+            "--algorithm", algorithm]
+
+
+# Every run command checks --alpha and --gamma (map has no --gamma flag).
+BAD_PENALTIES = [
+    (algorithm, flag, value)
+    for algorithm in cli.ALGORITHMS
+    for flag, value in (("--alpha", "-1"), ("--gamma", "0.5"),
+                        ("--gamma", "1"))
+    if not (flag == "--gamma" and algorithm.startswith("oms-"))]
+
+
 class TestCliErrors:
+    @pytest.mark.parametrize("algorithm,flag,value", BAD_PENALTIES)
+    def test_bad_penalty_is_exit_2(self, graph_file, tmp_path, capsys,
+                                   algorithm, flag, value):
+        hypergraph = tmp_path / "nodes.hgr"
+        hypergraph.write_text("4 2 4\n1\n1 2\n2\n\n")
+        argv = _run_argv(algorithm, graph_file, str(hypergraph))
+        assert main(argv + [flag, value]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert main(argv) == 0      # the same run with default penalties
+
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["partition", "--input", "x"]) == 1   # missing --k
 

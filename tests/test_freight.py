@@ -3,17 +3,24 @@ import random
 
 import pytest
 
-from streamdecomp.freight import (CUT, SINGLE_BLOCK, UNTOUCHED,
-                                  FreightConfig, NetTracker, SortedBlocks,
-                                  freight_assign, run_freight)
+from streamdecomp.freight import (CUT, SINGLE_BLOCK, UNTOUCHED, NetTracker,
+                                  SortedBlocks, freight_assign, run_freight)
 from streamdecomp.metrics import cut_net_and_connectivity
-from streamdecomp.onepass import FennelParams, fennel_alpha
+from streamdecomp.onepass import FennelParams
 from streamdecomp.partition import PartitionState
 from streamdecomp.streams import StreamedHyperNodeRecord
 
 from generators import (graph_as_hypergraph, hypergraph_stream_from_nets,
-                        random_graph, random_hypergraph)
+                        random_graph, random_hypergraph, run_setup)
 from reference import run_fennel_twin, run_freight_reference
+
+
+def freight(stream, k, objective="connectivity", **setup):
+    return run_freight(stream, *run_setup(stream, k, **setup), objective)
+
+
+def freight_reference(stream, k, objective="connectivity"):
+    return run_freight_reference(stream, *run_setup(stream, k), objective)
 
 
 class TestNetTracker:
@@ -32,7 +39,6 @@ class TestNetTracker:
     def test_tracker_soundness_on_random_run(self):
         rng = random.Random(77)
         stream = random_hypergraph(rng, 60, 80, max_pins=5)
-        config = FreightConfig(objective="connectivity", k=4)
         header = stream.header
         state = PartitionState(header.n, 4, 0.03, header.n)
         tracker = NetTracker(header.m)
@@ -40,7 +46,7 @@ class TestNetTracker:
         params = FennelParams(alpha=0.5)
         pins_seen: dict[int, list[int]] = {}
         for record in stream:
-            b = freight_assign(record, state, tracker, blocks, config, params)
+            b = freight_assign(record, state, tracker, blocks, False, params)
             for e, _ in record.incident_nets:
                 pins_seen.setdefault(e, []).append(b)
         for e, blocks_of_e in pins_seen.items():
@@ -60,10 +66,9 @@ def make_assign_ctx(n, m, k, alpha=0.5):
 class TestFreightAssign:
     def test_all_nets_untouched_goes_to_min_cardinality(self):
         state, tracker, blocks, params = make_assign_ctx(4, 2, 3)
-        config = FreightConfig(objective="connectivity", k=3)
         expected = blocks.min_block()
         record = StreamedHyperNodeRecord(0, 1, [(0, 1), (1, 1)])
-        chosen = freight_assign(record, state, tracker, blocks, config, params)
+        chosen = freight_assign(record, state, tracker, blocks, False, params)
         assert chosen == expected
         assert state.block_weight[chosen] == 1
 
@@ -74,19 +79,19 @@ class TestFreightAssign:
         # connected block's net count (1 against 0) keeps the node there.
         state, tracker, blocks, _ = make_assign_ctx(4, 1, 2)
         params = FennelParams(gamma=2.0, alpha=alpha)
-        config = FreightConfig(objective="connectivity", k=2)
+        cutnet = False
         freight_assign(StreamedHyperNodeRecord(0, 1, [(0, 1)]), state,
-                       tracker, blocks, config, params)
+                       tracker, blocks, cutnet, params)
         assert state.assignment[0] == 0 and blocks.min_block() == 1
         chosen = freight_assign(StreamedHyperNodeRecord(1, 1, [(0, 1)]),
-                                state, tracker, blocks, config, params)
+                                state, tracker, blocks, cutnet, params)
         assert chosen == expected
 
     def test_cutnet_ignores_already_cut_net(self):
         state, tracker, blocks, params = make_assign_ctx(5, 1, 4)
-        config = FreightConfig(objective="cutnet", k=4)
+        cutnet = True
         freight_assign(StreamedHyperNodeRecord(0, 1, [(0, 1)]), state,
-                       tracker, blocks, config, params)
+                       tracker, blocks, cutnet, params)
         b0 = state.assignment[0]
         # force the net to be cut: second pin lands elsewhere only if gain
         # loses to the penalty; instead cut it directly via the tracker
@@ -95,19 +100,19 @@ class TestFreightAssign:
         # now a node whose only net is cut falls through to the min query
         before = blocks.min_block()
         chosen = freight_assign(StreamedHyperNodeRecord(1, 1, [(0, 1)]),
-                                state, tracker, blocks, config, params)
+                                state, tracker, blocks, cutnet, params)
         assert chosen == before
 
     def test_connectivity_counts_cut_nets_via_last_block(self):
         state, tracker, blocks, params = make_assign_ctx(5, 1, 4, alpha=0.1)
-        config = FreightConfig(objective="connectivity", k=4)
+        cutnet = False
         freight_assign(StreamedHyperNodeRecord(0, 1, [(0, 1)]), state,
-                       tracker, blocks, config, params)
+                       tracker, blocks, cutnet, params)
         b0 = state.assignment[0]
         tracker.observe(0, b0)          # keep d_e = b0
         tracker.status[0] = CUT         # but mark it cut
         chosen = freight_assign(StreamedHyperNodeRecord(1, 1, [(0, 1)]),
-                                state, tracker, blocks, config, params)
+                                state, tracker, blocks, cutnet, params)
         assert chosen == b0             # still attracted to d_e
 
 
@@ -120,9 +125,8 @@ class TestOracleEquivalence:
             n = rng.randint(20, 120)
             m = rng.randint(10, 150)
             stream = random_hypergraph(rng, n, m, max_pins=6)
-            config = FreightConfig(objective=objective, k=k)
-            fast = run_freight(stream, config)
-            slow = run_freight_reference(stream, config)
+            fast = freight(stream, k, objective)
+            slow = freight_reference(stream, k, objective)
             assert fast.assignment == slow.assignment, \
                 f"diverged on trial {trial}"
             assert fast.block_weight == slow.block_weight
@@ -132,9 +136,8 @@ class TestOracleEquivalence:
         for _ in range(5):
             stream = random_hypergraph(rng, 50, 60, max_pins=5,
                                        max_net_weight=6)
-            config = FreightConfig(objective="connectivity", k=8)
-            fast = run_freight(stream, config)
-            slow = run_freight_reference(stream, config)
+            fast = freight(stream, 8)
+            slow = freight_reference(stream, 8)
             assert fast.assignment == slow.assignment
 
 
@@ -142,9 +145,7 @@ class TestWeightedNodes:
     def test_weighted_path_uses_bucket_queue_and_balances(self):
         rng = random.Random(31)
         stream = random_hypergraph(rng, 40, 50, max_pins=4, max_node_weight=5)
-        total = sum(r.weight for r in stream)
-        config = FreightConfig(objective="connectivity", k=4)
-        state = run_freight(stream, config, total_weight=total)
+        state = freight(stream, 4)
         assert state.is_balanced()
         state.check_consistency([r.weight for r in stream])
 
@@ -164,31 +165,21 @@ class TestWeightedNodes:
             for k in (3, 8, 64):
                 stream = random_hypergraph(rng, 150, 120, max_pins=5,
                                            max_node_weight=20)
-                total = sum(r.weight for r in stream)
-                config = FreightConfig(objective=objective, k=k, epsilon=0.0)
-                fast = run_freight(stream, config, total_weight=total)
-                state = PartitionState(150, k, 0.0, total)
+                fast = freight(stream, k, objective, epsilon=0.0)
+                state, params = run_setup(stream, k, epsilon=0.0)
                 tracker = NetTracker(stream.header.m)
-                params = FennelParams(alpha=fennel_alpha(150,
-                                                         stream.header.m, k))
                 for record in stream:
                     freight_assign(record, state, tracker, ScanMin(state),
-                                   config, params, unit=False)
+                                   objective == "cutnet", params, unit=False)
                 assert fast.assignment == state.assignment
                 assert fast.violations == state.violations
-
-    def test_weighted_nodes_need_total_weight(self):
-        rng = random.Random(32)
-        stream = random_hypergraph(rng, 10, 10, max_node_weight=3)
-        with pytest.raises(ValueError, match="total_weight"):
-            run_freight(stream, FreightConfig(k=2))
 
 
 class TestRunFreight:
     def test_k1_trivial(self):
         rng = random.Random(8)
         stream = random_hypergraph(rng, 20, 15, max_pins=4)
-        state = run_freight(stream, FreightConfig(objective="cutnet", k=1))
+        state = freight(stream, 1, "cutnet")
         assert set(state.assignment) == {0}
         assert cut_net_and_connectivity(stream, state.assignment) == (0, 0)
 
@@ -196,8 +187,7 @@ class TestRunFreight:
         # nets {0,1,2} and {3,4,5}, k=2: optimum connectivity 0, found
         stream = hypergraph_stream_from_nets(
             6, [([0, 1, 2], 1), ([3, 4, 5], 1)])
-        state = run_freight(stream, FreightConfig(objective="connectivity",
-                                                  k=2))
+        state = freight(stream, 2)
         cut, conn = cut_net_and_connectivity(stream, state.assignment)
         assert conn == 0
         # brute force over all 2^6 assignments confirms 0 is the optimum
@@ -211,7 +201,7 @@ class TestRunFreight:
         rng = random.Random(90)
         stream = random_hypergraph(rng, 200, 150, max_pins=6)
         for k in (2, 8, 32):
-            state = run_freight(stream, FreightConfig(k=k))
+            state = freight(stream, k)
             assert state.is_balanced()
             assert state.violations == 0
 
@@ -221,7 +211,6 @@ class TestRunFreight:
         graph = random_graph(rng, 80, 200)
         hyper = graph_as_hypergraph(graph)
         k = 4
-        freight_state = run_freight(hyper, FreightConfig(
-            objective="connectivity", k=k))
-        fennel_state = run_fennel_twin(graph, k)
+        freight_state = freight(hyper, k)
+        fennel_state = run_fennel_twin(graph, *run_setup(graph, k))
         assert freight_state.assignment == fennel_state.assignment

@@ -7,13 +7,17 @@ from streamdecomp.heistream import (BatchModel, HeiStreamConfig, build_model,
                                     load_batch, run_heistream,
                                     uncoarsen_refine)
 from streamdecomp.metrics import edge_cut
-from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
-                                  run_onepass)
+from streamdecomp.onepass import FennelParams, OnePassConfig, run_onepass
 from streamdecomp.partition import UNASSIGNED, PartitionState
 from streamdecomp.streams import StreamedNodeRecord
 
 from generators import (gnp_graph, graph_stream_from_edges,
-                        planted_partition_graph, random_graph)
+                        planted_partition_graph, random_graph, run_setup)
+
+
+def heistream(stream, k, **config):
+    return run_heistream(lambda: stream, HeiStreamConfig(**config),
+                         *run_setup(stream, k))
 
 
 def model_cut_and_penalty(model: BatchModel, blocks, k, params):
@@ -58,7 +62,7 @@ class TestLoadBatch:
 
 class TestBuildModel:
     def cfg(self, **kw):
-        return HeiStreamConfig(k=4, delta=2, **kw)
+        return HeiStreamConfig(delta=2, **kw)
 
     def test_first_batch_has_no_artificial_nodes(self):
         state = PartitionState(4, 4, 0.5, 4)
@@ -124,13 +128,13 @@ class TestBuildModel:
 
 class TestCoarsen:
     def test_threshold_formula(self):
-        config = HeiStreamConfig(k=32, delta=32768, x=4)
-        model = BatchModel(32768, 32, 0)
-        assert max(model.size // (2 * config.x * config.k),
-                   config.x * config.k) == 128
+        k = 32
+        config = HeiStreamConfig(delta=32768, x=4)
+        model = BatchModel(32768, k)
+        assert max(model.size // (2 * config.x * k), config.x * k) == 128
 
     def test_small_model_yields_single_level(self):
-        config = HeiStreamConfig(k=2, delta=8, x=4)
+        config = HeiStreamConfig(delta=8, x=4)
         state = PartitionState(8, 2, 0.5, 8)
         batch = [StreamedNodeRecord(i, 1, []) for i in range(8)]
         model = build_model(batch, state, config, random.Random(0))
@@ -143,7 +147,7 @@ class TestCoarsen:
                               for a in range(8) for b in range(a + 1, 8)]
         edges = clique(0) + clique(8) + [(0, 8, 1)]
         stream = graph_stream_from_edges(16, edges)
-        config = HeiStreamConfig(k=2, delta=16, x=1, coarsen_rounds=5)
+        config = HeiStreamConfig(delta=16, x=1, coarsen_rounds=5)
         state = PartitionState(16, 2, 0.0, 16)   # L_max = 8 caps clusters
         batch = list(stream)
         model = build_model(batch, state, config, random.Random(3))
@@ -156,7 +160,7 @@ class TestCoarsen:
 
 class TestInitialPartition:
     def test_affinity_to_artificial_dominates(self):
-        config = HeiStreamConfig(k=4, delta=4)
+        config = HeiStreamConfig(delta=4)
         state = PartitionState(8, 4, 1.0, 8)
         for node, block in enumerate([0, 1, 2, 3]):
             state.assign(node, block, 1)
@@ -166,7 +170,7 @@ class TestInitialPartition:
         assert initial_partition(model, state, params) == [3]
 
     def test_forced_block_when_others_full(self):
-        config = HeiStreamConfig(k=3, delta=1)
+        config = HeiStreamConfig(delta=1)
         state = PartitionState(10, 3, 0.0, 9)   # L_max = 3
         for node in range(3):
             state.assign(node, 0, 3 if node == 0 else 0)
@@ -182,7 +186,7 @@ class TestInitialPartition:
         for _ in range(10):
             k = rng.choice([2, 4, 8])
             nb = rng.randint(3, 20)
-            model = BatchModel(nb, k, 0)
+            model = BatchModel(nb, k)
             edges = [dict() for _ in range(nb)]
             for v in range(nb):
                 model.weight[v] = rng.randint(1, 3)
@@ -229,12 +233,11 @@ class TestRefinement:
     def build_partitioned_model(self, seed=61):
         rng = random.Random(seed)
         stream = gnp_graph(rng, 60, 0.1)
-        config = HeiStreamConfig(k=4, delta=60, x=1, seed=seed)
-        state = PartitionState(60, 4, 0.1, 60)
+        config = HeiStreamConfig(delta=60, x=1, seed=seed)
+        state, params = run_setup(stream, 4, epsilon=0.1)
         batch = list(stream)
         model = build_model(batch, state, config, rng)
         levels = coarsen(model, config, state, rng)
-        params = FennelParams(alpha=fennel_alpha(60, stream.header.m, 4))
         coarse = initial_partition(levels[-1].model, state, params)
         return levels, coarse, state, config, params
 
@@ -269,8 +272,8 @@ class TestRefinement:
         assert refined_obj <= base_obj + 1e-9
 
     def test_node_already_in_best_block_stays(self):
-        config = HeiStreamConfig(k=2, delta=2)
-        model = BatchModel(2, 0, 0)
+        config = HeiStreamConfig(delta=2)
+        model = BatchModel(2, 0)
         model.weight = [1, 1]
         model.true_weight = [1, 1]
         model.adj = [[(1, 5)], [(0, 5)]]
@@ -293,8 +296,7 @@ class TestCommitAndRun:
     def test_full_run_assigns_everyone(self):
         rng = random.Random(71)
         stream = random_graph(rng, 150, 400)
-        config = HeiStreamConfig(k=8, delta=40, seed=5)
-        state = run_heistream(lambda: stream, config)
+        state = heistream(stream, 8, delta=40, seed=5)
         assert all(b != UNASSIGNED for b in state.assignment)
         state.check_consistency([1] * 150)
         assert state.is_balanced()
@@ -303,9 +305,8 @@ class TestCommitAndRun:
         # tracked inflation explains exactly the model/true weight difference
         rng = random.Random(73)
         stream = random_graph(rng, 120, 360)
-        config = HeiStreamConfig(k=4, delta=30, seed=11)
-        state = PartitionState(120, 4, 0.03, 120)
-        params = FennelParams(alpha=fennel_alpha(120, 360, 4))
+        config = HeiStreamConfig(delta=30, seed=11)
+        state, params = run_setup(stream, 4)
         rng_run = random.Random(config.seed)
         it = iter(stream)
         while (batch := load_batch(it, config.delta)) is not None:
@@ -323,7 +324,7 @@ class TestCommitAndRun:
     def test_delta_covering_n_single_batch_no_artificial(self):
         rng = random.Random(79)
         stream = random_graph(rng, 50, 120)
-        config = HeiStreamConfig(k=4, delta=64, seed=1)
+        config = HeiStreamConfig(delta=64, seed=1)
         state = PartitionState(50, 4, 0.03, 50)
         batch = load_batch(iter(stream), config.delta)
         model = build_model(batch, state, config, random.Random(1))
@@ -335,10 +336,9 @@ class TestCommitAndRun:
             n = rng.randint(20, 80)
             m = rng.randint(n, 4 * n)
             stream = random_graph(rng, n, m)
-            config = HeiStreamConfig(k=4, delta=1, model="basic", seed=trial)
-            hs = run_heistream(lambda: stream, config)
-            fen = PartitionState(n, 4, 0.03, n)
-            run_onepass(stream, OnePassConfig(algorithm="fennel"), fen)
+            hs = heistream(stream, 4, delta=1, model="basic", seed=trial)
+            fen, params = run_setup(stream, 4)
+            run_onepass(stream, OnePassConfig(algorithm="fennel"), fen, params)
             assert hs.assignment == fen.assignment, f"trial {trial}"
 
     def test_restream_pass_not_worse_usually(self):
@@ -347,11 +347,8 @@ class TestCommitAndRun:
         trials = 8
         for t in range(trials):
             stream = planted_partition_graph(rng, 120, 6, 0.3, 60)
-            one = run_heistream(lambda: stream,
-                                HeiStreamConfig(k=4, delta=30, seed=t))
-            two = run_heistream(lambda: stream,
-                                HeiStreamConfig(k=4, delta=30, seed=t,
-                                                passes=2))
+            one = heistream(stream, 4, delta=30, seed=t)
+            two = heistream(stream, 4, delta=30, seed=t, passes=2)
             c1 = edge_cut(stream, one.assignment)
             c2 = edge_cut(stream, two.assignment)
             if c2 <= c1:
@@ -362,8 +359,6 @@ class TestCommitAndRun:
     def test_determinism_with_seed(self):
         rng = random.Random(97)
         stream = planted_partition_graph(rng, 100, 4, 0.3, 40)
-        runs = [run_heistream(lambda: stream,
-                              HeiStreamConfig(k=4, delta=25, seed=13,
-                                              passes=2)).assignment
+        runs = [heistream(stream, 4, delta=25, seed=13, passes=2).assignment
                 for _ in range(2)]
         assert runs[0] == runs[1]

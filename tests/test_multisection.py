@@ -9,11 +9,15 @@ from streamdecomp.metrics import comm_cost, edge_cut
 from streamdecomp.multisection import (HierarchySpec, OmsConfig, TreeBlock,
                                        build_from_spec, build_hierarchy,
                                        heterogeneous_alpha, run_oms)
-from streamdecomp.onepass import fennel_alpha
 
-from generators import graph_stream_from_edges, random_graph
+from generators import graph_stream_from_edges, random_graph, run_setup
 from reference import (distance_matrix, division_distance_matrix,
                        run_multisection_multipass)
+
+
+def oms(stream, k, spec=None, epsilon=0.03, alpha=None, **config):
+    state, params = run_setup(stream, k, epsilon, alpha=alpha)
+    return run_oms(stream, OmsConfig(**config), state, params, spec)
 
 
 def leaf_ranges(tree):
@@ -154,28 +158,25 @@ class TestOmsAssign:
         # L_max = ceil(2*4/4) = 2, so the pair fits one leaf
         spec = HierarchySpec.parse("2:2", "1:10")
         stream = graph_stream_from_edges(4, [(0, 1, 1)])
-        config = OmsConfig(scorer="fennel", epsilon=1.0, alpha=0.05)
-        state = run_oms(stream, config, spec=spec)
+        state = oms(stream, spec.k, spec, epsilon=1.0, alpha=0.05)
         assert state.assignment[1] == state.assignment[0]
 
     def test_isolated_nodes_spread_to_lightest(self):
         spec = HierarchySpec.parse("2:2", "1:10")
         stream = graph_stream_from_edges(4, [])
-        config = OmsConfig(scorer="fennel", epsilon=0.0, alpha=0.5)
-        state = run_oms(stream, config, spec=spec)
+        state = oms(stream, spec.k, spec, epsilon=0.0, alpha=0.5)
         # each node lands in its own block: lightest child at every layer
         assert sorted(state.assignment) == [0, 1, 2, 3]
 
     def test_tree_weight_consistency_after_run(self):
         rng = random.Random(6)
         stream = random_graph(rng, 60, 150)
-        config = OmsConfig(scorer="fennel", epsilon=0.03)
-        state = run_oms(stream, config, k=7)
+        state = oms(stream, 7)
         state.tree.check_leaf_weights(state)
 
     def test_k1(self):
         stream = graph_stream_from_edges(3, [(0, 1, 1)])
-        state = run_oms(stream, OmsConfig(epsilon=1.0), k=1)
+        state = oms(stream, 1, epsilon=1.0)
         assert state.assignment == [0, 0, 0]
 
 
@@ -187,11 +188,10 @@ class TestMultipassEquivalence:
         for _ in range(10):
             n = rng.randint(30, 120)
             stream = random_graph(rng, n, rng.randint(n, 4 * n))
-            config = OmsConfig(scorer=scorer, epsilon=0.05)
-            state = run_oms(stream, config, spec=spec)
-            alpha = fennel_alpha(n, stream.header.m, spec.k)
-            multi = run_multisection_multipass(stream, state.tree, spec.k,
-                                               0.05, alpha, scorer)
+            state, params = run_setup(stream, spec.k, 0.05)
+            run_oms(stream, OmsConfig(scorer=scorer), state, params, spec)
+            multi = run_multisection_multipass(stream, state.tree, params,
+                                               scorer)
             assert state.assignment == multi
 
     @pytest.mark.parametrize("k,b", [(5, 2), (8, 4), (12, 4)])
@@ -200,11 +200,9 @@ class TestMultipassEquivalence:
         for _ in range(6):
             n = rng.randint(40, 100)
             stream = random_graph(rng, n, rng.randint(n, 3 * n))
-            config = OmsConfig(scorer="fennel", epsilon=0.05, base=b)
-            state = run_oms(stream, config, k=k)
-            alpha = fennel_alpha(n, stream.header.m, k)
-            multi = run_multisection_multipass(stream, state.tree, k,
-                                               0.05, alpha, "fennel")
+            state, params = run_setup(stream, k, 0.05)
+            run_oms(stream, OmsConfig(base=b), state, params)
+            multi = run_multisection_multipass(stream, state.tree, params)
             assert state.assignment == multi
 
 
@@ -218,23 +216,22 @@ class TestProperties:
         base = graph_stream_from_edges(n, [(u, v, w) for u, v, w in edges])
         scaled = graph_stream_from_edges(n, [(u, v, 3 * w) for u, v, w in edges])
         spec = HierarchySpec.parse("2:3", "1:5")
-        alpha = fennel_alpha(n, len(edges), spec.k)
-        a = run_oms(base, OmsConfig(alpha=alpha), spec=spec)
-        b = run_oms(scaled, OmsConfig(alpha=3 * alpha), spec=spec)
+        alpha = run_setup(base, spec.k)[1].alpha
+        a = oms(base, spec.k, spec, alpha=alpha)
+        b = oms(scaled, spec.k, spec, alpha=3 * alpha)
         assert a.assignment == b.assignment
 
     def test_balance_respected(self):
         rng = random.Random(23)
         stream = random_graph(rng, 200, 500)
         for k in (2, 8, 32):
-            state = run_oms(stream, OmsConfig(epsilon=0.03), k=k)
+            state = oms(stream, k)
             assert state.is_balanced()
 
     def test_hash_bottom_layers_still_balanced(self):
         rng = random.Random(25)
         stream = random_graph(rng, 150, 400)
-        config = OmsConfig(epsilon=0.03, hash_bottom_layers=1)
-        state = run_oms(stream, config, k=16)
+        state = oms(stream, 16, hash_bottom_layers=1)
         assert state.is_balanced()
 
 
@@ -247,7 +244,6 @@ class TestCommCostIntegration:
         bridge = [(0, 4, 1)]
         edges = clique(0) + clique(4) + bridge
         stream = graph_stream_from_edges(8, edges)
-        config = OmsConfig(scorer="fennel", epsilon=0.03, alpha=0.5)
-        state = run_oms(stream, config, spec=spec)
+        state = oms(stream, spec.k, spec, alpha=0.5)
         cut = edge_cut(stream, state.assignment)
         assert comm_cost(stream, state.assignment, spec) == 10 * cut

@@ -12,7 +12,7 @@ from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
 from streamdecomp.partition import UNASSIGNED, PartitionState
 from streamdecomp.streams import StreamedNodeRecord
 
-from generators import graph_stream_from_edges, random_graph
+from generators import graph_stream_from_edges, random_graph, run_setup
 from reference import scan_fennel_assign, scan_ldg_assign
 
 
@@ -133,9 +133,8 @@ class TestFennelAssign:
     def test_matches_bruteforce_argmax_oracle(self, k):
         rng = random.Random(41 + k)
         stream = random_graph(rng, 200, 600)
-        alpha = fennel_alpha(200, 600, k)
-        params = FennelParams(alpha=alpha)
-        state = PartitionState(200, k, 0.03, 200)
+        state, params = run_setup(stream, k)
+        alpha = params.alpha
         got = [fennel_assign(r, state, params) for r in stream]
 
         lmax = state.l_max
@@ -161,8 +160,8 @@ class TestFennelAssign:
 class TestRunOnepass:
     def test_single_node_graph(self):
         stream = graph_stream_from_edges(1, [])
-        state = PartitionState(1, 2, 0.0, 1)
-        run_onepass(stream, OnePassConfig(algorithm="fennel"), state)
+        state, params = run_setup(stream, 2, epsilon=0.0)
+        run_onepass(stream, OnePassConfig(algorithm="fennel"), state, params)
         assert state.assignment == [0]
 
     @pytest.mark.parametrize("size,alpha", [(3, None), (4, 0.5)])
@@ -175,8 +174,7 @@ class TestRunOnepass:
                               for a in range(size) for b in range(a + 1, size)]
         edges = clique(0) + clique(size)
         stream = graph_stream_from_edges(n, edges)
-        state = PartitionState(n, 2, 0.03, n)
-        params = FennelParams(alpha=alpha) if alpha else None
+        state, params = run_setup(stream, 2, alpha=alpha)
         run_onepass(stream, OnePassConfig(algorithm="fennel"), state, params)
         assert edge_cut(stream, state.assignment) == 0
         # oracle: the optimum over all balanced 2-partitions is 0
@@ -190,8 +188,9 @@ class TestRunOnepass:
         stream = random_graph(rng, 80, 200)
         results = []
         for _ in range(2):
-            state = PartitionState(80, 4, 0.03, 80)
-            run_onepass(stream, OnePassConfig(algorithm="fennel"), state)
+            state, params = run_setup(stream, 4)
+            run_onepass(stream, OnePassConfig(algorithm="fennel"), state,
+                        params)
             results.append(list(state.assignment))
         assert results[0] == results[1]
 
@@ -199,8 +198,7 @@ class TestRunOnepass:
         rng = random.Random(29)
         stream = random_graph(rng, 120, 360)
         k = 4
-        state = PartitionState(120, k, 0.03, 120)
-        params = FennelParams(alpha=fennel_alpha(120, 360, k))
+        state, params = run_setup(stream, k)
         for record in stream:
             fennel_assign(record, state, params)
             assert state.max_block_weight() <= state.l_max
@@ -224,9 +222,9 @@ class TestRestream:
     def test_reldg_pass_weights_bookkeeping(self):
         rng = random.Random(43)
         stream = random_graph(rng, 60, 150)
-        state = PartitionState(60, 3, 0.1, 60)
+        state, params = run_setup(stream, 3, epsilon=0.1)
         run_restream(lambda: stream, OnePassConfig(algorithm="ldg", passes=2),
-                     state)
+                     state, params)
         # after the second pass all nodes are assigned and weights re-add up
         assert all(b != UNASSIGNED for b in state.assignment)
         assert sum(state.block_weight) == 60
@@ -235,11 +233,11 @@ class TestRestream:
     def test_ring_pass2_not_worse(self):
         edges = [(i, (i + 1) % 16, 1) for i in range(16)]
         stream = graph_stream_from_edges(16, edges)
-        one = PartitionState(16, 2, 0.03, 16)
-        run_onepass(stream, OnePassConfig(algorithm="fennel"), one)
-        two = PartitionState(16, 2, 0.03, 16)
+        one, params = run_setup(stream, 2)
+        run_onepass(stream, OnePassConfig(algorithm="fennel"), one, params)
+        two, params = run_setup(stream, 2)
         run_restream(lambda: stream,
-                     OnePassConfig(algorithm="fennel", passes=2), two)
+                     OnePassConfig(algorithm="fennel", passes=2), two, params)
         assert edge_cut(stream, two.assignment) <= edge_cut(stream, one.assignment)
 
     def test_refennel_alpha_growth_is_applied(self):
@@ -260,13 +258,12 @@ class TestRestream:
 
 
 def _partition(stream, algorithm, k, epsilon, passes):
-    total = sum(r.weight for r in stream)
-    state = PartitionState(stream.header.n, k, epsilon, total)
+    state, params = run_setup(stream, k, epsilon)
     config = OnePassConfig(algorithm=algorithm, passes=passes)
     if passes > 1:
-        run_restream(lambda: stream, config, state)
+        run_restream(lambda: stream, config, state, params)
     else:
-        run_onepass(stream, config, state)
+        run_onepass(stream, config, state, params)
     return state
 
 
