@@ -9,6 +9,18 @@ argmax over all k blocks, and label propagation driven by the same Fennel
 gain refines every level on the way back up.  Restream passes rebuild the
 model around the previous assignment (no ghosts, no initial partitioning,
 cut edges barred from contraction) and let refinement improve it.
+
+Refinement keeps two caches, and both give the floats a rebuild would:
+
+* Each batch node's block-gain dict, built from its row in row order.  The
+  dict depends only on the blocks of the nodes the row lists, so it is
+  dropped exactly when one of those nodes moves; the nodes to drop come
+  from the transpose of the rows ("who lists v"), which stays exact when an
+  edge is listed at one end only.  A kept dict therefore has the contents
+  and key order of a rebuild, and the candidate order, ``rng`` calls and
+  assignments stay those of rebuilding it on every visit.
+* One Fennel penalty per block, ``(alpha * gamma) * bw[b] ** (gamma - 1)``
+  as ``fennel_gain`` computes it, recomputed whenever ``bw[b]`` changes.
 """
 
 from __future__ import annotations
@@ -61,9 +73,6 @@ class BatchModel:
     @property
     def size(self) -> int:
         return self.num_batch + self.num_art
-
-    def art_block(self, node: int) -> int:
-        return node - self.num_batch
 
 
 def load_batch(stream_iter: Iterator, delta: int) -> Optional[list]:
@@ -151,25 +160,31 @@ def _propagate_labels(model: BatchModel, cap: int, rounds: int,
     inside their own block, which keeps every cut edge uncontracted.
     """
     nb = model.num_batch
+    true_weight = model.true_weight
+    # Rows of the visible edges, filtered once per level, in row order.
+    if restrict_blocks is None:
+        rows = model.adj if not model.num_art else \
+            [[e for e in row if e[0] < nb] for row in model.adj]
+    else:
+        rows = [[e for e in row
+                 if e[0] < nb and restrict_blocks[e[0]] == own_block]
+                for row, own_block in zip(model.adj, restrict_blocks)]
     cluster = list(range(nb))
-    cluster_weight = [model.true_weight[v] for v in range(nb)]
+    cluster_weight = true_weight[:nb]
     order = list(range(nb))
     for _ in range(rounds):
         rng.shuffle(order)
         moved = False
         for v in order:
-            own = cluster[v]
-            conn: dict[int, float] = {}
-            for u, w in model.adj[v]:
-                if u >= nb:
-                    continue
-                if restrict_blocks is not None and \
-                        restrict_blocks[u] != restrict_blocks[v]:
-                    continue
-                conn[cluster[u]] = conn.get(cluster[u], 0.0) + w
-            if not conn:
+            row = rows[v]
+            if not row:
                 continue
-            wv = model.true_weight[v]
+            conn: dict[int, float] = {}
+            for u, w in row:
+                c = cluster[u]
+                conn[c] = conn.get(c, 0.0) + w
+            own = cluster[v]
+            wv = true_weight[v]
             own_conn = conn.get(own, 0.0)
             best_conn = own_conn
             candidates: list[int] = []
@@ -206,23 +221,24 @@ def _contract(model: BatchModel, cluster: list[int]) -> tuple[BatchModel, list[i
     coarse_nb = len(remap)
     coarse = BatchModel(coarse_nb, model.num_art)
     coarse.ghost_inflation = model.ghost_inflation
-    cluster_map = [remap[cluster[v]] for v in range(nb)]
+    cluster_map = [remap[c] for c in cluster]
 
-    for v in range(nb):
-        coarse.weight[cluster_map[v]] += model.weight[v]
-        coarse.true_weight[cluster_map[v]] += model.true_weight[v]
+    for v, cv in enumerate(cluster_map):
+        coarse.weight[cv] += model.weight[v]
+        coarse.true_weight[cv] += model.true_weight[v]
     for j in range(model.num_art):
         coarse.weight[coarse_nb + j] = model.weight[nb + j]
         coarse.true_weight[coarse_nb + j] = model.true_weight[nb + j]
 
+    # Coarse id of every fine node; artificial node nb + j maps to coarse_nb + j.
+    coarse_id = cluster_map + list(range(coarse_nb, coarse_nb + model.num_art))
     edges: list[dict[int, float]] = [dict() for _ in range(coarse_nb)]
-    for v in range(nb):
-        cv = cluster_map[v]
-        for u, w in model.adj[v]:
-            cu = cluster_map[u] if u < nb else coarse_nb + model.art_block(u)
-            if cu == cv:
-                continue
-            edges[cv][cu] = edges[cv].get(cu, 0) + w
+    for cv, row in zip(cluster_map, model.adj):
+        out = edges[cv]
+        for u, w in row:
+            cu = coarse_id[u]
+            if cu != cv:
+                out[cu] = out.get(cu, 0) + w
     coarse.adj = [sorted(d.items()) for d in edges]
 
     if model.blocks is not None:
@@ -280,13 +296,13 @@ def initial_partition(model: BatchModel, state: PartitionState,
     bw = [0.0] * state.k
     true_bw = [0] * state.k
     for j in range(model.num_art):
-        bw[model.art_block(nb + j)] = model.weight[nb + j]
-        true_bw[model.art_block(nb + j)] = model.true_weight[nb + j]
+        bw[j] = model.weight[nb + j]
+        true_bw[j] = model.true_weight[nb + j]
     blocks = [UNASSIGNED] * nb
     for v in range(nb):
         gains: dict[int, float] = {}
         for u, w in model.adj[v]:
-            b = blocks[u] if u < nb else model.art_block(u)
+            b = blocks[u] if u < nb else u - nb
             if b != UNASSIGNED:
                 gains[b] = gains.get(b, 0.0) + w
         wv = model.weight[v]
@@ -317,45 +333,78 @@ def _refine_level(model: BatchModel, blocks: list[int], bw: list[float],
 
     Returns the total applied gain (each accepted move contributes its score
     improvement; zero-gain moves are taken with probability one half).
+    Block gains are cached per node and penalties per block, as the module
+    docstring describes.
     """
     nb = model.num_batch
+    adj = model.adj
+    weight = model.weight
+    true_weight = model.true_weight
+    l_max = state.l_max
+    ag = params.alpha * params.gamma
+    gm1 = params.gamma - 1.0
+    # pen[b] is the Fennel penalty of bw[b], the factor fennel_gain applies.
+    pen = [ag * x ** gm1 for x in bw]
+    # Block of every model node; artificial node nb + j sits in block j.
+    label = blocks + list(range(model.num_art))
+    listed_by: list[list[int]] = [[] for _ in range(nb)]
+    for v, row in enumerate(adj):
+        for u, _ in row:
+            if u < nb:
+                listed_by[u].append(v)
+    cache: list[Optional[dict[int, float]]] = [None] * nb
     order = list(range(nb))
     total_gain = 0.0
     for _ in range(rounds):
         rng.shuffle(order)
         moved = False
         for v in order:
-            own = blocks[v]
-            wv = model.weight[v]
-            tv = model.true_weight[v]
-            gains: dict[int, float] = {}
-            for u, w in model.adj[v]:
-                b = blocks[u] if u < nb else model.art_block(u)
-                gains[b] = gains.get(b, 0.0) + w
-            bw[own] -= wv
-            true_bw[own] -= tv
-            stay_score = fennel_gain(gains.get(own, 0.0), wv, bw[own], params)
+            gains = cache[v]
+            if gains is None:
+                gains = {}
+                for u, w in adj[v]:
+                    b = label[u]
+                    gains[b] = gains.get(b, 0.0) + w
+                cache[v] = gains
+            own = label[v]
+            wv = weight[v]
+            tv = true_weight[v]
+            own_bw = bw[own]
+            left = own_bw - wv
+            left_pen = ag * left ** gm1
+            stay_score = gains.get(own, 0.0) - wv * left_pen
             best_score = stay_score
             candidates: list[int] = []
             for b, g in gains.items():
-                if b == own or true_bw[b] + tv > state.l_max:
+                if b == own or true_bw[b] + tv > l_max:
                     continue
-                score = fennel_gain(g, wv, bw[b], params)
+                score = g - wv * pen[b]
                 if score > best_score:
                     best_score = score
                     candidates = [b]
                 elif score == best_score:
                     candidates.append(b)
-            target = own
             if candidates and (best_score > stay_score or rng.random() < 0.5):
                 target = candidates[0] if len(candidates) == 1 \
                     else rng.choice(candidates)
-            bw[target] += wv
-            true_bw[target] += tv
-            if target != own:
-                blocks[v] = target
+                bw[own] = left
+                pen[own] = left_pen
+                true_bw[own] -= tv
+                joined = bw[target] + wv
+                bw[target] = joined
+                pen[target] = ag * joined ** gm1
+                true_bw[target] += tv
+                blocks[v] = label[v] = target
                 total_gain += best_score - stay_score
                 moved = True
+                for u in listed_by[v]:
+                    cache[u] = None
+            else:
+                # bw[own]'s round trip may round; true weights are integers
+                back = left + wv
+                if back != own_bw:
+                    bw[own] = back
+                    pen[own] = ag * back ** gm1
         if not moved:
             break
     return total_gain
@@ -386,8 +435,8 @@ def _seed_block_weights(model: BatchModel,
     true_bw = [0] * k
     for j in range(model.num_art):
         art = model.num_batch + j
-        bw[model.art_block(art)] += model.weight[art]
-        true_bw[model.art_block(art)] += model.true_weight[art]
+        bw[j] += model.weight[art]
+        true_bw[j] += model.true_weight[art]
     for v in range(model.num_batch):
         bw[blocks[v]] += model.weight[v]
         true_bw[blocks[v]] += model.true_weight[v]

@@ -4,17 +4,22 @@ These deliberately avoid the production fast paths: the FREIGHT reference
 and the Fennel and LDG scans score every block per node, the Fennel twin
 reads neighbor assignments straight off the graph, the multi-pass
 multi-section reference restreams once per tree layer with per-layer weight
-tables instead of descending a tree, and the two k x k PE distance matrices
-are built with numpy, which only the tests need.
+tables instead of descending a tree, the HeiStream kernels rebuild every
+node's connection dict on every visit and score every block through
+``fennel_gain``, and the two k x k PE distance matrices are built with
+numpy, which only the tests need.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from typing import Optional
 
 import numpy as np
 
 from streamdecomp.freight import NetTracker, SortedBlocks, _commit, _net_gains
+from streamdecomp.heistream import BatchModel
 from streamdecomp.onepass import FennelParams, fennel_gain
 from streamdecomp.partition import UNASSIGNED, PartitionState
 
@@ -206,6 +211,142 @@ def run_multisection_multipass(graph_stream, tree, params: FennelParams,
         if depth > 64:
             raise AssertionError("multi-pass reference failed to converge")
     return [p.lo for p in position]
+
+
+def propagate_labels(model: BatchModel, cap: int, rounds: int,
+                     rng: random.Random,
+                     restrict_blocks: Optional[list[int]]) -> list[int]:
+    """Oracle of ``heistream._propagate_labels``: filters every row per visit."""
+    nb = model.num_batch
+    cluster = list(range(nb))
+    cluster_weight = [model.true_weight[v] for v in range(nb)]
+    order = list(range(nb))
+    for _ in range(rounds):
+        rng.shuffle(order)
+        moved = False
+        for v in order:
+            own = cluster[v]
+            conn: dict[int, float] = {}
+            for u, w in model.adj[v]:
+                if u >= nb:
+                    continue
+                if restrict_blocks is not None and \
+                        restrict_blocks[u] != restrict_blocks[v]:
+                    continue
+                conn[cluster[u]] = conn.get(cluster[u], 0.0) + w
+            if not conn:
+                continue
+            wv = model.true_weight[v]
+            own_conn = conn.get(own, 0.0)
+            best_conn = own_conn
+            candidates: list[int] = []
+            for c, strength in conn.items():
+                if c == own or cluster_weight[c] + wv > cap:
+                    continue
+                if strength > best_conn:
+                    best_conn = strength
+                    candidates = [c]
+                elif strength == best_conn:
+                    candidates.append(c)
+            if not candidates:
+                continue
+            if best_conn == own_conn and rng.random() >= 0.5:
+                continue  # zero-gain move declined
+            target = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
+            cluster_weight[own] -= wv
+            cluster_weight[target] += wv
+            cluster[v] = target
+            moved = True
+        if not moved:
+            break
+    return cluster
+
+
+def contract(model: BatchModel,
+             cluster: list[int]) -> tuple[BatchModel, list[int]]:
+    """Oracle of ``heistream._contract``."""
+    nb = model.num_batch
+    remap: dict[int, int] = {}
+    for v in range(nb):   # ascending order keeps ids deterministic
+        c = cluster[v]
+        if c not in remap:
+            remap[c] = len(remap)
+    coarse_nb = len(remap)
+    coarse = BatchModel(coarse_nb, model.num_art)
+    coarse.ghost_inflation = model.ghost_inflation
+    cluster_map = [remap[cluster[v]] for v in range(nb)]
+
+    for v in range(nb):
+        coarse.weight[cluster_map[v]] += model.weight[v]
+        coarse.true_weight[cluster_map[v]] += model.true_weight[v]
+    for j in range(model.num_art):
+        coarse.weight[coarse_nb + j] = model.weight[nb + j]
+        coarse.true_weight[coarse_nb + j] = model.true_weight[nb + j]
+
+    edges: list[dict[int, float]] = [dict() for _ in range(coarse_nb)]
+    for v in range(nb):
+        cv = cluster_map[v]
+        for u, w in model.adj[v]:
+            cu = cluster_map[u] if u < nb else coarse_nb + (u - nb)
+            if cu == cv:
+                continue
+            edges[cv][cu] = edges[cv].get(cu, 0) + w
+    coarse.adj = [sorted(d.items()) for d in edges]
+
+    if model.blocks is not None:
+        coarse.blocks = [0] * coarse_nb
+        for v in range(nb):
+            coarse.blocks[cluster_map[v]] = model.blocks[v]
+    return coarse, cluster_map
+
+
+def refine_level(model: BatchModel, blocks: list[int], bw: list[float],
+                 true_bw: list[int], state: PartitionState,
+                 params: FennelParams, rounds: int,
+                 rng: random.Random) -> float:
+    """Oracle of ``heistream._refine_level``: rebuilds each node's block
+    gains on every visit and scores each block through ``fennel_gain``."""
+    nb = model.num_batch
+    order = list(range(nb))
+    total_gain = 0.0
+    for _ in range(rounds):
+        rng.shuffle(order)
+        moved = False
+        for v in order:
+            own = blocks[v]
+            wv = model.weight[v]
+            tv = model.true_weight[v]
+            gains: dict[int, float] = {}
+            for u, w in model.adj[v]:
+                b = blocks[u] if u < nb else u - nb
+                gains[b] = gains.get(b, 0.0) + w
+            bw[own] -= wv
+            true_bw[own] -= tv
+            stay_score = fennel_gain(gains.get(own, 0.0), wv, bw[own], params)
+            best_score = stay_score
+            candidates: list[int] = []
+            for b, g in gains.items():
+                if b == own or true_bw[b] + tv > state.l_max:
+                    continue
+                score = fennel_gain(g, wv, bw[b], params)
+                if score > best_score:
+                    best_score = score
+                    candidates = [b]
+                elif score == best_score:
+                    candidates.append(b)
+            target = own
+            if candidates and (best_score > stay_score or rng.random() < 0.5):
+                target = candidates[0] if len(candidates) == 1 \
+                    else rng.choice(candidates)
+            bw[target] += wv
+            true_bw[target] += tv
+            if target != own:
+                blocks[v] = target
+                total_gain += best_score - stay_score
+                moved = True
+        if not moved:
+            break
+    return total_gain
 
 
 def distance_matrix(spec) -> np.ndarray:

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import reference
+import streamdecomp.heistream as hs
 from streamdecomp.heistream import (BatchModel, HeiStreamConfig, build_model,
                                     coarsen, commit_batch, initial_partition,
                                     load_batch, run_heistream,
@@ -29,14 +31,14 @@ def model_cut_and_penalty(model: BatchModel, blocks, k, params):
     nb = model.num_batch
     bw = [0.0] * k
     for j in range(model.num_art):
-        bw[model.art_block(nb + j)] += model.weight[nb + j]
+        bw[j] += model.weight[nb + j]
     for v in range(nb):
         bw[blocks[v]] += model.weight[v]
     cut = 0.0
     penalty = 0.0
     for v in range(nb):
         for u, w in model.adj[v]:
-            bu = blocks[u] if u < nb else model.art_block(u)
+            bu = blocks[u] if u < nb else u - nb
             if bu != blocks[v]:
                 cut += w if u >= nb else w / 2
         penalty += model.weight[v] * params.alpha * params.gamma * \
@@ -248,8 +250,7 @@ class TestRefinement:
             levels[-1].model, coarse, 4, params)
         # project one level without refinement
         level = levels[-2]
-        projected = [coarse[levels[-1].cluster_map[levels[-2].cluster_map[v]]]
-                     if False else coarse[level.cluster_map[v]]
+        projected = [coarse[level.cluster_map[v]]
                      for v in range(level.model.num_batch)]
         fine_obj, fine_cut = model_cut_and_penalty(
             level.model, projected, 4, params)
@@ -263,7 +264,6 @@ class TestRefinement:
         finest = levels[0].model
         refined_obj, _ = model_cut_and_penalty(finest, blocks, 4, params)
         # projection-only baseline
-        chain = list(range(levels[0].model.num_batch))
         projected = coarse
         for level in reversed(levels[:-1]):
             projected = [projected[level.cluster_map[v]]
@@ -362,3 +362,149 @@ class TestCommitAndRun:
         runs = [heistream(stream, 4, delta=25, seed=13, passes=2).assignment
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+def _model_fields(model: BatchModel):
+    return (model.num_batch, model.num_art, model.weight, model.true_weight,
+            model.adj, model.blocks, model.ghost_inflation)
+
+
+def _twin(rng: random.Random) -> random.Random:
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def _check_against_reference(monkeypatch, calls: dict) -> None:
+    """Make every production kernel call also run its oracle on copies of
+    the same inputs and assert equal outputs, gain and rng state."""
+    lp, contract, refine = (hs._propagate_labels, hs._contract,
+                            hs._refine_level)
+
+    def checked_lp(model, cap, rounds, rng, restrict_blocks):
+        twin = _twin(rng)
+        expected = reference.propagate_labels(model, cap, rounds, twin,
+                                              restrict_blocks)
+        got = lp(model, cap, rounds, rng, restrict_blocks)
+        assert got == expected
+        assert rng.getstate() == twin.getstate()
+        calls["lp"] += 1
+        calls["lp_merges"] += model.num_batch - len(set(got))
+        return got
+
+    def checked_contract(model, cluster):
+        expected, expected_map = reference.contract(model, cluster)
+        got, got_map = contract(model, cluster)
+        assert got_map == expected_map
+        assert _model_fields(got) == _model_fields(expected)
+        calls["contract"] += 1
+        return got, got_map
+
+    def checked_refine(model, blocks, bw, true_bw, state, params, rounds, rng):
+        twin = _twin(rng)
+        before = list(blocks)
+        e_blocks, e_bw, e_true_bw = list(blocks), list(bw), list(true_bw)
+        expected = reference.refine_level(model, e_blocks, e_bw, e_true_bw,
+                                          state, params, rounds, twin)
+        got = refine(model, blocks, bw, true_bw, state, params, rounds, rng)
+        assert got == expected
+        assert (blocks, bw, true_bw) == (e_blocks, e_bw, e_true_bw)
+        assert rng.getstate() == twin.getstate()
+        calls["refine"] += 1
+        calls["refine_moves"] += sum(a != b for a, b in zip(before, blocks))
+        return got
+
+    monkeypatch.setattr(hs, "_propagate_labels", checked_lp)
+    monkeypatch.setattr(hs, "_contract", checked_contract)
+    monkeypatch.setattr(hs, "_refine_level", checked_refine)
+
+
+def _heistream_result(stream, k, epsilon, config):
+    state = run_heistream(lambda: stream, config,
+                          *run_setup(stream, k, epsilon=epsilon))
+    return state.assignment, state.block_weight, state.violations
+
+
+def _weighted_stream(rng: random.Random, n: int, one_sided: bool):
+    stream = random_graph(rng, n, 3 * n, max_edge_weight=3,
+                          max_node_weight=3)
+    if one_sided:
+        # drop a third of the entries: many edges are listed by one end only
+        for record in stream.records:
+            record.neighbors = [e for e in record.neighbors
+                                if rng.random() > 1 / 3]
+    return stream
+
+
+class TestKernelsMatchReference:
+    """Label propagation, contraction and refinement against the oracles of
+    ``tests/reference.py``: each production call is checked on the inputs a
+    real run hands it, then the whole run against one on the oracles."""
+
+    N = 90
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5])
+    @pytest.mark.parametrize("delta", [1, 7, N])
+    @pytest.mark.parametrize("k", [2, 16, 64])
+    @pytest.mark.parametrize("model", ["extended", "basic"])
+    def test_random_batches(self, monkeypatch, model, k, delta, epsilon):
+        rng = random.Random(f"{model}-{k}-{delta}-{epsilon}")
+        stream = _weighted_stream(rng, self.N, one_sided=False)
+        self._compare(monkeypatch, stream, k, delta, epsilon, model)
+
+    @pytest.mark.parametrize("delta", [7, N])
+    def test_one_sided_edges(self, monkeypatch, delta):
+        stream = _weighted_stream(random.Random(5), self.N, one_sided=True)
+        self._compare(monkeypatch, stream, 4, delta, 0.5, "extended")
+
+    def test_refine_with_fractional_weights(self):
+        # (b - w) + w need not give b back here, unlike on streamed weights
+        rng = random.Random(17)
+        for _ in range(40):
+            k = rng.choice([2, 4, 16])
+            nb = rng.randint(2, 30)
+            model = BatchModel(nb, k)
+            edges = [dict() for _ in range(nb)]
+            for v in range(nb):
+                model.weight[v] = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1])
+                model.true_weight[v] = rng.randint(1, 2)
+                for u in rng.sample(range(nb + k), rng.randint(0, 6)):
+                    if u != v:
+                        edges[v][u] = rng.choice([0.5, 0.1, 1, 3])
+            model.adj = [sorted(d.items()) for d in edges]
+            for j in range(k):
+                model.weight[nb + j] = rng.choice([0.3, 2.9])   # keeps bw > 0
+            blocks = [rng.randrange(k) for _ in range(nb)]
+            bw, true_bw = hs._seed_block_weights(model, blocks, k)
+            state = PartitionState(nb, k, 0.5, sum(model.true_weight))
+            params = FennelParams(alpha=rng.choice([0.1, 0.9]))
+            outputs = []
+            for refine in (hs._refine_level, reference.refine_level):
+                b, w, t = list(blocks), list(bw), list(true_bw)
+                run_rng = random.Random(3)
+                gain = refine(model, b, w, t, state, params, 5, run_rng)
+                outputs.append((b, w, t, gain, run_rng.getstate()))
+            assert outputs[0] == outputs[1]
+
+    def _compare(self, monkeypatch, stream, k, delta, epsilon, model):
+        calls = dict.fromkeys(("lp", "lp_merges", "contract", "refine",
+                               "refine_moves"), 0)
+        for passes in (1, 2, 3):
+            config = HeiStreamConfig(delta=delta, model=model, passes=passes,
+                                     x=1, seed=passes)
+            with monkeypatch.context() as patch:
+                _check_against_reference(patch, calls)
+                got = _heistream_result(stream, k, epsilon, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(hs, "_propagate_labels",
+                              reference.propagate_labels)
+                patch.setattr(hs, "_contract", reference.contract)
+                patch.setattr(hs, "_refine_level",
+                              reference.refine_level)
+                expected = _heistream_result(stream, k, epsilon, config)
+            assert got == expected, f"passes={passes}"
+        assert calls["refine"] > 0 and calls["lp"] > 0 and calls["contract"] > 0
+        if epsilon > 0:   # at epsilon 0 clusters cannot grow past one node
+            assert calls["refine_moves"] > 0
+            assert calls["lp_merges"] > 0 or delta == 1
+        return calls
