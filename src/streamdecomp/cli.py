@@ -14,6 +14,7 @@ The seed falls back to the STREAMDECOMP_SEED environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -188,16 +189,18 @@ def _algorithm(spec) -> str:
 def _verify(stream, assignment, block_weight, hypergraph: bool,
             hierarchy) -> dict:
     """Quality from a separate pass over ``stream``: the objective (edge cut,
-    or cut-net and connectivity), imbalance, and comm cost with a hierarchy."""
+    or cut-net and connectivity), imbalance, and comm cost with a hierarchy
+    (in the same pass as the edge cut)."""
     quality = metrics_mod.QualityReport(
         imbalance=metrics_mod.imbalance(block_weight, len(block_weight)))
     if hypergraph:
         quality.cut_net, quality.connectivity = \
             metrics_mod.cut_net_and_connectivity(stream, assignment)
+    elif hierarchy is not None:
+        quality.edge_cut, quality.comm_cost = \
+            metrics_mod.comm_cost(stream, assignment, hierarchy)
     else:
         quality.edge_cut = metrics_mod.edge_cut(stream, assignment)
-    if hierarchy is not None:
-        quality.comm_cost = metrics_mod.comm_cost(stream, assignment, hierarchy)
     return quality.as_dict()
 
 
@@ -220,7 +223,15 @@ def execute(spec) -> dict:
     factory = lambda: opener(spec.input)
     if spec.time_core:
         loaded = opener(spec.input)
-        preloaded = MemoryStream(loaded.header, list(loaded))
+        # The records are tuples that live until the run ends: cyclic GC
+        # passes over them while loading would find nothing to free.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            preloaded = MemoryStream(loaded.header, list(loaded))
+        finally:
+            if collecting:
+                gc.enable()
         factory = lambda: preloaded
     stream = factory()
     header = stream.header

@@ -61,7 +61,6 @@ class SortedBlocks:
         self.b = list(range(k))
         root = _Bucket(0, 0, k - 1)
         self.bucket_of = [root] * k
-        self.buckets = {id(root): root}
 
     def increment(self, d: int) -> None:
         p = self.b[d]
@@ -78,19 +77,12 @@ class SortedBlocks:
         else:
             fresh = _Bucket(c_bucket.cardinality + 1, q, q)
             self.bucket_of[d] = fresh
-            self.buckets[id(fresh)] = fresh
-        if c_bucket.r < c_bucket.l:
-            del self.buckets[id(c_bucket)]
 
     def min_block(self) -> int:
         return self.a[0]
 
     def cardinality(self, block: int) -> int:
         return self.bucket_of[block].cardinality
-
-    def bucket_ranges(self) -> list[tuple[int, int, int]]:
-        """(cardinality, l, r) per live bucket, sorted by l.  For checks."""
-        return sorted((bk.cardinality, bk.l, bk.r) for bk in self.buckets.values())
 
 
 def _net_gains(record, tracker: NetTracker, cutnet: bool):

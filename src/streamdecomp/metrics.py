@@ -47,6 +47,11 @@ def edge_cut(graph_stream: Iterable, assignment: Sequence[int]) -> int:
                 raise ValueError(f"node {v} unassigned")
             if assignment[v] != bu:
                 doubled += w
+    return _halve(doubled)
+
+
+def _halve(doubled: int) -> int:
+    """The cut from its doubled sum (each edge seen from both endpoints)."""
     if doubled % 2 != 0:
         raise FormatError("asymmetric adjacency: doubled cut weight is odd")
     return doubled // 2
@@ -75,26 +80,32 @@ def cut_net_and_connectivity(hyper_stream: Iterable,
 
 
 def comm_cost(graph_stream: Iterable, assignment: Sequence[int],
-              hierarchy) -> int:
-    """Process-mapping objective: sum of edge weight times PE distance.
+              hierarchy) -> tuple[int, int]:
+    """(edge cut, process-mapping objective) from one pass over the stream.
 
-    Each undirected edge is counted once.  ``hierarchy`` must offer
-    ``distance(a, b)`` and a block count ``k`` matching the partition.
+    The objective sums edge weight times PE distance, each undirected edge
+    counted once.  ``hierarchy`` is a ``HierarchySpec`` whose k matches the
+    partition; its distance is looked up inline from the PE codes.
     """
+    codes = hierarchy.codes()
+    by_bits = hierarchy.distance_by_bit_length
+    doubled = 0
     total = 0
     for record in graph_stream:
-        bu = assignment[record.id]
+        u = record.id
+        bu = assignment[u]
         if bu == UNASSIGNED:
-            raise ValueError(f"node {record.id} unassigned")
+            raise ValueError(f"node {u} unassigned")
+        code = codes[bu]
         for v, w in record.neighbors:
-            if v < record.id:
-                continue  # count each undirected edge at its lower endpoint
             bv = assignment[v]
             if bv == UNASSIGNED:
                 raise ValueError(f"node {v} unassigned")
             if bv != bu:
-                total += w * hierarchy.distance(bu, bv)
-    return total
+                doubled += w
+                if v > u:   # count each undirected edge at its lower endpoint
+                    total += w * by_bits[(code ^ codes[bv]).bit_length()]
+    return _halve(doubled), total
 
 
 def imbalance(block_weights: Sequence[int], k: int) -> float:

@@ -5,7 +5,9 @@ node, ...) induces a tree of nested partitioning subproblems.  Each incoming
 node descends from the root to a leaf, at every tree level running a one-pass
 scorer (Fennel with a per-level penalty scale, or LDG) restricted to the
 children of the block chosen one level above.  One descent is equivalent to
-restreaming the graph once per level, so a single pass suffices.
+restreaming the graph once per level, so a single pass suffices.  As in
+Fennel and FREIGHT, only the children holding a neighbor and the lightest
+child of each capacity class can win, so only those are scored.
 
 When no hierarchy is given, an artificial b-section tree over the k blocks
 plays the same role (heterogeneous child capacities when k is not a power of
@@ -48,6 +50,12 @@ class HierarchySpec:
         self.fanouts = [a for a, _ in kept]
         self.distances = [d for _, d in kept]
         self._codes: Optional[list[int]] = None
+        # Distance of two PEs by the bit length of the XOR of their codes:
+        # a leading bit in section i means they first differ at layer i.
+        s = self.section_bits
+        self.distance_by_bit_length = [0] + [
+            self.distances[(bits - 1) // s]
+            for bits in range(1, self.num_layers * s + 1)]
 
     @classmethod
     def parse(cls, fanouts: str, distances: str) -> "HierarchySpec":
@@ -84,11 +92,8 @@ class HierarchySpec:
     def distance(self, pe_a: int, pe_b: int) -> int:
         """Distance via XOR of codes and the position of the leading bit."""
         codes = self.codes()
-        x = codes[pe_a] ^ codes[pe_b]
-        if x == 0:
-            return 0
-        section = (x.bit_length() - 1) // self.section_bits
-        return self.distances[section]
+        return self.distance_by_bit_length[
+            (codes[pe_a] ^ codes[pe_b]).bit_length()]
 
     def division_vector(self) -> list[int]:
         """h_i = product of fan-outs below layer i (the division fallback)."""
@@ -109,58 +114,47 @@ class HierarchySpec:
 
 
 class TreeBlock:
-    """One block of the multi-section tree covering leaf range [lo, hi]."""
+    """One block of the multi-section tree covering leaf range [lo, hi].
 
-    __slots__ = ("lo", "hi", "children", "child_starts", "weight", "height")
+    An internal block keeps the state of its children in per-child lists,
+    indexed like ``children``: the first leaf of each, its weight (the only
+    copy of a child's weight), and, once :meth:`MultisectionTree.prepare`
+    ran, its capacity and penalty scale.  ``classes`` lists the [start, stop)
+    index runs of equally sized children, which share capacity and scale.
+    """
+
+    __slots__ = ("lo", "hi", "children", "child_starts", "child_weights",
+                 "capacities", "alphas", "classes", "height")
 
     def __init__(self, lo: int, hi: int):
         self.lo = lo
         self.hi = hi
         self.children: list[TreeBlock] = []
         self.child_starts: list[int] = []
-        self.weight = 0
+        self.child_weights: list[int] = []
+        self.capacities: list[int] = []
+        self.alphas: list[float] = []
+        self.classes: list[tuple[int, int]] = []
         self.height = 0
 
     @property
     def t(self) -> int:
         return self.hi - self.lo + 1
 
-    def locate(self, leaf: int) -> "TreeBlock":
-        """Child whose range contains the given leaf block."""
-        return self.children[bisect_right(self.child_starts, leaf) - 1]
-
 
 class MultisectionTree:
-    def __init__(self, root: TreeBlock, k: int):
+    def __init__(self, root: TreeBlock):
         self.root = root
-        self.k = k
-        self.l_max = 0
 
-    def capacity(self, block: TreeBlock) -> int:
-        return block.t * self.l_max
-
-    def total_block_slots(self) -> int:
-        """Number of tracked block weights (the 2k space bound)."""
-        count = 0
+    def prepare(self, l_max: int, alpha: float) -> None:
+        """Set the per-run constants of every child: capacity t * l_max and
+        the penalty scale alpha / sqrt(t)."""
         stack = [self.root]
         while stack:
             node = stack.pop()
-            for child in node.children:
-                count += 1
-                stack.append(child)
-        return count
-
-    def check_leaf_weights(self, state: PartitionState) -> None:
-        """Every internal weight must equal the sum of its leaves' weights."""
-        def walk(node: TreeBlock) -> int:
-            if not node.children:
-                expected = state.block_weight[node.lo]
-            else:
-                expected = sum(walk(c) for c in node.children)
-            if node.weight != expected:
-                raise AssertionError("tree weights out of sync with partition")
-            return node.weight
-        walk(self.root)
+            node.capacities = [c.t * l_max for c in node.children]
+            node.alphas = [heterogeneous_alpha(c, alpha) for c in node.children]
+            stack.extend(node.children)
 
 
 def _attach_children(parent: TreeBlock, sizes: list[int]) -> None:
@@ -170,6 +164,7 @@ def _attach_children(parent: TreeBlock, sizes: list[int]) -> None:
         parent.children.append(child)
         parent.child_starts.append(lo)
         lo += size
+    parent.child_weights = [0] * len(sizes)
 
 
 def _build(k: int, fanout_at_depth) -> MultisectionTree:
@@ -185,9 +180,10 @@ def _build(k: int, fanout_at_depth) -> MultisectionTree:
         parts = min(fanout_at_depth(depth), node.t)
         base, rem = divmod(node.t, parts)
         _attach_children(node, [base + 1] * rem + [base] * (parts - rem))
+        node.classes = [(0, rem), (rem, parts)] if rem else [(0, parts)]
         stack.extend((child, depth + 1) for child in node.children)
     _set_heights(root)
-    return MultisectionTree(root, k)
+    return MultisectionTree(root)
 
 
 def build_hierarchy(k: int, b: int = 4) -> MultisectionTree:
@@ -239,65 +235,91 @@ class OmsConfig:
 
 def oms_assign(record, tree: MultisectionTree, state: PartitionState,
                config: OmsConfig, params: FennelParams) -> int:
-    """Descend the tree, scoring the current block's children at each layer."""
-    node = tree.root
+    """Descend the tree, choosing one child of the current block per layer.
+
+    ``tree`` must be prepared for this run (:meth:`MultisectionTree.prepare`).
+    """
     assignment = state.assignment
-    neighbors = [(assignment[v], w) for v, w in record.neighbors
-                 if assignment[v] != UNASSIGNED]
+    leaves = [(assignment[v], w) for v, w in record.neighbors
+              if assignment[v] != UNASSIGNED]
+    weight = record.weight
+    fennel = config.scorer == "fennel"
+    node = tree.root
     while node.children:
-        if config.hash_bottom_layers and node.height <= config.hash_bottom_layers:
-            child = _hash_child(record, node, tree, state)
+        if node.height <= config.hash_bottom_layers:
+            idx = _hash_child(record.id, weight, node, state)
         else:
-            child = _score_child(record, node, tree, state, neighbors,
-                                 config, params)
-        child.weight += record.weight
-        node = child
-    block = node.lo
-    tree.root.weight += record.weight
-    state.assign(record.id, block, record.weight)
-    return block
+            idx = _score_child(weight, node, leaves, state, fennel,
+                               params.gamma)
+        node.child_weights[idx] += weight
+        node = node.children[idx]
+    state.assign(record.id, node.lo, weight)
+    return node.lo
 
 
-def _score_child(record, node: TreeBlock, tree: MultisectionTree,
-                 state: PartitionState, neighbors, config: OmsConfig,
-                 params: FennelParams) -> TreeBlock:
-    alpha, gamma = params.alpha, params.gamma
-    gains = [0.0] * len(node.children)
-    for leaf, w in neighbors:
-        if node.lo <= leaf <= node.hi:
-            gains[bisect_right(node.child_starts, leaf) - 1] += w
-    best = None
+def _candidates(node: TreeBlock, gains: dict[int, float]) -> list[int]:
+    """The children that can win: those holding a neighbor (the keys of
+    ``gains``) and the lightest child, lowest index first, of each class.
+
+    Within a class every child has the same capacity and penalty scale, so a
+    child without a neighbor scores -w * a * gamma * cw ** (gamma - 1)
+    (Fennel) or 0.0 (LDG), which the class's lightest child matches or
+    beats; on a tie the lighter child, then the lower index, wins.
+    """
+    weights = node.child_weights
+    out = list(gains)
+    for start, stop in node.classes:
+        part = weights[start:stop]
+        idx = start + part.index(min(part))
+        if idx not in gains:
+            out.append(idx)
+    return out
+
+
+def _score_child(weight: int, node: TreeBlock, leaves, state: PartitionState,
+                 fennel: bool, gamma: float) -> int:
+    """Index of the best-scoring feasible child of ``node``; the lightest
+    child, flagged as a violation, when none is feasible."""
+    lo, hi, starts = node.lo, node.hi, node.child_starts
+    gains: dict[int, float] = {}
+    for leaf, w in leaves:
+        if lo <= leaf <= hi:
+            idx = bisect_right(starts, leaf) - 1
+            gains[idx] = gains.get(idx, 0.0) + w
+    weights, capacities = node.child_weights, node.capacities
+    alphas = node.alphas
+    best = -1
     best_key = None
-    for idx, child in enumerate(node.children):
-        capacity = tree.capacity(child)
-        if child.weight + record.weight > capacity:
+    for idx in _candidates(node, gains):
+        cw = weights[idx]
+        if cw + weight > capacities[idx]:
             continue
-        if config.scorer == "fennel":
-            a = heterogeneous_alpha(child, alpha)
-            score = gains[idx] - record.weight * a * gamma * \
-                child.weight ** (gamma - 1.0)
+        if fennel:
+            score = gains.get(idx, 0.0) - weight * alphas[idx] * gamma * \
+                cw ** (gamma - 1.0)
         else:
-            score = gains[idx] * (1.0 - child.weight / capacity)
-        key = (score, -child.weight, -idx)
+            score = gains.get(idx, 0.0) * (1.0 - cw / capacities[idx])
+        key = (score, -cw, -idx)
         if best_key is None or key > best_key:
-            best, best_key = child, key
-    if best is None:
+            best, best_key = idx, key
+    if best_key is None:
         state.violations += 1
-        best = min(node.children, key=lambda c: c.weight)
+        best = weights.index(min(weights))
     return best
 
 
-def _hash_child(record, node: TreeBlock, tree: MultisectionTree,
-                state: PartitionState) -> TreeBlock:
-    child = node.children[record.id % len(node.children)]
-    if child.weight + record.weight <= tree.capacity(child):
-        return child
-    feasible = [c for c in node.children
-                if c.weight + record.weight <= tree.capacity(c)]
+def _hash_child(node_id: int, weight: int, node: TreeBlock,
+                state: PartitionState) -> int:
+    weights, capacities = node.child_weights, node.capacities
+    idx = node_id % len(weights)
+    if weights[idx] + weight <= capacities[idx]:
+        return idx
+    feasible = [(cw, i) for i, cw in enumerate(weights)
+                if cw + weight <= capacities[i]]
     if feasible:
-        return min(feasible, key=lambda c: c.weight)
+        return min(feasible)[1]
     state.violations += 1
-    return min(node.children, key=lambda c: c.weight)
+    return weights.index(min(weights))
 
 
 def run_oms(stream, config: OmsConfig, state: PartitionState,
@@ -316,8 +338,7 @@ def run_oms(stream, config: OmsConfig, state: PartitionState,
         raise ValueError(f"hierarchy has k={spec.k}, the state k={state.k}")
     else:
         tree = build_from_spec(spec)
-    tree.l_max = state.l_max
+    tree.prepare(state.l_max, params.alpha)
     for record in stream:
         oms_assign(record, tree, state, config, params)
-    state.tree = tree
     return state

@@ -123,15 +123,3 @@ class PartitionState:
 
     def is_balanced(self) -> bool:
         return self.max_block_weight() <= self.l_max
-
-    def check_consistency(self, node_weights) -> None:
-        """Recompute block weights from scratch and compare."""
-        recomputed = [0] * self.k
-        counts = [0] * self.k
-        for node, block in enumerate(self.assignment):
-            if block == UNASSIGNED:
-                continue
-            recomputed[block] += node_weights[node]
-            counts[block] += 1
-        if recomputed != self.block_weight or counts != self.block_count:
-            raise AssertionError("block weights inconsistent with assignments")

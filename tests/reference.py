@@ -2,24 +2,29 @@
 
 These deliberately avoid the production fast paths: the FREIGHT reference
 and the Fennel and LDG scans score every block per node, the Fennel twin
-reads neighbor assignments straight off the graph, the multi-pass
-multi-section reference restreams once per tree layer with per-layer weight
-tables instead of descending a tree, the HeiStream kernels rebuild every
-node's connection dict on every visit and score every block through
-``fennel_gain``, and the two k x k PE distance matrices are built with
-numpy, which only the tests need.
+reads neighbor assignments straight off the graph, the OMS scan descent
+scores every child of every tree block with capacities and penalty scales
+recomputed per child, the multi-pass multi-section reference restreams once
+per tree layer with per-layer weight tables instead of descending a tree,
+the HeiStream kernels rebuild every node's connection dict on every visit
+and score every block through ``fennel_gain``, and the two k x k PE
+distance matrices are built with numpy, which only the tests need.
+
+The consistency checks at the end recompute production state from scratch.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from typing import Optional
 
 import numpy as np
 
 from streamdecomp.freight import NetTracker, SortedBlocks, _commit, _net_gains
 from streamdecomp.heistream import BatchModel
+from streamdecomp.multisection import heterogeneous_alpha
 from streamdecomp.onepass import FennelParams, fennel_gain
 from streamdecomp.partition import UNASSIGNED, PartitionState
 
@@ -162,7 +167,80 @@ def run_fennel_twin(graph_stream, state: PartitionState,
     return state
 
 
-def run_multisection_multipass(graph_stream, tree, params: FennelParams,
+def scan_score_child(record, node, state: PartitionState, neighbors, config,
+                     params: FennelParams) -> int:
+    """Score every child of ``node``: the oracle of ``_score_child``.
+
+    The full scan OMS used before the candidate set, reading child weights
+    from the parent's list and recomputing each child's capacity and
+    penalty scale.
+    """
+    alpha, gamma = params.alpha, params.gamma
+    gains = [0.0] * len(node.children)
+    for leaf, w in neighbors:
+        if node.lo <= leaf <= node.hi:
+            gains[bisect_right(node.child_starts, leaf) - 1] += w
+    best = None
+    best_key = None
+    for idx, child in enumerate(node.children):
+        weight = node.child_weights[idx]
+        capacity = child.t * state.l_max
+        if weight + record.weight > capacity:
+            continue
+        if config.scorer == "fennel":
+            a = heterogeneous_alpha(child, alpha)
+            score = gains[idx] - record.weight * a * gamma * \
+                weight ** (gamma - 1.0)
+        else:
+            score = gains[idx] * (1.0 - weight / capacity)
+        key = (score, -weight, -idx)
+        if best_key is None or key > best_key:
+            best, best_key = idx, key
+    if best is None:
+        state.violations += 1
+        best = min(range(len(node.children)),
+                   key=lambda i: node.child_weights[i])
+    return best
+
+
+def scan_hash_child(record, node, state: PartitionState) -> int:
+    """The hashed child if it fits, else the lightest feasible child."""
+    weights = node.child_weights
+    fits = [weights[i] + record.weight <= child.t * state.l_max
+            for i, child in enumerate(node.children)]
+    idx = record.id % len(node.children)
+    if fits[idx]:
+        return idx
+    feasible = [i for i in range(len(fits)) if fits[i]]
+    if not feasible:
+        state.violations += 1
+        feasible = range(len(fits))
+    return min(feasible, key=lambda i: weights[i])
+
+
+def scan_oms(graph_stream, tree, state: PartitionState, config,
+             params: FennelParams) -> PartitionState:
+    """OMS by full scans: every descent step scores every child."""
+    for record in graph_stream:
+        assignment = state.assignment
+        neighbors = [(assignment[v], w) for v, w in record.neighbors
+                     if assignment[v] != UNASSIGNED]
+        node = tree.root
+        while node.children:
+            if config.hash_bottom_layers and \
+                    node.height <= config.hash_bottom_layers:
+                idx = scan_hash_child(record, node, state)
+            else:
+                idx = scan_score_child(record, node, state, neighbors,
+                                       config, params)
+            node.child_weights[idx] += record.weight
+            node = node.children[idx]
+        state.assign(record.id, node.lo, record.weight)
+    return state
+
+
+def run_multisection_multipass(graph_stream, tree, l_max: int,
+                               params: FennelParams,
                                scorer: str = "fennel") -> list[int]:
     """Layer-by-layer restreamed multi-section (one pass per tree layer).
 
@@ -170,7 +248,6 @@ def run_multisection_multipass(graph_stream, tree, params: FennelParams,
     keeping plain per-node weight tables rather than tree node state.
     """
     n = graph_stream.header.n
-    l_max = tree.l_max
     # current tree node per graph node; start with everyone at the root
     position = [tree.root] * n
     depth = 0
@@ -372,3 +449,46 @@ def division_distance_matrix(spec) -> np.ndarray:
         q = pes // h
         out[q[:, None] != q[None, :]] = spec.distances[i]
     return out
+
+
+def check_consistency(state: PartitionState, node_weights) -> None:
+    """Recompute a state's block weights and counts from scratch and compare."""
+    recomputed = [0] * state.k
+    counts = [0] * state.k
+    for node, block in enumerate(state.assignment):
+        if block == UNASSIGNED:
+            continue
+        recomputed[block] += node_weights[node]
+        counts[block] += 1
+    if recomputed != state.block_weight or counts != state.block_count:
+        raise AssertionError("block weights inconsistent with assignments")
+
+
+def check_leaf_weights(tree, state: PartitionState) -> None:
+    """Every child weight a tree block keeps must equal the sum of the block
+    weights of the child's leaves."""
+    def walk(node) -> int:
+        if not node.children:
+            return state.block_weight[node.lo]
+        weights = [walk(child) for child in node.children]
+        if node.child_weights != weights:
+            raise AssertionError("tree weights out of sync with partition")
+        return sum(weights)
+    walk(tree.root)
+
+
+def total_block_slots(tree) -> int:
+    """Number of tracked child weights (the 2k space bound)."""
+    count = 0
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        count += len(node.child_weights)
+        stack.extend(node.children)
+    return count
+
+
+def bucket_ranges(blocks: SortedBlocks) -> list[tuple[int, int, int]]:
+    """(cardinality, l, r) per live bucket of a SortedBlocks, sorted by l."""
+    live = {id(bucket): bucket for bucket in blocks.bucket_of}
+    return sorted((b.cardinality, b.l, b.r) for b in live.values())

@@ -17,7 +17,9 @@ from streamdecomp import onepass
 from streamdecomp.freight import SortedBlocks, run_freight
 from streamdecomp.heistream import HeiStreamConfig, run_heistream
 from streamdecomp.metrics import comm_cost, cut_net_and_connectivity, edge_cut
-from streamdecomp.multisection import HierarchySpec, OmsConfig, run_oms
+from streamdecomp.multisection import (HierarchySpec, OmsConfig,
+                                       build_from_spec, build_hierarchy,
+                                       run_oms)
 from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
                                   fennel_gain, run_onepass, run_restream)
 from streamdecomp.partition import UNASSIGNED, compute_lmax
@@ -156,7 +158,8 @@ def test_c04_oms_single_vs_multipass():
         stream = random_graph(rng, n, rng.randint(n, 4 * n))
         state, params = run_setup(stream, spec.k, 0.05)
         run_oms(stream, OmsConfig(scorer="fennel"), state, params, spec)
-        multi = run_multisection_multipass(stream, state.tree, params)
+        multi = run_multisection_multipass(stream, build_from_spec(spec),
+                                           state.l_max, params)
         assert state.assignment == multi, f"spec hierarchy trial {trial}"
         runs += 1
         for k, b in ((5, 2), (8, 4), (12, 4), (5, 4), (8, 2), (12, 2)):
@@ -164,7 +167,8 @@ def test_c04_oms_single_vs_multipass():
                 continue
             st, params_k = run_setup(stream, k, 0.05)
             run_oms(stream, OmsConfig(scorer="fennel", base=b), st, params_k)
-            multi_k = run_multisection_multipass(stream, st.tree, params_k)
+            multi_k = run_multisection_multipass(
+                stream, build_hierarchy(k, b), st.l_max, params_k)
             assert st.assignment == multi_k, f"nh-OMS k={k} b={b}"
             runs += 1
     report("C4 oms-singlepass-equivalence",
@@ -282,10 +286,10 @@ def test_c08_mapping_quality(quality_graphs):
     for name, g in quality_graphs:
         oms = run_oms(g, OmsConfig(scorer="fennel"), *run_setup(g, spec.k),
                       spec)
-        j_oms = comm_cost(g, oms.assignment, spec)
+        j_oms = comm_cost(g, oms.assignment, spec)[1]
         fs = run_onepass(g, OnePassConfig(algorithm="fennel"),
                          *run_setup(g, spec.k))
-        j_fennel = comm_cost(g, fs.assignment, spec)
+        j_fennel = comm_cost(g, fs.assignment, spec)[1]
         wins += j_oms < j_fennel
     total = len(quality_graphs)
     assert wins / total >= 0.70

@@ -232,10 +232,22 @@ class TestCliErrors:
         part.write_text("0\n1\n0\n")
         assert main(["metrics", "--input", str(bad), "--partition",
                      str(part)]) == 2
+        # comm cost is verified in the same pass as the cut
+        assert main(["metrics", "--input", str(bad), "--partition",
+                     str(part), "--hierarchy", "2", "--distances", "1"]) == 2
+        assert "asymmetric adjacency" in capsys.readouterr().err
         bad = tmp_path / "asym.graph"
         bad.write_text("3 1\n2\n3\n\n")
         assert main(["partition", "--input", str(bad), "--algorithm",
                      "heistream", "--passes", "2", "--k", "2"]) == 2
+        assert "asymmetric adjacency" in capsys.readouterr().err
+        # node 1 lists node 0 and node 2 lists node 1; the map places nodes
+        # 0 and 1 together and node 2 apart
+        bad.write_text("3 1\n\n1\n2\n")
+        out = tmp_path / "map.part"
+        assert main(["map", "--input", str(bad), "--hierarchy", "2",
+                     "--distances", "1", "--output", str(out)]) == 2
+        assert read_partition(str(out), 3, 2) == [0, 0, 1]
         assert "asymmetric adjacency" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lines", [["0"] * 59, ["0"] * 61,

@@ -298,7 +298,7 @@ class TestCommitAndRun:
         stream = random_graph(rng, 150, 400)
         state = heistream(stream, 8, delta=40, seed=5)
         assert all(b != UNASSIGNED for b in state.assignment)
-        state.check_consistency([1] * 150)
+        reference.check_consistency(state, [1] * 150)
         assert state.is_balanced()
 
     def test_committed_vs_model_weight_audit(self):

@@ -1,18 +1,24 @@
+import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamdecomp import multisection
 from streamdecomp.metrics import comm_cost, edge_cut
 from streamdecomp.multisection import (HierarchySpec, OmsConfig, TreeBlock,
                                        build_from_spec, build_hierarchy,
-                                       heterogeneous_alpha, run_oms)
+                                       heterogeneous_alpha, oms_assign,
+                                       run_oms)
+from streamdecomp.partition import UNASSIGNED
 
 from generators import graph_stream_from_edges, random_graph, run_setup
-from reference import (distance_matrix, division_distance_matrix,
-                       run_multisection_multipass)
+from reference import (check_leaf_weights, distance_matrix,
+                       division_distance_matrix, run_multisection_multipass,
+                       scan_oms, scan_score_child, total_block_slots)
 
 
 def oms(stream, k, spec=None, epsilon=0.03, alpha=None, **config):
@@ -39,9 +45,8 @@ class TestBuildHierarchy:
         assert [(c.lo, c.hi) for c in root.children] == [(0, 2), (3, 4)]
         left = root.children[0]
         assert [(c.lo, c.hi) for c in left.children] == [(0, 1), (2, 2)]
-        tree.l_max = 7
-        assert tree.capacity(root.children[0]) == 3 * 7
-        assert tree.capacity(root.children[1]) == 2 * 7
+        tree.prepare(7, 1.0)
+        assert root.capacities == [3 * 7, 2 * 7]
 
     def test_k4_b2_perfect_tree(self):
         tree = build_hierarchy(4, 2)
@@ -74,7 +79,7 @@ class TestBuildHierarchy:
     def test_block_weight_slots_within_2k(self):
         for k, b in [(5, 2), (12, 4), (100, 2), (257, 3)]:
             tree = build_hierarchy(k, b)
-            assert tree.total_block_slots() <= 2 * k
+            assert total_block_slots(tree) <= 2 * k
 
 
 class TestBuildFromSpec:
@@ -105,12 +110,11 @@ class TestBuildFromSpec:
     def test_capacity_formula(self):
         spec = HierarchySpec.parse("2:3:2", "1:2:3")
         tree = build_from_spec(spec)
-        tree.l_max = 5
+        tree.prepare(5, 1.0)
         # layer-i capacity is l_max times the product of the fan-outs below
-        node = tree.root.children[0]            # covers 2*3 = 6 leaves
-        assert tree.capacity(node) == 6 * 5
-        node = node.children[0]                 # covers 2 leaves
-        assert tree.capacity(node) == 2 * 5
+        assert tree.root.capacities[0] == 6 * 5     # covers 2*3 = 6 leaves
+        node = tree.root.children[0]
+        assert node.capacities[0] == 2 * 5          # covers 2 leaves
 
 
 class TestDistance:
@@ -142,6 +146,24 @@ class TestDistance:
                 b = rng.randrange(spec.k)
                 assert spec.distance(a, b) == spec.division_distance(a, b)
 
+    def test_table_distance_matches_division_for_every_pair(self):
+        rng = random.Random(3)
+        specs = [HierarchySpec.parse("4:16:2", "1:10:100"),
+                 HierarchySpec.parse("2:1:3", "1:5:9")]
+        while len(specs) < 25:
+            layers = rng.randint(1, 4)
+            fanouts = [rng.randint(1, 7) for _ in range(layers)]
+            if math.prod(fanouts) > 256:
+                continue
+            specs.append(HierarchySpec(
+                fanouts, sorted(rng.randint(1, 90) for _ in range(layers))))
+        for spec in specs:
+            assert len(spec.distance_by_bit_length) == \
+                spec.num_layers * spec.section_bits + 1
+            for a in range(spec.k):
+                for b in range(spec.k):
+                    assert spec.distance(a, b) == spec.division_distance(a, b)
+
     def test_matrix_routes_agree(self):
         spec = HierarchySpec.parse("2:3:4", "1:4:20")
         binary = distance_matrix(spec)
@@ -171,13 +193,132 @@ class TestOmsAssign:
     def test_tree_weight_consistency_after_run(self):
         rng = random.Random(6)
         stream = random_graph(rng, 60, 150)
-        state = oms(stream, 7)
-        state.tree.check_leaf_weights(state)
+        state, params = run_setup(stream, 7)
+        tree = build_hierarchy(7)
+        tree.prepare(state.l_max, params.alpha)
+        for record in stream:
+            oms_assign(record, tree, state, OmsConfig(), params)
+        check_leaf_weights(tree, state)
+        assert state.assignment == oms(stream, 7).assignment
 
     def test_k1(self):
         stream = graph_stream_from_edges(3, [(0, 1, 1)])
         state = oms(stream, 1, epsilon=1.0)
         assert state.assignment == [0, 0, 0]
+
+
+def _candidate_cases():
+    """Random table: spec and nh-OMS trees (siblings of unequal size), unit
+    and node-weighted records, both scorers, a tight and a loose epsilon
+    (epsilon 0 runs out of room, so the exhaustion fallback runs), and with
+    and without hashing on the bottom layer."""
+    rng = random.Random(700)
+    trees = [("spec", "4:8:8"), ("spec", "2:3:5"), ("spec", "16")]
+    while len(trees) < 8:
+        k, b = rng.randint(2, 300), rng.randint(2, 16)
+        if k % b:                       # unequal siblings at the root
+            trees.append(("nh", (k, b)))
+    for tree, weighted, scorer, eps, hashed in itertools.product(
+            trees, (False, True), ("fennel", "ldg"), (0.0, 0.5), (0, 1)):
+        yield tree, weighted, scorer, eps, hashed, rng.randrange(1 << 30)
+
+
+class TestCandidateDescent:
+    """Each step scores only the children holding a neighbor and the
+    lightest child of each capacity class; a scan of every child (the
+    descent before that change) is the oracle."""
+
+    def test_every_step_and_run_matches_full_scan(self, monkeypatch):
+        fast = multisection._score_child
+        fallbacks = [0]
+
+        def checked(weight, node, leaves, state, fennel, gamma):
+            before = state.violations
+            idx = fast(weight, node, leaves, state, fennel, gamma)
+            flagged = state.violations - before
+            state.violations = before
+            scorer = OmsConfig(scorer="fennel" if fennel else "ldg")
+            expected = scan_score_child(SimpleNamespace(weight=weight), node,
+                                        state, leaves, scorer, run_params[0])
+            assert idx == expected
+            assert state.violations - before == flagged
+            fallbacks[0] += flagged
+            return idx
+
+        monkeypatch.setattr(multisection, "_score_child", checked)
+        run_params = [None]     # the scan reads alpha from the run's params
+        runs = 0
+        for (kind, shape), weighted, scorer, eps, hashed, seed in \
+                _candidate_cases():
+            rng = random.Random(seed)
+            n = rng.randint(60, 160)
+            stream = random_graph(rng, n, rng.randint(n, 3 * n),
+                                  max_edge_weight=3 if weighted else 1,
+                                  max_node_weight=5 if weighted else 1)
+            if kind == "spec":
+                spec = HierarchySpec.parse(shape, ":".join(
+                    str(10 ** i) for i in range(shape.count(":") + 1)))
+                k, base, build = spec.k, 4, lambda: build_from_spec(spec)
+            else:
+                spec = None
+                (k, base), build = shape, lambda: build_hierarchy(*shape)
+            config = OmsConfig(scorer=scorer, base=base,
+                               hash_bottom_layers=hashed)
+            state, params = run_setup(stream, k, eps)
+            run_params[0] = params
+            tree = build()
+            tree.prepare(state.l_max, params.alpha)
+            for record in stream:
+                oms_assign(record, tree, state, config, params)
+            check_leaf_weights(tree, state)
+            scan_state, scan_params = run_setup(stream, k, eps)
+            scan = scan_oms(stream, build(), scan_state, config, scan_params)
+            whole = run_oms(stream, config, *run_setup(stream, k, eps), spec)
+            for other in (scan, whole):
+                assert other.assignment == state.assignment
+                assert other.block_weight == state.block_weight
+                assert other.violations == state.violations
+            runs += 1
+        assert runs == 128
+        assert fallbacks[0] > 0
+
+    def test_children_scored_per_level(self, monkeypatch):
+        """Counted, not timed: a level scores at most the distinct children
+        holding a neighbor plus one child per capacity class, however wide
+        the fan-out."""
+        graph = random_graph(random.Random(710), 3000, 9000)
+        candidates = multisection._candidates
+        current = [None, None]
+        counts = {}
+
+        def counted(node, gains):
+            out = candidates(node, gains)
+            record, assignment = current
+            holders = {i for i, child in enumerate(node.children)
+                       for v, _ in record.neighbors
+                       if assignment[v] != UNASSIGNED
+                       and child.lo <= assignment[v] <= child.hi}
+            assert holders <= set(out)
+            assert len(out) <= len(holders) + len(node.classes)
+            assert len(node.classes) <= 2
+            scored, fanout = counts[key]
+            counts[key] = (scored + len(out), fanout + len(node.children))
+            return out
+
+        monkeypatch.setattr(multisection, "_candidates", counted)
+        for key, tree in (("64:64", build_from_spec(
+                              HierarchySpec.parse("64:64", "1:10"))),
+                          ("nh k=300 b=7", build_hierarchy(300, 7)),
+                          ("nh k=4096 b=16", build_hierarchy(4096, 16))):
+            counts[key] = (0, 0)
+            state, params = run_setup(graph, tree.root.t)
+            tree.prepare(state.l_max, params.alpha)
+            for record in graph:
+                current[:] = record, state.assignment
+                oms_assign(record, tree, state, OmsConfig(), params)
+            assert state.is_balanced()
+        scored, fanout = counts["64:64"]
+        assert scored * 8 < fanout
 
 
 class TestMultipassEquivalence:
@@ -190,8 +331,8 @@ class TestMultipassEquivalence:
             stream = random_graph(rng, n, rng.randint(n, 4 * n))
             state, params = run_setup(stream, spec.k, 0.05)
             run_oms(stream, OmsConfig(scorer=scorer), state, params, spec)
-            multi = run_multisection_multipass(stream, state.tree, params,
-                                               scorer)
+            multi = run_multisection_multipass(stream, build_from_spec(spec),
+                                               state.l_max, params, scorer)
             assert state.assignment == multi
 
     @pytest.mark.parametrize("k,b", [(5, 2), (8, 4), (12, 4)])
@@ -202,7 +343,8 @@ class TestMultipassEquivalence:
             stream = random_graph(rng, n, rng.randint(n, 3 * n))
             state, params = run_setup(stream, k, 0.05)
             run_oms(stream, OmsConfig(base=b), state, params)
-            multi = run_multisection_multipass(stream, state.tree, params)
+            multi = run_multisection_multipass(
+                stream, build_hierarchy(k, b), state.l_max, params)
             assert state.assignment == multi
 
 
@@ -246,4 +388,4 @@ class TestCommCostIntegration:
         stream = graph_stream_from_edges(8, edges)
         state = oms(stream, spec.k, spec, alpha=0.5)
         cut = edge_cut(stream, state.assignment)
-        assert comm_cost(stream, state.assignment, spec) == 10 * cut
+        assert comm_cost(stream, state.assignment, spec) == (cut, 10 * cut)

@@ -13,7 +13,8 @@ from streamdecomp.partition import UNASSIGNED, PartitionState
 from streamdecomp.streams import StreamedNodeRecord
 
 from generators import graph_stream_from_edges, random_graph, run_setup
-from reference import scan_fennel_assign, scan_ldg_assign
+from reference import (check_consistency, scan_fennel_assign,
+                       scan_ldg_assign)
 
 
 class TestHashing:
@@ -228,7 +229,7 @@ class TestRestream:
         # after the second pass all nodes are assigned and weights re-add up
         assert all(b != UNASSIGNED for b in state.assignment)
         assert sum(state.block_weight) == 60
-        state.check_consistency([1] * 60)
+        check_consistency(state, [1] * 60)
 
     def test_ring_pass2_not_worse(self):
         edges = [(i, (i + 1) % 16, 1) for i in range(16)]

@@ -11,7 +11,8 @@ from streamdecomp.partition import PartitionState, compute_lmax
 from generators import (graph_stream_from_edges, gnp_graph,
                         hypergraph_stream_from_nets, random_graph,
                         random_hypergraph)
-from reference import division_distance_matrix
+from reference import (check_consistency, distance_matrix,
+                       division_distance_matrix)
 
 
 class TestComputeLmax:
@@ -39,7 +40,7 @@ class TestPartitionState:
         state.assign(2, 0, 5)
         assert state.block_weight == [5, 5]
         assert state.block_count == [1, 2]
-        state.check_consistency([3, 2, 5, 0])
+        check_consistency(state, [3, 2, 5, 0])
 
     def test_unassign(self):
         state = PartitionState(2, 2, 0.0, 2)
@@ -124,14 +125,14 @@ class TestCommCost:
     def test_colocated_edges_cost_zero(self):
         spec = HierarchySpec.parse("2:2", "1:10")
         stream = graph_stream_from_edges(2, [(0, 1, 3)])
-        assert comm_cost(stream, [2, 2], spec) == 0
+        assert comm_cost(stream, [2, 2], spec) == (0, 0)
 
     def test_hierarchy_distances(self):
         # trailing fan-out 1 collapses; PEs 0,1 share the lowest module
         spec = HierarchySpec.parse("4:16:1", "1:10:100")
         stream = graph_stream_from_edges(5, [(0, 1, 1), (2, 3, 1)])
-        assert comm_cost(stream, [0, 1, 0, 0, 0], spec) == 1
-        assert comm_cost(stream, [0, 4, 0, 0, 0], spec) == 10
+        assert comm_cost(stream, [0, 1, 0, 0, 0], spec) == (1, 1)
+        assert comm_cost(stream, [0, 4, 0, 0, 0], spec) == (1, 10)
 
     def test_random_mapping_matches_matrix_oracle(self):
         rng = random.Random(5)
@@ -147,7 +148,25 @@ class TestCommCost:
                 if key not in seen:
                     seen.add(key)
                     expected += w * matrix[blocks[record.id], blocks[v]]
-        assert comm_cost(stream, blocks, spec) == expected
+        assert comm_cost(stream, blocks, spec)[1] == expected
+
+    def test_one_pass_equals_edge_cut_and_matrix_recount(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            layers = rng.randint(1, 4)
+            fanouts = [rng.randint(1, 5) for _ in range(layers)]
+            spec = HierarchySpec(
+                fanouts, sorted(rng.randint(1, 99) for _ in range(layers)))
+            n = rng.randint(10, 80)
+            stream = random_graph(rng, n, rng.randint(0, 2 * n),
+                                  max_edge_weight=9)
+            blocks = [rng.randrange(spec.k) for _ in range(n)]
+            matrix = distance_matrix(spec)
+            recount = sum(int(w * matrix[blocks[record.id], blocks[v]])
+                          for record in stream for v, w in record.neighbors
+                          if v > record.id)
+            assert comm_cost(stream, blocks, spec) == \
+                (edge_cut(stream, blocks), recount)
 
 
 class TestInvariants:

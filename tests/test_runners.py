@@ -10,6 +10,7 @@ from streamdecomp.heistream import HeiStreamConfig, run_heistream
 from streamdecomp.multisection import HierarchySpec, OmsConfig, run_oms
 
 from generators import random_graph, random_hypergraph, run_setup
+from reference import check_consistency
 
 # runner name -> (node-weighted input builder, run function)
 RUNNERS = {
@@ -37,7 +38,7 @@ class TestRunnerContract:
         state, params = run_setup(stream, 4, epsilon=0.1)
         assert state.total_weight == sum(weights) != stream.header.n
         assert run(stream, state, params) is state
-        state.check_consistency(weights)
+        check_consistency(state, weights)
         assert state.max_block_weight() <= state.l_max
 
     def test_oms_rejects_a_hierarchy_of_another_k(self):

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from streamdecomp.freight import SortedBlocks
 from streamdecomp.partition import UNASSIGNED, MinBlockHeap, PartitionState
 
+from reference import bucket_ranges
+
 
 def check_invariants(sb: SortedBlocks):
     k = sb.k
@@ -12,7 +14,7 @@ def check_invariants(sb: SortedBlocks):
     assert all(sb.a[sb.b[i]] == i for i in range(k))      # B o A = identity
     cards = [sb.cardinality(block) for block in sb.a]
     assert cards == sorted(cards)                         # ascending order
-    ranges = sb.bucket_ranges()
+    ranges = bucket_ranges(sb)
     pos = 0
     for card, l, r in ranges:
         assert l == pos and r >= l
@@ -35,7 +37,7 @@ def test_first_increment_moves_block_to_bucket_edge():
     check_invariants(sb)
     # block 2 swapped to the rightmost slot of the zero bucket (position 3)
     assert sb.b[2] == 3
-    assert sb.bucket_ranges() == [(0, 0, 2), (1, 3, 3)]
+    assert bucket_ranges(sb) == [(0, 0, 2), (1, 3, 3)]
 
 
 def test_k2_increment_block0_min_becomes_block1():
@@ -51,7 +53,7 @@ def test_five_consecutive_increments_singleton_bucket_chain():
         sb.increment(1)
         check_invariants(sb)
         # one singleton bucket per new cardinality, zero bucket shrinks once
-        assert sb.bucket_ranges() == [(0, 0, 2), (step, 3, 3)]
+        assert bucket_ranges(sb) == [(0, 0, 2), (step, 3, 3)]
         assert sb.cardinality(1) == step
 
 
@@ -61,7 +63,7 @@ def test_equal_cardinality_buckets_merge():
     sb.increment(1)
     check_invariants(sb)
     # blocks 0 and 1 both at cardinality 1 must share one bucket
-    assert sb.bucket_ranges() == [(0, 0, 0), (1, 1, 2)]
+    assert bucket_ranges(sb) == [(0, 0, 0), (1, 1, 2)]
 
 
 def test_random_increments_match_resort_oracle():
