@@ -6,10 +6,9 @@ metrics, and a batch CLI.
 """
 
 from .partition import UNASSIGNED, MinBlockHeap, PartitionState, compute_lmax
-from .streams import (FormatError, GraphStreamHeader, HypergraphStreamHeader,
-                      StreamedHyperNodeRecord, StreamedNodeRecord,
-                      open_graph_stream, open_hypergraph_node_stream,
-                      transpose_hmetis)
+from .streams import (FormatError, MemoryStream, StreamedNodeRecord,
+                      StreamHeader, open_graph_stream,
+                      open_hypergraph_node_stream, transpose_hmetis)
 from .metrics import QualityReport, comm_cost, cut_net_and_connectivity, \
     edge_cut, imbalance
 from .onepass import (FennelParams, OnePassConfig, fennel_alpha, fennel_assign,

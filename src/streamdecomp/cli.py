@@ -223,8 +223,8 @@ def execute(spec) -> dict:
     factory = lambda: opener(spec.input)
     if spec.time_core:
         loaded = opener(spec.input)
-        # The records are tuples that live until the run ends: cyclic GC
-        # passes over them while loading would find nothing to free.
+        # The records live until the run ends: cyclic GC passes over them
+        # while loading would find nothing to free.
         collecting = gc.isenabled()
         gc.disable()
         try:

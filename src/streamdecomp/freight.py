@@ -89,7 +89,7 @@ def _net_gains(record, tracker: NetTracker, cutnet: bool):
     """Per-block weighted gain and contributing-net count from the tracker."""
     gains: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for e, w in record.incident_nets:
+    for e, w in zip(record.ids, record.weights):
         s = tracker.status[e]
         if s == UNTOUCHED or (cutnet and s == CUT):
             continue
@@ -140,7 +140,7 @@ def _commit(record, block: int, state: PartitionState, tracker: NetTracker,
     state.assign(record.id, block, record.weight)
     if unit:
         blocks.increment(block)
-    for e, _ in record.incident_nets:
+    for e in record.ids:
         tracker.observe(e, block)
 
 

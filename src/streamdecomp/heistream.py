@@ -102,7 +102,7 @@ def build_model(batch: list, state: PartitionState, config: HeiStreamConfig,
     for local, record in enumerate(batch):
         model.weight[local] = record.weight
         model.true_weight[local] = record.weight
-        for v, w in record.neighbors:
+        for v, w in zip(record.ids, record.weights):
             if start <= v < end:
                 edges[local][v - start] = edges[local].get(v - start, 0) + w
             elif restream or v < start:

@@ -42,7 +42,7 @@ def edge_cut(graph_stream: Iterable, assignment: Sequence[int]) -> int:
         bu = assignment[record.id]
         if bu == UNASSIGNED:
             raise ValueError(f"node {record.id} unassigned")
-        for v, w in record.neighbors:
+        for v, w in zip(record.ids, record.weights):
             if assignment[v] == UNASSIGNED:
                 raise ValueError(f"node {v} unassigned")
             if assignment[v] != bu:
@@ -66,7 +66,7 @@ def cut_net_and_connectivity(hyper_stream: Iterable,
         block = assignment[record.id]
         if block == UNASSIGNED:
             raise ValueError(f"node {record.id} unassigned")
-        for e, w in record.incident_nets:
+        for e, w in zip(record.ids, record.weights):
             blocks_of_net.setdefault(e, set()).add(block)
             net_weight[e] = w
     cut = 0
@@ -97,7 +97,7 @@ def comm_cost(graph_stream: Iterable, assignment: Sequence[int],
         if bu == UNASSIGNED:
             raise ValueError(f"node {u} unassigned")
         code = codes[bu]
-        for v, w in record.neighbors:
+        for v, w in zip(record.ids, record.weights):
             bv = assignment[v]
             if bv == UNASSIGNED:
                 raise ValueError(f"node {v} unassigned")

@@ -231,6 +231,8 @@ class OmsConfig:
             raise ValueError(f"unknown scorer {self.scorer!r}")
         if not 2 <= self.base <= 16:
             raise ValueError("base must be in 2..16")
+        if self.hash_bottom_layers < 0:
+            raise ValueError("hash_bottom_layers must be >= 0")
 
 
 def oms_assign(record, tree: MultisectionTree, state: PartitionState,
@@ -240,7 +242,7 @@ def oms_assign(record, tree: MultisectionTree, state: PartitionState,
     ``tree`` must be prepared for this run (:meth:`MultisectionTree.prepare`).
     """
     assignment = state.assignment
-    leaves = [(assignment[v], w) for v, w in record.neighbors
+    leaves = [(assignment[v], w) for v, w in zip(record.ids, record.weights)
               if assignment[v] != UNASSIGNED]
     weight = record.weight
     fennel = config.scorer == "fennel"

@@ -79,7 +79,7 @@ def fennel_gain(weighted_degree_to_block: float, node_weight: int,
 
 def _gains_per_block(record, assignment) -> dict[int, float]:
     gains: dict[int, float] = {}
-    for v, w in record.neighbors:
+    for v, w in zip(record.ids, record.weights):
         block = assignment[v]
         if block != UNASSIGNED:
             gains[block] = gains.get(block, 0.0) + w

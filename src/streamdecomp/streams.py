@@ -16,8 +16,8 @@ suffices), ``11`` both.
 
 Both streamed formats put one node on each line: an optional node weight,
 then ids, each followed by its weight when ``fmt`` has the ``1`` bit.  One
-reader (:class:`NodeStream`) and one writer serve both.  All ids are
-1-based on disk and 0-based in memory.
+reader (:class:`NodeStream`), one record (:class:`StreamedNodeRecord`) and
+one writer serve both.  All ids are 1-based on disk and 0-based in memory.
 """
 
 from __future__ import annotations
@@ -31,38 +31,28 @@ class FormatError(ValueError):
 
 
 @dataclass
-class GraphStreamHeader:
+class StreamHeader:
+    """Header of a node-per-line file: ``n`` nodes, ``m`` edges (graph) or
+    nets (hypergraph), and ``pins`` entries over all node lines, which is
+    ``2m`` for a graph (each edge is listed at both ends)."""
+
     n: int
     m: int
+    pins: int
     has_node_weights: bool = False
-    has_edge_weights: bool = False
-
-
-@dataclass
-class HypergraphStreamHeader:
-    n: int          # number of nodes
-    m: int          # number of nets
-    pins: int       # total pin count
-    has_node_weights: bool = False
-    has_net_weights: bool = False
+    has_item_weights: bool = False   # edge or net weights
 
 
 @dataclass
 class StreamedNodeRecord:
-    """One node of a graph stream: its weight and weighted neighborhood."""
+    """One streamed node: its weight, the 0-based ids of its neighbors
+    (graph) or incident nets (hypergraph), and their weights, one per id
+    (all 1 on unit-weight input)."""
 
     id: int
     weight: int = 1
-    neighbors: list[tuple[int, int]] = field(default_factory=list)
-
-
-@dataclass
-class StreamedHyperNodeRecord:
-    """One node of a hypergraph stream with its weighted incident nets."""
-
-    id: int
-    weight: int = 1
-    incident_nets: list[tuple[int, int]] = field(default_factory=list)
+    ids: list[int] = field(default_factory=list)
+    weights: list[int] = field(default_factory=list)
 
 
 def _tokens(fh) -> Iterator[list[str]]:
@@ -86,58 +76,49 @@ def _nonempty(lines: Iterator[list[str]]) -> Optional[list[str]]:
 
 def _parse_fmt(token: str) -> tuple[bool, bool]:
     """Decode a METIS fmt field into (node_weights, edge_weights)."""
-    if not token.isdigit():
-        raise FormatError(f"malformed fmt field {token!r}")
+    if not token or set(token) - {"0", "1"}:
+        raise FormatError(f"malformed fmt field {token!r}: "
+                          f"fmt digits must be 0 or 1")
     value = int(token)
-    edge_w = value % 10 == 1
-    node_w = (value // 10) % 10 == 1
-    if value >= 100 and (value // 100) % 10 == 1:
+    if value >= 100:
         raise FormatError("vertex sizes (fmt=1xx) are not supported")
-    return node_w, edge_w
+    return value >= 10, value % 10 == 1
 
 
-def _header_ints(parts: Sequence[str], kind: str) -> list[int]:
+def _ints(parts: Sequence[str], what: str) -> list[int]:
     try:
         return [int(t) for t in parts]
     except ValueError as exc:
-        raise FormatError(f"malformed {kind} header: {list(parts)}") from exc
+        raise FormatError(f"malformed {what}: {list(parts)}") from exc
 
 
-def _graph_header(parts: Sequence[str]) -> GraphStreamHeader:
-    if len(parts) < 2:
-        raise FormatError("graph header needs at least 'n m'")
-    n, m = _header_ints(parts[:2], "graph")
-    node_w = edge_w = False
-    if len(parts) >= 3:
-        node_w, edge_w = _parse_fmt(parts[2])
-    if len(parts) >= 4 and _header_ints(parts[3:4], "graph")[0] > 1:
+def _header(parts: Sequence[str], graph: bool) -> StreamHeader:
+    """Header of a graph, ``n m [fmt [ncon]]``, or of a node-major
+    hypergraph, ``n m pins [fmt]``."""
+    kind, fields, width = ("graph", "n m", 2) if graph else \
+        ("hypergraph", "n m pins", 3)
+    if len(parts) < width:
+        raise FormatError(f"{kind} header needs '{fields}'")
+    n, m, *rest = _ints(parts[:width], f"{kind} header")
+    pins = rest[0] if rest else 2 * m
+    node_w = item_w = False
+    if len(parts) > width:
+        node_w, item_w = _parse_fmt(parts[width])
+    if graph and len(parts) > 3 and _ints(parts[3:4], "graph header")[0] > 1:
         raise FormatError("multiple node weight constraints (ncon>1) unsupported")
-    if n < 1 or m < 0:
-        raise FormatError(f"invalid graph header n={n} m={m}")
-    return GraphStreamHeader(n, m, node_w, edge_w)
-
-
-def _hypergraph_header(parts: Sequence[str]) -> HypergraphStreamHeader:
-    if len(parts) < 3:
-        raise FormatError("node-major hypergraph header needs 'n m pins'")
-    n, m, pins = _header_ints(parts[:3], "hypergraph")
-    node_w = net_w = False
-    if len(parts) >= 4:
-        node_w, net_w = _parse_fmt(parts[3])
     if n < 1 or m < 0 or pins < 0:
-        raise FormatError(f"invalid hypergraph header n={n} m={m} pins={pins}")
-    return HypergraphStreamHeader(n, m, pins, node_w, net_w)
+        raise FormatError(f"invalid {kind} header: {' '.join(parts[:width])}")
+    return StreamHeader(n, m, pins, node_w, item_w)
 
 
 class NodeStream:
     """Iterator over a node-per-line file: a METIS graph (``graph``) or a
-    node-major hypergraph, one record at a time.
+    node-major hypergraph, one :class:`StreamedNodeRecord` at a time.
 
     The header is read when the stream is created, so ``n``, ``m`` and the
     weight flags are available before the first record; the file is opened
     again for each iteration and closed when it ends.  On exhaustion the
-    number of listed items is checked against the header: ``2m`` neighbor
-    entries for a graph, ``pins`` for a hypergraph.
+    number of listed ids is checked against the header's ``pins``.
     """
 
     def __init__(self, path: str, graph: bool):
@@ -148,17 +129,14 @@ class NodeStream:
         if head is None:
             kind = "graph" if graph else "hypergraph"
             raise FormatError(f"{path}: empty {kind} file")
-        self.header = (_graph_header if graph else _hypergraph_header)(head)
+        self.header = _header(head, graph)
 
-    def __iter__(self) -> Iterator:
+    def __iter__(self) -> Iterator[StreamedNodeRecord]:
         header, graph = self.header, self.graph
         # Neighbors are node ids (bound n), incident nets net ids (bound m).
-        record, bound, item_weights, expected = (
-            (StreamedNodeRecord, header.n, header.has_edge_weights,
-             2 * header.m) if graph else
-            (StreamedHyperNodeRecord, header.m, header.has_net_weights,
-             header.pins))
+        bound = header.n if graph else header.m
         node_weights = header.has_node_weights
+        item_weights = header.has_item_weights
         listed = 0
         with open(self.path) as fh:
             lines = _tokens(fh)
@@ -168,25 +146,25 @@ class NodeStream:
                 if parts is None:
                     raise FormatError(f"{self.path}: expected {header.n} "
                                       f"node lines, got {node}")
-                weight, items = _parse_line(parts, node, node_weights,
-                                            item_weights, bound, graph)
-                listed += len(items)
-                yield record(node, weight, items)
-        if listed != expected:
+                weight, ids, weights = _parse_line(
+                    parts, node, node_weights, item_weights, bound, graph)
+                listed += len(ids)
+                yield StreamedNodeRecord(node, weight, ids, weights)
+        if listed != header.pins:
             what = "edge" if graph else "pin"
             raise FormatError(
                 f"{self.path}: {what}-count mismatch, the header gives "
-                f"{expected} entries but the node lines list {listed}")
+                f"{header.pins} entries but the node lines list {listed}")
 
 
 def _parse_line(parts: Sequence[str], node: int, node_weights: bool,
                 item_weights: bool, bound: int,
-                graph: bool) -> tuple[int, list[tuple[int, int]]]:
-    """Weight and 0-based (id, weight) items of one node line.
+                graph: bool) -> tuple[int, list[int], list[int]]:
+    """Weight, 0-based ids and id weights of one node line.
 
-    The item checks run over whole lists (min, max, membership) so the
-    per-item work stays in C; a line that fails one goes to
-    :func:`_line_fault`, which names its first bad item.
+    The id checks run over whole lists (min, max, membership) so the
+    per-id work stays in C; a line that fails one goes to
+    :func:`_line_fault`, which names its first bad id.
     """
     weight = 1
     if node_weights:
@@ -196,36 +174,35 @@ def _parse_line(parts: Sequence[str], node: int, node_weights: bool,
         if weight < 1:
             raise FormatError(f"node {node}: node weight must be >= 1")
         parts = parts[1:]
-    weights = None
     if item_weights:
         if len(parts) % 2:
             raise FormatError(
                 f"node {node}: dangling {'edge' if graph else 'net'} weight")
         weights = list(map(int, parts[1::2]))
-        parts = parts[::2]
-    ids = list(map(int, parts))
-    if ids and (min(ids) < 1 or max(ids) > bound
-                or (node + 1 in ids if graph else len(set(ids)) < len(ids))
-                or (weights is not None and min(weights) < 1)):
-        _line_fault(node, ids, weights or [1] * len(ids), bound, graph)
-    if weights is None:
-        return weight, [(v - 1, 1) for v in ids]
-    return weight, [(v - 1, w) for v, w in zip(ids, weights)]
+        ids = [int(t) - 1 for t in parts[::2]]
+    else:
+        ids = [int(t) - 1 for t in parts]
+        weights = [1] * len(ids)
+    if ids and (min(ids) < 0 or max(ids) >= bound
+                or (node in ids if graph else len(set(ids)) < len(ids))
+                or (item_weights and min(weights) < 1)):
+        _line_fault(node, ids, weights, bound, graph)
+    return weight, ids, weights
 
 
 def _line_fault(node: int, ids: list[int], weights: list[int], bound: int,
                 graph: bool) -> None:
-    """Raise for the first bad item of a node line, in line order."""
+    """Raise for the first bad id of a node line, in line order."""
     seen = set()
     for v, w in zip(ids, weights):
-        if not 1 <= v <= bound:
+        if not 0 <= v < bound:
             what, name = ("neighbor", "n") if graph else ("net id", "m")
             raise FormatError(f"node {node}: {what} out of range "
-                              f"({v} with {name}={bound})")
-        if graph and v == node + 1:
+                              f"({v + 1} with {name}={bound})")
+        if graph and v == node:
             raise FormatError(f"node {node}: self-loop not allowed")
         if not graph and v in seen:
-            raise FormatError(f"node {node}: net {v} listed twice")
+            raise FormatError(f"node {node}: net {v + 1} listed twice")
         if w < 1:
             what = "edge" if graph else "net"
             raise FormatError(f"node {node}: {what} weight must be >= 1")
@@ -262,11 +239,13 @@ def total_node_weight(path: str) -> int:
     return total
 
 
-def transpose_hmetis(src: str, dst: str) -> HypergraphStreamHeader:
+def transpose_hmetis(src: str, dst: str) -> StreamHeader:
     """Convert an hMetis net-major file into the node-major streaming format.
 
     This is an offline, in-memory step: the streaming passes themselves stay
-    single-pass.  Returns the header of the written file.
+    single-pass.  It rejects what the node-major reader would: a token that
+    is not an integer, a pin out of range or listed twice in one net, and a
+    net or node weight below 1.  Returns the header of the written file.
     """
     with open(src) as fh:
         lines = _tokens(fh)
@@ -275,37 +254,48 @@ def transpose_hmetis(src: str, dst: str) -> HypergraphStreamHeader:
             raise FormatError(f"{src}: empty hMetis file")
         if len(head) < 2:
             raise FormatError("hMetis header needs 'm n'")
-        m, n = int(head[0]), int(head[1])
+        m, n = _ints(head[:2], "hMetis header")
+        if n < 1 or m < 0:
+            raise FormatError(f"invalid hMetis header m={m} n={n}")
         net_w = node_w = False
         if len(head) >= 3:
             node_w, net_w = _parse_fmt(head[2])
-        incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        net_weights = [1] * m
+        ids: list[list[int]] = [[] for _ in range(n)]
+        weights: list[list[int]] = [[] for _ in range(n)]
         for e in range(m):
             parts = _nonempty(lines)   # a net must have at least one pin
             if parts is None:
                 raise FormatError(f"{src}: expected {m} net lines, got {e}")
-            j = 0
+            net_pins = _ints(parts, f"net {e}")
+            w = 1
             if net_w:
-                net_weights[e] = int(parts[0])
-                j = 1
-            for tok in parts[j:]:
-                v = int(tok) - 1
-                if v < 0 or v >= n:
-                    raise FormatError(f"net {e}: pin out of range ({tok} with n={n})")
-                incident[v].append((e, net_weights[e]))
+                w = net_pins.pop(0)
+                if w < 1:
+                    raise FormatError(f"net {e}: net weight must be >= 1")
+            for v in net_pins:
+                if not 1 <= v <= n:
+                    raise FormatError(f"net {e}: pin out of range "
+                                      f"({v} with n={n})")
+                ids[v - 1].append(e)
+                weights[v - 1].append(w)
+            if len(set(net_pins)) < len(net_pins):
+                twice = next(v for i, v in enumerate(net_pins)
+                             if v in net_pins[:i])
+                raise FormatError(f"net {e}: pin {twice} listed twice")
         node_weights = [1] * n
         if node_w:
             for v in range(n):
                 parts = _nonempty(lines)
                 if parts is None:
                     raise FormatError(f"{src}: missing node weight line {v}")
-                node_weights[v] = int(parts[0])
+                node_weights[v] = _ints(parts[:1], f"node {v} weight")[0]
+                if node_weights[v] < 1:
+                    raise FormatError(f"node {v}: node weight must be >= 1")
 
-    pins = sum(len(nets) for nets in incident)
+    pins = sum(map(len, ids))
     _write_node_lines(dst, [n, m, pins], node_weights if node_w else None,
-                      incident, net_w)
-    return HypergraphStreamHeader(n, m, pins, node_w, net_w)
+                      ids, weights, net_w)
+    return StreamHeader(n, m, pins, node_w, net_w)
 
 
 def write_partition(path: str, assignment: Iterable[int]) -> None:
@@ -331,35 +321,39 @@ def read_partition(path: str, n: int, k: Optional[int] = None) -> list[int]:
 def write_graph(path: str, n: int, edges: Iterable[tuple[int, int, int]],
                 node_weights: Sequence[int] | None = None) -> None:
     """Write an undirected edge list as a METIS file (0-based input ids)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ids: list[list[int]] = [[] for _ in range(n)]
+    weights: list[list[int]] = [[] for _ in range(n)]
     m = 0
     has_edge_w = False
     for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+        ids[u].append(v)
+        weights[u].append(w)
+        ids[v].append(u)
+        weights[v].append(w)
         has_edge_w = has_edge_w or w != 1
         m += 1
     has_node_w = node_weights is not None and any(w != 1 for w in node_weights)
-    _write_node_lines(path, [n, m], node_weights if has_node_w else None, adj,
-                      has_edge_w)
+    _write_node_lines(path, [n, m], node_weights if has_node_w else None, ids,
+                      weights, has_edge_w)
 
 
 def _write_node_lines(path: str, header: list[int],
                       node_weights: Sequence[int] | None,
-                      items: Sequence[Sequence[tuple[int, int]]],
+                      ids: Sequence[Sequence[int]],
+                      weights: Sequence[Sequence[int]],
                       item_weights: bool) -> None:
     """Write a node-per-line file: the header fields plus the fmt bits, then
-    per node its weight (if given) and its 1-based ids, each followed by its
-    weight when ``item_weights``."""
+    per node its weight (if ``node_weights``) and its 1-based ids, each
+    followed by its weight when ``item_weights``."""
     fmt_bits = (10 if node_weights is not None else 0) + \
         (1 if item_weights else 0)
     if fmt_bits:
         header = header + [fmt_bits]
     with open(path, "w") as out:
         out.write(" ".join(map(str, header)) + "\n")
-        for v, node_items in enumerate(items):
+        for v, node_ids in enumerate(ids):
             fields = [] if node_weights is None else [str(node_weights[v])]
-            for e, w in node_items:
+            for e, w in zip(node_ids, weights[v]):
                 fields.append(str(e + 1))
                 if item_weights:
                     fields.append(str(w))

@@ -6,9 +6,8 @@ import random
 
 from streamdecomp.onepass import FennelParams
 from streamdecomp.partition import PartitionState
-from streamdecomp.streams import (GraphStreamHeader, HypergraphStreamHeader,
-                                  MemoryStream, StreamedHyperNodeRecord,
-                                  StreamedNodeRecord)
+from streamdecomp.streams import MemoryStream, StreamedNodeRecord, \
+    StreamHeader
 
 
 def run_setup(stream, k: int, epsilon: float = 0.03, gamma: float = 1.5,
@@ -23,15 +22,16 @@ def run_setup(stream, k: int, epsilon: float = 0.03, gamma: float = 1.5,
 
 def graph_stream_from_edges(n, edges, node_weights=None) -> MemoryStream:
     """Build an in-memory stream from undirected (u, v, w) triples."""
-    adj = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
     weights = node_weights or [1] * n
-    records = [StreamedNodeRecord(i, weights[i], adj[i]) for i in range(n)]
-    header = GraphStreamHeader(n, len(edges),
-                               has_node_weights=node_weights is not None,
-                               has_edge_weights=any(w != 1 for *_, w in edges))
+    records = [StreamedNodeRecord(i, weights[i]) for i in range(n)]
+    for u, v, w in edges:
+        records[u].ids.append(v)
+        records[u].weights.append(w)
+        records[v].ids.append(u)
+        records[v].weights.append(w)
+    header = StreamHeader(n, len(edges), 2 * len(edges),
+                          has_node_weights=node_weights is not None,
+                          has_item_weights=any(w != 1 for *_, w in edges))
     return MemoryStream(header, records)
 
 
@@ -102,18 +102,17 @@ def hypergraph_stream_from_nets(n, nets, node_weights=None) -> MemoryStream:
     ``nets`` is a list of (pins, weight); empty nets are allowed and simply
     never appear in any record.
     """
-    incident = [[] for _ in range(n)]
+    weights = node_weights or [1] * n
+    records = [StreamedNodeRecord(i, weights[i]) for i in range(n)]
     for e, (pins, w) in enumerate(nets):
         for v in pins:
-            incident[v].append((e, w))
-    weights = node_weights or [1] * n
-    records = [StreamedHyperNodeRecord(i, weights[i], incident[i])
-               for i in range(n)]
-    pins_total = sum(len(r.incident_nets) for r in records)
-    header = HypergraphStreamHeader(
+            records[v].ids.append(e)
+            records[v].weights.append(w)
+    pins_total = sum(len(r.ids) for r in records)
+    header = StreamHeader(
         n, len(nets), pins_total,
         has_node_weights=node_weights is not None,
-        has_net_weights=any(w != 1 for _, w in nets))
+        has_item_weights=any(w != 1 for _, w in nets))
     return MemoryStream(header, records)
 
 
@@ -135,7 +134,7 @@ def graph_as_hypergraph(graph_stream) -> MemoryStream:
     nets = []
     seen = {}
     for record in graph_stream:
-        for v, w in record.neighbors:
+        for v, w in zip(record.ids, record.weights):
             key = (min(record.id, v), max(record.id, v))
             if key not in seen:
                 seen[key] = len(nets)

@@ -31,7 +31,7 @@ from streamdecomp.partition import UNASSIGNED, PartitionState
 
 def _neighbor_gains(record, assignment) -> dict[int, float]:
     gains: dict[int, float] = {}
-    for v, w in record.neighbors:
+    for v, w in zip(record.ids, record.weights):
         block = assignment[v]
         if block != UNASSIGNED:
             gains[block] = gains.get(block, 0.0) + w
@@ -155,7 +155,7 @@ def run_fennel_twin(graph_stream, state: PartitionState,
     for record in graph_stream:
         gains: dict[int, float] = {}
         counts: dict[int, int] = {}
-        for v, w in record.neighbors:
+        for v, w in zip(record.ids, record.weights):
             b = state.assignment[v]
             if b != UNASSIGNED:
                 gains[b] = gains.get(b, 0.0) + w
@@ -223,7 +223,8 @@ def scan_oms(graph_stream, tree, state: PartitionState, config,
     """OMS by full scans: every descent step scores every child."""
     for record in graph_stream:
         assignment = state.assignment
-        neighbors = [(assignment[v], w) for v, w in record.neighbors
+        neighbors = [(assignment[v], w)
+                     for v, w in zip(record.ids, record.weights)
                      if assignment[v] != UNASSIGNED]
         node = tree.root
         while node.children:
@@ -265,7 +266,7 @@ def run_multisection_multipass(graph_stream, tree, l_max: int,
                 if cw + record.weight > child.t * l_max:
                     continue
                 gain = 0.0
-                for v, w in record.neighbors:
+                for v, w in zip(record.ids, record.weights):
                     other = position[v]
                     # neighbor counts only when the neighbor has already been
                     # restreamed in this pass (deeper position inside child)

@@ -23,8 +23,8 @@ from streamdecomp.multisection import (HierarchySpec, OmsConfig,
 from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
                                   fennel_gain, run_onepass, run_restream)
 from streamdecomp.partition import UNASSIGNED, compute_lmax
-from streamdecomp.streams import (HypergraphStreamHeader, MemoryStream,
-                                  StreamedHyperNodeRecord)
+from streamdecomp.streams import MemoryStream, StreamedNodeRecord, \
+    StreamHeader
 
 from generators import (banded_matrix_hypergraph, geometric_graph,
                         graph_as_hypergraph, planted_partition_graph,
@@ -68,10 +68,9 @@ def test_c01_freight_oracle_equivalence():
         stream = random_hypergraph(rng, n, m, max_pins=5)
         if stream.header.pins > 1500:
             stream.records = [
-                StreamedHyperNodeRecord(r.id, r.weight, r.incident_nets[:7])
+                StreamedNodeRecord(r.id, r.weight, r.ids[:7], r.weights[:7])
                 for r in stream.records]
-            stream.header.pins = sum(len(r.incident_nets)
-                                     for r in stream.records)
+            stream.header.pins = sum(len(r.ids) for r in stream.records)
         k = 4 if trial % 2 == 0 else 16
         for objective in ("connectivity", "cutnet"):
             fast = run_freight(stream, *run_setup(stream, k), objective)
@@ -130,7 +129,7 @@ def test_c03_gen_fennel_additivity():
         def block_gains(node_ids, weight, block):
             degree = 0.0
             for nid in node_ids:
-                for v, ew in records[nid].neighbors:
+                for v, ew in zip(records[nid].ids, records[nid].weights):
                     if v not in node_ids and assignment[v] == block:
                         degree += ew
             block_weight = sum(records[i].weight for i in range(n)
@@ -306,12 +305,13 @@ def _k_independence_stream():
         v = rng.randrange(n)
         while v == u:
             v = rng.randrange(n)
-        incident[u].append((e, 1))
-        incident[v].append((e, 1))
+        incident[u].append(e)
+        incident[v].append(e)
         adjacency[u].append(v)     # clique expansion of a size-2 net
         adjacency[v].append(u)
-    records = [StreamedHyperNodeRecord(i, 1, incident[i]) for i in range(n)]
-    stream = MemoryStream(HypergraphStreamHeader(n, m, 2 * m), records)
+    records = [StreamedNodeRecord(i, 1, incident[i], [1] * len(incident[i]))
+               for i in range(n)]
+    stream = MemoryStream(StreamHeader(n, m, 2 * m), records)
     return stream, adjacency, n, m
 
 
@@ -440,7 +440,7 @@ def test_c12_fennel_k_independence(monkeypatch):
         return gain(*args)
 
     def checked_assign(record, state, params):
-        blocks = {state.assignment[v] for v, _ in record.neighbors}
+        blocks = {state.assignment[v] for v in record.ids}
         blocks.discard(UNASSIGNED)
         before = gain_calls[0]
         block = assign(record, state, params)

@@ -26,7 +26,7 @@ def graph_file(tmp_path):
     edges = []
     seen = set()
     for record in stream:
-        for v, w in record.neighbors:
+        for v, w in zip(record.ids, record.weights):
             key = (min(record.id, v), max(record.id, v))
             if key not in seen:
                 seen.add(key)
@@ -41,7 +41,7 @@ def hmetis_file(tmp_path):
     stream = random_hypergraph(rng, 30, 25, max_pins=5)
     nets = {}
     for record in stream:
-        for e, _ in record.incident_nets:
+        for e in record.ids:
             nets.setdefault(e, []).append(record.id + 1)
     path = tmp_path / "h.hgr"
     lines = [f"{len(nets)} 30"]
@@ -191,13 +191,15 @@ def _run_argv(algorithm, graph, hypergraph):
             "--algorithm", algorithm]
 
 
-# Every run command checks --alpha and --gamma (map has no --gamma flag).
+# Every run command checks --alpha and --gamma (map has no --gamma flag);
+# partition --algorithm oms and map also check --hash-bottom-layers.
 BAD_PENALTIES = [
     (algorithm, flag, value)
     for algorithm in cli.ALGORITHMS
     for flag, value in (("--alpha", "-1"), ("--gamma", "0.5"),
-                        ("--gamma", "1"))
-    if not (flag == "--gamma" and algorithm.startswith("oms-"))]
+                        ("--gamma", "1"), ("--hash-bottom-layers", "-3"))
+    if not (flag == "--gamma" and algorithm.startswith("oms-"))
+    and (flag != "--hash-bottom-layers" or algorithm.startswith("oms"))]
 
 
 class TestCliErrors:
@@ -321,7 +323,8 @@ def _weighted_graph_file(tmp_path, edge_weights: bool) -> tuple[str, list[int]]:
     rng = random.Random(12 if edge_weights else 11)
     stream = random_graph(rng, 300, 900, max_edge_weight=9 if edge_weights
                           else 1, max_node_weight=20)
-    edges = [(r.id, v, w) for r in stream for v, w in r.neighbors if r.id < v]
+    edges = [(r.id, v, w) for r in stream
+             for v, w in zip(r.ids, r.weights) if r.id < v]
     weights = [r.weight for r in stream]
     path = str(tmp_path / f"w{int(edge_weights)}.graph")
     write_graph(path, 300, edges, weights)
@@ -331,10 +334,10 @@ def _weighted_graph_file(tmp_path, edge_weights: bool) -> tuple[str, list[int]]:
 def _weighted_hypergraph_file(tmp_path) -> tuple[str, list[int]]:
     stream = random_hypergraph(random.Random(13), 300, 250, max_pins=6,
                                max_node_weight=20)
-    lines = [f"300 250 {sum(len(r.incident_nets) for r in stream)} 10"]
+    lines = [f"300 250 {sum(len(r.ids) for r in stream)} 10"]
     for r in stream:
         lines.append(" ".join([str(r.weight)] +
-                              [str(e + 1) for e, _ in r.incident_nets]))
+                              [str(e + 1) for e in r.ids]))
     path = tmp_path / "w.hgr"
     path.write_text("\n".join(lines) + "\n")
     return str(path), [r.weight for r in stream]

@@ -8,7 +8,7 @@ from streamdecomp.freight import (CUT, SINGLE_BLOCK, UNTOUCHED, NetTracker,
 from streamdecomp.metrics import cut_net_and_connectivity
 from streamdecomp.onepass import FennelParams
 from streamdecomp.partition import PartitionState
-from streamdecomp.streams import StreamedHyperNodeRecord
+from streamdecomp.streams import StreamedNodeRecord
 
 from generators import (graph_as_hypergraph, hypergraph_stream_from_nets,
                         random_graph, random_hypergraph, run_setup)
@@ -48,7 +48,7 @@ class TestNetTracker:
         pins_seen: dict[int, list[int]] = {}
         for record in stream:
             b = freight_assign(record, state, tracker, blocks, False, params)
-            for e, _ in record.incident_nets:
+            for e in record.ids:
                 pins_seen.setdefault(e, []).append(b)
         for e, blocks_of_e in pins_seen.items():
             # cut iff pins streamed so far span >= 2 blocks
@@ -68,7 +68,7 @@ class TestFreightAssign:
     def test_all_nets_untouched_goes_to_min_cardinality(self):
         state, tracker, blocks, params = make_assign_ctx(4, 2, 3)
         expected = blocks.min_block()
-        record = StreamedHyperNodeRecord(0, 1, [(0, 1), (1, 1)])
+        record = StreamedNodeRecord(0, 1, [0, 1], [1, 1])
         chosen = freight_assign(record, state, tracker, blocks, False, params)
         assert chosen == expected
         assert state.block_weight[chosen] == 1
@@ -81,17 +81,17 @@ class TestFreightAssign:
         state, tracker, blocks, _ = make_assign_ctx(4, 1, 2)
         params = FennelParams(gamma=2.0, alpha=alpha)
         cutnet = False
-        freight_assign(StreamedHyperNodeRecord(0, 1, [(0, 1)]), state,
+        freight_assign(StreamedNodeRecord(0, 1, [0], [1]), state,
                        tracker, blocks, cutnet, params)
         assert state.assignment[0] == 0 and blocks.min_block() == 1
-        chosen = freight_assign(StreamedHyperNodeRecord(1, 1, [(0, 1)]),
+        chosen = freight_assign(StreamedNodeRecord(1, 1, [0], [1]),
                                 state, tracker, blocks, cutnet, params)
         assert chosen == expected
 
     def test_cutnet_ignores_already_cut_net(self):
         state, tracker, blocks, params = make_assign_ctx(5, 1, 4)
         cutnet = True
-        freight_assign(StreamedHyperNodeRecord(0, 1, [(0, 1)]), state,
+        freight_assign(StreamedNodeRecord(0, 1, [0], [1]), state,
                        tracker, blocks, cutnet, params)
         b0 = state.assignment[0]
         # force the net to be cut: second pin lands elsewhere only if gain
@@ -100,19 +100,19 @@ class TestFreightAssign:
         assert tracker.is_cut(0)
         # now a node whose only net is cut falls through to the min query
         before = blocks.min_block()
-        chosen = freight_assign(StreamedHyperNodeRecord(1, 1, [(0, 1)]),
+        chosen = freight_assign(StreamedNodeRecord(1, 1, [0], [1]),
                                 state, tracker, blocks, cutnet, params)
         assert chosen == before
 
     def test_connectivity_counts_cut_nets_via_last_block(self):
         state, tracker, blocks, params = make_assign_ctx(5, 1, 4, alpha=0.1)
         cutnet = False
-        freight_assign(StreamedHyperNodeRecord(0, 1, [(0, 1)]), state,
+        freight_assign(StreamedNodeRecord(0, 1, [0], [1]), state,
                        tracker, blocks, cutnet, params)
         b0 = state.assignment[0]
         tracker.observe(0, b0)          # keep d_e = b0
         tracker.status[0] = CUT         # but mark it cut
-        chosen = freight_assign(StreamedHyperNodeRecord(1, 1, [(0, 1)]),
+        chosen = freight_assign(StreamedNodeRecord(1, 1, [0], [1]),
                                 state, tracker, blocks, cutnet, params)
         assert chosen == b0             # still attracted to d_e
 

@@ -68,8 +68,8 @@ class TestBuildModel:
 
     def test_first_batch_has_no_artificial_nodes(self):
         state = PartitionState(4, 4, 0.5, 4)
-        batch = [StreamedNodeRecord(0, 1, [(1, 1)]),
-                 StreamedNodeRecord(1, 1, [(0, 1)])]
+        batch = [StreamedNodeRecord(0, 1, [1], [1]),
+                 StreamedNodeRecord(1, 1, [0], [1])]
         model = build_model(batch, state, self.cfg(), random.Random(0))
         assert model.num_art == 0
         assert model.size == 2
@@ -79,8 +79,8 @@ class TestBuildModel:
         state = PartitionState(6, 4, 0.5, 6)
         state.assign(0, 2, 1)
         state.assign(1, 2, 1)
-        batch = [StreamedNodeRecord(2, 1, [(0, 1), (1, 1)]),
-                 StreamedNodeRecord(3, 1, [])]
+        batch = [StreamedNodeRecord(2, 1, [0, 1], [1, 1]),
+                 StreamedNodeRecord(3, 1, [], [])]
         model = build_model(batch, state, self.cfg(), random.Random(0))
         assert model.num_art == 4
         art2 = model.num_batch + 2
@@ -91,8 +91,8 @@ class TestBuildModel:
         # ghost node 2 adjacent to both batch nodes: contracted into one of
         # them, host weight +1, the other gets a half-weight edge to the host
         state = PartitionState(3, 2, 1.0, 3)
-        batch = [StreamedNodeRecord(0, 1, [(2, 1)]),
-                 StreamedNodeRecord(1, 1, [(2, 1)])]
+        batch = [StreamedNodeRecord(0, 1, [2], [1]),
+                 StreamedNodeRecord(1, 1, [2], [1])]
         model = build_model(batch, state, self.cfg(model="extended"),
                             random.Random(7))
         host = 0 if model.weight[0] == 2 else 1
@@ -104,8 +104,8 @@ class TestBuildModel:
 
     def test_basic_model_drops_ghost_edges(self):
         state = PartitionState(3, 2, 1.0, 3)
-        batch = [StreamedNodeRecord(0, 1, [(2, 1)]),
-                 StreamedNodeRecord(1, 1, [(2, 1)])]
+        batch = [StreamedNodeRecord(0, 1, [2], [1]),
+                 StreamedNodeRecord(1, 1, [2], [1])]
         model = build_model(batch, state, self.cfg(model="basic"),
                             random.Random(7))
         assert model.adj == [[], []]
@@ -115,8 +115,8 @@ class TestBuildModel:
         state = PartitionState(4, 2, 1.0, 4)
         for node, block in enumerate([0, 1, 0, 1]):
             state.assign(node, block, 1)
-        batch = [StreamedNodeRecord(0, 1, [(2, 1), (3, 1)]),
-                 StreamedNodeRecord(1, 1, [(3, 1)])]
+        batch = [StreamedNodeRecord(0, 1, [2, 3], [1, 1]),
+                 StreamedNodeRecord(1, 1, [3], [1])]
         model = build_model(batch, state, self.cfg(), random.Random(0),
                             restream=True)
         assert model.num_art == 2
@@ -138,7 +138,7 @@ class TestCoarsen:
     def test_small_model_yields_single_level(self):
         config = HeiStreamConfig(delta=8, x=4)
         state = PartitionState(8, 2, 0.5, 8)
-        batch = [StreamedNodeRecord(i, 1, []) for i in range(8)]
+        batch = [StreamedNodeRecord(i, 1, [], []) for i in range(8)]
         model = build_model(batch, state, config, random.Random(0))
         levels = coarsen(model, config, state, random.Random(0))
         assert len(levels) == 1
@@ -166,7 +166,7 @@ class TestInitialPartition:
         state = PartitionState(8, 4, 1.0, 8)
         for node, block in enumerate([0, 1, 2, 3]):
             state.assign(node, block, 1)
-        batch = [StreamedNodeRecord(4, 1, [(3, 1)])]   # neighbor in block 3
+        batch = [StreamedNodeRecord(4, 1, [3], [1])]   # neighbor in block 3
         model = build_model(batch, state, config, random.Random(0))
         params = FennelParams(alpha=0.1)
         assert initial_partition(model, state, params) == [3]
@@ -178,7 +178,7 @@ class TestInitialPartition:
             state.assign(node, 0, 3 if node == 0 else 0)
         state.block_weight = [3, 3, 2]           # blocks 0,1 full
         state.block_count = [1, 1, 1]
-        batch = [StreamedNodeRecord(3, 1, [])]
+        batch = [StreamedNodeRecord(3, 1, [], [])]
         model = build_model(batch, state, config, random.Random(0))
         params = FennelParams(alpha=0.5)
         assert initial_partition(model, state, params) == [2]
@@ -288,8 +288,8 @@ class TestRefinement:
 class TestCommitAndRun:
     def test_commit_uses_true_weights(self):
         state = PartitionState(3, 2, 1.0, 3)
-        batch = [StreamedNodeRecord(0, 1, [(2, 1)]),
-                 StreamedNodeRecord(1, 1, [(2, 1)])]
+        batch = [StreamedNodeRecord(0, 1, [2], [1]),
+                 StreamedNodeRecord(1, 1, [2], [1])]
         commit_batch(batch, [0, 0], state)
         assert state.block_weight == [2, 0]   # no ghost inflation committed
 
@@ -431,8 +431,10 @@ def _weighted_stream(rng: random.Random, n: int, one_sided: bool):
     if one_sided:
         # drop a third of the entries: many edges are listed by one end only
         for record in stream.records:
-            record.neighbors = [e for e in record.neighbors
-                                if rng.random() > 1 / 3]
+            kept = [(v, w) for v, w in zip(record.ids, record.weights)
+                    if rng.random() > 1 / 3]
+            record.ids = [v for v, _ in kept]
+            record.weights = [w for _, w in kept]
     return stream
 
 

@@ -295,7 +295,7 @@ class TestCandidateDescent:
             out = candidates(node, gains)
             record, assignment = current
             holders = {i for i, child in enumerate(node.children)
-                       for v, _ in record.neighbors
+                       for v in record.ids
                        if assignment[v] != UNASSIGNED
                        and child.lo <= assignment[v] <= child.hi}
             assert holders <= set(out)

@@ -43,14 +43,14 @@ class TestLdg:
         state.assign(0, 0, 10)
         state.assign(1, 1, 9)
         state.assign(2, 1, 9)
-        record = StreamedNodeRecord(3, 1, [(0, 1), (1, 1), (2, 1)])
+        record = StreamedNodeRecord(3, 1, [0, 1, 2], [1, 1, 1])
         assert ldg_assign(record, state) == 0
 
     def test_neighbor_free_node_goes_to_lightest(self):
         state = PartitionState(4, 3, 1.0, 4)
         state.assign(0, 0, 2)
         state.assign(1, 1, 1)
-        assert ldg_assign(StreamedNodeRecord(2, 1, []), state) == 2
+        assert ldg_assign(StreamedNodeRecord(2, 1, [], []), state) == 2
 
     def test_matches_straight_line_simulation(self):
         # independent reimplementation: plain dicts, no shared helpers
@@ -70,7 +70,8 @@ class TestLdg:
             for i in range(k):
                 if weights[i] + 1 > lmax:
                     continue
-                inter = sum(w for v, w in record.neighbors if assign.get(v) == i)
+                inter = sum(w for v, w in zip(record.ids, record.weights)
+                            if assign.get(v) == i)
                 score = inter * (1 - weights[i] / lmax)
                 key = (score, -counts[i], -i)
                 if best_key is None or key > best_key:
@@ -121,13 +122,14 @@ class TestFennelAssign:
     def test_empty_blocks_tie_to_block_zero(self):
         state = PartitionState(4, 3, 1.0, 4)
         params = FennelParams(alpha=0.5)
-        assert fennel_assign(StreamedNodeRecord(0, 1, []), state, params) == 0
+        assert fennel_assign(StreamedNodeRecord(0, 1, [], []), state,
+                             params) == 0
 
     def test_single_neighbor_attracts(self):
         state = PartitionState(4, 4, 3.0, 4)
         params = FennelParams(alpha=0.1)
         state.assign(0, 2, 1)
-        assert fennel_assign(StreamedNodeRecord(1, 1, [(0, 1)]), state,
+        assert fennel_assign(StreamedNodeRecord(1, 1, [0], [1]), state,
                              params) == 2
 
     @pytest.mark.parametrize("k", [2, 8])
@@ -147,7 +149,8 @@ class TestFennelAssign:
             for i in range(k):
                 if weights[i] + 1 > lmax:
                     continue
-                inter = sum(w for v, w in record.neighbors if assign.get(v) == i)
+                inter = sum(w for v, w in zip(record.ids, record.weights)
+                            if assign.get(v) == i)
                 score = inter - alpha * 1.5 * weights[i] ** 0.5
                 key = (score, -weights[i], -i)
                 if best_key is None or key > best_key:
@@ -333,9 +336,9 @@ class TestCandidateSelection:
         state.assign(0, 0, 4)                      # block 0: 1 node, weight 4
         state.assign(1, 1, 1)
         state.assign(2, 1, 1)                      # block 1: 2 nodes, weight 2
-        assert ldg_assign(StreamedNodeRecord(3, 2, []), state) == 1
+        assert ldg_assign(StreamedNodeRecord(3, 2, [], []), state) == 1
         assert state.violations == 0
-        assert ldg_assign(StreamedNodeRecord(4, 9, []), state) == 0
+        assert ldg_assign(StreamedNodeRecord(4, 9, [], []), state) == 0
         assert state.violations == 1    # nothing fits: lightest, lowest index
 
     def test_fennel_lightest_neighbor_block_dominates(self):
@@ -347,5 +350,5 @@ class TestCandidateSelection:
         state.assign(1, 2, 1)
         state.assign(2, 3, 1)
         state.assign(3, 0, 1)
-        assert fennel_assign(StreamedNodeRecord(4, 1, [(1, 1)]), state,
+        assert fennel_assign(StreamedNodeRecord(4, 1, [1], [1]), state,
                              params) == 2

@@ -77,7 +77,7 @@ class TestEdgeCut:
         expected = 0
         seen = set()
         for record in stream:
-            for v, w in record.neighbors:
+            for v, w in zip(record.ids, record.weights):
                 key = (min(record.id, v), max(record.id, v))
                 if key not in seen:
                     seen.add(key)
@@ -106,7 +106,7 @@ class TestCutNetConnectivity:
         nets: dict[int, set] = {}
         weights: dict[int, int] = {}
         for record in stream:
-            for e, w in record.incident_nets:
+            for e, w in zip(record.ids, record.weights):
                 nets.setdefault(e, set()).add(blocks[record.id])
                 weights[e] = w
         exp_cut = sum(weights[e] for e, s in nets.items() if len(s) >= 2)
@@ -143,7 +143,7 @@ class TestCommCost:
         expected = 0
         seen = set()
         for record in stream:
-            for v, w in record.neighbors:
+            for v, w in zip(record.ids, record.weights):
                 key = (min(record.id, v), max(record.id, v))
                 if key not in seen:
                     seen.add(key)
@@ -163,7 +163,8 @@ class TestCommCost:
             blocks = [rng.randrange(spec.k) for _ in range(n)]
             matrix = distance_matrix(spec)
             recount = sum(int(w * matrix[blocks[record.id], blocks[v]])
-                          for record in stream for v, w in record.neighbors
+                          for record in stream
+                          for v, w in zip(record.ids, record.weights)
                           if v > record.id)
             assert comm_cost(stream, blocks, spec) == \
                 (edge_cut(stream, blocks), recount)
@@ -173,7 +174,7 @@ class TestInvariants:
     def test_stream_visits_each_edge_twice(self):
         rng = random.Random(11)
         stream = random_graph(rng, 40, 100)
-        degree_sum = sum(len(r.neighbors) for r in stream)
+        degree_sum = sum(len(r.ids) for r in stream)
         assert degree_sum == 2 * stream.header.m
 
     def test_metrics_invariant_under_block_relabeling(self):

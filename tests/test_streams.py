@@ -21,9 +21,9 @@ def test_plain_metis_file(tmp_path):
     assert stream.header.n == 3 and stream.header.m == 2
     records = list(stream)
     assert [r.id for r in records] == [0, 1, 2]
-    assert records[0].neighbors == [(1, 1)]
-    assert records[1].neighbors == [(0, 1), (2, 1)]
-    assert records[2].neighbors == [(1, 1)]
+    assert (records[0].ids, records[0].weights) == ([1], [1])
+    assert (records[1].ids, records[1].weights) == ([0, 2], [1, 1])
+    assert (records[2].ids, records[2].weights) == ([1], [1])
     assert all(r.weight == 1 for r in records)
 
 
@@ -32,20 +32,20 @@ def test_metis_weight_flags(tmp_path):
     path = write(tmp_path, "g.graph", "2 1 11\n5 2 7\n3 1 7\n")
     records = list(open_graph_stream(path))
     assert records[0].weight == 5 and records[1].weight == 3
-    assert records[0].neighbors == [(1, 7)]
-    assert records[1].neighbors == [(0, 7)]
+    assert (records[0].ids, records[0].weights) == ([1], [7])
+    assert (records[1].ids, records[1].weights) == ([0], [7])
 
     # fmt=1: edge weights only
     path = write(tmp_path, "g2.graph", "2 1 1\n2 4\n1 4\n")
     records = list(open_graph_stream(path))
     assert records[0].weight == 1
-    assert records[0].neighbors == [(1, 4)]
+    assert (records[0].ids, records[0].weights) == ([1], [4])
 
     # fmt=10: node weights only
     path = write(tmp_path, "g3.graph", "2 1 10\n9 2\n4 1\n")
     records = list(open_graph_stream(path))
     assert records[0].weight == 9
-    assert records[0].neighbors == [(1, 1)]
+    assert (records[0].ids, records[0].weights) == ([1], [1])
 
 
 def test_comment_lines_skipped(tmp_path):
@@ -83,9 +83,9 @@ def test_node_major_hypergraph(tmp_path):
     stream = open_hypergraph_node_stream(path)
     assert (stream.header.n, stream.header.m, stream.header.pins) == (3, 2, 4)
     records = list(stream)
-    assert records[0].incident_nets == [(0, 1)]
-    assert records[1].incident_nets == [(0, 1), (1, 1)]
-    assert records[2].incident_nets == [(1, 1)]
+    assert (records[0].ids, records[0].weights) == ([0], [1])
+    assert (records[1].ids, records[1].weights) == ([0, 1], [1, 1])
+    assert (records[2].ids, records[2].weights) == ([1], [1])
 
 
 def test_isolated_hypergraph_node(tmp_path):
@@ -93,14 +93,14 @@ def test_isolated_hypergraph_node(tmp_path):
     path = write(tmp_path, "h.hgr", "3 1 2\n1\n\n1\n")
     records = list(open_hypergraph_node_stream(path))
     assert len(records) == 3
-    assert records[1].incident_nets == []
-    assert records[0].incident_nets == [(0, 1)]
+    assert (records[1].ids, records[1].weights) == ([], [])
+    assert (records[0].ids, records[0].weights) == ([0], [1])
 
 
 def test_isolated_graph_node(tmp_path):
     path = write(tmp_path, "g.graph", "3 1\n2\n1\n\n")
     records = list(open_graph_stream(path))
-    assert records[2].neighbors == []
+    assert (records[2].ids, records[2].weights) == ([], [])
 
 
 def test_net_id_out_of_range(tmp_path):
@@ -177,6 +177,18 @@ MALFORMED = [
                  id="hyper-non-int-header"),
     pytest.param("graph", "2 1 10 x\n1 2\n1 1\n", "malformed graph header",
                  id="graph-non-int-ncon"),
+    pytest.param("graph", "4 4 2\n2 4\n1 3\n2 4\n1 3\n",
+                 "fmt digits must be 0 or 1", id="graph-fmt-2"),
+    pytest.param("graph", "2 1 20\n5 2\n3 1\n",
+                 "fmt digits must be 0 or 1", id="graph-fmt-20"),
+    pytest.param("graph", "2 1 12\n5 2 1\n3 1 1\n",
+                 "fmt digits must be 0 or 1", id="graph-fmt-12"),
+    pytest.param("hyper", "2 1 2 2\n1\n1\n",
+                 "fmt digits must be 0 or 1", id="hyper-fmt-2"),
+    pytest.param("hyper", "2 1 2 20\n5 1\n3 1\n",
+                 "fmt digits must be 0 or 1", id="hyper-fmt-20"),
+    pytest.param("hyper", "2 1 2 12\n5 1 1\n3 1 1\n",
+                 "fmt digits must be 0 or 1", id="hyper-fmt-12"),
 ]
 
 
@@ -195,14 +207,14 @@ def test_transpose_round_trips_pin_multiset(tmp_path):
     out = str(tmp_path / "nodes.hgr")
     header = transpose_hmetis(hmetis, out)
     assert (header.n, header.m) == (6, 4)
-    assert header.has_net_weights
+    assert header.has_item_weights
 
     # pin multiset before: net -> sorted pins
     source_pins = {0: [1, 3, 4], 1: [2, 5], 2: [4, 6], 3: [1, 2, 3, 6]}
     back = {}
     weights = {}
     for record in open_hypergraph_node_stream(out):
-        for e, w in record.incident_nets:
+        for e, w in zip(record.ids, record.weights):
             back.setdefault(e, []).append(record.id + 1)
             weights[e] = w
     assert back == source_pins
@@ -220,9 +232,35 @@ def test_transpose_isolated_node(tmp_path):
     header = transpose_hmetis(hmetis, out)
     records = list(open_hypergraph_node_stream(out))
     assert len(records) == 3
-    assert records[2].incident_nets == []
+    assert (records[2].ids, records[2].weights) == ([], [])
     assert [r.weight for r in records] == [5, 5, 5]
     assert header.pins == 2
+
+
+# hMetis inputs transpose must reject: each would write a node-major file
+# that the reader rejects or that carries a weight below 1.
+BAD_HMETIS = [
+    pytest.param("2 3\n1 2 2\n2 3\n", "net 0: pin 2 listed twice",
+                 id="duplicate-pin"),
+    pytest.param("2 3 1\n0 1 2\n1 2 3\n", "net 0: net weight must be >= 1",
+                 id="net-weight-0"),
+    pytest.param("2 3 10\n1 2\n2 3\n4\n0\n1\n",
+                 "node 1: node weight must be >= 1", id="node-weight-0"),
+    pytest.param("2 3\n1 x\n2 3\n", "malformed net 0", id="non-int-pin"),
+    pytest.param("2 3 1\n1 2\n2.5 2 3\n", "malformed net 1",
+                 id="non-int-net-weight"),
+    pytest.param("1 3 10\n1 2\n4\nw\n1\n", "malformed node 1 weight",
+                 id="non-int-node-weight"),
+    pytest.param("2 x\n1 2\n2 3\n", "malformed hMetis header",
+                 id="non-int-header"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_HMETIS)
+def test_transpose_rejects_what_the_reader_rejects(tmp_path, text, message):
+    hmetis = write(tmp_path, "nets.hgr", text)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        transpose_hmetis(hmetis, str(tmp_path / "nodes.hgr"))
 
 
 def test_partition_io(tmp_path):
@@ -250,4 +288,4 @@ def test_write_graph_round_trip(tmp_path):
     stream = open_graph_stream(path)
     assert stream.header.m == 3
     records = list(stream)
-    assert records[0].neighbors == [(1, 2), (3, 1)]
+    assert (records[0].ids, records[0].weights) == ([1, 3], [2, 1])
