@@ -7,33 +7,35 @@ that are already cut).  Instead of scanning all k blocks, the argmax is split
 into the blocks connected to v (solved explicitly in O(|I(v)|)) and the rest
 (solved by a min-weight query, O(1) with unit weights and O(log k) amortized
 with weighted nodes), so per-node work never depends on k.
+
+:func:`freight_assign` is the whole per-node kernel: it reads the net
+tracker's two flat arrays directly, sums the gains in one dict (two with
+weighted nets, where gain and net count differ) and updates each incident
+net's status inline, with no function call per pin.  ``tests/reference.py``
+keeps the per-pin method and the full O(k) scan as its oracle.
 """
 
 from __future__ import annotations
 
-from .onepass import FennelParams, fennel_gain
+from .onepass import FennelParams
 from .partition import PartitionState
 
 UNTOUCHED, SINGLE_BLOCK, CUT = 0, 1, 2
 
 
 class NetTracker:
-    """Per-net cut status and the block of the most recently streamed pin."""
+    """Per-net cut status and the block of the most recently streamed pin.
+
+    ``status[e]`` is UNTOUCHED, SINGLE_BLOCK or CUT; ``last_block[e]`` is -1
+    until a pin of ``e`` is placed.  :func:`freight_assign` reads and
+    updates both in place.
+    """
+
+    __slots__ = ("status", "last_block")
 
     def __init__(self, num_nets: int):
         self.status = bytearray(num_nets)
         self.last_block = [-1] * num_nets
-
-    def observe(self, net: int, block: int) -> None:
-        s = self.status[net]
-        if s == UNTOUCHED:
-            self.status[net] = SINGLE_BLOCK
-        elif s == SINGLE_BLOCK and self.last_block[net] != block:
-            self.status[net] = CUT
-        self.last_block[net] = block
-
-    def is_cut(self, net: int) -> bool:
-        return self.status[net] == CUT
 
 
 class _Bucket:
@@ -85,23 +87,9 @@ class SortedBlocks:
         return self.bucket_of[block].cardinality
 
 
-def _net_gains(record, tracker: NetTracker, cutnet: bool):
-    """Per-block weighted gain and contributing-net count from the tracker."""
-    gains: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for e, w in zip(record.ids, record.weights):
-        s = tracker.status[e]
-        if s == UNTOUCHED or (cutnet and s == CUT):
-            continue
-        d = tracker.last_block[e]
-        gains[d] = gains.get(d, 0.0) + w
-        counts[d] = counts.get(d, 0) + 1
-    return gains, counts
-
-
 def freight_assign(record, state: PartitionState, tracker: NetTracker,
                    blocks, cutnet: bool, params: FennelParams,
-                   unit: bool = True) -> int:
+                   unit: bool = True, unit_nets: bool = False) -> int:
     """Assign one node via the S1/S2 decomposition, then update all state.
 
     Only the connected blocks (S1) and ``blocks.min_block()`` are scored:
@@ -109,39 +97,64 @@ def freight_assign(record, state: PartitionState, tracker: NetTracker,
     block matches or beats it.  A connected block has count >= 1, so the min
     block wins over it only with a strictly higher score.  ``cutnet`` drops
     the nets that are already cut.  ``unit`` says ``blocks`` is a
-    :class:`SortedBlocks` that must be told of the choice.
+    :class:`SortedBlocks` that must be told of the choice.  ``unit_nets``
+    says every net weighs 1, so a block's gain is its contributing-net count
+    and one dict holds both.
     """
-    gains, counts = _net_gains(record, tracker, cutnet)
+    status = tracker.status
+    last_block = tracker.last_block
+    ids = record.ids
+    counts: dict[int, int] = {}
+    if unit_nets:
+        gains = counts
+        for e in ids:
+            s = status[e]
+            if s == UNTOUCHED or (cutnet and s == CUT):
+                continue
+            d = last_block[e]
+            counts[d] = counts.get(d, 0) + 1
+    else:
+        gains = {}
+        for e, w in zip(ids, record.weights):
+            s = status[e]
+            if s == UNTOUCHED or (cutnet and s == CUT):
+                continue
+            d = last_block[e]
+            gains[d] = gains.get(d, 0.0) + w
+            counts[d] = counts.get(d, 0) + 1
     lightest = blocks.min_block()
-    if lightest not in gains:
-        gains[lightest] = 0.0
-        counts[lightest] = 0
+    if lightest not in counts:
+        gains[lightest] = counts[lightest] = 0
     weight = record.weight
     block_weight = state.block_weight
+    room = state.l_max - weight
+    # fennel_gain's penalty alpha*gamma*c(V_i)^(gamma-1), same float.
+    ag = params.alpha * params.gamma
+    g1 = params.gamma - 1.0
     best = None
     best_key = None
     for i, g in gains.items():
         bw = block_weight[i]
-        if bw + weight > state.l_max:
+        if bw > room:
             continue
-        key = (fennel_gain(g, weight, bw, params), counts[i], -bw, -i)
+        key = (g - weight * (ag * bw ** g1), counts[i], -bw, -i)
         if best_key is None or key > best_key:
             best, best_key = i, key
     if best is None:
         # The min block is full, so every block is: place it there, flagged.
         state.violations += 1
         best = lightest
-    _commit(record, best, state, tracker, blocks, unit)
-    return best
-
-
-def _commit(record, block: int, state: PartitionState, tracker: NetTracker,
-            blocks, unit: bool) -> None:
-    state.assign(record.id, block, record.weight)
+    state.assign(record.id, best, weight)
     if unit:
-        blocks.increment(block)
-    for e in record.ids:
-        tracker.observe(e, block)
+        blocks.increment(best)
+    for e in ids:
+        s = status[e]
+        if s == UNTOUCHED:
+            status[e] = SINGLE_BLOCK
+        elif s == SINGLE_BLOCK and last_block[e] != best:
+            status[e] = CUT
+        last_block[e] = best
+    return best
 
 
 def run_freight(stream, state: PartitionState, params: FennelParams,
@@ -155,11 +168,14 @@ def run_freight(stream, state: PartitionState, params: FennelParams,
     if objective not in ("connectivity", "cutnet"):
         raise ValueError(f"unknown objective {objective!r}")
     cutnet = objective == "cutnet"
-    unit = not stream.header.has_node_weights
-    tracker = NetTracker(stream.header.m)
+    header = stream.header
+    unit = not header.has_node_weights
+    unit_nets = not header.has_item_weights
+    tracker = NetTracker(header.m)
     # Weighted nodes: the state's weight heap, kept current by state.assign.
     # Unit weights keep SortedBlocks, whose min_block tie order differs.
     blocks = SortedBlocks(state.k) if unit else state.by_weight()
     for record in stream:
-        freight_assign(record, state, tracker, blocks, cutnet, params, unit)
+        freight_assign(record, state, tracker, blocks, cutnet, params, unit,
+                       unit_nets)
     return state

@@ -57,25 +57,31 @@ def _halve(doubled: int) -> int:
     return doubled // 2
 
 
-def cut_net_and_connectivity(hyper_stream: Iterable,
+def cut_net_and_connectivity(hyper_stream,
                              assignment: Sequence[int]) -> tuple[int, int]:
-    """(cut-net, lambda-1 connectivity) computed from exact per-net block sets."""
-    blocks_of_net: dict[int, set[int]] = {}
-    net_weight: dict[int, int] = {}
+    """(cut-net, lambda-1 connectivity) from exact per-net block sets.
+
+    The block set of net e is the bitmask ``mask[e]`` (bit i for block i),
+    so the pass keeps two flat lists of ``header.m`` ints: a net is cut when
+    its mask has two bits set, and its lambda is the mask's bit count.
+    """
+    m = hyper_stream.header.m
+    mask = [0] * m
+    net_weight = [0] * m
     for record in hyper_stream:
         block = assignment[record.id]
         if block == UNASSIGNED:
             raise ValueError(f"node {record.id} unassigned")
+        bit = 1 << block
         for e, w in zip(record.ids, record.weights):
-            blocks_of_net.setdefault(e, set()).add(block)
+            mask[e] |= bit
             net_weight[e] = w
     cut = 0
     connectivity = 0
-    for e, blocks in blocks_of_net.items():
-        lam = len(blocks)
-        if lam >= 2:
-            cut += net_weight[e]
-            connectivity += (lam - 1) * net_weight[e]
+    for bits, w in zip(mask, net_weight):
+        if bits & (bits - 1):
+            cut += w
+            connectivity += (bits.bit_count() - 1) * w
     return cut, connectivity
 
 

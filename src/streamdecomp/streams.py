@@ -150,11 +150,19 @@ class NodeStream:
                     parts, node, node_weights, item_weights, bound, graph)
                 listed += len(ids)
                 yield StreamedNodeRecord(node, weight, ids, weights)
+            _expect_end(lines, f"{self.path}: more lines than the "
+                               f"{header.n} node lines the header declares")
         if listed != header.pins:
             what = "edge" if graph else "pin"
             raise FormatError(
                 f"{self.path}: {what}-count mismatch, the header gives "
                 f"{header.pins} entries but the node lines list {listed}")
+
+
+def _expect_end(lines: Iterator[list[str]], message: str) -> None:
+    """Raise ``message`` unless only blank or comment lines are left."""
+    if _nonempty(lines) is not None:
+        raise FormatError(message)
 
 
 def _parse_line(parts: Sequence[str], node: int, node_weights: bool,
@@ -167,27 +175,41 @@ def _parse_line(parts: Sequence[str], node: int, node_weights: bool,
     :func:`_line_fault`, which names its first bad id.
     """
     weight = 1
-    if node_weights:
-        if not parts:
-            raise FormatError(f"node {node}: missing node weight")
-        weight = int(parts[0])
-        if weight < 1:
-            raise FormatError(f"node {node}: node weight must be >= 1")
-        parts = parts[1:]
-    if item_weights:
-        if len(parts) % 2:
-            raise FormatError(
-                f"node {node}: dangling {'edge' if graph else 'net'} weight")
-        weights = list(map(int, parts[1::2]))
-        ids = [int(t) - 1 for t in parts[::2]]
-    else:
-        ids = [int(t) - 1 for t in parts]
-        weights = [1] * len(ids)
+    try:
+        if node_weights:
+            if not parts:
+                raise FormatError(f"node {node}: missing node weight")
+            weight = int(parts[0])
+            if weight < 1:
+                raise FormatError(f"node {node}: node weight must be >= 1")
+            parts = parts[1:]
+        if item_weights:
+            if len(parts) % 2:
+                raise FormatError(f"node {node}: dangling "
+                                  f"{'edge' if graph else 'net'} weight")
+            weights = list(map(int, parts[1::2]))
+            ids = [int(t) - 1 for t in parts[::2]]
+        else:
+            ids = [int(t) - 1 for t in parts]
+            weights = [1] * len(ids)
+    except FormatError:
+        raise
+    except ValueError:
+        bad = next(t for t in parts if not _is_int(t))
+        raise FormatError(f"node {node}: {bad!r} is not an integer") from None
     if ids and (min(ids) < 0 or max(ids) >= bound
                 or (node in ids if graph else len(set(ids)) < len(ids))
                 or (item_weights and min(weights) < 1)):
         _line_fault(node, ids, weights, bound, graph)
     return weight, ids, weights
+
+
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _line_fault(node: int, ids: list[int], weights: list[int], bound: int,
@@ -235,7 +257,11 @@ def total_node_weight(path: str) -> int:
         for node, parts in zip(range(int(head[0])), lines):
             if not parts:
                 raise FormatError(f"node {node}: missing node weight")
-            total += int(parts[0])
+            try:
+                total += int(parts[0])
+            except ValueError:
+                raise FormatError(f"node {node}: {parts[0]!r} is not an "
+                                  f"integer") from None
     return total
 
 
@@ -244,8 +270,10 @@ def transpose_hmetis(src: str, dst: str) -> StreamHeader:
 
     This is an offline, in-memory step: the streaming passes themselves stay
     single-pass.  It rejects what the node-major reader would: a token that
-    is not an integer, a pin out of range or listed twice in one net, and a
-    net or node weight below 1.  Returns the header of the written file.
+    is not an integer, a pin out of range or listed twice in one net, a net
+    or node weight below 1, and a line past the ones the header declares.
+    It also rejects a net with no pins.  Returns the header of the written
+    file.
     """
     with open(src) as fh:
         lines = _tokens(fh)
@@ -272,6 +300,8 @@ def transpose_hmetis(src: str, dst: str) -> StreamHeader:
                 w = net_pins.pop(0)
                 if w < 1:
                     raise FormatError(f"net {e}: net weight must be >= 1")
+            if not net_pins:
+                raise FormatError(f"net {e}: no pins")
             for v in net_pins:
                 if not 1 <= v <= n:
                     raise FormatError(f"net {e}: pin out of range "
@@ -291,6 +321,9 @@ def transpose_hmetis(src: str, dst: str) -> StreamHeader:
                 node_weights[v] = _ints(parts[:1], f"node {v} weight")[0]
                 if node_weights[v] < 1:
                     raise FormatError(f"node {v}: node weight must be >= 1")
+        _expect_end(lines, f"{src}: more lines than the {m} net lines"
+                           + (f" and {n} node weight lines" if node_w else "")
+                           + " the header declares")
 
     pins = sum(map(len, ids))
     _write_node_lines(dst, [n, m, pins], node_weights if node_w else None,

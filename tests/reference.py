@@ -1,7 +1,8 @@
 """Reference implementations used as oracles by the tests.
 
 These deliberately avoid the production fast paths: the FREIGHT reference
-and the Fennel and LDG scans score every block per node, the Fennel twin
+and the Fennel and LDG scans score every block per node (FREIGHT's with
+two gain dicts and one tracker method call per pin), the Fennel twin
 reads neighbor assignments straight off the graph, the OMS scan descent
 scores every child of every tree block with capacities and penalty scales
 recomputed per child, the multi-pass multi-section reference restreams once
@@ -22,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from streamdecomp.freight import NetTracker, SortedBlocks, _commit, _net_gains
+from streamdecomp import freight
+from streamdecomp.freight import CUT, SINGLE_BLOCK, UNTOUCHED, SortedBlocks
 from streamdecomp.heistream import BatchModel
 from streamdecomp.multisection import heterogeneous_alpha
 from streamdecomp.onepass import FennelParams, fennel_gain
@@ -118,13 +120,52 @@ def select_block(gains: dict[int, float], counts: dict[int, int],
     return best
 
 
+class NetTracker(freight.NetTracker):
+    """The production tracker plus the per-pin transition that
+    ``freight_assign`` inlines, as a method."""
+
+    def observe(self, net: int, block: int) -> None:
+        s = self.status[net]
+        if s == UNTOUCHED:
+            self.status[net] = SINGLE_BLOCK
+        elif s == SINGLE_BLOCK and self.last_block[net] != block:
+            self.status[net] = CUT
+        self.last_block[net] = block
+
+    def is_cut(self, net: int) -> bool:
+        return self.status[net] == CUT
+
+
+def net_gains(record, tracker: NetTracker, cutnet: bool):
+    """Per-block weighted gain and contributing-net count from the tracker."""
+    gains: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    for e, w in zip(record.ids, record.weights):
+        s = tracker.status[e]
+        if s == UNTOUCHED or (cutnet and s == CUT):
+            continue
+        d = tracker.last_block[e]
+        gains[d] = gains.get(d, 0.0) + w
+        counts[d] = counts.get(d, 0) + 1
+    return gains, counts
+
+
+def commit(record, block: int, state: PartitionState, tracker: NetTracker,
+           blocks, unit: bool) -> None:
+    state.assign(record.id, block, record.weight)
+    if unit:
+        blocks.increment(block)
+    for e in record.ids:
+        tracker.observe(e, block)
+
+
 def naive_freight_assign(record, state: PartitionState, tracker: NetTracker,
                          blocks, cutnet: bool, params: FennelParams,
                          unit: bool = True) -> int:
     """FREIGHT by a full scan: the oracle of ``freight_assign``."""
-    gains, counts = _net_gains(record, tracker, cutnet)
+    gains, counts = net_gains(record, tracker, cutnet)
     best = select_block(gains, counts, record.weight, state, params, blocks)
-    _commit(record, best, state, tracker, blocks, unit)
+    commit(record, best, state, tracker, blocks, unit)
     return best
 
 

@@ -225,6 +225,23 @@ class TestCliErrors:
         bad.write_text("3 5\n2\n1 3\n2\n")   # edge count mismatch
         assert main(["partition", "--input", str(bad), "--k", "2"]) == 2
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("partition", "3 2\n2\n1 3\n2\n4\n", "more lines than the 3"),
+        ("partition", "2 1\n2\nx\n", "node 1: 'x' is not an integer"),
+        ("partition", "2 1 11\nw 2 1\n1 1 1\n",
+         "node 0: 'w' is not an integer"),
+        ("transpose", "1 3\n1 2\n2 3\n", "more lines than the 1 net"),
+        ("transpose", "2 3 1\n5\n1 2 3\n", "net 0: no pins"),
+    ])
+    def test_malformed_line_is_exit_2(self, tmp_path, capsys, command, text,
+                                      message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        args = ["--k", "2"] if command == "partition" else \
+            ["--output", str(tmp_path / "out.hgr")]
+        assert main([command, "--input", str(bad), *args]) == 2
+        assert message in capsys.readouterr().err
+
     def test_asymmetric_adjacency_is_exit_2(self, tmp_path, capsys):
         # node 1 lists node 2 but node 2 lists node 3: the degree sum still
         # matches m, and the verification pass finds an odd doubled cut

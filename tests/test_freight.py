@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from streamdecomp.freight import (CUT, SINGLE_BLOCK, UNTOUCHED, NetTracker,
-                                  SortedBlocks, freight_assign, run_freight)
+from streamdecomp import freight as freight_module
+from streamdecomp.freight import (CUT, SINGLE_BLOCK, UNTOUCHED, SortedBlocks,
+                                  freight_assign, run_freight)
 from streamdecomp.metrics import cut_net_and_connectivity
 from streamdecomp.onepass import FennelParams
 from streamdecomp.partition import PartitionState
@@ -12,8 +13,8 @@ from streamdecomp.streams import StreamedNodeRecord
 
 from generators import (graph_as_hypergraph, hypergraph_stream_from_nets,
                         random_graph, random_hypergraph, run_setup)
-from reference import (check_consistency, run_fennel_twin,
-                       run_freight_reference)
+from reference import (NetTracker, check_consistency, naive_freight_assign,
+                       run_fennel_twin, run_freight_reference)
 
 
 def freight(stream, k, objective="connectivity", **setup):
@@ -131,6 +132,45 @@ class TestOracleEquivalence:
             assert fast.assignment == slow.assignment, \
                 f"diverged on trial {trial}"
             assert fast.block_weight == slow.block_weight
+
+    @pytest.mark.parametrize("objective", ["connectivity", "cutnet"])
+    @pytest.mark.parametrize("max_net_weight", [1, 6])
+    @pytest.mark.parametrize("max_node_weight", [1, 20])
+    def test_step_by_step_matches_naive_scan(self, objective, max_net_weight,
+                                             max_node_weight):
+        # Node by node: the same block, block weights, violations and net
+        # tracker as the full scan with the per-pin tracker method call.
+        # epsilon=0 with weighted nodes runs the violation fallback.
+        rng = random.Random(7000 + 10 * max_net_weight + max_node_weight)
+        cutnet = objective == "cutnet"
+        unit = max_node_weight == 1
+        violations = 0
+        for k in (2, 7, 64, 300):
+            for epsilon in (0.0, 0.03):
+                stream = random_hypergraph(
+                    rng, rng.randint(k, k + 200), rng.randint(20, 200),
+                    max_pins=7, max_net_weight=max_net_weight,
+                    max_node_weight=max_node_weight)
+                unit_nets = not stream.header.has_item_weights
+                sides = []
+                for tracker in (freight_module.NetTracker(stream.header.m),
+                                NetTracker(stream.header.m)):
+                    state, params = run_setup(stream, k, epsilon=epsilon)
+                    blocks = SortedBlocks(k) if unit else state.by_weight()
+                    sides.append((state, tracker, blocks))
+                (fast, fast_t, fast_b), (slow, slow_t, slow_b) = sides
+                for record in stream:
+                    chosen = freight_assign(record, fast, fast_t, fast_b,
+                                            cutnet, params, unit, unit_nets)
+                    expected = naive_freight_assign(
+                        record, slow, slow_t, slow_b, cutnet, params, unit)
+                    assert chosen == expected, f"k={k} node {record.id}"
+                    assert fast_t.status == slow_t.status
+                    assert fast_t.last_block == slow_t.last_block
+                    assert fast.block_weight == slow.block_weight
+                    assert fast.violations == slow.violations
+                violations += fast.violations
+        assert (violations > 0) == (not unit)
 
     def test_weighted_nets_still_match(self):
         rng = random.Random(4242)

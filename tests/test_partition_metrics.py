@@ -100,18 +100,25 @@ class TestCutNetConnectivity:
         assert cut_net_and_connectivity(stream, [0, 1, 2]) == (1, 2)
 
     def test_random_matches_set_oracle(self):
+        # k > 64: block masks past one machine word
         rng = random.Random(13)
-        stream = random_hypergraph(rng, 40, 60, max_pins=6, max_net_weight=4)
-        blocks = [rng.randrange(5) for _ in range(40)]
-        nets: dict[int, set] = {}
-        weights: dict[int, int] = {}
-        for record in stream:
-            for e, w in zip(record.ids, record.weights):
-                nets.setdefault(e, set()).add(blocks[record.id])
-                weights[e] = w
-        exp_cut = sum(weights[e] for e, s in nets.items() if len(s) >= 2)
-        exp_conn = sum((len(s) - 1) * weights[e] for e, s in nets.items())
-        assert cut_net_and_connectivity(stream, blocks) == (exp_cut, exp_conn)
+        for k in (5, 64, 65, 300):
+            for max_net_weight in (1, 4):
+                stream = random_hypergraph(rng, 40, 60, max_pins=6,
+                                           max_net_weight=max_net_weight)
+                blocks = [rng.randrange(k) for _ in range(40)]
+                nets: dict[int, set] = {}
+                weights: dict[int, int] = {}
+                for record in stream:
+                    for e, w in zip(record.ids, record.weights):
+                        nets.setdefault(e, set()).add(blocks[record.id])
+                        weights[e] = w
+                exp_cut = sum(weights[e] for e, s in nets.items()
+                              if len(s) >= 2)
+                exp_conn = sum((len(s) - 1) * weights[e]
+                               for e, s in nets.items())
+                assert cut_net_and_connectivity(stream, blocks) == \
+                    (exp_cut, exp_conn)
 
     def test_connectivity_at_least_cutnet_unit_weights(self):
         rng = random.Random(3)

@@ -53,6 +53,15 @@ def test_comment_lines_skipped(tmp_path):
     assert len(list(open_graph_stream(path))) == 3
 
 
+def test_trailing_blank_and_comment_lines_accepted(tmp_path):
+    graph = write(tmp_path, "g.graph", "3 2\n2\n1 3\n2\n\n% end\n\n")
+    assert len(list(open_graph_stream(graph))) == 3
+    hyper = write(tmp_path, "h.hgr", "2 1 2\n1\n1\n% end\n\n")
+    assert len(list(open_hypergraph_node_stream(hyper))) == 2
+    hmetis = write(tmp_path, "nets.hgr", "1 3 10\n1 2\n5\n5\n5\n\n% end\n")
+    assert transpose_hmetis(hmetis, str(tmp_path / "nodes.hgr")).n == 3
+
+
 def test_neighbor_out_of_range(tmp_path):
     path = write(tmp_path, "g.graph", "3 2\n2\n1 9\n2\n")
     with pytest.raises(FormatError, match="neighbor out of range"):
@@ -189,6 +198,18 @@ MALFORMED = [
                  "fmt digits must be 0 or 1", id="hyper-fmt-20"),
     pytest.param("hyper", "2 1 2 12\n5 1 1\n3 1 1\n",
                  "fmt digits must be 0 or 1", id="hyper-fmt-12"),
+    pytest.param("graph", "3 2\n2\n1 3\n2\n4\n",
+                 "more lines than the 3 node lines", id="graph-trailing-line"),
+    pytest.param("hyper", "2 1 2\n1\n1\n\n1\n",
+                 "more lines than the 2 node lines", id="hyper-trailing-line"),
+    pytest.param("graph", "2 1\n2\nx\n", "node 1: 'x' is not an integer",
+                 id="graph-non-int-id"),
+    pytest.param("hyper", "2 1 2\n1\n1 y\n", "node 1: 'y' is not an integer",
+                 id="hyper-non-int-id"),
+    pytest.param("graph", "2 1 11\nw 2 1\n1 1 1\n",
+                 "node 0: 'w' is not an integer", id="graph-non-int-node-weight"),
+    pytest.param("hyper", "2 1 2 1\n1 1\n1 1.5\n",
+                 "node 1: '1.5' is not an integer", id="hyper-non-int-net-weight"),
 ]
 
 
@@ -253,6 +274,13 @@ BAD_HMETIS = [
                  id="non-int-node-weight"),
     pytest.param("2 x\n1 2\n2 3\n", "malformed hMetis header",
                  id="non-int-header"),
+    pytest.param("1 3\n1 2\n2 3\n", "more lines than the 1 net lines",
+                 id="trailing-net-line"),
+    pytest.param("1 3 10\n1 2\n5\n5\n5\n7\n",
+                 "more lines than the 1 net lines and 3 node weight lines",
+                 id="trailing-weight-line"),
+    pytest.param("2 3 1\n5\n1 2 3\n", "net 0: no pins",
+                 id="net-without-pins"),
 ]
 
 
