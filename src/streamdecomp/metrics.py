@@ -73,9 +73,13 @@ def cut_net_and_connectivity(hyper_stream,
         if block == UNASSIGNED:
             raise ValueError(f"node {record.id} unassigned")
         bit = 1 << block
-        for e, w in zip(record.ids, record.weights):
-            mask[e] |= bit
-            net_weight[e] = w
+        try:
+            for e, w in zip(record.ids, record.weights):
+                mask[e] |= bit
+                net_weight[e] = w
+        except IndexError:
+            raise ValueError(f"node {record.id}: a net id is not below "
+                             f"m={m}") from None
     cut = 0
     connectivity = 0
     for bits, w in zip(mask, net_weight):

@@ -152,6 +152,10 @@ class TestOracleEquivalence:
                     max_pins=7, max_net_weight=max_net_weight,
                     max_node_weight=max_node_weight)
                 unit_nets = not stream.header.has_item_weights
+                # unit_nets=True never reads record.weights: it is only
+                # passed where every net weighs 1.
+                assert not unit_nets or all(
+                    w == 1 for r in stream for w in r.weights)
                 sides = []
                 for tracker in (freight_module.NetTracker(stream.header.m),
                                 NetTracker(stream.header.m)):

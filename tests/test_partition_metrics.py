@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -119,6 +120,12 @@ class TestCutNetConnectivity:
                                for e, s in nets.items())
                 assert cut_net_and_connectivity(stream, blocks) == \
                     (exp_cut, exp_conn)
+
+    def test_net_id_past_header_m_is_named(self):
+        stream = hypergraph_stream_from_nets(2, [([0, 1], 1)])
+        stream.header = dataclasses.replace(stream.header, m=0)
+        with pytest.raises(ValueError, match="node 0: a net id"):
+            cut_net_and_connectivity(stream, [0, 1])
 
     def test_connectivity_at_least_cutnet_unit_weights(self):
         rng = random.Random(3)
