@@ -14,12 +14,14 @@ The seed falls back to the STREAMDECOMP_SEED environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import json
 import os
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -124,44 +126,52 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser: building it takes about a millisecond, a
+    few percent of a small run, and parsing leaves no state in it."""
+    return build_parser()
+
+
 def _hierarchy(spec) -> HierarchySpec:
     return HierarchySpec.parse(spec.hierarchy, spec.distances)
 
 
-# Run functions: (spec, stream, stream factory, state, params, hierarchy)
-# -> the state, filled in.  Each names its run_* as a module global, looked
-# up when it is called.
+# Run functions: (spec, stream, state, params, hierarchy) -> the state,
+# filled in.  The stream is re-iterable; restreaming runs iterate it once
+# per pass.  Each names its run_* as a module global, looked up when it is
+# called.
 
-def _onepass(spec, stream, factory, state, params, hierarchy):
+def _onepass(spec, stream, state, params, hierarchy):
     config = OnePassConfig(algorithm=spec.algorithm, passes=spec.passes,
                            restream_alpha_growth=spec.alpha_growth)
     if spec.passes > 1 and spec.algorithm != "hashing":
-        return run_restream(factory, config, state, params)
+        return run_restream(stream, config, state, params)
     return run_onepass(stream, config, state, params)
 
 
-def _heistream(spec, stream, factory, state, params, hierarchy):
+def _heistream(spec, stream, state, params, hierarchy):
     config = HeiStreamConfig(
         delta=spec.delta, model=spec.model,
         coarsen_rounds=spec.coarsen_rounds,
         localsearch_rounds=spec.localsearch_rounds, x=spec.x,
         passes=spec.passes, seed=spec.seed)
-    return run_heistream(factory, config, state, params)
+    return run_heistream(stream, config, state, params)
 
 
-def _oms(spec, stream, factory, state, params, hierarchy):
+def _oms(spec, stream, state, params, hierarchy):
     config = OmsConfig(scorer="fennel", base=spec.base,
                        hash_bottom_layers=spec.hash_bottom_layers)
     return run_oms(stream, config, state, params)
 
 
-def _map(spec, stream, factory, state, params, hierarchy):
+def _map(spec, stream, state, params, hierarchy):
     config = OmsConfig(scorer=spec.algorithm,
                        hash_bottom_layers=spec.hash_bottom_layers)
     return run_oms(stream, config, state, params, hierarchy)
 
 
-def _freight(spec, stream, factory, state, params, hierarchy):
+def _freight(spec, stream, state, params, hierarchy):
     return run_freight(stream, state, params,
                        "connectivity" if spec.objective == "con" else "cutnet")
 
@@ -208,11 +218,12 @@ def execute(spec) -> dict:
     """One partition, hpartition or map run, from input file to report.
 
     The one place that sets up a run: it resolves k (``--k``, or the
-    hierarchy's for ``map``), opens the stream (or preloads it with
-    ``time_core``), takes c(V) and builds the run's PartitionState and
+    hierarchy's for ``map``), opens the run's one stream (or preloads it
+    with ``time_core``), takes c(V) and builds the run's PartitionState and
     FennelParams.  It then runs and times the algorithm, writes the
-    partition, verifies the objective in a separate pass and warns about
-    capacity violations.
+    partition, verifies the objective in a separate pass over the same
+    stream (which replays the spool the first pass wrote) and warns about
+    capacity violations.  The stream's spool is deleted on every exit.
     """
     algorithm = _algorithm(spec)
     kind, run = ALGORITHMS[algorithm]
@@ -220,36 +231,35 @@ def execute(spec) -> dict:
     k = hierarchy.k if hierarchy is not None else spec.k
     t0 = time.perf_counter()
     opener = open_graph_stream if kind == "graph" else open_hypergraph_node_stream
-    factory = lambda: opener(spec.input)
-    if spec.time_core:
-        loaded = opener(spec.input)
-        # The records live until the run ends: cyclic GC passes over them
-        # while loading would find nothing to free.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            preloaded = MemoryStream(loaded.header, list(loaded))
-        finally:
-            if collecting:
-                gc.enable()
-        factory = lambda: preloaded
-    stream = factory()
-    header = stream.header
-    total_weight = total_node_weight(spec.input) \
-        if header.has_node_weights else header.n
-    state = PartitionState(header.n, k, spec.epsilon, total_weight)
-    params = FennelParams.for_stream(header.n, header.m, k, spec.gamma,
-                                     spec.alpha)
-    t1 = time.perf_counter()
-    state = run(spec, stream, factory, state, params, hierarchy)
-    t2 = time.perf_counter()
+    # A preload keeps the records in memory, so it never reads a spool.
+    with closing(opener(spec.input, spool=not spec.time_core)) as stream:
+        if spec.time_core:
+            # The records live until the run ends: cyclic GC passes over
+            # them while loading would find nothing to free.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                stream = MemoryStream(stream.header, list(stream))
+            finally:
+                if collecting:
+                    gc.enable()
+        header = stream.header
+        total_weight = total_node_weight(spec.input) \
+            if header.has_node_weights else header.n
+        state = PartitionState(header.n, k, spec.epsilon, total_weight)
+        params = FennelParams.for_stream(header.n, header.m, k, spec.gamma,
+                                         spec.alpha)
+        t1 = time.perf_counter()
+        state = run(spec, stream, state, params, hierarchy)
+        t2 = time.perf_counter()
 
-    if spec.output:
-        write_partition(spec.output, state.assignment)
-    if state.violations:
-        print(f"warning: {state.violations} capacity violations", file=sys.stderr)
-    report = _verify(factory(), state.assignment, state.block_weight,
-                     kind == "hypergraph", hierarchy)
+        if spec.output:
+            write_partition(spec.output, state.assignment)
+        if state.violations:
+            print(f"warning: {state.violations} capacity violations",
+                  file=sys.stderr)
+        report = _verify(stream, state.assignment, state.block_weight,
+                         kind == "hypergraph", hierarchy)
     report.update({
         "runtime_ms": ((t2 - t1) if spec.time_core else (t2 - t0)) * 1000.0,
         "algorithm": algorithm,
@@ -293,14 +303,15 @@ def cmd_metrics(args) -> int:
         k = hierarchy.k
     opener = open_hypergraph_node_stream if args.hypergraph \
         else open_graph_stream
-    stream = opener(args.input)
-    assignment = read_partition(args.partition, stream.header.n, k)
-    if k is None:
-        k = max(assignment) + 1
-    weights = [0] * k
-    for record in stream:
-        weights[assignment[record.id]] += record.weight
-    report = _verify(stream, assignment, weights, args.hypergraph, hierarchy)
+    with closing(opener(args.input)) as stream:
+        assignment = read_partition(args.partition, stream.header.n, k)
+        if k is None:
+            k = max(assignment) + 1
+        weights = [0] * k
+        for record in stream:
+            weights[assignment[record.id]] += record.weight
+        report = _verify(stream, assignment, weights, args.hypergraph,
+                         hierarchy)
     report.update({"runtime_ms": None, "algorithm": "metrics", "k": k,
                    "epsilon": args.epsilon, "seed": None})
     _emit(report, args)
@@ -316,7 +327,7 @@ def cmd_transpose(args) -> int:
 def cmd_bench(args) -> int:
     """Each grid cell is a ``partition --time-core`` run parsed by the
     partition subparser, so the cells share its defaults."""
-    parser = build_parser()
+    parser = _parser()
     ks = [int(t) for t in args.k.split(",")]
     rows = []
     for path, algorithm, k, rep in itertools.product(
@@ -347,7 +358,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if "seed" in args and args.seed is None:
             args.seed = int(os.environ.get("STREAMDECOMP_SEED") or 0)
         return COMMANDS[args.command](args)

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .onepass import FennelParams, fennel_gain
+from .onepass import FennelParams, fennel_gain, require_reiterable
 from .partition import UNASSIGNED, PartitionState
 
 
@@ -472,17 +472,18 @@ def partition_batch(batch: list, state: PartitionState,
                             rng, refine_coarsest)
 
 
-def run_heistream(stream_factory, config: HeiStreamConfig,
+def run_heistream(stream, config: HeiStreamConfig,
                   state: PartitionState, params: FennelParams) -> PartitionState:
     """Buffered streaming partitioning, optionally with restream passes.
 
-    ``stream_factory()`` must return a fresh stream over the same node order
-    for every pass.
+    ``stream`` must be re-iterable, each iteration yielding the same nodes
+    in the same order; a one-shot iterator raises ``TypeError``.
     """
+    require_reiterable(stream)
     rng = random.Random(config.seed)
     for p in range(config.passes):
         restream = p > 0
-        it = iter(stream_factory())
+        it = iter(stream)
         while True:
             batch = load_batch(it, config.delta)
             if batch is None:

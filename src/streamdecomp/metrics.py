@@ -63,20 +63,33 @@ def cut_net_and_connectivity(hyper_stream,
 
     The block set of net e is the bitmask ``mask[e]`` (bit i for block i),
     so the pass keeps two flat lists of ``header.m`` ints: a net is cut when
-    its mask has two bits set, and its lambda is the mask's bit count.
+    its mask has two bits set, and its lambda is the mask's bit count.  With
+    ``header.has_item_weights`` a net must carry the same weight at every
+    pin (``FormatError`` if not); without it every net weighs 1 and
+    ``weights`` is not read, as in FREIGHT.
     """
     m = hyper_stream.header.m
+    weighted = hyper_stream.header.has_item_weights
     mask = [0] * m
-    net_weight = [0] * m
+    net_weight = [0] * m if weighted else [1] * m
     for record in hyper_stream:
         block = assignment[record.id]
         if block == UNASSIGNED:
             raise ValueError(f"node {record.id} unassigned")
         bit = 1 << block
         try:
-            for e, w in zip(record.ids, record.weights):
-                mask[e] |= bit
-                net_weight[e] = w
+            if weighted:
+                for e, w in zip(record.ids, record.weights):
+                    mask[e] |= bit
+                    if net_weight[e] != w:
+                        if net_weight[e]:
+                            raise FormatError(
+                                f"node {record.id}: net {e + 1} weighs {w} "
+                                f"here but {net_weight[e]} at an earlier pin")
+                        net_weight[e] = w
+            else:
+                for e in record.ids:
+                    mask[e] |= bit
         except IndexError:
             raise ValueError(f"node {record.id}: a net id is not below "
                              f"m={m}") from None

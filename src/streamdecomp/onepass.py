@@ -8,6 +8,7 @@ decision reads the state left behind by the previous one.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -171,18 +172,21 @@ def run_onepass(stream, config: OnePassConfig, state: PartitionState,
     return state
 
 
-def run_restream(stream_factory, config: OnePassConfig, state: PartitionState,
+def run_restream(stream, config: OnePassConfig, state: PartitionState,
                  params: FennelParams) -> PartitionState:
     """Multi-pass drivers ReLDG / ReFennel.
 
-    ``stream_factory()`` must return a fresh stream over the same node order
-    for every pass.  ReLDG scores against block weights accumulated in the
-    current pass only; ReFennel subtracts the node's own weight before
-    scoring and multiplies alpha by ``restream_alpha_growth`` each pass.
+    ``stream`` must be re-iterable (a :class:`~streamdecomp.streams.NodeStream`
+    or a ``MemoryStream``), each iteration yielding the same nodes in the
+    same order; a one-shot iterator raises ``TypeError``.  ReLDG scores
+    against block weights accumulated in the current pass only; ReFennel
+    subtracts the node's own weight before scoring and multiplies alpha by
+    ``restream_alpha_growth`` each pass.
     """
     if config.algorithm == "hashing":
         raise ValueError("restreaming hashing is pointless; use passes=1")
-    run_onepass(stream_factory(), config, state, params)
+    require_reiterable(stream)
+    run_onepass(stream, config, state, params)
 
     for p in range(1, config.passes):
         if config.algorithm == "ldg":
@@ -191,7 +195,7 @@ def run_restream(stream_factory, config: OnePassConfig, state: PartitionState,
             current = PartitionState(state.n, state.k, state.epsilon,
                                      state.total_weight)
             current.assignment = state.assignment
-            for record in stream_factory():
+            for record in stream:
                 state.unassign(record.id, record.weight)
                 new = ldg_assign(record, current)
                 # current shares the assignment array and already wrote it
@@ -202,7 +206,14 @@ def run_restream(stream_factory, config: OnePassConfig, state: PartitionState,
             pass_params = FennelParams(
                 gamma=params.gamma,
                 alpha=params.alpha * config.restream_alpha_growth ** p)
-            for record in stream_factory():
+            for record in stream:
                 state.unassign(record.id, record.weight)
                 fennel_assign(record, state, pass_params)
     return state
+
+
+def require_reiterable(stream) -> None:
+    """Reject a one-shot iterator, whose second pass would see no nodes."""
+    if isinstance(stream, Iterator):
+        raise TypeError("restreaming needs a re-iterable stream, not a "
+                        f"one-shot {type(stream).__name__}")

@@ -22,7 +22,12 @@ one writer serve both.  All ids are 1-based on disk and 0-based in memory.
 
 from __future__ import annotations
 
+import os
+import tempfile
+import weakref
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -112,51 +117,192 @@ def _header(parts: Sequence[str], graph: bool) -> StreamHeader:
 
 
 class NodeStream:
-    """Iterator over a node-per-line file: a METIS graph (``graph``) or a
-    node-major hypergraph, one :class:`StreamedNodeRecord` at a time.
+    """Re-iterable stream over a node-per-line file: a METIS graph
+    (``graph``) or a node-major hypergraph, one :class:`StreamedNodeRecord`
+    at a time.
 
     The header is read when the stream is created, so ``n``, ``m`` and the
-    weight flags are available before the first record; the file is opened
-    again for each iteration and closed when it ends.  On exhaustion the
-    number of listed ids is checked against the header's ``pins``.
+    weight flags are available before the first record.  An iteration parses
+    the text and, on exhaustion, checks the number of listed ids against the
+    header's ``pins``.  With ``spool`` (the default) the parse also writes
+    the records to a binary spool, a temporary file of flat ``array('i')``
+    chunks; once a parse reaches the end of the file and passes every check,
+    later iterations replay the spool instead of parsing again.  A parse that
+    fails or is abandoned drops its spool, so the next iteration parses the
+    text.  :meth:`close` (or the stream's collection, or interpreter exit)
+    deletes the spool file.
     """
 
-    def __init__(self, path: str, graph: bool):
+    def __init__(self, path: str, graph: bool, spool: bool = True):
         self.path = path
         self.graph = graph
+        self.spool = spool
         with open(path) as fh:
             head = _nonempty(_tokens(fh))
         if head is None:
             kind = "graph" if graph else "hypergraph"
             raise FormatError(f"{path}: empty {kind} file")
         self.header = _header(head, graph)
+        self._kept: Optional[_Spool] = None   # the spool later passes replay
+        self._spools: list[_Spool] = []       # every spool file not deleted
+
+    def close(self) -> None:
+        """Delete the spool files; a later iteration parses the text again."""
+        for spool in self._spools:
+            spool.remove()
+        self._spools = []
+        self._kept = None
 
     def __iter__(self) -> Iterator[StreamedNodeRecord]:
+        if self._kept is not None:
+            return _replay(self._kept.path, self.header)
+        return self._parse()
+
+    def _new_spool(self) -> Optional[_Spool]:
+        if not self.spool:
+            return None
+        try:
+            spool = _Spool(self)
+        except OSError:   # no temporary file: later passes parse again
+            return None
+        self._spools = [s for s in self._spools if s.remove.alive] + [spool]
+        return spool
+
+    def _parse(self) -> Iterator[StreamedNodeRecord]:
         header, graph = self.header, self.graph
+        n = header.n
         # Neighbors are node ids (bound n), incident nets net ids (bound m).
-        bound = header.n if graph else header.m
+        bound = n if graph else header.m
         node_weights = header.has_node_weights
         item_weights = header.has_item_weights
+        # One spool chunk: degrees, flat ids, then the item weights and the
+        # node weights when fmt has them.
+        chunk = [array("i") for _ in range(4)]
+        add_degree, add_ids = chunk[0].append, chunk[1].extend
+        add_weights, add_node_weight = chunk[2].extend, chunk[3].append
+        spool = self._new_spool()
         listed = 0
-        with open(self.path) as fh:
-            lines = _tokens(fh)
-            _nonempty(lines)
-            for node in range(header.n):
-                parts = next(lines, None)
-                if parts is None:
-                    raise FormatError(f"{self.path}: expected {header.n} "
-                                      f"node lines, got {node}")
-                weight, ids, weights = _parse_line(
-                    parts, node, node_weights, item_weights, bound, graph)
-                listed += len(ids)
-                yield StreamedNodeRecord(node, weight, ids, weights)
-            _expect_end(lines, f"{self.path}: more lines than the "
-                               f"{header.n} node lines the header declares")
-        if listed != header.pins:
-            what = "edge" if graph else "pin"
-            raise FormatError(
-                f"{self.path}: {what}-count mismatch, the header gives "
-                f"{header.pins} entries but the node lines list {listed}")
+        try:
+            with open(self.path) as fh:
+                lines = _tokens(fh)
+                _nonempty(lines)
+                for start in range(0, n, SPOOL_CHUNK):
+                    for node in range(start, min(start + SPOOL_CHUNK, n)):
+                        parts = next(lines, None)
+                        if parts is None:
+                            raise FormatError(f"{self.path}: expected {n} "
+                                              f"node lines, got {node}")
+                        weight, ids, weights = _parse_line(
+                            parts, node, node_weights, item_weights, bound,
+                            graph)
+                        listed += len(ids)
+                        if spool is not None:
+                            try:
+                                add_degree(len(ids))
+                                add_ids(ids)
+                                if item_weights:
+                                    add_weights(weights)
+                                if node_weights:
+                                    add_node_weight(weight)
+                            except OverflowError:   # later passes parse
+                                spool = spool.drop()
+                        yield StreamedNodeRecord(node, weight, ids, weights)
+                    if spool is not None:
+                        spool = spool.write(chunk)
+                    for part in chunk:
+                        del part[:]
+                _expect_end(lines, f"{self.path}: more lines than the "
+                                   f"{n} node lines the header declares")
+            if listed != header.pins:
+                what = "edge" if graph else "pin"
+                raise FormatError(
+                    f"{self.path}: {what}-count mismatch, the header gives "
+                    f"{header.pins} entries but the node lines list {listed}")
+            if spool is not None:
+                done, spool = spool.finish(), None
+                if done is not None:
+                    if self._kept is not None:   # a parse that ran alongside
+                        self._kept.remove()
+                    self._kept = done
+        finally:
+            if spool is not None:
+                spool.drop()
+
+
+SPOOL_CHUNK = 1024   # nodes per spool chunk
+
+
+class _Spool:
+    """A spool file of one parse, and ``remove``, the finalizer (tied to the
+    owning stream) that deletes it."""
+
+    def __init__(self, owner: NodeStream):
+        fd, self.path = tempfile.mkstemp(prefix="streamdecomp-",
+                                         suffix=".spool")
+        self.out = os.fdopen(fd, "wb")
+        self.remove = weakref.finalize(owner, _remove, self.path)
+
+    def write(self, chunk: list[array]) -> Optional[_Spool]:
+        """Append one chunk; None (and the file deleted) on failure."""
+        try:
+            for part in chunk:
+                self.out.write(part)
+        except OSError:
+            return self.drop()
+        return self
+
+    def finish(self) -> Optional[_Spool]:
+        """Close the complete file; None (and the file deleted) when its
+        last write fails, or when ``close()`` already deleted it."""
+        try:
+            self.out.close()
+        except OSError:
+            return self.drop()
+        return self if self.remove.alive else None
+
+    def drop(self) -> None:
+        try:
+            self.out.close()
+        except OSError:
+            pass
+        self.remove()
+
+
+def _remove(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def _replay(path: str, header: StreamHeader) -> Iterator[StreamedNodeRecord]:
+    """The records of a complete spool, equal to the ones parsed."""
+    n = header.n
+    item_weights = header.has_item_weights
+    node_weights = header.has_node_weights
+    with open(path, "rb") as fh:
+        for start in range(0, n, SPOOL_CHUNK):
+            count = min(SPOOL_CHUNK, n - start)
+            degrees = _read(fh, count)
+            total = sum(degrees)
+            ids = _read(fh, total).tolist()
+            weights = _read(fh, total).tolist() if item_weights else None
+            node_weight = _read(fh, count).tolist() if node_weights \
+                else repeat(1, count)
+            pos = 0
+            for node, d, weight in zip(range(start, start + count), degrees,
+                                       node_weight):
+                end = pos + d
+                yield StreamedNodeRecord(
+                    node, weight, ids[pos:end],
+                    weights[pos:end] if item_weights else [1] * d)
+                pos = end
+
+
+def _read(fh, count: int) -> array:
+    values = array("i")
+    values.fromfile(fh, count)
+    return values
 
 
 def _expect_end(lines: Iterator[list[str]], message: str) -> None:
@@ -231,14 +377,14 @@ def _line_fault(node: int, ids: list[int], weights: list[int], bound: int,
         seen.add(v)
 
 
-def open_graph_stream(path: str) -> NodeStream:
+def open_graph_stream(path: str, spool: bool = True) -> NodeStream:
     """Open a METIS graph file for streaming passes in ascending node order."""
-    return NodeStream(path, graph=True)
+    return NodeStream(path, graph=True, spool=spool)
 
 
-def open_hypergraph_node_stream(path: str) -> NodeStream:
+def open_hypergraph_node_stream(path: str, spool: bool = True) -> NodeStream:
     """Open a node-major hypergraph file for streaming passes."""
-    return NodeStream(path, graph=False)
+    return NodeStream(path, graph=False, spool=spool)
 
 
 def total_node_weight(path: str) -> int:

@@ -188,17 +188,17 @@ def test_c05_balance_guarantee():
                              *run_setup(graph, k))
             states.append((algorithm, st))
         for algorithm in ("ldg", "fennel"):
-            st = run_restream(lambda: graph,
+            st = run_restream(graph,
                               OnePassConfig(algorithm=algorithm, passes=2),
                               *run_setup(graph, k))
             states.append((f"re{algorithm}", st))
         for model in ("basic", "extended"):
-            st = run_heistream(lambda: graph,
+            st = run_heistream(graph,
                                HeiStreamConfig(delta=1024, model=model,
                                                seed=1),
                                *run_setup(graph, k))
             states.append((f"heistream-{model}", st))
-        st = run_heistream(lambda: graph,
+        st = run_heistream(graph,
                            HeiStreamConfig(delta=1024, seed=1, passes=2),
                            *run_setup(graph, k))
         states.append(("heistream-2pass", st))
@@ -233,10 +233,10 @@ def test_c06_quality_ordering_graphs(quality_graphs):
         fs = run_onepass(g, OnePassConfig(algorithm="fennel"),
                          *run_setup(g, k))
         cut_fennel = edge_cut(g, fs.assignment)
-        one = run_heistream(lambda: g, HeiStreamConfig(
+        one = run_heistream(g, HeiStreamConfig(
             delta=2 ** 15, model="extended", seed=3), *run_setup(g, k))
         cut_one = edge_cut(g, one.assignment)
-        two = run_heistream(lambda: g, HeiStreamConfig(
+        two = run_heistream(g, HeiStreamConfig(
             delta=2 ** 15, model="extended", seed=3, passes=2),
             *run_setup(g, k))
         cut_two = edge_cut(g, two.assignment)
@@ -453,7 +453,7 @@ def test_c12_fennel_k_independence(monkeypatch):
     scored = {}
     for k in (512, 4096):
         gain_calls[0] = 0
-        state = run_restream(lambda: graph,
+        state = run_restream(graph,
                              OnePassConfig(algorithm="fennel", passes=2),
                              *run_setup(graph, k))
         assert state.is_balanced()

@@ -138,6 +138,23 @@ class TestCliPartition:
             assert code == 0, algorithm
             assert len(read_partition(out, 60, 4)) == 60
 
+    def test_main_calls_share_no_defaults(self, graph_file, tmp_path,
+                                          capsys, monkeypatch):
+        # main() keeps one parser per process; parsing must leave no state
+        monkeypatch.delenv("STREAMDECOMP_SEED", raising=False)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["partition", "--input", graph_file, "--k", "3",
+                     "--algorithm", "ldg", "--passes", "2", "--alpha", "2",
+                     "--seed", "5", "--metrics-json", str(first)]) == 0
+        assert main(["partition", "--input", graph_file, "--k", "2",
+                     "--metrics-json", str(second)]) == 0
+        spec = json.loads(second.read_text())["runspec"]
+        assert (spec["algorithm"], spec["passes"], spec["k"]) == \
+            ("fennel", 1, 2)
+        assert spec["alpha"] is None and spec["seed"] == 0
+        assert json.loads(first.read_text())["runspec"]["seed"] == 5
+        assert cli._parser() is cli._parser()
+
     def test_partition_time_core(self, graph_file, tmp_path, capsys):
         mjson = str(tmp_path / "m.json")
         assert main(["partition", "--input", graph_file, "--k", "2",
@@ -268,6 +285,19 @@ class TestCliErrors:
                      "--distances", "1", "--output", str(out)]) == 2
         assert read_partition(str(out), 3, 2) == [0, 0, 1]
         assert "asymmetric adjacency" in capsys.readouterr().err
+
+    def test_inconsistent_net_weight_is_exit_2(self, tmp_path, capsys):
+        # net 1 weighs 3 at node 1 and 5 at node 2
+        bad = tmp_path / "nodes.hgr"
+        bad.write_text("2 1 2 1\n1 3\n1 5\n")
+        part = tmp_path / "p.txt"
+        part.write_text("0\n1\n")
+        assert main(["metrics", "--input", str(bad), "--partition",
+                     str(part), "--hypergraph", "--k", "2"]) == 2
+        assert main(["hpartition", "--input", str(bad), "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("node 1: net 1 weighs 5 here but 3 at an earlier "
+                         "pin") == 2
 
     @pytest.mark.parametrize("lines", [["0"] * 59, ["0"] * 61,
                                        ["0"] * 59 + ["4"]])

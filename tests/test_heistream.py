@@ -18,7 +18,7 @@ from generators import (gnp_graph, graph_stream_from_edges,
 
 
 def heistream(stream, k, **config):
-    return run_heistream(lambda: stream, HeiStreamConfig(**config),
+    return run_heistream(stream, HeiStreamConfig(**config),
                          *run_setup(stream, k))
 
 
@@ -420,7 +420,7 @@ def _check_against_reference(monkeypatch, calls: dict) -> None:
 
 
 def _heistream_result(stream, k, epsilon, config):
-    state = run_heistream(lambda: stream, config,
+    state = run_heistream(stream, config,
                           *run_setup(stream, k, epsilon=epsilon))
     return state.assignment, state.block_weight, state.violations
 

@@ -218,7 +218,7 @@ class TestRestream:
         run_onepass(stream, OnePassConfig(algorithm="fennel"), one,
                     FennelParams(alpha=0.5))
         two = PartitionState(8, 2, 0.03, 8)
-        run_restream(lambda: stream, OnePassConfig(algorithm="fennel", passes=2),
+        run_restream(stream, OnePassConfig(algorithm="fennel", passes=2),
                      two, FennelParams(alpha=0.5))
         assert edge_cut(stream, one.assignment) == 0   # clique per block
         assert one.assignment == two.assignment
@@ -227,7 +227,7 @@ class TestRestream:
         rng = random.Random(43)
         stream = random_graph(rng, 60, 150)
         state, params = run_setup(stream, 3, epsilon=0.1)
-        run_restream(lambda: stream, OnePassConfig(algorithm="ldg", passes=2),
+        run_restream(stream, OnePassConfig(algorithm="ldg", passes=2),
                      state, params)
         # after the second pass all nodes are assigned and weights re-add up
         assert all(b != UNASSIGNED for b in state.assignment)
@@ -240,7 +240,7 @@ class TestRestream:
         one, params = run_setup(stream, 2)
         run_onepass(stream, OnePassConfig(algorithm="fennel"), one, params)
         two, params = run_setup(stream, 2)
-        run_restream(lambda: stream,
+        run_restream(stream,
                      OnePassConfig(algorithm="fennel", passes=2), two, params)
         assert edge_cut(stream, two.assignment) <= edge_cut(stream, one.assignment)
 
@@ -254,7 +254,7 @@ class TestRestream:
             state = PartitionState(2, 2, 1.0, 2)
             config = OnePassConfig(algorithm="fennel", passes=2,
                                    restream_alpha_growth=growth)
-            run_restream(lambda: stream, config, state,
+            run_restream(stream, config, state,
                          FennelParams(alpha=0.4))
             outcomes[growth] = state.assignment[0] == state.assignment[1]
         assert outcomes[1.0] is True
@@ -265,7 +265,7 @@ def _partition(stream, algorithm, k, epsilon, passes):
     state, params = run_setup(stream, k, epsilon)
     config = OnePassConfig(algorithm=algorithm, passes=passes)
     if passes > 1:
-        run_restream(lambda: stream, config, state, params)
+        run_restream(stream, config, state, params)
     else:
         run_onepass(stream, config, state, params)
     return state

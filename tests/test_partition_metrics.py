@@ -8,6 +8,8 @@ from streamdecomp.metrics import (comm_cost, cut_net_and_connectivity,
                                   edge_cut, imbalance)
 from streamdecomp.multisection import HierarchySpec
 from streamdecomp.partition import PartitionState, compute_lmax
+from streamdecomp.streams import FormatError, MemoryStream, \
+    StreamedNodeRecord, StreamHeader
 
 from generators import (graph_stream_from_edges, gnp_graph,
                         hypergraph_stream_from_nets, random_graph,
@@ -99,6 +101,15 @@ class TestCutNetConnectivity:
     def test_single_net_three_blocks(self):
         stream = hypergraph_stream_from_nets(3, [([0, 1, 2], 1)])
         assert cut_net_and_connectivity(stream, [0, 1, 2]) == (1, 2)
+
+    def test_net_weight_must_agree_at_every_pin(self):
+        # net 1 weighs 3 at node 0 and 5 at node 1
+        stream = MemoryStream(StreamHeader(2, 1, 2, has_item_weights=True),
+                              [StreamedNodeRecord(0, 1, [0], [3]),
+                               StreamedNodeRecord(1, 1, [0], [5])])
+        with pytest.raises(FormatError,
+                           match="node 1: net 1 weighs 5 here but 3"):
+            cut_net_and_connectivity(stream, [0, 1])
 
     def test_random_matches_set_oracle(self):
         # k > 64: block masks past one machine word

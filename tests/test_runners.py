@@ -21,7 +21,7 @@ RUNNERS = {
     "heistream": (
         lambda rng: random_graph(rng, 120, 300, max_node_weight=6),
         lambda stream, state, params: run_heistream(
-            lambda: stream, HeiStreamConfig(delta=30, seed=1), state, params)),
+            stream, HeiStreamConfig(delta=30, seed=1), state, params)),
     "oms": (
         lambda rng: random_graph(rng, 120, 300, max_node_weight=6),
         lambda stream, state, params: run_oms(stream, OmsConfig(), state,

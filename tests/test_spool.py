@@ -1,0 +1,311 @@
+"""The binary spool: a stream parses its text once and later iterations
+replay the records it spooled, with the same records, the same errors and
+no file left behind."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from streamdecomp import cli, onepass, streams
+from streamdecomp.heistream import HeiStreamConfig, run_heistream
+from streamdecomp.onepass import OnePassConfig, run_restream
+from streamdecomp.streams import FormatError, open_graph_stream, \
+    open_hypergraph_node_stream
+
+from generators import graph_stream_from_edges, run_setup
+from test_streams import MALFORMED
+
+
+@pytest.fixture
+def spool_dir(tmp_path, monkeypatch):
+    """A fresh temporary directory that every spool of the test goes to."""
+    directory = tmp_path / "spool"
+    directory.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(directory))
+    return directory
+
+
+def spools(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+# Every fmt of both formats, with % comments, blank (isolated-node) lines
+# and more nodes than one spool chunk holds (the chunk is set to 2 below).
+FILES = [
+    pytest.param("graph", "% c\n5 3\n2\n1 4\n\n% c\n2 5\n4\n",
+                 id="graph-fmt-0"),
+    pytest.param("graph", "5 3 1\n2 7\n1 7 4 3\n\n2 3 5 2\n4 2\n",
+                 id="graph-fmt-1"),
+    pytest.param("graph", "5 3 10\n4 2\n1 1 4\n% c\n9\n2 2 5\n1 4\n",
+                 id="graph-fmt-10"),
+    pytest.param("graph", "5 3 11\n4 2 5\n1 1 5 4 6\n9\n2 2 6 5 1\n"
+                 "1 4 1\n\n", id="graph-fmt-11"),
+    pytest.param("hyper", "5 3 6\n1\n1 2\n% c\n\n2 3\n3\n",
+                 id="hyper-fmt-0"),
+    pytest.param("hyper", "5 3 6 1\n1 4\n1 4 2 9\n\n2 9 3 2\n3 2\n",
+                 id="hyper-fmt-1"),
+    pytest.param("hyper", "5 3 6 10\n2 1\n3 1 2\n1\n% c\n7 2 3\n1 3\n",
+                 id="hyper-fmt-10"),
+    pytest.param("hyper", "5 3 6 11\n2 1 4\n3 1 4 2 9\n1\n7 2 9 3 2\n"
+                 "1 3 2\n\n", id="hyper-fmt-11"),
+]
+
+
+def opener(kind):
+    return open_graph_stream if kind == "graph" \
+        else open_hypergraph_node_stream
+
+
+@pytest.mark.parametrize("kind, text", FILES)
+def test_replay_equals_parse(tmp_path, spool_dir, monkeypatch, kind, text):
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    stream = opener(kind)(str(path))
+    parsed = list(stream)
+    assert len(spools(spool_dir)) == 1
+    # Later passes read the spool, not the text.
+    path.write_text("garbage\n")
+    assert list(stream) == parsed
+    assert list(stream) == parsed
+    path.write_text(text)
+    assert parsed == list(opener(kind)(str(path), spool=False))
+    stream.close()
+    assert spools(spool_dir) == []
+
+
+def counting_parser(monkeypatch):
+    calls = []
+    parse_line = streams._parse_line
+
+    def counted(*args):
+        calls.append(args[1])
+        return parse_line(*args)
+    monkeypatch.setattr(streams, "_parse_line", counted)
+    return calls
+
+
+def test_abandoned_iteration_leaves_no_spool(tmp_path, spool_dir,
+                                             monkeypatch):
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    path = tmp_path / "g.graph"
+    path.write_text("5 4\n2\n1 3\n2 4\n3 5\n4\n")
+    stream = open_graph_stream(str(path))
+    calls = counting_parser(monkeypatch)
+    it = iter(stream)
+    first = [next(it), next(it), next(it)]
+    assert len(spools(spool_dir)) == 1     # a chunk was written
+    it.close()
+    assert spools(spool_dir) == []
+    records = list(stream)                 # parses the text again
+    assert records[:3] == first
+    assert calls == [0, 1, 2, 0, 1, 2, 3, 4]
+    assert list(stream) == records         # and now replays
+    assert len(calls) == 8
+    stream.close()
+    assert spools(spool_dir) == []
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [p for p in MALFORMED if p.values[1].count("\n") > 1])
+def test_malformed_file_fails_on_every_iteration(tmp_path, spool_dir, kind,
+                                                 text, message):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    try:
+        stream = opener(kind)(str(path))
+    except FormatError:
+        return                             # a bad header: nothing to spool
+    for _ in range(3):
+        with pytest.raises(FormatError) as raised:
+            list(stream)
+        assert message in str(raised.value)
+        assert spools(spool_dir) == []
+
+
+def test_close_deletes_the_spool(tmp_path, spool_dir):
+    path = tmp_path / "h.hgr"
+    path.write_text("3 2 4\n1\n1 2\n2\n")
+    stream = open_hypergraph_node_stream(str(path))
+    records = list(stream)
+    assert len(spools(spool_dir)) == 1
+    stream.close()
+    assert spools(spool_dir) == []
+    assert list(stream) == records         # parses (and spools) again
+    stream.close()
+    assert spools(spool_dir) == []
+
+
+def test_close_during_a_parse_keeps_nothing(tmp_path, spool_dir):
+    path = tmp_path / "g.graph"
+    path.write_text("3 2\n2\n1 3\n2\n")
+    stream = open_graph_stream(str(path))
+    it = iter(stream)
+    next(it)
+    stream.close()
+    assert spools(spool_dir) == []
+    rest = list(it)                        # the parse still completes
+    assert [r.id for r in rest] == [1, 2]
+    assert stream._kept is None and spools(spool_dir) == []
+
+
+def test_value_too_large_for_the_spool_reparses(tmp_path, spool_dir,
+                                                monkeypatch):
+    path = tmp_path / "g.graph"
+    path.write_text(f"2 1 11\n{2 ** 40} 2 {2 ** 35}\n1 1 {2 ** 35}\n")
+    stream = open_graph_stream(str(path))
+    calls = counting_parser(monkeypatch)
+    records = list(stream)
+    assert records[0].weight == 2 ** 40 and records[1].weights == [2 ** 35]
+    assert spools(spool_dir) == []
+    assert list(stream) == records
+    assert calls == [0, 1, 0, 1]
+
+
+def _cli_runs(tmp_path, graph, hyper):
+    """Partition, restream, HeiStream, hpartition and metrics runs: their
+    partition files and metrics without run times."""
+    out = {}
+    for name, argv in (
+            ("refennel", ["partition", "--input", graph, "--k", "3",
+                          "--passes", "3"]),
+            ("reldg", ["partition", "--input", graph, "--k", "3",
+                       "--algorithm", "ldg", "--passes", "3"]),
+            ("heistream", ["partition", "--input", graph, "--k", "3",
+                           "--algorithm", "heistream", "--passes", "2",
+                           "--delta", "20"]),
+            ("freight", ["hpartition", "--input", hyper, "--k", "3"])):
+        part = tmp_path / f"{name}.part"
+        mjson = tmp_path / f"{name}.json"
+        assert cli.main([*argv, "--output", str(part),
+                         "--metrics-json", str(mjson)]) == 0
+        report = json.loads(mjson.read_text())
+        for key in ("runtime_ms", "runtime_total_ms", "runtime_core_ms"):
+            report.pop(key)
+        out[name] = (part.read_text(), report)
+    mjson = tmp_path / "metrics.json"
+    assert cli.main(["metrics", "--input", graph, "--partition",
+                     str(tmp_path / "refennel.part"), "--k", "3",
+                     "--metrics-json", str(mjson)]) == 0
+    out["metrics"] = json.loads(mjson.read_text())
+    return out
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    graph = tmp_path / "g.graph"
+    n = 60
+    edges = sorted({(min(u, v), max(u, v)) for u in range(n)
+                    for v in ((u + 1) % n, (u + 7) % n, (u * 5 + 3) % n)
+                    if u != v})
+    lines = [[] for _ in range(n)]
+    for u, v in edges:
+        lines[u].append(v + 1)
+        lines[v].append(u + 1)
+    graph.write_text(f"{n} {len(edges)}\n"
+                     + "".join(" ".join(map(str, ids)) + "\n"
+                               for ids in lines))
+    hyper = tmp_path / "h.hgr"
+    hyper.write_text("6 4 9 1\n1 2\n1 2 2 1\n2 1 3 3\n3 3\n3 3 4 1\n4 1\n")
+    return str(graph), str(hyper)
+
+
+def test_cli_results_without_a_spool(tmp_path, spool_dir, monkeypatch,
+                                     cli_inputs):
+    spooled = _cli_runs(tmp_path, *cli_inputs)
+    assert spools(spool_dir) == []
+
+    def no_file(*args, **kwargs):
+        raise OSError("no temporary file")
+    monkeypatch.setattr(tempfile, "mkstemp", no_file)
+    assert _cli_runs(tmp_path, *cli_inputs) == spooled
+
+
+def test_no_spool_survives_a_failing_run(tmp_path, spool_dir, monkeypatch,
+                                         capsys, cli_inputs):
+    graph, _ = cli_inputs
+    # exit 2 in the middle of the first parse
+    bad = tmp_path / "bad.graph"
+    bad.write_text("4 3\n2\n1 3\n2 4\nx\n")
+    assert cli.main(["partition", "--input", str(bad), "--k", "2",
+                     "--passes", "3"]) == 2
+    # exit 2 in the verification pass, after a complete parse
+    bad.write_text("3 1\n2\n3\n\n")
+    assert cli.main(["partition", "--input", str(bad), "--k", "2",
+                     "--algorithm", "heistream", "--passes", "2"]) == 2
+    assert spools(spool_dir) == []
+
+    # exit 3 from inside the kernel, with the first parse suspended and
+    # then with a replay suspended
+    seen = []
+    fennel_assign = onepass.fennel_assign
+
+    def broken(record, state, params):
+        seen.append(record.id)
+        if len(seen) in (5, 70):
+            raise IndexError("list index out of range")
+        return fennel_assign(record, state, params)
+    monkeypatch.setattr(onepass, "fennel_assign", broken)
+    for _ in range(2):
+        assert cli.main(["partition", "--input", graph, "--k", "2",
+                         "--passes", "3"]) == 3
+        assert spools(spool_dir) == []
+    # the first run failed in its first pass, the second at node 4 of its
+    # second pass (its 65th kernel call)
+    assert seen[-1] == 4 and len(seen) == 70
+    assert "internal invariant failure" in capsys.readouterr().err
+
+
+def test_restreaming_rejects_a_one_shot_iterator():
+    stream = graph_stream_from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    state, params = run_setup(stream, 2)
+    with pytest.raises(TypeError, match="re-iterable"):
+        run_restream(iter(stream), OnePassConfig("fennel", passes=2), state,
+                     params)
+    with pytest.raises(TypeError, match="re-iterable"):
+        run_restream((r for r in stream), OnePassConfig("ldg", passes=3),
+                     state, params)
+    with pytest.raises(TypeError, match="re-iterable"):
+        run_heistream(iter(stream), HeiStreamConfig(delta=2, passes=2),
+                      state, params)
+    assert all(b == -1 for b in state.assignment)   # nothing ran
+
+
+def test_time_core_preload_writes_no_spool(tmp_path, spool_dir,
+                                           monkeypatch, cli_inputs):
+    graph, _ = cli_inputs
+    made = []
+    mkstemp = tempfile.mkstemp
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return mkstemp(*args, **kwargs)
+    monkeypatch.setattr(tempfile, "mkstemp", counted)
+    out = Path(tmp_path / "m.json")
+    assert cli.main(["partition", "--input", graph, "--k", "2", "--passes",
+                     "3", "--time-core", "--metrics-json", str(out)]) == 0
+    assert made == []
+    assert cli.main(["partition", "--input", graph, "--k", "2", "--passes",
+                     "3", "--metrics-json", str(out)]) == 0
+    assert made == [1]                     # one spool for four passes
+    assert spools(spool_dir) == []
+
+
+def test_a_parse_inside_a_parse_keeps_one_spool(tmp_path, spool_dir):
+    path = tmp_path / "g.graph"
+    path.write_text("3 2\n2\n1 3\n2\n")
+    stream = open_graph_stream(str(path))
+    outer = []
+    for record in stream:
+        outer.append(record)
+        if record.id == 0:
+            inner = list(stream)           # completes first and is kept
+            assert len(spools(spool_dir)) == 2
+    assert outer == inner
+    assert len(spools(spool_dir)) == 1     # the outer one replaced it
+    assert list(stream) == outer
+    stream.close()
+    assert spools(spool_dir) == []
