@@ -32,10 +32,11 @@ from .multisection import HierarchySpec, OmsConfig, run_oms
 from .onepass import FennelParams, OnePassConfig, run_onepass, run_restream
 from .partition import PartitionState
 from .streams import FormatError, MemoryStream, open_graph_stream, \
-    open_hypergraph_node_stream, read_partition, total_node_weight, \
-    transpose_hmetis, write_partition
+    open_hypergraph_node_stream, read_partition, transpose_hmetis, \
+    write_partition
 
 GRAPH_ALGOS = ("hashing", "ldg", "fennel", "heistream", "oms")
+BENCH_FORWARDED = ("epsilon", "delta", "model", "passes", "base")
 
 
 class UsageError(Exception):
@@ -115,12 +116,14 @@ def build_parser() -> _Parser:
                    help="comma list drawn from " + ",".join(GRAPH_ALGOS))
     p.add_argument("--k", required=True, help="comma list of block counts")
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=0.03)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delta", type=int, default=32768)
-    p.add_argument("--model", choices=("basic", "extended"), default="extended")
-    p.add_argument("--passes", type=int, default=1)
-    p.add_argument("--base", type=int, default=4)
+    # BENCH_FORWARDED: each cell takes partition's default unless given
+    p.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--delta", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--model", choices=("basic", "extended"),
+                   default=argparse.SUPPRESS)
+    p.add_argument("--passes", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--base", type=int, default=argparse.SUPPRESS)
     p.add_argument("--output", required=True)
     p.add_argument("--summary", default="")
     return parser
@@ -223,7 +226,7 @@ def execute(spec) -> dict:
     FennelParams.  It then runs and times the algorithm, writes the
     partition, verifies the objective in a separate pass over the same
     stream (which replays the spool the first pass wrote) and warns about
-    capacity violations.  The stream's spool is deleted on every exit.
+    capacity violations.  The stream's spool is closed on every exit.
     """
     algorithm = _algorithm(spec)
     kind, run = ALGORITHMS[algorithm]
@@ -244,7 +247,9 @@ def execute(spec) -> dict:
                 if collecting:
                     gc.enable()
         header = stream.header
-        total_weight = total_node_weight(spec.input) \
+        # c(V) fixes L_max before the run: on node-weighted input it takes
+        # the first pass, which the run then replays.
+        total_weight = sum(r.weight for r in stream) \
             if header.has_node_weights else header.n
         state = PartitionState(header.n, k, spec.epsilon, total_weight)
         params = FennelParams.for_stream(header.n, header.m, k, spec.gamma,
@@ -328,16 +333,15 @@ def cmd_bench(args) -> int:
     """Each grid cell is a ``partition --time-core`` run parsed by the
     partition subparser, so the cells share its defaults."""
     parser = _parser()
+    forwarded = [f"--{f}={getattr(args, f)}" for f in BENCH_FORWARDED if f in args]
     ks = [int(t) for t in args.k.split(",")]
     rows = []
     for path, algorithm, k, rep in itertools.product(
             args.input, args.algorithms.split(","), ks, range(args.repeats)):
         rows.append(execute(parser.parse_args([
             "partition", "--input", path, "--algorithm", algorithm,
-            "--k", str(k), "--epsilon", str(args.epsilon),
-            "--seed", str(args.seed + rep), "--passes", str(args.passes),
-            "--delta", str(args.delta), "--model", args.model,
-            "--base", str(args.base), "--time-core"])))
+            "--k", str(k), "--seed", str(args.seed + rep), *forwarded,
+            "--time-core"])))
     bench_mod.write_rows(args.output, rows)
     if args.summary:
         summary = bench_mod.summarize(bench_mod.read_rows(args.output))

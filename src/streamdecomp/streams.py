@@ -26,6 +26,7 @@ import os
 import tempfile
 import weakref
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
@@ -125,12 +126,12 @@ class NodeStream:
     weight flags are available before the first record.  An iteration parses
     the text and, on exhaustion, checks the number of listed ids against the
     header's ``pins``.  With ``spool`` (the default) the parse also writes
-    the records to a binary spool, a temporary file of flat ``array('i')``
-    chunks; once a parse reaches the end of the file and passes every check,
-    later iterations replay the spool instead of parsing again.  A parse that
-    fails or is abandoned drops its spool, so the next iteration parses the
-    text.  :meth:`close` (or the stream's collection, or interpreter exit)
-    deletes the spool file.
+    the records to a binary spool, an anonymous temporary file of flat
+    ``array('i')`` chunks; once a parse reaches the end of the file and
+    passes every check, later iterations replay the spool instead of parsing
+    again.  A parse that fails or is abandoned closes its spool, so the next
+    iteration parses the text.  The OS frees a spool when its last handle
+    closes: on :meth:`close`, the stream's collection or any exit.
     """
 
     def __init__(self, path: str, graph: bool, spool: bool = True):
@@ -143,30 +144,21 @@ class NodeStream:
             kind = "graph" if graph else "hypergraph"
             raise FormatError(f"{path}: empty {kind} file")
         self.header = _header(head, graph)
-        self._kept: Optional[_Spool] = None   # the spool later passes replay
-        self._spools: list[_Spool] = []       # every spool file not deleted
+        self._kept = None   # (spool, its finalizer): later passes replay it
+        self._closes = 0   # a parse that saw close() run keeps nothing
 
     def close(self) -> None:
-        """Delete the spool files; a later iteration parses the text again."""
-        for spool in self._spools:
-            spool.remove()
-        self._spools = []
+        """Close the spool; a later iteration parses the text again.  A
+        replay that already started still finishes."""
+        self._closes += 1
+        if self._kept is not None:
+            self._kept[1]()
         self._kept = None
 
     def __iter__(self) -> Iterator[StreamedNodeRecord]:
         if self._kept is not None:
-            return _replay(self._kept.path, self.header)
+            return _replay(self._kept[0], self.header)
         return self._parse()
-
-    def _new_spool(self) -> Optional[_Spool]:
-        if not self.spool:
-            return None
-        try:
-            spool = _Spool(self)
-        except OSError:   # no temporary file: later passes parse again
-            return None
-        self._spools = [s for s in self._spools if s.remove.alive] + [spool]
-        return spool
 
     def _parse(self) -> Iterator[StreamedNodeRecord]:
         header, graph = self.header, self.graph
@@ -176,11 +168,16 @@ class NodeStream:
         node_weights = header.has_node_weights
         item_weights = header.has_item_weights
         # One spool chunk: degrees, flat ids, then the item weights and the
-        # node weights when fmt has them.
-        chunk = [array("i") for _ in range(4)]
+        # node weights when fmt has them, each written as an array('i').
+        chunk = [[] for _ in range(4)]
         add_degree, add_ids = chunk[0].append, chunk[1].extend
         add_weights, add_node_weight = chunk[2].extend, chunk[3].append
-        spool = self._new_spool()
+        closes, spool = self._closes, None
+        if self.spool:
+            try:
+                spool = tempfile.TemporaryFile(prefix="streamdecomp-")
+            except OSError:   # no temporary file: later passes parse again
+                pass
         listed = 0
         try:
             with open(self.path) as fh:
@@ -197,18 +194,22 @@ class NodeStream:
                             graph)
                         listed += len(ids)
                         if spool is not None:
-                            try:
-                                add_degree(len(ids))
-                                add_ids(ids)
-                                if item_weights:
-                                    add_weights(weights)
-                                if node_weights:
-                                    add_node_weight(weight)
-                            except OverflowError:   # later passes parse
-                                spool = spool.drop()
+                            add_degree(len(ids))
+                            add_ids(ids)
+                            if item_weights:
+                                add_weights(weights)
+                            if node_weights:
+                                add_node_weight(weight)
                         yield StreamedNodeRecord(node, weight, ids, weights)
                     if spool is not None:
-                        spool = spool.write(chunk)
+                        try:
+                            for part in chunk:
+                                spool.write(array("i", part))
+                            spool.flush()   # for the replays' own handles
+                        except (OSError, OverflowError):   # later passes parse
+                            with suppress(OSError):   # close() flushes again
+                                spool.close()
+                            spool = None
                     for part in chunk:
                         del part[:]
                 _expect_end(lines, f"{self.path}: more lines than the "
@@ -218,70 +219,31 @@ class NodeStream:
                 raise FormatError(
                     f"{self.path}: {what}-count mismatch, the header gives "
                     f"{header.pins} entries but the node lines list {listed}")
-            if spool is not None:
-                done, spool = spool.finish(), None
-                if done is not None:
-                    if self._kept is not None:   # a parse that ran alongside
-                        self._kept.remove()
-                    self._kept = done
+            if spool is not None and closes == self._closes:
+                if self._kept is not None:   # a parse that ran alongside
+                    self._kept[1]()
+                self._kept = spool, weakref.finalize(self, spool.close)
+                spool = None
         finally:
             if spool is not None:
-                spool.drop()
+                spool.close()
 
 
 SPOOL_CHUNK = 1024   # nodes per spool chunk
 
 
-class _Spool:
-    """A spool file of one parse, and ``remove``, the finalizer (tied to the
-    owning stream) that deletes it."""
-
-    def __init__(self, owner: NodeStream):
-        fd, self.path = tempfile.mkstemp(prefix="streamdecomp-",
-                                         suffix=".spool")
-        self.out = os.fdopen(fd, "wb")
-        self.remove = weakref.finalize(owner, _remove, self.path)
-
-    def write(self, chunk: list[array]) -> Optional[_Spool]:
-        """Append one chunk; None (and the file deleted) on failure."""
-        try:
-            for part in chunk:
-                self.out.write(part)
-        except OSError:
-            return self.drop()
-        return self
-
-    def finish(self) -> Optional[_Spool]:
-        """Close the complete file; None (and the file deleted) when its
-        last write fails, or when ``close()`` already deleted it."""
-        try:
-            self.out.close()
-        except OSError:
-            return self.drop()
-        return self if self.remove.alive else None
-
-    def drop(self) -> None:
-        try:
-            self.out.close()
-        except OSError:
-            pass
-        self.remove()
-
-
-def _remove(path: str) -> None:
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-
-
-def _replay(path: str, header: StreamHeader) -> Iterator[StreamedNodeRecord]:
-    """The records of a complete spool, equal to the ones parsed."""
+def _replay(spool, header: StreamHeader) -> Iterator[StreamedNodeRecord]:
+    """The records of a complete spool, equal to the ones parsed.  They are
+    read through a descriptor of their own, so the replay finishes after
+    ``close()``; descriptors share one file offset, so it reads unbuffered
+    from its own offset at each chunk, and replays may interleave."""
     n = header.n
     item_weights = header.has_item_weights
     node_weights = header.has_node_weights
-    with open(path, "rb") as fh:
+    offset = 0
+    with open(os.dup(spool.fileno()), "rb", buffering=0) as fh:
         for start in range(0, n, SPOOL_CHUNK):
+            fh.seek(offset)
             count = min(SPOOL_CHUNK, n - start)
             degrees = _read(fh, count)
             total = sum(degrees)
@@ -289,6 +251,7 @@ def _replay(path: str, header: StreamHeader) -> Iterator[StreamedNodeRecord]:
             weights = _read(fh, total).tolist() if item_weights else None
             node_weight = _read(fh, count).tolist() if node_weights \
                 else repeat(1, count)
+            offset = fh.tell()
             pos = 0
             for node, d, weight in zip(range(start, start + count), degrees,
                                        node_weight):
@@ -387,30 +350,6 @@ def open_hypergraph_node_stream(path: str, spool: bool = True) -> NodeStream:
     return NodeStream(path, graph=False, spool=spool)
 
 
-def total_node_weight(path: str) -> int:
-    """c(V) of a node-weighted graph or node-major hypergraph file.
-
-    Both formats put ``n`` first in the header and the node weight first on
-    each node line, so this sums one token per line without parsing the
-    rest; the stream still validates every line when it reads it.
-    """
-    with open(path) as fh:
-        lines = _tokens(fh)
-        head = _nonempty(lines)
-        if head is None:
-            raise FormatError(f"{path}: empty file")
-        total = 0
-        for node, parts in zip(range(int(head[0])), lines):
-            if not parts:
-                raise FormatError(f"node {node}: missing node weight")
-            try:
-                total += int(parts[0])
-            except ValueError:
-                raise FormatError(f"node {node}: {parts[0]!r} is not an "
-                                  f"integer") from None
-    return total
-
-
 def transpose_hmetis(src: str, dst: str) -> StreamHeader:
     """Convert an hMetis net-major file into the node-major streaming format.
 
@@ -487,7 +426,14 @@ def write_partition(path: str, assignment: Iterable[int]) -> None:
 def read_partition(path: str, n: int, k: Optional[int] = None) -> list[int]:
     """Block ids of nodes 0..n-1, each in [0, k) (only >= 0 without k)."""
     with open(path) as fh:
-        blocks = [int(line) for line in fh if line.strip()]
+        lines = fh.readlines()
+    try:
+        blocks = [int(line) for line in lines if line.strip()]
+    except ValueError:
+        line, token = next((i, t.strip()) for i, t in enumerate(lines, 1)
+                           if t.strip() and not _is_int(t))
+        raise FormatError(f"{path}: line {line}: {token!r} is not an "
+                          f"integer") from None
     if len(blocks) != n:
         raise FormatError(f"{path}: expected {n} block ids, got {len(blocks)}")
     for node, block in enumerate(blocks):

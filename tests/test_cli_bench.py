@@ -365,6 +365,30 @@ class TestCliBench:
         assert by_key[("fennel", "4")]["edge_cut"] <= \
             by_key[("hashing", "4")]["edge_cut"]
 
+    def test_bench_takes_the_partition_defaults(self, graph_file, tmp_path,
+                                                capsys):
+        def rows(*options):
+            out = str(tmp_path / "rows.csv")
+            assert main(["bench", "--input", graph_file, "--algorithms",
+                         ",".join(cli.GRAPH_ALGOS), "--k", "2,5", *options,
+                         "--output", out]) == 0
+            return [dict(row, runtime_ms=None) for row in read_rows(out)]
+        assert rows() == rows("--epsilon", "0.03", "--delta", "32768",
+                              "--model", "extended", "--passes", "1",
+                              "--base", "4")
+        assert {row["epsilon"] for row in rows("--epsilon", "0.1")} == \
+            {"0.1"}
+        capsys.readouterr()
+        for flag, value, message in (
+                ("--epsilon", "x", "invalid float value: 'x'"),
+                ("--model", "flat", "invalid choice: 'flat'"),
+                ("--passes", "1.5", "invalid int value: '1.5'")):
+            assert main(["bench", "--input", graph_file, "--algorithms",
+                         "fennel", "--k", "2", flag, value, "--output",
+                         str(tmp_path / "bad.csv")]) == 1
+            err = capsys.readouterr().err
+            assert f"argument {flag}: {message}" in err
+
 
 def _weighted_graph_file(tmp_path, edge_weights: bool) -> tuple[str, list[int]]:
     rng = random.Random(12 if edge_weights else 11)

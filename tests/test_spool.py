@@ -3,8 +3,14 @@ replay the records it spooled, with the same records, the same errors and
 no file left behind."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,15 +26,25 @@ from test_streams import MALFORMED
 
 @pytest.fixture
 def spool_dir(tmp_path, monkeypatch):
-    """A fresh temporary directory that every spool of the test goes to."""
+    """The spools of the test: the fresh temporary directory they go to and
+    every handle ``tempfile.TemporaryFile`` returned."""
     directory = tmp_path / "spool"
     directory.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(directory))
-    return directory
+    made = []
+    temporary_file = tempfile.TemporaryFile
+
+    def recorded(*args, **kwargs):
+        made.append(temporary_file(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    return SimpleNamespace(directory=directory, made=made)
 
 
-def spools(directory):
-    return sorted(p.name for p in directory.iterdir())
+def spools(spool_dir):
+    """The spool handles not closed yet; no spool has a name to delete."""
+    assert list(spool_dir.directory.iterdir()) == []
+    return [handle for handle in spool_dir.made if not handle.closed]
 
 
 # Every fmt of both formats, with % comments, blank (isolated-node) lines
@@ -146,7 +162,7 @@ def test_close_during_a_parse_keeps_nothing(tmp_path, spool_dir):
     it = iter(stream)
     next(it)
     stream.close()
-    assert spools(spool_dir) == []
+    assert len(spools(spool_dir)) == 1     # the running parse's own
     rest = list(it)                        # the parse still completes
     assert [r.id for r in rest] == [1, 2]
     assert stream._kept is None and spools(spool_dir) == []
@@ -216,12 +232,14 @@ def cli_inputs(tmp_path):
 def test_cli_results_without_a_spool(tmp_path, spool_dir, monkeypatch,
                                      cli_inputs):
     spooled = _cli_runs(tmp_path, *cli_inputs)
-    assert spools(spool_dir) == []
+    assert spool_dir.made and spools(spool_dir) == []
+    made = len(spool_dir.made)
 
     def no_file(*args, **kwargs):
         raise OSError("no temporary file")
-    monkeypatch.setattr(tempfile, "mkstemp", no_file)
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
     assert _cli_runs(tmp_path, *cli_inputs) == spooled
+    assert len(spool_dir.made) == made
 
 
 def test_no_spool_survives_a_failing_run(tmp_path, spool_dir, monkeypatch,
@@ -274,23 +292,15 @@ def test_restreaming_rejects_a_one_shot_iterator():
     assert all(b == -1 for b in state.assignment)   # nothing ran
 
 
-def test_time_core_preload_writes_no_spool(tmp_path, spool_dir,
-                                           monkeypatch, cli_inputs):
+def test_time_core_preload_writes_no_spool(tmp_path, spool_dir, cli_inputs):
     graph, _ = cli_inputs
-    made = []
-    mkstemp = tempfile.mkstemp
-
-    def counted(*args, **kwargs):
-        made.append(1)
-        return mkstemp(*args, **kwargs)
-    monkeypatch.setattr(tempfile, "mkstemp", counted)
     out = Path(tmp_path / "m.json")
     assert cli.main(["partition", "--input", graph, "--k", "2", "--passes",
                      "3", "--time-core", "--metrics-json", str(out)]) == 0
-    assert made == []
+    assert spool_dir.made == []
     assert cli.main(["partition", "--input", graph, "--k", "2", "--passes",
                      "3", "--metrics-json", str(out)]) == 0
-    assert made == [1]                     # one spool for four passes
+    assert len(spool_dir.made) == 1        # one spool for four passes
     assert spools(spool_dir) == []
 
 
@@ -309,3 +319,65 @@ def test_a_parse_inside_a_parse_keeps_one_spool(tmp_path, spool_dir):
     assert list(stream) == outer
     stream.close()
     assert spools(spool_dir) == []
+
+
+def path_graph(n):
+    return f"{n} {n - 1}\n" + "".join(
+        " ".join(str(v) for v in (u, u + 2) if 1 <= v <= n) + "\n"
+        for u in range(n))
+
+
+# A spool larger than a read buffer too: replays share one file offset.
+@pytest.mark.parametrize("kind, text", FILES + [
+    pytest.param("graph", path_graph(3000), id="graph-3000-nodes")])
+def test_interleaved_replays_are_equal(tmp_path, spool_dir, monkeypatch,
+                                       kind, text):
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    stream = opener(kind)(str(path))
+    parsed = list(stream)
+    first, second = iter(stream), iter(stream)
+    one = [next(first) for _ in range(3)]   # into the second chunk
+    two = []
+    for record in second:                   # one record of each in turn
+        two.append(record)
+        one.extend(islice(first, 1))
+    assert one == parsed and two == parsed
+    stream.close()
+    assert spools(spool_dir) == []
+
+
+@pytest.mark.parametrize("kind, text", FILES)
+def test_close_during_a_replay_lets_it_finish(tmp_path, spool_dir,
+                                              monkeypatch, kind, text):
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    stream = opener(kind)(str(path))
+    parsed = list(stream)
+    replay = iter(stream)
+    head = [next(replay) for _ in range(3)]
+    stream.close()
+    assert spools(spool_dir) == []         # the replay reads its own handle
+    assert head + list(replay) == parsed
+
+
+def test_a_killed_process_leaves_no_spool(tmp_path):
+    path = tmp_path / "g.graph"
+    path.write_text("3 2\n2\n1 3\n2\n")
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    code = ("import os, signal, sys\n"
+            "from streamdecomp.streams import open_graph_stream\n"
+            "stream = open_graph_stream(sys.argv[1])\n"
+            "list(stream)\n"
+            "assert stream._kept is not None\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+    src = os.path.dirname(os.path.dirname(streams.__file__))
+    env = dict(os.environ, TMPDIR=str(tmpdir), PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    assert list(tmpdir.iterdir()) == []

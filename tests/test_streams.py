@@ -303,11 +303,14 @@ def test_partition_io(tmp_path):
     (2, None, "0\n1\n1\n"),          # too many ids
     (3, 2, "0\n2\n1\n"),             # id >= k
     (3, None, "0\n-1\n1\n"),         # negative id
+    (3, None, "0\nx\n1\n"),          # not an integer
 ])
 def test_partition_file_must_match_n_and_k(tmp_path, n, k, text):
     path = write(tmp_path, "part.txt", text)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(path)) as raised:
         read_partition(path, n, k)
+    if "x" in text:
+        assert f"{path}: line 2: 'x' is not an integer" in str(raised.value)
 
 
 def test_write_graph_round_trip(tmp_path):
