@@ -203,18 +203,21 @@ def _verify(stream, assignment, block_weight, hypergraph: bool,
             hierarchy) -> dict:
     """Quality from a separate pass over ``stream``: the objective (edge cut,
     or cut-net and connectivity), imbalance, and comm cost with a hierarchy
-    (in the same pass as the edge cut)."""
-    quality = metrics_mod.QualityReport(
-        imbalance=metrics_mod.imbalance(block_weight, len(block_weight)))
+    (in the same pass as the edge cut).  The report starts with these five
+    keys in this order, ``None`` where the run has no such metric."""
+    edge_cut = cut_net = connectivity = comm_cost = None
     if hypergraph:
-        quality.cut_net, quality.connectivity = \
+        cut_net, connectivity = \
             metrics_mod.cut_net_and_connectivity(stream, assignment)
     elif hierarchy is not None:
-        quality.edge_cut, quality.comm_cost = \
+        edge_cut, comm_cost = \
             metrics_mod.comm_cost(stream, assignment, hierarchy)
     else:
-        quality.edge_cut = metrics_mod.edge_cut(stream, assignment)
-    return quality.as_dict()
+        edge_cut = metrics_mod.edge_cut(stream, assignment)
+    return {"edge_cut": edge_cut, "cut_net": cut_net,
+            "connectivity": connectivity,
+            "imbalance": metrics_mod.imbalance(block_weight, len(block_weight)),
+            "comm_cost": comm_cost}
 
 
 def execute(spec) -> dict:

@@ -26,7 +26,9 @@ Refinement keeps two caches, and both give the floats a rebuild would:
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 from .onepass import FennelParams, fennel_gain, require_reiterable
@@ -77,12 +79,7 @@ class BatchModel:
 
 def load_batch(stream_iter: Iterator, delta: int) -> Optional[list]:
     """Next up-to-delta node records, or None when the stream is exhausted."""
-    batch = []
-    for record in stream_iter:
-        batch.append(record)
-        if len(batch) == delta:
-            break
-    return batch or None
+    return list(islice(stream_iter, delta)) or None
 
 
 def build_model(batch: list, state: PartitionState, config: HeiStreamConfig,
@@ -142,12 +139,8 @@ def build_model(batch: list, state: PartitionState, config: HeiStreamConfig,
     return model
 
 
-class _Level:
-    """One coarsening level: a contracted model plus the map down to it."""
-
-    def __init__(self, model: BatchModel, cluster_map: list[int]):
-        self.model = model
-        self.cluster_map = cluster_map
+# One coarsening level: a contracted model plus the map down to it.
+_Level = namedtuple("_Level", "model cluster_map")
 
 
 def _propagate_labels(model: BatchModel, cap: int, rounds: int,
@@ -226,9 +219,8 @@ def _contract(model: BatchModel, cluster: list[int]) -> tuple[BatchModel, list[i
     for v, cv in enumerate(cluster_map):
         coarse.weight[cv] += model.weight[v]
         coarse.true_weight[cv] += model.true_weight[v]
-    for j in range(model.num_art):
-        coarse.weight[coarse_nb + j] = model.weight[nb + j]
-        coarse.true_weight[coarse_nb + j] = model.true_weight[nb + j]
+    coarse.weight[coarse_nb:] = model.weight[nb:]
+    coarse.true_weight[coarse_nb:] = model.true_weight[nb:]
 
     # Coarse id of every fine node; artificial node nb + j maps to coarse_nb + j.
     coarse_id = cluster_map + list(range(coarse_nb, coarse_nb + model.num_art))
@@ -293,11 +285,7 @@ def initial_partition(model: BatchModel, state: PartitionState,
     committed, so ghosts can never unbalance the real partition.
     """
     nb = model.num_batch
-    bw = [0.0] * state.k
-    true_bw = [0] * state.k
-    for j in range(model.num_art):
-        bw[j] = model.weight[nb + j]
-        true_bw[j] = model.true_weight[nb + j]
+    bw, true_bw = _seed_block_weights(model, [], state.k)
     blocks = [UNASSIGNED] * nb
     for v in range(nb):
         gains: dict[int, float] = {}
@@ -416,30 +404,27 @@ def uncoarsen_refine(levels: list[_Level], coarse_blocks: list[int],
                      refine_coarsest: bool = False) -> list[int]:
     """Project the coarsest partition down the hierarchy, refining each level."""
     blocks = coarse_blocks
-    first = True
-    for level in reversed(levels):
-        if not first:
-            blocks = [blocks[level.cluster_map[v]]
-                      for v in range(level.model.num_batch)]
-        if not first or refine_coarsest:
+    for level in reversed(levels):   # the coarsest level maps to itself
+        blocks = [blocks[c] for c in level.cluster_map]
+        if refine_coarsest or level is not levels[-1]:
             bw, true_bw = _seed_block_weights(level.model, blocks, state.k)
             _refine_level(level.model, blocks, bw, true_bw, state, params,
                           config.localsearch_rounds, rng)
-        first = False
     return blocks
 
 
 def _seed_block_weights(model: BatchModel,
                         blocks: list[int], k: int) -> tuple[list, list]:
+    """Block weights of the artificial nodes plus those of ``blocks``."""
     bw = [0.0] * k
     true_bw = [0] * k
     for j in range(model.num_art):
         art = model.num_batch + j
         bw[j] += model.weight[art]
         true_bw[j] += model.true_weight[art]
-    for v in range(model.num_batch):
-        bw[blocks[v]] += model.weight[v]
-        true_bw[blocks[v]] += model.true_weight[v]
+    for v, b in enumerate(blocks):
+        bw[b] += model.weight[v]
+        true_bw[b] += model.true_weight[v]
     return bw, true_bw
 
 
@@ -462,14 +447,10 @@ def partition_batch(batch: list, state: PartitionState,
     model = build_model(batch, state, config, rng, restream)
     levels = coarsen(model, config, state, rng)
     coarsest = levels[-1].model
-    if restream:
-        coarse_blocks = list(coarsest.blocks)
-        refine_coarsest = True
-    else:
-        coarse_blocks = initial_partition(coarsest, state, params)
-        refine_coarsest = False
+    coarse_blocks = coarsest.blocks if restream \
+        else initial_partition(coarsest, state, params)
     return uncoarsen_refine(levels, coarse_blocks, state, config, params,
-                            rng, refine_coarsest)
+                            rng, refine_coarsest=restream)
 
 
 def run_heistream(stream, config: HeiStreamConfig,
@@ -484,10 +465,7 @@ def run_heistream(stream, config: HeiStreamConfig,
     for p in range(config.passes):
         restream = p > 0
         it = iter(stream)
-        while True:
-            batch = load_batch(it, config.delta)
-            if batch is None:
-                break
+        while (batch := load_batch(it, config.delta)) is not None:
             blocks = partition_batch(batch, state, config, params, rng,
                                      restream)
             commit_batch(batch, blocks, state, restream)

@@ -6,29 +6,10 @@ reported here comes from an independent pass over the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .partition import UNASSIGNED
 from .streams import FormatError
-
-
-@dataclass
-class QualityReport:
-    edge_cut: Optional[int] = None
-    cut_net: Optional[int] = None
-    connectivity: Optional[int] = None
-    imbalance: float = 0.0
-    comm_cost: Optional[int] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "edge_cut": self.edge_cut,
-            "cut_net": self.cut_net,
-            "connectivity": self.connectivity,
-            "imbalance": self.imbalance,
-            "comm_cost": self.comm_cost,
-        }
 
 
 def edge_cut(graph_stream: Iterable, assignment: Sequence[int]) -> int:

@@ -149,16 +149,19 @@ class NodeStream:
 
     def close(self) -> None:
         """Close the spool; a later iteration parses the text again.  A
-        replay that already started still finishes."""
+        replay made before still finishes."""
         self._closes += 1
         if self._kept is not None:
             self._kept[1]()
         self._kept = None
 
     def __iter__(self) -> Iterator[StreamedNodeRecord]:
-        if self._kept is not None:
-            return _replay(self._kept[0], self.header)
-        return self._parse()
+        if self._kept is None:
+            return self._parse()
+        fh = open(os.dup(self._kept[0].fileno()), "rb", buffering=0)
+        replay = _replay(fh, self.header)
+        weakref.finalize(replay, fh.close)   # for a replay never started
+        return replay
 
     def _parse(self) -> Iterator[StreamedNodeRecord]:
         header, graph = self.header, self.graph
@@ -232,16 +235,17 @@ class NodeStream:
 SPOOL_CHUNK = 1024   # nodes per spool chunk
 
 
-def _replay(spool, header: StreamHeader) -> Iterator[StreamedNodeRecord]:
-    """The records of a complete spool, equal to the ones parsed.  They are
-    read through a descriptor of their own, so the replay finishes after
-    ``close()``; descriptors share one file offset, so it reads unbuffered
-    from its own offset at each chunk, and replays may interleave."""
+def _replay(fh, header: StreamHeader) -> Iterator[StreamedNodeRecord]:
+    """The records of a complete spool, equal to the ones parsed.  ``fh``
+    is an unbuffered handle of the replay's own, taken when the replay is
+    made, so the replay finishes after ``close()``; descriptors share one
+    file offset, so it reads from its own offset at each chunk, and
+    replays may interleave."""
     n = header.n
     item_weights = header.has_item_weights
     node_weights = header.has_node_weights
     offset = 0
-    with open(os.dup(spool.fileno()), "rb", buffering=0) as fh:
+    with fh:
         for start in range(0, n, SPOOL_CHUNK):
             fh.seek(offset)
             count = min(SPOOL_CHUNK, n - start)

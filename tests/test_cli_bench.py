@@ -196,6 +196,43 @@ class TestCliHpartitionAndMap:
         assert json.loads(Path(mjson).read_text())["seed"] == 77
 
 
+QUALITY_KEYS = ["edge_cut", "cut_net", "connectivity", "imbalance",
+                "comm_cost"]
+
+
+@pytest.mark.parametrize("command, metrics_args, present", [
+    ("partition", None, {"edge_cut", "imbalance"}),
+    ("hpartition", None, {"cut_net", "connectivity", "imbalance"}),
+    ("map", None, {"edge_cut", "imbalance", "comm_cost"}),
+    ("partition", ["--k", "4"], {"edge_cut", "imbalance"}),
+    ("hpartition", ["--k", "4", "--hypergraph"],
+     {"cut_net", "connectivity", "imbalance"}),
+    ("map", ["--hierarchy", "2:2", "--distances", "1:10"],
+     {"edge_cut", "imbalance", "comm_cost"}),
+])
+def test_quality_keys_lead_the_metrics_json(graph_file, hmetis_file,
+                                            tmp_path, capsys, command,
+                                            metrics_args, present):
+    """The five quality keys come first, in one order, with null where the
+    command (or ``metrics`` on its partition) has no such metric."""
+    nodemajor = str(tmp_path / "nodes.hgr")
+    assert main(["transpose", "--input", hmetis_file,
+                 "--output", nodemajor]) == 0
+    path = nodemajor if command == "hpartition" else graph_file
+    part, mjson = str(tmp_path / "p.txt"), tmp_path / "m.json"
+    args = ["--hierarchy", "2:2", "--distances", "1:10"] \
+        if command == "map" else ["--k", "4"]
+    assert main([command, "--input", path, *args, "--output", part,
+                 "--metrics-json", str(mjson)]) == 0
+    if metrics_args is not None:
+        assert main(["metrics", "--input", path, "--partition", part,
+                     *metrics_args, "--metrics-json", str(mjson)]) == 0
+    payload = json.loads(mjson.read_text())
+    assert list(payload)[:5] == QUALITY_KEYS
+    assert {key for key in QUALITY_KEYS if payload[key] is not None} \
+        == present
+
+
 def _run_argv(algorithm, graph, hypergraph):
     """Arguments that run one ``cli.ALGORITHMS`` entry at k = 4."""
     if algorithm.startswith("freight-"):

@@ -48,12 +48,14 @@ def model_cut_and_penalty(model: BatchModel, blocks, k, params):
 
 class TestLoadBatch:
     def test_batch_sizes(self):
-        stream = graph_stream_from_edges(5, [])
-        it = iter(stream)
-        sizes = []
-        while (batch := load_batch(it, 2)) is not None:
-            sizes.append(len(batch))
-        assert sizes == [2, 2, 1]
+        # n a multiple of delta: no empty last batch, which would count
+        for n, expected in ((5, [2, 2, 1]), (4, [2, 2])):
+            it = iter(graph_stream_from_edges(n, []))
+            sizes = []
+            while (batch := load_batch(it, 2)) is not None:
+                sizes.append(len(batch))
+            assert sizes == expected
+            assert load_batch(it, 2) is None
 
     def test_single_batch_when_delta_large(self):
         stream = graph_stream_from_edges(5, [])

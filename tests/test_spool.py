@@ -2,6 +2,7 @@
 replay the records it spooled, with the same records, the same errors and
 no file left behind."""
 
+import gc
 import json
 import os
 import signal
@@ -361,6 +362,41 @@ def test_close_during_a_replay_lets_it_finish(tmp_path, spool_dir,
     stream.close()
     assert spools(spool_dir) == []         # the replay reads its own handle
     assert head + list(replay) == parsed
+
+
+@pytest.mark.parametrize("kind, text", FILES)
+def test_a_replay_made_before_close_finishes(tmp_path, spool_dir,
+                                             monkeypatch, kind, text):
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    stream = opener(kind)(str(path))
+    parsed = list(stream)
+    closed = iter(stream)                  # not started before close()
+    stream.close()
+    stream = opener(kind)(str(path))
+    list(stream)
+    collected = iter(stream)               # nor before the collection
+    del stream
+    gc.collect()
+    assert spools(spool_dir) == []
+    assert list(closed) == parsed
+    assert list(collected) == parsed
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd to count descriptors")
+def test_replays_never_started_leave_no_descriptor(tmp_path, spool_dir):
+    path = tmp_path / "g.graph"
+    path.write_text("3 2\n2\n1 3\n2\n")
+    stream = open_graph_stream(str(path))
+    list(stream)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(100):
+        iter(stream)
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == before
+    stream.close()
 
 
 def test_a_killed_process_leaves_no_spool(tmp_path):
