@@ -8,6 +8,7 @@ decision reads the state left behind by the previous one.
 
 from __future__ import annotations
 
+from collections import _count_elements
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
@@ -79,8 +80,20 @@ def fennel_gain(weighted_degree_to_block: float, node_weight: int,
 
 
 def _gains_per_block(record, assignment) -> dict[int, float]:
+    """Total edge weight from ``record`` to each block, keyed in order of the
+    first neighbor in that block; unassigned neighbors count nowhere.
+
+    A row whose edges all weigh 1 is counted in C by ``_count_elements`` (the
+    helper behind ``Counter.update``).  Its integer counts convert to the same
+    floats as sums of 1.0 wherever they meet a float.
+    """
     gains: dict[int, float] = {}
-    for v, w in zip(record.ids, record.weights):
+    weights = record.weights
+    if weights.count(1) == len(weights):
+        _count_elements(gains, map(assignment.__getitem__, record.ids))
+        gains.pop(UNASSIGNED, None)
+        return gains
+    for v, w in zip(record.ids, weights):
         block = assignment[v]
         if block != UNASSIGNED:
             gains[block] = gains.get(block, 0.0) + w
@@ -101,16 +114,21 @@ def fennel_assign(record, state: PartitionState, params: FennelParams) -> int:
         gains[lightest] = 0.0
     weight = record.weight
     block_weight = state.block_weight
-    best = None
-    best_key = None
+    room = state.l_max - weight
+    # fennel_gain's penalty alpha*gamma*c(V_i)^(gamma-1), same float.
+    ag = params.alpha * params.gamma
+    g1 = params.gamma - 1.0
+    best = -1
+    best_score = best_bw = 0
     for i, g in gains.items():
         bw = block_weight[i]
-        if bw + weight > state.l_max:
+        if bw > room:
             continue
-        key = (fennel_gain(g, weight, bw, params), -bw, -i)
-        if best_key is None or key > best_key:
-            best, best_key = i, key
-    if best is None:
+        score = g - weight * (ag * bw ** g1)
+        if (best < 0 or score > best_score or score == best_score
+                and (bw < best_bw or bw == best_bw and i < best)):
+            best, best_score, best_bw = i, score, bw
+    if best < 0:
         # The lightest block is full, so every block is: place it there, flagged.
         state.violations += 1
         best = lightest
@@ -129,18 +147,23 @@ def ldg_assign(record, state: PartitionState) -> int:
     gains = _gains_per_block(record, state.assignment)
     weight = record.weight
     l_max = state.l_max
-    best = None
-    best_key = None
+    room = l_max - weight
+    block_weight = state.block_weight
+    block_count = state.block_count
+    best = -1
+    best_score = best_count = 0
     for i, g in gains.items():
-        bw = state.block_weight[i]
-        if bw + weight > l_max:
+        bw = block_weight[i]
+        if bw > room:
             continue
-        key = (g * (1.0 - bw / l_max), -state.block_count[i], -i)
-        if best_key is None or key > best_key:
-            best, best_key = i, key
-    if best is None:
+        score = g * (1.0 - bw / l_max)
+        if (best < 0 or score > best_score or score == best_score
+                and (block_count[i] < best_count
+                     or block_count[i] == best_count and i < best)):
+            best, best_score, best_count = i, score, block_count[i]
+    if best < 0:
         best = state.by_count().min_block()
-        if state.block_weight[best] + weight > l_max:
+        if block_weight[best] > room:
             best = _fewest_feasible(record, state)
     state.assign(record.id, best, weight)
     return best

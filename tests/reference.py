@@ -32,6 +32,8 @@ from streamdecomp.partition import UNASSIGNED, PartitionState
 
 
 def _neighbor_gains(record, assignment) -> dict[int, float]:
+    """Summed edge weight per neighbor block, one row entry at a time: the
+    oracle of ``onepass._gains_per_block``, which counts unit rows in C."""
     gains: dict[int, float] = {}
     for v, w in zip(record.ids, record.weights):
         block = assignment[v]

@@ -426,38 +426,44 @@ def test_c12_fennel_k_independence(monkeypatch):
     """Graph Fennel scores only a node's neighbor blocks plus the lightest
     block, at k=512 as at k=4096, in the first and in a ReFennel pass.
 
-    Counted, not timed: every ``fennel_gain`` call scores one block, so the
-    check is exact where a wall-clock ratio would be noisy.
+    Counted, not timed: ``fennel_assign`` scores the blocks of the gains
+    dict ``_gains_per_block`` hands it, so counting the entries it iterates
+    is exact where a wall-clock ratio would be noisy.
     """
     graph = random_graph(random.Random(212), 6000, 15000)
     n, m = graph.header.n, graph.header.m
-    gain_calls = [0]
-    gain = onepass.fennel_gain
+    blocks_scored = [0]
+    gains_per_block = onepass._gains_per_block
     assign = onepass.fennel_assign
 
-    def counting_gain(*args):
-        gain_calls[0] += 1
-        return gain(*args)
+    class ScoredGains(dict):
+        def items(self):
+            for item in super().items():
+                blocks_scored[0] += 1
+                yield item
+
+    def counting_gains(record, assignment):
+        return ScoredGains(gains_per_block(record, assignment))
 
     def checked_assign(record, state, params):
         blocks = {state.assignment[v] for v in record.ids}
         blocks.discard(UNASSIGNED)
-        before = gain_calls[0]
+        before = blocks_scored[0]
         block = assign(record, state, params)
-        assert gain_calls[0] - before <= len(blocks) + 1, \
+        assert 1 <= blocks_scored[0] - before <= len(blocks) + 1, \
             f"node {record.id} at k={state.k}"
         return block
 
-    monkeypatch.setattr(onepass, "fennel_gain", counting_gain)
+    monkeypatch.setattr(onepass, "_gains_per_block", counting_gains)
     monkeypatch.setattr(onepass, "fennel_assign", checked_assign)
     scored = {}
     for k in (512, 4096):
-        gain_calls[0] = 0
+        blocks_scored[0] = 0
         state = run_restream(graph,
                              OnePassConfig(algorithm="fennel", passes=2),
                              *run_setup(graph, k))
         assert state.is_balanced()
-        scored[k] = gain_calls[0]
+        scored[k] = blocks_scored[0]
         assert scored[k] <= 2 * (n + 2 * m)
     report("C12 fennel-k-independence",
            f"blocks scored over 2 passes: {scored[512]} at k=512, "

@@ -10,11 +10,12 @@ from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
                                   fennel_assign, fennel_gain, hashing_assign,
                                   ldg_assign, run_onepass, run_restream)
 from streamdecomp.partition import UNASSIGNED, PartitionState
-from streamdecomp.streams import StreamedNodeRecord
+from streamdecomp.streams import (MemoryStream, StreamedNodeRecord,
+                                   StreamHeader, open_graph_stream)
 
 from generators import graph_stream_from_edges, random_graph, run_setup
-from reference import (check_consistency, scan_fennel_assign,
-                       scan_ldg_assign)
+from reference import (_neighbor_gains, check_consistency,
+                       scan_fennel_assign, scan_ldg_assign)
 
 
 class TestHashing:
@@ -289,15 +290,22 @@ class TestCandidateSelection:
                                                      passes)
         return got
 
-    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True, "mixed"])
     @pytest.mark.parametrize("passes", [1, 3])
     def test_random_graphs_match_scan(self, monkeypatch, weighted, passes):
-        rng = random.Random(1000 + 10 * passes + weighted)
+        # "mixed" draws edge weights 1-2, so rows whose edges all weigh 1
+        # (counted in C) sit next to weighted rows in one graph
+        max_edge_weight, max_node_weight, salt = {
+            False: (1, 1, 0), True: (5, 20, 1), "mixed": (2, 1, 2)}[weighted]
+        rng = random.Random(1000 + 10 * passes + salt)
         for trial in range(30):
             n = rng.randint(40, 250)
             stream = random_graph(rng, n, rng.randint(n, 3 * n),
-                                  max_edge_weight=5 if weighted else 1,
-                                  max_node_weight=20 if weighted else 1)
+                                  max_edge_weight=max_edge_weight,
+                                  max_node_weight=max_node_weight)
+            if weighted == "mixed":
+                units = {set(r.weights) <= {1} for r in stream}
+                assert units == {False, True}
             k = rng.choice([2, 3, 8, 17, 64, 256, 512])
             epsilon = (0.0, 0.03, 0.5)[trial % 3]
             for algorithm in ("fennel", "ldg"):
@@ -352,3 +360,128 @@ class TestCandidateSelection:
         state.assign(3, 0, 1)
         assert fennel_assign(StreamedNodeRecord(4, 1, [1], [1]), state,
                              params) == 2
+
+    @pytest.mark.parametrize("algorithm", ["fennel", "ldg"])
+    def test_item_weight_flag_changes_nothing(self, tmp_path, algorithm):
+        # the kernels read the weights of each row, not the header's flag:
+        # unit weights declared (fmt 1, or the flag) or not give one outcome
+        rng = random.Random(61)
+        stream = random_graph(rng, 150, 400)
+        plain, listed = tmp_path / "plain.graph", tmp_path / "listed.graph"
+        header = stream.header
+        plain.write_text(f"{header.n} {header.m}\n" + "".join(
+            " ".join(str(v + 1) for v in r.ids) + "\n" for r in stream))
+        listed.write_text(f"{header.n} {header.m} 1\n" + "".join(
+            " ".join(f"{v + 1} 1" for v in r.ids) + "\n" for r in stream))
+        flagged = MemoryStream(
+            StreamHeader(header.n, header.m, header.pins,
+                         has_item_weights=True), stream.records)
+        sources = [(stream, False), (flagged, True),
+                   (open_graph_stream(str(plain)), False),
+                   (open_graph_stream(str(listed)), True)]
+        outcomes = []
+        for source, flag in sources:
+            assert source.header.has_item_weights is flag
+            for passes in (1, 3):
+                outcomes.append(_outcome(_partition(source, algorithm, 4,
+                                                    0.03, passes)))
+        for source, _ in sources[2:]:
+            source.close()
+        assert outcomes[0::2] == [outcomes[0]] * 4
+        assert outcomes[1::2] == [outcomes[1]] * 4
+
+    @pytest.mark.parametrize("weights", [[1, 1], [2, 3]])
+    def test_unassigned_and_empty_rows(self, weights):
+        # the counted path (all 1) and the summed path (weighted) both drop
+        # unassigned neighbors; an empty row scores no neighbor block
+        params = FennelParams(alpha=0.5)
+        for row in (StreamedNodeRecord(0, 1, [1, 2], weights),
+                    StreamedNodeRecord(0, 1, [], [])):
+            for kernel, scan, args in (
+                    (fennel_assign, scan_fennel_assign, (params,)),
+                    (ldg_assign, scan_ldg_assign, ())):
+                got, expected = (PartitionState(4, 3, 1.0, 4)
+                                 for _ in range(2))
+                for state in (got, expected):
+                    state.assign(3, 2, 1)
+                assert onepass._gains_per_block(row, got.assignment) == {}
+                assert kernel(row, got, *args) == scan(row, expected, *args)
+                assert _outcome(got) == _outcome(expected)
+
+    @pytest.mark.parametrize("weights", [[1, 1, 1], [2, 1]])
+    def test_fennel_tie_goes_to_lighter_higher_block(self, weights):
+        # gamma=2, alpha=0.5: the score is g - c(V_i); block 0 (weight 3,
+        # gain 2) and block 1 (weight 2, gain 1) tie at -1, block 0 is seen
+        # first, the lighter block 1 wins
+        params = FennelParams(gamma=2.0, alpha=0.5)
+        state = PartitionState(10, 2, 1.0, 10)
+        for node, block in ((0, 0), (1, 0), (2, 0), (3, 1), (4, 1)):
+            state.assign(node, block, 1)
+        ids = [0, 1, 3] if len(weights) == 3 else [0, 3]
+        record = StreamedNodeRecord(5, 1, ids, weights)
+        assert list(onepass._gains_per_block(record, state.assignment)) == \
+            [0, 1]
+        assert fennel_assign(record, state, params) == 1
+
+    @pytest.mark.parametrize("weights", [[1, 1], [3, 3]])
+    def test_ldg_tie_goes_to_fewer_nodes_higher_block(self, weights):
+        # both blocks weigh 4 and hold one neighbor's edge each; block 0
+        # holds 4 nodes, block 1 one node of weight 4
+        state = PartitionState(10, 2, 0.0, 20)     # l_max = 10
+        for node in range(4):
+            state.assign(node, 0, 1)
+        state.assign(4, 1, 4)
+        record = StreamedNodeRecord(5, 1, [0, 4], weights)
+        assert ldg_assign(record, state) == 1
+
+
+class TestGainsPerBlock:
+    """``_gains_per_block`` against the loop it replaced on unit rows."""
+
+    @pytest.mark.parametrize("max_weight", [1, 2, 5])
+    def test_matches_reference_loop(self, max_weight):
+        rng = random.Random(500 + max_weight)
+        for _ in range(300):
+            n, k = rng.randint(1, 60), rng.randint(1, 9)
+            assignment = [rng.choice([UNASSIGNED, rng.randrange(k)])
+                          for _ in range(n)]
+            degree = rng.randint(0, n)
+            record = StreamedNodeRecord(
+                0, 1, rng.sample(range(n), degree),
+                [rng.randint(1, max_weight) for _ in range(degree)])
+            got = onepass._gains_per_block(record, assignment)
+            expected = _neighbor_gains(record, assignment)
+            assert list(got.items()) == list(expected.items())
+            # counts and sums meet floats as the same values
+            assert [0.5 - g for g in got.values()] == \
+                [0.5 - g for g in expected.values()]
+
+
+class TestEntryPoints:
+    """The pass loops call the module-level kernels once per node per pass,
+    so a tracer that rebinds them sees every node."""
+
+    @pytest.mark.parametrize("algorithm", ["fennel", "ldg"])
+    @pytest.mark.parametrize("passes", [1, 3])
+    def test_kernel_called_once_per_node_per_pass(self, monkeypatch,
+                                                  algorithm, passes):
+        calls = {"fennel": 0, "ldg": 0}
+        fennel, ldg = onepass.fennel_assign, onepass.ldg_assign
+
+        def counted_fennel(record, state, params):
+            calls["fennel"] += 1
+            return fennel(record, state, params)
+
+        def counted_ldg(record, state):
+            calls["ldg"] += 1
+            return ldg(record, state)
+
+        monkeypatch.setattr(onepass, "fennel_assign", counted_fennel)
+        monkeypatch.setattr(onepass, "ldg_assign", counted_ldg)
+        stream = random_graph(random.Random(71), 90, 250)
+        state, params = run_setup(stream, 4)
+        config = OnePassConfig(algorithm=algorithm, passes=passes)
+        run = run_restream if passes > 1 else run_onepass
+        run(stream, config, state, params)
+        other = "ldg" if algorithm == "fennel" else "fennel"
+        assert calls == {algorithm: 90 * passes, other: 0}
