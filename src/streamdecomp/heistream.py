@@ -4,11 +4,11 @@ Each batch of delta nodes becomes a small model graph: the batch subgraph,
 one fixed artificial node per block representing everything already assigned,
 and (extended model) future neighbors contracted into random in-batch hosts
 with their edge weights halved.  The model is coarsened by size-constrained
-label propagation, the coarsest level is partitioned by the weighted Fennel
-argmax over all k blocks, and label propagation driven by the same Fennel
-gain refines every level on the way back up.  Restream passes rebuild the
-model around the previous assignment (no ghosts, no initial partitioning,
-cut edges barred from contraction) and let refinement improve it.
+label propagation, the coarsest level is partitioned by one-pass Fennel's
+k-independent block selection, and label propagation driven by the same
+Fennel gain refines every level on the way back up.  Restream passes
+rebuild the model around the previous assignment (no ghosts, no initial
+partitioning, cut edges barred from contraction); refinement improves it.
 
 Refinement keeps two caches, and both give the floats a rebuild would:
 
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .onepass import FennelParams, fennel_gain, require_reiterable
-from .partition import UNASSIGNED, PartitionState
+from .onepass import FennelParams, fennel_block, require_reiterable
+from .partition import UNASSIGNED, MinBlockHeap, PartitionState
 
 
 @dataclass
@@ -50,6 +50,8 @@ class HeiStreamConfig:
             raise ValueError("delta, x and passes must be >= 1")
         if self.model not in ("basic", "extended"):
             raise ValueError(f"unknown model {self.model!r}")
+        if self.coarsen_rounds < 0 or self.localsearch_rounds < 0:
+            raise ValueError("coarsen_rounds and localsearch_rounds must be >= 0")
 
 
 class BatchModel:
@@ -276,7 +278,7 @@ def coarsen(model: BatchModel, config: HeiStreamConfig,
 
 def initial_partition(model: BatchModel, state: PartitionState,
                       params: FennelParams) -> list[int]:
-    """Full-k generalized Fennel argmax on the coarsest model.
+    """Generalized Fennel on the coarsest model, by ``fennel_block``.
 
     Block weights start from the artificial weights (the true committed block
     weights); nodes are visited in ascending id order; ties break to the
@@ -286,6 +288,7 @@ def initial_partition(model: BatchModel, state: PartitionState,
     """
     nb = model.num_batch
     bw, true_bw = _seed_block_weights(model, [], state.k)
+    by_bw = MinBlockHeap(bw)
     blocks = [UNASSIGNED] * nb
     for v in range(nb):
         gains: dict[int, float] = {}
@@ -295,21 +298,15 @@ def initial_partition(model: BatchModel, state: PartitionState,
                 gains[b] = gains.get(b, 0.0) + w
         wv = model.weight[v]
         tv = model.true_weight[v]
-        best = None
-        best_key = None
-        for i in range(state.k):
-            if true_bw[i] + tv > state.l_max:
-                continue
-            key = (fennel_gain(gains.get(i, 0.0), wv, bw[i], params),
-                   -bw[i], -i)
-            if best_key is None or key > best_key:
-                best, best_key = i, key
-        if best is None:
+        best = fennel_block(gains, bw, true_bw, state.l_max - tv, wv, params,
+                            by_bw.min_block())
+        if best < 0:
             state.violations += 1
             best = min(range(state.k), key=lambda i: (true_bw[i], i))
         blocks[v] = best
         bw[best] += wv
         true_bw[best] += tv
+        by_bw.update(best)
     return blocks
 
 

@@ -100,36 +100,46 @@ def _gains_per_block(record, assignment) -> dict[int, float]:
     return gains
 
 
-def fennel_assign(record, state: PartitionState, params: FennelParams) -> int:
-    """Pick the feasible block maximizing the generalized Fennel score.
+def fennel_block(gains: dict[int, float], bw: list, load: list, room: float,
+                 weight: float, params: FennelParams, lightest: int) -> int:
+    """The block with ``load[i] <= room`` of highest generalized Fennel score
+    ``gains[i] - weight * pen(bw[i])``, ties to the lighter ``bw`` and then
+    the lower index; -1 if none fits.
 
-    Ties go to the lightest block, then the lowest index.  Only the blocks of
-    assigned neighbors and the lightest block are scored: every other block
-    scores ``-c(u)*pen(c(V_i))``, which the lightest block (lowest index
-    first) matches or beats, so per-node work does not depend on k.
+    ``lightest`` is the block of least ``(bw[i], i)``.  If it fits, it matches
+    or beats every block outside ``gains``, so only it (added to ``gains``)
+    and the other keys of ``gains`` are scored: work independent of k.
+    If not, a block heavier by ``bw`` may still fit by ``load``; all are.
     """
-    gains = _gains_per_block(record, state.assignment)
-    lightest = state.by_weight().min_block()
-    if lightest not in gains:
+    if load[lightest] > room:
+        gains = {i: gains.get(i, 0.0) for i in range(len(bw))}
+    elif lightest not in gains:
         gains[lightest] = 0.0
-    weight = record.weight
-    block_weight = state.block_weight
-    room = state.l_max - weight
     # fennel_gain's penalty alpha*gamma*c(V_i)^(gamma-1), same float.
     ag = params.alpha * params.gamma
     g1 = params.gamma - 1.0
     best = -1
     best_score = best_bw = 0
     for i, g in gains.items():
-        bw = block_weight[i]
-        if bw > room:
+        if load[i] > room:
             continue
-        score = g - weight * (ag * bw ** g1)
+        b = bw[i]
+        score = g - weight * (ag * b ** g1)
         if (best < 0 or score > best_score or score == best_score
-                and (bw < best_bw or bw == best_bw and i < best)):
-            best, best_score, best_bw = i, score, bw
+                and (b < best_bw or b == best_bw and i < best)):
+            best, best_score, best_bw = i, score, b
+    return best
+
+
+def fennel_assign(record, state: PartitionState, params: FennelParams) -> int:
+    """Place a node in the block :func:`fennel_block` picks; with no block
+    that fits, in the lightest block, flagged."""
+    gains = _gains_per_block(record, state.assignment)
+    lightest = state.by_weight().min_block()
+    weight = record.weight
+    best = fennel_block(gains, state.block_weight, state.block_weight,
+                        state.l_max - weight, weight, params, lightest)
     if best < 0:
-        # The lightest block is full, so every block is: place it there, flagged.
         state.violations += 1
         best = lightest
     state.assign(record.id, best, weight)

@@ -8,8 +8,9 @@ scores every child of every tree block with capacities and penalty scales
 recomputed per child, the multi-pass multi-section reference restreams once
 per tree layer with per-layer weight tables instead of descending a tree,
 the HeiStream kernels rebuild every node's connection dict on every visit
-and score every block through ``fennel_gain``, and the two k x k PE
-distance matrices are built with numpy, which only the tests need.
+and score every block through ``fennel_gain`` (initial partitioning scores
+all k), and the two k x k PE distance matrices are built with numpy, which
+only the tests need.
 
 The consistency checks at the end recompute production state from scratch.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from streamdecomp import freight
 from streamdecomp.freight import CUT, SINGLE_BLOCK, UNTOUCHED, SortedBlocks
-from streamdecomp.heistream import BatchModel
+from streamdecomp.heistream import BatchModel, _seed_block_weights
 from streamdecomp.multisection import heterogeneous_alpha
 from streamdecomp.onepass import FennelParams, fennel_gain
 from streamdecomp.partition import UNASSIGNED, PartitionState
@@ -419,6 +420,39 @@ def contract(model: BatchModel,
         for v in range(nb):
             coarse.blocks[cluster_map[v]] = model.blocks[v]
     return coarse, cluster_map
+
+
+def scan_initial_partition(model: BatchModel, state: PartitionState,
+                           params: FennelParams) -> list[int]:
+    """Oracle of ``heistream.initial_partition``: scores all k blocks per
+    coarsest node through ``fennel_gain``, feasibility by ``true_bw``."""
+    nb = model.num_batch
+    bw, true_bw = _seed_block_weights(model, [], state.k)
+    blocks = [UNASSIGNED] * nb
+    for v in range(nb):
+        gains: dict[int, float] = {}
+        for u, w in model.adj[v]:
+            b = blocks[u] if u < nb else u - nb
+            if b != UNASSIGNED:
+                gains[b] = gains.get(b, 0.0) + w
+        wv = model.weight[v]
+        tv = model.true_weight[v]
+        best = None
+        best_key = None
+        for i in range(state.k):
+            if true_bw[i] + tv > state.l_max:
+                continue
+            key = (fennel_gain(gains.get(i, 0.0), wv, bw[i], params),
+                   -bw[i], -i)
+            if best_key is None or key > best_key:
+                best, best_key = i, key
+        if best is None:
+            state.violations += 1
+            best = min(range(state.k), key=lambda i: (true_bw[i], i))
+        blocks[v] = best
+        bw[best] += wv
+        true_bw[best] += tv
+    return blocks
 
 
 def refine_level(model: BatchModel, blocks: list[int], bw: list[float],

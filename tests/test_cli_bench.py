@@ -246,14 +246,18 @@ def _run_argv(algorithm, graph, hypergraph):
 
 
 # Every run command checks --alpha and --gamma (map has no --gamma flag);
-# partition --algorithm oms and map also check --hash-bottom-layers.
+# partition --algorithm oms and map also check --hash-bottom-layers, and
+# heistream checks its round counts.
 BAD_PENALTIES = [
     (algorithm, flag, value)
     for algorithm in cli.ALGORITHMS
     for flag, value in (("--alpha", "-1"), ("--gamma", "0.5"),
-                        ("--gamma", "1"), ("--hash-bottom-layers", "-3"))
+                        ("--gamma", "1"), ("--hash-bottom-layers", "-3"),
+                        ("--coarsen-rounds", "-1"),
+                        ("--localsearch-rounds", "-1"))
     if not (flag == "--gamma" and algorithm.startswith("oms-"))
-    and (flag != "--hash-bottom-layers" or algorithm.startswith("oms"))]
+    and (flag != "--hash-bottom-layers" or algorithm.startswith("oms"))
+    and (not flag.endswith("-rounds") or algorithm == "heistream")]
 
 
 class TestCliErrors:

@@ -185,16 +185,29 @@ class TestInitialPartition:
         params = FennelParams(alpha=0.5)
         assert initial_partition(model, state, params) == [2]
 
-    def test_matches_bruteforce_sequential_oracle(self):
+    def test_matches_bruteforce_sequential_oracle(self, monkeypatch):
+        # ghost-inflated nodes (weight > true_weight) make bw and true_bw
+        # differ, so the lightest block by bw may be full while another fits
+        fits_elsewhere = [0]
+        select = hs.fennel_block
+
+        def counted(gains, bw, load, room, weight, params, lightest):
+            best = select(gains, bw, load, room, weight, params, lightest)
+            fits_elsewhere[0] += load[lightest] > room and best >= 0
+            return best
+
+        monkeypatch.setattr(hs, "fennel_block", counted)
         rng = random.Random(51)
-        for _ in range(10):
+        violations = 0
+        for trial in range(60):
             k = rng.choice([2, 4, 8])
             nb = rng.randint(3, 20)
             model = BatchModel(nb, k)
             edges = [dict() for _ in range(nb)]
             for v in range(nb):
-                model.weight[v] = rng.randint(1, 3)
-                model.true_weight[v] = model.weight[v]
+                model.true_weight[v] = rng.randint(1, 3)
+                model.weight[v] = model.true_weight[v] + \
+                    (rng.choice([0, 1, 4, 9]) if trial % 2 else 0)
                 for u in range(v):
                     if rng.random() < 0.2:
                         w = rng.randint(1, 4)
@@ -204,33 +217,80 @@ class TestInitialPartition:
                     edges[v][nb + rng.randrange(k)] = rng.randint(1, 2)
             model.adj = [sorted(d.items()) for d in edges]
             for j in range(k):
-                model.weight[nb + j] = rng.randint(0, 4)
-                model.true_weight[nb + j] = model.weight[nb + j]
+                model.true_weight[nb + j] = rng.randint(0, 4)
+                model.weight[nb + j] = model.true_weight[nb + j]
             total = sum(model.true_weight)
-            state = PartitionState(nb, k, 0.2, total)
+            epsilon = rng.choice([0.0, 0.2])
+            state, oracle_state = (PartitionState(nb, k, epsilon, total)
+                                   for _ in range(2))
             params = FennelParams(alpha=0.7)
             got = initial_partition(model, state, params)
-
-            # straight-line oracle, including the lightest-block fallback
-            bw = [float(model.weight[nb + j]) for j in range(k)]
-            expected = []
-            for v in range(nb):
-                best, best_key = None, None
-                for i in range(k):
-                    if bw[i] + model.weight[v] > state.l_max:
-                        continue
-                    gain = sum(w for u, w in model.adj[v]
-                               if (u >= nb and u - nb == i) or
-                               (u < nb and u < len(expected) and expected[u] == i))
-                    score = gain - model.weight[v] * 0.7 * 1.5 * bw[i] ** 0.5
-                    key = (score, -bw[i], -i)
-                    if best_key is None or key > best_key:
-                        best, best_key = i, key
-                if best is None:
-                    best = min(range(k), key=lambda i: (bw[i], i))
-                expected.append(best)
-                bw[best] += model.weight[v]
+            expected = reference.scan_initial_partition(model, oracle_state,
+                                                        params)
             assert got == expected
+            assert state.violations == oracle_state.violations
+            violations += state.violations
+        assert violations > 0 and fits_elsewhere[0] >= 10
+
+    def test_lightest_by_bw_full_but_another_block_fits(self):
+        # once node 0 joins block 1, block 0 is the lighter by scoring
+        # weight (10 < 11) but full by true weight (10 = L_max), while
+        # block 1 (true weight 7) still fits node 1
+        model = BatchModel(2, 2)
+        model.weight = [5, 1, 10, 6]
+        model.true_weight = [1, 1, 10, 6]
+        model.adj = [[], []]
+        state = PartitionState(2, 2, 0.0, 20)
+        assert state.l_max == 10
+        assert initial_partition(model, state, FennelParams()) == [1, 1]
+        assert state.violations == 0
+
+    def test_k_independent_at_k256(self, monkeypatch):
+        """Counted as C12 counts Fennel's: at k=256 every selection scores
+        at most 1 + the number of distinct blocks among the assigned nodes
+        of the node's row (no lightest block is full here, so none falls
+        back to scoring all blocks)."""
+        scored: list[list] = []   # per call: [blocks scored, fell back]
+        select, partition = hs.fennel_block, hs.initial_partition
+
+        class ScoredGains(dict):
+            def items(self):
+                for item in super().items():
+                    scored[-1][0] += 1
+                    yield item
+
+        def counted(gains, bw, load, room, weight, params, lightest):
+            scored.append([0, load[lightest] > room])
+            return select(ScoredGains(gains), bw, load, room, weight, params,
+                          lightest)
+
+        calls = []
+
+        def recorded(model, state, params):
+            first = len(scored)
+            blocks = partition(model, state, params)
+            calls.append((model, blocks, scored[first:]))
+            return blocks
+
+        monkeypatch.setattr(hs, "fennel_block", counted)
+        monkeypatch.setattr(hs, "initial_partition", recorded)
+        k = 256
+        stream = random_graph(random.Random(256), 3000, 9000)
+        state = heistream(stream, k, delta=1000)
+        assert state.is_balanced() and len(calls) == 3
+        nodes = total = 0
+        for model, blocks, per_node in calls:
+            nb = model.num_batch
+            assert len(per_node) == nb
+            for v, (count, fell_back) in enumerate(per_node):
+                row = {blocks[u] if u < nb else u - nb
+                       for u, _ in model.adj[v] if u < v or u >= nb}
+                assert not fell_back and 1 <= count <= len(row) + 1, \
+                    f"node {v}"
+                total += count
+            nodes += nb
+        assert nodes > 2000
+        assert total < 8 * nodes   # a full scan scores k = 256 per node
 
 
 class TestRefinement:
