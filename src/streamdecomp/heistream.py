@@ -6,9 +6,10 @@ and (extended model) future neighbors contracted into random in-batch hosts
 with their edge weights halved.  The model is coarsened by size-constrained
 label propagation, the coarsest level is partitioned by one-pass Fennel's
 k-independent block selection, and label propagation driven by the same
-Fennel gain refines every level on the way back up.  Restream passes
-rebuild the model around the previous assignment (no ghosts, no initial
-partitioning, cut edges barred from contraction); refinement improves it.
+Fennel gain refines every level on the way back up.  A later pass
+unassigns each batch and models it around everything else, as the first
+pass does; the batch's previous blocks replace initial partitioning, cut
+edges are barred from contraction, and refinement improves them.
 
 Refinement keeps two caches, and both give the floats a rebuild would:
 
@@ -71,7 +72,7 @@ class BatchModel:
         self.weight: list[float] = [0] * n        # scoring weight (ghost-inflated)
         self.true_weight: list[int] = [0] * n     # committed weight (capacity)
         self.adj: list[list[tuple[int, float]]] = [[] for _ in range(num_batch)]
-        self.blocks: Optional[list[int]] = None   # preassignment (restream)
+        self.blocks: Optional[list[int]] = None   # previous pass's blocks
         self.ghost_inflation = 0                  # total contracted ghost weight
 
     @property
@@ -85,16 +86,22 @@ def load_batch(stream_iter: Iterator, delta: int) -> Optional[list]:
 
 
 def build_model(batch: list, state: PartitionState, config: HeiStreamConfig,
-                rng: random.Random, restream: bool = False) -> BatchModel:
-    """Assemble the batch model; see the module docstring for the shapes."""
+                rng: random.Random,
+                blocks: Optional[list[int]] = None) -> BatchModel:
+    """Assemble the batch model; see the module docstring for the shapes.
+
+    ``blocks``, the batch's previous assignment on a later pass, also says
+    that every node outside the batch must be assigned.
+    """
     start = batch[0].id
     end = batch[-1].id + 1
     nb = len(batch)
     assignment = state.assignment
 
-    outside = start > 0 or (restream and state.n > nb)
-    num_art = state.k if outside else 0
+    # block_count, not block_weight: weight-0 nodes count as placed too
+    num_art = state.k if any(state.block_count) else 0
     model = BatchModel(nb, num_art)
+    model.blocks = blocks
 
     edges: list[dict[int, float]] = [dict() for _ in range(nb)]
     ghosts: dict[int, list[tuple[int, int]]] = {}
@@ -104,38 +111,27 @@ def build_model(batch: list, state: PartitionState, config: HeiStreamConfig,
         for v, w in zip(record.ids, record.weights):
             if start <= v < end:
                 edges[local][v - start] = edges[local].get(v - start, 0) + w
-            elif restream or v < start:
-                block = assignment[v]
-                if block == UNASSIGNED:
-                    raise AssertionError("outside neighbor unassigned in restream")
+            elif (block := assignment[v]) != UNASSIGNED:
                 art = nb + block
                 edges[local][art] = edges[local].get(art, 0) + w
+            elif blocks is not None:
+                raise AssertionError("outside node unassigned on a later pass")
             elif config.model == "extended":
                 ghosts.setdefault(v, []).append((local, w))
             # basic model: edges to future nodes are dropped
 
-    if ghosts:
-        for ghost_neighbors in ghosts.values():
-            host = ghost_neighbors[rng.randrange(len(ghost_neighbors))][0]
-            model.weight[host] += 1   # streamed weight of a future node is unknown
-            model.ghost_inflation += 1
-            for local, w in ghost_neighbors:
-                if local == host:
-                    continue
-                half = w / 2
-                edges[local][host] = edges[local].get(host, 0) + half
-                edges[host][local] = edges[host].get(local, 0) + half
+    for ghost_neighbors in ghosts.values():
+        host = ghost_neighbors[rng.randrange(len(ghost_neighbors))][0]
+        model.weight[host] += 1   # streamed weight of a future node is unknown
+        model.ghost_inflation += 1
+        for local, w in ghost_neighbors:
+            if local == host:
+                continue
+            half = w / 2
+            edges[local][host] = edges[local].get(host, 0) + half
+            edges[host][local] = edges[host].get(local, 0) + half
 
-    for j in range(num_art):
-        model.weight[nb + j] = state.block_weight[j]
-        model.true_weight[nb + j] = state.block_weight[j]
-    if restream:
-        # Artificial nodes represent every node outside this batch.
-        if num_art:
-            for local, record in enumerate(batch):
-                model.weight[nb + assignment[record.id]] -= record.weight
-                model.true_weight[nb + assignment[record.id]] -= record.weight
-        model.blocks = [assignment[r.id] for r in batch]
+    model.weight[nb:] = model.true_weight[nb:] = state.block_weight[:num_art]
 
     model.adj = [sorted(d.items()) for d in edges]
     return model
@@ -151,7 +147,7 @@ def _propagate_labels(model: BatchModel, cap: int, rounds: int,
     """Size-constrained label propagation clustering of the batch nodes.
 
     Artificial nodes and their edges are invisible here.  When
-    ``restrict_blocks`` is given (restreaming), nodes only join clusters
+    ``restrict_blocks`` is given (a later pass), nodes only join clusters
     inside their own block, which keeps every cut edge uncontracted.
     """
     nb = model.num_batch
@@ -267,9 +263,9 @@ def coarsen(model: BatchModel, config: HeiStreamConfig,
     while current.size > threshold:
         cluster = _propagate_labels(current, cap, config.coarsen_rounds,
                                     rng, current.blocks)
+        if len(set(cluster)) == current.num_batch:
+            break   # nothing merged, stop
         coarse, cluster_map = _contract(current, cluster)
-        if coarse.num_batch >= current.num_batch:
-            break   # no shrink, stop
         levels.append(_Level(current, cluster_map))
         current = coarse
     levels.append(_Level(current, list(range(current.num_batch))))
@@ -425,23 +421,24 @@ def _seed_block_weights(model: BatchModel,
     return bw, true_bw
 
 
-def commit_batch(batch: list, blocks: list[int], state: PartitionState,
-                 restream: bool = False) -> None:
+def commit_batch(batch: list, blocks: list[int],
+                 state: PartitionState) -> None:
     """Write the batch assignment into the global state using true weights.
 
     Ghost-inflated model weights stay inside the model; global balance is
     accounted with the weights the stream actually carried.
     """
-    for local, record in enumerate(batch):
-        if restream:
-            state.unassign(record.id, record.weight)
-        state.assign(record.id, blocks[local], record.weight)
+    for record, block in zip(batch, blocks):
+        state.assign(record.id, block, record.weight)
 
 
 def partition_batch(batch: list, state: PartitionState,
                     config: HeiStreamConfig, params: FennelParams,
                     rng: random.Random, restream: bool = False) -> list[int]:
-    model = build_model(batch, state, config, rng, restream)
+    """Blocks of one batch; a restream pass first unassigns the batch."""
+    previous = [state.unassign(r.id, r.weight) for r in batch] \
+        if restream else None
+    model = build_model(batch, state, config, rng, previous)
     levels = coarsen(model, config, state, rng)
     coarsest = levels[-1].model
     coarse_blocks = coarsest.blocks if restream \
@@ -460,10 +457,8 @@ def run_heistream(stream, config: HeiStreamConfig,
     require_reiterable(stream)
     rng = random.Random(config.seed)
     for p in range(config.passes):
-        restream = p > 0
         it = iter(stream)
         while (batch := load_batch(it, config.delta)) is not None:
-            blocks = partition_batch(batch, state, config, params, rng,
-                                     restream)
-            commit_batch(batch, blocks, state, restream)
+            blocks = partition_batch(batch, state, config, params, rng, p > 0)
+            commit_batch(batch, blocks, state)
     return state

@@ -133,15 +133,17 @@ def fennel_block(gains: dict[int, float], bw: list, load: list, room: float,
 
 def fennel_assign(record, state: PartitionState, params: FennelParams) -> int:
     """Place a node in the block :func:`fennel_block` picks; with no block
-    that fits, in the lightest block, flagged."""
-    gains = _gains_per_block(record, state.assignment)
+    that fits (the lightest is full, so all are), in the lightest, flagged."""
     lightest = state.by_weight().min_block()
     weight = record.weight
-    best = fennel_block(gains, state.block_weight, state.block_weight,
-                        state.l_max - weight, weight, params, lightest)
-    if best < 0:
+    room = state.l_max - weight
+    if state.block_weight[lightest] > room:
         state.violations += 1
         best = lightest
+    else:
+        best = fennel_block(_gains_per_block(record, state.assignment),
+                            state.block_weight, state.block_weight, room,
+                            weight, params, lightest)
     state.assign(record.id, best, weight)
     return best
 
@@ -196,8 +198,10 @@ def run_onepass(stream, config: OnePassConfig, state: PartitionState,
     """One full pass assigning every streamed node. Returns the final state."""
     for record in stream:
         if config.algorithm == "hashing":
-            state.assign(record.id, hashing_assign(record.id, state.k),
-                         record.weight)
+            block = hashing_assign(record.id, state.k)
+            state.assign(record.id, block, record.weight)
+            if state.block_weight[block] > state.l_max:
+                state.violations += 1   # hashing ignores weights; flag it
         elif config.algorithm == "ldg":
             ldg_assign(record, state)
         else:

@@ -58,9 +58,9 @@ class PartitionState:
     """Assignment array plus per-block weights; the source of truth for balance.
 
     ``block_count`` tracks the number of nodes per block (the LDG tie-break
-    wants node counts, not weights).  ``violations`` counts nodes that had to
-    be placed in a full block because no feasible block existed; runs never
-    abort on capacity exhaustion, they flag it.
+    wants node counts, not weights).  ``violations`` counts nodes placed
+    where they break ``l_max``, because no block fit or (hashing) none was
+    sought; runs never abort on capacity exhaustion, they flag it.
 
     ``by_weight()`` and ``by_count()`` order the blocks by weight and by node
     count.  Each is built on its first call and kept current by ``assign``

@@ -9,8 +9,9 @@ recomputed per child, the multi-pass multi-section reference restreams once
 per tree layer with per-layer weight tables instead of descending a tree,
 the HeiStream kernels rebuild every node's connection dict on every visit
 and score every block through ``fennel_gain`` (initial partitioning scores
-all k), and the two k x k PE distance matrices are built with numpy, which
-only the tests need.
+all k), a later pass's batch model is built with the batch still assigned
+and its weights subtracted from the artificial nodes, and the two k x k PE
+distance matrices are built with numpy, which only the tests need.
 
 The consistency checks at the end recompute production state from scratch.
 """
@@ -333,6 +334,49 @@ def run_multisection_multipass(graph_stream, tree, l_max: int,
         if depth > 64:
             raise AssertionError("multi-pass reference failed to converge")
     return [p.lo for p in position]
+
+
+def restream_model(batch: list, state: PartitionState) -> BatchModel:
+    """Oracle of ``heistream.build_model`` on a later pass, built the way
+    HeiStream once built it: with the batch still assigned, every neighbor
+    outside the batch becomes an artificial edge, and the batch's own
+    weights are subtracted from the artificial nodes.  No ghost forms, so
+    neither the model kind nor ``rng`` enters."""
+    start = batch[0].id
+    end = batch[-1].id + 1
+    nb = len(batch)
+    assignment = state.assignment
+
+    outside = start > 0 or state.n > nb
+    num_art = state.k if outside else 0
+    model = BatchModel(nb, num_art)
+
+    edges: list[dict[int, float]] = [dict() for _ in range(nb)]
+    for local, record in enumerate(batch):
+        model.weight[local] = record.weight
+        model.true_weight[local] = record.weight
+        for v, w in zip(record.ids, record.weights):
+            if start <= v < end:
+                edges[local][v - start] = edges[local].get(v - start, 0) + w
+            else:
+                block = assignment[v]
+                if block == UNASSIGNED:
+                    raise AssertionError("outside neighbor unassigned")
+                art = nb + block
+                edges[local][art] = edges[local].get(art, 0) + w
+
+    for j in range(num_art):
+        model.weight[nb + j] = state.block_weight[j]
+        model.true_weight[nb + j] = state.block_weight[j]
+    # Artificial nodes represent every node outside this batch.
+    if num_art:
+        for local, record in enumerate(batch):
+            model.weight[nb + assignment[record.id]] -= record.weight
+            model.true_weight[nb + assignment[record.id]] -= record.weight
+    model.blocks = [assignment[r.id] for r in batch]
+
+    model.adj = [sorted(d.items()) for d in edges]
+    return model
 
 
 def propagate_labels(model: BatchModel, cap: int, rounds: int,

@@ -472,7 +472,7 @@ class TestCliWeightedInputs:
         return payload
 
     @pytest.mark.parametrize("edge_weights", [False, True])
-    def test_graph_algorithms_and_map(self, tmp_path, edge_weights):
+    def test_graph_algorithms_and_map(self, tmp_path, capsys, edge_weights):
         path, weights = _weighted_graph_file(tmp_path, edge_weights)
         with open(path) as fh:
             assert fh.readline().split()[2] == ("11" if edge_weights else "10")
@@ -483,10 +483,13 @@ class TestCliWeightedInputs:
                                        "--passes", str(passes),
                                        "--delta", "64"], weights, 8)
         # hashing ignores weights and overloads a block here; it must say so
+        capsys.readouterr()
         payload = self._check(
             tmp_path, ["partition", "--input", path, "--k", "8",
                        "--algorithm", "hashing"], weights, 8, exempt=True)
-        assert payload["balanced"] is False
+        assert payload["balanced"] is False and payload["violations"] > 0
+        assert f"warning: {payload['violations']} capacity violations" in \
+            capsys.readouterr().err
         self._check(tmp_path, ["map", "--input", path, "--hierarchy", "2:4",
                                "--distances", "1:10"], weights, 8)
 

@@ -119,8 +119,9 @@ class TestBuildModel:
             state.assign(node, block, 1)
         batch = [StreamedNodeRecord(0, 1, [2, 3], [1, 1]),
                  StreamedNodeRecord(1, 1, [3], [1])]
+        previous = [state.unassign(r.id, r.weight) for r in batch]
         model = build_model(batch, state, self.cfg(), random.Random(0),
-                            restream=True)
+                            previous)
         assert model.num_art == 2
         # node 0 connects to artificial of block 0 (future node 2) and
         # block 1 (future node 3)
@@ -128,6 +129,51 @@ class TestBuildModel:
         # artificial weights exclude the current batch
         assert model.weight[2] == 1 and model.weight[3] == 1
         assert model.blocks == [0, 1]
+
+    def test_later_pass_rejects_unassigned_outside_neighbor(self):
+        state = PartitionState(3, 2, 1.0, 3)
+        batch = [StreamedNodeRecord(0, 1, [2], [1]),
+                 StreamedNodeRecord(1, 1, [], [])]
+        # without previous blocks node 2 is a ghost; with them, a fault
+        assert build_model(batch, state, self.cfg(),
+                           random.Random(0)).ghost_inflation == 1
+        with pytest.raises(AssertionError, match="unassigned"):
+            build_model(batch, state, self.cfg(), random.Random(0), [0, 1])
+
+    @pytest.mark.parametrize("one_sided", [False, True])
+    @pytest.mark.parametrize("model", ["extended", "basic"])
+    def test_later_pass_matches_reference_model(self, model, one_sided):
+        """The model of an unassigned batch equals the one built with the
+        batch still assigned and its weights subtracted, and draws no rng
+        numbers; weight-0 nodes keep the artificial nodes as the old
+        outside test did."""
+        rng = random.Random(f"{model}-{one_sided}")
+        n = 60
+        single = 0
+        for trial in range(24):
+            stream = _weighted_stream(rng, n, one_sided)
+            if trial % 4 == 3:
+                for record in stream.records:
+                    record.weight = 0
+            k = rng.choice([2, 5, 16])
+            delta = rng.choice([1, 7, 25, n])
+            state = PartitionState(n, k, 0.5, max(1, sum(
+                r.weight for r in stream)))
+            for v in range(n):
+                state.assign(v, rng.randrange(k), stream.records[v].weight)
+            config = HeiStreamConfig(delta=delta, model=model)
+            it = iter(stream)
+            while (batch := load_batch(it, delta)) is not None:
+                expected = reference.restream_model(batch, state)
+                previous = [state.unassign(r.id, r.weight) for r in batch]
+                run_rng = random.Random(trial)
+                got = build_model(batch, state, config, run_rng, previous)
+                assert _model_fields(got) == _model_fields(expected)
+                assert run_rng.getstate() == random.Random(trial).getstate()
+                single += got.num_art == 0
+                commit_batch(batch, [rng.randrange(k) for _ in batch], state)
+            reference.check_consistency(state, [r.weight for r in stream])
+        assert single > 0   # n == delta: one batch, no artificial nodes
 
 
 class TestCoarsen:
@@ -145,6 +191,28 @@ class TestCoarsen:
         levels = coarsen(model, config, state, random.Random(0))
         assert len(levels) == 1
         assert levels[0].model is model
+
+    def test_cap_one_never_contracts(self, monkeypatch):
+        # at k=256, epsilon 0.03 no cluster may hold two nodes: label
+        # propagation merges nothing, and the identity is not contracted
+        lp_calls = []
+        lp = hs._propagate_labels
+
+        def counted(*args):
+            lp_calls.append(lp(*args))
+            return lp_calls[-1]
+
+        def contract(model, cluster):
+            raise AssertionError("contracted a clustering that merged nothing")
+
+        monkeypatch.setattr(hs, "_propagate_labels", counted)
+        monkeypatch.setattr(hs, "_contract", contract)
+        stream = random_graph(random.Random(256), 3000, 9000)
+        state, params = run_setup(stream, 256)
+        assert hs.cluster_cap(state) == 1
+        run_heistream(stream, HeiStreamConfig(delta=1000), state, params)
+        assert lp_calls and state.is_balanced()
+        assert all(c == list(range(len(c))) for c in lp_calls)
 
     def test_two_cliques_collapse_to_two_nodes(self):
         clique = lambda off: [(off + a, off + b, 1)
@@ -452,6 +520,7 @@ def _check_against_reference(monkeypatch, calls: dict) -> None:
         assert rng.getstate() == twin.getstate()
         calls["lp"] += 1
         calls["lp_merges"] += model.num_batch - len(set(got))
+        calls["lp_merged"] += len(set(got)) < model.num_batch
         return got
 
     def checked_contract(model, cluster):
@@ -551,8 +620,8 @@ class TestKernelsMatchReference:
             assert outputs[0] == outputs[1]
 
     def _compare(self, monkeypatch, stream, k, delta, epsilon, model):
-        calls = dict.fromkeys(("lp", "lp_merges", "contract", "refine",
-                               "refine_moves"), 0)
+        calls = dict.fromkeys(("lp", "lp_merges", "lp_merged", "contract",
+                               "refine", "refine_moves"), 0)
         for passes in (1, 2, 3):
             config = HeiStreamConfig(delta=delta, model=model, passes=passes,
                                      x=1, seed=passes)
@@ -567,7 +636,9 @@ class TestKernelsMatchReference:
                               reference.refine_level)
                 expected = _heistream_result(stream, k, epsilon, config)
             assert got == expected, f"passes={passes}"
-        assert calls["refine"] > 0 and calls["lp"] > 0 and calls["contract"] > 0
+        assert calls["refine"] > 0 and calls["lp"] > 0
+        # exactly the clusterings that merged a node are contracted
+        assert calls["contract"] == calls["lp_merged"]
         if epsilon > 0:   # at epsilon 0 clusters cannot grow past one node
             assert calls["refine_moves"] > 0
             assert calls["lp_merges"] > 0 or delta == 1

@@ -34,6 +34,17 @@ class TestHashing:
         random.Random(1).shuffle(ids)
         assert [hashing_assign(i, 7) for i in ids] == [i % 7 for i in ids]
 
+    def test_weighted_overload_is_flagged(self):
+        # block 0 gets weights 10 + 10 against L_max 12; the placement itself
+        # stays id mod k
+        stream = graph_stream_from_edges(4, [(0, 1, 1), (2, 3, 1)],
+                                         node_weights=[10, 1, 10, 1])
+        state, params = run_setup(stream, 2)
+        run_onepass(stream, OnePassConfig(algorithm="hashing"), state, params)
+        assert state.assignment == [0, 1, 0, 1]
+        assert (state.l_max, state.block_weight) == (12, [20, 2])
+        assert state.violations == 1
+
 
 class TestLdg:
     def test_score_arithmetic(self):
@@ -160,6 +171,45 @@ class TestFennelAssign:
             weights[best] += 1
             expected.append(best)
         assert got == expected
+
+
+    def test_violating_node_scores_no_block(self, monkeypatch):
+        """Counted as C12 counts: at k=64 and epsilon 0 on a node-weighted
+        graph, a node the lightest block cannot take scores no block (every
+        block is full then) and lands there, flagged; every other node
+        scores through one ``fennel_block`` call."""
+        select, assign = onepass.fennel_block, onepass.fennel_assign
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return select(*args)
+
+        nodes = {"violating": 0, "placed": 0}
+
+        def checked(record, state, params):
+            before = (calls[0], state.violations)
+            lightest = min(range(state.k),
+                           key=lambda i: (state.block_weight[i], i))
+            block = assign(record, state, params)
+            scored = calls[0] - before[0]
+            if state.violations > before[1]:
+                assert (scored, block) == (0, lightest), f"node {record.id}"
+                nodes["violating"] += 1
+            else:
+                assert scored == 1, f"node {record.id}"
+                nodes["placed"] += 1
+            return block
+
+        monkeypatch.setattr(onepass, "fennel_block", counted)
+        monkeypatch.setattr(onepass, "fennel_assign", checked)
+        stream = random_graph(random.Random(64), 2000, 5000,
+                              max_edge_weight=5, max_node_weight=20)
+        state = run_restream(stream, OnePassConfig(algorithm="fennel",
+                                                   passes=2),
+                             *run_setup(stream, 64, epsilon=0.0))
+        assert nodes["violating"] == state.violations > 0
+        assert nodes["placed"] > 0
 
 
 class TestRunOnepass:
