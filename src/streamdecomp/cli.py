@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -159,7 +159,9 @@ def _heistream(spec, stream, state, params, hierarchy):
         coarsen_rounds=spec.coarsen_rounds,
         localsearch_rounds=spec.localsearch_rounds, x=spec.x,
         passes=spec.passes, seed=spec.seed)
-    return run_heistream(stream, config, state, params)
+    # The batch models' (id, weight) tuples form no reference cycle.
+    with _gc_paused():
+        return run_heistream(stream, config, state, params)
 
 
 def _oms(spec, stream, state, params, hierarchy):
@@ -220,6 +222,21 @@ def _verify(stream, assignment, block_weight, hypergraph: bool,
             "comm_cost": comm_cost}
 
 
+@contextmanager
+def _gc_paused():
+    """No cyclic garbage collection inside the block.  For work that
+    allocates many long-lived objects but forms no reference cycle: the
+    collections its allocations trigger would pass over them and free
+    nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def execute(spec) -> dict:
     """One partition, hpartition or map run, from input file to report.
 
@@ -240,15 +257,9 @@ def execute(spec) -> dict:
     # A preload keeps the records in memory, so it never reads a spool.
     with closing(opener(spec.input, spool=not spec.time_core)) as stream:
         if spec.time_core:
-            # The records live until the run ends: cyclic GC passes over
-            # them while loading would find nothing to free.
-            collecting = gc.isenabled()
-            gc.disable()
-            try:
+            # The records live until the run ends.
+            with _gc_paused():
                 stream = MemoryStream(stream.header, list(stream))
-            finally:
-                if collecting:
-                    gc.enable()
         header = stream.header
         # c(V) fixes L_max before the run: on node-weighted input it takes
         # the first pass, which the run then replays.
@@ -375,7 +386,7 @@ def main(argv=None) -> int:
     except (FormatError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, IndexError, KeyError) as exc:
+    except Exception as exc:   # a fault of the program, not of its input
         print(f"internal invariant failure: {exc!r}", file=sys.stderr)
         return 3
 

@@ -22,11 +22,25 @@ Refinement keeps two caches, and both give the floats a rebuild would:
   assignments stay those of rebuilding it on every visit.
 * One Fennel penalty per block, ``(alpha * gamma) * bw[b] ** (gamma - 1)``
   as ``fennel_gain`` computes it, recomputed whenever ``bw[b]`` changes.
+
+The batch kernels also rest on three facts, each pinned by a test:
+
+* Every model row lists each id once, in ascending order, and artificial
+  ids follow the batch ids.  A row's batch part is therefore its prefix up
+  to ``bisect_left(row, (num_batch,))``, which label propagation and the
+  setup of refinement slice instead of testing entry by entry.
+* Label propagation sums a row's weights as floats: a cluster's first term
+  is ``0.0 + w``, so every sum is the float one, also past 2**53, where an
+  int sum would differ.  Model building and contraction sum from the int
+  ``0``, whose first term is ``w`` itself.
+* ``_shuffle`` is ``random.Random.shuffle`` with its ``getrandbits`` draws
+  inlined: it makes the same swaps and leaves ``rng`` in the same state.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
@@ -61,8 +75,9 @@ class BatchModel:
     Batch node i is the batch's i-th streamed node; artificial node
     ``num_batch + j`` stands for block j and is fixed.  Adjacency is stored
     on batch nodes only (artificial nodes never move, so their own lists are
-    never read).  Ghost contraction may leave fractional edge weights; they
-    exist only inside the model.
+    never read), each row a list of ``(id, weight)`` sorted by id with no id
+    twice, so its batch entries come first.  Ghost contraction may leave
+    fractional edge weights; they exist only inside the model.
     """
 
     def __init__(self, num_batch: int, num_art: int):
@@ -105,20 +120,26 @@ def build_model(batch: list, state: PartitionState, config: HeiStreamConfig,
 
     edges: list[dict[int, float]] = [dict() for _ in range(nb)]
     ghosts: dict[int, list[tuple[int, int]]] = {}
+    extended = config.model == "extended"
     for local, record in enumerate(batch):
         model.weight[local] = record.weight
         model.true_weight[local] = record.weight
+        row = edges[local]
         for v, w in zip(record.ids, record.weights):
             if start <= v < end:
-                edges[local][v - start] = edges[local].get(v - start, 0) + w
+                u = v - start
             elif (block := assignment[v]) != UNASSIGNED:
-                art = nb + block
-                edges[local][art] = edges[local].get(art, 0) + w
+                u = nb + block
             elif blocks is not None:
                 raise AssertionError("outside node unassigned on a later pass")
-            elif config.model == "extended":
-                ghosts.setdefault(v, []).append((local, w))
-            # basic model: edges to future nodes are dropped
+            else:
+                if extended:
+                    ghosts.setdefault(v, []).append((local, w))
+                continue   # basic model: edges to future nodes are dropped
+            if u in row:
+                row[u] += w
+            else:
+                row[u] = w
 
     for ghost_neighbors in ghosts.values():
         host = ghost_neighbors[rng.randrange(len(ghost_neighbors))][0]
@@ -141,6 +162,18 @@ def build_model(batch: list, state: PartitionState, config: HeiStreamConfig,
 _Level = namedtuple("_Level", "model cluster_map")
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """``rng.shuffle(x)`` with its ``_randbelow`` inlined: the same swaps
+    and the same ``getrandbits`` draws, so the same list and ``rng`` state."""
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
+
+
 def _propagate_labels(model: BatchModel, cap: int, rounds: int,
                       rng: random.Random,
                       restrict_blocks: Optional[list[int]]) -> list[int]:
@@ -152,19 +185,20 @@ def _propagate_labels(model: BatchModel, cap: int, rounds: int,
     """
     nb = model.num_batch
     true_weight = model.true_weight
-    # Rows of the visible edges, filtered once per level, in row order.
+    # Rows of the visible edges, once per level: the batch prefix of each
+    # sorted row.
     if restrict_blocks is None:
         rows = model.adj if not model.num_art else \
-            [[e for e in row if e[0] < nb] for row in model.adj]
+            [row[:bisect_left(row, (nb,))] for row in model.adj]
     else:
-        rows = [[e for e in row
-                 if e[0] < nb and restrict_blocks[e[0]] == own_block]
+        rows = [[e for e in row[:bisect_left(row, (nb,))]
+                 if restrict_blocks[e[0]] == own_block]
                 for row, own_block in zip(model.adj, restrict_blocks)]
     cluster = list(range(nb))
     cluster_weight = true_weight[:nb]
     order = list(range(nb))
     for _ in range(rounds):
-        rng.shuffle(order)
+        _shuffle(rng, order)
         moved = False
         for v in order:
             row = rows[v]
@@ -173,25 +207,37 @@ def _propagate_labels(model: BatchModel, cap: int, rounds: int,
             conn: dict[int, float] = {}
             for u, w in row:
                 c = cluster[u]
-                conn[c] = conn.get(c, 0.0) + w
+                if c in conn:
+                    conn[c] += w
+                else:
+                    conn[c] = 0.0 + w   # a float sum, as from 0.0
             own = cluster[v]
-            wv = true_weight[v]
+            room = cap - true_weight[v]
             own_conn = conn.get(own, 0.0)
             best_conn = own_conn
-            candidates: list[int] = []
+            # The candidates in conn order: best alone, or ties when several.
+            best = -1
+            ties: Optional[list[int]] = None
             for c, strength in conn.items():
-                if c == own or cluster_weight[c] + wv > cap:
+                if c == own or cluster_weight[c] > room:
                     continue
                 if strength > best_conn:
                     best_conn = strength
-                    candidates = [c]
+                    best = c
+                    ties = None
                 elif strength == best_conn:
-                    candidates.append(c)
-            if not candidates:
+                    if best < 0:
+                        best = c
+                    elif ties is None:
+                        ties = [best, c]
+                    else:
+                        ties.append(c)
+            if best < 0:
                 continue
             if best_conn == own_conn and rng.random() >= 0.5:
                 continue  # zero-gain move declined
-            target = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
+            target = best if ties is None else rng.choice(ties)
+            wv = true_weight[v]
             cluster_weight[own] -= wv
             cluster_weight[target] += wv
             cluster[v] = target
@@ -204,21 +250,22 @@ def _propagate_labels(model: BatchModel, cap: int, rounds: int,
 def _contract(model: BatchModel, cluster: list[int]) -> tuple[BatchModel, list[int]]:
     """Contract a clustering; artificial nodes carry over one-to-one."""
     nb = model.num_batch
-    remap: dict[int, int] = {}
-    for v in range(nb):   # ascending order keeps ids deterministic
-        c = cluster[v]
-        if c not in remap:
-            remap[c] = len(remap)
+    # Numbering clusters in the order of their first node keeps ids
+    # deterministic.
+    remap = dict.fromkeys(cluster)
+    for i, c in enumerate(remap):
+        remap[c] = i
     coarse_nb = len(remap)
     coarse = BatchModel(coarse_nb, model.num_art)
     coarse.ghost_inflation = model.ghost_inflation
     cluster_map = [remap[c] for c in cluster]
 
-    for v, cv in enumerate(cluster_map):
-        coarse.weight[cv] += model.weight[v]
-        coarse.true_weight[cv] += model.true_weight[v]
-    coarse.weight[coarse_nb:] = model.weight[nb:]
-    coarse.true_weight[coarse_nb:] = model.true_weight[nb:]
+    weight, true_weight = coarse.weight, coarse.true_weight
+    for cv, w, t in zip(cluster_map, model.weight, model.true_weight):
+        weight[cv] += w
+        true_weight[cv] += t
+    weight[coarse_nb:] = model.weight[nb:]
+    true_weight[coarse_nb:] = model.true_weight[nb:]
 
     # Coarse id of every fine node; artificial node nb + j maps to coarse_nb + j.
     coarse_id = cluster_map + list(range(coarse_nb, coarse_nb + model.num_art))
@@ -227,14 +274,18 @@ def _contract(model: BatchModel, cluster: list[int]) -> tuple[BatchModel, list[i
         out = edges[cv]
         for u, w in row:
             cu = coarse_id[u]
-            if cu != cv:
-                out[cu] = out.get(cu, 0) + w
+            if cu == cv:
+                continue
+            if cu in out:
+                out[cu] += w
+            else:
+                out[cu] = w
     coarse.adj = [sorted(d.items()) for d in edges]
 
     if model.blocks is not None:
         coarse.blocks = [0] * coarse_nb
-        for v in range(nb):
-            coarse.blocks[cluster_map[v]] = model.blocks[v]
+        for cv, b in zip(cluster_map, model.blocks):
+            coarse.blocks[cv] = b
     return coarse, cluster_map
 
 
@@ -330,14 +381,13 @@ def _refine_level(model: BatchModel, blocks: list[int], bw: list[float],
     label = blocks + list(range(model.num_art))
     listed_by: list[list[int]] = [[] for _ in range(nb)]
     for v, row in enumerate(adj):
-        for u, _ in row:
-            if u < nb:
-                listed_by[u].append(v)
+        for u, _ in row[:bisect_left(row, (nb,))]:
+            listed_by[u].append(v)
     cache: list[Optional[dict[int, float]]] = [None] * nb
     order = list(range(nb))
     total_gain = 0.0
     for _ in range(rounds):
-        rng.shuffle(order)
+        _shuffle(rng, order)
         moved = False
         for v in order:
             gains = cache[v]
@@ -355,19 +405,25 @@ def _refine_level(model: BatchModel, blocks: list[int], bw: list[float],
             left_pen = ag * left ** gm1
             stay_score = gains.get(own, 0.0) - wv * left_pen
             best_score = stay_score
-            candidates: list[int] = []
+            best = -1   # the candidates as in _propagate_labels
+            ties: Optional[list[int]] = None
             for b, g in gains.items():
                 if b == own or true_bw[b] + tv > l_max:
                     continue
                 score = g - wv * pen[b]
                 if score > best_score:
                     best_score = score
-                    candidates = [b]
+                    best = b
+                    ties = None
                 elif score == best_score:
-                    candidates.append(b)
-            if candidates and (best_score > stay_score or rng.random() < 0.5):
-                target = candidates[0] if len(candidates) == 1 \
-                    else rng.choice(candidates)
+                    if best < 0:
+                        best = b
+                    elif ties is None:
+                        ties = [best, b]
+                    else:
+                        ties.append(b)
+            if best >= 0 and (best_score > stay_score or rng.random() < 0.5):
+                target = best if ties is None else rng.choice(ties)
                 bw[own] = left
                 pen[own] = left_pen
                 true_bw[own] -= tv

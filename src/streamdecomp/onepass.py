@@ -8,6 +8,7 @@ decision reads the state left behind by the previous one.
 
 from __future__ import annotations
 
+import math
 from collections import _count_elements
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -33,10 +34,11 @@ class FennelParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 1.0:
-            raise ValueError("gamma must be > 1")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be > 0")
+        # written so that NaN fails too
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and > 1")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 0")
 
     @classmethod
     def for_stream(cls, n: int, m: int, k: int, gamma: float = 1.5,
@@ -58,8 +60,8 @@ class OnePassConfig:
             raise ValueError(f"unknown one-pass algorithm {self.algorithm!r}")
         if self.passes < 1:
             raise ValueError("passes must be >= 1")
-        if self.restream_alpha_growth < 1.0:
-            raise ValueError("restream_alpha_growth must be >= 1")
+        if not 1.0 <= self.restream_alpha_growth < math.inf:
+            raise ValueError("restream_alpha_growth must be finite and >= 1")
 
 
 def hashing_assign(node_id: int, k: int) -> int:

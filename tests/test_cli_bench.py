@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -245,17 +246,23 @@ def _run_argv(algorithm, graph, hypergraph):
             "--algorithm", algorithm]
 
 
-# Every run command checks --alpha and --gamma (map has no --gamma flag);
+# Every run command checks --alpha and --gamma (map has no --gamma flag),
+# NaN and infinity included; the one-pass algorithms check --alpha-growth;
 # partition --algorithm oms and map also check --hash-bottom-layers, and
 # heistream checks its round counts.
 BAD_PENALTIES = [
     (algorithm, flag, value)
     for algorithm in cli.ALGORITHMS
-    for flag, value in (("--alpha", "-1"), ("--gamma", "0.5"),
-                        ("--gamma", "1"), ("--hash-bottom-layers", "-3"),
+    for flag, value in (("--alpha", "-1"), ("--alpha", "nan"),
+                        ("--alpha", "inf"), ("--gamma", "0.5"),
+                        ("--gamma", "1"), ("--gamma", "nan"),
+                        ("--gamma", "inf"), ("--alpha-growth", "0.5"),
+                        ("--alpha-growth", "nan"), ("--alpha-growth", "inf"),
+                        ("--hash-bottom-layers", "-3"),
                         ("--coarsen-rounds", "-1"),
                         ("--localsearch-rounds", "-1"))
     if not (flag == "--gamma" and algorithm.startswith("oms-"))
+    and (flag != "--alpha-growth" or algorithm in ("hashing", "ldg", "fennel"))
     and (flag != "--hash-bottom-layers" or algorithm.startswith("oms"))
     and (not flag.endswith("-rounds") or algorithm == "heistream")]
 
@@ -365,6 +372,31 @@ class TestCliErrors:
         monkeypatch.setattr(cli, "run_onepass", broken)
         assert main(["partition", "--input", graph_file, "--k", "2"]) == 3
         assert "internal invariant failure" in capsys.readouterr().err
+
+    def test_heistream_runs_with_cyclic_gc_paused(self, graph_file,
+                                                  monkeypatch, capsys):
+        # paused for the run only, and resumed when the run fails
+        seen = []
+
+        def run(*args):
+            seen.append(gc.isenabled())
+            raise ZeroDivisionError("injected")
+        monkeypatch.setattr(cli, "run_heistream", run)
+        assert gc.isenabled()
+        assert main(["partition", "--input", graph_file, "--k", "2",
+                     "--algorithm", "heistream"]) == 3
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, TypeError])
+    def test_any_other_exception_is_exit_3(self, graph_file, monkeypatch,
+                                           capsys, error):
+        # not the usage-error code 1 with a traceback
+        def broken(*args, **kwargs):
+            raise error("injected")
+        monkeypatch.setattr(cli, "run_onepass", broken)
+        assert main(["partition", "--input", graph_file, "--k", "2"]) == 3
+        assert (f"internal invariant failure: {error.__name__}('injected')"
+                in capsys.readouterr().err)
 
     def test_map_warns_on_capacity_violations(self, tmp_path, capsys):
         # c(V) = 4, k = 2, eps = 0: L_max = 2, so the weight-3 node overloads

@@ -643,3 +643,76 @@ class TestKernelsMatchReference:
             assert calls["refine_moves"] > 0
             assert calls["lp_merges"] > 0 or delta == 1
         return calls
+
+
+class TestFastPathAssumptions:
+    """What the fast paths of label propagation, contraction and refinement
+    take for granted, pinned on their own."""
+
+    @pytest.mark.parametrize("model,passes", [("basic", 1), ("extended", 1),
+                                              ("extended", 2)])
+    def test_rows_sorted_with_unique_ids(self, monkeypatch, model, passes):
+        # so a row's batch entries are its prefix, before the artificial ones
+        built, contracted = [], []
+        build, contract = hs.build_model, hs._contract
+
+        def build_checked(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def contract_checked(*args):
+            coarse, cluster_map = contract(*args)
+            contracted.append(coarse)
+            return coarse, cluster_map
+
+        monkeypatch.setattr(hs, "build_model", build_checked)
+        monkeypatch.setattr(hs, "_contract", contract_checked)
+        stream = _weighted_stream(random.Random(passes), 240, one_sided=True)
+        config = HeiStreamConfig(delta=80, model=model, passes=passes, x=1)
+        run_heistream(stream, config, *run_setup(stream, 4, epsilon=0.5))
+        for m in built + contracted:
+            for row in m.adj:
+                ids = [u for u, _ in row]
+                assert ids == sorted(set(ids))
+        assert len(built) == 3 * passes
+        # levels were contracted on pass 1 and on the later pass, if any
+        later = [m for m in contracted if m.blocks is not None]
+        assert bool(later) == (passes > 1)
+        assert len(contracted) > len(later)
+        assert any(m.num_art for m in contracted)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**61 + 5])
+    def test_shuffle_is_random_shuffle(self, seed):
+        lengths = [0, 1, 2, 3] + [2**j + d for j in range(1, 11)
+                                  for d in (-1, 1)]
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for n in lengths:
+            a, b = list(range(n)), list(range(n))
+            hs._shuffle(ours, a)
+            stdlib.shuffle(b)
+            assert a == b, n
+            assert ours.getstate() == stdlib.getstate(), n
+
+    def test_label_propagation_with_huge_weights(self):
+        # float sums round past 2**53, integer sums would not
+        rng = random.Random(60)
+        base = 2**60
+        for trial in range(60):
+            nb, k = rng.randint(2, 25), rng.choice([0, 4])
+            model = BatchModel(nb, k)
+            edges = [dict() for _ in range(nb)]
+            for v in range(nb):
+                model.true_weight[v] = rng.randint(1, 3)
+                for u in rng.sample(range(nb + k), min(nb + k, 8)):
+                    if u != v:
+                        edges[v][u] = base + rng.choice([0, 1, 3, 64, 129])
+            model.adj = [sorted(d.items()) for d in edges]
+            blocks = [rng.randrange(2) for _ in range(nb)] \
+                if trial % 2 else None
+            outputs = []
+            for propagate in (hs._propagate_labels,
+                              reference.propagate_labels):
+                run_rng = random.Random(trial)
+                outputs.append((propagate(model, 6, 5, run_rng, blocks),
+                                run_rng.getstate()))
+            assert outputs[0] == outputs[1], trial
