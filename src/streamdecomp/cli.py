@@ -18,6 +18,7 @@ import functools
 import gc
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -148,7 +149,7 @@ def _hierarchy(spec) -> HierarchySpec:
 def _onepass(spec, stream, state, params, hierarchy):
     config = OnePassConfig(algorithm=spec.algorithm, passes=spec.passes,
                            restream_alpha_growth=spec.alpha_growth)
-    if spec.passes > 1 and spec.algorithm != "hashing":
+    if spec.passes > 1:
         return run_restream(stream, config, state, params)
     return run_onepass(stream, config, state, params)
 
@@ -218,7 +219,7 @@ def _verify(stream, assignment, block_weight, hypergraph: bool,
         edge_cut = metrics_mod.edge_cut(stream, assignment)
     return {"edge_cut": edge_cut, "cut_net": cut_net,
             "connectivity": connectivity,
-            "imbalance": metrics_mod.imbalance(block_weight, len(block_weight)),
+            "imbalance": metrics_mod.imbalance(block_weight),
             "comm_cost": comm_cost}
 
 
@@ -267,7 +268,7 @@ def execute(spec) -> dict:
             if header.has_node_weights else header.n
         state = PartitionState(header.n, k, spec.epsilon, total_weight)
         params = FennelParams.for_stream(header.n, header.m, k, spec.gamma,
-                                         spec.alpha)
+                                         spec.alpha, total_weight)
         t1 = time.perf_counter()
         state = run(spec, stream, state, params, hierarchy)
         t2 = time.perf_counter()
@@ -379,6 +380,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         if "seed" in args and args.seed is None:
             args.seed = int(os.environ.get("STREAMDECOMP_SEED") or 0)
+        if not 0.0 <= getattr(args, "epsilon", 0.0) < math.inf:   # NaN too
+            raise ValueError("epsilon must be finite and >= 0")
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -175,25 +175,25 @@ def _shuffle(rng: random.Random, x: list) -> None:
 
 
 def _propagate_labels(model: BatchModel, cap: int, rounds: int,
-                      rng: random.Random,
-                      restrict_blocks: Optional[list[int]]) -> list[int]:
+                      rng: random.Random) -> list[int]:
     """Size-constrained label propagation clustering of the batch nodes.
 
-    Artificial nodes and their edges are invisible here.  When
-    ``restrict_blocks`` is given (a later pass), nodes only join clusters
-    inside their own block, which keeps every cut edge uncontracted.
+    Artificial nodes and their edges are invisible here.  On a later pass
+    (``model.blocks`` set), nodes only join clusters inside their own
+    block, which keeps every cut edge uncontracted.
     """
     nb = model.num_batch
     true_weight = model.true_weight
+    blocks = model.blocks
     # Rows of the visible edges, once per level: the batch prefix of each
     # sorted row.
-    if restrict_blocks is None:
+    if blocks is None:
         rows = model.adj if not model.num_art else \
             [row[:bisect_left(row, (nb,))] for row in model.adj]
     else:
         rows = [[e for e in row[:bisect_left(row, (nb,))]
-                 if restrict_blocks[e[0]] == own_block]
-                for row, own_block in zip(model.adj, restrict_blocks)]
+                 if blocks[e[0]] == own_block]
+                for row, own_block in zip(model.adj, blocks)]
     cluster = list(range(nb))
     cluster_weight = true_weight[:nb]
     order = list(range(nb))
@@ -302,18 +302,15 @@ def cluster_cap(state: PartitionState) -> int:
 
 
 def coarsen(model: BatchModel, config: HeiStreamConfig,
-            state: PartitionState, rng: random.Random,
-            cap: Optional[int] = None) -> list[_Level]:
+            state: PartitionState, rng: random.Random) -> list[_Level]:
     """Cluster and contract until the model is below max(|B|/(2xk), xk)."""
-    if cap is None:
-        cap = cluster_cap(state)
+    cap = cluster_cap(state)
     threshold = max(model.size // (2 * config.x * state.k),
                     config.x * state.k)
     levels: list[_Level] = []
     current = model
     while current.size > threshold:
-        cluster = _propagate_labels(current, cap, config.coarsen_rounds,
-                                    rng, current.blocks)
+        cluster = _propagate_labels(current, cap, config.coarsen_rounds, rng)
         if len(set(cluster)) == current.num_batch:
             break   # nothing merged, stop
         coarse, cluster_map = _contract(current, cluster)
@@ -449,13 +446,13 @@ def _refine_level(model: BatchModel, blocks: list[int], bw: list[float],
 
 def uncoarsen_refine(levels: list[_Level], coarse_blocks: list[int],
                      state: PartitionState, config: HeiStreamConfig,
-                     params: FennelParams, rng: random.Random,
-                     refine_coarsest: bool = False) -> list[int]:
+                     params: FennelParams, rng: random.Random) -> list[int]:
     """Project the coarsest partition down the hierarchy, refining each level."""
     blocks = coarse_blocks
+    later_pass = levels[-1].model.blocks is not None
     for level in reversed(levels):   # the coarsest level maps to itself
         blocks = [blocks[c] for c in level.cluster_map]
-        if refine_coarsest or level is not levels[-1]:
+        if later_pass or level is not levels[-1]:
             bw, true_bw = _seed_block_weights(level.model, blocks, state.k)
             _refine_level(level.model, blocks, bw, true_bw, state, params,
                           config.localsearch_rounds, rng)
@@ -499,8 +496,7 @@ def partition_batch(batch: list, state: PartitionState,
     coarsest = levels[-1].model
     coarse_blocks = coarsest.blocks if restream \
         else initial_partition(coarsest, state, params)
-    return uncoarsen_refine(levels, coarse_blocks, state, config, params,
-                            rng, refine_coarsest=restream)
+    return uncoarsen_refine(levels, coarse_blocks, state, config, params, rng)
 
 
 def run_heistream(stream, config: HeiStreamConfig,

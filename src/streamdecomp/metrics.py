@@ -18,17 +18,19 @@ def edge_cut(graph_stream: Iterable, assignment: Sequence[int]) -> int:
     Each undirected edge appears twice in the stream (once per endpoint), so
     the doubled sum is halved at the end.
     """
+    _require_complete(assignment)
     doubled = 0
     for record in graph_stream:
         bu = assignment[record.id]
-        if bu == UNASSIGNED:
-            raise ValueError(f"node {record.id} unassigned")
         for v, w in zip(record.ids, record.weights):
-            if assignment[v] == UNASSIGNED:
-                raise ValueError(f"node {v} unassigned")
             if assignment[v] != bu:
                 doubled += w
     return _halve(doubled)
+
+
+def _require_complete(assignment: Sequence[int]) -> None:
+    if UNASSIGNED in assignment:
+        raise ValueError(f"node {assignment.index(UNASSIGNED)} unassigned")
 
 
 def _halve(doubled: int) -> int:
@@ -49,15 +51,13 @@ def cut_net_and_connectivity(hyper_stream,
     pin (``FormatError`` if not); without it every net weighs 1 and
     ``weights`` is not read, as in FREIGHT.
     """
+    _require_complete(assignment)
     m = hyper_stream.header.m
     weighted = hyper_stream.header.has_item_weights
     mask = [0] * m
     net_weight = [0] * m if weighted else [1] * m
     for record in hyper_stream:
-        block = assignment[record.id]
-        if block == UNASSIGNED:
-            raise ValueError(f"node {record.id} unassigned")
-        bit = 1 << block
+        bit = 1 << assignment[record.id]
         try:
             if weighted:
                 for e, w in zip(record.ids, record.weights):
@@ -91,6 +91,7 @@ def comm_cost(graph_stream: Iterable, assignment: Sequence[int],
     counted once.  ``hierarchy`` is a ``HierarchySpec`` whose k matches the
     partition; its distance is looked up inline from the PE codes.
     """
+    _require_complete(assignment)
     codes = hierarchy.codes()
     by_bits = hierarchy.distance_by_bit_length
     doubled = 0
@@ -98,13 +99,9 @@ def comm_cost(graph_stream: Iterable, assignment: Sequence[int],
     for record in graph_stream:
         u = record.id
         bu = assignment[u]
-        if bu == UNASSIGNED:
-            raise ValueError(f"node {u} unassigned")
         code = codes[bu]
         for v, w in zip(record.ids, record.weights):
             bv = assignment[v]
-            if bv == UNASSIGNED:
-                raise ValueError(f"node {v} unassigned")
             if bv != bu:
                 doubled += w
                 if v > u:   # count each undirected edge at its lower endpoint
@@ -112,9 +109,9 @@ def comm_cost(graph_stream: Iterable, assignment: Sequence[int],
     return _halve(doubled), total
 
 
-def imbalance(block_weights: Sequence[int], k: int) -> float:
-    """max_i c(V_i) * k / c(V) - 1."""
+def imbalance(block_weights: Sequence[int]) -> float:
+    """max_i c(V_i) * k / c(V) - 1, with k = ``len(block_weights)``."""
     total = sum(block_weights)
     if total == 0:
         return 0.0
-    return max(block_weights) * k / total - 1.0
+    return max(block_weights) * len(block_weights) / total - 1.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import _count_elements
 from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,11 +43,19 @@ class FennelParams:
 
     @classmethod
     def for_stream(cls, n: int, m: int, k: int, gamma: float = 1.5,
-                   alpha: Optional[float] = None) -> "FennelParams":
-        """Params of one run: ``alpha`` defaults to :func:`fennel_alpha`."""
-        if alpha is None:
-            alpha = fennel_alpha(n, m, k, gamma)
-        return cls(gamma=gamma, alpha=alpha)
+                   alpha: Optional[float] = None,
+                   total_weight: Optional[int] = None) -> "FennelParams":
+        """Params of one run: ``alpha`` defaults to :func:`fennel_alpha`.  No
+        block a run scores outweighs c(V) + n (``total_weight`` is c(V), else
+        n), so a ``gamma`` whose penalty overflows there is rejected."""
+        params = cls(gamma, 1.0 if alpha is None else alpha)
+        with suppress(OverflowError):
+            if alpha is None:
+                params.alpha = fennel_alpha(n, m, k, gamma)
+            heaviest = (total_weight or n) + n
+            if params.alpha * gamma * heaviest ** (gamma - 1.0) < math.inf:
+                return params
+        raise ValueError(f"--gamma {gamma} overflows the Fennel penalty")
 
 
 @dataclass
@@ -220,27 +229,22 @@ def run_restream(stream, config: OnePassConfig, state: PartitionState,
     same order; a one-shot iterator raises ``TypeError``.  ReLDG scores
     against block weights accumulated in the current pass only; ReFennel
     subtracts the node's own weight before scoring and multiplies alpha by
-    ``restream_alpha_growth`` each pass.
+    ``restream_alpha_growth`` each pass.  Hashing makes one pass, since
+    every later pass would repeat it.
     """
-    if config.algorithm == "hashing":
-        raise ValueError("restreaming hashing is pointless; use passes=1")
     require_reiterable(stream)
     run_onepass(stream, config, state, params)
+    if config.algorithm == "hashing":
+        return state
 
     for p in range(1, config.passes):
         if config.algorithm == "ldg":
-            # Current-pass weights start from zero; the assignment array keeps
-            # serving neighbor lookups across passes.
-            current = PartitionState(state.n, state.k, state.epsilon,
-                                     state.total_weight)
-            current.assignment = state.assignment
+            # The pass places every node again, so its weights end as the
+            # totals; the assignment keeps serving neighbor lookups.
+            state.clear_blocks()
             for record in stream:
-                state.unassign(record.id, record.weight)
-                new = ldg_assign(record, current)
-                # current shares the assignment array and already wrote it
                 state.assignment[record.id] = UNASSIGNED
-                state.assign(record.id, new, record.weight)
-            state.violations += current.violations
+                ldg_assign(record, state)
         else:
             pass_params = FennelParams(
                 gamma=params.gamma,

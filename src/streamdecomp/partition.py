@@ -118,6 +118,11 @@ class PartitionState:
             self._by_count.update(block)
         return block
 
+    def clear_blocks(self) -> None:
+        """Empty every block in place; the assignment stays."""
+        self.block_weight[:] = self.block_count[:] = [0] * self.k
+        self._by_weight = self._by_count = None
+
     def max_block_weight(self) -> int:
         return max(self.block_weight)
 

@@ -16,8 +16,10 @@ def run_setup(stream, k: int, epsilon: float = 0.03, gamma: float = 1.5,
     c(V) is the sum of the streamed node weights, alpha defaults from the
     header."""
     header = stream.header
-    state = PartitionState(header.n, k, epsilon, sum(r.weight for r in stream))
-    return state, FennelParams.for_stream(header.n, header.m, k, gamma, alpha)
+    total_weight = sum(r.weight for r in stream)
+    state = PartitionState(header.n, k, epsilon, total_weight)
+    return state, FennelParams.for_stream(header.n, header.m, k, gamma, alpha,
+                                          total_weight)
 
 
 def graph_stream_from_edges(n, edges, node_weights=None) -> MemoryStream:

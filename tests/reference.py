@@ -10,8 +10,10 @@ per tree layer with per-layer weight tables instead of descending a tree,
 the HeiStream kernels rebuild every node's connection dict on every visit
 and score every block through ``fennel_gain`` (initial partitioning scores
 all k), a later pass's batch model is built with the batch still assigned
-and its weights subtracted from the artificial nodes, and the two k x k PE
-distance matrices are built with numpy, which only the tests need.
+and its weights subtracted from the artificial nodes, ReLDG restreams on a
+second state of per-pass weights that shares the run's assignment, and
+the two k x k PE distance matrices are built with numpy, which only the
+tests need.
 
 The consistency checks at the end recompute production state from scratch.
 """
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from streamdecomp import freight
 from streamdecomp.freight import CUT, SINGLE_BLOCK, UNTOUCHED, SortedBlocks
 from streamdecomp.heistream import BatchModel, _seed_block_weights
 from streamdecomp.multisection import heterogeneous_alpha
-from streamdecomp.onepass import FennelParams, fennel_gain
+from streamdecomp.onepass import FennelParams, fennel_gain, ldg_assign, \
+    run_onepass
 from streamdecomp.partition import UNASSIGNED, PartitionState
 
 
@@ -87,6 +89,26 @@ def scan_ldg_assign(record, state: PartitionState) -> int:
         best = _exhaustion_fallback(state)
     state.assign(record.id, best, record.weight)
     return best
+
+
+def shadow_reldg(stream, config, state: PartitionState,
+                 params: FennelParams) -> PartitionState:
+    """Oracle of ReLDG in ``onepass.run_restream``: each later pass scores
+    on a second ``PartitionState`` of per-pass weights that shares the run's
+    assignment, and every placement is written again into the run's state."""
+    run_onepass(stream, config, state, params)
+    for _ in range(1, config.passes):
+        current = PartitionState(state.n, state.k, state.epsilon,
+                                 state.total_weight)
+        current.assignment = state.assignment
+        for record in stream:
+            state.unassign(record.id, record.weight)
+            new = ldg_assign(record, current)
+            # current shares the assignment array and already wrote it
+            state.assignment[record.id] = UNASSIGNED
+            state.assign(record.id, new, record.weight)
+        state.violations += current.violations
+    return state
 
 
 def select_block(gains: dict[int, float], counts: dict[int, int],
@@ -380,9 +402,9 @@ def restream_model(batch: list, state: PartitionState) -> BatchModel:
 
 
 def propagate_labels(model: BatchModel, cap: int, rounds: int,
-                     rng: random.Random,
-                     restrict_blocks: Optional[list[int]]) -> list[int]:
+                     rng: random.Random) -> list[int]:
     """Oracle of ``heistream._propagate_labels``: filters every row per visit."""
+    restrict_blocks = model.blocks
     nb = model.num_batch
     cluster = list(range(nb))
     cluster_weight = [model.true_weight[v] for v in range(nb)]

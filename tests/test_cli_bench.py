@@ -247,7 +247,9 @@ def _run_argv(algorithm, graph, hypergraph):
 
 
 # Every run command checks --alpha and --gamma (map has no --gamma flag),
-# NaN and infinity included; the one-pass algorithms check --alpha-growth;
+# NaN and infinity included.  Gamma is checked before the default alpha is
+# computed, which for -1000 would divide by an underflowed n ** gamma, and
+# 1000 overflows the penalty.  The one-pass algorithms check --alpha-growth;
 # partition --algorithm oms and map also check --hash-bottom-layers, and
 # heistream checks its round counts.
 BAD_PENALTIES = [
@@ -256,7 +258,9 @@ BAD_PENALTIES = [
     for flag, value in (("--alpha", "-1"), ("--alpha", "nan"),
                         ("--alpha", "inf"), ("--gamma", "0.5"),
                         ("--gamma", "1"), ("--gamma", "nan"),
-                        ("--gamma", "inf"), ("--alpha-growth", "0.5"),
+                        ("--gamma", "inf"), ("--gamma", "-1000"),
+                        ("--gamma", "1000"),
+                        ("--alpha-growth", "0.5"),
                         ("--alpha-growth", "nan"), ("--alpha-growth", "inf"),
                         ("--hash-bottom-layers", "-3"),
                         ("--coarsen-rounds", "-1"),
@@ -277,6 +281,42 @@ class TestCliErrors:
         assert main(argv + [flag, value]) == 2
         assert "input error" in capsys.readouterr().err
         assert main(argv) == 0      # the same run with default penalties
+
+    # A gamma whose penalty overflows a float at the weight c(V) + n is
+    # rejected before any node is placed: at the default alpha (whose
+    # k ** (gamma - 1) overflows first) and at alpha 1, where the blocks'
+    # own weights would reach bw ** (gamma - 1) overflow during the run.
+    @pytest.mark.parametrize("algorithm", ["hashing", "ldg", "fennel",
+                                           "heistream", "oms"])
+    @pytest.mark.parametrize("penalty", [["--gamma", "1000"],
+                                         ["--gamma", "250", "--alpha", "1"]])
+    def test_overflowing_gamma_is_exit_2(self, graph_file, capsys,
+                                         algorithm, penalty):
+        argv = ["partition", "--input", graph_file, "--k", "2",
+                "--algorithm", algorithm]
+        assert main(argv + penalty) == 2
+        assert "input error: --gamma " in capsys.readouterr().err
+        assert main(argv + ["--gamma", "100", "--alpha", "1"]) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_bad_epsilon_is_exit_2_on_every_command(self, graph_file,
+                                                    tmp_path, capsys, value):
+        hypergraph = tmp_path / "nodes.hgr"
+        hypergraph.write_text("4 2 4\n1\n1 2\n2\n\n")
+        part = tmp_path / "p.txt"
+        part.write_text("0\n1\n" * 30)
+        for argv in (_run_argv("fennel", graph_file, None),
+                     _run_argv("freight-con", None, str(hypergraph)),
+                     _run_argv("oms-fennel", graph_file, None),
+                     ["metrics", "--input", graph_file, "--partition",
+                      str(part)],
+                     ["bench", "--input", graph_file, "--algorithms",
+                      "ldg", "--k", "2", "--output",
+                      str(tmp_path / "rows.csv")]):
+            assert main(argv + [f"--epsilon={value}"]) == 2, argv[0]
+            assert "input error: epsilon must be finite and >= 0" in \
+                capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["partition", "--input", "x"]) == 1   # missing --k

@@ -220,10 +220,11 @@ class TestCoarsen:
         edges = clique(0) + clique(8) + [(0, 8, 1)]
         stream = graph_stream_from_edges(16, edges)
         config = HeiStreamConfig(delta=16, x=1, coarsen_rounds=5)
-        state = PartitionState(16, 2, 0.0, 16)   # L_max = 8 caps clusters
+        state = PartitionState(16, 2, 0.5, 16)   # L_max 12: cluster cap 8
+        assert hs.cluster_cap(state) == 8
         batch = list(stream)
         model = build_model(batch, state, config, random.Random(3))
-        levels = coarsen(model, config, state, random.Random(3), cap=8)
+        levels = coarsen(model, config, state, random.Random(3))
         coarsest = levels[-1].model
         assert coarsest.num_batch == 2
         assert sorted(coarsest.weight[:2]) == [8, 8]
@@ -401,18 +402,28 @@ class TestRefinement:
         base_obj, _ = model_cut_and_penalty(finest, projected, 4, params)
         assert refined_obj <= base_obj + 1e-9
 
-    def test_node_already_in_best_block_stays(self):
+    def test_node_already_in_best_block_stays(self, monkeypatch):
         config = HeiStreamConfig(delta=2)
         model = BatchModel(2, 0)
         model.weight = [1, 1]
         model.true_weight = [1, 1]
         model.adj = [[(1, 5)], [(0, 5)]]
+        model.blocks = [0, 0]   # a later pass, so the coarsest is refined
         state = PartitionState(2, 2, 1.0, 2)
         params = FennelParams(alpha=0.1)
         levels = coarsen(model, config, state, random.Random(0))
+        refined = []
+        refine = hs._refine_level
+
+        def counted(level_model, *args):
+            refined.append(level_model)
+            return refine(level_model, *args)
+
+        monkeypatch.setattr(hs, "_refine_level", counted)
         blocks = uncoarsen_refine(levels, [0, 0], state, config, params,
-                                  random.Random(0), refine_coarsest=True)
+                                  random.Random(0))
         assert blocks == [0, 0]
+        assert refined == [model]   # the one level, also the coarsest
 
 
 class TestCommitAndRun:
@@ -511,11 +522,10 @@ def _check_against_reference(monkeypatch, calls: dict) -> None:
     lp, contract, refine = (hs._propagate_labels, hs._contract,
                             hs._refine_level)
 
-    def checked_lp(model, cap, rounds, rng, restrict_blocks):
+    def checked_lp(model, cap, rounds, rng):
         twin = _twin(rng)
-        expected = reference.propagate_labels(model, cap, rounds, twin,
-                                              restrict_blocks)
-        got = lp(model, cap, rounds, rng, restrict_blocks)
+        expected = reference.propagate_labels(model, cap, rounds, twin)
+        got = lp(model, cap, rounds, rng)
         assert got == expected
         assert rng.getstate() == twin.getstate()
         calls["lp"] += 1
@@ -707,12 +717,12 @@ class TestFastPathAssumptions:
                     if u != v:
                         edges[v][u] = base + rng.choice([0, 1, 3, 64, 129])
             model.adj = [sorted(d.items()) for d in edges]
-            blocks = [rng.randrange(2) for _ in range(nb)] \
+            model.blocks = [rng.randrange(2) for _ in range(nb)] \
                 if trial % 2 else None
             outputs = []
             for propagate in (hs._propagate_labels,
                               reference.propagate_labels):
                 run_rng = random.Random(trial)
-                outputs.append((propagate(model, 6, 5, run_rng, blocks),
+                outputs.append((propagate(model, 6, 5, run_rng),
                                 run_rng.getstate()))
             assert outputs[0] == outputs[1], trial

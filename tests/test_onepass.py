@@ -15,7 +15,7 @@ from streamdecomp.streams import (MemoryStream, StreamedNodeRecord,
 
 from generators import graph_stream_from_edges, random_graph, run_setup
 from reference import (_neighbor_gains, check_consistency,
-                       scan_fennel_assign, scan_ldg_assign)
+                       scan_fennel_assign, scan_ldg_assign, shadow_reldg)
 
 
 class TestHashing:
@@ -310,6 +310,51 @@ class TestRestream:
             outcomes[growth] = state.assignment[0] == state.assignment[1]
         assert outcomes[1.0] is True
         assert outcomes[10.0] is False
+
+
+    # (seed, n, m, max node weight, k, epsilon): unit weights; node weights
+    # with room to spare; node weights at epsilon 0, where LDG's
+    # fewest-nodes block is often full and _fewest_feasible falls back
+    RELDG_CASES = {"unit": (1, 300, 900, 1, 4, 0.03),
+                   "weighted": (2, 300, 900, 9, 8, 0.1),
+                   "fallback": (3, 300, 600, 30, 16, 0.0)}
+
+    @pytest.mark.parametrize("passes", [2, 3, 4])
+    @pytest.mark.parametrize("case", sorted(RELDG_CASES))
+    def test_reldg_matches_shadow_state_oracle(self, monkeypatch, case,
+                                               passes):
+        seed, n, m, max_weight, k, epsilon = self.RELDG_CASES[case]
+        stream = random_graph(random.Random(seed), n, m, max_edge_weight=3,
+                              max_node_weight=max_weight)
+        fallbacks = [0]
+        fewest = onepass._fewest_feasible
+
+        def counted(record, state):
+            fallbacks[0] += 1
+            return fewest(record, state)
+
+        monkeypatch.setattr(onepass, "_fewest_feasible", counted)
+        config = OnePassConfig(algorithm="ldg", passes=passes)
+        got = run_restream(stream, config, *run_setup(stream, k, epsilon))
+        production_fallbacks = fallbacks[0]
+        expected = shadow_reldg(stream, config,
+                                *run_setup(stream, k, epsilon))
+        assert _outcome(got) == _outcome(expected)
+        check_consistency(got, [r.weight for r in stream])
+        if case == "fallback":
+            assert production_fallbacks > 0 and got.violations > 0
+
+    def test_hashing_restream_is_one_pass(self):
+        # node weights at epsilon 0 overfill blocks: the violations of the
+        # one pass are not counted again
+        stream = random_graph(random.Random(5), 100, 200, max_node_weight=7)
+        one = run_onepass(stream, OnePassConfig(algorithm="hashing"),
+                          *run_setup(stream, 4, epsilon=0.0))
+        three = run_restream(stream, OnePassConfig(algorithm="hashing",
+                                                   passes=3),
+                             *run_setup(stream, 4, epsilon=0.0))
+        assert _outcome(three) == _outcome(one)
+        assert one.violations > 0
 
 
 def _partition(stream, algorithm, k, epsilon, passes):

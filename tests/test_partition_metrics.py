@@ -211,5 +211,37 @@ class TestInvariants:
         assert edge_cut(stream, blocks) == edge_cut(stream, relabeled)
 
     def test_imbalance(self):
-        assert imbalance([10, 10], 2) == pytest.approx(0.0)
-        assert imbalance([15, 5], 2) == pytest.approx(0.5)
+        assert imbalance([10, 10]) == pytest.approx(0.0)
+        assert imbalance([15, 5]) == pytest.approx(0.5)
+        assert imbalance([15, 5, 0, 0]) == pytest.approx(2.0)
+
+
+# Each metric checks the whole assignment once before its pass: the error
+# names the first unassigned node, also an isolated one or one that no
+# streamed row lists.
+INCOMPLETE = [
+    ("edge_cut", [0, 1, -1, 0, -1], 2),
+    ("edge_cut", [0, 1, 1, 0, -1], 4),      # node 4 is isolated
+    ("comm_cost", [-1, 1, 1, 0, 0], 0),
+    ("comm_cost", [0, 1, 1, 0, -1], 4),
+    ("cut_net_and_connectivity", [0, -1, 1, -1, 0], 1),
+    ("cut_net_and_connectivity", [0, 1, 1, 0, -1], 4),   # in no net
+]
+
+
+@pytest.mark.parametrize("metric,assignment,first", INCOMPLETE)
+def test_incomplete_assignment_names_first_unassigned(metric, assignment,
+                                                      first):
+    if metric == "cut_net_and_connectivity":
+        stream = hypergraph_stream_from_nets(5, [([0, 1, 2], 1),
+                                                 ([2, 3], 2)])
+        args = ()
+    else:
+        stream = graph_stream_from_edges(5, [(0, 1, 1), (1, 2, 1),
+                                             (2, 3, 1)])
+        args = (HierarchySpec.parse("2", "1"),) if metric == "comm_cost" \
+            else ()
+    compute = {"edge_cut": edge_cut, "comm_cost": comm_cost,
+               "cut_net_and_connectivity": cut_net_and_connectivity}[metric]
+    with pytest.raises(ValueError, match=f"^node {first} unassigned$"):
+        compute(stream, assignment, *args)
