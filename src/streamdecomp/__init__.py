@@ -15,7 +15,7 @@ from .onepass import (FennelParams, OnePassConfig, fennel_alpha, fennel_assign,
                       fennel_gain, hashing_assign, ldg_assign, run_onepass,
                       run_restream)
 from .freight import NetTracker, SortedBlocks, freight_assign, run_freight
-from .multisection import (HierarchySpec, MultisectionTree, OmsConfig,
+from .multisection import (HierarchySpec, OmsConfig, TreeBlock,
                            build_from_spec, build_hierarchy,
                            heterogeneous_alpha, oms_assign, run_oms)
 from .heistream import (BatchModel, HeiStreamConfig, build_model, coarsen,

@@ -30,7 +30,7 @@ def edge_cut(graph_stream: Iterable, assignment: Sequence[int]) -> int:
 
 def _require_complete(assignment: Sequence[int]) -> None:
     if UNASSIGNED in assignment:
-        raise ValueError(f"node {assignment.index(UNASSIGNED)} unassigned")
+        raise AssertionError(f"node {assignment.index(UNASSIGNED)} unassigned")
 
 
 def _halve(doubled: int) -> int:

@@ -118,9 +118,9 @@ class TreeBlock:
 
     An internal block keeps the state of its children in per-child lists,
     indexed like ``children``: the first leaf of each, its weight (the only
-    copy of a child's weight), and, once :meth:`MultisectionTree.prepare`
-    ran, its capacity and penalty scale.  ``classes`` lists the [start, stop)
-    index runs of equally sized children, which share capacity and scale.
+    copy of a child's weight), its capacity and its penalty scale.
+    ``classes`` lists the [start, stop) index runs of equally sized
+    children, which share capacity and scale.
     """
 
     __slots__ = ("lo", "hi", "children", "child_starts", "child_weights",
@@ -142,72 +142,43 @@ class TreeBlock:
         return self.hi - self.lo + 1
 
 
-class MultisectionTree:
-    def __init__(self, root: TreeBlock):
-        self.root = root
-
-    def prepare(self, l_max: int, alpha: float) -> None:
-        """Set the per-run constants of every child: capacity t * l_max and
-        the penalty scale alpha / sqrt(t)."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            node.capacities = [c.t * l_max for c in node.children]
-            node.alphas = [heterogeneous_alpha(c, alpha) for c in node.children]
-            stack.extend(node.children)
-
-
-def _attach_children(parent: TreeBlock, sizes: list[int]) -> None:
-    lo = parent.lo
-    for size in sizes:
-        child = TreeBlock(lo, lo + size - 1)
-        parent.children.append(child)
-        parent.child_starts.append(lo)
-        lo += size
-    parent.child_weights = [0] * len(sizes)
-
-
-def _build(k: int, fanout_at_depth) -> MultisectionTree:
-    """Tree over blocks 0..k-1: a node covering t > 1 leaves at depth d
-    splits into min(f, t) near-equal parts, f = ``fanout_at_depth(d)``,
-    the larger parts first."""
-    root = TreeBlock(0, k - 1)
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node.t == 1:
-            continue
-        parts = min(fanout_at_depth(depth), node.t)
+def _build(lo: int, hi: int, fanouts: list[int], l_max: int,
+           alpha: float) -> TreeBlock:
+    """One run's tree over blocks lo..hi: a block covering t > 1 leaves at
+    depth d splits into min(fanouts[d], t) near-equal parts, the larger
+    parts first.  Each child gets capacity t * l_max and penalty scale
+    alpha / sqrt(t) for its own t."""
+    node = TreeBlock(lo, hi)
+    if node.t > 1:
+        parts = min(fanouts[0], node.t)
         base, rem = divmod(node.t, parts)
-        _attach_children(node, [base + 1] * rem + [base] * (parts - rem))
+        starts = [lo + i * base + min(i, rem) for i in range(parts + 1)]
+        node.children = [_build(start, stop - 1, fanouts[1:], l_max, alpha)
+                         for start, stop in zip(starts, starts[1:])]
+        node.child_starts = starts[:-1]
+        node.child_weights = [0] * parts
+        node.capacities = [c.t * l_max for c in node.children]
+        node.alphas = [heterogeneous_alpha(c, alpha) for c in node.children]
         node.classes = [(0, rem), (rem, parts)] if rem else [(0, parts)]
-        stack.extend((child, depth + 1) for child in node.children)
-    _set_heights(root)
-    return MultisectionTree(root)
+        node.height = 1 + max(c.height for c in node.children)
+    return node
 
 
-def build_hierarchy(k: int, b: int = 4) -> MultisectionTree:
-    """Artificial recursive b-section tree over blocks 0..k-1 (nh-OMS)."""
+def build_hierarchy(k: int, l_max: int, alpha: float, b: int = 4) -> TreeBlock:
+    """Root of the artificial recursive b-section tree over blocks 0..k-1
+    (nh-OMS).  A split at least halves a block, so the tree is at most
+    ``k.bit_length()`` levels deep."""
     if k < 1 or b < 2:
         raise ValueError("need k >= 1 and b >= 2")
-    return _build(k, lambda depth: b)
+    return _build(0, k - 1, [b] * k.bit_length(), l_max, alpha)
 
 
-def build_from_spec(spec: HierarchySpec) -> MultisectionTree:
-    """Tree mirroring the topology: the root splits along the outermost layer.
-
-    k is the product of the fan-outs, so every split is exact.
-    """
-    layers = spec.fanouts[::-1]
-    return _build(spec.k, lambda depth: layers[depth])
-
-
-def _set_heights(node: TreeBlock) -> int:
-    if not node.children:
-        node.height = 0
-    else:
-        node.height = 1 + max(_set_heights(c) for c in node.children)
-    return node.height
+def build_from_spec(spec: HierarchySpec, l_max: int,
+                    alpha: float) -> TreeBlock:
+    """Root of the tree mirroring the topology: the root splits along the
+    outermost layer.  k is the product of the fan-outs, so every split is
+    exact."""
+    return _build(0, spec.k - 1, spec.fanouts[::-1], l_max, alpha)
 
 
 def heterogeneous_alpha(block: TreeBlock, alpha: float) -> float:
@@ -235,25 +206,26 @@ class OmsConfig:
             raise ValueError("hash_bottom_layers must be >= 0")
 
 
-def oms_assign(record, tree: MultisectionTree, state: PartitionState,
+def oms_assign(record, root: TreeBlock, state: PartitionState,
                config: OmsConfig, params: FennelParams) -> int:
-    """Descend the tree, choosing one child of the current block per layer.
-
-    ``tree`` must be prepared for this run (:meth:`MultisectionTree.prepare`).
-    """
+    """Descend from ``root``, taking at each level the best feasible child
+    or, when none fits, the lightest one, flagged as a violation."""
     assignment = state.assignment
     leaves = [(assignment[v], w) for v, w in zip(record.ids, record.weights)
               if assignment[v] != UNASSIGNED]
     weight = record.weight
     fennel = config.scorer == "fennel"
-    node = tree.root
+    node = root
     while node.children:
         if node.height <= config.hash_bottom_layers:
-            idx = _hash_child(record.id, weight, node, state)
+            idx = _hash_child(record.id, weight, node)
         else:
-            idx = _score_child(weight, node, leaves, state, fennel,
-                               params.gamma)
-        node.child_weights[idx] += weight
+            idx = _score_child(weight, node, leaves, fennel, params.gamma)
+        weights = node.child_weights
+        if idx < 0:
+            state.violations += 1
+            idx = weights.index(min(weights))
+        weights[idx] += weight
         node = node.children[idx]
     state.assign(record.id, node.lo, weight)
     return node.lo
@@ -278,10 +250,10 @@ def _candidates(node: TreeBlock, gains: dict[int, float]) -> list[int]:
     return out
 
 
-def _score_child(weight: int, node: TreeBlock, leaves, state: PartitionState,
-                 fennel: bool, gamma: float) -> int:
-    """Index of the best-scoring feasible child of ``node``; the lightest
-    child, flagged as a violation, when none is feasible."""
+def _score_child(weight: int, node: TreeBlock, leaves, fennel: bool,
+                 gamma: float) -> int:
+    """Index of the best-scoring feasible child of ``node``; -1 if none is
+    feasible."""
     lo, hi, starts = node.lo, node.hi, node.child_starts
     gains: dict[int, float] = {}
     for leaf, w in leaves:
@@ -290,8 +262,7 @@ def _score_child(weight: int, node: TreeBlock, leaves, state: PartitionState,
             gains[idx] = gains.get(idx, 0.0) + w
     weights, capacities = node.child_weights, node.capacities
     alphas = node.alphas
-    best = -1
-    best_key = None
+    best, best_key = -1, None
     for idx in _candidates(node, gains):
         cw = weights[idx]
         if cw + weight > capacities[idx]:
@@ -304,24 +275,19 @@ def _score_child(weight: int, node: TreeBlock, leaves, state: PartitionState,
         key = (score, -cw, -idx)
         if best_key is None or key > best_key:
             best, best_key = idx, key
-    if best_key is None:
-        state.violations += 1
-        best = weights.index(min(weights))
     return best
 
 
-def _hash_child(node_id: int, weight: int, node: TreeBlock,
-                state: PartitionState) -> int:
+def _hash_child(node_id: int, weight: int, node: TreeBlock) -> int:
+    """The hashed child if it fits, else the lightest feasible one; -1 if
+    none is feasible."""
     weights, capacities = node.child_weights, node.capacities
     idx = node_id % len(weights)
     if weights[idx] + weight <= capacities[idx]:
         return idx
     feasible = [(cw, i) for i, cw in enumerate(weights)
                 if cw + weight <= capacities[i]]
-    if feasible:
-        return min(feasible)[1]
-    state.violations += 1
-    return weights.index(min(weights))
+    return min(feasible)[1] if feasible else -1
 
 
 def run_oms(stream, config: OmsConfig, state: PartitionState,
@@ -335,12 +301,11 @@ def run_oms(stream, config: OmsConfig, state: PartitionState,
     are implied by the leaf ranges.
     """
     if spec is None:
-        tree = build_hierarchy(state.k, config.base)
+        root = build_hierarchy(state.k, state.l_max, params.alpha, config.base)
     elif spec.k != state.k:
-        raise ValueError(f"hierarchy has k={spec.k}, the state k={state.k}")
+        raise AssertionError(f"hierarchy has k={spec.k}, state k={state.k}")
     else:
-        tree = build_from_spec(spec)
-    tree.prepare(state.l_max, params.alpha)
+        root = build_from_spec(spec, state.l_max, params.alpha)
     for record in stream:
-        oms_assign(record, tree, state, config, params)
+        oms_assign(record, root, state, config, params)
     return state

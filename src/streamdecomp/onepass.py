@@ -49,13 +49,21 @@ class FennelParams:
         block a run scores outweighs c(V) + n (``total_weight`` is c(V), else
         n), so a ``gamma`` whose penalty overflows there is rejected."""
         params = cls(gamma, 1.0 if alpha is None else alpha)
-        with suppress(OverflowError):
-            if alpha is None:
-                params.alpha = fennel_alpha(n, m, k, gamma)
-            heaviest = (total_weight or n) + n
-            if params.alpha * gamma * heaviest ** (gamma - 1.0) < math.inf:
-                return params
-        raise ValueError(f"--gamma {gamma} overflows the Fennel penalty")
+        params.alpha = _bounded_alpha(
+            lambda: fennel_alpha(n, m, k, gamma) if alpha is None else alpha,
+            gamma, (total_weight or n) + n, f"--gamma {gamma}")
+        return params
+
+
+def _bounded_alpha(alpha, gamma: float, heaviest: int, flag: str) -> float:
+    """``alpha()``, unless it or the Fennel penalty alpha * gamma * h **
+    (gamma - 1) at the block weight h = ``heaviest`` (no lighter block's is
+    larger) overflows a float; then an input error that names ``flag``."""
+    with suppress(OverflowError):
+        value = alpha()
+        if value * gamma * heaviest ** (gamma - 1.0) < math.inf:
+            return value
+    raise ValueError(f"{flag} overflows the Fennel penalty")
 
 
 @dataclass
@@ -229,10 +237,16 @@ def run_restream(stream, config: OnePassConfig, state: PartitionState,
     same order; a one-shot iterator raises ``TypeError``.  ReLDG scores
     against block weights accumulated in the current pass only; ReFennel
     subtracts the node's own weight before scoring and multiplies alpha by
-    ``restream_alpha_growth`` each pass.  Hashing makes one pass, since
-    every later pass would repeat it.
+    ``restream_alpha_growth`` each pass (a growth whose last pass overflows
+    the penalty is rejected up front).  Hashing makes one pass, since every
+    later pass would repeat it.
     """
     require_reiterable(stream)
+    growth = config.restream_alpha_growth
+    if config.algorithm == "fennel":
+        _bounded_alpha(lambda: params.alpha * growth ** (config.passes - 1),
+                       params.gamma, state.total_weight + state.n,
+                       f"--alpha-growth {growth}")
     run_onepass(stream, config, state, params)
     if config.algorithm == "hashing":
         return state
@@ -246,9 +260,8 @@ def run_restream(stream, config: OnePassConfig, state: PartitionState,
                 state.assignment[record.id] = UNASSIGNED
                 ldg_assign(record, state)
         else:
-            pass_params = FennelParams(
-                gamma=params.gamma,
-                alpha=params.alpha * config.restream_alpha_growth ** p)
+            pass_params = FennelParams(gamma=params.gamma,
+                                       alpha=params.alpha * growth ** p)
             for record in stream:
                 state.unassign(record.id, record.weight)
                 fennel_assign(record, state, pass_params)

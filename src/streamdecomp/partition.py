@@ -58,9 +58,9 @@ class PartitionState:
     """Assignment array plus per-block weights; the source of truth for balance.
 
     ``block_count`` tracks the number of nodes per block (the LDG tie-break
-    wants node counts, not weights).  ``violations`` counts nodes placed
-    where they break ``l_max``, because no block fit or (hashing) none was
-    sought; runs never abort on capacity exhaustion, they flag it.
+    wants node counts, not weights).  ``violations`` counts fallbacks: one
+    per node placed where no block fit (hashing: where it overfills), and
+    under OMS one per tree level where no child fit; runs never abort.
 
     ``by_weight()`` and ``by_count()`` order the blocks by weight and by node
     count.  Each is built on its first call and kept current by ``assign``
@@ -95,7 +95,7 @@ class PartitionState:
 
     def assign(self, node: int, block: int, weight: int = 1) -> None:
         if self.assignment[node] != UNASSIGNED:
-            raise ValueError(f"node {node} already assigned")
+            raise AssertionError(f"node {node} already assigned")
         self.assignment[node] = block
         self.block_weight[block] += weight
         self.block_count[block] += 1
@@ -108,7 +108,7 @@ class PartitionState:
         """Remove a node from its block (restreaming) and return the old block."""
         block = self.assignment[node]
         if block == UNASSIGNED:
-            raise ValueError(f"node {node} not assigned")
+            raise AssertionError(f"node {node} not assigned")
         self.assignment[node] = UNASSIGNED
         self.block_weight[block] -= weight
         self.block_count[block] -= 1

@@ -13,7 +13,8 @@ all k), a later pass's batch model is built with the batch still assigned
 and its weights subtracted from the artificial nodes, ReLDG restreams on a
 second state of per-pass weights that shares the run's assignment, and
 the two k x k PE distance matrices are built with numpy, which only the
-tests need.
+tests need, and the OMS tree is built by a stack walk, with heights and
+per-run constants set by two more walks.
 
 The consistency checks at the end recompute production state from scratch.
 """
@@ -29,7 +30,7 @@ import numpy as np
 from streamdecomp import freight
 from streamdecomp.freight import CUT, SINGLE_BLOCK, UNTOUCHED, SortedBlocks
 from streamdecomp.heistream import BatchModel, _seed_block_weights
-from streamdecomp.multisection import heterogeneous_alpha
+from streamdecomp.multisection import TreeBlock, heterogeneous_alpha
 from streamdecomp.onepass import FennelParams, fennel_gain, ldg_assign, \
     run_onepass
 from streamdecomp.partition import UNASSIGNED, PartitionState
@@ -285,7 +286,7 @@ def scan_hash_child(record, node, state: PartitionState) -> int:
     return min(feasible, key=lambda i: weights[i])
 
 
-def scan_oms(graph_stream, tree, state: PartitionState, config,
+def scan_oms(graph_stream, root, state: PartitionState, config,
              params: FennelParams) -> PartitionState:
     """OMS by full scans: every descent step scores every child."""
     for record in graph_stream:
@@ -293,7 +294,7 @@ def scan_oms(graph_stream, tree, state: PartitionState, config,
         neighbors = [(assignment[v], w)
                      for v, w in zip(record.ids, record.weights)
                      if assignment[v] != UNASSIGNED]
-        node = tree.root
+        node = root
         while node.children:
             if config.hash_bottom_layers and \
                     node.height <= config.hash_bottom_layers:
@@ -307,7 +308,61 @@ def scan_oms(graph_stream, tree, state: PartitionState, config,
     return state
 
 
-def run_multisection_multipass(graph_stream, tree, l_max: int,
+def stacked_tree(k: int, fanout_at_depth, l_max: int,
+                 alpha: float) -> TreeBlock:
+    """The OMS tree built in three walks, the oracle of
+    ``multisection._build``: a stack walk attaches each block's children,
+    the larger first, a second walk sets the heights and a third the
+    per-run capacities (t * l_max) and penalty scales."""
+    root = TreeBlock(0, k - 1)
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.t == 1:
+            continue
+        parts = min(fanout_at_depth(depth), node.t)
+        base, rem = divmod(node.t, parts)
+        lo = node.lo
+        for size in [base + 1] * rem + [base] * (parts - rem):
+            node.children.append(TreeBlock(lo, lo + size - 1))
+            node.child_starts.append(lo)
+            lo += size
+        node.child_weights = [0] * parts
+        node.classes = [(0, rem), (rem, parts)] if rem else [(0, parts)]
+        stack.extend((child, depth + 1) for child in node.children)
+    _set_heights(root)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.capacities = [c.t * l_max for c in node.children]
+        node.alphas = [heterogeneous_alpha(c, alpha) for c in node.children]
+        stack.extend(node.children)
+    return root
+
+
+def _set_heights(node: TreeBlock) -> int:
+    if not node.children:
+        node.height = 0
+    else:
+        node.height = 1 + max(_set_heights(c) for c in node.children)
+    return node.height
+
+
+def tree_fields(root) -> list[tuple]:
+    """Every field of every block, in preorder: equal lists mean equal
+    trees."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append((node.lo, node.hi, len(node.children), node.child_starts,
+                    node.child_weights, node.capacities, node.alphas,
+                    node.classes, node.height))
+        stack.extend(reversed(node.children))
+    return out
+
+
+def run_multisection_multipass(graph_stream, root, l_max: int,
                                params: FennelParams,
                                scorer: str = "fennel") -> list[int]:
     """Layer-by-layer restreamed multi-section (one pass per tree layer).
@@ -317,7 +372,7 @@ def run_multisection_multipass(graph_stream, tree, l_max: int,
     """
     n = graph_stream.header.n
     # current tree node per graph node; start with everyone at the root
-    position = [tree.root] * n
+    position = [root] * n
     depth = 0
     while any(p.children for p in set(position)):
         new_weights: dict[int, float] = {}
@@ -608,7 +663,7 @@ def check_consistency(state: PartitionState, node_weights) -> None:
         raise AssertionError("block weights inconsistent with assignments")
 
 
-def check_leaf_weights(tree, state: PartitionState) -> None:
+def check_leaf_weights(root, state: PartitionState) -> None:
     """Every child weight a tree block keeps must equal the sum of the block
     weights of the child's leaves."""
     def walk(node) -> int:
@@ -618,13 +673,13 @@ def check_leaf_weights(tree, state: PartitionState) -> None:
         if node.child_weights != weights:
             raise AssertionError("tree weights out of sync with partition")
         return sum(weights)
-    walk(tree.root)
+    walk(root)
 
 
-def total_block_slots(tree) -> int:
+def total_block_slots(root) -> int:
     """Number of tracked child weights (the 2k space bound)."""
     count = 0
-    stack = [tree.root]
+    stack = [root]
     while stack:
         node = stack.pop()
         count += len(node.child_weights)

@@ -157,8 +157,9 @@ def test_c04_oms_single_vs_multipass():
         stream = random_graph(rng, n, rng.randint(n, 4 * n))
         state, params = run_setup(stream, spec.k, 0.05)
         run_oms(stream, OmsConfig(scorer="fennel"), state, params, spec)
-        multi = run_multisection_multipass(stream, build_from_spec(spec),
-                                           state.l_max, params)
+        multi = run_multisection_multipass(
+            stream, build_from_spec(spec, state.l_max, params.alpha),
+            state.l_max, params)
         assert state.assignment == multi, f"spec hierarchy trial {trial}"
         runs += 1
         for k, b in ((5, 2), (8, 4), (12, 4), (5, 4), (8, 2), (12, 2)):
@@ -167,7 +168,8 @@ def test_c04_oms_single_vs_multipass():
             st, params_k = run_setup(stream, k, 0.05)
             run_oms(stream, OmsConfig(scorer="fennel", base=b), st, params_k)
             multi_k = run_multisection_multipass(
-                stream, build_hierarchy(k, b), st.l_max, params_k)
+                stream, build_hierarchy(k, st.l_max, params_k.alpha, b),
+                st.l_max, params_k)
             assert st.assignment == multi_k, f"nh-OMS k={k} b={b}"
             runs += 1
     report("C4 oms-singlepass-equivalence",

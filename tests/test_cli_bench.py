@@ -11,9 +11,11 @@ import pytest
 
 import streamdecomp
 from streamdecomp import cli
-from streamdecomp.bench import geometric_mean, read_rows, summarize, write_rows
+from streamdecomp.bench import (CSV_COLUMNS, geometric_mean, read_rows,
+                                summarize, write_rows)
 from streamdecomp.cli import main
-from streamdecomp.partition import compute_lmax
+from streamdecomp.multisection import HierarchySpec
+from streamdecomp.partition import UNASSIGNED, PartitionState, compute_lmax
 from streamdecomp.streams import read_partition, write_graph
 
 from generators import random_graph, random_hypergraph
@@ -234,6 +236,42 @@ def test_quality_keys_lead_the_metrics_json(graph_file, hmetis_file,
         == present
 
 
+@pytest.mark.parametrize("command", ["partition", "hpartition", "map",
+                                     "metrics"])
+def test_metrics_csv_is_the_metrics_json_row(graph_file, hmetis_file,
+                                             tmp_path, capsys, command):
+    """``--metrics-csv`` writes the CSV columns and one row whose every
+    value, apart from the run time, is the metrics JSON's."""
+    nodemajor = str(tmp_path / "nodes.hgr")
+    assert main(["transpose", "--input", hmetis_file,
+                 "--output", nodemajor]) == 0
+    part = str(tmp_path / "p.txt")
+    mjson, mcsv = tmp_path / "m.json", str(tmp_path / "m.csv")
+    outputs = ["--metrics-json", str(mjson), "--metrics-csv", mcsv]
+    if command == "metrics":
+        assert main(["partition", "--input", graph_file, "--k", "4",
+                     "--output", part]) == 0
+        argv = ["metrics", "--input", graph_file, "--partition", part,
+                "--k", "4"]
+    elif command == "hpartition":
+        argv = ["hpartition", "--input", nodemajor, "--k", "4"]
+    elif command == "map":
+        argv = ["map", "--input", graph_file, "--hierarchy", "2:2",
+                "--distances", "1:10"]
+    else:
+        argv = ["partition", "--input", graph_file, "--k", "4"]
+    assert main(argv + outputs) == 0
+    with open(mcsv, newline="") as fh:
+        assert fh.readline().strip() == ",".join(CSV_COLUMNS)
+    rows = read_rows(mcsv)
+    assert len(rows) == 1
+    payload = json.loads(mjson.read_text())
+    for column in CSV_COLUMNS:
+        if column != "runtime_ms":
+            value = payload[column]
+            assert rows[0][column] == ("" if value is None else str(value))
+
+
 def _run_argv(algorithm, graph, hypergraph):
     """Arguments that run one ``cli.ALGORITHMS`` entry at k = 4."""
     if algorithm.startswith("freight-"):
@@ -317,6 +355,23 @@ class TestCliErrors:
             assert "input error: epsilon must be finite and >= 0" in \
                 capsys.readouterr().err
         assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("growth", [["--passes", "1100",
+                                         "--alpha-growth", "2"],
+                                        ["--passes", "40",
+                                         "--alpha-growth", "1e10"]])
+    def test_overflowing_alpha_growth_is_exit_2(self, tmp_path, capsys,
+                                                growth):
+        # ReFennel's last pass scales alpha by growth ** (passes - 1); a
+        # scale or penalty that overflows is rejected before any node is
+        # placed, by the bound --gamma has
+        graph = tmp_path / "tiny.graph"
+        graph.write_text("4 4\n2 4\n1 3\n2 4\n1 3\n")
+        argv = ["partition", "--input", str(graph), "--k", "2"]
+        assert main(argv + growth) == 2
+        assert "input error: --alpha-growth " in capsys.readouterr().err
+        assert main(argv + growth + ["--algorithm", "ldg"]) == 0
+        assert main(argv + ["--passes", "1000", "--alpha-growth", "2"]) == 0
 
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["partition", "--input", "x"]) == 1   # missing --k
@@ -436,6 +491,50 @@ class TestCliErrors:
         monkeypatch.setattr(cli, "run_onepass", broken)
         assert main(["partition", "--input", graph_file, "--k", "2"]) == 3
         assert (f"internal invariant failure: {error.__name__}('injected')"
+                in capsys.readouterr().err)
+
+    # Internal invariants raise AssertionError, a fault of the program
+    # (exit 3) that no input can trigger: a runner that places a node twice
+    # or removes one that is not placed, OMS handed a hierarchy of another
+    # k, and a metric handed an assignment with a node left out.
+    @pytest.mark.parametrize("runner, algorithm, fault, message", [
+        ("run_onepass", "fennel", "place twice", "node 0 already assigned"),
+        ("run_restream", "fennel", "remove unplaced", "node 0 not assigned"),
+        ("run_heistream", "heistream", "place twice",
+         "node 0 already assigned"),
+        ("run_oms", "oms", "place twice", "node 0 already assigned"),
+        ("run_oms", "oms-fennel", "other k", "hierarchy has k=8, state k=4"),
+        ("run_freight", "freight-con", "place twice",
+         "node 0 already assigned"),
+        ("run_onepass", "fennel", "leave out", "node 0 unassigned"),
+        ("run_oms", "oms-ldg", "leave out", "node 0 unassigned"),
+        ("run_freight", "freight-cut", "leave out", "node 0 unassigned"),
+    ])
+    def test_internal_invariant_is_exit_3(self, graph_file, tmp_path,
+                                          monkeypatch, capsys, runner,
+                                          algorithm, fault, message):
+        run = getattr(cli, runner)
+
+        def faulty(*args):
+            state = next(a for a in args if isinstance(a, PartitionState))
+            if fault == "remove unplaced":
+                state.unassign(0)
+            if fault == "other k":
+                args = (*args[:4], HierarchySpec.parse("2:4", "1:10"))
+            run(*args)
+            if fault == "place twice":
+                state.assign(0, 0)
+            if fault == "leave out":
+                state.assignment[0] = UNASSIGNED
+            return state
+        monkeypatch.setattr(cli, runner, faulty)
+        hypergraph = tmp_path / "nodes.hgr"
+        hypergraph.write_text("4 2 4\n1\n1 2\n2\n\n")
+        argv = _run_argv(algorithm, graph_file, str(hypergraph))
+        if runner == "run_restream":
+            argv += ["--passes", "2"]
+        assert main(argv) == 3
+        assert (f"internal invariant failure: AssertionError('{message}')"
                 in capsys.readouterr().err)
 
     def test_map_warns_on_capacity_violations(self, tmp_path, capsys):

@@ -18,7 +18,8 @@ from streamdecomp.partition import UNASSIGNED
 from generators import graph_stream_from_edges, random_graph, run_setup
 from reference import (check_leaf_weights, distance_matrix,
                        division_distance_matrix, run_multisection_multipass,
-                       scan_oms, scan_score_child, total_block_slots)
+                       scan_oms, scan_score_child, stacked_tree,
+                       total_block_slots, tree_fields)
 
 
 def oms(stream, k, spec=None, epsilon=0.03, alpha=None, **config):
@@ -26,9 +27,9 @@ def oms(stream, k, spec=None, epsilon=0.03, alpha=None, **config):
     return run_oms(stream, OmsConfig(**config), state, params, spec)
 
 
-def leaf_ranges(tree):
+def leaf_ranges(root):
     out = []
-    stack = [tree.root]
+    stack = [root]
     while stack:
         node = stack.pop()
         if node.children:
@@ -40,27 +41,28 @@ def leaf_ranges(tree):
 
 class TestBuildHierarchy:
     def test_k5_b2_ranges(self):
-        tree = build_hierarchy(5, 2)
-        root = tree.root
+        root = build_hierarchy(5, 7, 1.0, 2)
         assert [(c.lo, c.hi) for c in root.children] == [(0, 2), (3, 4)]
         left = root.children[0]
         assert [(c.lo, c.hi) for c in left.children] == [(0, 1), (2, 2)]
-        tree.prepare(7, 1.0)
         assert root.capacities == [3 * 7, 2 * 7]
 
     def test_k4_b2_perfect_tree(self):
-        tree = build_hierarchy(4, 2)
-        assert tree.root.height == 2
-        assert all(len(c.children) == 2 for c in tree.root.children)
-        assert leaf_ranges(tree) == [(0, 0), (1, 1), (2, 2), (3, 3)]
+        root = build_hierarchy(4, 1, 1.0, 2)
+        assert root.height == 2
+        assert all(len(c.children) == 2 for c in root.children)
+        assert leaf_ranges(root) == [(0, 0), (1, 1), (2, 2), (3, 3)]
+
+    def test_b_defaults_to_4(self):
+        assert len(build_hierarchy(16, 1, 1.0).children) == 4
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 512), st.integers(2, 8))
     def test_structural_checker(self, k, b):
-        tree = build_hierarchy(k, b)
+        root = build_hierarchy(k, 1, 1.0, b)
         # leaves are exactly the k blocks, sibling ranges disjoint+contiguous
-        assert leaf_ranges(tree) == [(i, i) for i in range(k)]
-        stack = [tree.root]
+        assert leaf_ranges(root) == [(i, i) for i in range(k)]
+        stack = [root]
         nodes = 0
         while stack:
             node = stack.pop()
@@ -73,35 +75,62 @@ class TestBuildHierarchy:
                     pos = child.hi + 1
                 assert pos == node.hi + 1
         assert nodes <= 2 * k + 1
-        layers = tree.root.height + 1
+        layers = root.height + 1
         assert layers <= math.ceil(math.log(max(k, 2), b)) + 1
 
     def test_block_weight_slots_within_2k(self):
         for k, b in [(5, 2), (12, 4), (100, 2), (257, 3)]:
-            tree = build_hierarchy(k, b)
-            assert total_block_slots(tree) <= 2 * k
+            root = build_hierarchy(k, 1, 1.0, b)
+            assert total_block_slots(root) <= 2 * k
+
+
+class TestOnePassBuild:
+    """One recursive pass builds the tree the stack walk, the height walk
+    and the per-run constants walk built before (``stacked_tree``)."""
+
+    def test_nh_trees_match_the_three_walks(self):
+        shapes = 0
+        for k, b in itertools.product(range(1, 300), range(2, 17)):
+            l_max, alpha = k % 13 + 1, 1.0 / (k + b)
+            assert tree_fields(build_hierarchy(k, l_max, alpha, b)) == \
+                tree_fields(stacked_tree(k, lambda depth: b, l_max, alpha))
+            shapes += 1
+        assert shapes == 4485
+
+    def test_spec_trees_match_the_three_walks(self):
+        shapes = 0
+        for fanouts in itertools.product((1, 2, 3, 4, 8), repeat=3):
+            spec = HierarchySpec(list(fanouts), [1, 10, 100])
+            layers = spec.fanouts[::-1]
+            l_max, alpha = sum(fanouts), 0.1 * fanouts[0]
+            assert tree_fields(build_from_spec(spec, l_max, alpha)) == \
+                tree_fields(stacked_tree(spec.k, lambda depth: layers[depth],
+                                         l_max, alpha))
+            shapes += 1
+        assert shapes == 125
 
 
 class TestBuildFromSpec:
     def test_collapse_unit_layers(self):
         spec = HierarchySpec.parse("4:16:1", "1:10:100")
         assert spec.fanouts == [4, 16]
-        tree = build_from_spec(spec)
-        assert len(tree.root.children) == 16          # outermost layer first
-        assert all(len(c.children) == 4 for c in tree.root.children)
+        root = build_from_spec(spec, 1, 1.0)
+        assert len(root.children) == 16          # outermost layer first
+        assert all(len(c.children) == 4 for c in root.children)
 
     def test_alpha_scaling_two_layers(self):
         # a block covering t leaves is scored with alpha / sqrt(t)
         spec = HierarchySpec.parse("2:2", "1:10")
-        tree = build_from_spec(spec)
-        top = tree.root.children[0]        # covers 2 leaves
+        root = build_from_spec(spec, 1, 1.0)
+        top = root.children[0]        # covers 2 leaves
         assert heterogeneous_alpha(top, 1.0) == pytest.approx(1 / math.sqrt(2))
+        assert root.alphas == [heterogeneous_alpha(top, 1.0)] * 2
         leaf = top.children[0]
         assert heterogeneous_alpha(leaf, 1.0) == pytest.approx(1.0)
 
     def test_heterogeneous_alpha_k5(self):
-        tree = build_hierarchy(5, 2)
-        a, b = tree.root.children
+        root = build_hierarchy(5, 1, 1.0, 2)
+        a, b = root.children
         assert heterogeneous_alpha(a, 1.0) == pytest.approx(1 / math.sqrt(3))
         assert heterogeneous_alpha(b, 1.0) == pytest.approx(1 / math.sqrt(2))
         assert heterogeneous_alpha(TreeBlock(3, 3), 1.0) == 1.0    # t=1
@@ -109,11 +138,10 @@ class TestBuildFromSpec:
 
     def test_capacity_formula(self):
         spec = HierarchySpec.parse("2:3:2", "1:2:3")
-        tree = build_from_spec(spec)
-        tree.prepare(5, 1.0)
+        root = build_from_spec(spec, 5, 1.0)
         # layer-i capacity is l_max times the product of the fan-outs below
-        assert tree.root.capacities[0] == 6 * 5     # covers 2*3 = 6 leaves
-        node = tree.root.children[0]
+        assert root.capacities[0] == 6 * 5     # covers 2*3 = 6 leaves
+        node = root.children[0]
         assert node.capacities[0] == 2 * 5          # covers 2 leaves
 
 
@@ -194,11 +222,10 @@ class TestOmsAssign:
         rng = random.Random(6)
         stream = random_graph(rng, 60, 150)
         state, params = run_setup(stream, 7)
-        tree = build_hierarchy(7)
-        tree.prepare(state.l_max, params.alpha)
+        root = build_hierarchy(7, state.l_max, params.alpha)
         for record in stream:
-            oms_assign(record, tree, state, OmsConfig(), params)
-        check_leaf_weights(tree, state)
+            oms_assign(record, root, state, OmsConfig(), params)
+        check_leaf_weights(root, state)
         assert state.assignment == oms(stream, 7).assignment
 
     def test_k1(self):
@@ -232,21 +259,22 @@ class TestCandidateDescent:
         fast = multisection._score_child
         fallbacks = [0]
 
-        def checked(weight, node, leaves, state, fennel, gamma):
-            before = state.violations
-            idx = fast(weight, node, leaves, state, fennel, gamma)
-            flagged = state.violations - before
-            state.violations = before
+        def checked(weight, node, leaves, fennel, gamma):
+            idx = fast(weight, node, leaves, fennel, gamma)
+            # the scan flags a violation on the probe when no child fits
+            state, params = run[0]
+            probe = SimpleNamespace(l_max=state.l_max, violations=0)
             scorer = OmsConfig(scorer="fennel" if fennel else "ldg")
             expected = scan_score_child(SimpleNamespace(weight=weight), node,
-                                        state, leaves, scorer, run_params[0])
-            assert idx == expected
-            assert state.violations - before == flagged
-            fallbacks[0] += flagged
+                                        probe, leaves, scorer, params)
+            assert (idx == -1) == (probe.violations == 1)
+            if idx != -1:
+                assert idx == expected
+            fallbacks[0] += probe.violations
             return idx
 
         monkeypatch.setattr(multisection, "_score_child", checked)
-        run_params = [None]     # the scan reads alpha from the run's params
+        run = [None]    # the scan reads l_max and alpha from the run's setup
         runs = 0
         for (kind, shape), weighted, scorer, eps, hashed, seed in \
                 _candidate_cases():
@@ -258,21 +286,25 @@ class TestCandidateDescent:
             if kind == "spec":
                 spec = HierarchySpec.parse(shape, ":".join(
                     str(10 ** i) for i in range(shape.count(":") + 1)))
-                k, base, build = spec.k, 4, lambda: build_from_spec(spec)
+                k, base = spec.k, 4
+                build = lambda l_max, alpha: build_from_spec(spec, l_max,
+                                                             alpha)
             else:
                 spec = None
-                (k, base), build = shape, lambda: build_hierarchy(*shape)
+                k, base = shape
+                build = lambda l_max, alpha: build_hierarchy(k, l_max, alpha,
+                                                             base)
             config = OmsConfig(scorer=scorer, base=base,
                                hash_bottom_layers=hashed)
             state, params = run_setup(stream, k, eps)
-            run_params[0] = params
-            tree = build()
-            tree.prepare(state.l_max, params.alpha)
+            run[0] = state, params
+            root = build(state.l_max, params.alpha)
             for record in stream:
-                oms_assign(record, tree, state, config, params)
-            check_leaf_weights(tree, state)
+                oms_assign(record, root, state, config, params)
+            check_leaf_weights(root, state)
             scan_state, scan_params = run_setup(stream, k, eps)
-            scan = scan_oms(stream, build(), scan_state, config, scan_params)
+            scan = scan_oms(stream, build(state.l_max, params.alpha),
+                            scan_state, config, scan_params)
             whole = run_oms(stream, config, *run_setup(stream, k, eps), spec)
             for other in (scan, whole):
                 assert other.assignment == state.assignment
@@ -306,16 +338,21 @@ class TestCandidateDescent:
             return out
 
         monkeypatch.setattr(multisection, "_candidates", counted)
-        for key, tree in (("64:64", build_from_spec(
-                              HierarchySpec.parse("64:64", "1:10"))),
-                          ("nh k=300 b=7", build_hierarchy(300, 7)),
-                          ("nh k=4096 b=16", build_hierarchy(4096, 16))):
+        spec = HierarchySpec.parse("64:64", "1:10")
+        for key, k, build in (
+                ("64:64", spec.k,
+                 lambda l_max, alpha: build_from_spec(spec, l_max, alpha)),
+                ("nh k=300 b=7", 300,
+                 lambda l_max, alpha: build_hierarchy(300, l_max, alpha, 7)),
+                ("nh k=4096 b=16", 4096,
+                 lambda l_max, alpha: build_hierarchy(4096, l_max, alpha,
+                                                      16))):
             counts[key] = (0, 0)
-            state, params = run_setup(graph, tree.root.t)
-            tree.prepare(state.l_max, params.alpha)
+            state, params = run_setup(graph, k)
+            root = build(state.l_max, params.alpha)
             for record in graph:
                 current[:] = record, state.assignment
-                oms_assign(record, tree, state, OmsConfig(), params)
+                oms_assign(record, root, state, OmsConfig(), params)
             assert state.is_balanced()
         scored, fanout = counts["64:64"]
         assert scored * 8 < fanout
@@ -331,8 +368,9 @@ class TestMultipassEquivalence:
             stream = random_graph(rng, n, rng.randint(n, 4 * n))
             state, params = run_setup(stream, spec.k, 0.05)
             run_oms(stream, OmsConfig(scorer=scorer), state, params, spec)
-            multi = run_multisection_multipass(stream, build_from_spec(spec),
-                                               state.l_max, params, scorer)
+            multi = run_multisection_multipass(
+                stream, build_from_spec(spec, state.l_max, params.alpha),
+                state.l_max, params, scorer)
             assert state.assignment == multi
 
     @pytest.mark.parametrize("k,b", [(5, 2), (8, 4), (12, 4)])
@@ -344,7 +382,8 @@ class TestMultipassEquivalence:
             state, params = run_setup(stream, k, 0.05)
             run_oms(stream, OmsConfig(base=b), state, params)
             multi = run_multisection_multipass(
-                stream, build_hierarchy(k, b), state.l_max, params)
+                stream, build_hierarchy(k, state.l_max, params.alpha, b),
+                state.l_max, params)
             assert state.assignment == multi
 
 

@@ -54,8 +54,13 @@ class TestPartitionState:
     def test_double_assign_rejected(self):
         state = PartitionState(2, 2, 0.0, 2)
         state.assign(0, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError, match="node 0 already assigned"):
             state.assign(0, 0, 1)
+
+    def test_unassign_of_an_unassigned_node_rejected(self):
+        state = PartitionState(2, 2, 0.0, 2)
+        with pytest.raises(AssertionError, match="node 1 not assigned"):
+            state.unassign(1, 1)
 
 
 class TestEdgeCut:
@@ -69,7 +74,7 @@ class TestEdgeCut:
         assert edge_cut(self.triangle()(), [0, 0, 1]) == 2
 
     def test_unassigned_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError):
             edge_cut(self.triangle()(), [0, 0, -1])
 
     def test_random_graph_matches_pairwise_oracle(self):
@@ -243,5 +248,5 @@ def test_incomplete_assignment_names_first_unassigned(metric, assignment,
             else ()
     compute = {"edge_cut": edge_cut, "comm_cost": comm_cost,
                "cut_net_and_connectivity": cut_net_and_connectivity}[metric]
-    with pytest.raises(ValueError, match=f"^node {first} unassigned$"):
+    with pytest.raises(AssertionError, match=f"^node {first} unassigned$"):
         compute(stream, assignment, *args)

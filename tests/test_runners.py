@@ -44,6 +44,6 @@ class TestRunnerContract:
     def test_oms_rejects_a_hierarchy_of_another_k(self):
         stream = random_graph(random.Random(6), 40, 80)
         state, params = run_setup(stream, 4)
-        with pytest.raises(ValueError, match="k=8"):
+        with pytest.raises(AssertionError, match="k=8"):
             run_oms(stream, OmsConfig(), state, params,
                     HierarchySpec.parse("2:4", "1:10"))
