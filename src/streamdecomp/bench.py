@@ -16,9 +16,13 @@ SUMMARY_METRICS = ["edge_cut", "cut_net", "connectivity", "imbalance",
 
 def geometric_mean(values: Sequence[float]) -> float:
     """Geometric mean so every instance weighs the same; arithmetic mean when
-    a zero is present (the geometric mean would collapse)."""
+    a zero is present (the geometric mean would collapse); the common value
+    itself when all are equal, which ``exp(mean(log v))`` may miss by an
+    ulp."""
     if not values:
         raise ValueError("empty group")
+    if values.count(values[0]) == len(values):
+        return values[0]
     if any(v == 0 for v in values):
         return sum(values) / len(values)
     return math.exp(sum(math.log(v) for v in values) / len(values))

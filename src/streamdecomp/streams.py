@@ -28,7 +28,8 @@ import weakref
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, count, filterfalse, islice, repeat
+from operator import contains, itemgetter, methodcaller, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -49,7 +50,7 @@ class StreamHeader:
     has_item_weights: bool = False   # edge or net weights
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamedNodeRecord:
     """One streamed node: its weight, the 0-based ids of its neighbors
     (graph) or incident nets (hypergraph), and their weights, one per id
@@ -61,16 +62,18 @@ class StreamedNodeRecord:
     weights: list[int] = field(default_factory=list)
 
 
-def _tokens(fh) -> Iterator[list[str]]:
-    """Yield whitespace-split tokens of every non-comment line.
+def _lines(fh) -> Iterator[str]:
+    """Every line of ``fh`` that is not a ``%`` comment.
 
-    Blank lines are kept (as empty lists): a node with no neighbors or no
-    incident nets is legal and its line is simply empty.
+    Blank lines are kept: a node with no neighbors or no incident nets is
+    legal and its line is simply empty.
     """
-    for line in fh:
-        if line.startswith("%"):
-            continue
-        yield line.split()
+    return filterfalse(methodcaller("startswith", "%"), fh)
+
+
+def _tokens(fh) -> Iterator[list[str]]:
+    """The whitespace-split tokens of every non-comment line."""
+    return map(str.split, _lines(fh))
 
 
 def _nonempty(lines: Iterator[list[str]]) -> Optional[list[str]]:
@@ -125,13 +128,24 @@ class NodeStream:
     The header is read when the stream is created, so ``n``, ``m`` and the
     weight flags are available before the first record.  An iteration parses
     the text and, on exhaustion, checks the number of listed ids against the
-    header's ``pins``.  With ``spool`` (the default) the parse also writes
-    the records to a binary spool, an anonymous temporary file of flat
-    ``array('i')`` chunks; once a parse reaches the end of the file and
-    passes every check, later iterations replay the spool instead of parsing
-    again.  A parse that fails or is abandoned closes its spool, so the next
-    iteration parses the text.  The OS frees a spool when its last handle
-    closes: on :meth:`close`, the stream's collection or any exit.
+    header's ``pins``.  It parses ``SPOOL_CHUNK`` node lines at a time:
+    :func:`_columns` converts and checks the whole chunk with a few C-level
+    calls (``map`` over the split lines, ``min``/``max`` for ranges and
+    weights, ``operator.contains`` per line for self-loops, ``set`` sizes
+    for repeated nets) into the chunk's spool columns, and
+    :func:`_records` builds its records from them.  A chunk that fails a
+    check goes to :func:`_parse_line` line by line: the records before its
+    first bad line are yielded, then that line's ``FormatError`` is raised,
+    the same one a line-by-line parse raises.
+
+    With ``spool`` (the default) the parse also writes each chunk's columns
+    to a binary spool, an anonymous temporary file of flat ``array('i')``
+    chunks; once a parse reaches the end of the file and passes every
+    check, later iterations replay the spool, through the same
+    :func:`_records`, instead of parsing again.  A parse that fails or is
+    abandoned closes its spool, so the next iteration parses the text.  The
+    OS frees a spool when its last handle closes: on :meth:`close`, the
+    stream's collection or any exit.
     """
 
     def __init__(self, path: str, graph: bool, spool: bool = True):
@@ -167,14 +181,8 @@ class NodeStream:
         header, graph = self.header, self.graph
         n = header.n
         # Neighbors are node ids (bound n), incident nets net ids (bound m).
-        bound = n if graph else header.m
-        node_weights = header.has_node_weights
-        item_weights = header.has_item_weights
-        # One spool chunk: degrees, flat ids, then the item weights and the
-        # node weights when fmt has them, each written as an array('i').
-        chunk = [[] for _ in range(4)]
-        add_degree, add_ids = chunk[0].append, chunk[1].extend
-        add_weights, add_node_weight = chunk[2].extend, chunk[3].append
+        layout = (header.has_node_weights, header.has_item_weights,
+                  n if graph else header.m, graph)
         closes, spool = self._closes, None
         if self.spool:
             try:
@@ -184,39 +192,36 @@ class NodeStream:
         listed = 0
         try:
             with open(self.path) as fh:
-                lines = _tokens(fh)
-                _nonempty(lines)
+                lines = _lines(fh)
+                _nonempty(map(str.split, lines))
                 for start in range(0, n, SPOOL_CHUNK):
-                    for node in range(start, min(start + SPOOL_CHUNK, n)):
-                        parts = next(lines, None)
-                        if parts is None:
-                            raise FormatError(f"{self.path}: expected {n} "
-                                              f"node lines, got {node}")
-                        weight, ids, weights = _parse_line(
-                            parts, node, node_weights, item_weights, bound,
-                            graph)
-                        listed += len(ids)
-                        if spool is not None:
-                            add_degree(len(ids))
-                            add_ids(ids)
-                            if item_weights:
-                                add_weights(weights)
-                            if node_weights:
-                                add_node_weight(weight)
-                        yield StreamedNodeRecord(node, weight, ids, weights)
+                    size = min(SPOOL_CHUNK, n - start)
+                    chunk = list(islice(lines, size))
+                    columns = _columns(chunk, start, *layout)
+                    if columns is None or len(chunk) < size:
+                        good, fault = _first_fault(chunk, start, *layout)
+                        yield from _records(
+                            start, *_columns(chunk[:good], start, *layout))
+                        raise fault or FormatError(
+                            f"{self.path}: expected {n} node lines, got "
+                            f"{start + good}")
+                    del chunk   # only a failing chunk needs its text
+                    listed += len(columns[1])
                     if spool is not None:
                         try:
-                            for part in chunk:
-                                spool.write(array("i", part))
+                            for column in columns:
+                                if column is not None:
+                                    spool.write(array("i", column))
                             spool.flush()   # for the replays' own handles
                         except (OSError, OverflowError):   # later passes parse
                             with suppress(OSError):   # close() flushes again
                                 spool.close()
                             spool = None
-                    for part in chunk:
-                        del part[:]
-                _expect_end(lines, f"{self.path}: more lines than the "
-                                   f"{n} node lines the header declares")
+                    yield from _records(start, *columns)
+                    del columns   # before the next chunk is converted
+                _expect_end(map(str.split, lines),
+                            f"{self.path}: more lines than the {n} node "
+                            f"lines the header declares")
             if listed != header.pins:
                 what = "edge" if graph else "pin"
                 raise FormatError(
@@ -248,22 +253,104 @@ def _replay(fh, header: StreamHeader) -> Iterator[StreamedNodeRecord]:
     with fh:
         for start in range(0, n, SPOOL_CHUNK):
             fh.seek(offset)
-            count = min(SPOOL_CHUNK, n - start)
-            degrees = _read(fh, count)
+            size = min(SPOOL_CHUNK, n - start)
+            degrees = _read(fh, size)
             total = sum(degrees)
             ids = _read(fh, total).tolist()
             weights = _read(fh, total).tolist() if item_weights else None
-            node_weight = _read(fh, count).tolist() if node_weights \
-                else repeat(1, count)
+            node_weight = _read(fh, size).tolist() if node_weights else None
             offset = fh.tell()
-            pos = 0
-            for node, d, weight in zip(range(start, start + count), degrees,
-                                       node_weight):
-                end = pos + d
-                yield StreamedNodeRecord(
-                    node, weight, ids[pos:end],
-                    weights[pos:end] if item_weights else [1] * d)
-                pos = end
+            yield from _records(start, degrees, ids, weights, node_weight)
+
+
+def _records(start: int, degrees: Sequence[int], ids: list[int],
+             weights: Optional[list[int]],
+             node_weight: Optional[Sequence[int]]
+             ) -> Iterator[StreamedNodeRecord]:
+    """The records of one chunk from its spool columns: node ``start`` on,
+    each with the next ``degrees[i]`` of the flat 0-based ``ids`` and of the
+    flat item ``weights`` (all 1 when None) and its ``node_weight`` (1 when
+    None).  The parse and the replay both build their records here."""
+    return map(StreamedNodeRecord, count(start),
+               repeat(1) if node_weight is None else node_weight,
+               _split(ids, degrees),
+               map(mul, repeat([1]), degrees) if weights is None
+               else _split(weights, degrees))
+
+
+def _split(flat: list[int], degrees: Iterable[int]) -> Iterator[list[int]]:
+    """The per-node slices of a chunk's flat column."""
+    pos = 0
+    for degree in degrees:
+        end = pos + degree
+        yield flat[pos:end]
+        pos = end
+
+
+def _columns(lines: list[str], start: int, node_weights: bool,
+             item_weights: bool, bound: int, graph: bool) -> Optional[tuple]:
+    """The spool columns of a chunk of node lines, node ``start`` on:
+    degrees, flat 0-based ids, flat item weights and node weights (the last
+    two None when ``fmt`` has none); None when a line breaks a rule of
+    :func:`_parse_line`.
+
+    Each column is one ``map(int, ...)`` over the chunk's tokens, split one
+    line at a time so that no more than one line's tokens are alive at
+    once; ids are made 0-based as they are converted (a comprehension
+    subtracts faster than ``map(operator.sub, ...)``).  The checks are
+    ``min``/``max`` and one C-level call per line.
+    """
+    skip = 1 if node_weights else 0
+    ids_part = slice(skip, None, 2) if item_weights else slice(skip, None)
+    degrees, weighed = [], []
+    try:
+        ids = [v - 1 for v in map(int, chain.from_iterable(
+            _rows(lines, ids_part, degrees)))]
+        weights = list(map(int, chain.from_iterable(_rows(
+            lines, slice(skip + 1, None, 2), weighed)))) \
+            if item_weights else None
+        node_weight = list(map(int, map(itemgetter(0), map(
+            str.split, lines)))) if node_weights else None
+    except (ValueError, IndexError):   # a bad token, a line without weight
+        return None
+    if ids and (min(ids) < 0 or max(ids) >= bound):
+        return None
+    if node_weight and min(node_weight) < 1:
+        return None
+    # A line of odd length (a dangling weight) lists one more id than weights.
+    if weights is not None and (weighed != degrees
+                                or weights and min(weights) < 1):
+        return None
+    rows = _split(ids, degrees)
+    if graph:
+        if any(map(contains, rows, count(start))):   # a self-loop
+            return None
+    elif sum(map(len, map(set, rows))) < len(ids):   # a net listed twice
+        return None
+    return degrees, ids, weights, node_weight
+
+
+def _rows(lines: list[str], part: slice,
+          lengths: list[int]) -> Iterator[list[str]]:
+    """``part`` of the tokens of each line, split one line at a time, with
+    each part's length appended to ``lengths``."""
+    whole = part == slice(0, None)
+    for line in lines:
+        row = line.split() if whole else line.split()[part]
+        lengths.append(len(row))
+        yield row
+
+
+def _first_fault(lines: list[str], start: int, *layout
+                 ) -> tuple[int, Optional[FormatError]]:
+    """The index and the error of the first bad line of a chunk, found by
+    :func:`_parse_line` line by line; ``(len(lines), None)`` when none is."""
+    for node, line in enumerate(lines, start):
+        try:
+            _parse_line(line.split(), node, *layout)
+        except FormatError as exc:
+            return node - start, exc
+    return len(lines), None
 
 
 def _read(fh, count: int) -> array:
@@ -283,9 +370,12 @@ def _parse_line(parts: Sequence[str], node: int, node_weights: bool,
                 graph: bool) -> tuple[int, list[int], list[int]]:
     """Weight, 0-based ids and id weights of one node line.
 
-    The id checks run over whole lists (min, max, membership) so the
-    per-id work stays in C; a line that fails one goes to
-    :func:`_line_fault`, which names its first bad id.
+    This is the per-line rule the chunk conversion of :func:`_columns`
+    checks in bulk; the parse calls it only for a chunk that fails that
+    check, line by line, to raise the first bad line's ``FormatError``.
+    The id checks run over whole lists (min, max, membership) so the per-id
+    work stays in C; a line that fails one goes to :func:`_line_fault`,
+    which names its first bad id.
     """
     weight = 1
     try:
@@ -422,9 +512,9 @@ def transpose_hmetis(src: str, dst: str) -> StreamHeader:
 
 def write_partition(path: str, assignment: Iterable[int]) -> None:
     """Write one 0-based block id per line, line i = node i."""
+    text = "\n".join(map(str, assignment))
     with open(path, "w") as out:
-        for block in assignment:
-            out.write(f"{block}\n")
+        out.write(text + "\n" if text else text)
 
 
 def read_partition(path: str, n: int, k: Optional[int] = None) -> list[int]:

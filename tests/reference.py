@@ -14,7 +14,9 @@ and its weights subtracted from the artificial nodes, ReLDG restreams on a
 second state of per-pass weights that shares the run's assignment, and
 the two k x k PE distance matrices are built with numpy, which only the
 tests need, and the OMS tree is built by a stack walk, with heights and
-per-run constants set by two more walks.
+per-run constants set by two more walks.  A node-per-line file is parsed
+one line at a time, each through ``streams._parse_line``, as the stream did
+before it converted a chunk of lines at a time.
 
 The consistency checks at the end recompute production state from scratch.
 """
@@ -34,6 +36,8 @@ from streamdecomp.multisection import TreeBlock, heterogeneous_alpha
 from streamdecomp.onepass import FennelParams, fennel_gain, ldg_assign, \
     run_onepass
 from streamdecomp.partition import UNASSIGNED, PartitionState
+from streamdecomp.streams import FormatError, StreamedNodeRecord, \
+    _expect_end, _header, _nonempty, _parse_line, _tokens
 
 
 def _neighbor_gains(record, assignment) -> dict[int, float]:
@@ -691,3 +695,37 @@ def bucket_ranges(blocks: SortedBlocks) -> list[tuple[int, int, int]]:
     """(cardinality, l, r) per live bucket of a SortedBlocks, sorted by l."""
     live = {id(bucket): bucket for bucket in blocks.bucket_of}
     return sorted((b.cardinality, b.l, b.r) for b in live.values())
+
+
+def parse_node_lines(path: str, graph: bool):
+    """The records of a node-per-line file (a METIS graph or a node-major
+    hypergraph), parsed line by line with the errors of
+    ``streams.NodeStream`` in the same order: each node line through
+    ``_parse_line``, then a missing or surplus line, then the entry count."""
+    with open(path) as fh:
+        lines = _tokens(fh)
+        head = _nonempty(lines)
+        if head is None:
+            raise FormatError(f"{path}: empty "
+                              f"{'graph' if graph else 'hypergraph'} file")
+        header = _header(head, graph)
+        n = header.n
+        bound = n if graph else header.m
+        listed = 0
+        for node in range(n):
+            parts = next(lines, None)
+            if parts is None:
+                raise FormatError(f"{path}: expected {n} node lines, got "
+                                  f"{node}")
+            weight, ids, weights = _parse_line(
+                parts, node, header.has_node_weights,
+                header.has_item_weights, bound, graph)
+            listed += len(ids)
+            yield StreamedNodeRecord(node, weight, ids, weights)
+        _expect_end(lines, f"{path}: more lines than the {n} node lines the "
+                           f"header declares")
+    if listed != header.pins:
+        what = "edge" if graph else "pin"
+        raise FormatError(f"{path}: {what}-count mismatch, the header gives "
+                          f"{header.pins} entries but the node lines list "
+                          f"{listed}")

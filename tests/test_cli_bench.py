@@ -64,6 +64,12 @@ class TestGeometricMean:
     def test_zero_falls_back_to_arithmetic(self):
         assert geometric_mean([0.0, 10.0]) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("values", [[12681.0], [5.0, 5.0, 5.0],
+                                        [0.03200000000000003], [0.0, 0.0]])
+    def test_equal_values_give_that_value(self, values):
+        # exp(mean(log v)) misses by an ulp: 12680.99999999999 for 12681
+        assert geometric_mean(values) == values[0]
+
 
 class TestSummarize:
     def test_matches_manual_recomputation(self):
@@ -576,6 +582,22 @@ class TestCliBench:
         by_key = {(s["algorithm"], s["k"]): s for s in summary}
         assert by_key[("fennel", "4")]["edge_cut"] <= \
             by_key[("hashing", "4")]["edge_cut"]
+
+    def test_summary_of_one_row_groups_is_the_row(self, graph_file, tmp_path,
+                                                   capsys):
+        out = str(tmp_path / "rows.csv")
+        summary_path = str(tmp_path / "summary.json")
+        assert main(["bench", "--input", graph_file, "--algorithms",
+                     "hashing,ldg,fennel,heistream", "--k", "3,5",
+                     "--output", out, "--summary", summary_path]) == 0
+        rows = {(r["algorithm"], r["k"]): r for r in read_rows(out)}
+        summary = json.loads(Path(summary_path).read_text())
+        assert len(summary) == len(rows) == 8
+        for group in summary:
+            row = rows[group["algorithm"], group["k"]]
+            assert group["runs"] == 1
+            for metric in ("edge_cut", "imbalance", "runtime_ms"):
+                assert group[metric] == float(row[metric])
 
     def test_bench_takes_the_partition_defaults(self, graph_file, tmp_path,
                                                 capsys):

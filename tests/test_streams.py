@@ -1,11 +1,16 @@
+import random
 import re
 
 import pytest
 
-from streamdecomp.streams import (FormatError, open_graph_stream,
+from streamdecomp import cli, streams
+from streamdecomp.streams import (FormatError, StreamedNodeRecord,
+                                  open_graph_stream,
                                   open_hypergraph_node_stream, read_partition,
                                   transpose_hmetis, write_graph,
                                   write_partition)
+
+from reference import parse_node_lines
 
 
 def write(tmp_path, name, text):
@@ -213,13 +218,161 @@ MALFORMED = [
 ]
 
 
+def opener(kind):
+    return open_graph_stream if kind == "graph" \
+        else open_hypergraph_node_stream
+
+
 @pytest.mark.parametrize("kind, text, message", MALFORMED)
 def test_malformed_node_file(tmp_path, kind, text, message):
     path = write(tmp_path, "in.txt", text)
-    opener = open_graph_stream if kind == "graph" \
-        else open_hypergraph_node_stream
     with pytest.raises(FormatError, match=re.escape(message)):
-        list(opener(path))
+        list(opener(kind)(path))
+
+
+def noisy_file(rng: random.Random, kind: str, fmt: int, n: int,
+               newline: str) -> tuple[str, list[StreamedNodeRecord]]:
+    """A random node-per-line file and its records, with ``%`` lines
+    between node lines, blank node lines, tab and multi-space separators,
+    leading and trailing blanks and ``newline`` line ends."""
+    graph = kind == "graph"
+    node_w, item_w = fmt >= 10, fmt % 10 == 1
+    ids = [[] for _ in range(n)]
+    weights = [[] for _ in range(n)]
+    if graph:   # every fifth node isolated
+        linked = [v for v in range(n) if v % 5 != 4]
+        edges = {tuple(sorted(rng.sample(linked, 2))) for _ in range(2 * n)}
+        for u, v in edges:
+            w = rng.randint(1, 9)
+            for a, b in ((u, v), (v, u)):
+                ids[a].append(b)
+                weights[a].append(w)
+        m = len(edges)
+    else:
+        m = max(2, n // 2)
+        net_weight = [rng.randint(1, 9) for _ in range(m)]
+        for v in range(n):
+            if v % 5 != 4:
+                ids[v] = rng.sample(range(m), rng.randint(1, min(5, m)))
+                weights[v] = [net_weight[e] for e in ids[v]]
+    node_weight = [rng.randint(1, 9) for _ in range(n)]
+    records = []
+    for v in range(n):
+        order = rng.sample(range(len(ids[v])), len(ids[v]))
+        records.append(StreamedNodeRecord(
+            v, node_weight[v] if node_w else 1, [ids[v][i] for i in order],
+            [weights[v][i] if item_w else 1 for i in order]))
+    pins = sum(len(r.ids) for r in records)
+    head = [n, m] if graph else [n, m, pins]
+    lines = [" ".join(map(str, head + ([fmt] if fmt else [])))]
+    for record in records:
+        if rng.random() < 0.2:
+            lines.append("% a comment\tline")
+        tokens = [str(record.weight)] if node_w else []
+        for v, w in zip(record.ids, record.weights):
+            tokens += [str(v + 1), str(w)] if item_w else [str(v + 1)]
+        gaps = [rng.choice([" ", "\t", "   ", " \t "]) for _ in tokens]
+        lines.append(rng.choice(["", " ", "\t"])
+                     + "".join(g + t for g, t in zip(gaps, tokens)).lstrip()
+                     + rng.choice(["", " ", "\t "]))
+    return newline.join(lines + ["% the end", ""]), records
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 1024])
+@pytest.mark.parametrize("fmt", [0, 1, 10, 11])
+@pytest.mark.parametrize("kind", ["graph", "hyper"])
+def test_chunk_parse_equals_line_parse(tmp_path, monkeypatch, kind, fmt,
+                                       chunk):
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", chunk)
+    rng = random.Random(f"{kind} {fmt} {chunk}")
+    # several chunks, the last one short
+    for n, newline in ((chunk * 3 + 1, "\n"), (chunk * 2 + 1, "\r\n")):
+        text, records = noisy_file(rng, kind, fmt, n, newline)
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode())
+        assert list(parse_node_lines(str(path), kind == "graph")) == records
+        stream = opener(kind)(str(path))
+        assert list(stream) == records     # the parse
+        assert list(stream) == records     # the replay
+        stream.close()
+        assert list(opener(kind)(str(path), spool=False)) == records
+
+
+def _header_parses(kind: str, text: str) -> bool:
+    head = streams._nonempty(streams._tokens(text.splitlines()))
+    try:
+        streams._header(head or [], kind == "graph")
+    except FormatError:
+        return False
+    return True
+
+
+def shifted(kind: str, text: str, p: int) -> str:
+    """``text`` with ``p`` isolated nodes before its node lines.  A graph's
+    ids of 1 and more move up by ``p``, so each line names the same
+    neighbors and stays as right or as wrong as it was."""
+    graph = kind == "graph"
+    header, *lines = text.split("\n")
+    fields = header.split()
+    width = 2 if graph else 3
+    node_w, item_w = streams._parse_fmt(fields[width]) \
+        if len(fields) > width else (False, False)
+    fields[0] = str(int(fields[0]) + p)
+
+    def shift(line: str) -> str:
+        tokens = line.split()
+        if graph and not line.startswith("%"):
+            for i in range(int(node_w), len(tokens), 1 + item_w):
+                if tokens[i].isdigit() and int(tokens[i]) >= 1:
+                    tokens[i] = str(int(tokens[i]) + p)
+        return " ".join(tokens)
+    return "\n".join([" ".join(fields), *["1" if node_w else ""] * p,
+                      *map(shift, lines)])
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [p for p in MALFORMED if _header_parses(*p.values[:2])])
+def test_chunk_fault_is_the_first_bad_line(tmp_path, monkeypatch, capsys,
+                                           kind, text, message):
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 4)
+    graph = kind == "graph"
+    places = set()
+    for p in range(8):   # first, middle and last in the first two chunks
+        path = str(tmp_path / f"in-{p}.txt")
+        with open(path, "w") as fh:
+            fh.write(shifted(kind, text, p))
+        expected, before = None, []
+        try:
+            before.extend(parse_node_lines(path, graph))
+        except FormatError as exc:
+            expected = exc
+        assert expected is not None and (p or message in str(expected))
+        places.add(len(before))
+        parsed = []
+        with pytest.raises(FormatError) as raised:
+            parsed.extend(opener(kind)(path))
+        assert str(raised.value) == str(expected)
+        assert parsed == before            # the good lines before it
+        command = "partition" if graph else "hpartition"
+        assert cli.main([command, "--input", path, "--k", "2"]) == 2
+        assert f"input error: {expected}" in capsys.readouterr().err
+    assert {place % 4 for place in places} == {0, 1, 2, 3}
+    assert {0, 1} <= {place // 4 for place in places}
+
+
+@pytest.mark.parametrize("k", [1, 256])
+def test_write_partition_writes_one_line_per_node(tmp_path, k):
+    rng = random.Random(k)
+    assignment = [rng.randrange(k) for _ in range(3000)]
+    path = tmp_path / "p.part"
+    expected = "".join(f"{block}\n" for block in assignment).encode()
+    write_partition(str(path), assignment)
+    assert path.read_bytes() == expected
+    write_partition(str(path), iter(assignment))
+    assert path.read_bytes() == expected
+    write_partition(str(path), [])
+    assert path.read_bytes() == b""
 
 
 def test_transpose_round_trips_pin_multiset(tmp_path):
