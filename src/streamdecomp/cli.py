@@ -313,6 +313,9 @@ def cmd_run(args) -> int:
 
 def cmd_metrics(args) -> int:
     k, hierarchy = args.k, None
+    if bool(args.hierarchy) != bool(args.distances):
+        missing = "--distances" if args.hierarchy else "--hierarchy"
+        raise UsageError(f"comm cost needs {missing} too")
     if args.hierarchy:
         if args.hypergraph:
             raise UsageError("--hierarchy (comm cost) needs a graph input")

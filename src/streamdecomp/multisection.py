@@ -5,9 +5,11 @@ node, ...) induces a tree of nested partitioning subproblems.  Each incoming
 node descends from the root to a leaf, at every tree level running a one-pass
 scorer (Fennel with a per-level penalty scale, or LDG) restricted to the
 children of the block chosen one level above.  One descent is equivalent to
-restreaming the graph once per level, so a single pass suffices.  As in
-Fennel and FREIGHT, only the children holding a neighbor and the lightest
-child of each capacity class can win, so only those are scored.
+restreaming the graph once per level, so a single pass suffices.  A node's
+neighbor leaves are counted once; a level maps each in its range to a child
+by a table (4 bytes per leaf, 4k per tree level) and, as in Fennel and
+FREIGHT, scores only the children that can win: O(distinct neighbor leaves
++ capacity classes) per level, whatever the fan-out.
 
 When no hierarchy is given, an artificial b-section tree over the k blocks
 plays the same role (heterogeneous child capacities when k is not a power of
@@ -20,7 +22,8 @@ fallback computes the same value from successive integer divisions.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from array import array
+from collections import _count_elements
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +45,8 @@ class HierarchySpec:
             raise ValueError("hierarchy needs at least one layer")
         if any(a < 1 for a in self.fanouts):
             raise ValueError("fan-outs must be >= 1")
+        if any(d < 0 for d in self.distances):
+            raise ValueError("distances must be >= 0")
         # Fan-out-1 layers contribute nothing: no pair of PEs can first
         # differ there.  Collapse them so every remaining a_i >= 2.
         kept = [(a, d) for a, d in zip(self.fanouts, self.distances) if a > 1]
@@ -117,20 +122,21 @@ class TreeBlock:
     """One block of the multi-section tree covering leaf range [lo, hi].
 
     An internal block keeps the state of its children in per-child lists,
-    indexed like ``children``: the first leaf of each, its weight (the only
-    copy of a child's weight), its capacity and its penalty scale.
-    ``classes`` lists the [start, stop) index runs of equally sized
-    children, which share capacity and scale.
+    indexed like ``children``: its weight (the only copy of a child's
+    weight), its capacity and its penalty scale; ``child_of[leaf - lo]`` is
+    the index of the child covering ``leaf``.  ``classes`` lists the [start,
+    stop) index runs of equally sized children, which share capacity and
+    scale.
     """
 
-    __slots__ = ("lo", "hi", "children", "child_starts", "child_weights",
+    __slots__ = ("lo", "hi", "children", "child_of", "child_weights",
                  "capacities", "alphas", "classes", "height")
 
     def __init__(self, lo: int, hi: int):
         self.lo = lo
         self.hi = hi
         self.children: list[TreeBlock] = []
-        self.child_starts: list[int] = []
+        self.child_of = array("I")
         self.child_weights: list[int] = []
         self.capacities: list[int] = []
         self.alphas: list[float] = []
@@ -155,7 +161,8 @@ def _build(lo: int, hi: int, fanouts: list[int], l_max: int,
         starts = [lo + i * base + min(i, rem) for i in range(parts + 1)]
         node.children = [_build(start, stop - 1, fanouts[1:], l_max, alpha)
                          for start, stop in zip(starts, starts[1:])]
-        node.child_starts = starts[:-1]
+        node.child_of = array("I", [i for i, c in enumerate(node.children)
+                                    for _ in range(c.t)])
         node.child_weights = [0] * parts
         node.capacities = [c.t * l_max for c in node.children]
         node.alphas = [heterogeneous_alpha(c, alpha) for c in node.children]
@@ -209,73 +216,66 @@ class OmsConfig:
 def oms_assign(record, root: TreeBlock, state: PartitionState,
                config: OmsConfig, params: FennelParams) -> int:
     """Descend from ``root``, taking at each level the best feasible child
-    or, when none fits, the lightest one, flagged as a violation."""
-    assignment = state.assignment
-    leaves = [(assignment[v], w) for v, w in zip(record.ids, record.weights)
-              if assignment[v] != UNASSIGNED]
+    or, when none fits, the lightest one, flagged as a violation.
+
+    Unit-weight rows count leaves in C; other rows keep ``(leaf, w)`` pairs
+    in record order, so float sums add in the same order.  Scored are the
+    children holding a neighbor and each class's lightest child (lowest
+    index first): no other child of a class scores better.  Ties go to the
+    lighter child, then the lower index.
+    """
+    assignment, edge_weights = state.assignment, record.weights
+    if edge_weights.count(1) == len(edge_weights):
+        counts: dict[int, int] = {}
+        _count_elements(counts, map(assignment.__getitem__, record.ids))
+        counts.pop(UNASSIGNED, None)
+        leaves = counts.items()
+    else:
+        leaves = [(assignment[v], w) for v, w in zip(record.ids, edge_weights)
+                  if assignment[v] != UNASSIGNED]
     weight = record.weight
     fennel = config.scorer == "fennel"
+    gamma, g1 = params.gamma, params.gamma - 1.0
     node = root
     while node.children:
-        if node.height <= config.hash_bottom_layers:
-            idx = _hash_child(record.id, weight, node)
-        else:
-            idx = _score_child(weight, node, leaves, fennel, params.gamma)
         weights = node.child_weights
-        if idx < 0:
+        if node.height <= config.hash_bottom_layers:
+            best = _hash_child(record.id, weight, node)
+        else:
+            lo, hi, child_of = node.lo, node.hi, node.child_of
+            gains: dict[int, float] = {}
+            for leaf, w in leaves:
+                if lo <= leaf <= hi:
+                    idx = child_of[leaf - lo]
+                    gains[idx] = gains.get(idx, 0.0) + w
+            classes = node.classes
+            if len(classes) == 1:       # equal children: no slice to copy
+                gains.setdefault(weights.index(min(weights)), 0.0)
+            else:
+                for start, stop in classes:
+                    part = weights[start:stop]
+                    gains.setdefault(start + part.index(min(part)), 0.0)
+            capacities, alphas = node.capacities, node.alphas
+            best, best_score, best_cw = -1, 0.0, 0
+            for idx, gain in gains.items():
+                cw = weights[idx]
+                capacity = capacities[idx]
+                if cw + weight > capacity:
+                    continue
+                if fennel:
+                    score = gain - weight * alphas[idx] * gamma * cw ** g1
+                else:
+                    score = gain * (1.0 - cw / capacity)
+                if best < 0 or score > best_score or score == best_score and (
+                        cw < best_cw or cw == best_cw and idx < best):
+                    best, best_score, best_cw = idx, score, cw
+        if best < 0:
             state.violations += 1
-            idx = weights.index(min(weights))
-        weights[idx] += weight
-        node = node.children[idx]
+            best = weights.index(min(weights))
+        weights[best] += weight
+        node = node.children[best]
     state.assign(record.id, node.lo, weight)
     return node.lo
-
-
-def _candidates(node: TreeBlock, gains: dict[int, float]) -> list[int]:
-    """The children that can win: those holding a neighbor (the keys of
-    ``gains``) and the lightest child, lowest index first, of each class.
-
-    Within a class every child has the same capacity and penalty scale, so a
-    child without a neighbor scores -w * a * gamma * cw ** (gamma - 1)
-    (Fennel) or 0.0 (LDG), which the class's lightest child matches or
-    beats; on a tie the lighter child, then the lower index, wins.
-    """
-    weights = node.child_weights
-    out = list(gains)
-    for start, stop in node.classes:
-        part = weights[start:stop]
-        idx = start + part.index(min(part))
-        if idx not in gains:
-            out.append(idx)
-    return out
-
-
-def _score_child(weight: int, node: TreeBlock, leaves, fennel: bool,
-                 gamma: float) -> int:
-    """Index of the best-scoring feasible child of ``node``; -1 if none is
-    feasible."""
-    lo, hi, starts = node.lo, node.hi, node.child_starts
-    gains: dict[int, float] = {}
-    for leaf, w in leaves:
-        if lo <= leaf <= hi:
-            idx = bisect_right(starts, leaf) - 1
-            gains[idx] = gains.get(idx, 0.0) + w
-    weights, capacities = node.child_weights, node.capacities
-    alphas = node.alphas
-    best, best_key = -1, None
-    for idx in _candidates(node, gains):
-        cw = weights[idx]
-        if cw + weight > capacities[idx]:
-            continue
-        if fennel:
-            score = gains.get(idx, 0.0) - weight * alphas[idx] * gamma * \
-                cw ** (gamma - 1.0)
-        else:
-            score = gains.get(idx, 0.0) * (1.0 - cw / capacities[idx])
-        key = (score, -cw, -idx)
-        if best_key is None or key > best_key:
-            best, best_key = idx, key
-    return best
 
 
 def _hash_child(node_id: int, weight: int, node: TreeBlock) -> int:

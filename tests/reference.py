@@ -5,8 +5,10 @@ and the Fennel and LDG scans score every block per node (FREIGHT's with
 two gain dicts and one tracker method call per pin), the Fennel twin
 reads neighbor assignments straight off the graph, the OMS scan descent
 scores every child of every tree block with capacities and penalty scales
-recomputed per child, the multi-pass multi-section reference restreams once
-per tree layer with per-layer weight tables instead of descending a tree,
+recomputed per child, the OMS candidate descent finds each neighbor's child
+by a bisect and ranks children by tuple keys, the multi-pass multi-section
+reference restreams once per tree layer with per-layer weight tables
+instead of descending a tree,
 the HeiStream kernels rebuild every node's connection dict on every visit
 and score every block through ``fennel_gain`` (initial partitioning scores
 all k), a later pass's batch model is built with the batch still assigned
@@ -32,7 +34,8 @@ import numpy as np
 from streamdecomp import freight
 from streamdecomp.freight import CUT, SINGLE_BLOCK, UNTOUCHED, SortedBlocks
 from streamdecomp.heistream import BatchModel, _seed_block_weights
-from streamdecomp.multisection import TreeBlock, heterogeneous_alpha
+from streamdecomp.multisection import TreeBlock, _hash_child, \
+    heterogeneous_alpha
 from streamdecomp.onepass import FennelParams, fennel_gain, ldg_assign, \
     run_onepass
 from streamdecomp.partition import UNASSIGNED, PartitionState
@@ -239,9 +242,15 @@ def run_fennel_twin(graph_stream, state: PartitionState,
     return state
 
 
+def _child_los(node) -> list[int]:
+    """The first leaf of each child of ``node``."""
+    return [child.lo for child in node.children]
+
+
 def scan_score_child(record, node, state: PartitionState, neighbors, config,
                      params: FennelParams) -> int:
-    """Score every child of ``node``: the oracle of ``_score_child``.
+    """Score every child of ``node``: the oracle of one level of
+    ``multisection.oms_assign``.
 
     The full scan OMS used before the candidate set, reading child weights
     from the parent's list and recomputing each child's capacity and
@@ -251,7 +260,7 @@ def scan_score_child(record, node, state: PartitionState, neighbors, config,
     gains = [0.0] * len(node.children)
     for leaf, w in neighbors:
         if node.lo <= leaf <= node.hi:
-            gains[bisect_right(node.child_starts, leaf) - 1] += w
+            gains[bisect_right(_child_los(node), leaf) - 1] += w
     best = None
     best_key = None
     for idx, child in enumerate(node.children):
@@ -290,33 +299,100 @@ def scan_hash_child(record, node, state: PartitionState) -> int:
     return min(feasible, key=lambda i: weights[i])
 
 
-def scan_oms(graph_stream, root, state: PartitionState, config,
-             params: FennelParams) -> PartitionState:
-    """OMS by full scans: every descent step scores every child."""
-    for record in graph_stream:
-        assignment = state.assignment
-        neighbors = [(assignment[v], w)
-                     for v, w in zip(record.ids, record.weights)
-                     if assignment[v] != UNASSIGNED]
-        node = root
-        while node.children:
-            if config.hash_bottom_layers and \
-                    node.height <= config.hash_bottom_layers:
-                idx = scan_hash_child(record, node, state)
-            else:
-                idx = scan_score_child(record, node, state, neighbors,
-                                       config, params)
-            node.child_weights[idx] += record.weight
-            node = node.children[idx]
-        state.assign(record.id, node.lo, record.weight)
-    return state
+def scan_oms_assign(record, root, state: PartitionState, config,
+                    params: FennelParams) -> int:
+    """One OMS descent by full scans: every step scores every child."""
+    assignment = state.assignment
+    neighbors = [(assignment[v], w) for v, w in zip(record.ids, record.weights)
+                 if assignment[v] != UNASSIGNED]
+    node = root
+    while node.children:
+        if config.hash_bottom_layers and \
+                node.height <= config.hash_bottom_layers:
+            idx = scan_hash_child(record, node, state)
+        else:
+            idx = scan_score_child(record, node, state, neighbors, config,
+                                   params)
+        node.child_weights[idx] += record.weight
+        node = node.children[idx]
+    state.assign(record.id, node.lo, record.weight)
+    return node.lo
+
+
+def candidate_oms_assign(record, root, state: PartitionState, config,
+                         params: FennelParams) -> int:
+    """The candidate descent ``multisection.oms_assign`` replaced: one
+    ``(leaf, w)`` pair per assigned neighbor, a bisect over the children's
+    first leaves per pair and level, and ``(score, -cw, -idx)`` keys over
+    the children holding a neighbor plus each class's lightest child."""
+    assignment = state.assignment
+    leaves = [(assignment[v], w) for v, w in zip(record.ids, record.weights)
+              if assignment[v] != UNASSIGNED]
+    weight = record.weight
+    fennel = config.scorer == "fennel"
+    node = root
+    while node.children:
+        if node.height <= config.hash_bottom_layers:
+            idx = _hash_child(record.id, weight, node)
+        else:
+            idx = _score_child(weight, node, leaves, fennel, params.gamma)
+        weights = node.child_weights
+        if idx < 0:
+            state.violations += 1
+            idx = weights.index(min(weights))
+        weights[idx] += weight
+        node = node.children[idx]
+    state.assign(record.id, node.lo, weight)
+    return node.lo
+
+
+def _candidates(node, gains: dict[int, float]) -> list[int]:
+    """The children holding a neighbor and the lightest child, lowest index
+    first, of each class."""
+    weights = node.child_weights
+    out = list(gains)
+    for start, stop in node.classes:
+        part = weights[start:stop]
+        idx = start + part.index(min(part))
+        if idx not in gains:
+            out.append(idx)
+    return out
+
+
+def _score_child(weight: int, node, leaves, fennel: bool,
+                 gamma: float) -> int:
+    """Index of the best-scoring feasible candidate child of ``node``; -1 if
+    none is feasible."""
+    lo, hi, starts = node.lo, node.hi, _child_los(node)
+    gains: dict[int, float] = {}
+    for leaf, w in leaves:
+        if lo <= leaf <= hi:
+            idx = bisect_right(starts, leaf) - 1
+            gains[idx] = gains.get(idx, 0.0) + w
+    weights, capacities = node.child_weights, node.capacities
+    alphas = node.alphas
+    best, best_key = -1, None
+    for idx in _candidates(node, gains):
+        cw = weights[idx]
+        if cw + weight > capacities[idx]:
+            continue
+        if fennel:
+            score = gains.get(idx, 0.0) - weight * alphas[idx] * gamma * \
+                cw ** (gamma - 1.0)
+        else:
+            score = gains.get(idx, 0.0) * (1.0 - cw / capacities[idx])
+        key = (score, -cw, -idx)
+        if best_key is None or key > best_key:
+            best, best_key = idx, key
+    return best
 
 
 def stacked_tree(k: int, fanout_at_depth, l_max: int,
                  alpha: float) -> TreeBlock:
     """The OMS tree built in three walks, the oracle of
     ``multisection._build``: a stack walk attaches each block's children,
-    the larger first, a second walk sets the heights and a third the
+    the larger first, and extends ``child_of`` by each child's index once
+    per leaf it covers, a second walk sets the heights and a third the
     per-run capacities (t * l_max) and penalty scales."""
     root = TreeBlock(0, k - 1)
     stack = [(root, 0)]
@@ -327,9 +403,9 @@ def stacked_tree(k: int, fanout_at_depth, l_max: int,
         parts = min(fanout_at_depth(depth), node.t)
         base, rem = divmod(node.t, parts)
         lo = node.lo
-        for size in [base + 1] * rem + [base] * (parts - rem):
+        for i, size in enumerate([base + 1] * rem + [base] * (parts - rem)):
             node.children.append(TreeBlock(lo, lo + size - 1))
-            node.child_starts.append(lo)
+            node.child_of.extend([i] * size)
             lo += size
         node.child_weights = [0] * parts
         node.classes = [(0, rem), (rem, parts)] if rem else [(0, parts)]
@@ -359,7 +435,8 @@ def tree_fields(root) -> list[tuple]:
     stack = [root]
     while stack:
         node = stack.pop()
-        out.append((node.lo, node.hi, len(node.children), node.child_starts,
+        out.append((node.lo, node.hi, len(node.children),
+                    node.child_of.tolist(),
                     node.child_weights, node.capacities, node.alphas,
                     node.classes, node.height))
         stack.extend(reversed(node.children))

@@ -398,13 +398,23 @@ class TestCliErrors:
          "node 0: 'w' is not an integer"),
         ("transpose", "1 3\n1 2\n2 3\n", "more lines than the 1 net"),
         ("transpose", "2 3 1\n5\n1 2 3\n", "net 0: no pins"),
+        # the file is well formed; the arguments give a negative PE
+        # distance, which would make comm cost negative
+        ("map", "4 4\n2 4\n1 3\n2 4\n1 3\n", "distances must be >= 0"),
+        ("metrics", "4 4\n2 4\n1 3\n2 4\n1 3\n",
+         "distances must be >= 0"),
     ])
     def test_malformed_line_is_exit_2(self, tmp_path, capsys, command, text,
                                       message):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
-        args = ["--k", "2"] if command == "partition" else \
-            ["--output", str(tmp_path / "out.hgr")]
+        part = tmp_path / "p.txt"
+        part.write_text("0\n1\n2\n3\n")
+        args = {"partition": ["--k", "2"],
+                "transpose": ["--output", str(tmp_path / "out.hgr")],
+                "map": ["--hierarchy", "8:8", "--distances=1:-10"],
+                "metrics": ["--partition", str(part), "--hierarchy", "8:8",
+                            "--distances=-1:-10"]}[command]
         assert main([command, "--input", str(bad), *args]) == 2
         assert message in capsys.readouterr().err
 
@@ -465,6 +475,18 @@ class TestCliErrors:
         assert main(["metrics", "--input", graph_file, "--partition",
                      str(part), "--k", "2", "--hierarchy", "2:2",
                      "--distances", "1:10"]) == 1
+
+    @pytest.mark.parametrize("given, missing", [
+        (["--hierarchy", "8:8"], "--distances"),
+        (["--distances", "1:10"], "--hierarchy")])
+    def test_metrics_needs_hierarchy_and_distances_together(
+            self, graph_file, tmp_path, capsys, given, missing):
+        part = tmp_path / "p.txt"
+        part.write_text("0\n" * 60)
+        assert main(["metrics", "--input", graph_file, "--partition",
+                     str(part), *given]) == 1
+        assert f"usage error: comm cost needs {missing} too" in \
+            capsys.readouterr().err
 
     def test_index_error_inside_an_algorithm_is_exit_3(self, graph_file,
                                                        monkeypatch, capsys):

@@ -1,13 +1,12 @@
 import itertools
 import math
 import random
-from types import SimpleNamespace
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamdecomp import multisection
 from streamdecomp.metrics import comm_cost, edge_cut
 from streamdecomp.multisection import (HierarchySpec, OmsConfig, TreeBlock,
                                        build_from_spec, build_hierarchy,
@@ -16,10 +15,10 @@ from streamdecomp.multisection import (HierarchySpec, OmsConfig, TreeBlock,
 from streamdecomp.partition import UNASSIGNED
 
 from generators import graph_stream_from_edges, random_graph, run_setup
-from reference import (check_leaf_weights, distance_matrix,
-                       division_distance_matrix, run_multisection_multipass,
-                       scan_oms, scan_score_child, stacked_tree,
-                       total_block_slots, tree_fields)
+from reference import (candidate_oms_assign, check_leaf_weights,
+                       distance_matrix, division_distance_matrix,
+                       run_multisection_multipass, scan_oms_assign,
+                       stacked_tree, total_block_slots, tree_fields)
 
 
 def oms(stream, k, spec=None, epsilon=0.03, alpha=None, **config):
@@ -84,6 +83,20 @@ class TestBuildHierarchy:
             assert total_block_slots(root) <= 2 * k
 
 
+def check_child_of(root) -> None:
+    """Each block's ``child_of`` holds, per leaf it covers, the child a
+    bisect over the children's first leaves finds."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        starts = [child.lo for child in node.children]
+        assert node.child_of.typecode == "I"
+        expected = [bisect_right(starts, leaf) - 1
+                    for leaf in range(node.lo, node.hi + 1)] if starts else []
+        assert node.child_of.tolist() == expected
+        stack.extend(node.children)
+
+
 class TestOnePassBuild:
     """One recursive pass builds the tree the stack walk, the height walk
     and the per-run constants walk built before (``stacked_tree``)."""
@@ -92,8 +105,10 @@ class TestOnePassBuild:
         shapes = 0
         for k, b in itertools.product(range(1, 300), range(2, 17)):
             l_max, alpha = k % 13 + 1, 1.0 / (k + b)
-            assert tree_fields(build_hierarchy(k, l_max, alpha, b)) == \
+            root = build_hierarchy(k, l_max, alpha, b)
+            assert tree_fields(root) == \
                 tree_fields(stacked_tree(k, lambda depth: b, l_max, alpha))
+            check_child_of(root)
             shapes += 1
         assert shapes == 4485
 
@@ -103,9 +118,11 @@ class TestOnePassBuild:
             spec = HierarchySpec(list(fanouts), [1, 10, 100])
             layers = spec.fanouts[::-1]
             l_max, alpha = sum(fanouts), 0.1 * fanouts[0]
-            assert tree_fields(build_from_spec(spec, l_max, alpha)) == \
+            root = build_from_spec(spec, l_max, alpha)
+            assert tree_fields(root) == \
                 tree_fields(stacked_tree(spec.k, lambda depth: layers[depth],
                                          l_max, alpha))
+            check_child_of(root)
             shapes += 1
         assert shapes == 125
 
@@ -250,32 +267,61 @@ def _candidate_cases():
         yield tree, weighted, scorer, eps, hashed, rng.randrange(1 << 30)
 
 
+def _internal_blocks(root) -> list:
+    """Every tree block with children, in preorder."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            out.append(node)
+            stack.extend(reversed(node.children))
+    return out
+
+
+def _child_covering(node, leaf: int) -> int:
+    return next(i for i, child in enumerate(node.children)
+                if child.lo <= leaf <= child.hi)
+
+
+def _descend_in_lockstep(stream, k, epsilon, build, config):
+    """Run ``oms_assign``, the candidate descent and the full scan side by
+    side, each on its own tree and state; after every record all three
+    must have chosen the same leaf and hold the same violations and child
+    weights in every tree block.  Returns ``oms_assign``'s root and state."""
+    descents = []
+    for assign in (oms_assign, candidate_oms_assign, scan_oms_assign):
+        state, params = run_setup(stream, k, epsilon)
+        root = build(state.l_max, params.alpha)
+        descents.append((assign, root, _internal_blocks(root), state, params))
+    for record in stream:
+        steps = [(assign(record, root, state, config, params),
+                  state.violations, [block.child_weights for block in blocks])
+                 for assign, root, blocks, state, params in descents]
+        assert steps[1] == steps[0]
+        assert steps[2] == steps[0]
+    _, root, _, state, _ = descents[0]
+    return root, state
+
+
+class _CountedReads(list):
+    """A capacities list that counts its reads: ``oms_assign`` reads one
+    capacity per child it scores."""
+
+    reads = 0
+
+    def __getitem__(self, idx):
+        self.reads += 1
+        return list.__getitem__(self, idx)
+
+
 class TestCandidateDescent:
     """Each step scores only the children holding a neighbor and the
-    lightest child of each capacity class; a scan of every child (the
-    descent before that change) is the oracle."""
+    lightest child of each capacity class.  Two oracles run in lockstep
+    with it: the candidate descent it replaced (a bisect per neighbor and
+    level, tuple keys) and a scan of every child."""
 
-    def test_every_step_and_run_matches_full_scan(self, monkeypatch):
-        fast = multisection._score_child
-        fallbacks = [0]
-
-        def checked(weight, node, leaves, fennel, gamma):
-            idx = fast(weight, node, leaves, fennel, gamma)
-            # the scan flags a violation on the probe when no child fits
-            state, params = run[0]
-            probe = SimpleNamespace(l_max=state.l_max, violations=0)
-            scorer = OmsConfig(scorer="fennel" if fennel else "ldg")
-            expected = scan_score_child(SimpleNamespace(weight=weight), node,
-                                        probe, leaves, scorer, params)
-            assert (idx == -1) == (probe.violations == 1)
-            if idx != -1:
-                assert idx == expected
-            fallbacks[0] += probe.violations
-            return idx
-
-        monkeypatch.setattr(multisection, "_score_child", checked)
-        run = [None]    # the scan reads l_max and alpha from the run's setup
-        runs = 0
+    def test_every_step_and_run_matches_full_scan(self):
+        runs = violations = 0
         for (kind, shape), weighted, scorer, eps, hashed, seed in \
                 _candidate_cases():
             rng = random.Random(seed)
@@ -296,48 +342,47 @@ class TestCandidateDescent:
                                                              base)
             config = OmsConfig(scorer=scorer, base=base,
                                hash_bottom_layers=hashed)
-            state, params = run_setup(stream, k, eps)
-            run[0] = state, params
-            root = build(state.l_max, params.alpha)
-            for record in stream:
-                oms_assign(record, root, state, config, params)
+            root, state = _descend_in_lockstep(stream, k, eps, build, config)
             check_leaf_weights(root, state)
-            scan_state, scan_params = run_setup(stream, k, eps)
-            scan = scan_oms(stream, build(state.l_max, params.alpha),
-                            scan_state, config, scan_params)
             whole = run_oms(stream, config, *run_setup(stream, k, eps), spec)
-            for other in (scan, whole):
-                assert other.assignment == state.assignment
-                assert other.block_weight == state.block_weight
-                assert other.violations == state.violations
+            assert whole.assignment == state.assignment
+            assert whole.block_weight == state.block_weight
+            assert whole.violations == state.violations
+            violations += state.violations
             runs += 1
         assert runs == 128
-        assert fallbacks[0] > 0
+        assert violations > 0
 
-    def test_children_scored_per_level(self, monkeypatch):
-        """Counted, not timed: a level scores at most the distinct children
-        holding a neighbor plus one child per capacity class, however wide
+    @pytest.mark.parametrize("scorer", ["fennel", "ldg"])
+    def test_weights_past_2_53_sum_as_floats_in_record_order(self, scorer):
+        """Nodes 0-801 alternate between two equally full leaves.  The last
+        node has a 2**60 edge into leaf 0, then 400 unit edges there, then
+        one 2**60 + 256 edge into leaf 1.  Summed as floats in record order
+        the unit edges vanish (the spacing of floats at 2**60 is 256), so
+        leaf 1 wins; the exact sum, or the unit edges first, would give
+        leaf 0 2**60 + 512 and the win."""
+        u = 802
+        edges = [(0, u, 1 << 60)]
+        edges += [(v, u, 1) for v in range(2, 802, 2)]
+        edges.append((1, u, (1 << 60) + 256))
+        stream = graph_stream_from_edges(803, edges)
+        assert stream.records[u].ids[:2] == [0, 2]
+        assert stream.records[u].ids[-1] == 1
+        spec = HierarchySpec.parse("2", "1")
+        _, state = _descend_in_lockstep(
+            stream, spec.k, 0.03,
+            lambda l_max, alpha: build_from_spec(spec, l_max, alpha),
+            OmsConfig(scorer=scorer))
+        assert state.assignment[:u] == [0, 1] * 401
+        assert state.assignment[u] == 1
+
+    def test_children_scored_per_level(self):
+        """Counted, not timed: a level scores exactly the distinct children
+        holding a neighbor and the lightest child of each capacity class,
+        so at most one child per class more than the holders, however wide
         the fan-out."""
         graph = random_graph(random.Random(710), 3000, 9000)
-        candidates = multisection._candidates
-        current = [None, None]
         counts = {}
-
-        def counted(node, gains):
-            out = candidates(node, gains)
-            record, assignment = current
-            holders = {i for i, child in enumerate(node.children)
-                       for v in record.ids
-                       if assignment[v] != UNASSIGNED
-                       and child.lo <= assignment[v] <= child.hi}
-            assert holders <= set(out)
-            assert len(out) <= len(holders) + len(node.classes)
-            assert len(node.classes) <= 2
-            scored, fanout = counts[key]
-            counts[key] = (scored + len(out), fanout + len(node.children))
-            return out
-
-        monkeypatch.setattr(multisection, "_candidates", counted)
         spec = HierarchySpec.parse("64:64", "1:10")
         for key, k, build in (
                 ("64:64", spec.k,
@@ -347,13 +392,38 @@ class TestCandidateDescent:
                 ("nh k=4096 b=16", 4096,
                  lambda l_max, alpha: build_hierarchy(4096, l_max, alpha,
                                                       16))):
-            counts[key] = (0, 0)
             state, params = run_setup(graph, k)
             root = build(state.l_max, params.alpha)
+            blocks = _internal_blocks(root)
+            for block in blocks:
+                block.capacities = _CountedReads(block.capacities)
+            scored = fanout = 0
             for record in graph:
-                current[:] = record, state.assignment
-                oms_assign(record, root, state, OmsConfig(), params)
+                leaf = oms_assign(record, root, state, OmsConfig(), params)
+                neighbors = {state.assignment[v] for v in record.ids
+                             if state.assignment[v] != UNASSIGNED}
+                node = root
+                while node.children:
+                    idx = _child_covering(node, leaf)
+                    holders = {_child_covering(node, other)
+                               for other in neighbors
+                               if node.lo <= other <= node.hi}
+                    before = list(node.child_weights)
+                    before[idx] -= record.weight
+                    lightest = {start + before[start:stop].index(
+                        min(before[start:stop]))
+                        for start, stop in node.classes}
+                    reads = node.capacities.reads
+                    assert reads == len(holders | lightest)
+                    assert reads <= len(holders) + len(node.classes)
+                    assert len(node.classes) <= 2
+                    scored += reads
+                    fanout += len(node.children)
+                    node.capacities.reads = 0
+                    node = node.children[idx]
+                assert not any(block.capacities.reads for block in blocks)
             assert state.is_balanced()
+            counts[key] = scored, fanout
         scored, fanout = counts["64:64"]
         assert scored * 8 < fanout
 
