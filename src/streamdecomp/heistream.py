@@ -4,12 +4,17 @@ Each batch of delta nodes becomes a small model graph: the batch subgraph,
 one fixed artificial node per block representing everything already assigned,
 and (extended model) future neighbors contracted into random in-batch hosts
 with their edge weights halved.  The model is coarsened by size-constrained
-label propagation, the coarsest level is partitioned by one-pass Fennel's
-k-independent block selection, and label propagation driven by the same
-Fennel gain refines every level on the way back up.  A later pass
-unassigns each batch and models it around everything else, as the first
-pass does; the batch's previous blocks replace initial partitioning, cut
-edges are barred from contraction, and refinement improves them.
+label propagation, whose cluster cap counts only the weight that can be
+committed while the batch's clusters exist (``cluster_cap``), the coarsest
+level is partitioned by one-pass Fennel's k-independent block selection,
+and label propagation driven by the same Fennel gain refines every level
+on the way back up.  Pass 1 refines its coarsest level strictly, taking
+only moves of positive gain, which keeps the ties initial partitioning
+broke: a one-node batch of the basic model is placed as Fennel places it.
+A later pass unassigns each batch and models it around everything
+else, as the first pass does; the batch's previous blocks replace initial
+partitioning, cut edges are barred from contraction, and refinement
+improves them.
 
 Refinement keeps two caches, and both give the floats a rebuild would:
 
@@ -289,22 +294,26 @@ def _contract(model: BatchModel, cluster: list[int]) -> tuple[BatchModel, list[i
     return coarse, cluster_map
 
 
-def cluster_cap(state: PartitionState) -> int:
+def cluster_cap(state: PartitionState, weight: int) -> int:
     """Largest cluster weight that can never strand during greedy assignment.
 
-    The lightest block always holds at most (W - s)/k, so an item of weight
-    s <= (k*L_max - W)/(k-1) finds a feasible block at any point of the
-    stream.  Capping clusters here keeps the hard balance constraint
-    satisfiable all the way through initial partitioning and refinement.
+    ``weight`` (W) is all the weight that can be committed while a batch's
+    clusters exist: the committed block weights plus the batch's own true
+    weight.  The lightest block then holds at most (W - s)/k when a cluster
+    of weight s is placed, so s <= (k*L_max - W)/(k-1) finds a feasible
+    block at any point of the batch.  Capping clusters here keeps the hard
+    balance constraint satisfiable all the way through initial partitioning
+    and refinement.  Early batches commit little and get a large cap; a
+    later pass unassigns the batch around everything else, so W is c(V).
     """
-    return max(1, (state.k * state.l_max - state.total_weight)
-               // max(state.k - 1, 1))
+    return max(1, (state.k * state.l_max - weight) // max(state.k - 1, 1))
 
 
 def coarsen(model: BatchModel, config: HeiStreamConfig,
             state: PartitionState, rng: random.Random) -> list[_Level]:
     """Cluster and contract until the model is below max(|B|/(2xk), xk)."""
-    cap = cluster_cap(state)
+    # The artificial nodes carry the committed block weights.
+    cap = cluster_cap(state, sum(model.true_weight))
     threshold = max(model.size // (2 * config.x * state.k),
                     config.x * state.k)
     levels: list[_Level] = []
@@ -357,13 +366,13 @@ def initial_partition(model: BatchModel, state: PartitionState,
 def _refine_level(model: BatchModel, blocks: list[int], bw: list[float],
                   true_bw: list[int], state: PartitionState,
                   params: FennelParams, rounds: int,
-                  rng: random.Random) -> float:
+                  rng: random.Random, strict: bool = False) -> float:
     """Fennel-gain label propagation over adjacent blocks; artificial fixed.
 
     Returns the total applied gain (each accepted move contributes its score
-    improvement; zero-gain moves are taken with probability one half).
-    Block gains are cached per node and penalties per block, as the module
-    docstring describes.
+    improvement; zero-gain moves are taken with probability one half, or
+    never when ``strict``).  Block gains are cached per node and penalties
+    per block, as the module docstring describes.
     """
     nb = model.num_batch
     adj = model.adj
@@ -419,7 +428,8 @@ def _refine_level(model: BatchModel, blocks: list[int], bw: list[float],
                         ties = [best, b]
                     else:
                         ties.append(b)
-            if best >= 0 and (best_score > stay_score or rng.random() < 0.5):
+            if best >= 0 and (best_score > stay_score
+                              or not strict and rng.random() < 0.5):
                 target = best if ties is None else rng.choice(ties)
                 bw[own] = left
                 pen[own] = left_pen
@@ -447,15 +457,19 @@ def _refine_level(model: BatchModel, blocks: list[int], bw: list[float],
 def uncoarsen_refine(levels: list[_Level], coarse_blocks: list[int],
                      state: PartitionState, config: HeiStreamConfig,
                      params: FennelParams, rng: random.Random) -> list[int]:
-    """Project the coarsest partition down the hierarchy, refining each level."""
+    """Project the coarsest partition down the hierarchy, refining each level.
+
+    Pass 1's coarsest level, fresh from initial partitioning, takes only
+    moves of strictly positive gain.
+    """
     blocks = coarse_blocks
-    later_pass = levels[-1].model.blocks is not None
+    strict = levels[-1].model.blocks is None
     for level in reversed(levels):   # the coarsest level maps to itself
         blocks = [blocks[c] for c in level.cluster_map]
-        if later_pass or level is not levels[-1]:
-            bw, true_bw = _seed_block_weights(level.model, blocks, state.k)
-            _refine_level(level.model, blocks, bw, true_bw, state, params,
-                          config.localsearch_rounds, rng)
+        bw, true_bw = _seed_block_weights(level.model, blocks, state.k)
+        _refine_level(level.model, blocks, bw, true_bw, state, params,
+                      config.localsearch_rounds, rng, strict)
+        strict = False
     return blocks
 
 

@@ -31,6 +31,19 @@ from .onepass import FennelParams
 from .partition import UNASSIGNED, PartitionState
 
 
+def _colon_ints(text: str, flag: str) -> list[int]:
+    """The integers of a colon list; a ValueError naming ``flag`` if one
+    token is not an integer."""
+    out = []
+    for token in text.split(":"):
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise ValueError(f"{flag} {text!r}: {token!r} is not an "
+                             f"integer") from None
+    return out
+
+
 @dataclass
 class HierarchySpec:
     """Layer fan-outs a_1..a_l and layer distances d_1..d_l."""
@@ -64,8 +77,9 @@ class HierarchySpec:
 
     @classmethod
     def parse(cls, fanouts: str, distances: str) -> "HierarchySpec":
-        return cls([int(t) for t in fanouts.split(":")],
-                   [int(t) for t in distances.split(":")])
+        """From the colon lists of ``--hierarchy`` and ``--distances``."""
+        return cls(_colon_ints(fanouts, "--hierarchy"),
+                   _colon_ints(distances, "--distances"))
 
     @property
     def k(self) -> int:

@@ -29,7 +29,7 @@ from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain, count, filterfalse, islice, repeat
-from operator import contains, itemgetter, methodcaller, mul
+from operator import contains, methodcaller, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -294,23 +294,24 @@ def _columns(lines: list[str], start: int, node_weights: bool,
     two None when ``fmt`` has none); None when a line breaks a rule of
     :func:`_parse_line`.
 
-    Each column is one ``map(int, ...)`` over the chunk's tokens, split one
-    line at a time so that no more than one line's tokens are alive at
-    once; ids are made 0-based as they are converted (a comprehension
-    subtracts faster than ``map(operator.sub, ...)``).  The checks are
-    ``min``/``max`` and one C-level call per line.
+    Lines are split one at a time, so that no more than one line's tokens
+    are alive at once.  Without weights the ids are one ``map(int, ...)``
+    over the chunk's tokens; with weights each line's tokens are converted
+    at once and its columns sliced from the ints
+    (:func:`_weighted_columns`).
+    Ids are made 0-based by one comprehension (it subtracts faster than
+    ``map(operator.sub, ...)``).  The checks are ``min``/``max`` and one
+    C-level call per line.
     """
-    skip = 1 if node_weights else 0
-    ids_part = slice(skip, None, 2) if item_weights else slice(skip, None)
     degrees, weighed = [], []
     try:
-        ids = [v - 1 for v in map(int, chain.from_iterable(
-            _rows(lines, ids_part, degrees)))]
-        weights = list(map(int, chain.from_iterable(_rows(
-            lines, slice(skip + 1, None, 2), weighed)))) \
-            if item_weights else None
-        node_weight = list(map(int, map(itemgetter(0), map(
-            str.split, lines)))) if node_weights else None
+        if node_weights or item_weights:
+            ints, weights, node_weight = _weighted_columns(
+                lines, node_weights, item_weights, degrees, weighed)
+        else:
+            ints = map(int, chain.from_iterable(_rows(lines, degrees)))
+            weights = node_weight = None
+        ids = [v - 1 for v in ints]
     except (ValueError, IndexError):   # a bad token, a line without weight
         return None
     if ids and (min(ids) < 0 or max(ids) >= bound):
@@ -330,15 +331,40 @@ def _columns(lines: list[str], start: int, node_weights: bool,
     return degrees, ids, weights, node_weight
 
 
-def _rows(lines: list[str], part: slice,
-          lengths: list[int]) -> Iterator[list[str]]:
-    """``part`` of the tokens of each line, split one line at a time, with
-    each part's length appended to ``lengths``."""
-    whole = part == slice(0, None)
+def _rows(lines: list[str], lengths: list[int]) -> Iterator[list[str]]:
+    """The tokens of each line, split one line at a time, with each line's
+    length appended to ``lengths``."""
     for line in lines:
-        row = line.split() if whole else line.split()[part]
+        row = line.split()
         lengths.append(len(row))
         yield row
+
+
+def _weighted_columns(lines: list[str], node_weights: bool,
+                      item_weights: bool, degrees: list[int],
+                      weighed: list[int]) -> tuple:
+    """The 1-based ids, item weights (None without) and node weights (None
+    without) of weighted lines, each line split and converted once; each
+    line's id count goes to ``degrees`` and its weight count to
+    ``weighed``."""
+    skip = 1 if node_weights else 0
+    ids_part = slice(skip, None, 2) if item_weights else slice(skip, None)
+    weights_part = slice(skip + 1, None, 2)
+    ids: list[int] = []
+    weights: Optional[list[int]] = [] if item_weights else None
+    node_weight: Optional[list[int]] = [] if node_weights else None
+    for line in lines:
+        row = list(map(int, line.split()))
+        if node_weights:
+            node_weight.append(row[0])
+        part = row[ids_part]
+        degrees.append(len(part))
+        ids += part
+        if item_weights:
+            part = row[weights_part]
+            weighed.append(len(part))
+            weights += part
+    return ids, weights, node_weight
 
 
 def _first_fault(lines: list[str], start: int, *layout

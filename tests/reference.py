@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 
@@ -537,6 +538,17 @@ def restream_model(batch: list, state: PartitionState) -> BatchModel:
     return model
 
 
+def cluster_cap(state: PartitionState, model: BatchModel) -> int:
+    """Oracle of the cap ``heistream.coarsen`` gives label propagation: W is
+    the weight committed to the blocks plus the batch's own true weight,
+    counted from the state and the batch nodes, not the artificial ones."""
+    weight = sum(state.block_weight) + sum(model.true_weight[:model.num_batch])
+    if state.k == 1:
+        return max(1, state.l_max - weight)
+    return max(1, math.floor(Fraction(state.k * state.l_max - weight,
+                                      state.k - 1)))
+
+
 def propagate_labels(model: BatchModel, cap: int, rounds: int,
                      rng: random.Random) -> list[int]:
     """Oracle of ``heistream._propagate_labels``: filters every row per visit."""
@@ -660,9 +672,11 @@ def scan_initial_partition(model: BatchModel, state: PartitionState,
 def refine_level(model: BatchModel, blocks: list[int], bw: list[float],
                  true_bw: list[int], state: PartitionState,
                  params: FennelParams, rounds: int,
-                 rng: random.Random) -> float:
+                 rng: random.Random, strict: bool = False) -> float:
     """Oracle of ``heistream._refine_level``: rebuilds each node's block
-    gains on every visit and scores each block through ``fennel_gain``."""
+    gains on every visit and scores each block through ``fennel_gain``.
+    A zero-gain move is a coin flip, or declined without one when
+    ``strict``."""
     nb = model.num_batch
     order = list(range(nb))
     total_gain = 0.0
@@ -692,7 +706,8 @@ def refine_level(model: BatchModel, blocks: list[int], bw: list[float],
                 elif score == best_score:
                     candidates.append(b)
             target = own
-            if candidates and (best_score > stay_score or rng.random() < 0.5):
+            if candidates and (best_score > stay_score
+                               or not strict and rng.random() < 0.5):
                 target = candidates[0] if len(candidates) == 1 \
                     else rng.choice(candidates)
             bw[target] += wv

@@ -255,6 +255,30 @@ def test_c06_quality_ordering_graphs(quality_graphs):
            f"2pass<=1pass {restream_le}/{total}")
 
 
+def test_c06b_heistream_several_batches_at_k256(quality_graphs):
+    """k=256, batches of 2000 nodes: heistream <= fennel on every graph,
+    with no violation.  Each batch's cluster cap counts only the weight
+    committed so far, so early batches coarsen although c(V) leaves
+    little room at this k."""
+    k = 256
+    heistream_le = 0
+    ratios = []
+    for name, g in quality_graphs:
+        fs = run_onepass(g, OnePassConfig(algorithm="fennel"),
+                         *run_setup(g, k))
+        cut_fennel = edge_cut(g, fs.assignment)
+        st = run_heistream(g, HeiStreamConfig(delta=2000, seed=3),
+                           *run_setup(g, k))
+        assert st.violations == 0 and st.is_balanced(), name
+        cut = edge_cut(g, st.assignment)
+        heistream_le += cut <= cut_fennel
+        ratios.append(f"{name} {cut / cut_fennel:.3f}")
+    assert heistream_le == len(quality_graphs), ratios
+    report("C6b heistream-several-batches-k256",
+           f"heistream<=fennel {heistream_le}/{len(quality_graphs)}: "
+           + ", ".join(ratios))
+
+
 def test_c07_quality_ordering_hypergraphs():
     """k=512 row-net instances: FREIGHT beats Hashing on both objectives."""
     k = 512

@@ -418,6 +418,22 @@ class TestCliErrors:
         assert main([command, "--input", str(bad), *args]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["map", "metrics"])
+    @pytest.mark.parametrize("hierarchy,distances,message", [
+        ("8:x", "1:10", "--hierarchy '8:x': 'x' is not an integer"),
+        ("8:", "1:10", "--hierarchy '8:': '' is not an integer"),
+        ("8:8", "1:1e3", "--distances '1:1e3': '1e3' is not an integer"),
+    ])
+    def test_malformed_hierarchy_is_exit_2(self, graph_file, tmp_path,
+                                           capsys, command, hierarchy,
+                                           distances, message):
+        part = tmp_path / "p.txt"
+        part.write_text("0\n" * 60)
+        args = ["--partition", str(part)] if command == "metrics" else []
+        assert main([command, "--input", graph_file, *args, "--hierarchy",
+                     hierarchy, "--distances", distances]) == 2
+        assert message in capsys.readouterr().err
+
     def test_asymmetric_adjacency_is_exit_2(self, tmp_path, capsys):
         # node 1 lists node 2 but node 2 lists node 3: the degree sum still
         # matches m, and the verification pass finds an odd doubled cut

@@ -192,27 +192,41 @@ class TestCoarsen:
         assert len(levels) == 1
         assert levels[0].model is model
 
-    def test_cap_one_never_contracts(self, monkeypatch):
-        # at k=256, epsilon 0.03 no cluster may hold two nodes: label
-        # propagation merges nothing, and the identity is not contracted
-        lp_calls = []
-        lp = hs._propagate_labels
+    def test_cap_is_per_batch(self, monkeypatch):
+        # k=256, epsilon 0.03, n=3000: L_max 13.  The cap counts the weight
+        # committed before a batch plus the batch's own, so batch 1 (W=1000)
+        # gets (256*13 - 1000) // 255 = 9, below the coarsening threshold
+        # of 1024 nodes, and the last batch (W=3000) gets 1, whose label
+        # propagation merges nothing and is not contracted
+        caps, lp_calls = [], []
+        cap_of, lp, contract = hs.cluster_cap, hs._propagate_labels, \
+            hs._contract
 
-        def counted(*args):
-            lp_calls.append(lp(*args))
-            return lp_calls[-1]
+        def recorded(state, weight):
+            caps.append(cap_of(state, weight))
+            return caps[-1]
 
-        def contract(model, cluster):
-            raise AssertionError("contracted a clustering that merged nothing")
+        def counted(model, cap, rounds, rng):
+            lp_calls.append((cap, lp(model, cap, rounds, rng)))
+            return lp_calls[-1][1]
 
+        def checked_contract(model, cluster):
+            assert len(set(cluster)) < len(cluster), \
+                "contracted a clustering that merged nothing"
+            return contract(model, cluster)
+
+        monkeypatch.setattr(hs, "cluster_cap", recorded)
         monkeypatch.setattr(hs, "_propagate_labels", counted)
-        monkeypatch.setattr(hs, "_contract", contract)
+        monkeypatch.setattr(hs, "_contract", checked_contract)
         stream = random_graph(random.Random(256), 3000, 9000)
         state, params = run_setup(stream, 256)
-        assert hs.cluster_cap(state) == 1
+        assert state.l_max == 13
         run_heistream(stream, HeiStreamConfig(delta=1000), state, params)
-        assert lp_calls and state.is_balanced()
-        assert all(c == list(range(len(c))) for c in lp_calls)
+        assert state.is_balanced() and state.violations == 0
+        assert caps == [9, 5, 1]
+        assert {cap for cap, _ in lp_calls} == {5, 1}
+        assert any(len(set(c)) < len(c) for cap, c in lp_calls if cap == 5)
+        assert all(c == list(range(len(c))) for cap, c in lp_calls if cap == 1)
 
     def test_two_cliques_collapse_to_two_nodes(self):
         clique = lambda off: [(off + a, off + b, 1)
@@ -221,7 +235,7 @@ class TestCoarsen:
         stream = graph_stream_from_edges(16, edges)
         config = HeiStreamConfig(delta=16, x=1, coarsen_rounds=5)
         state = PartitionState(16, 2, 0.5, 16)   # L_max 12: cluster cap 8
-        assert hs.cluster_cap(state) == 8
+        assert hs.cluster_cap(state, 16) == 8
         batch = list(stream)
         model = build_model(batch, state, config, random.Random(3))
         levels = coarsen(model, config, state, random.Random(3))
@@ -408,7 +422,7 @@ class TestRefinement:
         model.weight = [1, 1]
         model.true_weight = [1, 1]
         model.adj = [[(1, 5)], [(0, 5)]]
-        model.blocks = [0, 0]   # a later pass, so the coarsest is refined
+        model.blocks = [0, 0]   # a later pass: the coarsest is not strict
         state = PartitionState(2, 2, 1.0, 2)
         params = FennelParams(alpha=0.1)
         levels = coarsen(model, config, state, random.Random(0))
@@ -424,6 +438,30 @@ class TestRefinement:
                                   random.Random(0))
         assert blocks == [0, 0]
         assert refined == [model]   # the one level, also the coarsest
+
+    def test_strict_declines_zero_gain_moves(self):
+        # one node tied between blocks 0 and 1 by one edge to each: the lax
+        # rule moves it on a coin flip, the strict one never, and draws none
+        model = BatchModel(1, 2)
+        model.weight, model.true_weight = [1, 1, 1], [1, 1, 1]
+        model.adj = [[(1, 1), (2, 1)]]
+        state = PartitionState(3, 2, 1.0, 3)
+        params = FennelParams(alpha=0.1)
+        lax_moved = 0
+        for seed in range(20):
+            for strict in (False, True):
+                blocks = [0]
+                bw, true_bw = hs._seed_block_weights(model, blocks, 2)
+                rng = random.Random(seed)
+                before = rng.getstate()
+                gain = hs._refine_level(model, blocks, bw, true_bw, state,
+                                        params, 5, rng, strict)
+                assert gain == 0.0
+                if strict:
+                    assert blocks == [0] and rng.getstate() == before
+                else:
+                    lax_moved += blocks != [0]
+        assert lax_moved > 0
 
 
 class TestCommitAndRun:
@@ -519,10 +557,18 @@ def _twin(rng: random.Random) -> random.Random:
 def _check_against_reference(monkeypatch, calls: dict) -> None:
     """Make every production kernel call also run its oracle on copies of
     the same inputs and assert equal outputs, gain and rng state."""
-    lp, contract, refine = (hs._propagate_labels, hs._contract,
-                            hs._refine_level)
+    lp, contract, refine, coarsen = (hs._propagate_labels, hs._contract,
+                                     hs._refine_level, hs.coarsen)
+    caps, coarsest = [], []
+
+    def checked_coarsen(model, config, state, rng):
+        caps.append(reference.cluster_cap(state, model))
+        levels = coarsen(model, config, state, rng)
+        coarsest.append(levels[-1].model)
+        return levels
 
     def checked_lp(model, cap, rounds, rng):
+        assert cap == caps[-1]
         twin = _twin(rng)
         expected = reference.propagate_labels(model, cap, rounds, twin)
         got = lp(model, cap, rounds, rng)
@@ -541,13 +587,18 @@ def _check_against_reference(monkeypatch, calls: dict) -> None:
         calls["contract"] += 1
         return got, got_map
 
-    def checked_refine(model, blocks, bw, true_bw, state, params, rounds, rng):
+    def checked_refine(model, blocks, bw, true_bw, state, params, rounds, rng,
+                       strict):
+        # only pass 1's coarsest level, fresh from initial partitioning,
+        # is refined strictly
+        assert strict == (model.blocks is None and model is coarsest[-1])
         twin = _twin(rng)
         before = list(blocks)
         e_blocks, e_bw, e_true_bw = list(blocks), list(bw), list(true_bw)
         expected = reference.refine_level(model, e_blocks, e_bw, e_true_bw,
-                                          state, params, rounds, twin)
-        got = refine(model, blocks, bw, true_bw, state, params, rounds, rng)
+                                          state, params, rounds, twin, strict)
+        got = refine(model, blocks, bw, true_bw, state, params, rounds, rng,
+                     strict)
         assert got == expected
         assert (blocks, bw, true_bw) == (e_blocks, e_bw, e_true_bw)
         assert rng.getstate() == twin.getstate()
@@ -555,6 +606,7 @@ def _check_against_reference(monkeypatch, calls: dict) -> None:
         calls["refine_moves"] += sum(a != b for a, b in zip(before, blocks))
         return got
 
+    monkeypatch.setattr(hs, "coarsen", checked_coarsen)
     monkeypatch.setattr(hs, "_propagate_labels", checked_lp)
     monkeypatch.setattr(hs, "_contract", checked_contract)
     monkeypatch.setattr(hs, "_refine_level", checked_refine)
@@ -621,13 +673,15 @@ class TestKernelsMatchReference:
             bw, true_bw = hs._seed_block_weights(model, blocks, k)
             state = PartitionState(nb, k, 0.5, sum(model.true_weight))
             params = FennelParams(alpha=rng.choice([0.1, 0.9]))
-            outputs = []
-            for refine in (hs._refine_level, reference.refine_level):
-                b, w, t = list(blocks), list(bw), list(true_bw)
-                run_rng = random.Random(3)
-                gain = refine(model, b, w, t, state, params, 5, run_rng)
-                outputs.append((b, w, t, gain, run_rng.getstate()))
-            assert outputs[0] == outputs[1]
+            for strict in (False, True):
+                outputs = []
+                for refine in (hs._refine_level, reference.refine_level):
+                    b, w, t = list(blocks), list(bw), list(true_bw)
+                    run_rng = random.Random(3)
+                    gain = refine(model, b, w, t, state, params, 5, run_rng,
+                                  strict)
+                    outputs.append((b, w, t, gain, run_rng.getstate()))
+                assert outputs[0] == outputs[1]
 
     def _compare(self, monkeypatch, stream, k, delta, epsilon, model):
         calls = dict.fromkeys(("lp", "lp_merges", "lp_merged", "contract",
