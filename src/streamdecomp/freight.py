@@ -9,10 +9,12 @@ into the blocks connected to v (solved explicitly in O(|I(v)|)) and the rest
 with weighted nodes), so per-node work never depends on k.
 
 :func:`freight_assign` is the whole per-node kernel: it reads the net
-tracker's two flat arrays directly, sums the gains in one dict (two with
-weighted nets, where gain and net count differ) and updates each incident
-net's status inline, with no function call per pin.  ``tests/reference.py``
-keeps the per-pin method and the full O(k) scan as its oracle.
+tracker's flat arrays directly, sums the gains in one dict (two with
+weighted nets, where gain and net count differ), compares candidates
+without building a key per block and updates each incident net inline,
+with no function call per pin.  ``tests/reference.py`` keeps the per-pin
+three-state method, the bucket-object :class:`SortedBlocks` and the full
+O(k) scan as its oracles.
 """
 
 from __future__ import annotations
@@ -20,71 +22,63 @@ from __future__ import annotations
 from .onepass import FennelParams
 from .partition import PartitionState
 
-UNTOUCHED, SINGLE_BLOCK, CUT = 0, 1, 2
-
 
 class NetTracker:
-    """Per-net cut status and the block of the most recently streamed pin.
+    """Per-net block of the most recently streamed pin, and cut flags.
 
-    ``status[e]`` is UNTOUCHED, SINGLE_BLOCK or CUT; ``last_block[e]`` is -1
-    until a pin of ``e`` is placed.  :func:`freight_assign` reads and
-    updates both in place.
+    ``last_block[e]`` is -1 until a pin of ``e`` is placed, so a net is
+    touched iff ``last_block[e] >= 0``.  ``cut[e]`` is 1 once two of its
+    pins went to different blocks; only the cut-net objective reads and
+    writes it.  :func:`freight_assign` updates both in place.
     """
 
-    __slots__ = ("status", "last_block")
+    __slots__ = ("cut", "last_block")
 
     def __init__(self, num_nets: int):
-        self.status = bytearray(num_nets)
+        self.cut = bytearray(num_nets)
         self.last_block = [-1] * num_nets
-
-
-class _Bucket:
-    __slots__ = ("cardinality", "l", "r")
-
-    def __init__(self, cardinality: int, l: int, r: int):
-        self.cardinality = cardinality
-        self.l = l
-        self.r = r
 
 
 class SortedBlocks:
     """Keeps all k blocks sorted by cardinality with O(1) increments.
 
     Array A holds the block ids in ascending order of cardinality, B maps a
-    block id to its position in A, and each maximal run of equal cardinality
-    is covered by one bucket storing its [l, r] position range.  Incrementing
-    a block swaps it to the right edge of its bucket and moves it into the
-    following bucket (or a fresh one), so A stays sorted without any loop.
+    block id to its position in A, ``card`` maps it to its cardinality, and
+    ``end[c]`` is one past the last position of cardinality c (the number
+    of blocks of cardinality at most c), so each maximal run of equal
+    cardinality c fills positions ``end[c-1]`` to ``end[c] - 1``.
+    Incrementing a block swaps it to the right edge of its run, which then
+    ends one position earlier: the block now opens the run of c + 1, and A
+    stays sorted without any loop or allocation.
     """
 
     def __init__(self, k: int):
         self.k = k
         self.a = list(range(k))
         self.b = list(range(k))
-        root = _Bucket(0, 0, k - 1)
-        self.bucket_of = [root] * k
+        self.card = [0] * k
+        self.end = [k]
 
     def increment(self, d: int) -> None:
-        p = self.b[d]
-        c_bucket = self.bucket_of[d]
-        q = c_bucket.r
-        other = self.a[q]
-        self.a[p], self.a[q] = self.a[q], self.a[p]
-        self.b[other], self.b[d] = p, q
-        c_bucket.r = q - 1
-        nxt = self.bucket_of[self.a[q + 1]] if q + 1 < self.k else None
-        if nxt is not None and c_bucket.cardinality + 1 == nxt.cardinality:
-            self.bucket_of[d] = nxt
-            nxt.l -= 1
-        else:
-            fresh = _Bucket(c_bucket.cardinality + 1, q, q)
-            self.bucket_of[d] = fresh
+        a, b, end = self.a, self.b, self.end
+        c = self.card[d]
+        p = b[d]
+        q = end[c] - 1
+        other = a[q]
+        a[p] = other
+        a[q] = d
+        b[other] = p
+        b[d] = q
+        end[c] = q
+        self.card[d] = c + 1
+        if c + 1 == len(end):
+            end.append(self.k)
 
     def min_block(self) -> int:
         return self.a[0]
 
     def cardinality(self, block: int) -> int:
-        return self.bucket_of[block].cardinality
+        return self.card[block]
 
 
 def freight_assign(record, state: PartitionState, tracker: NetTracker,
@@ -101,25 +95,23 @@ def freight_assign(record, state: PartitionState, tracker: NetTracker,
     says every net weighs 1, so a block's gain is its contributing-net count
     and one dict holds both.
     """
-    status = tracker.status
+    cut = tracker.cut
     last_block = tracker.last_block
     ids = record.ids
     counts: dict[int, int] = {}
     if unit_nets:
         gains = counts
         for e in ids:
-            s = status[e]
-            if s == UNTOUCHED or (cutnet and s == CUT):
-                continue
             d = last_block[e]
+            if d < 0 or cutnet and cut[e]:
+                continue
             counts[d] = counts.get(d, 0) + 1
     else:
         gains = {}
         for e, w in zip(ids, record.weights):
-            s = status[e]
-            if s == UNTOUCHED or (cutnet and s == CUT):
-                continue
             d = last_block[e]
+            if d < 0 or cutnet and cut[e]:
+                continue
             gains[d] = gains.get(d, 0.0) + w
             counts[d] = counts.get(d, 0) + 1
     lightest = blocks.min_block()
@@ -131,29 +123,35 @@ def freight_assign(record, state: PartitionState, tracker: NetTracker,
     # fennel_gain's penalty alpha*gamma*c(V_i)^(gamma-1), same float.
     ag = params.alpha * params.gamma
     g1 = params.gamma - 1.0
-    best = None
-    best_key = None
+    # Highest score, then more contributing nets, the lighter block and the
+    # lower index; the counts are read only on a tie.
+    best = -1
+    best_score = best_bw = 0
     for i, g in gains.items():
         bw = block_weight[i]
         if bw > room:
             continue
-        key = (g - weight * (ag * bw ** g1), counts[i], -bw, -i)
-        if best_key is None or key > best_key:
-            best, best_key = i, key
-    if best is None:
+        score = g - weight * (ag * bw ** g1)
+        if (best < 0 or score > best_score or score == best_score and (
+                counts[i] > counts[best] or counts[i] == counts[best]
+                and (bw < best_bw or bw == best_bw and i < best))):
+            best, best_score, best_bw = i, score, bw
+    if best < 0:
         # The min block is full, so every block is: place it there, flagged.
         state.violations += 1
         best = lightest
     state.assign(record.id, best, weight)
     if unit:
         blocks.increment(best)
-    for e in ids:
-        s = status[e]
-        if s == UNTOUCHED:
-            status[e] = SINGLE_BLOCK
-        elif s == SINGLE_BLOCK and last_block[e] != best:
-            status[e] = CUT
-        last_block[e] = best
+    if cutnet:
+        for e in ids:
+            d = last_block[e]
+            if d != best and d >= 0:
+                cut[e] = 1
+            last_block[e] = best
+    else:
+        for e in ids:
+            last_block[e] = best
     return best
 
 

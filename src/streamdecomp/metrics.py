@@ -6,10 +6,12 @@ reported here comes from an independent pass over the input.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate, chain, count, repeat
 from typing import Iterable, Sequence
 
 from .partition import UNASSIGNED
-from .streams import FormatError
+from .streams import FormatError, stream_chunks
 
 
 def edge_cut(graph_stream: Iterable, assignment: Sequence[int]) -> int:
@@ -50,30 +52,46 @@ def cut_net_and_connectivity(hyper_stream,
     ``header.has_item_weights`` a net must carry the same weight at every
     pin (``FormatError`` if not); without it every net weighs 1 and
     ``weights`` is not read, as in FREIGHT.
+
+    The pass reads each chunk's flat columns (:func:`streams.stream_chunks`,
+    a spool replay for a parsed file), each pin paired with its node's
+    block bit, and builds no record.  A net id that is negative or not
+    below m is a ``ValueError`` naming its node.
     """
     _require_complete(assignment)
     m = hyper_stream.header.m
     weighted = hyper_stream.header.has_item_weights
     mask = [0] * m
     net_weight = [0] * m if weighted else [1] * m
-    for record in hyper_stream:
-        bit = 1 << assignment[record.id]
-        try:
-            if weighted:
-                for e, w in zip(record.ids, record.weights):
-                    mask[e] |= bit
-                    if net_weight[e] != w:
-                        if net_weight[e]:
-                            raise FormatError(
-                                f"node {record.id}: net {e + 1} weighs {w} "
-                                f"here but {net_weight[e]} at an earlier pin")
-                        net_weight[e] = w
-            else:
-                for e in record.ids:
-                    mask[e] |= bit
-        except IndexError:
-            raise ValueError(f"node {record.id}: a net id is not below "
-                             f"m={m}") from None
+    for start, degrees, ids, weights, _ in stream_chunks(hyper_stream):
+        fault = None
+        if ids and (min(ids) < 0 or max(ids) >= m):
+            # the pins before the first bad one count, as pin by pin
+            bad = next(i for i, e in enumerate(ids) if not 0 <= e < m)
+            fault = ValueError(
+                f"node {_node_at(start, degrees, bad)}: a net id is "
+                + ("negative" if ids[bad] < 0 else f"not below m={m}"))
+            ids = ids[:bad]
+        owners = assignment[start:start + len(degrees)]
+        if len(owners) < len(degrees):
+            raise AssertionError(f"node {start + len(owners)} unassigned")
+        bits = chain.from_iterable(map(repeat, [1 << b for b in owners],
+                                       degrees))
+        if weighted:
+            for pin, e, bit, w in zip(count(), ids, bits, weights):
+                mask[e] |= bit
+                if net_weight[e] != w:
+                    if net_weight[e]:
+                        raise FormatError(
+                            f"node {_node_at(start, degrees, pin)}: net "
+                            f"{e + 1} weighs {w} here but {net_weight[e]} "
+                            f"at an earlier pin")
+                    net_weight[e] = w
+        else:
+            for e, bit in zip(ids, bits):
+                mask[e] |= bit
+        if fault is not None:
+            raise fault
     cut = 0
     connectivity = 0
     for bits, w in zip(mask, net_weight):
@@ -81,6 +99,11 @@ def cut_net_and_connectivity(hyper_stream,
             cut += w
             connectivity += (bits.bit_count() - 1) * w
     return cut, connectivity
+
+
+def _node_at(start: int, degrees: Sequence[int], pin: int) -> int:
+    """The node of a chunk's flat column position ``pin``."""
+    return start + bisect_right(list(accumulate(degrees)), pin)
 
 
 def comm_cost(graph_stream: Iterable, assignment: Sequence[int],

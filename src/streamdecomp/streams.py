@@ -29,7 +29,7 @@ from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain, count, filterfalse, islice, repeat
-from operator import contains, methodcaller, mul
+from operator import attrgetter, contains, methodcaller, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -132,11 +132,12 @@ class NodeStream:
     :func:`_columns` converts and checks the whole chunk with a few C-level
     calls (``map`` over the split lines, ``min``/``max`` for ranges and
     weights, ``operator.contains`` per line for self-loops, ``set`` sizes
-    for repeated nets) into the chunk's spool columns, and
-    :func:`_records` builds its records from them.  A chunk that fails a
-    check goes to :func:`_parse_line` line by line: the records before its
-    first bad line are yielded, then that line's ``FormatError`` is raised,
-    the same one a line-by-line parse raises.
+    for repeated nets) into the chunk's spool columns, which
+    :meth:`chunks` yields, and :func:`_records` builds its records from
+    them.  A chunk that fails a check goes to :func:`_parse_line` line by
+    line: the records before its first bad line are yielded, then that
+    line's ``FormatError`` is raised, the same one a line-by-line parse
+    raises.
 
     With ``spool`` (the default) the parse also writes each chunk's columns
     to a binary spool, an anonymous temporary file of flat ``array('i')``
@@ -170,6 +171,14 @@ class NodeStream:
         self._kept = None
 
     def __iter__(self) -> Iterator[StreamedNodeRecord]:
+        return _records_of(self.chunks())
+
+    def chunks(self) -> Iterator[tuple]:
+        """The checked spool columns of each chunk, ``(start, degrees, ids,
+        weights, node_weight)`` as :func:`_records` takes them, from a parse
+        or, once one is complete, a replay; an iteration yields the records
+        built from them.  A chunk with a bad line yields the columns of the
+        lines before it, then raises that line's ``FormatError``."""
         if self._kept is None:
             return self._parse()
         fh = open(os.dup(self._kept[0].fileno()), "rb", buffering=0)
@@ -177,7 +186,7 @@ class NodeStream:
         weakref.finalize(replay, fh.close)   # for a replay never started
         return replay
 
-    def _parse(self) -> Iterator[StreamedNodeRecord]:
+    def _parse(self) -> Iterator[tuple]:
         header, graph = self.header, self.graph
         n = header.n
         # Neighbors are node ids (bound n), incident nets net ids (bound m).
@@ -200,8 +209,8 @@ class NodeStream:
                     columns = _columns(chunk, start, *layout)
                     if columns is None or len(chunk) < size:
                         good, fault = _first_fault(chunk, start, *layout)
-                        yield from _records(
-                            start, *_columns(chunk[:good], start, *layout))
+                        yield (start,
+                               *_columns(chunk[:good], start, *layout))
                         raise fault or FormatError(
                             f"{self.path}: expected {n} node lines, got "
                             f"{start + good}")
@@ -217,7 +226,7 @@ class NodeStream:
                             with suppress(OSError):   # close() flushes again
                                 spool.close()
                             spool = None
-                    yield from _records(start, *columns)
+                    yield (start, *columns)
                     del columns   # before the next chunk is converted
                 _expect_end(map(str.split, lines),
                             f"{self.path}: more lines than the {n} node "
@@ -240,8 +249,8 @@ class NodeStream:
 SPOOL_CHUNK = 1024   # nodes per spool chunk
 
 
-def _replay(fh, header: StreamHeader) -> Iterator[StreamedNodeRecord]:
-    """The records of a complete spool, equal to the ones parsed.  ``fh``
+def _replay(fh, header: StreamHeader) -> Iterator[tuple]:
+    """The columns of a complete spool, equal to the ones parsed.  ``fh``
     is an unbuffered handle of the replay's own, taken when the replay is
     made, so the replay finishes after ``close()``; descriptors share one
     file offset, so it reads from its own offset at each chunk, and
@@ -260,7 +269,7 @@ def _replay(fh, header: StreamHeader) -> Iterator[StreamedNodeRecord]:
             weights = _read(fh, total).tolist() if item_weights else None
             node_weight = _read(fh, size).tolist() if node_weights else None
             offset = fh.tell()
-            yield from _records(start, degrees, ids, weights, node_weight)
+            yield start, degrees, ids, weights, node_weight
 
 
 def _records(start: int, degrees: Sequence[int], ids: list[int],
@@ -270,12 +279,22 @@ def _records(start: int, degrees: Sequence[int], ids: list[int],
     """The records of one chunk from its spool columns: node ``start`` on,
     each with the next ``degrees[i]`` of the flat 0-based ``ids`` and of the
     flat item ``weights`` (all 1 when None) and its ``node_weight`` (1 when
-    None).  The parse and the replay both build their records here."""
+    None).  Every :class:`NodeStream` iteration builds its records here."""
     return map(StreamedNodeRecord, count(start),
                repeat(1) if node_weight is None else node_weight,
                _split(ids, degrees),
                map(mul, repeat([1]), degrees) if weights is None
                else _split(weights, degrees))
+
+
+def _records_of(chunks: Iterator[tuple]) -> Iterator[StreamedNodeRecord]:
+    """The records of each chunk's columns.  Closing this generator closes
+    ``chunks`` at once, so an abandoned parse frees its spool then."""
+    try:
+        for columns in chunks:
+            yield from _records(*columns)
+    finally:
+        chunks.close()
 
 
 def _split(flat: list[int], degrees: Iterable[int]) -> Iterator[list[int]]:
@@ -615,3 +634,38 @@ class MemoryStream:
 
     def __iter__(self) -> Iterator:
         return iter(self.records)
+
+
+def stream_chunks(stream) -> Iterator[tuple]:
+    """The spool columns of every chunk of ``stream``, ``(start, degrees,
+    ids, weights, node_weight)``: :meth:`NodeStream.chunks`, or for any
+    other stream (a :class:`MemoryStream`, an iterable of records with a
+    ``header``) its records regrouped into runs of at most ``SPOOL_CHUNK``
+    consecutive ids, with item and node weights only where the header's
+    flags say (None otherwise), as a parse of such a file gives them."""
+    chunks = getattr(stream, "chunks", None)
+    if chunks is not None:
+        return chunks()
+    return _rechunk(stream, stream.header)
+
+
+def _rechunk(records: Iterable[StreamedNodeRecord],
+             header: StreamHeader) -> Iterator[tuple]:
+    run: list[StreamedNodeRecord] = []
+    for record in records:
+        if run and (len(run) == SPOOL_CHUNK or record.id != run[-1].id + 1):
+            yield _run_columns(run, header)
+            run = []
+        run.append(record)
+    if run:
+        yield _run_columns(run, header)
+
+
+def _run_columns(run: list[StreamedNodeRecord], header: StreamHeader
+                 ) -> tuple:
+    rows = list(map(attrgetter("ids"), run))
+    return (run[0].id, list(map(len, rows)), list(chain.from_iterable(rows)),
+            list(chain.from_iterable(map(attrgetter("weights"), run)))
+            if header.has_item_weights else None,
+            list(map(attrgetter("weight"), run))
+            if header.has_node_weights else None)

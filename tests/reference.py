@@ -2,10 +2,11 @@
 
 These deliberately avoid the production fast paths: the FREIGHT reference
 and the Fennel and LDG scans score every block per node (FREIGHT's with
-two gain dicts and one tracker method call per pin), the Fennel twin
-reads neighbor assignments straight off the graph, the OMS scan descent
-scores every child of every tree block with capacities and penalty scales
-recomputed per child, the OMS candidate descent finds each neighbor's child
+two gain dicts and one three-state tracker method call per pin), FREIGHT's
+sorted blocks keep one bucket object per run of equal cardinality, the
+Fennel twin reads neighbor assignments straight off the graph, the OMS
+scan descent scores every child of every tree block with capacities and
+penalty scales recomputed per child, the OMS candidate descent finds each neighbor's child
 by a bisect and ranks children by tuple keys, the multi-pass multi-section
 reference restreams once per tree layer with per-layer weight tables
 instead of descending a tree,
@@ -32,8 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from streamdecomp import freight
-from streamdecomp.freight import CUT, SINGLE_BLOCK, UNTOUCHED, SortedBlocks
+from streamdecomp.freight import SortedBlocks
 from streamdecomp.heistream import BatchModel, _seed_block_weights
 from streamdecomp.multisection import TreeBlock, _hash_child, \
     heterogeneous_alpha
@@ -155,9 +155,18 @@ def select_block(gains: dict[int, float], counts: dict[int, int],
     return best
 
 
-class NetTracker(freight.NetTracker):
-    """The production tracker plus the per-pin transition that
-    ``freight_assign`` inlines, as a method."""
+UNTOUCHED, SINGLE_BLOCK, CUT = 0, 1, 2
+
+
+class NetTracker:
+    """Per-net cut status (UNTOUCHED, SINGLE_BLOCK or CUT) and the block of
+    the most recently streamed pin, updated by one method call per pin: the
+    oracle of ``freight.NetTracker``, whose ``cut`` flag is ``status == CUT``
+    and whose touched nets are those with ``last_block >= 0``."""
+
+    def __init__(self, num_nets: int):
+        self.status = bytearray(num_nets)
+        self.last_block = [-1] * num_nets
 
     def observe(self, net: int, block: int) -> None:
         s = self.status[net]
@@ -169,6 +178,51 @@ class NetTracker(freight.NetTracker):
 
     def is_cut(self, net: int) -> bool:
         return self.status[net] == CUT
+
+
+class _Bucket:
+    __slots__ = ("cardinality", "l", "r")
+
+    def __init__(self, cardinality: int, l: int, r: int):
+        self.cardinality = cardinality
+        self.l = l
+        self.r = r
+
+
+class BucketSortedBlocks:
+    """``freight.SortedBlocks`` with one bucket object per maximal run of
+    equal cardinality, storing its [l, r] position range; an increment that
+    opens a new cardinality allocates a bucket.  The oracle of the flat
+    ``end`` list."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.a = list(range(k))
+        self.b = list(range(k))
+        root = _Bucket(0, 0, k - 1)
+        self.bucket_of = [root] * k
+
+    def increment(self, d: int) -> None:
+        p = self.b[d]
+        c_bucket = self.bucket_of[d]
+        q = c_bucket.r
+        other = self.a[q]
+        self.a[p], self.a[q] = self.a[q], self.a[p]
+        self.b[other], self.b[d] = p, q
+        c_bucket.r = q - 1
+        nxt = self.bucket_of[self.a[q + 1]] if q + 1 < self.k else None
+        if nxt is not None and c_bucket.cardinality + 1 == nxt.cardinality:
+            self.bucket_of[d] = nxt
+            nxt.l -= 1
+        else:
+            fresh = _Bucket(c_bucket.cardinality + 1, q, q)
+            self.bucket_of[d] = fresh
+
+    def min_block(self) -> int:
+        return self.a[0]
+
+    def cardinality(self, block: int) -> int:
+        return self.bucket_of[block].cardinality
 
 
 def net_gains(record, tracker: NetTracker, cutnet: bool):
@@ -784,9 +838,15 @@ def total_block_slots(root) -> int:
 
 
 def bucket_ranges(blocks: SortedBlocks) -> list[tuple[int, int, int]]:
-    """(cardinality, l, r) per live bucket of a SortedBlocks, sorted by l."""
-    live = {id(bucket): bucket for bucket in blocks.bucket_of}
-    return sorted((b.cardinality, b.l, b.r) for b in live.values())
+    """(cardinality, l, r) per nonempty run of equal cardinality of a
+    SortedBlocks, sorted by l, read off its flat ``end`` list."""
+    ranges = []
+    l = 0
+    for c, end in enumerate(blocks.end):
+        if end > l:
+            ranges.append((c, l, end - 1))
+        l = end
+    return ranges
 
 
 def parse_node_lines(path: str, graph: bool):

@@ -1,0 +1,176 @@
+"""The column reader: ``NodeStream.chunks()`` and ``stream_chunks`` give the
+spool columns every record is built from, and the cut-net/connectivity
+check that walks them counts what a per-record recount counts."""
+
+import random
+
+import pytest
+
+from streamdecomp import streams
+from streamdecomp.metrics import cut_net_and_connectivity
+from streamdecomp.streams import FormatError, MemoryStream, \
+    StreamedNodeRecord, StreamHeader, _records, _write_node_lines, \
+    open_hypergraph_node_stream, stream_chunks
+
+from generators import random_hypergraph
+from test_spool import FILES, opener, spool_dir, spools  # noqa: F401
+
+
+def rebuilt(chunks):
+    return [record for columns in chunks for record in _records(*columns)]
+
+
+@pytest.mark.parametrize("kind, text", FILES)
+def test_parse_replay_and_no_spool_chunks_rebuild_the_records(
+        tmp_path, spool_dir, monkeypatch, kind, text):  # noqa: F811
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    stream = opener(kind)(str(path))
+    parsed = list(stream.chunks())            # the spooling parse
+    assert [columns[0] for columns in parsed] == [0, 2, 4]
+    assert len(spools(spool_dir)) == 1
+    path.write_text("garbage\n")
+    replayed = list(stream.chunks())          # the replay
+    assert [list(c[1]) for c in replayed] == [list(c[1]) for c in parsed]
+    assert rebuilt(replayed) == rebuilt(parsed) == list(stream)
+    path.write_text(text)
+    bare = opener(kind)(str(path), spool=False)
+    assert rebuilt(bare.chunks()) == rebuilt(parsed)
+    assert spools(spool_dir) != []
+    stream.close()
+    assert spools(spool_dir) == []
+
+
+def test_a_bad_line_yields_its_chunks_good_prefix_then_raises(
+        tmp_path, spool_dir, monkeypatch):  # noqa: F811
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 3)
+    path = tmp_path / "in.hgr"
+    path.write_text("6 3 8\n1\n1 2\n2\n3 1\n2 x\n3\n")   # node 4 is bad
+    stream = open_hypergraph_node_stream(str(path))
+    chunks = stream.chunks()
+    columns = [next(chunks), next(chunks)]
+    assert [c[0] for c in columns] == [0, 3]
+    assert list(columns[1][1]) == [2]         # node 3 only, then the fault
+    with pytest.raises(FormatError) as from_chunks:
+        next(chunks)
+    records = []
+    with pytest.raises(FormatError) as from_records:
+        for record in stream:
+            records.append(record)
+    assert str(from_chunks.value) == str(from_records.value) == \
+        "node 4: 'x' is not an integer"
+    assert records == rebuilt(columns)
+    assert spools(spool_dir) == []
+
+
+def test_an_abandoned_chunk_parse_frees_its_spool(tmp_path, spool_dir,
+                                                  monkeypatch):  # noqa: F811
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    path = tmp_path / "in.hgr"
+    path.write_text("5 3 6\n1\n1 2\n\n2 3\n3\n")
+    stream = open_hypergraph_node_stream(str(path))
+    chunks = stream.chunks()
+    next(chunks)
+    assert len(spools(spool_dir)) == 1
+    chunks.close()
+    assert spools(spool_dir) == []
+
+
+HEADER = StreamHeader(5, 3, 6, has_node_weights=True, has_item_weights=True)
+RECORDS = [StreamedNodeRecord(0, 2, [0], [4]),
+           StreamedNodeRecord(1, 3, [0, 1], [4, 9]),
+           StreamedNodeRecord(2, 1, [], []),
+           StreamedNodeRecord(3, 7, [1, 2], [9, 2]),
+           StreamedNodeRecord(4, 1, [2], [2])]
+
+
+class Records:
+    """A plain iterable of records with a header: no ``chunks`` method."""
+
+    header = HEADER
+
+    def __iter__(self):
+        return iter(RECORDS)
+
+
+@pytest.mark.parametrize("stream", [MemoryStream(HEADER, RECORDS), Records()],
+                         ids=["MemoryStream", "iterable"])
+def test_adapter_rechunks_any_stream(monkeypatch, stream):
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    chunks = list(stream_chunks(stream))
+    assert chunks == [(0, [1, 2], [0, 0, 1], [4, 4, 9], [2, 3]),
+                      (2, [0, 2], [1, 2], [9, 2], [1, 7]),
+                      (4, [1], [2], [2], [1])]
+    assert rebuilt(chunks) == RECORDS
+
+
+def test_adapter_follows_the_header_flags_and_breaks_at_id_gaps():
+    records = [StreamedNodeRecord(i, 1, [i % 2], [1]) for i in (0, 1, 3, 4)]
+    stream = MemoryStream(StreamHeader(5, 2, 4), records)
+    chunks = list(stream_chunks(stream))
+    assert chunks == [(0, [1, 1], [0, 1], None, None),
+                      (3, [1, 1], [1, 0], None, None)]
+    assert rebuilt(chunks) == records
+
+
+def write_hypergraph(path, stream):
+    header = stream.header
+    records = list(stream)
+    _write_node_lines(str(path), [header.n, header.m, header.pins],
+                      [r.weight for r in records]
+                      if header.has_node_weights else None,
+                      [r.ids for r in records], [r.weights for r in records],
+                      header.has_item_weights)
+
+
+def recount(stream, blocks):
+    """(cut-net, connectivity) from per-net block sets, record by record."""
+    nets: dict[int, set] = {}
+    weight: dict[int, int] = {}
+    for record in stream:
+        for e, w in zip(record.ids, record.weights):
+            nets.setdefault(e, set()).add(blocks[record.id])
+            weight[e] = w if stream.header.has_item_weights else 1
+    return (sum(weight[e] for e, s in nets.items() if len(s) > 1),
+            sum((len(s) - 1) * weight[e] for e, s in nets.items()))
+
+
+@pytest.mark.parametrize("max_net_weight", [1, 5])
+@pytest.mark.parametrize("max_node_weight", [1, 4])
+def test_column_walk_equals_a_record_recount(tmp_path, monkeypatch,
+                                             max_net_weight,
+                                             max_node_weight):
+    # several chunks, the last one short; k past 64 (masks of many digits)
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 16)
+    rng = random.Random(100 * max_net_weight + max_node_weight)
+    for k in (2, 7, 64, 65, 300):
+        n = rng.randint(40, 90)
+        memory = random_hypergraph(rng, n, rng.randint(30, 80), max_pins=6,
+                                   max_net_weight=max_net_weight,
+                                   max_node_weight=max_node_weight)
+        path = tmp_path / f"h{k}.hgr"
+        write_hypergraph(path, memory)
+        stream = open_hypergraph_node_stream(str(path))
+        assert stream.header == memory.header
+        blocks = [rng.randrange(k) for _ in range(n)]
+        expected = recount(memory, blocks)
+        assert cut_net_and_connectivity(stream, blocks) == expected  # parse
+        assert cut_net_and_connectivity(stream, blocks) == expected  # replay
+        assert cut_net_and_connectivity(memory, blocks) == expected
+        stream.close()
+
+
+def test_net_weight_mismatch_in_a_file_is_a_format_error(tmp_path,
+                                                         monkeypatch):
+    # net 2 weighs 3 at node 1 and 5 at node 4, two chunks later
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    path = tmp_path / "in.hgr"
+    path.write_text("5 2 4 1\n1 1\n2 3\n\n1 1\n2 5\n")
+    stream = open_hypergraph_node_stream(str(path))
+    for _ in range(2):                        # the parse, then the replay
+        with pytest.raises(FormatError,
+                           match="^node 4: net 2 weighs 5 here but 3 at an "
+                                 "earlier pin$"):
+            cut_net_and_connectivity(stream, [0, 1, 0, 1, 0])
+    stream.close()

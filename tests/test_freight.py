@@ -4,8 +4,7 @@ import random
 import pytest
 
 from streamdecomp import freight as freight_module
-from streamdecomp.freight import (CUT, SINGLE_BLOCK, UNTOUCHED, SortedBlocks,
-                                  freight_assign, run_freight)
+from streamdecomp.freight import SortedBlocks, freight_assign, run_freight
 from streamdecomp.metrics import cut_net_and_connectivity
 from streamdecomp.onepass import FennelParams
 from streamdecomp.partition import PartitionState
@@ -13,7 +12,8 @@ from streamdecomp.streams import StreamedNodeRecord
 
 from generators import (graph_as_hypergraph, hypergraph_stream_from_nets,
                         random_graph, random_hypergraph, run_setup)
-from reference import (NetTracker, check_consistency, naive_freight_assign,
+from reference import (CUT, SINGLE_BLOCK, UNTOUCHED, NetTracker,
+                       check_consistency, naive_freight_assign,
                        run_fennel_twin, run_freight_reference)
 
 
@@ -39,27 +39,35 @@ class TestNetTracker:
         assert t.status[0] == CUT and t.last_block[0] == 2   # cut is absorbing
 
     def test_tracker_soundness_on_random_run(self):
+        # Under cut-net, where the production tracker keeps its cut flags:
+        # a flag agrees with the three-state method and with the pins.
         rng = random.Random(77)
         stream = random_hypergraph(rng, 60, 80, max_pins=5)
         header = stream.header
         state = PartitionState(header.n, 4, 0.03, header.n)
-        tracker = NetTracker(header.m)
+        tracker = freight_module.NetTracker(header.m)
+        oracle = NetTracker(header.m)
         blocks = SortedBlocks(4)
         params = FennelParams(alpha=0.5)
         pins_seen: dict[int, list[int]] = {}
         for record in stream:
-            b = freight_assign(record, state, tracker, blocks, False, params)
+            b = freight_assign(record, state, tracker, blocks, True, params)
             for e in record.ids:
                 pins_seen.setdefault(e, []).append(b)
-        for e, blocks_of_e in pins_seen.items():
+                oracle.observe(e, b)
+        assert pins_seen and any(tracker.cut)
+        for e in range(header.m):
+            blocks_of_e = pins_seen.get(e, [])
             # cut iff pins streamed so far span >= 2 blocks
-            assert (tracker.status[e] == CUT) == (len(set(blocks_of_e)) >= 2)
-            assert tracker.last_block[e] == blocks_of_e[-1]
+            assert tracker.cut[e] == (len(set(blocks_of_e)) >= 2) == \
+                oracle.is_cut(e)
+            assert tracker.last_block[e] == \
+                (blocks_of_e[-1] if blocks_of_e else -1) == oracle.last_block[e]
 
 
 def make_assign_ctx(n, m, k, alpha=0.5):
     state = PartitionState(n, k, 0.03, n)
-    tracker = NetTracker(m)
+    tracker = freight_module.NetTracker(m)
     blocks = SortedBlocks(k)
     params = FennelParams(alpha=alpha)
     return state, tracker, blocks, params
@@ -97,8 +105,8 @@ class TestFreightAssign:
         b0 = state.assignment[0]
         # force the net to be cut: second pin lands elsewhere only if gain
         # loses to the penalty; instead cut it directly via the tracker
-        tracker.observe(0, (b0 + 1) % 4)
-        assert tracker.is_cut(0)
+        tracker.last_block[0] = (b0 + 1) % 4
+        tracker.cut[0] = 1
         # now a node whose only net is cut falls through to the min query
         before = blocks.min_block()
         chosen = freight_assign(StreamedNodeRecord(1, 1, [0], [1]),
@@ -111,8 +119,8 @@ class TestFreightAssign:
         freight_assign(StreamedNodeRecord(0, 1, [0], [1]), state,
                        tracker, blocks, cutnet, params)
         b0 = state.assignment[0]
-        tracker.observe(0, b0)          # keep d_e = b0
-        tracker.status[0] = CUT         # but mark it cut
+        assert tracker.last_block[0] == b0   # d_e = b0
+        tracker.cut[0] = 1                   # but mark it cut
         chosen = freight_assign(StreamedNodeRecord(1, 1, [0], [1]),
                                 state, tracker, blocks, cutnet, params)
         assert chosen == b0             # still attracted to d_e
@@ -169,7 +177,10 @@ class TestOracleEquivalence:
                     expected = naive_freight_assign(
                         record, slow, slow_t, slow_b, cutnet, params, unit)
                     assert chosen == expected, f"k={k} node {record.id}"
-                    assert fast_t.status == slow_t.status
+                    # the cut flags live only under cut-net
+                    assert fast_t.cut == (bytearray(
+                        s == CUT for s in slow_t.status) if cutnet
+                        else bytearray(len(slow_t.status)))
                     assert fast_t.last_block == slow_t.last_block
                     assert fast.block_weight == slow.block_weight
                     assert fast.violations == slow.violations
@@ -212,7 +223,7 @@ class TestWeightedNodes:
                                            max_node_weight=20)
                 fast = freight(stream, k, objective, epsilon=0.0)
                 state, params = run_setup(stream, k, epsilon=0.0)
-                tracker = NetTracker(stream.header.m)
+                tracker = freight_module.NetTracker(stream.header.m)
                 for record in stream:
                     freight_assign(record, state, tracker, ScanMin(state),
                                    objective == "cutnet", params, unit=False)

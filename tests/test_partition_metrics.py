@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from streamdecomp.metrics import (comm_cost, cut_net_and_connectivity,
                                   edge_cut, imbalance)
+from streamdecomp import streams
 from streamdecomp.multisection import HierarchySpec
 from streamdecomp.partition import PartitionState, compute_lmax
 from streamdecomp.streams import FormatError, MemoryStream, \
@@ -141,6 +142,32 @@ class TestCutNetConnectivity:
         stream = hypergraph_stream_from_nets(2, [([0, 1], 1)])
         stream.header = dataclasses.replace(stream.header, m=0)
         with pytest.raises(ValueError, match="node 0: a net id"):
+            cut_net_and_connectivity(stream, [0, 1])
+
+    @pytest.mark.parametrize("net, fault", [(-1, "negative"),
+                                            (2, "not below m=2")])
+    def test_net_id_out_of_range_is_named(self, net, fault):
+        # a negative id would otherwise count as net m-1: (1, 1) here
+        stream = MemoryStream(StreamHeader(2, 2, 2),
+                              [StreamedNodeRecord(0, 1, [net], [1]),
+                               StreamedNodeRecord(1, 1, [1], [1])])
+        with pytest.raises(ValueError, match=f"^node 0: a net id is {fault}$"):
+            cut_net_and_connectivity(stream, [0, 1])
+
+    @pytest.mark.parametrize("net", [-3, 3])
+    def test_bad_net_id_in_a_later_chunk_names_its_node(self, monkeypatch,
+                                                        net):
+        monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+        records = [StreamedNodeRecord(i, 1, [0, 1], [1, 1]) for i in range(5)]
+        records[3].ids = [1, net]
+        stream = MemoryStream(StreamHeader(5, 3, 10), records)
+        with pytest.raises(ValueError, match="^node 3: a net id is "):
+            cut_net_and_connectivity(stream, [0, 1, 0, 1, 0])
+
+    def test_assignment_shorter_than_the_stream_is_incomplete(self):
+        # each chunk pairs its pins with a slice of the assignment
+        stream = hypergraph_stream_from_nets(3, [([0, 2], 1), ([1, 2], 1)])
+        with pytest.raises(AssertionError, match="^node 2 unassigned$"):
             cut_net_and_connectivity(stream, [0, 1])
 
     def test_connectivity_at_least_cutnet_unit_weights(self):

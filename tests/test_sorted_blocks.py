@@ -1,11 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamdecomp.freight import SortedBlocks
 from streamdecomp.partition import UNASSIGNED, MinBlockHeap, PartitionState
 
-from reference import bucket_ranges
+from reference import BucketSortedBlocks, bucket_ranges
 
 
 def check_invariants(sb: SortedBlocks):
@@ -94,6 +95,29 @@ def test_invariants_under_arbitrary_sequences(k, raw_sequence):
         counts[d] += 1
     check_invariants(sb)
     assert sb.cardinality(sb.min_block()) == min(counts)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 300])
+def test_flat_runs_match_bucket_objects(k):
+    # the flat end list moves every block exactly as the bucket objects do
+    rng = random.Random(400 + k)
+    flat, buckets = SortedBlocks(k), BucketSortedBlocks(k)
+    for step in range(3000):
+        # skewed sequences too: long runs on few blocks open many
+        # cardinalities, as at k=1
+        d = rng.randrange(k) if step % 500 < 250 else rng.randrange(
+            min(k, 3))
+        flat.increment(d)
+        buckets.increment(d)
+        assert flat.min_block() == buckets.min_block()
+        if step % 50 == 0 or k <= 2:
+            assert flat.a == buckets.a and flat.b == buckets.b
+            assert [flat.cardinality(i) for i in range(k)] == \
+                [buckets.cardinality(i) for i in range(k)]
+    assert flat.a == buckets.a and flat.b == buckets.b
+    assert bucket_ranges(flat) == sorted(
+        (bucket.cardinality, bucket.l, bucket.r)
+        for bucket in {id(x): x for x in buckets.bucket_of}.values())
 
 
 class TestMinBlockHeap:
