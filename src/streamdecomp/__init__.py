@@ -9,8 +9,8 @@ from .partition import UNASSIGNED, MinBlockHeap, PartitionState, compute_lmax
 from .streams import (FormatError, MemoryStream, StreamedNodeRecord,
                       StreamHeader, open_graph_stream,
                       open_hypergraph_node_stream, transpose_hmetis)
-from .metrics import comm_cost, cut_net_and_connectivity, edge_cut, \
-    imbalance
+from .metrics import block_weights, comm_cost, cut_net_and_connectivity, \
+    edge_cut, imbalance
 from .onepass import (FennelParams, OnePassConfig, fennel_alpha, fennel_assign,
                       fennel_gain, hashing_assign, ldg_assign, run_onepass,
                       run_restream)

@@ -202,12 +202,11 @@ def _algorithm(spec) -> str:
     return spec.algorithm
 
 
-def _verify(stream, assignment, block_weight, hypergraph: bool,
-            hierarchy) -> dict:
+def _verify(stream, assignment, k: int, hypergraph: bool, hierarchy) -> dict:
     """Quality from a separate pass over ``stream``: the objective (edge cut,
-    or cut-net and connectivity), imbalance, and comm cost with a hierarchy
-    (in the same pass as the edge cut).  The report starts with these five
-    keys in this order, ``None`` where the run has no such metric."""
+    or cut-net and connectivity), comm cost with a hierarchy (in the same
+    pass as the edge cut) and the imbalance of recounted block weights.  The
+    report starts with these five keys in order, ``None`` for one it lacks."""
     edge_cut = cut_net = connectivity = comm_cost = None
     if hypergraph:
         cut_net, connectivity = \
@@ -219,7 +218,8 @@ def _verify(stream, assignment, block_weight, hypergraph: bool,
         edge_cut = metrics_mod.edge_cut(stream, assignment)
     return {"edge_cut": edge_cut, "cut_net": cut_net,
             "connectivity": connectivity,
-            "imbalance": metrics_mod.imbalance(block_weight),
+            "imbalance": metrics_mod.imbalance(
+                metrics_mod.block_weights(stream, assignment, k)),
             "comm_cost": comm_cost}
 
 
@@ -278,8 +278,8 @@ def execute(spec) -> dict:
         if state.violations:
             print(f"warning: {state.violations} capacity violations",
                   file=sys.stderr)
-        report = _verify(stream, state.assignment, state.block_weight,
-                         kind == "hypergraph", hierarchy)
+        report = _verify(stream, state.assignment, k, kind == "hypergraph",
+                         hierarchy)
     report.update({
         "runtime_ms": ((t2 - t1) if spec.time_core else (t2 - t0)) * 1000.0,
         "algorithm": algorithm,
@@ -330,11 +330,7 @@ def cmd_metrics(args) -> int:
         assignment = read_partition(args.partition, stream.header.n, k)
         if k is None:
             k = max(assignment) + 1
-        weights = [0] * k
-        for record in stream:
-            weights[assignment[record.id]] += record.weight
-        report = _verify(stream, assignment, weights, args.hypergraph,
-                         hierarchy)
+        report = _verify(stream, assignment, k, args.hypergraph, hierarchy)
     report.update({"runtime_ms": None, "algorithm": "metrics", "k": k,
                    "epsilon": args.epsilon, "seed": None})
     _emit(report, args)

@@ -7,11 +7,12 @@ reported here comes from an independent pass over the input.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from itertools import accumulate, chain, count, repeat
 from typing import Iterable, Sequence
 
 from .partition import UNASSIGNED
-from .streams import FormatError, stream_chunks
+from .streams import FormatError
 
 
 def edge_cut(graph_stream: Iterable, assignment: Sequence[int]) -> int:
@@ -53,45 +54,48 @@ def cut_net_and_connectivity(hyper_stream,
     pin (``FormatError`` if not); without it every net weighs 1 and
     ``weights`` is not read, as in FREIGHT.
 
-    The pass reads each chunk's flat columns (:func:`streams.stream_chunks`,
-    a spool replay for a parsed file), each pin paired with its node's
-    block bit, and builds no record.  A net id that is negative or not
-    below m is a ``ValueError`` naming its node.
+    The pass reads the flat columns of each chunk of
+    ``hyper_stream.chunks()`` (a spool replay for a parsed file, one chunk
+    for a ``MemoryStream``), each pin paired with its node's block bit, and
+    builds no record.  A net id that is negative or not below m is a
+    ``ValueError`` naming its node.
     """
     _require_complete(assignment)
     m = hyper_stream.header.m
     weighted = hyper_stream.header.has_item_weights
     mask = [0] * m
     net_weight = [0] * m if weighted else [1] * m
-    for start, degrees, ids, weights, _ in stream_chunks(hyper_stream):
-        fault = None
-        if ids and (min(ids) < 0 or max(ids) >= m):
-            # the pins before the first bad one count, as pin by pin
-            bad = next(i for i, e in enumerate(ids) if not 0 <= e < m)
-            fault = ValueError(
-                f"node {_node_at(start, degrees, bad)}: a net id is "
-                + ("negative" if ids[bad] < 0 else f"not below m={m}"))
-            ids = ids[:bad]
+    for start, degrees, ids, weights, _ in hyper_stream.chunks():
         owners = assignment[start:start + len(degrees)]
         if len(owners) < len(degrees):
             raise AssertionError(f"node {start + len(owners)} unassigned")
         bits = chain.from_iterable(map(repeat, [1 << b for b in owners],
                                        degrees))
-        if weighted:
-            for pin, e, bit, w in zip(count(), ids, bits, weights):
-                mask[e] |= bit
-                if net_weight[e] != w:
-                    if net_weight[e]:
-                        raise FormatError(
-                            f"node {_node_at(start, degrees, pin)}: net "
-                            f"{e + 1} weighs {w} here but {net_weight[e]} "
-                            f"at an earlier pin")
-                    net_weight[e] = w
-        else:
-            for e, bit in zip(ids, bits):
-                mask[e] |= bit
-        if fault is not None:
-            raise fault
+        # the pins before a bad net id count: the walk ends before a negative
+        # one (an index of net m + id) and at one not below m (IndexError)
+        pins = ids[:next(i for i, e in enumerate(ids) if e < 0)] \
+            if ids and min(ids) < 0 else ids
+        try:
+            if weighted:
+                for pin, e, bit, w in zip(count(), pins, bits, weights):
+                    mask[e] |= bit
+                    if net_weight[e] != w:
+                        if net_weight[e]:
+                            raise FormatError(
+                                f"node {_node_at(start, degrees, pin)}: "
+                                f"net {e + 1} weighs {w} here but "
+                                f"{net_weight[e]} at an earlier pin")
+                        net_weight[e] = w
+            else:
+                for e, bit in zip(pins, bits):
+                    mask[e] |= bit
+        except IndexError:
+            pins = ()
+        if len(pins) < len(ids):
+            bad = next(i for i, e in enumerate(ids) if not 0 <= e < m)
+            raise ValueError(
+                f"node {_node_at(start, degrees, bad)}: a net id is "
+                + ("negative" if ids[bad] < 0 else f"not below m={m}"))
     cut = 0
     connectivity = 0
     for bits, w in zip(mask, net_weight):
@@ -130,6 +134,19 @@ def comm_cost(graph_stream: Iterable, assignment: Sequence[int],
                 if v > u:   # count each undirected edge at its lower endpoint
                     total += w * by_bits[(code ^ codes[bv]).bit_length()]
     return _halve(doubled), total
+
+
+def block_weights(stream, assignment: Sequence[int], k: int) -> list[int]:
+    """c(V_i) of each block i < k, recounted rather than read from a run's
+    bookkeeping: on unit node weights a C-level count of ``assignment``,
+    else a walk over the ``node_weight`` column of ``stream.chunks()``."""
+    if not stream.header.has_node_weights:
+        return list(map(Counter(assignment).__getitem__, range(k)))
+    weights = [0] * k
+    for start, _, _, _, column in stream.chunks():
+        for b, w in zip(assignment[start:start + len(column)], column):
+            weights[b] += w
+    return weights
 
 
 def imbalance(block_weights: Sequence[int]) -> float:

@@ -626,7 +626,7 @@ def _write_node_lines(path: str, header: list[int],
 
 class MemoryStream:
     """Replayable in-memory stream of parsed records, graph or hypergraph
-    (used when timing excludes parsing)."""
+    (used when timing excludes parsing), nodes 0..n-1 in order."""
 
     def __init__(self, header, records: list):
         self.header = header
@@ -635,37 +635,22 @@ class MemoryStream:
     def __iter__(self) -> Iterator:
         return iter(self.records)
 
-
-def stream_chunks(stream) -> Iterator[tuple]:
-    """The spool columns of every chunk of ``stream``, ``(start, degrees,
-    ids, weights, node_weight)``: :meth:`NodeStream.chunks`, or for any
-    other stream (a :class:`MemoryStream`, an iterable of records with a
-    ``header``) its records regrouped into runs of at most ``SPOOL_CHUNK``
-    consecutive ids, with item and node weights only where the header's
-    flags say (None otherwise), as a parse of such a file gives them."""
-    chunks = getattr(stream, "chunks", None)
-    if chunks is not None:
-        return chunks()
-    return _rechunk(stream, stream.header)
-
-
-def _rechunk(records: Iterable[StreamedNodeRecord],
-             header: StreamHeader) -> Iterator[tuple]:
-    run: list[StreamedNodeRecord] = []
-    for record in records:
-        if run and (len(run) == SPOOL_CHUNK or record.id != run[-1].id + 1):
-            yield _run_columns(run, header)
-            run = []
-        run.append(record)
-    if run:
-        yield _run_columns(run, header)
-
-
-def _run_columns(run: list[StreamedNodeRecord], header: StreamHeader
-                 ) -> tuple:
-    rows = list(map(attrgetter("ids"), run))
-    return (run[0].id, list(map(len, rows)), list(chain.from_iterable(rows)),
-            list(chain.from_iterable(map(attrgetter("weights"), run)))
-            if header.has_item_weights else None,
-            list(map(attrgetter("weight"), run))
-            if header.has_node_weights else None)
+    def chunks(self) -> Iterator[tuple]:
+        """All records as one chunk of columns, ``(0, degrees, ids,
+        weights, node_weight)`` as :meth:`NodeStream.chunks` gives them:
+        item and node weights only where the header's flags say (None
+        otherwise); nothing for no records.  ``ValueError`` names the first
+        record whose id is not its position."""
+        records, header = self.records, self.header
+        ids = list(map(attrgetter("id"), records))
+        if ids != list(range(len(ids))):
+            bad = next(i for i, v in enumerate(ids) if v != i)
+            raise ValueError(f"record {bad} has id {ids[bad]}, not {bad}")
+        if records:
+            rows = list(map(attrgetter("ids"), records))
+            yield (0, list(map(len, rows)), list(chain.from_iterable(rows)),
+                   list(chain.from_iterable(map(attrgetter("weights"),
+                                                records)))
+                   if header.has_item_weights else None,
+                   list(map(attrgetter("weight"), records))
+                   if header.has_node_weights else None)

@@ -1,8 +1,10 @@
-"""The column reader: ``NodeStream.chunks()`` and ``stream_chunks`` give the
-spool columns every record is built from, and the cut-net/connectivity
-check that walks them counts what a per-record recount counts."""
+"""The column readers: ``NodeStream.chunks()`` gives the spool columns every
+record is built from, ``MemoryStream.chunks()`` the same columns of its
+records in one chunk, and the cut-net/connectivity check that walks them
+counts what a per-record recount counts."""
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -10,7 +12,7 @@ from streamdecomp import streams
 from streamdecomp.metrics import cut_net_and_connectivity
 from streamdecomp.streams import FormatError, MemoryStream, \
     StreamedNodeRecord, StreamHeader, _records, _write_node_lines, \
-    open_hypergraph_node_stream, stream_chunks
+    open_hypergraph_node_stream
 
 from generators import random_hypergraph
 from test_spool import FILES, opener, spool_dir, spools  # noqa: F401
@@ -77,41 +79,44 @@ def test_an_abandoned_chunk_parse_frees_its_spool(tmp_path, spool_dir,
     assert spools(spool_dir) == []
 
 
-HEADER = StreamHeader(5, 3, 6, has_node_weights=True, has_item_weights=True)
-RECORDS = [StreamedNodeRecord(0, 2, [0], [4]),
-           StreamedNodeRecord(1, 3, [0, 1], [4, 9]),
-           StreamedNodeRecord(2, 1, [], []),
-           StreamedNodeRecord(3, 7, [1, 2], [9, 2]),
-           StreamedNodeRecord(4, 1, [2], [2])]
+def joined(chunks):
+    """Each column over all chunks, joined; None where the chunks have
+    none."""
+    return [None if column[0] is None else list(chain.from_iterable(column))
+            for column in zip(*(c[1:] for c in chunks))]
 
 
-class Records:
-    """A plain iterable of records with a header: no ``chunks`` method."""
-
-    header = HEADER
-
-    def __iter__(self):
-        return iter(RECORDS)
-
-
-@pytest.mark.parametrize("stream", [MemoryStream(HEADER, RECORDS), Records()],
-                         ids=["MemoryStream", "iterable"])
-def test_adapter_rechunks_any_stream(monkeypatch, stream):
+@pytest.mark.parametrize("kind, text", FILES)
+def test_memory_stream_chunk_has_the_parsed_columns(tmp_path, spool_dir,
+                                                    monkeypatch, kind,
+                                                    text):  # noqa: F811
     monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
-    chunks = list(stream_chunks(stream))
-    assert chunks == [(0, [1, 2], [0, 0, 1], [4, 4, 9], [2, 3]),
-                      (2, [0, 2], [1, 2], [9, 2], [1, 7]),
-                      (4, [1], [2], [2], [1])]
-    assert rebuilt(chunks) == RECORDS
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    stream = opener(kind)(str(path))
+    parsed = list(stream.chunks())
+    memory = MemoryStream(stream.header, list(stream))   # from the replay
+    chunks = list(memory.chunks())
+    assert [columns[0] for columns in chunks] == [0]
+    assert joined(chunks) == joined(parsed)   # weights where the flags say
+    assert rebuilt(chunks) == rebuilt(parsed) == memory.records
+    assert list(MemoryStream(stream.header, []).chunks()) == []
+    stream.close()
 
 
-def test_adapter_follows_the_header_flags_and_breaks_at_id_gaps():
-    records = [StreamedNodeRecord(i, 1, [i % 2], [1]) for i in (0, 1, 3, 4)]
-    stream = MemoryStream(StreamHeader(5, 2, 4), records)
-    chunks = list(stream_chunks(stream))
-    assert chunks == [(0, [1, 1], [0, 1], None, None),
-                      (3, [1, 1], [1, 0], None, None)]
-    assert rebuilt(chunks) == records
+@pytest.mark.parametrize("ids, message", [
+    ((0, 1, 3, 4), "record 2 has id 3, not 2"),    # a gap
+    ((0, 2, 1, 3), "record 1 has id 2, not 1"),    # out of order
+    ((1, 2, 3, 4), "record 0 has id 1, not 0")],
+    ids=["gap", "out-of-order", "shifted"])
+def test_memory_stream_names_a_record_out_of_place(ids, message):
+    stream = MemoryStream(StreamHeader(5, 2, 4),
+                          [StreamedNodeRecord(i, 1, [i % 2], [1])
+                           for i in ids])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        list(stream.chunks())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cut_net_and_connectivity(stream, [0, 1, 0, 1, 0])
 
 
 def write_hypergraph(path, stream):

@@ -581,6 +581,49 @@ class TestCliErrors:
         assert (f"internal invariant failure: AssertionError('{message}')"
                 in capsys.readouterr().err)
 
+    # The reported imbalance is recounted by the verification, not read
+    # from the run's block weights: a runner whose bookkeeping is off by 5
+    # after the run still reports the imbalance of the partition it wrote.
+    @pytest.mark.parametrize("core", [[], ["--time-core"]],
+                             ids=["file", "time-core"])
+    @pytest.mark.parametrize("node_weights", [False, True],
+                             ids=["unit", "weighted"])
+    @pytest.mark.parametrize("runner, algorithm", [
+        ("run_onepass", "fennel"), ("run_heistream", "heistream"),
+        ("run_oms", "oms-ldg"), ("run_freight", "freight-con")])
+    def test_imbalance_is_recounted_not_bookkept(self, tmp_path, monkeypatch,
+                                                 runner, algorithm,
+                                                 node_weights, core):
+        run = getattr(cli, runner)
+
+        def off_by_five(*args):
+            state = run(*args)
+            state.block_weight[0] += 5
+            return state
+        monkeypatch.setattr(cli, runner, off_by_five)
+        n = 40
+        weights = [1 + v * 7 % 9 for v in range(n)] if node_weights \
+            else [1] * n
+        graph = tmp_path / "g.graph"
+        write_graph(str(graph), n, [(u, (u + d) % n, 1) for u in range(n)
+                                    for d in (1, 3)],
+                    weights if node_weights else None)
+        hypergraph = tmp_path / "h.hgr"   # node v in nets v // 2, v // 2 + 7
+        hypergraph.write_text(
+            f"{n} 20 {2 * n}" + (" 10" if node_weights else "") + "\n"
+            + "".join((f"{weights[v]} " if node_weights else "")
+                      + f"{v // 2 + 1} {(v // 2 + 7) % 20 + 1}\n"
+                      for v in range(n)))
+        part, report = tmp_path / "p.part", tmp_path / "p.json"
+        assert main([*_run_argv(algorithm, str(graph), str(hypergraph)),
+                     *core, "--output", str(part),
+                     "--metrics-json", str(report)]) == 0
+        recount = [0] * 4
+        for v, block in enumerate(read_partition(str(part), n, 4)):
+            recount[block] += weights[v]
+        assert json.loads(report.read_text())["imbalance"] == \
+            max(recount) * 4 / sum(recount) - 1.0
+
     def test_map_warns_on_capacity_violations(self, tmp_path, capsys):
         # c(V) = 4, k = 2, eps = 0: L_max = 2, so the weight-3 node overloads
         graph = tmp_path / "w.graph"

@@ -4,13 +4,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from streamdecomp.metrics import (comm_cost, cut_net_and_connectivity,
-                                  edge_cut, imbalance)
+from streamdecomp.metrics import (block_weights, comm_cost,
+                                  cut_net_and_connectivity, edge_cut,
+                                  imbalance)
 from streamdecomp import streams
 from streamdecomp.multisection import HierarchySpec
 from streamdecomp.partition import PartitionState, compute_lmax
 from streamdecomp.streams import FormatError, MemoryStream, \
-    StreamedNodeRecord, StreamHeader
+    StreamedNodeRecord, StreamHeader, open_graph_stream
 
 from generators import (graph_stream_from_edges, gnp_graph,
                         hypergraph_stream_from_nets, random_graph,
@@ -164,6 +165,22 @@ class TestCutNetConnectivity:
         with pytest.raises(ValueError, match="^node 3: a net id is "):
             cut_net_and_connectivity(stream, [0, 1, 0, 1, 0])
 
+    # Pin by pin, the first fault wins: a net weighing differently before
+    # the bad id, or the bad id before it.  A negative id is never used as
+    # an index: as net m + id (here net 1, weighing 7) it would weigh 5.
+    @pytest.mark.parametrize("ids, weights, fault", [
+        ([0, 1, 0, 9], [7, 5, 8, 1], "node 1: net 1 weighs 8 here but 7"),
+        ([0, 1, 9, 0], [7, 5, 1, 8], "node 1: a net id is not below m=2"),
+        ([0, 1, -1, 0], [7, 5, 1, 8], "node 1: a net id is negative"),
+        ([0, 1, -1, 1], [7, 5, 5, 5], "node 1: a net id is negative")])
+    def test_first_fault_pin_by_pin(self, ids, weights, fault):
+        stream = MemoryStream(
+            StreamHeader(2, 2, 4, has_item_weights=True),
+            [StreamedNodeRecord(0, 1, ids[:2], weights[:2]),
+             StreamedNodeRecord(1, 1, ids[2:], weights[2:])])
+        with pytest.raises(ValueError, match=f"^{fault}"):
+            cut_net_and_connectivity(stream, [0, 1])
+
     def test_assignment_shorter_than_the_stream_is_incomplete(self):
         # each chunk pairs its pins with a slice of the assignment
         stream = hypergraph_stream_from_nets(3, [([0, 2], 1), ([1, 2], 1)])
@@ -176,6 +193,30 @@ class TestCutNetConnectivity:
         blocks = [rng.randrange(4) for _ in range(30)]
         cut, conn = cut_net_and_connectivity(stream, blocks)
         assert conn >= cut
+
+
+class TestBlockWeights:
+    def test_unit_weights_count_the_assignment_without_a_pass(self):
+        class NoPass:
+            header = StreamHeader(5, 0, 0)
+
+            def __iter__(self):
+                raise AssertionError("no pass on unit node weights")
+            chunks = __iter__
+        assert block_weights(NoPass(), [2, 0, 2, 2, 0], 4) == [2, 0, 3, 0]
+
+    def test_node_weights_come_from_the_column(self, tmp_path, monkeypatch):
+        # node weights 4, 1, 9, 2, 3 in chunks of two nodes
+        monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+        path = tmp_path / "w.graph"
+        path.write_text("5 2 10\n4 2\n1 1\n9\n2 5\n3 4\n")
+        blocks = [1, 0, 1, 2, 0]
+        stream = open_graph_stream(str(path))
+        assert block_weights(stream, blocks, 4) == [4, 13, 2, 0]   # parse
+        assert block_weights(stream, blocks, 4) == [4, 13, 2, 0]   # replay
+        memory = MemoryStream(stream.header, list(stream))
+        assert block_weights(memory, blocks, 4) == [4, 13, 2, 0]
+        stream.close()
 
 
 class TestCommCost:

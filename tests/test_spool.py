@@ -174,38 +174,51 @@ def test_value_too_large_for_the_spool_reparses(tmp_path, spool_dir):
     assert [r.ids for r in again] == [r.ids for r in records]
 
 
-def _cli_runs(tmp_path, graph, hyper):
-    """Partition, restream, HeiStream, hpartition and metrics runs: their
-    partition files and metrics without run times."""
+def _cli_runs(tmp_path, inputs, core=()):
+    """Partition, restream, HeiStream, map and hpartition runs on the plain
+    and on the weighted inputs, each with the flags ``core`` (``--time-core``
+    or none), and metrics recounts: their partition files and metrics
+    without run times and the ``time_core`` flag."""
     out = {}
-    for name, argv in (
-            ("refennel", ["partition", "--input", graph, "--k", "3",
-                          "--passes", "3"]),
-            ("reldg", ["partition", "--input", graph, "--k", "3",
-                       "--algorithm", "ldg", "--passes", "3"]),
-            ("heistream", ["partition", "--input", graph, "--k", "3",
-                           "--algorithm", "heistream", "--passes", "2",
-                           "--delta", "20"]),
-            ("freight", ["hpartition", "--input", hyper, "--k", "3"])):
-        part = tmp_path / f"{name}.part"
-        mjson = tmp_path / f"{name}.json"
-        assert cli.main([*argv, "--output", str(part),
+    for tag, graph, hyper in (("", *inputs[:2]), ("weighted-", *inputs[2:])):
+        for name, argv in (
+                ("refennel", ["partition", "--input", graph, "--k", "3",
+                              "--passes", "3"]),
+                ("reldg", ["partition", "--input", graph, "--k", "3",
+                           "--algorithm", "ldg", "--passes", "3"]),
+                ("heistream", ["partition", "--input", graph, "--k", "3",
+                               "--algorithm", "heistream", "--passes", "2",
+                               "--delta", "20"]),
+                ("map", ["map", "--input", graph, "--hierarchy", "2:2",
+                         "--distances", "1:10"]),
+                ("freight", ["hpartition", "--input", hyper, "--k", "3"])):
+            part = tmp_path / f"{tag}{name}.part"
+            mjson = tmp_path / f"{tag}{name}.json"
+            assert cli.main([*argv, *core, "--output", str(part),
+                             "--metrics-json", str(mjson)]) == 0
+            report = json.loads(mjson.read_text())
+            for key in ("runtime_ms", "runtime_total_ms", "runtime_core_ms"):
+                report.pop(key)
+            report["runspec"].pop("time_core")
+            out[tag + name] = (part.read_text(), report)
+    for name, path, kind in (("refennel", inputs[0], []),
+                             ("weighted-refennel", inputs[2], []),
+                             ("weighted-freight", inputs[3],
+                              ["--hypergraph"])):
+        mjson = tmp_path / f"metrics-{name}.json"
+        assert cli.main(["metrics", "--input", path, "--partition",
+                         str(tmp_path / f"{name}.part"), "--k", "3", *kind,
                          "--metrics-json", str(mjson)]) == 0
-        report = json.loads(mjson.read_text())
-        for key in ("runtime_ms", "runtime_total_ms", "runtime_core_ms"):
-            report.pop(key)
-        out[name] = (part.read_text(), report)
-    mjson = tmp_path / "metrics.json"
-    assert cli.main(["metrics", "--input", graph, "--partition",
-                     str(tmp_path / "refennel.part"), "--k", "3",
-                     "--metrics-json", str(mjson)]) == 0
-    out["metrics"] = json.loads(mjson.read_text())
+        recount = out["metrics-" + name] = json.loads(mjson.read_text())
+        for key in ("edge_cut", "cut_net", "connectivity", "imbalance"):
+            assert recount[key] == out[name][1][key]
     return out
 
 
 @pytest.fixture
 def cli_inputs(tmp_path):
-    graph = tmp_path / "g.graph"
+    """A graph, a hypergraph with net weights, and their twins with node
+    weights too (fmt 11)."""
     n = 60
     edges = sorted({(min(u, v), max(u, v)) for u in range(n)
                     for v in ((u + 1) % n, (u + 7) % n, (u * 5 + 3) % n)
@@ -214,30 +227,46 @@ def cli_inputs(tmp_path):
     for u, v in edges:
         lines[u].append(v + 1)
         lines[v].append(u + 1)
+    graph = tmp_path / "g.graph"
     graph.write_text(f"{n} {len(edges)}\n"
                      + "".join(" ".join(map(str, ids)) + "\n"
                                for ids in lines))
+    weighted_graph = tmp_path / "w.graph"
+    weighted_graph.write_text(
+        f"{n} {len(edges)} 11\n"
+        + "".join(" ".join(map(str, [1 + u % 4, *(
+            t for v in ids for t in (v, 1 + (u + v) % 3))])) + "\n"
+            for u, ids in enumerate(lines, 1)))
     hyper = tmp_path / "h.hgr"
     hyper.write_text("6 4 9 1\n1 2\n1 2 2 1\n2 1 3 3\n3 3\n3 3 4 1\n4 1\n")
-    return str(graph), str(hyper)
+    weighted_hyper = tmp_path / "w.hgr"
+    weighted_hyper.write_text("6 4 9 11\n2 1 2\n3 1 2 2 1\n1 2 1 3 3\n"
+                              "2 3 3\n1 3 3 4 1\n4 4 1\n")
+    return str(graph), str(hyper), str(weighted_graph), str(weighted_hyper)
 
 
 def test_cli_results_without_a_spool(tmp_path, spool_dir, monkeypatch,
                                      cli_inputs):
-    spooled = _cli_runs(tmp_path, *cli_inputs)
+    spooled = _cli_runs(tmp_path, cli_inputs)
     assert spool_dir.made and spools(spool_dir) == []
     made = len(spool_dir.made)
 
     def no_file(*args, **kwargs):
         raise OSError("no temporary file")
     monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
-    assert _cli_runs(tmp_path, *cli_inputs) == spooled
+    assert _cli_runs(tmp_path, cli_inputs) == spooled
     assert len(spool_dir.made) == made
+
+
+def test_time_core_changes_no_result(tmp_path, cli_inputs):
+    # the preloaded records' columns and block weights are the file's
+    assert _cli_runs(tmp_path, cli_inputs, ["--time-core"]) == \
+        _cli_runs(tmp_path, cli_inputs)
 
 
 def test_no_spool_survives_a_failing_run(tmp_path, spool_dir, monkeypatch,
                                          capsys, cli_inputs):
-    graph, _ = cli_inputs
+    graph = cli_inputs[0]
     # exit 2 in the middle of the first parse
     bad = tmp_path / "bad.graph"
     bad.write_text("4 3\n2\n1 3\n2 4\nx\n")
@@ -286,7 +315,7 @@ def test_restreaming_rejects_a_one_shot_iterator():
 
 
 def test_time_core_preload_writes_no_spool(tmp_path, spool_dir, cli_inputs):
-    graph, _ = cli_inputs
+    graph = cli_inputs[0]
     out = Path(tmp_path / "m.json")
     assert cli.main(["partition", "--input", graph, "--k", "2", "--passes",
                      "3", "--time-core", "--metrics-json", str(out)]) == 0
