@@ -202,11 +202,13 @@ def _algorithm(spec) -> str:
     return spec.algorithm
 
 
-def _verify(stream, assignment, k: int, hypergraph: bool, hierarchy) -> dict:
+def _verify(stream, assignment, k: int, hypergraph: bool,
+            hierarchy) -> tuple[dict, list[int]]:
     """Quality from a separate pass over ``stream``: the objective (edge cut,
     or cut-net and connectivity), comm cost with a hierarchy (in the same
     pass as the edge cut) and the imbalance of recounted block weights.  The
-    report starts with these five keys in order, ``None`` for one it lacks."""
+    report starts with these five keys in order, ``None`` for one it lacks;
+    the recounted block weights come with it."""
     edge_cut = cut_net = connectivity = comm_cost = None
     if hypergraph:
         cut_net, connectivity = \
@@ -216,11 +218,11 @@ def _verify(stream, assignment, k: int, hypergraph: bool, hierarchy) -> dict:
             metrics_mod.comm_cost(stream, assignment, hierarchy)
     else:
         edge_cut = metrics_mod.edge_cut(stream, assignment)
+    weights = metrics_mod.block_weights(stream, assignment, k)
     return {"edge_cut": edge_cut, "cut_net": cut_net,
             "connectivity": connectivity,
-            "imbalance": metrics_mod.imbalance(
-                metrics_mod.block_weights(stream, assignment, k)),
-            "comm_cost": comm_cost}
+            "imbalance": metrics_mod.imbalance(weights),
+            "comm_cost": comm_cost}, weights
 
 
 @contextmanager
@@ -278,8 +280,8 @@ def execute(spec) -> dict:
         if state.violations:
             print(f"warning: {state.violations} capacity violations",
                   file=sys.stderr)
-        report = _verify(stream, state.assignment, k, kind == "hypergraph",
-                         hierarchy)
+        report, weights = _verify(stream, state.assignment, k,
+                                  kind == "hypergraph", hierarchy)
     report.update({
         "runtime_ms": ((t2 - t1) if spec.time_core else (t2 - t0)) * 1000.0,
         "algorithm": algorithm,
@@ -288,7 +290,7 @@ def execute(spec) -> dict:
         "seed": spec.seed,
         "runtime_total_ms": (t2 - t0) * 1000.0,
         "runtime_core_ms": (t2 - t1) * 1000.0,
-        "balanced": state.is_balanced(),
+        "balanced": max(weights) <= state.l_max,
         "violations": state.violations,
     })
     return report
@@ -330,7 +332,8 @@ def cmd_metrics(args) -> int:
         assignment = read_partition(args.partition, stream.header.n, k)
         if k is None:
             k = max(assignment) + 1
-        report = _verify(stream, assignment, k, args.hypergraph, hierarchy)
+        report, _ = _verify(stream, assignment, k, args.hypergraph,
+                            hierarchy)
     report.update({"runtime_ms": None, "algorithm": "metrics", "k": k,
                    "epsilon": args.epsilon, "seed": None})
     _emit(report, args)

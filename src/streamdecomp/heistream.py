@@ -51,7 +51,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .onepass import FennelParams, fennel_block, require_reiterable
+from .onepass import (FennelParams, fennel_block, fennel_penalties,
+                      require_reiterable)
 from .partition import UNASSIGNED, MinBlockHeap, PartitionState
 
 
@@ -337,11 +338,15 @@ def initial_partition(model: BatchModel, state: PartitionState,
     weights); nodes are visited in ascending id order; ties break to the
     lightest block, then the lowest index.  Scores see the ghost-inflated
     weights, but the hard capacity check only counts weight that will be
-    committed, so ghosts can never unbalance the real partition.
+    committed, so ghosts can never unbalance the real partition.  The
+    penalty table of ``bw`` is rewritten for the block each node joins.
     """
     nb = model.num_batch
     bw, true_bw = _seed_block_weights(model, [], state.k)
     by_bw = MinBlockHeap(bw)
+    pen = fennel_penalties(bw, params)
+    ag = params.alpha * params.gamma
+    gm1 = params.gamma - 1.0
     blocks = [UNASSIGNED] * nb
     for v in range(nb):
         gains: dict[int, float] = {}
@@ -351,13 +356,14 @@ def initial_partition(model: BatchModel, state: PartitionState,
                 gains[b] = gains.get(b, 0.0) + w
         wv = model.weight[v]
         tv = model.true_weight[v]
-        best = fennel_block(gains, bw, true_bw, state.l_max - tv, wv, params,
+        best = fennel_block(gains, bw, pen, true_bw, state.l_max - tv, wv,
                             by_bw.min_block())
         if best < 0:
             state.violations += 1
             best = min(range(state.k), key=lambda i: (true_bw[i], i))
         blocks[v] = best
         bw[best] += wv
+        pen[best] = ag * bw[best] ** gm1
         true_bw[best] += tv
         by_bw.update(best)
     return blocks
@@ -381,8 +387,7 @@ def _refine_level(model: BatchModel, blocks: list[int], bw: list[float],
     l_max = state.l_max
     ag = params.alpha * params.gamma
     gm1 = params.gamma - 1.0
-    # pen[b] is the Fennel penalty of bw[b], the factor fennel_gain applies.
-    pen = [ag * x ** gm1 for x in bw]
+    pen = fennel_penalties(bw, params)
     # Block of every model node; artificial node nb + j sits in block j.
     label = blocks + list(range(model.num_art))
     listed_by: list[list[int]] = [[] for _ in range(nb)]

@@ -4,6 +4,13 @@ Implements Hashing, LDG and a weighted generalization of Fennel, plus the
 restreaming variants ReLDG (per-pass block weights) and ReFennel (penalty
 scale grows per pass).  All assignment loops are strictly sequential: every
 decision reads the state left behind by the previous one.
+
+The Fennel and LDG kernels place a batch of records per call (a pass hands
+them ``SPOOL_CHUNK`` at a time) and score from a per-block table built once
+per pass: Fennel's penalty ``(alpha*gamma) * c(V_i) ** (gamma-1)``, LDG's
+free capacity ``1 - c(V_i)/L_max``.  A kernel rewrites a block's entry when
+it changes that block's weight, so every score is the float a per-node
+computation gives, and the partitions are the ones the per-node kernels made.
 """
 
 from __future__ import annotations
@@ -13,9 +20,12 @@ from collections import _count_elements
 from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import islice
 from typing import Optional
 
 from .partition import UNASSIGNED, PartitionState
+from .streams import SPOOL_CHUNK
 
 
 def fennel_alpha(n: int, m: int, k: int, gamma: float = 1.5) -> float:
@@ -98,31 +108,25 @@ def fennel_gain(weighted_degree_to_block: float, node_weight: int,
     return weighted_degree_to_block - node_weight * penalty
 
 
-def _gains_per_block(record, assignment) -> dict[int, float]:
-    """Total edge weight from ``record`` to each block, keyed in order of the
-    first neighbor in that block; unassigned neighbors count nowhere.
-
-    A row whose edges all weigh 1 is counted in C by ``_count_elements`` (the
-    helper behind ``Counter.update``).  Its integer counts convert to the same
-    floats as sums of 1.0 wherever they meet a float.
-    """
-    gains: dict[int, float] = {}
-    weights = record.weights
-    if weights.count(1) == len(weights):
-        _count_elements(gains, map(assignment.__getitem__, record.ids))
-        gains.pop(UNASSIGNED, None)
-        return gains
-    for v, w in zip(record.ids, weights):
-        block = assignment[v]
-        if block != UNASSIGNED:
-            gains[block] = gains.get(block, 0.0) + w
-    return gains
+def fennel_penalties(block_weight, params: FennelParams) -> list[float]:
+    """The penalty table ``pen[i] = (alpha*gamma) * bw[i] ** (gamma-1)``
+    of block weights ``bw``: the factor :func:`fennel_gain` applies, the
+    same float."""
+    ag = params.alpha * params.gamma
+    g1 = params.gamma - 1.0
+    return [ag * b ** g1 for b in block_weight]
 
 
-def fennel_block(gains: dict[int, float], bw: list, load: list, room: float,
-                 weight: float, params: FennelParams, lightest: int) -> int:
+def ldg_free(block_weight, l_max: int) -> list[float]:
+    """LDG's free-capacity table ``free[i] = 1 - bw[i] / L_max``."""
+    return [1.0 - b / l_max for b in block_weight]
+
+
+def fennel_block(gains: dict[int, float], bw: list, pen: list, load: list,
+                 room: float, weight: float, lightest: int) -> int:
     """The block with ``load[i] <= room`` of highest generalized Fennel score
-    ``gains[i] - weight * pen(bw[i])``, ties to the lighter ``bw`` and then
+    ``gains[i] - weight * pen[i]``, where ``pen`` is the penalty table of
+    ``bw`` (:func:`fennel_penalties`); ties to the lighter ``bw`` and then
     the lower index; -1 if none fits.
 
     ``lightest`` is the block of least ``(bw[i], i)``.  If it fits, it matches
@@ -134,70 +138,166 @@ def fennel_block(gains: dict[int, float], bw: list, load: list, room: float,
         gains = {i: gains.get(i, 0.0) for i in range(len(bw))}
     elif lightest not in gains:
         gains[lightest] = 0.0
-    # fennel_gain's penalty alpha*gamma*c(V_i)^(gamma-1), same float.
-    ag = params.alpha * params.gamma
-    g1 = params.gamma - 1.0
     best = -1
     best_score = best_bw = 0
     for i, g in gains.items():
         if load[i] > room:
             continue
         b = bw[i]
-        score = g - weight * (ag * b ** g1)
+        score = g - weight * pen[i]
         if (best < 0 or score > best_score or score == best_score
                 and (b < best_bw or b == best_bw and i < best)):
             best, best_score, best_bw = i, score, b
     return best
 
 
-def fennel_assign(record, state: PartitionState, params: FennelParams) -> int:
-    """Place a node in the block :func:`fennel_block` picks; with no block
-    that fits (the lightest is full, so all are), in the lightest, flagged."""
-    lightest = state.by_weight().min_block()
-    weight = record.weight
-    room = state.l_max - weight
-    if state.block_weight[lightest] > room:
-        state.violations += 1
-        best = lightest
-    else:
-        best = fennel_block(_gains_per_block(record, state.assignment),
-                            state.block_weight, state.block_weight, room,
-                            weight, params, lightest)
-    state.assign(record.id, best, weight)
-    return best
+# The batch kernels below count a node's neighbor blocks, pop the least
+# block of a MinBlockHeap and make PartitionState.assign's and unassign's
+# writes in their own loop, to spare a call per step.  A row whose edges all
+# weigh 1 is counted in C by ``_count_elements`` (the helper behind
+# ``Counter.update``); its integer counts convert to the same floats as sums
+# of 1.0 wherever they meet a float.  Each kernel keeps the state's heap of
+# the key it queries current and drops the other one, which its writes
+# would leave stale.
+
+def fennel_assign(records, state: PartitionState, params: FennelParams,
+                  pen: list, restream: bool = False) -> None:
+    """Place each of ``records`` in turn in the block :func:`fennel_block`
+    picks; with no block that fits (the lightest is full, so all are), in
+    the lightest, flagged.
+
+    ``pen`` is the penalty table of ``state.block_weight`` under ``params``;
+    the kernel rewrites the entry of each block whose weight it changes.
+    With ``restream`` each node first leaves its block (ReFennel).
+    """
+    assignment = state.assignment
+    block_weight = state.block_weight
+    block_count = state.block_count
+    order = state.by_weight()
+    state._by_count = None
+    heap = order.heap
+    limit = 4 * state.k
+    l_max = state.l_max
+    ag = params.alpha * params.gamma
+    g1 = params.gamma - 1.0
+    block_of = assignment.__getitem__
+    for record in records:
+        node = record.id
+        weight = record.weight
+        if restream:
+            old = assignment[node]
+            if old == UNASSIGNED:
+                raise AssertionError(f"node {node} not assigned")
+            assignment[node] = UNASSIGNED
+            bw = block_weight[old] = block_weight[old] - weight
+            block_count[old] -= 1
+            pen[old] = ag * bw ** g1
+            heappush(heap, (bw, old))
+            if len(heap) > limit:
+                order.rebuild()
+                heap = order.heap
+        while True:
+            bw, lightest = heap[0]
+            if block_weight[lightest] == bw:
+                break
+            heappop(heap)
+        room = l_max - weight
+        if bw > room:
+            state.violations += 1
+            best = lightest
+        else:
+            weights = record.weights
+            gains: dict[int, float] = {}
+            if weights.count(1) == len(weights):
+                _count_elements(gains, map(block_of, record.ids))
+                gains.pop(UNASSIGNED, None)
+            else:
+                for v, w in zip(record.ids, weights):
+                    block = assignment[v]
+                    if block != UNASSIGNED:
+                        gains[block] = gains.get(block, 0.0) + w
+            best = fennel_block(gains, block_weight, pen, block_weight, room,
+                                weight, lightest)
+        if assignment[node] != UNASSIGNED:
+            raise AssertionError(f"node {node} already assigned")
+        assignment[node] = best
+        bw = block_weight[best] = block_weight[best] + weight
+        block_count[best] += 1
+        pen[best] = ag * bw ** g1
+        heappush(heap, (bw, best))
+        if len(heap) > limit:
+            order.rebuild()
+            heap = order.heap
 
 
-def ldg_assign(record, state: PartitionState) -> int:
-    """Linear deterministic greedy: affinity times (1 - c(V_i)/L_max).
+def ldg_assign(records, state: PartitionState, free: list,
+               restream: bool = False) -> None:
+    """Linear deterministic greedy: place each of ``records`` in turn in
+    the block of highest affinity times ``free[i]``.
+
+    ``free`` is the free-capacity table (:func:`ldg_free`) of
+    ``state.block_weight``; the kernel rewrites the entry of each block
+    it fills.  With ``restream`` each node is first marked unassigned (a
+    ReLDG pass, which starts from cleared blocks).
 
     Ties go to the block with fewer nodes (as LDG defines), then lowest index.
     With edge weights >= 1 a feasible neighbor block scores > 0 and every
     other block 0, so only neighbor blocks are scored; without a feasible
     one the answer is the fewest-nodes block, lowest index first.
     """
-    gains = _gains_per_block(record, state.assignment)
-    weight = record.weight
-    l_max = state.l_max
-    room = l_max - weight
+    assignment = state.assignment
     block_weight = state.block_weight
     block_count = state.block_count
-    best = -1
-    best_score = best_count = 0
-    for i, g in gains.items():
-        bw = block_weight[i]
-        if bw > room:
-            continue
-        score = g * (1.0 - bw / l_max)
-        if (best < 0 or score > best_score or score == best_score
-                and (block_count[i] < best_count
-                     or block_count[i] == best_count and i < best)):
-            best, best_score, best_count = i, score, block_count[i]
-    if best < 0:
-        best = state.by_count().min_block()
-        if block_weight[best] > room:
-            best = _fewest_feasible(record, state)
-    state.assign(record.id, best, weight)
-    return best
+    order = state.by_count()
+    state._by_weight = None
+    heap = order.heap
+    limit = 4 * state.k
+    l_max = state.l_max
+    block_of = assignment.__getitem__
+    for record in records:
+        node = record.id
+        weight = record.weight
+        if restream:
+            assignment[node] = UNASSIGNED
+        weights = record.weights
+        gains: dict[int, float] = {}
+        if weights.count(1) == len(weights):
+            _count_elements(gains, map(block_of, record.ids))
+            gains.pop(UNASSIGNED, None)
+        else:
+            for v, w in zip(record.ids, weights):
+                block = assignment[v]
+                if block != UNASSIGNED:
+                    gains[block] = gains.get(block, 0.0) + w
+        room = l_max - weight
+        best = -1
+        best_score = best_count = 0
+        for i, g in gains.items():
+            if block_weight[i] > room:
+                continue
+            score = g * free[i]
+            if (best < 0 or score > best_score or score == best_score
+                    and (block_count[i] < best_count
+                         or block_count[i] == best_count and i < best)):
+                best, best_score, best_count = i, score, block_count[i]
+        if best < 0:
+            while True:
+                count, best = heap[0]
+                if block_count[best] == count:
+                    break
+                heappop(heap)
+            if block_weight[best] > room:
+                best = _fewest_feasible(record, state)
+        if assignment[node] != UNASSIGNED:
+            raise AssertionError(f"node {node} already assigned")
+        assignment[node] = best
+        bw = block_weight[best] = block_weight[best] + weight
+        count = block_count[best] = block_count[best] + 1
+        free[best] = 1.0 - bw / l_max
+        heappush(heap, (count, best))
+        if len(heap) > limit:
+            order.rebuild()
+            heap = order.heap
 
 
 def _fewest_feasible(record, state: PartitionState) -> int:
@@ -212,19 +312,33 @@ def _fewest_feasible(record, state: PartitionState) -> int:
     return min(range(state.k), key=lambda i: (state.block_weight[i], i))
 
 
+def _place_pass(stream, algorithm: str, state: PartitionState,
+                params: FennelParams, restream: bool = False) -> None:
+    """One pass of Fennel or LDG over ``stream``: one penalty (Fennel) or
+    free-capacity (LDG) table for the pass, then the kernel once per
+    ``SPOOL_CHUNK`` records."""
+    records = iter(stream)
+    if algorithm == "ldg":
+        free = ldg_free(state.block_weight, state.l_max)
+        while batch := list(islice(records, SPOOL_CHUNK)):
+            ldg_assign(batch, state, free, restream)
+    else:
+        pen = fennel_penalties(state.block_weight, params)
+        while batch := list(islice(records, SPOOL_CHUNK)):
+            fennel_assign(batch, state, params, pen, restream)
+
+
 def run_onepass(stream, config: OnePassConfig, state: PartitionState,
                 params: FennelParams) -> PartitionState:
     """One full pass assigning every streamed node. Returns the final state."""
+    if config.algorithm != "hashing":
+        _place_pass(stream, config.algorithm, state, params)
+        return state
     for record in stream:
-        if config.algorithm == "hashing":
-            block = hashing_assign(record.id, state.k)
-            state.assign(record.id, block, record.weight)
-            if state.block_weight[block] > state.l_max:
-                state.violations += 1   # hashing ignores weights; flag it
-        elif config.algorithm == "ldg":
-            ldg_assign(record, state)
-        else:
-            fennel_assign(record, state, params)
+        block = hashing_assign(record.id, state.k)
+        state.assign(record.id, block, record.weight)
+        if state.block_weight[block] > state.l_max:
+            state.violations += 1   # hashing ignores weights; flag it
     return state
 
 
@@ -256,15 +370,11 @@ def run_restream(stream, config: OnePassConfig, state: PartitionState,
             # The pass places every node again, so its weights end as the
             # totals; the assignment keeps serving neighbor lookups.
             state.clear_blocks()
-            for record in stream:
-                state.assignment[record.id] = UNASSIGNED
-                ldg_assign(record, state)
+            _place_pass(stream, "ldg", state, params, restream=True)
         else:
             pass_params = FennelParams(gamma=params.gamma,
                                        alpha=params.alpha * growth ** p)
-            for record in stream:
-                state.unassign(record.id, record.weight)
-                fennel_assign(record, state, pass_params)
+            _place_pass(stream, "fennel", state, pass_params, restream=True)
     return state
 
 

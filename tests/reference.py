@@ -19,7 +19,10 @@ the two k x k PE distance matrices are built with numpy, which only the
 tests need, and the OMS tree is built by a stack walk, with heights and
 per-run constants set by two more walks.  A node-per-line file is parsed
 one line at a time, each through ``streams._parse_line``, as the stream did
-before it converted a chunk of lines at a time.
+before it converted a chunk of lines at a time.  The record-at-a-time
+Fennel and LDG kernels place one record per call through
+``PartitionState``'s own methods and compute each penalty or free capacity
+where they score it, as the kernels did before they took batches and tables.
 
 The consistency checks at the end recompute production state from scratch.
 """
@@ -37,8 +40,7 @@ from streamdecomp.freight import SortedBlocks
 from streamdecomp.heistream import BatchModel, _seed_block_weights
 from streamdecomp.multisection import TreeBlock, _hash_child, \
     heterogeneous_alpha
-from streamdecomp.onepass import FennelParams, fennel_gain, ldg_assign, \
-    run_onepass
+from streamdecomp.onepass import FennelParams, fennel_gain, run_onepass
 from streamdecomp.partition import UNASSIGNED, PartitionState
 from streamdecomp.streams import FormatError, StreamedNodeRecord, \
     _expect_end, _header, _nonempty, _parse_line, _tokens
@@ -100,6 +102,110 @@ def scan_ldg_assign(record, state: PartitionState) -> int:
     return best
 
 
+def record_fennel_block(gains: dict[int, float], bw: list, load: list,
+                        room: float, weight: float, params: FennelParams,
+                        lightest: int) -> int:
+    """Fennel's k-independent block selection with each scored block's
+    penalty computed from ``params``: the oracle of ``onepass.fennel_block``,
+    which reads a penalty table.  Same candidates, floats and ties."""
+    if load[lightest] > room:
+        gains = {i: gains.get(i, 0.0) for i in range(len(bw))}
+    elif lightest not in gains:
+        gains[lightest] = 0.0
+    ag = params.alpha * params.gamma
+    g1 = params.gamma - 1.0
+    best = -1
+    best_score = best_bw = 0
+    for i, g in gains.items():
+        if load[i] > room:
+            continue
+        b = bw[i]
+        score = g - weight * (ag * b ** g1)
+        if (best < 0 or score > best_score or score == best_score
+                and (b < best_bw or b == best_bw and i < best)):
+            best, best_score, best_bw = i, score, b
+    return best
+
+
+def record_fennel_assign(record, state: PartitionState,
+                         params: FennelParams) -> int:
+    """Fennel one record per call, through ``state.by_weight()`` and
+    ``state.assign``: the oracle of the batch kernel ``onepass.fennel_assign``.
+    """
+    lightest = state.by_weight().min_block()
+    weight = record.weight
+    room = state.l_max - weight
+    if state.block_weight[lightest] > room:
+        state.violations += 1
+        best = lightest
+    else:
+        best = record_fennel_block(_neighbor_gains(record, state.assignment),
+                                   state.block_weight, state.block_weight,
+                                   room, weight, params, lightest)
+    state.assign(record.id, best, weight)
+    return best
+
+
+def record_ldg_assign(record, state: PartitionState) -> int:
+    """LDG one record per call, scoring the neighbor blocks by
+    ``1 - c(V_i)/L_max`` computed per block, through ``state.by_count()``
+    and ``state.assign``: the oracle of the batch kernel
+    ``onepass.ldg_assign``."""
+    gains = _neighbor_gains(record, state.assignment)
+    weight = record.weight
+    l_max = state.l_max
+    room = l_max - weight
+    block_weight = state.block_weight
+    block_count = state.block_count
+    best = -1
+    best_score = best_count = 0
+    for i, g in gains.items():
+        bw = block_weight[i]
+        if bw > room:
+            continue
+        score = g * (1.0 - bw / l_max)
+        if (best < 0 or score > best_score or score == best_score
+                and (block_count[i] < best_count
+                     or block_count[i] == best_count and i < best)):
+            best, best_score, best_count = i, score, block_count[i]
+    if best < 0:
+        best = state.by_count().min_block()
+        if block_weight[best] > room:
+            feasible = [i for i in range(state.k)
+                        if block_weight[i] + weight <= l_max]
+            best = min(feasible, key=lambda i: (block_count[i], i)) \
+                if feasible else _exhaustion_fallback(state)
+    state.assign(record.id, best, weight)
+    return best
+
+
+def run_records(stream, config, state: PartitionState, params: FennelParams,
+                fennel, ldg) -> PartitionState:
+    """Fennel or LDG and their restreaming, one record per kernel call:
+    ``config.passes`` passes, a later one unassigning each node before
+    placing it (ReFennel, alpha times ``restream_alpha_growth`` per pass) or
+    placing every node again into cleared blocks (ReLDG).  The oracle of
+    ``onepass.run_onepass`` and ``run_restream``; ``fennel`` and ``ldg`` are
+    per-record kernels."""
+    growth = config.restream_alpha_growth
+    for p in range(config.passes):
+        if config.algorithm == "ldg":
+            if p:
+                state.clear_blocks()
+            for record in stream:
+                if p:
+                    state.assignment[record.id] = UNASSIGNED
+                ldg(record, state)
+        else:
+            pass_params = FennelParams(gamma=params.gamma,
+                                       alpha=params.alpha * growth ** p)
+            for record in stream:
+                if p:
+                    state.unassign(record.id, record.weight)
+                fennel(record, state, pass_params)
+    return state
+
+
 def shadow_reldg(stream, config, state: PartitionState,
                  params: FennelParams) -> PartitionState:
     """Oracle of ReLDG in ``onepass.run_restream``: each later pass scores
@@ -112,7 +218,7 @@ def shadow_reldg(stream, config, state: PartitionState,
         current.assignment = state.assignment
         for record in stream:
             state.unassign(record.id, record.weight)
-            new = ldg_assign(record, current)
+            new = record_ldg_assign(record, current)
             # current shares the assignment array and already wrote it
             state.assignment[record.id] = UNASSIGNED
             state.assign(record.id, new, record.weight)

@@ -452,14 +452,15 @@ def test_c12_fennel_k_independence(monkeypatch):
     """Graph Fennel scores only a node's neighbor blocks plus the lightest
     block, at k=512 as at k=4096, in the first and in a ReFennel pass.
 
-    Counted, not timed: ``fennel_assign`` scores the blocks of the gains
-    dict ``_gains_per_block`` hands it, so counting the entries it iterates
-    is exact where a wall-clock ratio would be noisy.
+    Counted, not timed: ``fennel_block`` scores the blocks of the gains
+    dict ``fennel_assign`` hands it, so counting the entries it iterates
+    is exact where a wall-clock ratio would be noisy.  Batches of one record
+    tell the nodes apart.
     """
     graph = random_graph(random.Random(212), 6000, 15000)
     n, m = graph.header.n, graph.header.m
     blocks_scored = [0]
-    gains_per_block = onepass._gains_per_block
+    select = onepass.fennel_block
     assign = onepass.fennel_assign
 
     class ScoredGains(dict):
@@ -468,20 +469,21 @@ def test_c12_fennel_k_independence(monkeypatch):
                 blocks_scored[0] += 1
                 yield item
 
-    def counting_gains(record, assignment):
-        return ScoredGains(gains_per_block(record, assignment))
+    def counting_select(gains, *args):
+        return select(ScoredGains(gains), *args)
 
-    def checked_assign(record, state, params):
+    def checked_assign(records, state, params, pen, restream=False):
+        record, = records
         blocks = {state.assignment[v] for v in record.ids}
         blocks.discard(UNASSIGNED)
         before = blocks_scored[0]
-        block = assign(record, state, params)
+        assign(records, state, params, pen, restream)
         assert 1 <= blocks_scored[0] - before <= len(blocks) + 1, \
             f"node {record.id} at k={state.k}"
-        return block
 
-    monkeypatch.setattr(onepass, "_gains_per_block", counting_gains)
+    monkeypatch.setattr(onepass, "fennel_block", counting_select)
     monkeypatch.setattr(onepass, "fennel_assign", checked_assign)
+    monkeypatch.setattr(onepass, "SPOOL_CHUNK", 1)
     scored = {}
     for k in (512, 4096):
         blocks_scored[0] = 0

@@ -581,9 +581,9 @@ class TestCliErrors:
         assert (f"internal invariant failure: AssertionError('{message}')"
                 in capsys.readouterr().err)
 
-    # The reported imbalance is recounted by the verification, not read
-    # from the run's block weights: a runner whose bookkeeping is off by 5
-    # after the run still reports the imbalance of the partition it wrote.
+    # The reported imbalance and balance are recounted by the verification,
+    # not read from the run's block weights: a runner whose bookkeeping is
+    # off by 5 after the run still reports those of the partition it wrote.
     @pytest.mark.parametrize("core", [[], ["--time-core"]],
                              ids=["file", "time-core"])
     @pytest.mark.parametrize("node_weights", [False, True],
@@ -621,8 +621,10 @@ class TestCliErrors:
         recount = [0] * 4
         for v, block in enumerate(read_partition(str(part), n, 4)):
             recount[block] += weights[v]
-        assert json.loads(report.read_text())["imbalance"] == \
-            max(recount) * 4 / sum(recount) - 1.0
+        reported = json.loads(report.read_text())
+        assert reported["imbalance"] == max(recount) * 4 / sum(recount) - 1.0
+        assert reported["balanced"] is (
+            max(recount) <= compute_lmax(sum(recount), 4, reported["epsilon"]))
 
     def test_map_warns_on_capacity_violations(self, tmp_path, capsys):
         # c(V) = 4, k = 2, eps = 0: L_max = 2, so the weight-3 node overloads

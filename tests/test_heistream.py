@@ -274,8 +274,8 @@ class TestInitialPartition:
         fits_elsewhere = [0]
         select = hs.fennel_block
 
-        def counted(gains, bw, load, room, weight, params, lightest):
-            best = select(gains, bw, load, room, weight, params, lightest)
+        def counted(gains, bw, pen, load, room, weight, lightest):
+            best = select(gains, bw, pen, load, room, weight, lightest)
             fits_elsewhere[0] += load[lightest] > room and best >= 0
             return best
 
@@ -342,9 +342,9 @@ class TestInitialPartition:
                     scored[-1][0] += 1
                     yield item
 
-        def counted(gains, bw, load, room, weight, params, lightest):
+        def counted(gains, bw, pen, load, room, weight, lightest):
             scored.append([0, load[lightest] > room])
-            return select(ScoredGains(gains), bw, load, room, weight, params,
+            return select(ScoredGains(gains), bw, pen, load, room, weight,
                           lightest)
 
         calls = []

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -7,15 +8,50 @@ import pytest
 from streamdecomp import onepass
 from streamdecomp.metrics import edge_cut
 from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
-                                  fennel_assign, fennel_gain, hashing_assign,
-                                  ldg_assign, run_onepass, run_restream)
-from streamdecomp.partition import UNASSIGNED, PartitionState
+                                  fennel_assign, fennel_gain, fennel_penalties,
+                                  hashing_assign, ldg_assign, ldg_free,
+                                  run_onepass, run_restream)
+from streamdecomp.partition import UNASSIGNED, MinBlockHeap, PartitionState
 from streamdecomp.streams import (MemoryStream, StreamedNodeRecord,
                                    StreamHeader, open_graph_stream)
 
 from generators import graph_stream_from_edges, random_graph, run_setup
 from reference import (_neighbor_gains, check_consistency,
+                       record_fennel_assign, record_ldg_assign, run_records,
                        scan_fennel_assign, scan_ldg_assign, shadow_reldg)
+
+
+def place_fennel(records, state, params):
+    """Fennel on ``records`` in one kernel call, from the penalty table of
+    the state's block weights; the blocks the records land in."""
+    fennel_assign(records, state, params,
+                  fennel_penalties(state.block_weight, params))
+    return [state.assignment[r.id] for r in records]
+
+
+def place_ldg(records, state):
+    """LDG on ``records`` in one kernel call, from the free-capacity table
+    of the state's block weights; the blocks the records land in."""
+    ldg_assign(records, state, ldg_free(state.block_weight, state.l_max))
+    return [state.assignment[r.id] for r in records]
+
+
+def handed_gains(monkeypatch, record, state, params):
+    """Place ``record`` by Fennel and return its block and the gains dict
+    the kernel handed ``fennel_block`` (copied before the selection adds
+    the lightest block), or ``None`` if it handed none."""
+    handed = []
+    select = onepass.fennel_block
+
+    def capture(gains, *args):
+        handed.append(dict(gains))
+        return select(gains, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(onepass, "fennel_block", capture)
+        block, = place_fennel([record], state, params)
+    assert len(handed) <= 1
+    return block, handed[0] if handed else None
 
 
 class TestHashing:
@@ -56,13 +92,13 @@ class TestLdg:
         state.assign(1, 1, 9)
         state.assign(2, 1, 9)
         record = StreamedNodeRecord(3, 1, [0, 1, 2], [1, 1, 1])
-        assert ldg_assign(record, state) == 0
+        assert place_ldg([record], state) == [0]
 
     def test_neighbor_free_node_goes_to_lightest(self):
         state = PartitionState(4, 3, 1.0, 4)
         state.assign(0, 0, 2)
         state.assign(1, 1, 1)
-        assert ldg_assign(StreamedNodeRecord(2, 1, [], []), state) == 2
+        assert place_ldg([StreamedNodeRecord(2, 1, [], [])], state) == [2]
 
     def test_matches_straight_line_simulation(self):
         # independent reimplementation: plain dicts, no shared helpers
@@ -70,7 +106,7 @@ class TestLdg:
         stream = random_graph(rng, 100, 300)
         k, eps = 4, 0.1
         state = PartitionState(100, k, eps, 100)
-        got = [ldg_assign(r, state) for r in stream]
+        got = place_ldg(list(stream), state)
 
         lmax = math.ceil((1 + eps) * 100 / k)
         assign = {}
@@ -134,15 +170,15 @@ class TestFennelAssign:
     def test_empty_blocks_tie_to_block_zero(self):
         state = PartitionState(4, 3, 1.0, 4)
         params = FennelParams(alpha=0.5)
-        assert fennel_assign(StreamedNodeRecord(0, 1, [], []), state,
-                             params) == 0
+        assert place_fennel([StreamedNodeRecord(0, 1, [], [])], state,
+                            params) == [0]
 
     def test_single_neighbor_attracts(self):
         state = PartitionState(4, 4, 3.0, 4)
         params = FennelParams(alpha=0.1)
         state.assign(0, 2, 1)
-        assert fennel_assign(StreamedNodeRecord(1, 1, [0], [1]), state,
-                             params) == 2
+        assert place_fennel([StreamedNodeRecord(1, 1, [0], [1])], state,
+                            params) == [2]
 
     @pytest.mark.parametrize("k", [2, 8])
     def test_matches_bruteforce_argmax_oracle(self, k):
@@ -150,7 +186,7 @@ class TestFennelAssign:
         stream = random_graph(rng, 200, 600)
         state, params = run_setup(stream, k)
         alpha = params.alpha
-        got = [fennel_assign(r, state, params) for r in stream]
+        got = place_fennel(list(stream), state, params)
 
         lmax = state.l_max
         assign = {}
@@ -177,7 +213,8 @@ class TestFennelAssign:
         """Counted as C12 counts: at k=64 and epsilon 0 on a node-weighted
         graph, a node the lightest block cannot take scores no block (every
         block is full then) and lands there, flagged; every other node
-        scores through one ``fennel_block`` call."""
+        scores through one ``fennel_block`` call.  Batches of one record
+        tell the nodes apart."""
         select, assign = onepass.fennel_block, onepass.fennel_assign
         calls = [0]
 
@@ -187,11 +224,15 @@ class TestFennelAssign:
 
         nodes = {"violating": 0, "placed": 0}
 
-        def checked(record, state, params):
+        def checked(records, state, params, pen, restream=False):
+            record, = records
             before = (calls[0], state.violations)
-            lightest = min(range(state.k),
-                           key=lambda i: (state.block_weight[i], i))
-            block = assign(record, state, params)
+            weights = list(state.block_weight)
+            if restream:   # the kernel takes the node out first
+                weights[state.assignment[record.id]] -= record.weight
+            lightest = min(range(state.k), key=lambda i: (weights[i], i))
+            assign(records, state, params, pen, restream)
+            block = state.assignment[record.id]
             scored = calls[0] - before[0]
             if state.violations > before[1]:
                 assert (scored, block) == (0, lightest), f"node {record.id}"
@@ -199,10 +240,10 @@ class TestFennelAssign:
             else:
                 assert scored == 1, f"node {record.id}"
                 nodes["placed"] += 1
-            return block
 
         monkeypatch.setattr(onepass, "fennel_block", counted)
         monkeypatch.setattr(onepass, "fennel_assign", checked)
+        monkeypatch.setattr(onepass, "SPOOL_CHUNK", 1)
         stream = random_graph(random.Random(64), 2000, 5000,
                               max_edge_weight=5, max_node_weight=20)
         state = run_restream(stream, OnePassConfig(algorithm="fennel",
@@ -254,8 +295,9 @@ class TestRunOnepass:
         stream = random_graph(rng, 120, 360)
         k = 4
         state, params = run_setup(stream, k)
+        pen = fennel_penalties(state.block_weight, params)
         for record in stream:
-            fennel_assign(record, state, params)
+            fennel_assign([record], state, params, pen)
             assert state.max_block_weight() <= state.l_max
 
 
@@ -375,11 +417,11 @@ def _outcome(state):
 class TestCandidateSelection:
     """fennel_assign / ldg_assign against the O(k) scans in tests/reference."""
 
-    def _compare(self, monkeypatch, stream, algorithm, k, epsilon, passes):
-        with monkeypatch.context() as mp:
-            mp.setattr(onepass, "fennel_assign", scan_fennel_assign)
-            mp.setattr(onepass, "ldg_assign", scan_ldg_assign)
-            expected = _partition(stream, algorithm, k, epsilon, passes)
+    def _compare(self, stream, algorithm, k, epsilon, passes):
+        expected = run_records(
+            stream, OnePassConfig(algorithm=algorithm, passes=passes),
+            *run_setup(stream, k, epsilon), scan_fennel_assign,
+            scan_ldg_assign)
         got = _partition(stream, algorithm, k, epsilon, passes)
         assert _outcome(got) == _outcome(expected), (algorithm, k, epsilon,
                                                      passes)
@@ -387,7 +429,7 @@ class TestCandidateSelection:
 
     @pytest.mark.parametrize("weighted", [False, True, "mixed"])
     @pytest.mark.parametrize("passes", [1, 3])
-    def test_random_graphs_match_scan(self, monkeypatch, weighted, passes):
+    def test_random_graphs_match_scan(self, weighted, passes):
         # "mixed" draws edge weights 1-2, so rows whose edges all weigh 1
         # (counted in C) sit next to weighted rows in one graph
         max_edge_weight, max_node_weight, salt = {
@@ -404,8 +446,7 @@ class TestCandidateSelection:
             k = rng.choice([2, 3, 8, 17, 64, 256, 512])
             epsilon = (0.0, 0.03, 0.5)[trial % 3]
             for algorithm in ("fennel", "ldg"):
-                self._compare(monkeypatch, stream, algorithm, k, epsilon,
-                              passes)
+                self._compare(stream, algorithm, k, epsilon, passes)
 
     def test_weighted_eps0_reaches_both_fallbacks(self, monkeypatch):
         # eps=0 with weights 1..20 leaves late nodes without a feasible block
@@ -428,8 +469,7 @@ class TestCandidateSelection:
                                   max_node_weight=20)
             for algorithm in violations:
                 for passes in (1, 3):
-                    state = self._compare(monkeypatch, stream, algorithm, 8,
-                                          0.0, passes)
+                    state = self._compare(stream, algorithm, 8, 0.0, passes)
                     violations[algorithm] += state.violations
         assert violations["fennel"] > 0 and violations["ldg"] > 0
         assert True in scans and False in scans
@@ -439,9 +479,9 @@ class TestCandidateSelection:
         state.assign(0, 0, 4)                      # block 0: 1 node, weight 4
         state.assign(1, 1, 1)
         state.assign(2, 1, 1)                      # block 1: 2 nodes, weight 2
-        assert ldg_assign(StreamedNodeRecord(3, 2, [], []), state) == 1
+        assert place_ldg([StreamedNodeRecord(3, 2, [], [])], state) == [1]
         assert state.violations == 0
-        assert ldg_assign(StreamedNodeRecord(4, 9, [], []), state) == 0
+        assert place_ldg([StreamedNodeRecord(4, 9, [], [])], state) == [0]
         assert state.violations == 1    # nothing fits: lightest, lowest index
 
     def test_fennel_lightest_neighbor_block_dominates(self):
@@ -453,8 +493,8 @@ class TestCandidateSelection:
         state.assign(1, 2, 1)
         state.assign(2, 3, 1)
         state.assign(3, 0, 1)
-        assert fennel_assign(StreamedNodeRecord(4, 1, [1], [1]), state,
-                             params) == 2
+        assert place_fennel([StreamedNodeRecord(4, 1, [1], [1])], state,
+                            params) == [2]
 
     @pytest.mark.parametrize("algorithm", ["fennel", "ldg"])
     def test_item_weight_flag_changes_nothing(self, tmp_path, algorithm):
@@ -486,25 +526,29 @@ class TestCandidateSelection:
         assert outcomes[1::2] == [outcomes[1]] * 4
 
     @pytest.mark.parametrize("weights", [[1, 1], [2, 3]])
-    def test_unassigned_and_empty_rows(self, weights):
+    def test_unassigned_and_empty_rows(self, monkeypatch, weights):
         # the counted path (all 1) and the summed path (weighted) both drop
         # unassigned neighbors; an empty row scores no neighbor block
         params = FennelParams(alpha=0.5)
         for row in (StreamedNodeRecord(0, 1, [1, 2], weights),
                     StreamedNodeRecord(0, 1, [], [])):
-            for kernel, scan, args in (
-                    (fennel_assign, scan_fennel_assign, (params,)),
-                    (ldg_assign, scan_ldg_assign, ())):
+            for algorithm in ("fennel", "ldg"):
                 got, expected = (PartitionState(4, 3, 1.0, 4)
                                  for _ in range(2))
                 for state in (got, expected):
                     state.assign(3, 2, 1)
-                assert onepass._gains_per_block(row, got.assignment) == {}
-                assert kernel(row, got, *args) == scan(row, expected, *args)
+                if algorithm == "fennel":
+                    block, gains = handed_gains(monkeypatch, row, got, params)
+                    assert gains == {}
+                    assert block == scan_fennel_assign(row, expected, params)
+                else:
+                    assert place_ldg([row], got) == \
+                        [scan_ldg_assign(row, expected)]
                 assert _outcome(got) == _outcome(expected)
 
     @pytest.mark.parametrize("weights", [[1, 1, 1], [2, 1]])
-    def test_fennel_tie_goes_to_lighter_higher_block(self, weights):
+    def test_fennel_tie_goes_to_lighter_higher_block(self, monkeypatch,
+                                                     weights):
         # gamma=2, alpha=0.5: the score is g - c(V_i); block 0 (weight 3,
         # gain 2) and block 1 (weight 2, gain 1) tie at -1, block 0 is seen
         # first, the lighter block 1 wins
@@ -514,9 +558,9 @@ class TestCandidateSelection:
             state.assign(node, block, 1)
         ids = [0, 1, 3] if len(weights) == 3 else [0, 3]
         record = StreamedNodeRecord(5, 1, ids, weights)
-        assert list(onepass._gains_per_block(record, state.assignment)) == \
-            [0, 1]
-        assert fennel_assign(record, state, params) == 1
+        block, gains = handed_gains(monkeypatch, record, state, params)
+        assert list(gains) == [0, 1]
+        assert block == 1
 
     @pytest.mark.parametrize("weights", [[1, 1], [3, 3]])
     def test_ldg_tie_goes_to_fewer_nodes_higher_block(self, weights):
@@ -527,25 +571,31 @@ class TestCandidateSelection:
             state.assign(node, 0, 1)
         state.assign(4, 1, 4)
         record = StreamedNodeRecord(5, 1, [0, 4], weights)
-        assert ldg_assign(record, state) == 1
+        assert place_ldg([record], state) == [1]
 
 
 class TestGainsPerBlock:
-    """``_gains_per_block`` against the loop it replaced on unit rows."""
+    """The Fennel kernel's neighbor-block gains, as it hands them to
+    ``fennel_block``, against the loop that sums a row entry by entry."""
 
     @pytest.mark.parametrize("max_weight", [1, 2, 5])
-    def test_matches_reference_loop(self, max_weight):
+    def test_matches_reference_loop(self, monkeypatch, max_weight):
         rng = random.Random(500 + max_weight)
+        params = FennelParams(alpha=0.5)
         for _ in range(300):
             n, k = rng.randint(1, 60), rng.randint(1, 9)
-            assignment = [rng.choice([UNASSIGNED, rng.randrange(k)])
-                          for _ in range(n)]
+            # node n is the record; L_max >= n + 1 leaves every block room
+            state = PartitionState(n + 1, k, float(k), n + 1)
+            for v in range(n):
+                block = rng.choice([UNASSIGNED, rng.randrange(k)])
+                if block != UNASSIGNED:
+                    state.assign(v, block)
             degree = rng.randint(0, n)
             record = StreamedNodeRecord(
-                0, 1, rng.sample(range(n), degree),
+                n, 1, rng.sample(range(n), degree),
                 [rng.randint(1, max_weight) for _ in range(degree)])
-            got = onepass._gains_per_block(record, assignment)
-            expected = _neighbor_gains(record, assignment)
+            expected = _neighbor_gains(record, state.assignment)
+            _, got = handed_gains(monkeypatch, record, state, params)
             assert list(got.items()) == list(expected.items())
             # counts and sums meet floats as the same values
             assert [0.5 - g for g in got.values()] == \
@@ -553,30 +603,157 @@ class TestGainsPerBlock:
 
 
 class TestEntryPoints:
-    """The pass loops call the module-level kernels once per node per pass,
-    so a tracer that rebinds them sees every node."""
+    """A pass calls the module-level kernel once per ``SPOOL_CHUNK``
+    records, in stream order, with one table for the whole pass, so a
+    tracer that rebinds the kernels sees every node."""
 
     @pytest.mark.parametrize("algorithm", ["fennel", "ldg"])
     @pytest.mark.parametrize("passes", [1, 3])
-    def test_kernel_called_once_per_node_per_pass(self, monkeypatch,
-                                                  algorithm, passes):
-        calls = {"fennel": 0, "ldg": 0}
+    def test_kernel_called_once_per_batch_per_pass(self, monkeypatch,
+                                                   algorithm, passes):
+        calls = {"fennel": [], "ldg": []}
         fennel, ldg = onepass.fennel_assign, onepass.ldg_assign
 
-        def counted_fennel(record, state, params):
-            calls["fennel"] += 1
-            return fennel(record, state, params)
+        def counted_fennel(records, state, params, pen, restream=False):
+            calls["fennel"].append(([r.id for r in records], pen, restream))
+            fennel(records, state, params, pen, restream)
 
-        def counted_ldg(record, state):
-            calls["ldg"] += 1
-            return ldg(record, state)
+        def counted_ldg(records, state, free, restream=False):
+            calls["ldg"].append(([r.id for r in records], free, restream))
+            ldg(records, state, free, restream)
 
         monkeypatch.setattr(onepass, "fennel_assign", counted_fennel)
         monkeypatch.setattr(onepass, "ldg_assign", counted_ldg)
+        monkeypatch.setattr(onepass, "SPOOL_CHUNK", 16)
         stream = random_graph(random.Random(71), 90, 250)
         state, params = run_setup(stream, 4)
         config = OnePassConfig(algorithm=algorithm, passes=passes)
         run = run_restream if passes > 1 else run_onepass
         run(stream, config, state, params)
         other = "ldg" if algorithm == "fennel" else "fennel"
-        assert calls == {algorithm: 90 * passes, other: 0}
+        assert calls[other] == [] and len(calls[algorithm]) == 6 * passes
+        batches = [list(range(start, min(start + 16, 90)))
+                   for start in range(0, 90, 16)]
+        tables = []
+        for p in range(passes):
+            made = calls[algorithm][6 * p:6 * p + 6]
+            assert [ids for ids, _, _ in made] == batches
+            assert all(table is made[0][1] for _, table, _ in made)
+            assert {restream for *_, restream in made} == {p > 0}
+            tables.append(made[0][1])
+        assert len({id(table) for table in tables}) == passes
+
+
+# node and edge weights drawn up to: unit, and those of a METIS fmt-11 file
+LOCKSTEP_WEIGHTS = {"unit": (1, 1), "fmt11": (20, 5)}
+
+
+@functools.lru_cache(maxsize=None)
+def _lockstep_graph(weights):
+    max_node_weight, max_edge_weight = LOCKSTEP_WEIGHTS[weights]
+    return random_graph(random.Random(f"lockstep-{weights}"), 400, 1200,
+                        max_edge_weight=max_edge_weight,
+                        max_node_weight=max_node_weight)
+
+
+def _lockstep(stream, algorithm, k, epsilon, batch, passes, growth=2.0):
+    """Run a batch kernel ``batch`` records per call and its
+    record-at-a-time oracle in tests/reference side by side over
+    ``passes`` passes (ReFennel, alpha times ``growth`` per pass, or ReLDG
+    after the first).  After each batch both states must agree, and the
+    kernel's table must equal the one built afresh from its block weights.
+    Returns the kernel's state."""
+    got, params = run_setup(stream, k, epsilon)
+    expected, _ = run_setup(stream, k, epsilon)
+    records = list(stream)
+    for p in range(passes):
+        restream = p > 0
+        pass_params = FennelParams(gamma=params.gamma,
+                                   alpha=params.alpha * growth ** p)
+        if algorithm == "ldg":
+            if restream:
+                got.clear_blocks()
+                expected.clear_blocks()
+            fresh = lambda: ldg_free(got.block_weight, got.l_max)
+        else:
+            fresh = lambda: fennel_penalties(got.block_weight, pass_params)
+        table = fresh()
+        for start in range(0, len(records), batch):
+            chunk = records[start:start + batch]
+            if algorithm == "ldg":
+                ldg_assign(chunk, got, table, restream)
+            else:
+                fennel_assign(chunk, got, pass_params, table, restream)
+            for record in chunk:
+                if algorithm == "ldg":
+                    if restream:
+                        expected.assignment[record.id] = UNASSIGNED
+                    record_ldg_assign(record, expected)
+                else:
+                    if restream:
+                        expected.unassign(record.id, record.weight)
+                    record_fennel_assign(record, expected, pass_params)
+            assert _outcome(got) == _outcome(expected), (p, start)
+            assert table == fresh(), (p, start)
+    return got
+
+
+class TestBatchLockstep:
+    """The batch kernels against the record-at-a-time kernels in
+    tests/reference, batch by batch, and the whole run against
+    ``run_onepass`` and ``run_restream``."""
+
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 3, 1024])
+    @pytest.mark.parametrize("k", [2, 7, 64, 300])
+    @pytest.mark.parametrize("weights", sorted(LOCKSTEP_WEIGHTS))
+    @pytest.mark.parametrize("algorithm", ["fennel", "ldg"])
+    def test_batches_match_records(self, algorithm, weights, k, batch,
+                                   passes):
+        stream = _lockstep_graph(weights)
+        for epsilon in (0.0, 0.1):
+            got = _lockstep(stream, algorithm, k, epsilon, batch, passes)
+            assert _outcome(got) == _outcome(
+                _partition(stream, algorithm, k, epsilon, passes))
+
+    def test_epsilon_zero_reaches_every_fallback(self, monkeypatch):
+        # weighted nodes at epsilon 0: nodes no block fits (flagged) under
+        # both kernels, and LDG's fewest-nodes block too heavy while another
+        # block still fits, and while none does
+        found = []
+        fewest = onepass._fewest_feasible
+
+        def spy(record, state):
+            before = state.violations
+            block = fewest(record, state)
+            found.append(state.violations == before)
+            return block
+
+        monkeypatch.setattr(onepass, "_fewest_feasible", spy)
+        stream = _lockstep_graph("fmt11")
+        violations = {}
+        for algorithm in ("fennel", "ldg"):
+            violations[algorithm] = sum(
+                _lockstep(stream, algorithm, k, 0.0, 3, 3).violations
+                for k in (7, 64))
+        assert violations["fennel"] > 0 and violations["ldg"] > 0
+        assert True in found and False in found
+
+    @pytest.mark.parametrize("algorithm", ["fennel", "ldg"])
+    @pytest.mark.parametrize("k", [2, 64])
+    def test_heap_rebuilds_inside_a_batch(self, monkeypatch, algorithm, k):
+        # 400 pushes per pass overflow the 4k bound: the kernel's heap is
+        # rebuilt mid-batch and stays O(k)
+        rebuilt = []
+        rebuild = MinBlockHeap.rebuild
+
+        def counted(heap):
+            rebuilt.append(heap)
+            rebuild(heap)
+
+        monkeypatch.setattr(MinBlockHeap, "rebuild", counted)
+        got = _lockstep(_lockstep_graph("unit"), algorithm, k, 0.03, 1024,
+                        3)
+        order = got.by_weight() if algorithm == "fennel" else got.by_count()
+        assert sum(heap is order for heap in rebuilt) > 1
+        assert len(order.heap) <= 4 * k

@@ -279,23 +279,24 @@ def test_no_spool_survives_a_failing_run(tmp_path, spool_dir, monkeypatch,
     assert spools(spool_dir) == []
 
     # exit 3 from inside the kernel, with the first parse suspended and
-    # then with a replay suspended
+    # then with a replay suspended: batches of 4 of the 60 nodes
     seen = []
     fennel_assign = onepass.fennel_assign
 
-    def broken(record, state, params):
-        seen.append(record.id)
-        if len(seen) in (5, 70):
+    def broken(records, state, params, pen, restream=False):
+        seen.append([r.id for r in records])
+        if len(seen) in (2, 19):
             raise IndexError("list index out of range")
-        return fennel_assign(record, state, params)
+        fennel_assign(records, state, params, pen, restream)
     monkeypatch.setattr(onepass, "fennel_assign", broken)
+    monkeypatch.setattr(onepass, "SPOOL_CHUNK", 4)
     for _ in range(2):
         assert cli.main(["partition", "--input", graph, "--k", "2",
                          "--passes", "3"]) == 3
         assert spools(spool_dir) == []
-    # the first run failed in its first pass, the second at node 4 of its
-    # second pass (its 65th kernel call)
-    assert seen[-1] == 4 and len(seen) == 70
+    # the first run failed at its second batch, the second at the second
+    # batch of its second pass (its 17th kernel call)
+    assert seen[1] == seen[-1] == [4, 5, 6, 7] and len(seen) == 19
     assert "internal invariant failure" in capsys.readouterr().err
 
 
