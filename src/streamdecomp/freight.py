@@ -8,19 +8,24 @@ into the blocks connected to v (solved explicitly in O(|I(v)|)) and the rest
 (solved by a min-weight query, O(1) with unit weights and O(log k) amortized
 with weighted nodes), so per-node work never depends on k.
 
-:func:`freight_assign` is the whole per-node kernel: it reads the net
-tracker's flat arrays directly, sums the gains in one dict (two with
-weighted nets, where gain and net count differ), compares candidates
-without building a key per block and updates each incident net inline,
-with no function call per pin.  ``tests/reference.py`` keeps the per-pin
+:func:`freight_assign` is the whole kernel, called once per chunk of spool
+columns (``SPOOL_CHUNK`` nodes): it walks the chunk's flat ids and weights
+by offsets, so no record is built, reads the net tracker's flat arrays
+directly, sums the gains in one dict (two with weighted nets, where gain
+and net count differ), compares candidates without building a key per
+block, and on unit node weights makes the state's writes and the sorted
+blocks' swap itself, with no function call per node or pin.
+``tests/reference.py`` keeps the record-at-a-time kernel, the per-pin
 three-state method, the bucket-object :class:`SortedBlocks` and the full
 O(k) scan as its oracles.
 """
 
 from __future__ import annotations
 
+from itertools import count, repeat
+
 from .onepass import FennelParams
-from .partition import PartitionState
+from .partition import UNASSIGNED, PartitionState
 
 
 class NetTracker:
@@ -81,99 +86,138 @@ class SortedBlocks:
         return self.card[block]
 
 
-def freight_assign(record, state: PartitionState, tracker: NetTracker,
-                   blocks, cutnet: bool, params: FennelParams,
-                   unit: bool = True, unit_nets: bool = False) -> int:
-    """Assign one node via the S1/S2 decomposition, then update all state.
+def freight_assign(chunk, state: PartitionState, tracker: NetTracker,
+                   blocks: SortedBlocks, cutnet: bool,
+                   params: FennelParams) -> None:
+    """Place each node of ``chunk``, the spool columns ``(start, degrees,
+    ids, weights, node_weight)`` of nodes ``start`` on, via the S1/S2
+    decomposition, then update all state.
 
-    Only the connected blocks (S1) and ``blocks.min_block()`` are scored:
-    every other block has gain 0 and count 0 and is no lighter, so the min
-    block matches or beats it.  A connected block has count >= 1, so the min
+    Only the connected blocks (S1) and the min block are scored: every
+    other block has gain 0 and count 0 and is no lighter, so the min block
+    matches or beats it.  A connected block has count >= 1, so the min
     block wins over it only with a strictly higher score.  ``cutnet`` drops
-    the nets that are already cut.  ``unit`` says ``blocks`` is a
-    :class:`SortedBlocks` that must be told of the choice.  ``unit_nets``
-    says every net weighs 1, so a block's gain is its contributing-net count
-    and one dict holds both.
+    the nets that are already cut.  Without ``node_weight`` the min block is
+    the one of least cardinality in ``blocks``, which the kernel increments
+    itself; with it, the state's weight heap.  Without ``weights`` every net
+    weighs 1, so a block's gain is its contributing-net count and one dict
+    holds both.
     """
+    start, degrees, ids, weights, node_weight = chunk
     cut = tracker.cut
     last_block = tracker.last_block
-    ids = record.ids
-    counts: dict[int, int] = {}
-    if unit_nets:
-        gains = counts
-        for e in ids:
-            d = last_block[e]
-            if d < 0 or cutnet and cut[e]:
-                continue
-            counts[d] = counts.get(d, 0) + 1
-    else:
-        gains = {}
-        for e, w in zip(ids, record.weights):
-            d = last_block[e]
-            if d < 0 or cutnet and cut[e]:
-                continue
-            gains[d] = gains.get(d, 0.0) + w
-            counts[d] = counts.get(d, 0) + 1
-    lightest = blocks.min_block()
-    if lightest not in counts:
-        gains[lightest] = counts[lightest] = 0
-    weight = record.weight
+    assignment = state.assignment
     block_weight = state.block_weight
-    room = state.l_max - weight
+    block_count = state.block_count
+    l_max = state.l_max
+    unit = node_weight is None
+    unit_nets = weights is None
+    if unit:
+        # the inline writes below keep no heap current
+        state._by_weight = state._by_count = None
+        a, b, card, end, k = blocks.a, blocks.b, blocks.card, blocks.end, \
+            blocks.k
+        room = l_max - 1
+    else:
+        order = state.by_weight()
     # fennel_gain's penalty alpha*gamma*c(V_i)^(gamma-1), same float.
     ag = params.alpha * params.gamma
     g1 = params.gamma - 1.0
-    # Highest score, then more contributing nets, the lighter block and the
-    # lower index; the counts are read only on a tie.
-    best = -1
-    best_score = best_bw = 0
-    for i, g in gains.items():
-        bw = block_weight[i]
-        if bw > room:
-            continue
-        score = g - weight * (ag * bw ** g1)
-        if (best < 0 or score > best_score or score == best_score and (
-                counts[i] > counts[best] or counts[i] == counts[best]
-                and (bw < best_bw or bw == best_bw and i < best))):
-            best, best_score, best_bw = i, score, bw
-    if best < 0:
-        # The min block is full, so every block is: place it there, flagged.
-        state.violations += 1
-        best = lightest
-    state.assign(record.id, best, weight)
-    if unit:
-        blocks.increment(best)
-    if cutnet:
-        for e in ids:
-            d = last_block[e]
-            if d != best and d >= 0:
-                cut[e] = 1
-            last_block[e] = best
-    else:
-        for e in ids:
-            last_block[e] = best
-    return best
+    pos = 0
+    for node, degree, weight in zip(count(start), degrees,
+                                    repeat(1) if unit else node_weight):
+        stop = pos + degree
+        row = ids[pos:stop]
+        counts: dict[int, int] = {}
+        if unit_nets:
+            gains = counts
+            for e in row:
+                d = last_block[e]
+                if d < 0 or cutnet and cut[e]:
+                    continue
+                counts[d] = counts.get(d, 0) + 1
+        else:
+            gains = {}
+            for e, w in zip(row, weights[pos:stop]):
+                d = last_block[e]
+                if d < 0 or cutnet and cut[e]:
+                    continue
+                gains[d] = gains.get(d, 0.0) + w
+                counts[d] = counts.get(d, 0) + 1
+        pos = stop
+        if unit:
+            lightest = a[0]
+        else:
+            lightest = order.min_block()
+            room = l_max - weight
+        if lightest not in counts:
+            gains[lightest] = counts[lightest] = 0
+        # Highest score, then more contributing nets, the lighter block and
+        # the lower index; the counts are read only on a tie.
+        best = -1
+        best_score = best_bw = 0
+        for i, g in gains.items():
+            bw = block_weight[i]
+            if bw > room:
+                continue
+            score = g - weight * (ag * bw ** g1)
+            if (best < 0 or score > best_score or score == best_score and (
+                    counts[i] > counts[best] or counts[i] == counts[best]
+                    and (bw < best_bw or bw == best_bw and i < best))):
+                best, best_score, best_bw = i, score, bw
+        if best < 0:
+            # The min block is full, so every block is: place it there,
+            # flagged.
+            state.violations += 1
+            best = lightest
+        if unit:
+            if assignment[node] != UNASSIGNED:
+                raise AssertionError(f"node {node} already assigned")
+            assignment[node] = best
+            block_weight[best] += 1
+            block_count[best] += 1
+            # SortedBlocks.increment: swap to the right edge of the run.
+            c = card[best]
+            p = b[best]
+            q = end[c] - 1
+            other = a[q]
+            a[p] = other
+            a[q] = best
+            b[other] = p
+            b[best] = q
+            end[c] = q
+            card[best] = c + 1
+            if c + 1 == len(end):
+                end.append(k)
+        else:
+            state.assign(node, best, weight)
+        if cutnet:
+            for e in row:
+                d = last_block[e]
+                if d != best and d >= 0:
+                    cut[e] = 1
+                last_block[e] = best
+        else:
+            for e in row:
+                last_block[e] = best
 
 
 def run_freight(stream, state: PartitionState, params: FennelParams,
                 objective: str = "connectivity") -> PartitionState:
-    """One pass of FREIGHT over a node-major hypergraph stream.
+    """One pass of FREIGHT over a node-major hypergraph stream, one kernel
+    call per chunk of ``stream.chunks()``; no record is built.
 
     ``objective`` is ``connectivity`` or ``cutnet``.  Beyond the current
-    record the decision state is O(m + k): the net tracker plus block
+    chunk the decision state is O(m + k): the net tracker plus block
     weights; the assignment array only collects the output.
     """
     if objective not in ("connectivity", "cutnet"):
         raise ValueError(f"unknown objective {objective!r}")
     cutnet = objective == "cutnet"
-    header = stream.header
-    unit = not header.has_node_weights
-    unit_nets = not header.has_item_weights
-    tracker = NetTracker(header.m)
-    # Weighted nodes: the state's weight heap, kept current by state.assign.
-    # Unit weights keep SortedBlocks, whose min_block tie order differs.
-    blocks = SortedBlocks(state.k) if unit else state.by_weight()
-    for record in stream:
-        freight_assign(record, state, tracker, blocks, cutnet, params, unit,
-                       unit_nets)
+    tracker = NetTracker(stream.header.m)
+    # Unit weights keep SortedBlocks, whose min_block tie order differs
+    # from the state's weight heap, which weighted nodes use.
+    blocks = SortedBlocks(state.k)
+    for chunk in stream.chunks():
+        freight_assign(chunk, state, tracker, blocks, cutnet, params)
     return state

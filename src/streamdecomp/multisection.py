@@ -9,7 +9,11 @@ restreaming the graph once per level, so a single pass suffices.  A node's
 neighbor leaves are counted once; a level maps each in its range to a child
 by a table (4 bytes per leaf, 4k per tree level) and, as in Fennel and
 FREIGHT, scores only the children that can win: O(distinct neighbor leaves
-+ capacity classes) per level, whatever the fan-out.
++ capacity classes) per level, whatever the fan-out.  The kernel,
+:func:`oms_assign`, places a chunk of spool columns (``SPOOL_CHUNK`` nodes)
+per call and walks its flat ids and weights by offsets, so no record is
+built; ``tests/reference.py`` keeps the record-at-a-time descent as its
+oracle.
 
 When no hierarchy is given, an artificial b-section tree over the k blocks
 plays the same role (heterogeneous child capacities when k is not a power of
@@ -25,6 +29,7 @@ import math
 from array import array
 from collections import _count_elements
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import Optional
 
 from .onepass import FennelParams
@@ -227,69 +232,90 @@ class OmsConfig:
             raise ValueError("hash_bottom_layers must be >= 0")
 
 
-def oms_assign(record, root: TreeBlock, state: PartitionState,
-               config: OmsConfig, params: FennelParams) -> int:
-    """Descend from ``root``, taking at each level the best feasible child
-    or, when none fits, the lightest one, flagged as a violation.
+def oms_assign(chunk, root: TreeBlock, state: PartitionState,
+               config: OmsConfig, params: FennelParams) -> None:
+    """Place each node of ``chunk``, the spool columns ``(start, degrees,
+    ids, weights, node_weight)`` of nodes ``start`` on: descend from
+    ``root``, taking at each level the best feasible child or, when none
+    fits, the lightest one, flagged as a violation.
 
-    Unit-weight rows count leaves in C; other rows keep ``(leaf, w)`` pairs
-    in record order, so float sums add in the same order.  Scored are the
-    children holding a neighbor and each class's lightest child (lowest
-    index first): no other child of a class scores better.  Ties go to the
-    lighter child, then the lower index.
+    Without edge ``weights`` a node's leaves are counted in C; with them
+    every row keeps ``(leaf, w)`` pairs in row order, so float sums add in
+    the same order (integer counts convert to the floats that sums of 1
+    give).  Scored are the children holding a neighbor and each class's
+    lightest child (lowest index first): no other child of a class scores
+    better.  Ties go to the lighter child, then the lower index.
     """
-    assignment, edge_weights = state.assignment, record.weights
-    if edge_weights.count(1) == len(edge_weights):
-        counts: dict[int, int] = {}
-        _count_elements(counts, map(assignment.__getitem__, record.ids))
-        counts.pop(UNASSIGNED, None)
-        leaves = counts.items()
-    else:
-        leaves = [(assignment[v], w) for v, w in zip(record.ids, edge_weights)
-                  if assignment[v] != UNASSIGNED]
-    weight = record.weight
+    start, degrees, ids, weights, node_weight = chunk
+    assignment = state.assignment
+    block_weight = state.block_weight
+    block_count = state.block_count
+    # the inline writes below keep no heap current
+    state._by_weight = state._by_count = None
+    block_of = assignment.__getitem__
     fennel = config.scorer == "fennel"
+    hashed = config.hash_bottom_layers
     gamma, g1 = params.gamma, params.gamma - 1.0
-    node = root
-    while node.children:
-        weights = node.child_weights
-        if node.height <= config.hash_bottom_layers:
-            best = _hash_child(record.id, weight, node)
+    pos = 0
+    for v, degree, weight in zip(count(start), degrees,
+                                 node_weight or repeat(1)):
+        stop = pos + degree
+        if weights is None:
+            counts: dict[int, int] = {}
+            _count_elements(counts, map(block_of, ids[pos:stop]))
+            counts.pop(UNASSIGNED, None)
+            leaves = counts.items()
         else:
-            lo, hi, child_of = node.lo, node.hi, node.child_of
-            gains: dict[int, float] = {}
-            for leaf, w in leaves:
-                if lo <= leaf <= hi:
-                    idx = child_of[leaf - lo]
-                    gains[idx] = gains.get(idx, 0.0) + w
-            classes = node.classes
-            if len(classes) == 1:       # equal children: no slice to copy
-                gains.setdefault(weights.index(min(weights)), 0.0)
+            leaves = [(assignment[u], w)
+                      for u, w in zip(ids[pos:stop], weights[pos:stop])
+                      if assignment[u] != UNASSIGNED]
+        pos = stop
+        node = root
+        while node.children:
+            child_weights = node.child_weights
+            if node.height <= hashed:
+                best = _hash_child(v, weight, node)
             else:
-                for start, stop in classes:
-                    part = weights[start:stop]
-                    gains.setdefault(start + part.index(min(part)), 0.0)
-            capacities, alphas = node.capacities, node.alphas
-            best, best_score, best_cw = -1, 0.0, 0
-            for idx, gain in gains.items():
-                cw = weights[idx]
-                capacity = capacities[idx]
-                if cw + weight > capacity:
-                    continue
-                if fennel:
-                    score = gain - weight * alphas[idx] * gamma * cw ** g1
+                lo, hi, child_of = node.lo, node.hi, node.child_of
+                gains: dict[int, float] = {}
+                for leaf, w in leaves:
+                    if lo <= leaf <= hi:
+                        idx = child_of[leaf - lo]
+                        gains[idx] = gains.get(idx, 0.0) + w
+                classes = node.classes
+                if len(classes) == 1:       # equal children: no slice
+                    gains.setdefault(
+                        child_weights.index(min(child_weights)), 0.0)
                 else:
-                    score = gain * (1.0 - cw / capacity)
-                if best < 0 or score > best_score or score == best_score and (
-                        cw < best_cw or cw == best_cw and idx < best):
-                    best, best_score, best_cw = idx, score, cw
-        if best < 0:
-            state.violations += 1
-            best = weights.index(min(weights))
-        weights[best] += weight
-        node = node.children[best]
-    state.assign(record.id, node.lo, weight)
-    return node.lo
+                    for first, last in classes:
+                        part = child_weights[first:last]
+                        gains.setdefault(first + part.index(min(part)), 0.0)
+                capacities, alphas = node.capacities, node.alphas
+                best, best_score, best_cw = -1, 0.0, 0
+                for idx, gain in gains.items():
+                    cw = child_weights[idx]
+                    capacity = capacities[idx]
+                    if cw + weight > capacity:
+                        continue
+                    if fennel:
+                        score = gain - weight * alphas[idx] * gamma * cw ** g1
+                    else:
+                        score = gain * (1.0 - cw / capacity)
+                    if best < 0 or score > best_score or \
+                            score == best_score and (
+                                cw < best_cw or cw == best_cw and idx < best):
+                        best, best_score, best_cw = idx, score, cw
+            if best < 0:
+                state.violations += 1
+                best = child_weights.index(min(child_weights))
+            child_weights[best] += weight
+            node = node.children[best]
+        if assignment[v] != UNASSIGNED:
+            raise AssertionError(f"node {v} already assigned")
+        leaf = node.lo
+        assignment[v] = leaf
+        block_weight[leaf] += weight
+        block_count[leaf] += 1
 
 
 def _hash_child(node_id: int, weight: int, node: TreeBlock) -> int:
@@ -312,7 +338,8 @@ def run_oms(stream, config: OmsConfig, state: PartitionState,
     The tree mirrors the topology ``spec`` (process mapping), or else is the
     ``config.base``-section tree over ``state.k`` blocks (nh-OMS graph
     partitioning).  Only the final leaf block is stored per node; ancestors
-    are implied by the leaf ranges.
+    are implied by the leaf ranges.  The kernel runs once per chunk of
+    ``stream.chunks()``; no record is built.
     """
     if spec is None:
         root = build_hierarchy(state.k, state.l_max, params.alpha, config.base)
@@ -320,6 +347,6 @@ def run_oms(stream, config: OmsConfig, state: PartitionState,
         raise AssertionError(f"hierarchy has k={spec.k}, state k={state.k}")
     else:
         root = build_from_spec(spec, state.l_max, params.alpha)
-    for record in stream:
-        oms_assign(record, root, state, config, params)
+    for chunk in stream.chunks():
+        oms_assign(chunk, root, state, config, params)
     return state

@@ -626,11 +626,14 @@ def _write_node_lines(path: str, header: list[int],
 
 class MemoryStream:
     """Replayable in-memory stream of parsed records, graph or hypergraph
-    (used when timing excludes parsing), nodes 0..n-1 in order."""
+    (used when timing excludes parsing), nodes 0..n-1 in order.  Its one
+    chunk of columns is built on the first :meth:`chunks` and kept for the
+    later ones, so the records must not change in place after it."""
 
     def __init__(self, header, records: list):
         self.header = header
         self.records = records
+        self._chunk = None   # (records, weight flags, their chunk or None)
 
     def __iter__(self) -> Iterator:
         return iter(self.records)
@@ -640,17 +643,30 @@ class MemoryStream:
         weights, node_weight)`` as :meth:`NodeStream.chunks` gives them:
         item and node weights only where the header's flags say (None
         otherwise); nothing for no records.  ``ValueError`` names the first
-        record whose id is not its position."""
+        record whose id is not its position.  The columns are built once
+        per records list and flags, and shared: a reader must not change
+        them."""
         records, header = self.records, self.header
-        ids = list(map(attrgetter("id"), records))
-        if ids != list(range(len(ids))):
-            bad = next(i for i, v in enumerate(ids) if v != i)
-            raise ValueError(f"record {bad} has id {ids[bad]}, not {bad}")
-        if records:
-            rows = list(map(attrgetter("ids"), records))
-            yield (0, list(map(len, rows)), list(chain.from_iterable(rows)),
-                   list(chain.from_iterable(map(attrgetter("weights"),
-                                                records)))
-                   if header.has_item_weights else None,
-                   list(map(attrgetter("weight"), records))
-                   if header.has_node_weights else None)
+        flags = header.has_item_weights, header.has_node_weights
+        kept = self._chunk
+        if kept is None or kept[0] is not records or kept[1] != flags:
+            kept = self._chunk = records, flags, _memory_chunk(records, header)
+        if kept[2] is not None:
+            yield kept[2]
+
+
+def _memory_chunk(records: list, header: StreamHeader) -> Optional[tuple]:
+    """The columns of ``records`` as one chunk (see
+    :meth:`MemoryStream.chunks`), None for no records."""
+    ids = list(map(attrgetter("id"), records))
+    if ids != list(range(len(ids))):
+        bad = next(i for i, v in enumerate(ids) if v != i)
+        raise ValueError(f"record {bad} has id {ids[bad]}, not {bad}")
+    if not records:
+        return None
+    rows = list(map(attrgetter("ids"), records))
+    return (0, list(map(len, rows)), list(chain.from_iterable(rows)),
+            list(chain.from_iterable(map(attrgetter("weights"), records)))
+            if header.has_item_weights else None,
+            list(map(attrgetter("weight"), records))
+            if header.has_node_weights else None)

@@ -165,3 +165,16 @@ def banded_matrix_hypergraph(rng: random.Random, rows: int, cols: int,
         if len(pins) >= 2:
             nets.append((sorted(pins), 1))
     return hypergraph_stream_from_nets(cols, nets)
+
+
+def chunk_of(records, header=None) -> tuple:
+    """The spool columns of consecutive ``records`` as one chunk, ``(start,
+    degrees, ids, weights, node_weight)`` as ``NodeStream.chunks()`` gives
+    them: item and node weights only where ``header``'s flags say (none
+    without a header)."""
+    return (records[0].id, [len(r.ids) for r in records],
+            [v for r in records for v in r.ids],
+            [w for r in records for w in r.weights]
+            if header and header.has_item_weights else None,
+            [r.weight for r in records]
+            if header and header.has_node_weights else None)

@@ -22,7 +22,10 @@ one line at a time, each through ``streams._parse_line``, as the stream did
 before it converted a chunk of lines at a time.  The record-at-a-time
 Fennel and LDG kernels place one record per call through
 ``PartitionState``'s own methods and compute each penalty or free capacity
-where they score it, as the kernels did before they took batches and tables.
+where they score it, as the kernels did before they took batches and tables;
+the record-at-a-time FREIGHT and OMS kernels place one record per call
+through ``state.assign`` (FREIGHT's min block from ``SortedBlocks`` or the
+state's heap), as the kernels did before they walked a chunk's columns.
 
 The consistency checks at the end recompute production state from scratch.
 """
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import _count_elements
 from fractions import Fraction
 
 import numpy as np
@@ -379,6 +383,71 @@ def run_freight_reference(stream, state: PartitionState, params: FennelParams,
     return state
 
 
+def record_freight_assign(record, state: PartitionState, tracker,
+                          blocks, cutnet: bool, params: FennelParams,
+                          unit: bool = True, unit_nets: bool = False) -> int:
+    """FREIGHT one record per call, the min block from ``blocks`` (a
+    :class:`SortedBlocks` told of each choice when ``unit``, else anything
+    with ``min_block``) and the state's writes through ``state.assign``:
+    the oracle of the chunk kernel ``freight.freight_assign``.  It reads
+    the production tracker's ``cut`` and ``last_block``; ``unit_nets`` says
+    every net weighs 1, so one dict holds gains and counts."""
+    cut = tracker.cut
+    last_block = tracker.last_block
+    ids = record.ids
+    counts: dict[int, int] = {}
+    if unit_nets:
+        gains = counts
+        for e in ids:
+            d = last_block[e]
+            if d < 0 or cutnet and cut[e]:
+                continue
+            counts[d] = counts.get(d, 0) + 1
+    else:
+        gains = {}
+        for e, w in zip(ids, record.weights):
+            d = last_block[e]
+            if d < 0 or cutnet and cut[e]:
+                continue
+            gains[d] = gains.get(d, 0.0) + w
+            counts[d] = counts.get(d, 0) + 1
+    lightest = blocks.min_block()
+    if lightest not in counts:
+        gains[lightest] = counts[lightest] = 0
+    weight = record.weight
+    block_weight = state.block_weight
+    room = state.l_max - weight
+    ag = params.alpha * params.gamma
+    g1 = params.gamma - 1.0
+    best = -1
+    best_score = best_bw = 0
+    for i, g in gains.items():
+        bw = block_weight[i]
+        if bw > room:
+            continue
+        score = g - weight * (ag * bw ** g1)
+        if (best < 0 or score > best_score or score == best_score and (
+                counts[i] > counts[best] or counts[i] == counts[best]
+                and (bw < best_bw or bw == best_bw and i < best))):
+            best, best_score, best_bw = i, score, bw
+    if best < 0:
+        state.violations += 1
+        best = lightest
+    state.assign(record.id, best, weight)
+    if unit:
+        blocks.increment(best)
+    if cutnet:
+        for e in ids:
+            d = last_block[e]
+            if d != best and d >= 0:
+                cut[e] = 1
+            last_block[e] = best
+    else:
+        for e in ids:
+            last_block[e] = best
+    return best
+
+
 def run_fennel_twin(graph_stream, state: PartitionState,
                     params: FennelParams) -> PartitionState:
     """Fennel over a graph stream with FREIGHT's canonical tie policy.
@@ -477,6 +546,61 @@ def scan_oms_assign(record, root, state: PartitionState, config,
         node.child_weights[idx] += record.weight
         node = node.children[idx]
     state.assign(record.id, node.lo, record.weight)
+    return node.lo
+
+
+def record_oms_assign(record, root, state: PartitionState, config,
+                      params: FennelParams) -> int:
+    """OMS one record per call, through ``state.assign``: the oracle of the
+    chunk kernel ``multisection.oms_assign``.  A row whose edges all weigh 1
+    counts its leaves in C, any other keeps ``(leaf, w)`` pairs."""
+    assignment, edge_weights = state.assignment, record.weights
+    if edge_weights.count(1) == len(edge_weights):
+        counts: dict[int, int] = {}
+        _count_elements(counts, map(assignment.__getitem__, record.ids))
+        counts.pop(UNASSIGNED, None)
+        leaves = counts.items()
+    else:
+        leaves = [(assignment[v], w) for v, w in zip(record.ids, edge_weights)
+                  if assignment[v] != UNASSIGNED]
+    weight = record.weight
+    fennel = config.scorer == "fennel"
+    gamma, g1 = params.gamma, params.gamma - 1.0
+    node = root
+    while node.children:
+        weights = node.child_weights
+        if node.height <= config.hash_bottom_layers:
+            best = _hash_child(record.id, weight, node)
+        else:
+            lo, hi, child_of = node.lo, node.hi, node.child_of
+            gains: dict[int, float] = {}
+            for leaf, w in leaves:
+                if lo <= leaf <= hi:
+                    idx = child_of[leaf - lo]
+                    gains[idx] = gains.get(idx, 0.0) + w
+            for start, stop in node.classes:
+                part = weights[start:stop]
+                gains.setdefault(start + part.index(min(part)), 0.0)
+            capacities, alphas = node.capacities, node.alphas
+            best, best_score, best_cw = -1, 0.0, 0
+            for idx, gain in gains.items():
+                cw = weights[idx]
+                capacity = capacities[idx]
+                if cw + weight > capacity:
+                    continue
+                if fennel:
+                    score = gain - weight * alphas[idx] * gamma * cw ** g1
+                else:
+                    score = gain * (1.0 - cw / capacity)
+                if best < 0 or score > best_score or score == best_score and (
+                        cw < best_cw or cw == best_cw and idx < best):
+                    best, best_score, best_cw = idx, score, cw
+        if best < 0:
+            state.violations += 1
+            best = weights.index(min(weights))
+        weights[best] += weight
+        node = node.children[best]
+    state.assign(record.id, node.lo, weight)
     return node.lo
 
 

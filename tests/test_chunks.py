@@ -8,7 +8,7 @@ from itertools import chain
 
 import pytest
 
-from streamdecomp import streams
+from streamdecomp import cli, streams
 from streamdecomp.metrics import cut_net_and_connectivity
 from streamdecomp.streams import FormatError, MemoryStream, \
     StreamedNodeRecord, StreamHeader, _records, _write_node_lines, \
@@ -102,6 +102,45 @@ def test_memory_stream_chunk_has_the_parsed_columns(tmp_path, spool_dir,
     assert rebuilt(chunks) == rebuilt(parsed) == memory.records
     assert list(MemoryStream(stream.header, []).chunks()) == []
     stream.close()
+
+
+def test_memory_stream_builds_its_chunk_once():
+    records = [StreamedNodeRecord(i, 1 + i, [i % 2], [2]) for i in range(3)]
+    header = StreamHeader(3, 2, 3)
+    stream = MemoryStream(header, records)
+    first, = stream.chunks()
+    again, = stream.chunks()
+    assert again is first and first[3] is first[4] is None
+    header.has_item_weights = header.has_node_weights = True   # new flags
+    weighted, = stream.chunks()
+    assert weighted[3:] == ([2, 2, 2], [1, 2, 3])
+    stream.records = records[:2]                               # new records
+    shorter, = stream.chunks()
+    assert shorter[1:] == ([1, 1], [0, 1], [2, 2], [1, 2])
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("hpartition", ["--k", "3"]),
+    ("map", ["--hierarchy", "2:2", "--distances", "1:10"])])
+def test_a_time_core_run_and_its_verification_flatten_once(
+        tmp_path, monkeypatch, command, flags):
+    # the run reads the preloaded records' chunk, and the verification
+    # (cut-net and connectivity, or the imbalance of node weights) reads
+    # the same one
+    built = []
+    memory_chunk = streams._memory_chunk
+
+    def counted(records, header):
+        built.append(len(records))
+        return memory_chunk(records, header)
+    monkeypatch.setattr(streams, "_memory_chunk", counted)
+    path = tmp_path / "in.txt"
+    path.write_text("6 4 9 11\n2 1 2\n3 1 2 2 1\n1 2 1 3 3\n2 3 3\n"
+                    "1 3 3 4 1\n4 4 1\n" if command == "hpartition" else
+                    "4 4 10\n2 2 4\n1 1 3\n3 2 4\n1 1 3\n")
+    assert cli.main([command, "--input", str(path), *flags, "--time-core",
+                     "--metrics-json", str(tmp_path / "m.json")]) == 0
+    assert built == [6 if command == "hpartition" else 4]
 
 
 @pytest.mark.parametrize("ids, message", [

@@ -10,15 +10,26 @@ from streamdecomp.onepass import FennelParams
 from streamdecomp.partition import PartitionState
 from streamdecomp.streams import StreamedNodeRecord
 
-from generators import (graph_as_hypergraph, hypergraph_stream_from_nets,
-                        random_graph, random_hypergraph, run_setup)
+from generators import (chunk_of, graph_as_hypergraph,
+                        hypergraph_stream_from_nets, random_graph,
+                        random_hypergraph, run_setup)
 from reference import (CUT, SINGLE_BLOCK, UNTOUCHED, NetTracker,
                        check_consistency, naive_freight_assign,
-                       run_fennel_twin, run_freight_reference)
+                       record_freight_assign, run_fennel_twin,
+                       run_freight_reference)
 
 
 def freight(stream, k, objective="connectivity", **setup):
     return run_freight(stream, *run_setup(stream, k, **setup), objective)
+
+
+def place(record, state, tracker, blocks, cutnet, params, header=None):
+    """Place one record by the chunk kernel, as a chunk of one node with the
+    weight columns ``header``'s flags give (none without a header); its
+    block."""
+    freight_assign(chunk_of([record], header), state, tracker, blocks,
+                   cutnet, params)
+    return state.assignment[record.id]
 
 
 def freight_reference(stream, k, objective="connectivity"):
@@ -51,7 +62,7 @@ class TestNetTracker:
         params = FennelParams(alpha=0.5)
         pins_seen: dict[int, list[int]] = {}
         for record in stream:
-            b = freight_assign(record, state, tracker, blocks, True, params)
+            b = place(record, state, tracker, blocks, True, params)
             for e in record.ids:
                 pins_seen.setdefault(e, []).append(b)
                 oracle.observe(e, b)
@@ -78,7 +89,7 @@ class TestFreightAssign:
         state, tracker, blocks, params = make_assign_ctx(4, 2, 3)
         expected = blocks.min_block()
         record = StreamedNodeRecord(0, 1, [0, 1], [1, 1])
-        chosen = freight_assign(record, state, tracker, blocks, False, params)
+        chosen = place(record, state, tracker, blocks, False, params)
         assert chosen == expected
         assert state.block_weight[chosen] == 1
 
@@ -90,17 +101,17 @@ class TestFreightAssign:
         state, tracker, blocks, _ = make_assign_ctx(4, 1, 2)
         params = FennelParams(gamma=2.0, alpha=alpha)
         cutnet = False
-        freight_assign(StreamedNodeRecord(0, 1, [0], [1]), state,
+        place(StreamedNodeRecord(0, 1, [0], [1]), state,
                        tracker, blocks, cutnet, params)
         assert state.assignment[0] == 0 and blocks.min_block() == 1
-        chosen = freight_assign(StreamedNodeRecord(1, 1, [0], [1]),
+        chosen = place(StreamedNodeRecord(1, 1, [0], [1]),
                                 state, tracker, blocks, cutnet, params)
         assert chosen == expected
 
     def test_cutnet_ignores_already_cut_net(self):
         state, tracker, blocks, params = make_assign_ctx(5, 1, 4)
         cutnet = True
-        freight_assign(StreamedNodeRecord(0, 1, [0], [1]), state,
+        place(StreamedNodeRecord(0, 1, [0], [1]), state,
                        tracker, blocks, cutnet, params)
         b0 = state.assignment[0]
         # force the net to be cut: second pin lands elsewhere only if gain
@@ -109,19 +120,19 @@ class TestFreightAssign:
         tracker.cut[0] = 1
         # now a node whose only net is cut falls through to the min query
         before = blocks.min_block()
-        chosen = freight_assign(StreamedNodeRecord(1, 1, [0], [1]),
+        chosen = place(StreamedNodeRecord(1, 1, [0], [1]),
                                 state, tracker, blocks, cutnet, params)
         assert chosen == before
 
     def test_connectivity_counts_cut_nets_via_last_block(self):
         state, tracker, blocks, params = make_assign_ctx(5, 1, 4, alpha=0.1)
         cutnet = False
-        freight_assign(StreamedNodeRecord(0, 1, [0], [1]), state,
+        place(StreamedNodeRecord(0, 1, [0], [1]), state,
                        tracker, blocks, cutnet, params)
         b0 = state.assignment[0]
         assert tracker.last_block[0] == b0   # d_e = b0
         tracker.cut[0] = 1                   # but mark it cut
-        chosen = freight_assign(StreamedNodeRecord(1, 1, [0], [1]),
+        chosen = place(StreamedNodeRecord(1, 1, [0], [1]),
                                 state, tracker, blocks, cutnet, params)
         assert chosen == b0             # still attracted to d_e
 
@@ -159,21 +170,17 @@ class TestOracleEquivalence:
                     rng, rng.randint(k, k + 200), rng.randint(20, 200),
                     max_pins=7, max_net_weight=max_net_weight,
                     max_node_weight=max_node_weight)
-                unit_nets = not stream.header.has_item_weights
-                # unit_nets=True never reads record.weights: it is only
-                # passed where every net weighs 1.
-                assert not unit_nets or all(
-                    w == 1 for r in stream for w in r.weights)
                 sides = []
                 for tracker in (freight_module.NetTracker(stream.header.m),
                                 NetTracker(stream.header.m)):
                     state, params = run_setup(stream, k, epsilon=epsilon)
                     blocks = SortedBlocks(k) if unit else state.by_weight()
                     sides.append((state, tracker, blocks))
-                (fast, fast_t, fast_b), (slow, slow_t, slow_b) = sides
+                (fast, fast_t, _), (slow, slow_t, slow_b) = sides
+                fast_b = SortedBlocks(k)   # the kernel's, used if unit
                 for record in stream:
-                    chosen = freight_assign(record, fast, fast_t, fast_b,
-                                            cutnet, params, unit, unit_nets)
+                    chosen = place(record, fast, fast_t, fast_b, cutnet,
+                                   params, stream.header)
                     expected = naive_freight_assign(
                         record, slow, slow_t, slow_b, cutnet, params, unit)
                     assert chosen == expected, f"k={k} node {record.id}"
@@ -207,7 +214,8 @@ class TestWeightedNodes:
 
     def test_weighted_min_query_is_lowest_index_lightest(self):
         # the state's weight heap must pick what a scan for the lowest-index
-        # lightest block picks, at eps=0 so the flagged fallback runs too
+        # lightest block picks (here in the record-at-a-time oracle), at
+        # eps=0 so the flagged fallback runs too
         class ScanMin:
             def __init__(self, state):
                 self.state = state
@@ -225,8 +233,10 @@ class TestWeightedNodes:
                 state, params = run_setup(stream, k, epsilon=0.0)
                 tracker = freight_module.NetTracker(stream.header.m)
                 for record in stream:
-                    freight_assign(record, state, tracker, ScanMin(state),
-                                   objective == "cutnet", params, unit=False)
+                    record_freight_assign(record, state, tracker,
+                                          ScanMin(state),
+                                          objective == "cutnet", params,
+                                          unit=False)
                 assert fast.assignment == state.assignment
                 assert fast.violations == state.violations
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -14,16 +15,26 @@ from streamdecomp.multisection import (HierarchySpec, OmsConfig, TreeBlock,
                                        run_oms)
 from streamdecomp.partition import UNASSIGNED
 
-from generators import graph_stream_from_edges, random_graph, run_setup
+from generators import (chunk_of, graph_stream_from_edges, random_graph,
+                        run_setup)
 from reference import (candidate_oms_assign, check_leaf_weights,
                        distance_matrix, division_distance_matrix,
-                       run_multisection_multipass, scan_oms_assign,
-                       stacked_tree, total_block_slots, tree_fields)
+                       record_oms_assign, run_multisection_multipass,
+                       scan_oms_assign, stacked_tree, total_block_slots,
+                       tree_fields)
 
 
 def oms(stream, k, spec=None, epsilon=0.03, alpha=None, **config):
     state, params = run_setup(stream, k, epsilon, alpha=alpha)
     return run_oms(stream, OmsConfig(**config), state, params, spec)
+
+
+def place(record, root, state, config, params, header=None):
+    """Place one record by the chunk kernel, as a chunk of one node with the
+    weight columns ``header``'s flags give (none without a header); its
+    leaf."""
+    oms_assign(chunk_of([record], header), root, state, config, params)
+    return state.assignment[record.id]
 
 
 def leaf_ranges(root):
@@ -241,7 +252,7 @@ class TestOmsAssign:
         state, params = run_setup(stream, 7)
         root = build_hierarchy(7, state.l_max, params.alpha)
         for record in stream:
-            oms_assign(record, root, state, OmsConfig(), params)
+            place(record, root, state, OmsConfig(), params)
         check_leaf_weights(root, state)
         assert state.assignment == oms(stream, 7).assignment
 
@@ -284,12 +295,14 @@ def _child_covering(node, leaf: int) -> int:
 
 
 def _descend_in_lockstep(stream, k, epsilon, build, config):
-    """Run ``oms_assign``, the candidate descent and the full scan side by
-    side, each on its own tree and state; after every record all three
-    must have chosen the same leaf and hold the same violations and child
-    weights in every tree block.  Returns ``oms_assign``'s root and state."""
+    """Run ``oms_assign`` on one-node chunks, the record-at-a-time kernel,
+    the candidate descent and the full scan side by side, each on its own
+    tree and state; after every record all four must have chosen the same
+    leaf and hold the same violations and child weights in every tree
+    block.  Returns ``oms_assign``'s root and state."""
     descents = []
-    for assign in (oms_assign, candidate_oms_assign, scan_oms_assign):
+    for assign in (functools.partial(place, header=stream.header),
+                   record_oms_assign, candidate_oms_assign, scan_oms_assign):
         state, params = run_setup(stream, k, epsilon)
         root = build(state.l_max, params.alpha)
         descents.append((assign, root, _internal_blocks(root), state, params))
@@ -297,8 +310,7 @@ def _descend_in_lockstep(stream, k, epsilon, build, config):
         steps = [(assign(record, root, state, config, params),
                   state.violations, [block.child_weights for block in blocks])
                  for assign, root, blocks, state, params in descents]
-        assert steps[1] == steps[0]
-        assert steps[2] == steps[0]
+        assert steps[1:] == [steps[0]] * 3
     _, root, _, state, _ = descents[0]
     return root, state
 
@@ -399,7 +411,7 @@ class TestCandidateDescent:
                 block.capacities = _CountedReads(block.capacities)
             scored = fanout = 0
             for record in graph:
-                leaf = oms_assign(record, root, state, OmsConfig(), params)
+                leaf = place(record, root, state, OmsConfig(), params)
                 neighbors = {state.assignment[v] for v in record.ids
                              if state.assignment[v] != UNASSIGNED}
                 node = root
