@@ -12,8 +12,8 @@ from .streams import (FormatError, MemoryStream, StreamedNodeRecord,
 from .metrics import block_weights, comm_cost, cut_net_and_connectivity, \
     edge_cut, imbalance
 from .onepass import (FennelParams, OnePassConfig, fennel_alpha, fennel_assign,
-                      fennel_gain, fennel_penalties, hashing_assign,
-                      ldg_assign, ldg_free, run_onepass, run_restream)
+                      fennel_penalties, hashing_assign, ldg_assign,
+                      ldg_free, run_onepass, run_restream)
 from .freight import NetTracker, SortedBlocks, freight_assign, run_freight
 from .multisection import (HierarchySpec, OmsConfig, TreeBlock,
                            build_from_spec, build_hierarchy,

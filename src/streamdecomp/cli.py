@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from contextlib import closing, contextmanager
+from operator import itemgetter
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -264,9 +265,9 @@ def execute(spec) -> dict:
             with _gc_paused():
                 stream = MemoryStream(stream.header, list(stream))
         header = stream.header
-        # c(V) fixes L_max before the run: on node-weighted input it takes
-        # the first pass, which the run then replays.
-        total_weight = sum(r.weight for r in stream) \
+        # c(V) fixes L_max before the run: on node-weighted input it sums
+        # the node weights of the first pass, which the run then replays.
+        total_weight = sum(map(sum, map(itemgetter(4), stream.chunks()))) \
             if header.has_node_weights else header.n
         state = PartitionState(header.n, k, spec.epsilon, total_weight)
         params = FennelParams.for_stream(header.n, header.m, k, spec.gamma,

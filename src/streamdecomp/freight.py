@@ -120,7 +120,7 @@ def freight_assign(chunk, state: PartitionState, tracker: NetTracker,
         room = l_max - 1
     else:
         order = state.by_weight()
-    # fennel_gain's penalty alpha*gamma*c(V_i)^(gamma-1), same float.
+    # fennel_penalties' penalty alpha*gamma*c(V_i)^(gamma-1), same float.
     ag = params.alpha * params.gamma
     g1 = params.gamma - 1.0
     pos = 0

@@ -26,7 +26,8 @@ Refinement keeps two caches, and both give the floats a rebuild would:
   and key order of a rebuild, and the candidate order, ``rng`` calls and
   assignments stay those of rebuilding it on every visit.
 * One Fennel penalty per block, ``(alpha * gamma) * bw[b] ** (gamma - 1)``
-  as ``fennel_gain`` computes it, recomputed whenever ``bw[b]`` changes.
+  as ``fennel_penalties`` computes it, recomputed whenever ``bw[b]``
+  changes.
 
 The batch kernels also rest on three facts, each pinned by a test:
 

@@ -8,32 +8,44 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate, chain, count, repeat
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, compress, count, repeat
+from operator import ne
+from typing import Sequence
 
 from .partition import UNASSIGNED
 from .streams import FormatError
 
 
-def edge_cut(graph_stream: Iterable, assignment: Sequence[int]) -> int:
+def edge_cut(graph_stream, assignment: Sequence[int]) -> int:
     """Total weight of edges with endpoints in distinct blocks.
 
     Each undirected edge appears twice in the stream (once per endpoint), so
-    the doubled sum is halved at the end.
+    the doubled sum is halved at the end.  The pass reads the flat columns
+    of each chunk of ``graph_stream.chunks()``: each id's block is compared
+    with its node's block in C, and the weights of the cut entries (or
+    their number, without weights) are summed.
     """
     _require_complete(assignment)
     doubled = 0
-    for record in graph_stream:
-        bu = assignment[record.id]
-        for v, w in zip(record.ids, record.weights):
-            if assignment[v] != bu:
-                doubled += w
+    for start, degrees, ids, weights, _ in graph_stream.chunks():
+        cut = map(ne, map(assignment.__getitem__, ids), chain.from_iterable(
+            map(repeat, _owners(assignment, start, degrees), degrees)))
+        doubled += sum(cut if weights is None else compress(weights, cut))
     return _halve(doubled)
 
 
 def _require_complete(assignment: Sequence[int]) -> None:
     if UNASSIGNED in assignment:
         raise AssertionError(f"node {assignment.index(UNASSIGNED)} unassigned")
+
+
+def _owners(assignment: Sequence[int], start: int,
+            degrees: Sequence[int]) -> Sequence[int]:
+    """The blocks of a chunk's nodes, ``start`` on."""
+    owners = assignment[start:start + len(degrees)]
+    if len(owners) < len(degrees):
+        raise AssertionError(f"node {start + len(owners)} unassigned")
+    return owners
 
 
 def _halve(doubled: int) -> int:
@@ -66,11 +78,8 @@ def cut_net_and_connectivity(hyper_stream,
     mask = [0] * m
     net_weight = [0] * m if weighted else [1] * m
     for start, degrees, ids, weights, _ in hyper_stream.chunks():
-        owners = assignment[start:start + len(degrees)]
-        if len(owners) < len(degrees):
-            raise AssertionError(f"node {start + len(owners)} unassigned")
-        bits = chain.from_iterable(map(repeat, [1 << b for b in owners],
-                                       degrees))
+        bits = chain.from_iterable(map(repeat, [
+            1 << b for b in _owners(assignment, start, degrees)], degrees))
         # the pins before a bad net id count: the walk ends before a negative
         # one (an index of net m + id) and at one not below m (IndexError)
         pins = ids[:next(i for i, e in enumerate(ids) if e < 0)] \
@@ -110,29 +119,44 @@ def _node_at(start: int, degrees: Sequence[int], pin: int) -> int:
     return start + bisect_right(list(accumulate(degrees)), pin)
 
 
-def comm_cost(graph_stream: Iterable, assignment: Sequence[int],
+def comm_cost(graph_stream, assignment: Sequence[int],
               hierarchy) -> tuple[int, int]:
     """(edge cut, process-mapping objective) from one pass over the stream.
 
     The objective sums edge weight times PE distance, each undirected edge
     counted once.  ``hierarchy`` is a ``HierarchySpec`` whose k matches the
-    partition; its distance is looked up inline from the PE codes.
+    partition; its distance is looked up inline from the PE codes.  The
+    pass walks each chunk of ``graph_stream.chunks()`` node by node, one
+    slice of its flat ids (and weights) per node.
     """
     _require_complete(assignment)
     codes = hierarchy.codes()
     by_bits = hierarchy.distance_by_bit_length
     doubled = 0
     total = 0
-    for record in graph_stream:
-        u = record.id
-        bu = assignment[u]
-        code = codes[bu]
-        for v, w in zip(record.ids, record.weights):
-            bv = assignment[v]
-            if bv != bu:
-                doubled += w
-                if v > u:   # count each undirected edge at its lower endpoint
-                    total += w * by_bits[(code ^ codes[bv]).bit_length()]
+    for start, degrees, ids, weights, _ in graph_stream.chunks():
+        pos = 0
+        for u, bu, degree in zip(count(start),
+                                 _owners(assignment, start, degrees),
+                                 degrees):
+            stop = pos + degree
+            code = codes[bu]
+            if weights is None:
+                for v in ids[pos:stop]:
+                    bv = assignment[v]
+                    if bv != bu:
+                        doubled += 1
+                        if v > u:   # count each edge at its lower endpoint
+                            total += by_bits[(code ^ codes[bv]).bit_length()]
+            else:
+                for v, w in zip(ids[pos:stop], weights[pos:stop]):
+                    bv = assignment[v]
+                    if bv != bu:
+                        doubled += w
+                        if v > u:
+                            total += w * by_bits[
+                                (code ^ codes[bv]).bit_length()]
+            pos = stop
     return _halve(doubled), total
 
 

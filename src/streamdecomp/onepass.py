@@ -5,12 +5,13 @@ restreaming variants ReLDG (per-pass block weights) and ReFennel (penalty
 scale grows per pass).  All assignment loops are strictly sequential: every
 decision reads the state left behind by the previous one.
 
-The Fennel and LDG kernels place a batch of records per call (a pass hands
-them ``SPOOL_CHUNK`` at a time) and score from a per-block table built once
-per pass: Fennel's penalty ``(alpha*gamma) * c(V_i) ** (gamma-1)``, LDG's
-free capacity ``1 - c(V_i)/L_max``.  A kernel rewrites a block's entry when
-it changes that block's weight, so every score is the float a per-node
-computation gives, and the partitions are the ones the per-node kernels made.
+The Fennel and LDG kernels place a chunk of the stream's spool columns per
+call (a pass hands them each chunk of ``stream.chunks()``, so no record is
+built) and score from a per-block table built once per pass: Fennel's
+penalty ``(alpha*gamma) * c(V_i) ** (gamma-1)``, LDG's free capacity
+``1 - c(V_i)/L_max``.  A kernel rewrites a block's entry when it changes
+that block's weight, so every score is the float a per-node computation
+gives, and the partitions are the ones the per-node kernels made.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import count, repeat
 from typing import Optional
 
 from .partition import UNASSIGNED, PartitionState
-from .streams import SPOOL_CHUNK
 
 
 def fennel_alpha(n: int, m: int, k: int, gamma: float = 1.5) -> float:
@@ -96,22 +96,13 @@ def hashing_assign(node_id: int, k: int) -> int:
     return node_id % k
 
 
-def fennel_gain(weighted_degree_to_block: float, node_weight: int,
-                block_weight: float, params: FennelParams) -> float:
-    """Generalized Fennel score of putting a node into one block.
-
-    ``weighted_degree_to_block`` is the total edge weight from the node to
-    nodes already in the block.  With unit weights this reduces to the
-    classic |V_i n N(u)| - alpha*gamma*|V_i|^(gamma-1).
-    """
-    penalty = params.alpha * params.gamma * block_weight ** (params.gamma - 1.0)
-    return weighted_degree_to_block - node_weight * penalty
-
-
 def fennel_penalties(block_weight, params: FennelParams) -> list[float]:
     """The penalty table ``pen[i] = (alpha*gamma) * bw[i] ** (gamma-1)``
-    of block weights ``bw``: the factor :func:`fennel_gain` applies, the
-    same float."""
+    of block weights ``bw``.  A node of weight c(v) with edge weight g into
+    block i scores ``g - c(v) * pen[i]``: the generalized Fennel score,
+    which with unit weights is the classic |V_i n N(u)| -
+    alpha*gamma*|V_i|^(gamma-1).  Fennel, ReFennel, HeiStream and FREIGHT
+    score with this float, from the table or computed inline."""
     ag = params.alpha * params.gamma
     g1 = params.gamma - 1.0
     return [ag * b ** g1 for b in block_weight]
@@ -151,25 +142,29 @@ def fennel_block(gains: dict[int, float], bw: list, pen: list, load: list,
     return best
 
 
-# The batch kernels below count a node's neighbor blocks, pop the least
-# block of a MinBlockHeap and make PartitionState.assign's and unassign's
-# writes in their own loop, to spare a call per step.  A row whose edges all
-# weigh 1 is counted in C by ``_count_elements`` (the helper behind
-# ``Counter.update``); its integer counts convert to the same floats as sums
-# of 1.0 wherever they meet a float.  Each kernel keeps the state's heap of
-# the key it queries current and drops the other one, which its writes
-# would leave stale.
+# The chunk kernels below walk a chunk's spool columns by offsets, one slice
+# of ids per node and no record; they count a node's neighbor blocks, pop
+# the least block of a MinBlockHeap and make PartitionState.assign's and
+# unassign's writes in their own loop, to spare a call per step.  A row
+# whose edges all weigh 1 is counted in C by ``_count_elements`` (the
+# helper behind ``Counter.update``); its integer counts convert to the same
+# floats as sums of 1.0 wherever they meet a float.  Each kernel keeps the
+# state's heap of the key it queries current and drops the other one,
+# which its writes would leave stale.
 
-def fennel_assign(records, state: PartitionState, params: FennelParams,
+def fennel_assign(chunk, state: PartitionState, params: FennelParams,
                   pen: list, restream: bool = False) -> None:
-    """Place each of ``records`` in turn in the block :func:`fennel_block`
-    picks; with no block that fits (the lightest is full, so all are), in
-    the lightest, flagged.
+    """Place each node of ``chunk``, the spool columns ``(start, degrees,
+    ids, weights, node_weight)`` of nodes ``start`` on, in turn in the block
+    :func:`fennel_block` picks; with no block that fits (the lightest is
+    full, so all are), in the lightest, flagged.
 
-    ``pen`` is the penalty table of ``state.block_weight`` under ``params``;
-    the kernel rewrites the entry of each block whose weight it changes.
-    With ``restream`` each node first leaves its block (ReFennel).
+    ``weights`` None means every edge weighs 1, ``node_weight`` None every
+    node.  ``pen`` is the penalty table of ``state.block_weight`` under
+    ``params``; the kernel rewrites the entry of each block whose weight it
+    changes.  With ``restream`` each node first leaves its block (ReFennel).
     """
+    start, degrees, ids, weights, node_weight = chunk
     assignment = state.assignment
     block_weight = state.block_weight
     block_count = state.block_count
@@ -181,9 +176,11 @@ def fennel_assign(records, state: PartitionState, params: FennelParams,
     ag = params.alpha * params.gamma
     g1 = params.gamma - 1.0
     block_of = assignment.__getitem__
-    for record in records:
-        node = record.id
-        weight = record.weight
+    pos = 0
+    for node, degree, weight in zip(count(start), degrees,
+                                    repeat(1) if node_weight is None
+                                    else node_weight):
+        stop = pos + degree
         if restream:
             old = assignment[node]
             if old == UNASSIGNED:
@@ -206,18 +203,19 @@ def fennel_assign(records, state: PartitionState, params: FennelParams,
             state.violations += 1
             best = lightest
         else:
-            weights = record.weights
             gains: dict[int, float] = {}
-            if weights.count(1) == len(weights):
-                _count_elements(gains, map(block_of, record.ids))
+            if weights is None or \
+                    (row := weights[pos:stop]).count(1) == degree:
+                _count_elements(gains, map(block_of, ids[pos:stop]))
                 gains.pop(UNASSIGNED, None)
             else:
-                for v, w in zip(record.ids, weights):
+                for v, w in zip(ids[pos:stop], row):
                     block = assignment[v]
                     if block != UNASSIGNED:
                         gains[block] = gains.get(block, 0.0) + w
             best = fennel_block(gains, block_weight, pen, block_weight, room,
                                 weight, lightest)
+        pos = stop
         if assignment[node] != UNASSIGNED:
             raise AssertionError(f"node {node} already assigned")
         assignment[node] = best
@@ -230,10 +228,11 @@ def fennel_assign(records, state: PartitionState, params: FennelParams,
             heap = order.heap
 
 
-def ldg_assign(records, state: PartitionState, free: list,
+def ldg_assign(chunk, state: PartitionState, free: list,
                restream: bool = False) -> None:
-    """Linear deterministic greedy: place each of ``records`` in turn in
-    the block of highest affinity times ``free[i]``.
+    """Linear deterministic greedy: place each node of ``chunk`` (spool
+    columns, as :func:`fennel_assign` takes them) in turn in the block of
+    highest affinity times ``free[i]``.
 
     ``free`` is the free-capacity table (:func:`ldg_free`) of
     ``state.block_weight``; the kernel rewrites the entry of each block
@@ -245,6 +244,7 @@ def ldg_assign(records, state: PartitionState, free: list,
     other block 0, so only neighbor blocks are scored; without a feasible
     one the answer is the fewest-nodes block, lowest index first.
     """
+    start, degrees, ids, weights, node_weight = chunk
     assignment = state.assignment
     block_weight = state.block_weight
     block_count = state.block_count
@@ -254,21 +254,23 @@ def ldg_assign(records, state: PartitionState, free: list,
     limit = 4 * state.k
     l_max = state.l_max
     block_of = assignment.__getitem__
-    for record in records:
-        node = record.id
-        weight = record.weight
+    pos = 0
+    for node, degree, weight in zip(count(start), degrees,
+                                    repeat(1) if node_weight is None
+                                    else node_weight):
+        stop = pos + degree
         if restream:
             assignment[node] = UNASSIGNED
-        weights = record.weights
         gains: dict[int, float] = {}
-        if weights.count(1) == len(weights):
-            _count_elements(gains, map(block_of, record.ids))
+        if weights is None or (row := weights[pos:stop]).count(1) == degree:
+            _count_elements(gains, map(block_of, ids[pos:stop]))
             gains.pop(UNASSIGNED, None)
         else:
-            for v, w in zip(record.ids, weights):
+            for v, w in zip(ids[pos:stop], row):
                 block = assignment[v]
                 if block != UNASSIGNED:
                     gains[block] = gains.get(block, 0.0) + w
+        pos = stop
         room = l_max - weight
         best = -1
         best_score = best_count = 0
@@ -282,29 +284,29 @@ def ldg_assign(records, state: PartitionState, free: list,
                 best, best_score, best_count = i, score, block_count[i]
         if best < 0:
             while True:
-                count, best = heap[0]
-                if block_count[best] == count:
+                size, best = heap[0]
+                if block_count[best] == size:
                     break
                 heappop(heap)
             if block_weight[best] > room:
-                best = _fewest_feasible(record, state)
+                best = _fewest_feasible(weight, state)
         if assignment[node] != UNASSIGNED:
             raise AssertionError(f"node {node} already assigned")
         assignment[node] = best
         bw = block_weight[best] = block_weight[best] + weight
-        count = block_count[best] = block_count[best] + 1
+        size = block_count[best] = block_count[best] + 1
         free[best] = 1.0 - bw / l_max
-        heappush(heap, (count, best))
+        heappush(heap, (size, best))
         if len(heap) > limit:
             order.rebuild()
             heap = order.heap
 
 
-def _fewest_feasible(record, state: PartitionState) -> int:
+def _fewest_feasible(weight: int, state: PartitionState) -> int:
     # The fewest-nodes block is full.  With unit weights every block is; with
     # weighted nodes a block with more nodes may still fit, so scan.
     feasible = [i for i in range(state.k)
-                if state.block_weight[i] + record.weight <= state.l_max]
+                if state.block_weight[i] + weight <= state.l_max]
     if feasible:
         return min(feasible, key=lambda i: (state.block_count[i], i))
     # No feasible block: place on the globally lightest one and flag it.
@@ -315,30 +317,34 @@ def _fewest_feasible(record, state: PartitionState) -> int:
 def _place_pass(stream, algorithm: str, state: PartitionState,
                 params: FennelParams, restream: bool = False) -> None:
     """One pass of Fennel or LDG over ``stream``: one penalty (Fennel) or
-    free-capacity (LDG) table for the pass, then the kernel once per
-    ``SPOOL_CHUNK`` records."""
-    records = iter(stream)
+    free-capacity (LDG) table for the pass, then the kernel once per chunk
+    of ``stream.chunks()``."""
     if algorithm == "ldg":
         free = ldg_free(state.block_weight, state.l_max)
-        while batch := list(islice(records, SPOOL_CHUNK)):
-            ldg_assign(batch, state, free, restream)
+        for chunk in stream.chunks():
+            ldg_assign(chunk, state, free, restream)
     else:
         pen = fennel_penalties(state.block_weight, params)
-        while batch := list(islice(records, SPOOL_CHUNK)):
-            fennel_assign(batch, state, params, pen, restream)
+        for chunk in stream.chunks():
+            fennel_assign(chunk, state, params, pen, restream)
 
 
 def run_onepass(stream, config: OnePassConfig, state: PartitionState,
                 params: FennelParams) -> PartitionState:
-    """One full pass assigning every streamed node. Returns the final state."""
+    """One full pass assigning every streamed node, read from
+    ``stream.chunks()``; no record is built.  Returns the final state."""
     if config.algorithm != "hashing":
         _place_pass(stream, config.algorithm, state, params)
         return state
-    for record in stream:
-        block = hashing_assign(record.id, state.k)
-        state.assign(record.id, block, record.weight)
-        if state.block_weight[block] > state.l_max:
-            state.violations += 1   # hashing ignores weights; flag it
+    k, l_max, block_weight = state.k, state.l_max, state.block_weight
+    for start, degrees, _, _, node_weight in stream.chunks():
+        for node, weight in zip(range(start, start + len(degrees)),
+                                repeat(1) if node_weight is None
+                                else node_weight):
+            block = hashing_assign(node, k)
+            state.assign(node, block, weight)
+            if block_weight[block] > l_max:
+                state.violations += 1   # hashing ignores weights; flag it
     return state
 
 

@@ -122,28 +122,30 @@ def _header(parts: Sequence[str], graph: bool) -> StreamHeader:
 
 class NodeStream:
     """Re-iterable stream over a node-per-line file: a METIS graph
-    (``graph``) or a node-major hypergraph, one :class:`StreamedNodeRecord`
-    at a time.
+    (``graph``) or a node-major hypergraph, one chunk of spool columns
+    (:meth:`chunks`) or one :class:`StreamedNodeRecord` at a time.
+
+    Every partitioner but HeiStream, and every metric, reads
+    :meth:`chunks` and builds no record; iterating the stream builds the
+    records of those columns (:func:`_records`), which HeiStream's batches
+    and the ``--time-core`` preload read.
 
     The header is read when the stream is created, so ``n``, ``m`` and the
-    weight flags are available before the first record.  An iteration parses
+    weight flags are available before the first chunk.  A pass parses
     the text and, on exhaustion, checks the number of listed ids against the
     header's ``pins``.  It parses ``SPOOL_CHUNK`` node lines at a time:
     :func:`_columns` converts and checks the whole chunk with a few C-level
     calls (``map`` over the split lines, ``min``/``max`` for ranges and
     weights, ``operator.contains`` per line for self-loops, ``set`` sizes
-    for repeated nets) into the chunk's spool columns, which
-    :meth:`chunks` yields, and :func:`_records` builds its records from
-    them.  A chunk that fails a check goes to :func:`_parse_line` line by
-    line: the records before its first bad line are yielded, then that
-    line's ``FormatError`` is raised, the same one a line-by-line parse
-    raises.
+    for repeated nets) into the chunk's spool columns.  A chunk that fails
+    a check goes to :func:`_parse_line` line by line: the columns of the
+    lines before its first bad line are yielded, then that line's
+    ``FormatError`` is raised, the same one a line-by-line parse raises.
 
     With ``spool`` (the default) the parse also writes each chunk's columns
     to a binary spool, an anonymous temporary file of flat ``array('i')``
     chunks; once a parse reaches the end of the file and passes every
-    check, later iterations replay the spool, through the same
-    :func:`_records`, instead of parsing again.  A parse that fails or is
+    check, later passes replay the spool instead of parsing again.  A parse that fails or is
     abandoned closes its spool, so the next iteration parses the text.  The
     OS frees a spool when its last handle closes: on :meth:`close`, the
     stream's collection or any exit.
@@ -174,11 +176,13 @@ class NodeStream:
         return _records_of(self.chunks())
 
     def chunks(self) -> Iterator[tuple]:
-        """The checked spool columns of each chunk, ``(start, degrees, ids,
-        weights, node_weight)`` as :func:`_records` takes them, from a parse
-        or, once one is complete, a replay; an iteration yields the records
-        built from them.  A chunk with a bad line yields the columns of the
-        lines before it, then raises that line's ``FormatError``."""
+        """The checked spool columns of each chunk of ``SPOOL_CHUNK`` nodes,
+        ``(start, degrees, ids, weights, node_weight)``: the first node's
+        id, each node's id count, the flat 0-based ids, the flat item
+        weights and the node weights, the last two None when the file has
+        none.  They come from a parse or, once one is complete, a replay.
+        A chunk with a bad line yields the columns of the lines before it,
+        then raises that line's ``FormatError``."""
         if self._kept is None:
             return self._parse()
         fh = open(os.dup(self._kept[0].fileno()), "rb", buffering=0)
@@ -628,7 +632,8 @@ class MemoryStream:
     """Replayable in-memory stream of parsed records, graph or hypergraph
     (used when timing excludes parsing), nodes 0..n-1 in order.  Its one
     chunk of columns is built on the first :meth:`chunks` and kept for the
-    later ones, so the records must not change in place after it."""
+    later ones, so the records must not change in place after it; every
+    reader but HeiStream reads that chunk."""
 
     def __init__(self, header, records: list):
         self.header = header

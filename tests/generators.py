@@ -178,3 +178,15 @@ def chunk_of(records, header=None) -> tuple:
             if header and header.has_item_weights else None,
             [r.weight for r in records]
             if header and header.has_node_weights else None)
+
+
+def node_chunks(chunk):
+    """The one-node chunks of ``chunk``, in order."""
+    start, degrees, ids, weights, node_weight = chunk
+    pos = 0
+    for i, degree in enumerate(degrees):
+        stop = pos + degree
+        yield (start + i, [degree], ids[pos:stop],
+               None if weights is None else weights[pos:stop],
+               None if node_weight is None else [node_weight[i]])
+        pos = stop

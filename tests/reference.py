@@ -22,10 +22,15 @@ one line at a time, each through ``streams._parse_line``, as the stream did
 before it converted a chunk of lines at a time.  The record-at-a-time
 Fennel and LDG kernels place one record per call through
 ``PartitionState``'s own methods and compute each penalty or free capacity
-where they score it, as the kernels did before they took batches and tables;
+where they score it, as the kernels did before they took batches and tables,
+and the batch Fennel and LDG kernels take a list of records, as they did
+before they walked a chunk's columns;
 the record-at-a-time FREIGHT and OMS kernels place one record per call
 through ``state.assign`` (FREIGHT's min block from ``SortedBlocks`` or the
 state's heap), as the kernels did before they walked a chunk's columns.
+
+The edge cut and comm cost are summed over records one row entry at a time,
+as the metrics did before they walked a chunk's columns.
 
 The consistency checks at the end recompute production state from scratch.
 """
@@ -36,6 +41,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import _count_elements
+from heapq import heappop, heappush
 from fractions import Fraction
 
 import numpy as np
@@ -44,10 +50,23 @@ from streamdecomp.freight import SortedBlocks
 from streamdecomp.heistream import BatchModel, _seed_block_weights
 from streamdecomp.multisection import TreeBlock, _hash_child, \
     heterogeneous_alpha
-from streamdecomp.onepass import FennelParams, fennel_gain, run_onepass
+from streamdecomp.onepass import FennelParams, fennel_block, run_onepass
 from streamdecomp.partition import UNASSIGNED, PartitionState
 from streamdecomp.streams import FormatError, StreamedNodeRecord, \
     _expect_end, _header, _nonempty, _parse_line, _tokens
+
+
+def fennel_gain(weighted_degree_to_block: float, node_weight: int,
+                block_weight: float, params: FennelParams) -> float:
+    """Generalized Fennel score of putting a node into one block.
+
+    ``weighted_degree_to_block`` is the total edge weight from the node to
+    nodes already in the block.  With unit weights this reduces to the
+    classic |V_i n N(u)| - alpha*gamma*|V_i|^(gamma-1).  The oracle of the
+    score the kernels compute from ``onepass.fennel_penalties``.
+    """
+    penalty = params.alpha * params.gamma * block_weight ** (params.gamma - 1.0)
+    return weighted_degree_to_block - node_weight * penalty
 
 
 def _neighbor_gains(record, assignment) -> dict[int, float]:
@@ -181,6 +200,165 @@ def record_ldg_assign(record, state: PartitionState) -> int:
                 if feasible else _exhaustion_fallback(state)
     state.assign(record.id, best, weight)
     return best
+
+
+def batch_fennel_assign(records, state: PartitionState, params: FennelParams,
+                        pen: list, restream: bool = False) -> None:
+    """Fennel on a list of records per call, with the penalty table ``pen``
+    kept current and the state's writes made inline: the oracle of the
+    chunk kernel ``onepass.fennel_assign``, as that kernel was before it
+    walked a chunk's columns."""
+    assignment = state.assignment
+    block_weight = state.block_weight
+    block_count = state.block_count
+    order = state.by_weight()
+    state._by_count = None
+    heap = order.heap
+    limit = 4 * state.k
+    l_max = state.l_max
+    ag = params.alpha * params.gamma
+    g1 = params.gamma - 1.0
+    block_of = assignment.__getitem__
+    for record in records:
+        node = record.id
+        weight = record.weight
+        if restream:
+            old = assignment[node]
+            if old == UNASSIGNED:
+                raise AssertionError(f"node {node} not assigned")
+            assignment[node] = UNASSIGNED
+            bw = block_weight[old] = block_weight[old] - weight
+            block_count[old] -= 1
+            pen[old] = ag * bw ** g1
+            heappush(heap, (bw, old))
+            if len(heap) > limit:
+                order.rebuild()
+                heap = order.heap
+        while True:
+            bw, lightest = heap[0]
+            if block_weight[lightest] == bw:
+                break
+            heappop(heap)
+        room = l_max - weight
+        if bw > room:
+            state.violations += 1
+            best = lightest
+        else:
+            weights = record.weights
+            gains: dict[int, float] = {}
+            if weights.count(1) == len(weights):
+                _count_elements(gains, map(block_of, record.ids))
+                gains.pop(UNASSIGNED, None)
+            else:
+                for v, w in zip(record.ids, weights):
+                    block = assignment[v]
+                    if block != UNASSIGNED:
+                        gains[block] = gains.get(block, 0.0) + w
+            best = fennel_block(gains, block_weight, pen, block_weight, room,
+                                weight, lightest)
+        if assignment[node] != UNASSIGNED:
+            raise AssertionError(f"node {node} already assigned")
+        assignment[node] = best
+        bw = block_weight[best] = block_weight[best] + weight
+        block_count[best] += 1
+        pen[best] = ag * bw ** g1
+        heappush(heap, (bw, best))
+        if len(heap) > limit:
+            order.rebuild()
+            heap = order.heap
+
+
+def batch_ldg_assign(records, state: PartitionState, free: list,
+                     restream: bool = False) -> None:
+    """LDG on a list of records per call, with the free-capacity table
+    ``free`` kept current and the state's writes made inline: the oracle of
+    the chunk kernel ``onepass.ldg_assign``, as that kernel was before it
+    walked a chunk's columns."""
+    assignment = state.assignment
+    block_weight = state.block_weight
+    block_count = state.block_count
+    order = state.by_count()
+    state._by_weight = None
+    heap = order.heap
+    limit = 4 * state.k
+    l_max = state.l_max
+    block_of = assignment.__getitem__
+    for record in records:
+        node = record.id
+        weight = record.weight
+        if restream:
+            assignment[node] = UNASSIGNED
+        weights = record.weights
+        gains: dict[int, float] = {}
+        if weights.count(1) == len(weights):
+            _count_elements(gains, map(block_of, record.ids))
+            gains.pop(UNASSIGNED, None)
+        else:
+            for v, w in zip(record.ids, weights):
+                block = assignment[v]
+                if block != UNASSIGNED:
+                    gains[block] = gains.get(block, 0.0) + w
+        room = l_max - weight
+        best = -1
+        best_score = best_count = 0
+        for i, g in gains.items():
+            if block_weight[i] > room:
+                continue
+            score = g * free[i]
+            if (best < 0 or score > best_score or score == best_score
+                    and (block_count[i] < best_count
+                         or block_count[i] == best_count and i < best)):
+                best, best_score, best_count = i, score, block_count[i]
+        if best < 0:
+            while True:
+                count, best = heap[0]
+                if block_count[best] == count:
+                    break
+                heappop(heap)
+            if block_weight[best] > room:
+                feasible = [i for i in range(state.k)
+                            if block_weight[i] + weight <= l_max]
+                best = min(feasible, key=lambda i: (block_count[i], i)) \
+                    if feasible else _exhaustion_fallback(state)
+        if assignment[node] != UNASSIGNED:
+            raise AssertionError(f"node {node} already assigned")
+        assignment[node] = best
+        bw = block_weight[best] = block_weight[best] + weight
+        count = block_count[best] = block_count[best] + 1
+        free[best] = 1.0 - bw / l_max
+        heappush(heap, (count, best))
+        if len(heap) > limit:
+            order.rebuild()
+            heap = order.heap
+
+
+def record_edge_cut(records, assignment) -> int:
+    """The edge cut by a loop over records, each row entry at a time: the
+    oracle of ``metrics.edge_cut``, which walks a chunk's columns."""
+    doubled = 0
+    for record in records:
+        bu = assignment[record.id]
+        for v, w in zip(record.ids, record.weights):
+            if assignment[v] != bu:
+                doubled += w
+    if doubled % 2 != 0:
+        raise FormatError("asymmetric adjacency: doubled cut weight is odd")
+    return doubled // 2
+
+
+def record_comm_cost(records, assignment, hierarchy) -> tuple[int, int]:
+    """(edge cut, comm cost) by a loop over records: the oracle of
+    ``metrics.comm_cost``, which walks a chunk's columns."""
+    codes = hierarchy.codes()
+    by_bits = hierarchy.distance_by_bit_length
+    total = 0
+    for record in records:
+        u = record.id
+        code = codes[assignment[u]]
+        for v, w in zip(record.ids, record.weights):
+            if v > u and assignment[v] != assignment[u]:
+                total += w * by_bits[(code ^ codes[assignment[v]]).bit_length()]
+    return record_edge_cut(records, assignment), total
 
 
 def run_records(stream, config, state: PartitionState, params: FennelParams,

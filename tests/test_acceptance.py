@@ -21,15 +21,16 @@ from streamdecomp.multisection import (HierarchySpec, OmsConfig,
                                        build_from_spec, build_hierarchy,
                                        run_oms)
 from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
-                                  fennel_gain, run_onepass, run_restream)
+                                  run_onepass, run_restream)
 from streamdecomp.partition import UNASSIGNED, compute_lmax
 from streamdecomp.streams import MemoryStream, StreamedNodeRecord, \
     StreamHeader
 
 from generators import (banded_matrix_hypergraph, geometric_graph,
-                        graph_as_hypergraph, planted_partition_graph,
-                        random_graph, random_hypergraph, run_setup)
-from reference import (distance_matrix, division_distance_matrix,
+                        graph_as_hypergraph, node_chunks,
+                        planted_partition_graph, random_graph,
+                        random_hypergraph, run_setup)
+from reference import (distance_matrix, division_distance_matrix, fennel_gain,
                        run_fennel_twin, run_freight_reference,
                        run_multisection_multipass)
 
@@ -454,8 +455,8 @@ def test_c12_fennel_k_independence(monkeypatch):
 
     Counted, not timed: ``fennel_block`` scores the blocks of the gains
     dict ``fennel_assign`` hands it, so counting the entries it iterates
-    is exact where a wall-clock ratio would be noisy.  Batches of one record
-    tell the nodes apart.
+    is exact where a wall-clock ratio would be noisy.  Each chunk is placed
+    one node per kernel call, which tells the nodes apart.
     """
     graph = random_graph(random.Random(212), 6000, 15000)
     n, m = graph.header.n, graph.header.m
@@ -472,18 +473,17 @@ def test_c12_fennel_k_independence(monkeypatch):
     def counting_select(gains, *args):
         return select(ScoredGains(gains), *args)
 
-    def checked_assign(records, state, params, pen, restream=False):
-        record, = records
-        blocks = {state.assignment[v] for v in record.ids}
-        blocks.discard(UNASSIGNED)
-        before = blocks_scored[0]
-        assign(records, state, params, pen, restream)
-        assert 1 <= blocks_scored[0] - before <= len(blocks) + 1, \
-            f"node {record.id} at k={state.k}"
+    def checked_assign(chunk, state, params, pen, restream=False):
+        for one in node_chunks(chunk):
+            blocks = {state.assignment[v] for v in one[2]}
+            blocks.discard(UNASSIGNED)
+            before = blocks_scored[0]
+            assign(one, state, params, pen, restream)
+            assert 1 <= blocks_scored[0] - before <= len(blocks) + 1, \
+                f"node {one[0]} at k={state.k}"
 
     monkeypatch.setattr(onepass, "fennel_block", counting_select)
     monkeypatch.setattr(onepass, "fennel_assign", checked_assign)
-    monkeypatch.setattr(onepass, "SPOOL_CHUNK", 1)
     scored = {}
     for k in (512, 4096):
         blocks_scored[0] = 0

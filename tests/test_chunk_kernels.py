@@ -1,23 +1,31 @@
-"""FREIGHT's and OMS's chunk kernels against their record-at-a-time oracles
-in tests/reference, chunk by chunk, on parsed files of every ``fmt``; and
-the runners read only ``stream.chunks()``."""
+"""The chunk kernels of Fennel, LDG, FREIGHT and OMS against their record
+oracles in tests/reference, chunk by chunk, on parsed files of every
+``fmt``; and the runners, the metrics and the CLI commands other than
+HeiStream and ``--time-core`` read only ``stream.chunks()``."""
 
 import functools
+import json
 import random
 from itertools import islice
 
 import pytest
 
-from streamdecomp import streams
+from streamdecomp import cli, streams
 from streamdecomp.freight import NetTracker, SortedBlocks, freight_assign, \
     run_freight
+from streamdecomp.metrics import comm_cost, edge_cut
 from streamdecomp.multisection import HierarchySpec, OmsConfig, \
     build_from_spec, build_hierarchy, oms_assign, run_oms
-from streamdecomp.streams import MemoryStream, _write_node_lines, \
-    open_graph_stream, open_hypergraph_node_stream
+from streamdecomp.onepass import FennelParams, OnePassConfig, \
+    fennel_assign, fennel_penalties, ldg_assign, ldg_free, run_onepass, \
+    run_restream
+from streamdecomp.streams import FormatError, MemoryStream, NodeStream, \
+    _write_node_lines, open_graph_stream, open_hypergraph_node_stream
 
 from generators import random_graph, random_hypergraph, run_setup
-from reference import record_freight_assign, record_oms_assign
+from reference import batch_fennel_assign, batch_ldg_assign, \
+    parse_node_lines, record_comm_cost, record_edge_cut, \
+    record_freight_assign, record_oms_assign
 from test_multisection import _internal_blocks
 
 # fmt -> (item weights up to, node weights up to); the flags are written
@@ -114,6 +122,116 @@ class TestFreightLockstep:
                 violations += got.violations
         assert chunks == 8 * 3
         assert (violations > 0) == (not unit)   # only weighted nodes overflow
+        stream.close()
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestOnePassLockstep:
+    """Fennel's and LDG's chunk kernels against the kernels that took a
+    list of records, over three passes (ReFennel with alpha doubled per
+    pass, ReLDG from cleared blocks): after every chunk the two states,
+    their tables (``pen`` or ``free``) and their violations agree."""
+
+    @pytest.mark.parametrize("fmt", sorted(FMTS))
+    @pytest.mark.parametrize("algorithm", ["fennel", "ldg"])
+    def test_chunks_match_records(self, tmp_path, fmt, algorithm):
+        memory = _graph(fmt)
+        stream = open_graph_stream(
+            write(tmp_path / "g.graph", memory, fmt, graph=True))
+        header = stream.header
+        assert (header.has_item_weights, header.has_node_weights) == \
+            (fmt % 10 == 1, fmt >= 10)
+        violations = chunks = 0
+        for k in (2, 7, 64, 300):
+            for epsilon in (0.0, 0.03):
+                got, params = run_setup(memory, k, epsilon)
+                expected, _ = run_setup(memory, k, epsilon)
+                for p in range(3):
+                    restream = p > 0
+                    pass_params = FennelParams(params.gamma,
+                                               params.alpha * 2.0 ** p)
+                    if algorithm == "ldg":
+                        if restream:
+                            got.clear_blocks()
+                            expected.clear_blocks()
+                        tables = [ldg_free(got.block_weight, got.l_max)
+                                  for _ in range(2)]
+                    else:
+                        tables = [fennel_penalties(got.block_weight,
+                                                   pass_params)
+                                  for _ in range(2)]
+                    for chunk, records in _chunks_and_records(stream,
+                                                              memory):
+                        if algorithm == "ldg":
+                            ldg_assign(chunk, got, tables[0], restream)
+                            batch_ldg_assign(records, expected, tables[1],
+                                             restream)
+                        else:
+                            fennel_assign(chunk, got, pass_params, tables[0],
+                                          restream)
+                            batch_fennel_assign(records, expected,
+                                                pass_params, tables[1],
+                                                restream)
+                        where = (k, epsilon, p, chunk[0])
+                        assert _blocks_state(got) == \
+                            _blocks_state(expected), where
+                        assert tables[0] == tables[1], where
+                        chunks += 1
+                assert got.assignment == run_restream(
+                    stream, OnePassConfig(algorithm, passes=3),
+                    *run_setup(memory, k, epsilon)).assignment
+                violations += got.violations
+        assert chunks == 8 * 3 * 3
+        assert (violations > 0) == (fmt >= 10)   # only weighted nodes overflow
+        stream.close()
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestColumnMetrics:
+    """``edge_cut`` and ``comm_cost`` walk each chunk's columns and equal
+    the sums over records in tests/reference, on the parse, its replay and
+    the in-memory records."""
+
+    @pytest.mark.parametrize("fmt", sorted(FMTS))
+    def test_match_record_sums(self, tmp_path, fmt):
+        memory = _graph(fmt)
+        stream = open_graph_stream(
+            write(tmp_path / "g.graph", memory, fmt, graph=True))
+        flagged = MemoryStream(stream.header, memory.records)
+        records = memory.records
+        rng = random.Random(f"metrics-{fmt}")
+        for spec in ("2:4", "3:5:2", "64"):
+            hierarchy = HierarchySpec.parse(spec, ":".join(
+                str(rng.randint(1, 20) * 10 ** i)
+                for i in range(spec.count(":") + 1)))
+            k = hierarchy.k
+            blocks = [rng.randrange(k) for _ in range(N)]
+            perm = rng.sample(range(k), k)
+            for assignment in (blocks, [perm[b] for b in blocks],
+                               [b % 2 for b in blocks]):
+                cut = record_edge_cut(records, assignment)
+                expected = record_comm_cost(records, assignment, hierarchy)
+                for source in (stream, stream, flagged):
+                    assert edge_cut(source, assignment) == cut
+                    assert comm_cost(source, assignment, hierarchy) == \
+                        expected
+        assert edge_cut(stream, [0] * N) == 0
+        stream.close()
+
+    def test_odd_doubled_cut_raises(self, tmp_path):
+        # node 2 lists node 3, which lists no one: one entry, one side only
+        path = tmp_path / "one-sided.graph"
+        path.write_text("3 1\n2\n3\n\n")
+        stream = open_graph_stream(str(path))
+        memory = MemoryStream(stream.header,
+                              list(parse_node_lines(str(path), True)))
+        hierarchy = HierarchySpec.parse("2", "1")
+        for source in (stream, stream, memory):
+            assert edge_cut(source, [0, 1, 0]) == 1   # two cut entries
+            for metric in (lambda a: edge_cut(source, a),
+                           lambda a: comm_cost(source, a, hierarchy)):
+                with pytest.raises(FormatError, match="odd"):
+                    metric([0, 0, 1])
         stream.close()
 
 
@@ -228,3 +346,72 @@ class TestNoRecords:
             runs = self._three(stream, memory, run, spec.k)
             assert runs[1:] == [runs[0]] * 2
         stream.close()
+
+    @pytest.mark.parametrize("fmt", [11, 0])
+    @pytest.mark.parametrize("algorithm", ["hashing", "fennel", "ldg"])
+    def test_onepass(self, tmp_path, fmt, algorithm):
+        memory = _graph(fmt)
+        stream = open_graph_stream(
+            write(tmp_path / "g.graph", memory, fmt, graph=True))
+        memory = MemoryStream(stream.header, memory.records)
+        for passes in (1, 3):
+            config = OnePassConfig(algorithm, passes=passes)
+            run = run_restream if passes > 1 else run_onepass
+            runs = self._three(stream, memory, lambda s, state, params:
+                               run(s, config, state, params), 7)
+            assert runs[1:] == [runs[0]] * 2
+        stream.close()
+
+
+def _no_records(self):
+    raise AssertionError("a record was asked for")
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestCommandsWithoutRecords:
+    """``partition`` with hashing, fennel and ldg (1 and 3 passes), ``map``
+    and ``metrics`` run on a ``NodeStream`` whose ``__iter__`` raises, and
+    report what they report without the patch: cuts and comm costs equal
+    to the sums over the records."""
+
+    def _runs(self, tmp_path, graph, records):
+        out = {}
+        for name, argv in (
+                *((f"{algorithm}-{passes}",
+                   ["partition", "--input", graph, "--k", "5",
+                    "--algorithm", algorithm, "--passes", str(passes)])
+                  for algorithm in ("hashing", "fennel", "ldg")
+                  for passes in (1, 3)),
+                ("map", ["map", "--input", graph, "--hierarchy", "2:4",
+                         "--distances", "1:10"])):
+            part, report = tmp_path / f"{name}.part", tmp_path / "run.json"
+            assert cli.main([*argv, "--output", str(part),
+                             "--metrics-json", str(report)]) == 0, name
+            run = json.loads(report.read_text())
+            spec = ["--hierarchy", "2:4", "--distances", "1:10"] \
+                if name == "map" else ["--k", "5"]
+            assert cli.main(["metrics", "--input", graph, "--partition",
+                             str(part), *spec, "--metrics-json",
+                             str(report)]) == 0, name
+            recount = json.loads(report.read_text())
+            for key in ("edge_cut", "imbalance", "comm_cost"):
+                assert recount[key] == run[key], (name, key)
+            blocks = list(map(int, part.read_text().split()))
+            assert (run["edge_cut"], run["comm_cost"]) == (
+                record_comm_cost(records, blocks, HierarchySpec.parse(
+                    "2:4", "1:10")) if name == "map"
+                else (record_edge_cut(records, blocks), None)), name
+            for key in ("runtime_ms", "runtime_total_ms", "runtime_core_ms"):
+                run.pop(key)
+            out[name] = part.read_text(), run
+        return out
+
+    @pytest.mark.parametrize("fmt", sorted(FMTS))
+    def test_partition_map_and_metrics(self, tmp_path, monkeypatch, fmt):
+        memory = _graph(fmt)
+        graph = write(tmp_path / "g.graph", memory, fmt, graph=True)
+        expected = self._runs(tmp_path, graph, memory.records)
+        monkeypatch.setattr(NodeStream, "__iter__", _no_records)
+        assert self._runs(tmp_path, graph, memory.records) == expected
+        with pytest.raises(AssertionError, match="a record was asked for"):
+            list(open_graph_stream(graph))

@@ -5,34 +5,42 @@ import random
 
 import pytest
 
-from streamdecomp import onepass
 from streamdecomp.metrics import edge_cut
+from streamdecomp import onepass, streams
 from streamdecomp.onepass import (FennelParams, OnePassConfig, fennel_alpha,
-                                  fennel_assign, fennel_gain, fennel_penalties,
+                                  fennel_assign, fennel_penalties,
                                   hashing_assign, ldg_assign, ldg_free,
                                   run_onepass, run_restream)
 from streamdecomp.partition import UNASSIGNED, MinBlockHeap, PartitionState
 from streamdecomp.streams import (MemoryStream, StreamedNodeRecord,
                                    StreamHeader, open_graph_stream)
 
-from generators import graph_stream_from_edges, random_graph, run_setup
-from reference import (_neighbor_gains, check_consistency,
+from generators import chunk_of, graph_stream_from_edges, node_chunks, \
+    random_graph, run_setup
+from reference import (_neighbor_gains, check_consistency, fennel_gain,
                        record_fennel_assign, record_ldg_assign, run_records,
                        scan_fennel_assign, scan_ldg_assign, shadow_reldg)
 
+# the flags of a file with node and edge weights: chunk_of(records, WEIGHED)
+# keeps every weight of hand-made records
+WEIGHED = StreamHeader(1, 0, 0, has_node_weights=True, has_item_weights=True)
+
 
 def place_fennel(records, state, params):
-    """Fennel on ``records`` in one kernel call, from the penalty table of
-    the state's block weights; the blocks the records land in."""
-    fennel_assign(records, state, params,
+    """Fennel on the consecutive ``records`` as one chunk, in one kernel
+    call, from the penalty table of the state's block weights; the blocks
+    the records land in."""
+    fennel_assign(chunk_of(records, WEIGHED), state, params,
                   fennel_penalties(state.block_weight, params))
     return [state.assignment[r.id] for r in records]
 
 
 def place_ldg(records, state):
-    """LDG on ``records`` in one kernel call, from the free-capacity table
-    of the state's block weights; the blocks the records land in."""
-    ldg_assign(records, state, ldg_free(state.block_weight, state.l_max))
+    """LDG on the consecutive ``records`` as one chunk, in one kernel
+    call, from the free-capacity table of the state's block weights; the
+    blocks the records land in."""
+    ldg_assign(chunk_of(records, WEIGHED), state,
+               ldg_free(state.block_weight, state.l_max))
     return [state.assignment[r.id] for r in records]
 
 
@@ -213,8 +221,8 @@ class TestFennelAssign:
         """Counted as C12 counts: at k=64 and epsilon 0 on a node-weighted
         graph, a node the lightest block cannot take scores no block (every
         block is full then) and lands there, flagged; every other node
-        scores through one ``fennel_block`` call.  Batches of one record
-        tell the nodes apart."""
+        scores through one ``fennel_block`` call.  Each chunk is placed one
+        node per kernel call, which tells the nodes apart."""
         select, assign = onepass.fennel_block, onepass.fennel_assign
         calls = [0]
 
@@ -224,26 +232,26 @@ class TestFennelAssign:
 
         nodes = {"violating": 0, "placed": 0}
 
-        def checked(records, state, params, pen, restream=False):
-            record, = records
-            before = (calls[0], state.violations)
-            weights = list(state.block_weight)
-            if restream:   # the kernel takes the node out first
-                weights[state.assignment[record.id]] -= record.weight
-            lightest = min(range(state.k), key=lambda i: (weights[i], i))
-            assign(records, state, params, pen, restream)
-            block = state.assignment[record.id]
-            scored = calls[0] - before[0]
-            if state.violations > before[1]:
-                assert (scored, block) == (0, lightest), f"node {record.id}"
-                nodes["violating"] += 1
-            else:
-                assert scored == 1, f"node {record.id}"
-                nodes["placed"] += 1
+        def checked(chunk, state, params, pen, restream=False):
+            for one in node_chunks(chunk):
+                node, weight = one[0], one[4][0]
+                before = (calls[0], state.violations)
+                weights = list(state.block_weight)
+                if restream:   # the kernel takes the node out first
+                    weights[state.assignment[node]] -= weight
+                lightest = min(range(state.k), key=lambda i: (weights[i], i))
+                assign(one, state, params, pen, restream)
+                block = state.assignment[node]
+                scored = calls[0] - before[0]
+                if state.violations > before[1]:
+                    assert (scored, block) == (0, lightest), f"node {node}"
+                    nodes["violating"] += 1
+                else:
+                    assert scored == 1, f"node {node}"
+                    nodes["placed"] += 1
 
         monkeypatch.setattr(onepass, "fennel_block", counted)
         monkeypatch.setattr(onepass, "fennel_assign", checked)
-        monkeypatch.setattr(onepass, "SPOOL_CHUNK", 1)
         stream = random_graph(random.Random(64), 2000, 5000,
                               max_edge_weight=5, max_node_weight=20)
         state = run_restream(stream, OnePassConfig(algorithm="fennel",
@@ -297,7 +305,7 @@ class TestRunOnepass:
         state, params = run_setup(stream, k)
         pen = fennel_penalties(state.block_weight, params)
         for record in stream:
-            fennel_assign([record], state, params, pen)
+            fennel_assign(chunk_of([record]), state, params, pen)
             assert state.max_block_weight() <= state.l_max
 
 
@@ -371,9 +379,9 @@ class TestRestream:
         fallbacks = [0]
         fewest = onepass._fewest_feasible
 
-        def counted(record, state):
+        def counted(weight, state):
             fallbacks[0] += 1
-            return fewest(record, state)
+            return fewest(weight, state)
 
         monkeypatch.setattr(onepass, "_fewest_feasible", counted)
         config = OnePassConfig(algorithm="ldg", passes=passes)
@@ -455,9 +463,9 @@ class TestCandidateSelection:
         scans = []
         original = onepass._fewest_feasible
 
-        def spy(record, state):
+        def spy(weight, state):
             before = state.violations
-            block = original(record, state)
+            block = original(weight, state)
             scans.append(state.violations == before)
             return block
 
@@ -603,33 +611,43 @@ class TestGainsPerBlock:
 
 
 class TestEntryPoints:
-    """A pass calls the module-level kernel once per ``SPOOL_CHUNK``
-    records, in stream order, with one table for the whole pass, so a
-    tracer that rebinds the kernels sees every node."""
+    """A pass calls the module-level kernel once per chunk of
+    ``stream.chunks()`` (the parse, then each replay), in stream order,
+    with one table for the whole pass, so a tracer that rebinds the kernels
+    sees every node."""
 
     @pytest.mark.parametrize("algorithm", ["fennel", "ldg"])
     @pytest.mark.parametrize("passes", [1, 3])
     def test_kernel_called_once_per_batch_per_pass(self, monkeypatch,
-                                                   algorithm, passes):
+                                                   tmp_path, algorithm,
+                                                   passes):
         calls = {"fennel": [], "ldg": []}
         fennel, ldg = onepass.fennel_assign, onepass.ldg_assign
 
-        def counted_fennel(records, state, params, pen, restream=False):
-            calls["fennel"].append(([r.id for r in records], pen, restream))
-            fennel(records, state, params, pen, restream)
+        def nodes(chunk):
+            return list(range(chunk[0], chunk[0] + len(chunk[1])))
 
-        def counted_ldg(records, state, free, restream=False):
-            calls["ldg"].append(([r.id for r in records], free, restream))
-            ldg(records, state, free, restream)
+        def counted_fennel(chunk, state, params, pen, restream=False):
+            calls["fennel"].append((nodes(chunk), pen, restream))
+            fennel(chunk, state, params, pen, restream)
+
+        def counted_ldg(chunk, state, free, restream=False):
+            calls["ldg"].append((nodes(chunk), free, restream))
+            ldg(chunk, state, free, restream)
 
         monkeypatch.setattr(onepass, "fennel_assign", counted_fennel)
         monkeypatch.setattr(onepass, "ldg_assign", counted_ldg)
-        monkeypatch.setattr(onepass, "SPOOL_CHUNK", 16)
-        stream = random_graph(random.Random(71), 90, 250)
-        state, params = run_setup(stream, 4)
+        monkeypatch.setattr(streams, "SPOOL_CHUNK", 16)
+        memory = random_graph(random.Random(71), 90, 250)
+        path = tmp_path / "g.graph"
+        path.write_text(f"{memory.header.n} {memory.header.m}\n" + "".join(
+            " ".join(str(v + 1) for v in r.ids) + "\n" for r in memory))
+        stream = open_graph_stream(str(path))
+        state, params = run_setup(memory, 4)
         config = OnePassConfig(algorithm=algorithm, passes=passes)
         run = run_restream if passes > 1 else run_onepass
         run(stream, config, state, params)
+        stream.close()
         other = "ldg" if algorithm == "fennel" else "fennel"
         assert calls[other] == [] and len(calls[algorithm]) == 6 * passes
         batches = [list(range(start, min(start + 16, 90)))
@@ -642,6 +660,8 @@ class TestEntryPoints:
             assert {restream for *_, restream in made} == {p > 0}
             tables.append(made[0][1])
         assert len({id(table) for table in tables}) == passes
+        assert state.assignment == _partition(memory, algorithm, 4, 0.03,
+                                              passes).assignment
 
 
 # node and edge weights drawn up to: unit, and those of a METIS fmt-11 file
@@ -657,7 +677,8 @@ def _lockstep_graph(weights):
 
 
 def _lockstep(stream, algorithm, k, epsilon, batch, passes, growth=2.0):
-    """Run a batch kernel ``batch`` records per call and its
+    """Run a chunk kernel on chunks of ``batch`` nodes, cut from the
+    records' columns, and its
     record-at-a-time oracle in tests/reference side by side over
     ``passes`` passes (ReFennel, alpha times ``growth`` per pass, or ReLDG
     after the first).  After each batch both states must agree, and the
@@ -680,10 +701,11 @@ def _lockstep(stream, algorithm, k, epsilon, batch, passes, growth=2.0):
         table = fresh()
         for start in range(0, len(records), batch):
             chunk = records[start:start + batch]
+            columns = chunk_of(chunk, stream.header)
             if algorithm == "ldg":
-                ldg_assign(chunk, got, table, restream)
+                ldg_assign(columns, got, table, restream)
             else:
-                fennel_assign(chunk, got, pass_params, table, restream)
+                fennel_assign(columns, got, pass_params, table, restream)
             for record in chunk:
                 if algorithm == "ldg":
                     if restream:
@@ -699,8 +721,8 @@ def _lockstep(stream, algorithm, k, epsilon, batch, passes, growth=2.0):
 
 
 class TestBatchLockstep:
-    """The batch kernels against the record-at-a-time kernels in
-    tests/reference, batch by batch, and the whole run against
+    """The chunk kernels against the record-at-a-time kernels in
+    tests/reference, chunk by chunk, and the whole run against
     ``run_onepass`` and ``run_restream``."""
 
     @pytest.mark.parametrize("passes", [1, 2, 3])
@@ -723,9 +745,9 @@ class TestBatchLockstep:
         found = []
         fewest = onepass._fewest_feasible
 
-        def spy(record, state):
+        def spy(weight, state):
             before = state.violations
-            block = fewest(record, state)
+            block = fewest(weight, state)
             found.append(state.violations == before)
             return block
 

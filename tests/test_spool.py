@@ -279,23 +279,23 @@ def test_no_spool_survives_a_failing_run(tmp_path, spool_dir, monkeypatch,
     assert spools(spool_dir) == []
 
     # exit 3 from inside the kernel, with the first parse suspended and
-    # then with a replay suspended: batches of 4 of the 60 nodes
+    # then with a replay suspended: chunks of 4 of the 60 nodes
     seen = []
     fennel_assign = onepass.fennel_assign
 
-    def broken(records, state, params, pen, restream=False):
-        seen.append([r.id for r in records])
+    def broken(chunk, state, params, pen, restream=False):
+        seen.append(list(range(chunk[0], chunk[0] + len(chunk[1]))))
         if len(seen) in (2, 19):
             raise IndexError("list index out of range")
-        fennel_assign(records, state, params, pen, restream)
+        fennel_assign(chunk, state, params, pen, restream)
     monkeypatch.setattr(onepass, "fennel_assign", broken)
-    monkeypatch.setattr(onepass, "SPOOL_CHUNK", 4)
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 4)
     for _ in range(2):
         assert cli.main(["partition", "--input", graph, "--k", "2",
                          "--passes", "3"]) == 3
         assert spools(spool_dir) == []
-    # the first run failed at its second batch, the second at the second
-    # batch of its second pass (its 17th kernel call)
+    # the first run failed at its second chunk, the second at the second
+    # chunk of its second pass (its 17th kernel call)
     assert seen[1] == seen[-1] == [4, 5, 6, 7] and len(seen) == 19
     assert "internal invariant failure" in capsys.readouterr().err
 
