@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from contextlib import closing, contextmanager
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -267,8 +267,14 @@ def execute(spec) -> dict:
         header = stream.header
         # c(V) fixes L_max before the run: on node-weighted input it sums
         # the node weights of the first pass, which the run then replays.
-        total_weight = sum(map(sum, map(itemgetter(4), stream.chunks()))) \
-            if header.has_node_weights else header.n
+        # A preload sums its records', so that the run, not this sum, builds
+        # the preload's chunk on any input and runtime_core_ms times it.
+        if not header.has_node_weights:
+            total_weight = header.n
+        elif spec.time_core:
+            total_weight = sum(map(attrgetter("weight"), stream.records))
+        else:
+            total_weight = sum(map(sum, map(itemgetter(4), stream.chunks())))
         state = PartitionState(header.n, k, spec.epsilon, total_weight)
         params = FennelParams.for_stream(header.n, header.m, k, spec.gamma,
                                          spec.alpha, total_weight)

@@ -121,26 +121,37 @@ def test_memory_stream_builds_its_chunk_once():
 
 @pytest.mark.parametrize("command, flags", [
     ("hpartition", ["--k", "3"]),
-    ("map", ["--hierarchy", "2:2", "--distances", "1:10"])])
+    ("map", ["--hierarchy", "2:2", "--distances", "1:10"]),
+    ("partition", ["--k", "2"])])
 def test_a_time_core_run_and_its_verification_flatten_once(
         tmp_path, monkeypatch, command, flags):
-    # the run reads the preloaded records' chunk, and the verification
-    # (cut-net and connectivity, or the imbalance of node weights) reads
-    # the same one
-    built = []
+    # the timed run flattens the preloaded records, node-weighted (fmt 11
+    # and 10) or not, so runtime_core_ms covers the same steps on both:
+    # c(V) reads the records; the verification (cut-net and connectivity,
+    # or the imbalance of node weights) reads the run's chunk
+    steps = []
     memory_chunk = streams._memory_chunk
 
     def counted(records, header):
-        built.append(len(records))
+        steps.append(len(records))
         return memory_chunk(records, header)
+    algorithm, text = {
+        "hpartition": ("freight-con", "6 4 9 11\n2 1 2\n3 1 2 2 1\n"
+                       "1 2 1 3 3\n2 3 3\n1 3 3 4 1\n4 4 1\n"),
+        "map": ("oms-fennel", "4 4 10\n2 2 4\n1 1 3\n3 2 4\n1 1 3\n"),
+        "partition": ("fennel", "4 4\n2 4\n1 3\n2 4\n1 3\n")}[command]
+    kind, run = cli.ALGORITHMS[algorithm]
+
+    def timed(*args):
+        steps.append("run")
+        return run(*args)
     monkeypatch.setattr(streams, "_memory_chunk", counted)
+    monkeypatch.setitem(cli.ALGORITHMS, algorithm, (kind, timed))
     path = tmp_path / "in.txt"
-    path.write_text("6 4 9 11\n2 1 2\n3 1 2 2 1\n1 2 1 3 3\n2 3 3\n"
-                    "1 3 3 4 1\n4 4 1\n" if command == "hpartition" else
-                    "4 4 10\n2 2 4\n1 1 3\n3 2 4\n1 1 3\n")
+    path.write_text(text)
     assert cli.main([command, "--input", str(path), *flags, "--time-core",
                      "--metrics-json", str(tmp_path / "m.json")]) == 0
-    assert built == [6 if command == "hpartition" else 4]
+    assert steps == ["run", 6 if command == "hpartition" else 4]
 
 
 @pytest.mark.parametrize("ids, message", [
