@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from contextlib import closing, contextmanager
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -258,23 +258,15 @@ def execute(spec) -> dict:
     k = hierarchy.k if hierarchy is not None else spec.k
     t0 = time.perf_counter()
     opener = open_graph_stream if kind == "graph" else open_hypergraph_node_stream
-    # A preload keeps the records in memory, so it never reads a spool.
+    # A preload keeps the parse's chunks in memory, so it writes no spool.
     with closing(opener(spec.input, spool=not spec.time_core)) as stream:
         if spec.time_core:
-            # The records live until the run ends.
-            with _gc_paused():
-                stream = MemoryStream(stream.header, list(stream))
+            stream = MemoryStream(stream.header, list(stream.chunks()))
         header = stream.header
         # c(V) fixes L_max before the run: on node-weighted input it sums
         # the node weights of the first pass, which the run then replays.
-        # A preload sums its records', so that the run, not this sum, builds
-        # the preload's chunk on any input and runtime_core_ms times it.
-        if not header.has_node_weights:
-            total_weight = header.n
-        elif spec.time_core:
-            total_weight = sum(map(attrgetter("weight"), stream.records))
-        else:
-            total_weight = sum(map(sum, map(itemgetter(4), stream.chunks())))
+        total_weight = header.n if not header.has_node_weights else \
+            sum(map(sum, map(itemgetter(4), stream.chunks())))
         state = PartitionState(header.n, k, spec.epsilon, total_weight)
         params = FennelParams.for_stream(header.n, header.m, k, spec.gamma,
                                          spec.alpha, total_weight)

@@ -67,8 +67,8 @@ def cut_net_and_connectivity(hyper_stream,
     ``weights`` is not read, as in FREIGHT.
 
     The pass reads the flat columns of each chunk of
-    ``hyper_stream.chunks()`` (a spool replay for a parsed file, one chunk
-    for a ``MemoryStream``), each pin paired with its node's block bit, and
+    ``hyper_stream.chunks()`` (a spool replay for a parsed file, the kept
+    chunks of a ``MemoryStream``), each pin paired with its node's block bit, and
     builds no record.  A net id that is negative or not below m is a
     ``ValueError`` naming its node.
     """

@@ -122,9 +122,3 @@ class PartitionState:
         """Empty every block in place; the assignment stays."""
         self.block_weight[:] = self.block_count[:] = [0] * self.k
         self._by_weight = self._by_count = None
-
-    def max_block_weight(self) -> int:
-        return max(self.block_weight)
-
-    def is_balanced(self) -> bool:
-        return self.max_block_weight() <= self.l_max

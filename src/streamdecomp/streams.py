@@ -28,7 +28,7 @@ import weakref
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain, count, filterfalse, islice, repeat
+from itertools import chain, count, filterfalse, islice, repeat, starmap
 from operator import attrgetter, contains, methodcaller, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -128,7 +128,7 @@ class NodeStream:
     Every partitioner but HeiStream, and every metric, reads
     :meth:`chunks` and builds no record; iterating the stream builds the
     records of those columns (:func:`_records`), which HeiStream's batches
-    and the ``--time-core`` preload read.
+    read.
 
     The header is read when the stream is created, so ``n``, ``m`` and the
     weight flags are available before the first chunk.  A pass parses
@@ -283,7 +283,7 @@ def _records(start: int, degrees: Sequence[int], ids: list[int],
     """The records of one chunk from its spool columns: node ``start`` on,
     each with the next ``degrees[i]`` of the flat 0-based ``ids`` and of the
     flat item ``weights`` (all 1 when None) and its ``node_weight`` (1 when
-    None).  Every :class:`NodeStream` iteration builds its records here."""
+    None).  Every stream iteration builds its records here."""
     return map(StreamedNodeRecord, count(start),
                repeat(1) if node_weight is None else node_weight,
                _split(ids, degrees),
@@ -629,49 +629,42 @@ def _write_node_lines(path: str, header: list[int],
 
 
 class MemoryStream:
-    """Replayable in-memory stream of parsed records, graph or hypergraph
-    (used when timing excludes parsing), nodes 0..n-1 in order.  Its one
-    chunk of columns is built on the first :meth:`chunks` and kept for the
-    later ones, so the records must not change in place after it; every
-    reader but HeiStream reads that chunk."""
+    """Replayable in-memory stream, graph or hypergraph (used when timing
+    excludes parsing), nodes 0..n-1 in order: a list of chunks of columns
+    as :meth:`NodeStream.chunks` gives them, kept as they are and shared,
+    so a reader must not change them.  Every reader but HeiStream reads
+    :meth:`chunks`; iterating builds the records of those columns."""
 
-    def __init__(self, header, records: list):
+    def __init__(self, header: StreamHeader, chunks: list):
+        if chunks and isinstance(chunks[0], StreamedNodeRecord):
+            raise TypeError("MemoryStream takes chunks of columns; build "
+                            "one from records with from_records")
         self.header = header
-        self.records = records
-        self._chunk = None   # (records, weight flags, their chunk or None)
+        self._chunks = chunks
 
-    def __iter__(self) -> Iterator:
-        return iter(self.records)
-
-    def chunks(self) -> Iterator[tuple]:
-        """All records as one chunk of columns, ``(0, degrees, ids,
-        weights, node_weight)`` as :meth:`NodeStream.chunks` gives them:
-        item and node weights only where the header's flags say (None
-        otherwise); nothing for no records.  ``ValueError`` names the first
-        record whose id is not its position.  The columns are built once
-        per records list and flags, and shared: a reader must not change
-        them."""
-        records, header = self.records, self.header
-        flags = header.has_item_weights, header.has_node_weights
-        kept = self._chunk
-        if kept is None or kept[0] is not records or kept[1] != flags:
-            kept = self._chunk = records, flags, _memory_chunk(records, header)
-        if kept[2] is not None:
-            yield kept[2]
-
-
-def _memory_chunk(records: list, header: StreamHeader) -> Optional[tuple]:
-    """The columns of ``records`` as one chunk (see
-    :meth:`MemoryStream.chunks`), None for no records."""
-    ids = list(map(attrgetter("id"), records))
-    if ids != list(range(len(ids))):
-        bad = next(i for i, v in enumerate(ids) if v != i)
-        raise ValueError(f"record {bad} has id {ids[bad]}, not {bad}")
-    if not records:
-        return None
-    rows = list(map(attrgetter("ids"), records))
-    return (0, list(map(len, rows)), list(chain.from_iterable(rows)),
+    @classmethod
+    def from_records(cls, header: StreamHeader, records: list
+                     ) -> MemoryStream:
+        """A stream of ``records`` as one chunk: item and node weights only
+        where the header's flags say now (None otherwise); no chunk for no
+        records.  ``ValueError`` names the first record whose id is not its
+        position."""
+        ids = list(map(attrgetter("id"), records))
+        if ids != list(range(len(ids))):
+            bad = next(i for i, v in enumerate(ids) if v != i)
+            raise ValueError(f"record {bad} has id {ids[bad]}, not {bad}")
+        if not records:
+            return cls(header, [])
+        rows = list(map(attrgetter("ids"), records))
+        return cls(header, [(
+            0, list(map(len, rows)), list(chain.from_iterable(rows)),
             list(chain.from_iterable(map(attrgetter("weights"), records)))
             if header.has_item_weights else None,
             list(map(attrgetter("weight"), records))
-            if header.has_node_weights else None)
+            if header.has_node_weights else None)])
+
+    def __iter__(self) -> Iterator[StreamedNodeRecord]:
+        return chain.from_iterable(starmap(_records, self._chunks))
+
+    def chunks(self) -> Iterator[tuple]:
+        return iter(self._chunks)

@@ -34,7 +34,7 @@ def graph_stream_from_edges(n, edges, node_weights=None) -> MemoryStream:
     header = StreamHeader(n, len(edges), 2 * len(edges),
                           has_node_weights=node_weights is not None,
                           has_item_weights=any(w != 1 for *_, w in edges))
-    return MemoryStream(header, records)
+    return MemoryStream.from_records(header, records)
 
 
 def random_graph(rng: random.Random, n: int, m: int,
@@ -115,7 +115,7 @@ def hypergraph_stream_from_nets(n, nets, node_weights=None) -> MemoryStream:
         n, len(nets), pins_total,
         has_node_weights=node_weights is not None,
         has_item_weights=any(w != 1 for _, w in nets))
-    return MemoryStream(header, records)
+    return MemoryStream.from_records(header, records)
 
 
 def random_hypergraph(rng: random.Random, n: int, m: int, max_pins: int = 8,

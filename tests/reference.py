@@ -29,8 +29,9 @@ the record-at-a-time FREIGHT and OMS kernels place one record per call
 through ``state.assign`` (FREIGHT's min block from ``SortedBlocks`` or the
 state's heap), as the kernels did before they walked a chunk's columns.
 
-The edge cut and comm cost are summed over records one row entry at a time,
-as the metrics did before they walked a chunk's columns.
+The edge cut, comm cost, cut-net and connectivity are summed over records
+one row entry at a time, as the metrics did before they walked a chunk's
+columns.
 
 The consistency checks at the end recompute production state from scratch.
 """
@@ -359,6 +360,21 @@ def record_comm_cost(records, assignment, hierarchy) -> tuple[int, int]:
             if v > u and assignment[v] != assignment[u]:
                 total += w * by_bits[(code ^ codes[assignment[v]]).bit_length()]
     return record_edge_cut(records, assignment), total
+
+
+def record_cut_net_and_connectivity(records, assignment,
+                                    item_weights: bool) -> tuple[int, int]:
+    """(cut-net, connectivity) from per-net block sets, record by record:
+    the oracle of ``metrics.cut_net_and_connectivity``, which walks a
+    chunk's columns.  Net weights count only with ``item_weights``."""
+    nets: dict[int, set] = {}
+    weight: dict[int, int] = {}
+    for record in records:
+        for e, w in zip(record.ids, record.weights):
+            nets.setdefault(e, set()).add(assignment[record.id])
+            weight[e] = w if item_weights else 1
+    return (sum(weight[e] for e, s in nets.items() if len(s) > 1),
+            sum((len(s) - 1) * weight[e] for e, s in nets.items()))
 
 
 def run_records(stream, config, state: PartitionState, params: FennelParams,

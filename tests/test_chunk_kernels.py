@@ -1,7 +1,7 @@
 """The chunk kernels of Fennel, LDG, FREIGHT and OMS against their record
 oracles in tests/reference, chunk by chunk, on parsed files of every
-``fmt``; and the runners, the metrics and the CLI commands other than
-HeiStream and ``--time-core`` read only ``stream.chunks()``."""
+``fmt``; and the runners, the metrics and every CLI command but HeiStream,
+with ``--time-core`` or without, read only ``stream.chunks()``."""
 
 import functools
 import json
@@ -11,6 +11,7 @@ from itertools import islice
 import pytest
 
 from streamdecomp import cli, streams
+from streamdecomp.bench import read_rows
 from streamdecomp.freight import NetTracker, SortedBlocks, freight_assign, \
     run_freight
 from streamdecomp.metrics import comm_cost, edge_cut
@@ -24,8 +25,8 @@ from streamdecomp.streams import FormatError, MemoryStream, NodeStream, \
 
 from generators import random_graph, random_hypergraph, run_setup
 from reference import batch_fennel_assign, batch_ldg_assign, \
-    parse_node_lines, record_comm_cost, record_edge_cut, \
-    record_freight_assign, record_oms_assign
+    parse_node_lines, record_comm_cost, record_cut_net_and_connectivity, \
+    record_edge_cut, record_freight_assign, record_oms_assign
 from test_multisection import _internal_blocks
 
 # fmt -> (item weights up to, node weights up to); the flags are written
@@ -37,7 +38,7 @@ N = 2 * CHUNK + CHUNK // 2 + 3   # three chunks, the last one short
 
 def write(path, memory, fmt: int, graph: bool) -> str:
     """``memory`` as a node-per-line file with the flags of ``fmt``."""
-    header, records = memory.header, memory.records
+    header, records = memory.header, list(memory)
     _write_node_lines(str(path), [header.n, header.m] if graph
                       else [header.n, header.m, header.pins],
                       [r.weight for r in records] if fmt >= 10 else None,
@@ -75,7 +76,7 @@ def _blocks_state(state):
 def _chunks_and_records(stream, memory):
     """Each chunk of ``stream`` (the parse, then the replay), with the
     records of ``memory`` it covers."""
-    records = iter(memory.records)
+    records = iter(memory)
     for chunk in stream.chunks():
         yield chunk, list(islice(records, len(chunk[1])))
 
@@ -197,8 +198,8 @@ class TestColumnMetrics:
         memory = _graph(fmt)
         stream = open_graph_stream(
             write(tmp_path / "g.graph", memory, fmt, graph=True))
-        flagged = MemoryStream(stream.header, memory.records)
-        records = memory.records
+        records = list(memory)
+        flagged = MemoryStream.from_records(stream.header, records)
         rng = random.Random(f"metrics-{fmt}")
         for spec in ("2:4", "3:5:2", "64"):
             hierarchy = HierarchySpec.parse(spec, ":".join(
@@ -223,8 +224,8 @@ class TestColumnMetrics:
         path = tmp_path / "one-sided.graph"
         path.write_text("3 1\n2\n3\n\n")
         stream = open_graph_stream(str(path))
-        memory = MemoryStream(stream.header,
-                              list(parse_node_lines(str(path), True)))
+        memory = MemoryStream.from_records(
+            stream.header, list(parse_node_lines(str(path), True)))
         hierarchy = HierarchySpec.parse("2", "1")
         for source in (stream, stream, memory):
             assert edge_cut(source, [0, 1, 0]) == 1   # two cut entries
@@ -325,7 +326,7 @@ class TestNoRecords:
         memory = _hypergraph(fmt)
         stream = open_hypergraph_node_stream(
             write(tmp_path / "h.hgr", memory, fmt, graph=False))
-        memory = MemoryStream(stream.header, memory.records)
+        memory = MemoryStream.from_records(stream.header, list(memory))
         runs = self._three(stream, memory, lambda s, state, params:
                            run_freight(s, state, params, objective), 7)
         assert runs[1:] == [runs[0]] * 2
@@ -337,7 +338,7 @@ class TestNoRecords:
         memory = _graph(fmt)
         stream = open_graph_stream(
             write(tmp_path / "g.graph", memory, fmt, graph=True))
-        memory = MemoryStream(stream.header, memory.records)
+        memory = MemoryStream.from_records(stream.header, list(memory))
         spec = HierarchySpec.parse("2:4", "1:10")
         for run in (lambda s, state, params: run_oms(
                         s, OmsConfig(scorer=scorer), state, params),
@@ -353,7 +354,7 @@ class TestNoRecords:
         memory = _graph(fmt)
         stream = open_graph_stream(
             write(tmp_path / "g.graph", memory, fmt, graph=True))
-        memory = MemoryStream(stream.header, memory.records)
+        memory = MemoryStream.from_records(stream.header, list(memory))
         for passes in (1, 3):
             config = OnePassConfig(algorithm, passes=passes)
             run = run_restream if passes > 1 else run_onepass
@@ -367,51 +368,90 @@ def _no_records(self):
     raise AssertionError("a record was asked for")
 
 
+# run name -> its command and flags, the input read from the test's files
+COMMANDS = {
+    **{f"{algorithm}-{passes}": ["partition", "--k", "5", "--algorithm",
+                                 algorithm, "--passes", str(passes)]
+       for algorithm in ("hashing", "fennel", "ldg") for passes in (1, 3)},
+    "oms": ["partition", "--k", "5", "--algorithm", "oms"],
+    "map": ["map", "--hierarchy", "2:4", "--distances", "1:10"],
+    "hpartition": ["hpartition", "--k", "5"],
+}
+QUALITY = ("edge_cut", "cut_net", "connectivity", "imbalance", "comm_cost")
+
+
 @pytest.mark.usefixtures("small_chunks")
 class TestCommandsWithoutRecords:
-    """``partition`` with hashing, fennel and ldg (1 and 3 passes), ``map``
-    and ``metrics`` run on a ``NodeStream`` whose ``__iter__`` raises, and
-    report what they report without the patch: cuts and comm costs equal
-    to the sums over the records."""
+    """``partition`` with hashing, fennel and ldg (1 and 3 passes) and oms,
+    ``map``, ``hpartition`` and ``metrics``, each also with
+    ``--time-core``, and ``bench`` run on streams whose ``__iter__``
+    raises.  They report what the spool path reports without the patch:
+    the same partitions and quality, cuts and comm costs equal to the sums
+    over the records.  A ``--time-core`` run preloads the parse's chunks,
+    three of them here."""
 
-    def _runs(self, tmp_path, graph, records):
+    def _runs(self, tmp_path, graph, hypergraph, flags=()):
+        """Per run, its partition file and its report without run times
+        and runspec; the report's quality equals the ``metrics``
+        recount."""
         out = {}
-        for name, argv in (
-                *((f"{algorithm}-{passes}",
-                   ["partition", "--input", graph, "--k", "5",
-                    "--algorithm", algorithm, "--passes", str(passes)])
-                  for algorithm in ("hashing", "fennel", "ldg")
-                  for passes in (1, 3)),
-                ("map", ["map", "--input", graph, "--hierarchy", "2:4",
-                         "--distances", "1:10"])):
+        for name, argv in COMMANDS.items():
+            command, *options = argv
+            path = hypergraph if command == "hpartition" else graph
             part, report = tmp_path / f"{name}.part", tmp_path / "run.json"
-            assert cli.main([*argv, "--output", str(part),
+            assert cli.main([command, "--input", path, *options, *flags,
+                             "--output", str(part),
                              "--metrics-json", str(report)]) == 0, name
             run = json.loads(report.read_text())
-            spec = ["--hierarchy", "2:4", "--distances", "1:10"] \
-                if name == "map" else ["--k", "5"]
-            assert cli.main(["metrics", "--input", graph, "--partition",
+            spec = ["--hypergraph", "--k", "5"] if command == "hpartition" \
+                else options if command == "map" else ["--k", "5"]
+            assert cli.main(["metrics", "--input", path, "--partition",
                              str(part), *spec, "--metrics-json",
                              str(report)]) == 0, name
             recount = json.loads(report.read_text())
-            for key in ("edge_cut", "imbalance", "comm_cost"):
-                assert recount[key] == run[key], (name, key)
-            blocks = list(map(int, part.read_text().split()))
-            assert (run["edge_cut"], run["comm_cost"]) == (
-                record_comm_cost(records, blocks, HierarchySpec.parse(
-                    "2:4", "1:10")) if name == "map"
-                else (record_edge_cut(records, blocks), None)), name
-            for key in ("runtime_ms", "runtime_total_ms", "runtime_core_ms"):
+            assert [recount[key] for key in QUALITY] == \
+                [run[key] for key in QUALITY], name
+            for key in ("runtime_ms", "runtime_total_ms", "runtime_core_ms",
+                        "runspec"):
                 run.pop(key)
             out[name] = part.read_text(), run
         return out
 
     @pytest.mark.parametrize("fmt", sorted(FMTS))
     def test_partition_map_and_metrics(self, tmp_path, monkeypatch, fmt):
-        memory = _graph(fmt)
+        memory, hyper = _graph(fmt), _hypergraph(fmt)
         graph = write(tmp_path / "g.graph", memory, fmt, graph=True)
-        expected = self._runs(tmp_path, graph, memory.records)
+        hypergraph = write(tmp_path / "h.hgr", hyper, fmt, graph=False)
+        expected = self._runs(tmp_path, graph, hypergraph)   # the spool path
+        records, blocks = list(memory), {
+            name: list(map(int, part.split()))
+            for name, (part, _) in expected.items()}
+        for name, (_, run) in expected.items():
+            assert (run["edge_cut"], run["comm_cost"]) == (
+                record_comm_cost(records, blocks[name], HierarchySpec.parse(
+                    "2:4", "1:10")) if name == "map"
+                else (None, None) if name == "hpartition"
+                else (record_edge_cut(records, blocks[name]), None)), name
+        assert (expected["hpartition"][1]["cut_net"],
+                expected["hpartition"][1]["connectivity"]) == \
+            record_cut_net_and_connectivity(
+                list(hyper), blocks["hpartition"],
+                hyper.header.has_item_weights)
         monkeypatch.setattr(NodeStream, "__iter__", _no_records)
-        assert self._runs(tmp_path, graph, memory.records) == expected
+        monkeypatch.setattr(MemoryStream, "__iter__", _no_records)
+        for flags in ((), ("--time-core",)):
+            assert self._runs(tmp_path, graph, hypergraph, flags) == \
+                expected, flags
+        rows = tmp_path / "rows.csv"
+        for passes in ("1", "3"):
+            assert cli.main(["bench", "--input", graph, "--algorithms",
+                             "hashing,fennel,ldg,oms", "--k", "5",
+                             "--passes", passes, "--output", str(rows)]) == 0
+            for row in read_rows(str(rows)):
+                name = row["algorithm"] if row["algorithm"] == "oms" \
+                    else f"{row['algorithm']}-{passes}"
+                run = expected[name][1]
+                assert (int(row["edge_cut"]), float(row["imbalance"])) == \
+                    (run["edge_cut"], run["imbalance"]), name
         with pytest.raises(AssertionError, match="a record was asked for"):
             list(open_graph_stream(graph))

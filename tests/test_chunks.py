@@ -1,8 +1,10 @@
 """The column readers: ``NodeStream.chunks()`` gives the spool columns every
-record is built from, ``MemoryStream.chunks()`` the same columns of its
-records in one chunk, and the cut-net/connectivity check that walks them
-counts what a per-record recount counts."""
+record is built from, ``MemoryStream.chunks()`` the parse's chunks it keeps
+(or, from records, their columns in one chunk), and the cut-net and
+connectivity check that walks them counts what a per-record recount
+counts."""
 
+import operator
 import random
 from itertools import chain
 
@@ -10,11 +12,13 @@ import pytest
 
 from streamdecomp import cli, streams
 from streamdecomp.metrics import cut_net_and_connectivity
+from streamdecomp.onepass import require_reiterable
 from streamdecomp.streams import FormatError, MemoryStream, \
     StreamedNodeRecord, StreamHeader, _records, _write_node_lines, \
     open_hypergraph_node_stream
 
 from generators import random_hypergraph
+from reference import record_cut_net_and_connectivity
 from test_spool import FILES, opener, spool_dir, spools  # noqa: F401
 
 
@@ -90,68 +94,78 @@ def joined(chunks):
 def test_memory_stream_chunk_has_the_parsed_columns(tmp_path, spool_dir,
                                                     monkeypatch, kind,
                                                     text):  # noqa: F811
+    # the kept chunks are the parse's own objects, on every call
     monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
     path = tmp_path / "in.txt"
     path.write_text(text)
     stream = opener(kind)(str(path))
     parsed = list(stream.chunks())
-    memory = MemoryStream(stream.header, list(stream))   # from the replay
-    chunks = list(memory.chunks())
-    assert [columns[0] for columns in chunks] == [0]
-    assert joined(chunks) == joined(parsed)   # weights where the flags say
-    assert rebuilt(chunks) == rebuilt(parsed) == memory.records
-    assert list(MemoryStream(stream.header, []).chunks()) == []
+    memory = MemoryStream(stream.header, parsed)
+    first, again = list(memory.chunks()), list(memory.chunks())
+    assert len(first) == 3
+    assert all(map(operator.is_, first, parsed))
+    assert all(map(operator.is_, again, parsed))
+    assert list(memory) == list(memory) == list(stream)   # from the replay
+    require_reiterable(memory)
+    one = list(MemoryStream.from_records(stream.header, list(memory))
+               .chunks())
+    assert [columns[0] for columns in one] == [0]
+    assert joined(one) == joined(parsed)   # weights where the flags say
+    assert rebuilt(one) == rebuilt(parsed)
+    assert list(MemoryStream.from_records(stream.header, []).chunks()) == []
     stream.close()
 
 
 def test_memory_stream_builds_its_chunk_once():
+    # from_records reads the header's flags once, at construction
     records = [StreamedNodeRecord(i, 1 + i, [i % 2], [2]) for i in range(3)]
     header = StreamHeader(3, 2, 3)
-    stream = MemoryStream(header, records)
+    stream = MemoryStream.from_records(header, records)
     first, = stream.chunks()
-    again, = stream.chunks()
-    assert again is first and first[3] is first[4] is None
     header.has_item_weights = header.has_node_weights = True   # new flags
-    weighted, = stream.chunks()
-    assert weighted[3:] == ([2, 2, 2], [1, 2, 3])
-    stream.records = records[:2]                               # new records
-    shorter, = stream.chunks()
-    assert shorter[1:] == ([1, 1], [0, 1], [2, 2], [1, 2])
+    records[0].ids = [1]                                       # new ids
+    again, = stream.chunks()
+    assert again is first and first[1:] == ([1, 1, 1], [0, 1, 0], None, None)
+    weighted, = MemoryStream.from_records(header, records).chunks()
+    assert weighted[1:] == ([1, 1, 1], [1, 1, 0], [2, 2, 2], [1, 2, 3])
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("hpartition", ["--k", "3"]),
-    ("map", ["--hierarchy", "2:2", "--distances", "1:10"]),
-    ("partition", ["--k", "2"])])
-def test_a_time_core_run_and_its_verification_flatten_once(
-        tmp_path, monkeypatch, command, flags):
-    # the timed run flattens the preloaded records, node-weighted (fmt 11
-    # and 10) or not, so runtime_core_ms covers the same steps on both:
-    # c(V) reads the records; the verification (cut-net and connectivity,
-    # or the imbalance of node weights) reads the run's chunk
-    steps = []
-    memory_chunk = streams._memory_chunk
-
-    def counted(records, header):
-        steps.append(len(records))
-        return memory_chunk(records, header)
-    algorithm, text = {
-        "hpartition": ("freight-con", "6 4 9 11\n2 1 2\n3 1 2 2 1\n"
-                       "1 2 1 3 3\n2 3 3\n1 3 3 4 1\n4 4 1\n"),
-        "map": ("oms-fennel", "4 4 10\n2 2 4\n1 1 3\n3 2 4\n1 1 3\n"),
-        "partition": ("fennel", "4 4\n2 4\n1 3\n2 4\n1 3\n")}[command]
+@pytest.mark.parametrize("command, flags, text, total", [
+    ("hpartition", ["--k", "3"], "6 4 9 11\n2 1 2\n3 1 2 2 1\n"
+     "1 2 1 3 3\n2 3 3\n1 3 3 4 1\n4 4 1\n", 13),
+    ("map", ["--hierarchy", "2:2", "--distances", "1:10"],
+     "4 4 10\n2 2 4\n1 1 3\n3 2 4\n1 1 3\n", 7),
+    ("partition", ["--k", "2", "--passes", "3"],
+     "4 4 10\n2 2 4\n1 1 3\n3 2 4\n1 1 3\n", 7),
+    ("partition", ["--k", "2", "--algorithm", "oms"],
+     "4 4\n2 4\n1 3\n2 4\n1 3\n", 4)],
+    ids=["hpartition", "map", "partition", "partition-oms"])
+def test_a_time_core_run_and_its_verification_build_no_record(
+        tmp_path, monkeypatch, command, flags, text, total):
+    # the preload keeps the parse's chunks, two nodes each: c(V) sums their
+    # node weight columns, and neither the run nor its verification (the
+    # cut or cut-net and connectivity, the imbalance of node weights) builds
+    # a record or flattens one
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    args = cli._parser().parse_args([command, "--input", "-", *flags])
+    algorithm = cli._algorithm(args)
     kind, run = cli.ALGORITHMS[algorithm]
+    totals = []
 
-    def timed(*args):
-        steps.append("run")
-        return run(*args)
-    monkeypatch.setattr(streams, "_memory_chunk", counted)
+    def timed(spec, stream, state, *rest):
+        totals.append(state.total_weight)
+        return run(spec, stream, state, *rest)
+
+    def refused(*args):
+        raise AssertionError("a record was built or flattened")
+    monkeypatch.setattr(streams, "_records", refused)
+    monkeypatch.setattr(MemoryStream, "from_records", refused)
     monkeypatch.setitem(cli.ALGORITHMS, algorithm, (kind, timed))
     path = tmp_path / "in.txt"
     path.write_text(text)
     assert cli.main([command, "--input", str(path), *flags, "--time-core",
                      "--metrics-json", str(tmp_path / "m.json")]) == 0
-    assert steps == ["run", 6 if command == "hpartition" else 4]
+    assert totals == [total]
 
 
 @pytest.mark.parametrize("ids, message", [
@@ -160,13 +174,17 @@ def test_a_time_core_run_and_its_verification_flatten_once(
     ((1, 2, 3, 4), "record 0 has id 1, not 0")],
     ids=["gap", "out-of-order", "shifted"])
 def test_memory_stream_names_a_record_out_of_place(ids, message):
-    stream = MemoryStream(StreamHeader(5, 2, 4),
-                          [StreamedNodeRecord(i, 1, [i % 2], [1])
-                           for i in ids])
     with pytest.raises(ValueError, match=f"^{message}$"):
-        list(stream.chunks())
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        cut_net_and_connectivity(stream, [0, 1, 0, 1, 0])
+        MemoryStream.from_records(StreamHeader(5, 2, 4),
+                                  [StreamedNodeRecord(i, 1, [i % 2], [1])
+                                   for i in ids])
+
+
+def test_memory_stream_refuses_records_for_chunks():
+    records = [StreamedNodeRecord(i, 1, [1 - i], [1]) for i in range(2)]
+    with pytest.raises(TypeError, match="from_records"):
+        MemoryStream(StreamHeader(2, 1, 2), records)
+    assert list(MemoryStream(StreamHeader(2, 1, 2), []).chunks()) == []
 
 
 def write_hypergraph(path, stream):
@@ -177,18 +195,6 @@ def write_hypergraph(path, stream):
                       if header.has_node_weights else None,
                       [r.ids for r in records], [r.weights for r in records],
                       header.has_item_weights)
-
-
-def recount(stream, blocks):
-    """(cut-net, connectivity) from per-net block sets, record by record."""
-    nets: dict[int, set] = {}
-    weight: dict[int, int] = {}
-    for record in stream:
-        for e, w in zip(record.ids, record.weights):
-            nets.setdefault(e, set()).add(blocks[record.id])
-            weight[e] = w if stream.header.has_item_weights else 1
-    return (sum(weight[e] for e, s in nets.items() if len(s) > 1),
-            sum((len(s) - 1) * weight[e] for e, s in nets.items()))
 
 
 @pytest.mark.parametrize("max_net_weight", [1, 5])
@@ -209,7 +215,8 @@ def test_column_walk_equals_a_record_recount(tmp_path, monkeypatch,
         stream = open_hypergraph_node_stream(str(path))
         assert stream.header == memory.header
         blocks = [rng.randrange(k) for _ in range(n)]
-        expected = recount(memory, blocks)
+        expected = record_cut_net_and_connectivity(
+            list(memory), blocks, memory.header.has_item_weights)
         assert cut_net_and_connectivity(stream, blocks) == expected  # parse
         assert cut_net_and_connectivity(stream, blocks) == expected  # replay
         assert cut_net_and_connectivity(memory, blocks) == expected

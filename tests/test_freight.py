@@ -209,7 +209,7 @@ class TestWeightedNodes:
         rng = random.Random(31)
         stream = random_hypergraph(rng, 40, 50, max_pins=4, max_node_weight=5)
         state = freight(stream, 4)
-        assert state.is_balanced()
+        assert max(state.block_weight) <= state.l_max
         check_consistency(state, [r.weight for r in stream])
 
     def test_weighted_min_query_is_lowest_index_lightest(self):
@@ -268,7 +268,7 @@ class TestRunFreight:
         stream = random_hypergraph(rng, 200, 150, max_pins=6)
         for k in (2, 8, 32):
             state = freight(stream, k)
-            assert state.is_balanced()
+            assert max(state.block_weight) <= state.l_max
             assert state.violations == 0
 
     def test_graph_equivalence_smoke(self):

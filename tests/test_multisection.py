@@ -378,8 +378,8 @@ class TestCandidateDescent:
         edges += [(v, u, 1) for v in range(2, 802, 2)]
         edges.append((1, u, (1 << 60) + 256))
         stream = graph_stream_from_edges(803, edges)
-        assert stream.records[u].ids[:2] == [0, 2]
-        assert stream.records[u].ids[-1] == 1
+        ids = list(stream)[u].ids
+        assert ids[:2] == [0, 2] and ids[-1] == 1
         spec = HierarchySpec.parse("2", "1")
         _, state = _descend_in_lockstep(
             stream, spec.k, 0.03,
@@ -434,7 +434,7 @@ class TestCandidateDescent:
                     node.capacities.reads = 0
                     node = node.children[idx]
                 assert not any(block.capacities.reads for block in blocks)
-            assert state.is_balanced()
+            assert max(state.block_weight) <= state.l_max
             counts[key] = scored, fanout
         scored, fanout = counts["64:64"]
         assert scored * 8 < fanout
@@ -489,13 +489,13 @@ class TestProperties:
         stream = random_graph(rng, 200, 500)
         for k in (2, 8, 32):
             state = oms(stream, k)
-            assert state.is_balanced()
+            assert max(state.block_weight) <= state.l_max
 
     def test_hash_bottom_layers_still_balanced(self):
         rng = random.Random(25)
         stream = random_graph(rng, 150, 400)
         state = oms(stream, 16, hash_bottom_layers=1)
-        assert state.is_balanced()
+        assert max(state.block_weight) <= state.l_max
 
 
 class TestCommCostIntegration:

@@ -306,7 +306,7 @@ class TestRunOnepass:
         pen = fennel_penalties(state.block_weight, params)
         for record in stream:
             fennel_assign(chunk_of([record]), state, params, pen)
-            assert state.max_block_weight() <= state.l_max
+            assert max(state.block_weight) <= state.l_max
 
 
 class TestRestream:
@@ -516,9 +516,9 @@ class TestCandidateSelection:
             " ".join(str(v + 1) for v in r.ids) + "\n" for r in stream))
         listed.write_text(f"{header.n} {header.m} 1\n" + "".join(
             " ".join(f"{v + 1} 1" for v in r.ids) + "\n" for r in stream))
-        flagged = MemoryStream(
+        flagged = MemoryStream.from_records(
             StreamHeader(header.n, header.m, header.pins,
-                         has_item_weights=True), stream.records)
+                         has_item_weights=True), list(stream))
         sources = [(stream, False), (flagged, True),
                    (open_graph_stream(str(plain)), False),
                    (open_graph_stream(str(listed)), True)]

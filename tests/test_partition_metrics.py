@@ -111,9 +111,10 @@ class TestCutNetConnectivity:
 
     def test_net_weight_must_agree_at_every_pin(self):
         # net 1 weighs 3 at node 0 and 5 at node 1
-        stream = MemoryStream(StreamHeader(2, 1, 2, has_item_weights=True),
-                              [StreamedNodeRecord(0, 1, [0], [3]),
-                               StreamedNodeRecord(1, 1, [0], [5])])
+        stream = MemoryStream.from_records(
+            StreamHeader(2, 1, 2, has_item_weights=True),
+            [StreamedNodeRecord(0, 1, [0], [3]),
+             StreamedNodeRecord(1, 1, [0], [5])])
         with pytest.raises(FormatError,
                            match="node 1: net 1 weighs 5 here but 3"):
             cut_net_and_connectivity(stream, [0, 1])
@@ -149,9 +150,9 @@ class TestCutNetConnectivity:
                                             (2, "not below m=2")])
     def test_net_id_out_of_range_is_named(self, net, fault):
         # a negative id would otherwise count as net m-1: (1, 1) here
-        stream = MemoryStream(StreamHeader(2, 2, 2),
-                              [StreamedNodeRecord(0, 1, [net], [1]),
-                               StreamedNodeRecord(1, 1, [1], [1])])
+        stream = MemoryStream.from_records(
+            StreamHeader(2, 2, 2), [StreamedNodeRecord(0, 1, [net], [1]),
+                                    StreamedNodeRecord(1, 1, [1], [1])])
         with pytest.raises(ValueError, match=f"^node 0: a net id is {fault}$"):
             cut_net_and_connectivity(stream, [0, 1])
 
@@ -161,7 +162,7 @@ class TestCutNetConnectivity:
         monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
         records = [StreamedNodeRecord(i, 1, [0, 1], [1, 1]) for i in range(5)]
         records[3].ids = [1, net]
-        stream = MemoryStream(StreamHeader(5, 3, 10), records)
+        stream = MemoryStream.from_records(StreamHeader(5, 3, 10), records)
         with pytest.raises(ValueError, match="^node 3: a net id is "):
             cut_net_and_connectivity(stream, [0, 1, 0, 1, 0])
 
@@ -174,7 +175,7 @@ class TestCutNetConnectivity:
         ([0, 1, -1, 0], [7, 5, 1, 8], "node 1: a net id is negative"),
         ([0, 1, -1, 1], [7, 5, 5, 5], "node 1: a net id is negative")])
     def test_first_fault_pin_by_pin(self, ids, weights, fault):
-        stream = MemoryStream(
+        stream = MemoryStream.from_records(
             StreamHeader(2, 2, 4, has_item_weights=True),
             [StreamedNodeRecord(0, 1, ids[:2], weights[:2]),
              StreamedNodeRecord(1, 1, ids[2:], weights[2:])])
@@ -214,7 +215,7 @@ class TestBlockWeights:
         stream = open_graph_stream(str(path))
         assert block_weights(stream, blocks, 4) == [4, 13, 2, 0]   # parse
         assert block_weights(stream, blocks, 4) == [4, 13, 2, 0]   # replay
-        memory = MemoryStream(stream.header, list(stream))
+        memory = MemoryStream(stream.header, list(stream.chunks()))
         assert block_weights(memory, blocks, 4) == [4, 13, 2, 0]
         stream.close()
 

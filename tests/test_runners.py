@@ -39,7 +39,7 @@ class TestRunnerContract:
         assert state.total_weight == sum(weights) != stream.header.n
         assert run(stream, state, params) is state
         check_consistency(state, weights)
-        assert state.max_block_weight() <= state.l_max
+        assert max(state.block_weight) <= state.l_max
 
     def test_oms_rejects_a_hierarchy_of_another_k(self):
         stream = random_graph(random.Random(6), 40, 80)
