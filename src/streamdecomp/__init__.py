@@ -5,7 +5,7 @@ partitioner, an on-the-fly hierarchical process mapper, exact quality
 metrics, and a batch CLI.
 """
 
-from .partition import UNASSIGNED, MinBlockHeap, PartitionState, compute_lmax
+from .partition import UNASSIGNED, PartitionState, compute_lmax
 from .streams import (FormatError, MemoryStream, StreamedNodeRecord,
                       StreamHeader, open_graph_stream,
                       open_hypergraph_node_stream, transpose_hmetis)
@@ -18,8 +18,6 @@ from .freight import NetTracker, SortedBlocks, freight_assign, run_freight
 from .multisection import (HierarchySpec, OmsConfig, TreeBlock,
                            build_from_spec, build_hierarchy,
                            heterogeneous_alpha, oms_assign, run_oms)
-from .heistream import (BatchModel, HeiStreamConfig, build_model, coarsen,
-                        commit_batch, initial_partition, load_batch,
-                        run_heistream, uncoarsen_refine)
+from .heistream import HeiStreamConfig, run_heistream
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from . import bench as bench_mod
 from . import metrics as metrics_mod
 from .freight import run_freight
 from .heistream import HeiStreamConfig, run_heistream
-from .multisection import HierarchySpec, OmsConfig, run_oms
+from .multisection import HierarchySpec, OmsConfig, int_list, run_oms
 from .onepass import FennelParams, OnePassConfig, run_onepass, run_restream
 from .partition import PartitionState
 from .streams import FormatError, MemoryStream, open_graph_stream, \
@@ -348,9 +348,11 @@ def cmd_transpose(args) -> int:
 def cmd_bench(args) -> int:
     """Each grid cell is a ``partition --time-core`` run parsed by the
     partition subparser, so the cells share its defaults."""
+    if args.repeats < 1:
+        raise ValueError("--repeats must be >= 1")
     parser = _parser()
     forwarded = [f"--{f}={getattr(args, f)}" for f in BENCH_FORWARDED if f in args]
-    ks = [int(t) for t in args.k.split(",")]
+    ks = int_list(args.k, "--k", ",")
     rows = []
     for path, algorithm, k, rep in itertools.product(
             args.input, args.algorithms.split(","), ks, range(args.repeats)):
@@ -380,7 +382,12 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         if "seed" in args and args.seed is None:
-            args.seed = int(os.environ.get("STREAMDECOMP_SEED") or 0)
+            seed = os.environ.get("STREAMDECOMP_SEED") or "0"
+            try:
+                args.seed = int(seed)
+            except ValueError:
+                raise ValueError(f"STREAMDECOMP_SEED {seed!r} is not an "
+                                 "integer") from None
         if not 0.0 <= getattr(args, "epsilon", 0.0) < math.inf:   # NaN too
             raise ValueError("epsilon must be finite and >= 0")
         return COMMANDS[args.command](args)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import count, repeat
 
 from .onepass import FennelParams
-from .partition import UNASSIGNED, PartitionState
+from .partition import UNASSIGNED, MinBlockHeap, PartitionState
 
 
 class NetTracker:
@@ -99,7 +99,8 @@ def freight_assign(chunk, state: PartitionState, tracker: NetTracker,
     block wins over it only with a strictly higher score.  ``cutnet`` drops
     the nets that are already cut.  Without ``node_weight`` the min block is
     the one of least cardinality in ``blocks``, which the kernel increments
-    itself; with it, the state's weight heap.  Without ``weights`` every net
+    itself; with it, the lightest block of a :class:`MinBlockHeap` the call
+    builds over ``state.block_weight``.  Without ``weights`` every net
     weighs 1, so a block's gain is its contributing-net count and one dict
     holds both.
     """
@@ -113,13 +114,11 @@ def freight_assign(chunk, state: PartitionState, tracker: NetTracker,
     unit = node_weight is None
     unit_nets = weights is None
     if unit:
-        # the inline writes below keep no heap current
-        state._by_weight = state._by_count = None
         a, b, card, end, k = blocks.a, blocks.b, blocks.card, blocks.end, \
             blocks.k
         room = l_max - 1
     else:
-        order = state.by_weight()
+        order = MinBlockHeap(block_weight)
     # fennel_penalties' penalty alpha*gamma*c(V_i)^(gamma-1), same float.
     ag = params.alpha * params.gamma
     g1 = params.gamma - 1.0
@@ -191,6 +190,7 @@ def freight_assign(chunk, state: PartitionState, tracker: NetTracker,
                 end.append(k)
         else:
             state.assign(node, best, weight)
+            order.update(best)
         if cutnet:
             for e in row:
                 d = last_block[e]
@@ -216,7 +216,7 @@ def run_freight(stream, state: PartitionState, params: FennelParams,
     cutnet = objective == "cutnet"
     tracker = NetTracker(stream.header.m)
     # Unit weights keep SortedBlocks, whose min_block tie order differs
-    # from the state's weight heap, which weighted nodes use.
+    # from the weight heap the kernel builds for weighted nodes.
     blocks = SortedBlocks(state.k)
     for chunk in stream.chunks():
         freight_assign(chunk, state, tracker, blocks, cutnet, params)

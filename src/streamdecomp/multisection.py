@@ -36,11 +36,11 @@ from .onepass import FennelParams
 from .partition import UNASSIGNED, PartitionState
 
 
-def _colon_ints(text: str, flag: str) -> list[int]:
-    """The integers of a colon list; a ValueError naming ``flag`` if one
+def int_list(text: str, flag: str, sep: str = ":") -> list[int]:
+    """The integers of a ``sep`` list; a ValueError naming ``flag`` if one
     token is not an integer."""
     out = []
-    for token in text.split(":"):
+    for token in text.split(sep):
         try:
             out.append(int(token))
         except ValueError:
@@ -83,8 +83,8 @@ class HierarchySpec:
     @classmethod
     def parse(cls, fanouts: str, distances: str) -> "HierarchySpec":
         """From the colon lists of ``--hierarchy`` and ``--distances``."""
-        return cls(_colon_ints(fanouts, "--hierarchy"),
-                   _colon_ints(distances, "--distances"))
+        return cls(int_list(fanouts, "--hierarchy"),
+                   int_list(distances, "--distances"))
 
     @property
     def k(self) -> int:
@@ -250,8 +250,6 @@ def oms_assign(chunk, root: TreeBlock, state: PartitionState,
     assignment = state.assignment
     block_weight = state.block_weight
     block_count = state.block_count
-    # the inline writes below keep no heap current
-    state._by_weight = state._by_count = None
     block_of = assignment.__getitem__
     fennel = config.scorer == "fennel"
     hashed = config.hash_bottom_layers

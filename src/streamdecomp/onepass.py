@@ -25,7 +25,7 @@ from heapq import heappop, heappush
 from itertools import count, repeat
 from typing import Optional
 
-from .partition import UNASSIGNED, PartitionState
+from .partition import UNASSIGNED, MinBlockHeap, PartitionState
 
 
 def fennel_alpha(n: int, m: int, k: int, gamma: float = 1.5) -> float:
@@ -148,9 +148,9 @@ def fennel_block(gains: dict[int, float], bw: list, pen: list, load: list,
 # unassign's writes in their own loop, to spare a call per step.  A row
 # whose edges all weigh 1 is counted in C by ``_count_elements`` (the
 # helper behind ``Counter.update``); its integer counts convert to the same
-# floats as sums of 1.0 wherever they meet a float.  Each kernel keeps the
-# state's heap of the key it queries current and drops the other one,
-# which its writes would leave stale.
+# floats as sums of 1.0 wherever they meet a float.  Each kernel builds the
+# heap of the key it queries from the state's live list at the top of its
+# call and pushes each block its writes change.
 
 def fennel_assign(chunk, state: PartitionState, params: FennelParams,
                   pen: list, restream: bool = False) -> None:
@@ -168,8 +168,7 @@ def fennel_assign(chunk, state: PartitionState, params: FennelParams,
     assignment = state.assignment
     block_weight = state.block_weight
     block_count = state.block_count
-    order = state.by_weight()
-    state._by_count = None
+    order = MinBlockHeap(block_weight)
     heap = order.heap
     limit = 4 * state.k
     l_max = state.l_max
@@ -248,8 +247,7 @@ def ldg_assign(chunk, state: PartitionState, free: list,
     assignment = state.assignment
     block_weight = state.block_weight
     block_count = state.block_count
-    order = state.by_count()
-    state._by_weight = None
+    order = MinBlockHeap(block_count)
     heap = order.heap
     limit = 4 * state.k
     l_max = state.l_max

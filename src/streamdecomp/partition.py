@@ -62,10 +62,9 @@ class PartitionState:
     per node placed where no block fit (hashing: where it overfills), and
     under OMS one per tree level where no child fit; runs never abort.
 
-    ``by_weight()`` and ``by_count()`` order the blocks by weight and by node
-    count.  Each is built on its first call and kept current by ``assign``
-    and ``unassign``, so code that never asks for one pays a ``None`` check.
-    Writing ``block_weight`` or ``block_count`` directly bypasses them.
+    The state keeps no ordered view of its blocks: a kernel that asks for
+    the lightest block builds a :class:`MinBlockHeap` over ``block_weight``
+    or ``block_count`` and tells it of each block its writes change.
     """
 
     def __init__(self, n: int, k: int, epsilon: float, total_weight: int):
@@ -80,18 +79,6 @@ class PartitionState:
         self.block_weight = [0] * k
         self.block_count = [0] * k
         self.violations = 0
-        self._by_weight: MinBlockHeap | None = None
-        self._by_count: MinBlockHeap | None = None
-
-    def by_weight(self) -> MinBlockHeap:
-        if self._by_weight is None:
-            self._by_weight = MinBlockHeap(self.block_weight)
-        return self._by_weight
-
-    def by_count(self) -> MinBlockHeap:
-        if self._by_count is None:
-            self._by_count = MinBlockHeap(self.block_count)
-        return self._by_count
 
     def assign(self, node: int, block: int, weight: int = 1) -> None:
         if self.assignment[node] != UNASSIGNED:
@@ -99,10 +86,6 @@ class PartitionState:
         self.assignment[node] = block
         self.block_weight[block] += weight
         self.block_count[block] += 1
-        if self._by_weight is not None:
-            self._by_weight.update(block)
-        if self._by_count is not None:
-            self._by_count.update(block)
 
     def unassign(self, node: int, weight: int = 1) -> int:
         """Remove a node from its block (restreaming) and return the old block."""
@@ -112,13 +95,8 @@ class PartitionState:
         self.assignment[node] = UNASSIGNED
         self.block_weight[block] -= weight
         self.block_count[block] -= 1
-        if self._by_weight is not None:
-            self._by_weight.update(block)
-        if self._by_count is not None:
-            self._by_count.update(block)
         return block
 
     def clear_blocks(self) -> None:
         """Empty every block in place; the assignment stays."""
         self.block_weight[:] = self.block_count[:] = [0] * self.k
-        self._by_weight = self._by_count = None

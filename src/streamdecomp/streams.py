@@ -581,8 +581,8 @@ def read_partition(path: str, n: int, k: Optional[int] = None) -> list[int]:
         raise FormatError(f"{path}: expected {n} block ids, got {len(blocks)}")
     for node, block in enumerate(blocks):
         if block < 0 or (k is not None and block >= k):
-            raise FormatError(f"{path}: node {node}: block id {block} out "
-                              f"of range for k={k}")
+            why = "is negative" if block < 0 else f"out of range for k={k}"
+            raise FormatError(f"{path}: node {node}: block id {block} {why}")
     return blocks
 
 

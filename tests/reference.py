@@ -21,13 +21,14 @@ per-run constants set by two more walks.  A node-per-line file is parsed
 one line at a time, each through ``streams._parse_line``, as the stream did
 before it converted a chunk of lines at a time.  The record-at-a-time
 Fennel and LDG kernels place one record per call through
-``PartitionState``'s own methods and compute each penalty or free capacity
-where they score it, as the kernels did before they took batches and tables,
-and the batch Fennel and LDG kernels take a list of records, as they did
-before they walked a chunk's columns;
-the record-at-a-time FREIGHT and OMS kernels place one record per call
-through ``state.assign`` (FREIGHT's min block from ``SortedBlocks`` or the
-state's heap), as the kernels did before they walked a chunk's columns.
+``PartitionState``'s own methods, find the least block by an O(k) scan
+and compute each penalty or free capacity where they score it, as the
+kernels did before they took batches and tables, and the batch Fennel and
+LDG kernels take a list of records, as they did before they walked a
+chunk's columns; the record-at-a-time FREIGHT and OMS kernels place one
+record per call through ``state.assign`` (FREIGHT's min block from
+``SortedBlocks`` or an O(k) scan, :class:`ScanMinBlock`), as the kernels
+did before they walked a chunk's columns.
 
 The edge cut, comm cost, cut-net and connectivity are summed over records
 one row entry at a time, as the metrics did before they walked a chunk's
@@ -52,7 +53,7 @@ from streamdecomp.heistream import BatchModel, _seed_block_weights
 from streamdecomp.multisection import TreeBlock, _hash_child, \
     heterogeneous_alpha
 from streamdecomp.onepass import FennelParams, fennel_block, run_onepass
-from streamdecomp.partition import UNASSIGNED, PartitionState
+from streamdecomp.partition import UNASSIGNED, MinBlockHeap, PartitionState
 from streamdecomp.streams import FormatError, StreamedNodeRecord, \
     _expect_end, _header, _nonempty, _parse_line, _tokens
 
@@ -84,7 +85,7 @@ def _neighbor_gains(record, assignment) -> dict[int, float]:
 def _exhaustion_fallback(state: PartitionState) -> int:
     # No feasible block: place on the globally lightest one and flag it.
     state.violations += 1
-    return min(range(state.k), key=lambda i: (state.block_weight[i], i))
+    return least_block(state.block_weight)
 
 
 def scan_fennel_assign(record, state: PartitionState,
@@ -151,12 +152,29 @@ def record_fennel_block(gains: dict[int, float], bw: list, load: list,
     return best
 
 
+def least_block(keys: list) -> int:
+    """The block of least key, lowest index first, by an O(k) scan: the
+    oracle of ``MinBlockHeap.min_block``."""
+    return min(range(len(keys)), key=lambda i: (keys[i], i))
+
+
+class ScanMinBlock:
+    """``min_block()`` by :func:`least_block` over a live key list, so it
+    needs no update when a key changes."""
+
+    def __init__(self, keys: list):
+        self.keys = keys
+
+    def min_block(self) -> int:
+        return least_block(self.keys)
+
+
 def record_fennel_assign(record, state: PartitionState,
                          params: FennelParams) -> int:
-    """Fennel one record per call, through ``state.by_weight()`` and
-    ``state.assign``: the oracle of the batch kernel ``onepass.fennel_assign``.
-    """
-    lightest = state.by_weight().min_block()
+    """Fennel one record per call, the lightest block by an O(k) scan and
+    the writes through ``state.assign``: the oracle of the batch kernel
+    ``onepass.fennel_assign``."""
+    lightest = least_block(state.block_weight)
     weight = record.weight
     room = state.l_max - weight
     if state.block_weight[lightest] > room:
@@ -172,9 +190,9 @@ def record_fennel_assign(record, state: PartitionState,
 
 def record_ldg_assign(record, state: PartitionState) -> int:
     """LDG one record per call, scoring the neighbor blocks by
-    ``1 - c(V_i)/L_max`` computed per block, through ``state.by_count()``
-    and ``state.assign``: the oracle of the batch kernel
-    ``onepass.ldg_assign``."""
+    ``1 - c(V_i)/L_max`` computed per block, the fewest-nodes block by an
+    O(k) scan and the writes through ``state.assign``: the oracle of the
+    batch kernel ``onepass.ldg_assign``."""
     gains = _neighbor_gains(record, state.assignment)
     weight = record.weight
     l_max = state.l_max
@@ -193,7 +211,7 @@ def record_ldg_assign(record, state: PartitionState) -> int:
                      or block_count[i] == best_count and i < best)):
             best, best_score, best_count = i, score, block_count[i]
     if best < 0:
-        best = state.by_count().min_block()
+        best = least_block(block_count)
         if block_weight[best] > room:
             feasible = [i for i in range(state.k)
                         if block_weight[i] + weight <= l_max]
@@ -212,8 +230,7 @@ def batch_fennel_assign(records, state: PartitionState, params: FennelParams,
     assignment = state.assignment
     block_weight = state.block_weight
     block_count = state.block_count
-    order = state.by_weight()
-    state._by_count = None
+    order = MinBlockHeap(block_weight)
     heap = order.heap
     limit = 4 * state.k
     l_max = state.l_max
@@ -278,8 +295,7 @@ def batch_ldg_assign(records, state: PartitionState, free: list,
     assignment = state.assignment
     block_weight = state.block_weight
     block_count = state.block_count
-    order = state.by_count()
-    state._by_weight = None
+    order = MinBlockHeap(block_count)
     heap = order.heap
     limit = 4 * state.k
     l_max = state.l_max

@@ -24,9 +24,10 @@ from streamdecomp.streams import FormatError, MemoryStream, NodeStream, \
     _write_node_lines, open_graph_stream, open_hypergraph_node_stream
 
 from generators import random_graph, random_hypergraph, run_setup
-from reference import batch_fennel_assign, batch_ldg_assign, \
-    parse_node_lines, record_comm_cost, record_cut_net_and_connectivity, \
-    record_edge_cut, record_freight_assign, record_oms_assign
+from reference import ScanMinBlock, batch_fennel_assign, \
+    batch_ldg_assign, parse_node_lines, record_comm_cost, \
+    record_cut_net_and_connectivity, record_edge_cut, record_freight_assign, \
+    record_oms_assign
 from test_multisection import _internal_blocks
 
 # fmt -> (item weights up to, node weights up to); the flags are written
@@ -101,7 +102,8 @@ class TestFreightLockstep:
                 expected, _ = run_setup(memory, k, epsilon)
                 trackers = NetTracker(header.m), NetTracker(header.m)
                 blocks = SortedBlocks(k), SortedBlocks(k)
-                least = blocks[1] if unit else expected.by_weight()
+                least = blocks[1] if unit else \
+                    ScanMinBlock(expected.block_weight)
                 for chunk, records in _chunks_and_records(stream, memory):
                     freight_assign(chunk, got, trackers[0], blocks[0],
                                    cutnet, params)

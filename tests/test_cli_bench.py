@@ -484,6 +484,16 @@ class TestCliErrors:
                      str(part), "--k", "4"]) == 2
         assert "block id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [[], ["--k", "4"]])
+    def test_negative_block_id_is_named(self, graph_file, tmp_path, capsys,
+                                        k):
+        part = tmp_path / "p.txt"
+        part.write_text("0\n" * 59 + "-1\n")
+        assert main(["metrics", "--input", graph_file, "--partition",
+                     str(part), *k]) == 2
+        assert capsys.readouterr().err == \
+            f"input error: {part}: node 59: block id -1 is negative\n"
+
     def test_metrics_k_must_match_hierarchy(self, graph_file, tmp_path,
                                             capsys):
         part = tmp_path / "p.txt"
@@ -705,6 +715,33 @@ class TestCliBench:
                          str(tmp_path / "bad.csv")]) == 1
             err = capsys.readouterr().err
             assert f"argument {flag}: {message}" in err
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_bench_needs_a_repeat(self, graph_file, tmp_path, capsys,
+                                  repeats):
+        # no run would fill the CSV and the summary: an input error, with
+        # nothing written
+        out, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+        assert main(["bench", "--input", graph_file, "--algorithms", "fennel",
+                     "--k", "2", "--repeats", repeats, "--output", str(out),
+                     "--summary", str(summary)]) == 2
+        assert capsys.readouterr().err == \
+            "input error: --repeats must be >= 1\n"
+        assert not out.exists() and not summary.exists()
+
+    def test_non_integers_name_their_source(self, graph_file, tmp_path,
+                                            capsys, monkeypatch):
+        out = tmp_path / "rows.csv"
+        argv = ["bench", "--input", graph_file, "--algorithms", "fennel",
+                "--output", str(out)]
+        assert main([*argv, "--k", "2,x"]) == 2
+        assert capsys.readouterr().err == \
+            "input error: --k '2,x': 'x' is not an integer\n"
+        monkeypatch.setenv("STREAMDECOMP_SEED", "abc")
+        assert main([*argv, "--k", "2"]) == 2
+        assert capsys.readouterr().err == \
+            "input error: STREAMDECOMP_SEED 'abc' is not an integer\n"
+        assert not out.exists()
 
 
 def _weighted_graph_file(tmp_path, edge_weights: bool) -> tuple[str, list[int]]:

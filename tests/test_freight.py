@@ -14,7 +14,7 @@ from generators import (chunk_of, graph_as_hypergraph,
                         hypergraph_stream_from_nets, random_graph,
                         random_hypergraph, run_setup)
 from reference import (CUT, SINGLE_BLOCK, UNTOUCHED, NetTracker,
-                       check_consistency, naive_freight_assign,
+                       ScanMinBlock, check_consistency, naive_freight_assign,
                        record_freight_assign, run_fennel_twin,
                        run_freight_reference)
 
@@ -174,7 +174,8 @@ class TestOracleEquivalence:
                 for tracker in (freight_module.NetTracker(stream.header.m),
                                 NetTracker(stream.header.m)):
                     state, params = run_setup(stream, k, epsilon=epsilon)
-                    blocks = SortedBlocks(k) if unit else state.by_weight()
+                    blocks = SortedBlocks(k) if unit else \
+                        ScanMinBlock(state.block_weight)
                     sides.append((state, tracker, blocks))
                 (fast, fast_t, _), (slow, slow_t, slow_b) = sides
                 fast_b = SortedBlocks(k)   # the kernel's, used if unit

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 from streamdecomp.metrics import (block_weights, comm_cost,
                                   cut_net_and_connectivity, edge_cut,
                                   imbalance)
-from streamdecomp import streams
+from streamdecomp import partition, streams
 from streamdecomp.multisection import HierarchySpec
 from streamdecomp.partition import PartitionState, compute_lmax
 from streamdecomp.streams import FormatError, MemoryStream, \
@@ -63,6 +65,19 @@ class TestPartitionState:
         state = PartitionState(2, 2, 0.0, 2)
         with pytest.raises(AssertionError, match="node 1 not assigned"):
             state.unassign(1, 1)
+
+    def test_no_module_but_partition_touches_private_state_fields(self):
+        # the state's lists are its whole interface: a kernel that reached
+        # into a private field would depend on what the state keeps inside
+        package = Path(partition.__file__).parent
+        touched = [f"{path.name}:{node.lineno} state.{node.attr}"
+                   for path in sorted(package.glob("*.py"))
+                   if path.name != "partition.py"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "state" and node.attr.startswith("_")]
+        assert touched == []
 
 
 class TestEdgeCut:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamdecomp.freight import SortedBlocks
-from streamdecomp.partition import UNASSIGNED, MinBlockHeap, PartitionState
+from streamdecomp.partition import MinBlockHeap
 
 from reference import BucketSortedBlocks, bucket_ranges
 
@@ -173,22 +173,3 @@ class TestMinBlockHeap:
                     lo = min(range(k), key=lambda i: (weights[i], i))
                     assert q.min_block() == lo
                 assert len(q.heap) <= 4 * k   # stale entries stay bounded
-
-    def test_partition_state_keeps_heaps_current(self):
-        rng = random.Random(17)
-        k = 12
-        state = PartitionState(200, k, 0.5, 200 * 3)
-        assert state.by_weight().min_block() == 0
-        assert state.by_count().min_block() == 0
-        weights = {}
-        for _ in range(3000):
-            node = rng.randrange(200)
-            if state.assignment[node] == UNASSIGNED:
-                weights[node] = rng.randint(1, 5)
-                state.assign(node, rng.randrange(k), weights[node])
-            else:
-                state.unassign(node, weights[node])
-            assert state.by_weight().min_block() == min(
-                range(k), key=lambda i: (state.block_weight[i], i))
-            assert state.by_count().min_block() == min(
-                range(k), key=lambda i: (state.block_count[i], i))
