@@ -143,9 +143,8 @@ def _hierarchy(spec) -> HierarchySpec:
 
 
 # Run functions: (spec, stream, state, params, hierarchy) -> the state,
-# filled in.  The stream is re-iterable; restreaming runs iterate it once
-# per pass.  Each names its run_* as a module global, looked up when it is
-# called.
+# filled in.  Restreaming runs read the stream's chunks() once per pass.
+# Each names its run_* as a module global, looked up when it is called.
 
 def _onepass(spec, stream, state, params, hierarchy):
     config = OnePassConfig(algorithm=spec.algorithm, passes=spec.passes,
@@ -347,15 +346,20 @@ def cmd_transpose(args) -> int:
 
 def cmd_bench(args) -> int:
     """Each grid cell is a ``partition --time-core`` run parsed by the
-    partition subparser, so the cells share its defaults."""
+    partition subparser, so the cells share its defaults; every algorithm
+    name is checked before the first cell runs."""
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
     parser = _parser()
     forwarded = [f"--{f}={getattr(args, f)}" for f in BENCH_FORWARDED if f in args]
     ks = int_list(args.k, "--k", ",")
+    algorithms = args.algorithms.split(",")
+    if bad := [name for name in algorithms if name not in GRAPH_ALGOS]:
+        raise UsageError(f"argument --algorithms: invalid choice: {bad[0]!r} "
+                         f"(choose from {', '.join(GRAPH_ALGOS)})")
     rows = []
     for path, algorithm, k, rep in itertools.product(
-            args.input, args.algorithms.split(","), ks, range(args.repeats)):
+            args.input, algorithms, ks, range(args.repeats)):
         rows.append(execute(parser.parse_args([
             "partition", "--input", path, "--algorithm", algorithm,
             "--k", str(k), "--seed", str(args.seed + rep), *forwarded,

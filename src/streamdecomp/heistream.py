@@ -49,7 +49,7 @@ import random
 from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, count, repeat
 from typing import Iterator, Optional
 
 from .onepass import (FennelParams, fennel_block, fennel_penalties,
@@ -102,37 +102,63 @@ class BatchModel:
         return self.num_batch + self.num_art
 
 
-def load_batch(stream_iter: Iterator, delta: int) -> Optional[list]:
-    """Next up-to-delta node records, or None when the stream is exhausted."""
-    return list(islice(stream_iter, delta)) or None
+def load_batch(chunks: Iterator[tuple], delta: int,
+               rest: list) -> Optional[tuple]:
+    """The next up-to-delta nodes of ``chunks`` as one chunk, ``(start,
+    degrees, ids, weights, node_weight)``, or None at the end.  ``rest``,
+    empty at first, carries the chunk a batch ends in and the offsets of
+    the node and the id the next batch starts at."""
+    parts = []
+    while delta:
+        if not rest:
+            rest[:] = next(chunks, None), 0, 0
+        if rest[0] is None:   # the stream is exhausted
+            break
+        (start, degrees, ids, weights, node_weight), node, pos = rest
+        end = min(node + delta, len(degrees))
+        stop = pos + sum(degrees[node:end])
+        parts.append((start + node, degrees[node:end], ids[pos:stop],
+                      weights and weights[pos:stop],
+                      node_weight and node_weight[node:end]))
+        rest[:] = [] if end == len(degrees) else [rest[0], end, stop]
+        delta -= end - node
+    if not parts:
+        return None
+    start, *columns = zip(*parts)
+    return (start[0], *(None if column[0] is None
+                        else list(chain.from_iterable(column))
+                        for column in columns))
 
 
-def build_model(batch: list, state: PartitionState, config: HeiStreamConfig,
+def build_model(batch: tuple, state: PartitionState, config: HeiStreamConfig,
                 rng: random.Random,
                 blocks: Optional[list[int]] = None) -> BatchModel:
     """Assemble the batch model; see the module docstring for the shapes.
 
-    ``blocks``, the batch's previous assignment on a later pass, also says
-    that every node outside the batch must be assigned.
+    ``batch`` is one chunk (a None column: unit weights).  ``blocks``, the
+    previous pass's blocks, also says every outside node must be assigned.
     """
-    start = batch[0].id
-    end = batch[-1].id + 1
-    nb = len(batch)
+    start, degrees, ids, weights, node_weight = batch
+    nb = len(degrees)
+    end = start + nb
     assignment = state.assignment
 
     # block_count, not block_weight: weight-0 nodes count as placed too
     num_art = state.k if any(state.block_count) else 0
     model = BatchModel(nb, num_art)
     model.blocks = blocks
+    model.weight[:nb] = model.true_weight[:nb] = \
+        [1] * nb if node_weight is None else node_weight
 
     edges: list[dict[int, float]] = [dict() for _ in range(nb)]
     ghosts: dict[int, list[tuple[int, int]]] = {}
     extended = config.model == "extended"
-    for local, record in enumerate(batch):
-        model.weight[local] = record.weight
-        model.true_weight[local] = record.weight
+    stop = 0
+    for local, degree in enumerate(degrees):
+        pos, stop = stop, stop + degree
         row = edges[local]
-        for v, w in zip(record.ids, record.weights):
+        for v, w in zip(ids[pos:stop], repeat(1) if weights is None
+                        else weights[pos:stop]):
             if start <= v < end:
                 u = v - start
             elif (block := assignment[v]) != UNASSIGNED:
@@ -494,22 +520,26 @@ def _seed_block_weights(model: BatchModel,
     return bw, true_bw
 
 
-def commit_batch(batch: list, blocks: list[int],
+def commit_batch(batch: tuple, blocks: list[int],
                  state: PartitionState) -> None:
     """Write the batch assignment into the global state using true weights.
 
     Ghost-inflated model weights stay inside the model; global balance is
     accounted with the weights the stream actually carried.
     """
-    for record, block in zip(batch, blocks):
-        state.assign(record.id, block, record.weight)
+    start, _, _, _, node_weight = batch
+    for v, block, weight in zip(count(start), blocks, repeat(1)
+                                if node_weight is None else node_weight):
+        state.assign(v, block, weight)
 
 
-def partition_batch(batch: list, state: PartitionState,
+def partition_batch(batch: tuple, state: PartitionState,
                     config: HeiStreamConfig, params: FennelParams,
                     rng: random.Random, restream: bool = False) -> list[int]:
     """Blocks of one batch; a restream pass first unassigns the batch."""
-    previous = [state.unassign(r.id, r.weight) for r in batch] \
+    start, degrees, _, _, node_weight = batch
+    previous = list(map(state.unassign, range(start, start + len(degrees)),
+                        repeat(1) if node_weight is None else node_weight)) \
         if restream else None
     model = build_model(batch, state, config, rng, previous)
     levels = coarsen(model, config, state, rng)
@@ -523,14 +553,14 @@ def run_heistream(stream, config: HeiStreamConfig,
                   state: PartitionState, params: FennelParams) -> PartitionState:
     """Buffered streaming partitioning, optionally with restream passes.
 
-    ``stream`` must be re-iterable, each iteration yielding the same nodes
-    in the same order; a one-shot iterator raises ``TypeError``.
+    Each pass cuts its batches from ``stream.chunks()``, the same nodes in
+    the same order every time; a one-shot iterator raises ``TypeError``.
     """
     require_reiterable(stream)
     rng = random.Random(config.seed)
     for p in range(config.passes):
-        it = iter(stream)
-        while (batch := load_batch(it, config.delta)) is not None:
+        chunks, rest = stream.chunks(), []
+        while (batch := load_batch(chunks, config.delta, rest)) is not None:
             blocks = partition_batch(batch, state, config, params, rng, p > 0)
             commit_batch(batch, blocks, state)
     return state

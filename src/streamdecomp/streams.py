@@ -16,8 +16,10 @@ suffices), ``11`` both.
 
 Both streamed formats put one node on each line: an optional node weight,
 then ids, each followed by its weight when ``fmt`` has the ``1`` bit.  One
-reader (:class:`NodeStream`), one record (:class:`StreamedNodeRecord`) and
-one writer serve both.  All ids are 1-based on disk and 0-based in memory.
+reader (:class:`NodeStream`) and one writer serve both.  Every reader reads
+a stream's ``chunks()`` of columns; records are only input to
+:meth:`MemoryStream.from_records`.  All ids are 1-based on disk and 0-based
+in memory.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import weakref
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain, count, filterfalse, islice, repeat, starmap
-from operator import attrgetter, contains, methodcaller, mul
+from itertools import chain, count, filterfalse, islice
+from operator import attrgetter, contains, methodcaller
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -52,9 +54,9 @@ class StreamHeader:
 
 @dataclass(slots=True)
 class StreamedNodeRecord:
-    """One streamed node: its weight, the 0-based ids of its neighbors
-    (graph) or incident nets (hypergraph), and their weights, one per id
-    (all 1 on unit-weight input)."""
+    """One node for :meth:`MemoryStream.from_records`: its weight, the
+    0-based ids of its neighbors (graph) or incident nets (hypergraph), and
+    their weights, one per id (all 1 on unit-weight input)."""
 
     id: int
     weight: int = 1
@@ -121,14 +123,9 @@ def _header(parts: Sequence[str], graph: bool) -> StreamHeader:
 
 
 class NodeStream:
-    """Re-iterable stream over a node-per-line file: a METIS graph
-    (``graph``) or a node-major hypergraph, one chunk of spool columns
-    (:meth:`chunks`) or one :class:`StreamedNodeRecord` at a time.
-
-    Every partitioner but HeiStream, and every metric, reads
-    :meth:`chunks` and builds no record; iterating the stream builds the
-    records of those columns (:func:`_records`), which HeiStream's batches
-    read.
+    """Re-readable stream over a node-per-line file: a METIS graph
+    (``graph``) or a node-major hypergraph, one chunk of spool columns at
+    a time (:meth:`chunks`).
 
     The header is read when the stream is created, so ``n``, ``m`` and the
     weight flags are available before the first chunk.  A pass parses
@@ -146,7 +143,7 @@ class NodeStream:
     to a binary spool, an anonymous temporary file of flat ``array('i')``
     chunks; once a parse reaches the end of the file and passes every
     check, later passes replay the spool instead of parsing again.  A parse that fails or is
-    abandoned closes its spool, so the next iteration parses the text.  The
+    abandoned closes its spool, so the next pass parses the text.  The
     OS frees a spool when its last handle closes: on :meth:`close`, the
     stream's collection or any exit.
     """
@@ -165,15 +162,12 @@ class NodeStream:
         self._closes = 0   # a parse that saw close() run keeps nothing
 
     def close(self) -> None:
-        """Close the spool; a later iteration parses the text again.  A
-        replay made before still finishes."""
+        """Close the spool; a later pass parses the text again.  A replay
+        made before still finishes."""
         self._closes += 1
         if self._kept is not None:
             self._kept[1]()
         self._kept = None
-
-    def __iter__(self) -> Iterator[StreamedNodeRecord]:
-        return _records_of(self.chunks())
 
     def chunks(self) -> Iterator[tuple]:
         """The checked spool columns of each chunk of ``SPOOL_CHUNK`` nodes,
@@ -274,31 +268,6 @@ def _replay(fh, header: StreamHeader) -> Iterator[tuple]:
             node_weight = _read(fh, size).tolist() if node_weights else None
             offset = fh.tell()
             yield start, degrees, ids, weights, node_weight
-
-
-def _records(start: int, degrees: Sequence[int], ids: list[int],
-             weights: Optional[list[int]],
-             node_weight: Optional[Sequence[int]]
-             ) -> Iterator[StreamedNodeRecord]:
-    """The records of one chunk from its spool columns: node ``start`` on,
-    each with the next ``degrees[i]`` of the flat 0-based ``ids`` and of the
-    flat item ``weights`` (all 1 when None) and its ``node_weight`` (1 when
-    None).  Every stream iteration builds its records here."""
-    return map(StreamedNodeRecord, count(start),
-               repeat(1) if node_weight is None else node_weight,
-               _split(ids, degrees),
-               map(mul, repeat([1]), degrees) if weights is None
-               else _split(weights, degrees))
-
-
-def _records_of(chunks: Iterator[tuple]) -> Iterator[StreamedNodeRecord]:
-    """The records of each chunk's columns.  Closing this generator closes
-    ``chunks`` at once, so an abandoned parse frees its spool then."""
-    try:
-        for columns in chunks:
-            yield from _records(*columns)
-    finally:
-        chunks.close()
 
 
 def _split(flat: list[int], degrees: Iterable[int]) -> Iterator[list[int]]:
@@ -632,8 +601,7 @@ class MemoryStream:
     """Replayable in-memory stream, graph or hypergraph (used when timing
     excludes parsing), nodes 0..n-1 in order: a list of chunks of columns
     as :meth:`NodeStream.chunks` gives them, kept as they are and shared,
-    so a reader must not change them.  Every reader but HeiStream reads
-    :meth:`chunks`; iterating builds the records of those columns."""
+    so a reader must not change them."""
 
     def __init__(self, header: StreamHeader, chunks: list):
         if chunks and isinstance(chunks[0], StreamedNodeRecord):
@@ -662,9 +630,6 @@ class MemoryStream:
             if header.has_item_weights else None,
             list(map(attrgetter("weight"), records))
             if header.has_node_weights else None)])
-
-    def __iter__(self) -> Iterator[StreamedNodeRecord]:
-        return chain.from_iterable(starmap(_records, self._chunks))
 
     def chunks(self) -> Iterator[tuple]:
         return iter(self._chunks)

@@ -9,6 +9,8 @@ from streamdecomp.partition import PartitionState
 from streamdecomp.streams import MemoryStream, StreamedNodeRecord, \
     StreamHeader
 
+from reference import stream_records
+
 
 def run_setup(stream, k: int, epsilon: float = 0.03, gamma: float = 1.5,
               alpha=None) -> tuple[PartitionState, FennelParams]:
@@ -16,7 +18,7 @@ def run_setup(stream, k: int, epsilon: float = 0.03, gamma: float = 1.5,
     c(V) is the sum of the streamed node weights, alpha defaults from the
     header."""
     header = stream.header
-    total_weight = sum(r.weight for r in stream)
+    total_weight = sum(r.weight for r in stream_records(stream))
     state = PartitionState(header.n, k, epsilon, total_weight)
     return state, FennelParams.for_stream(header.n, header.m, k, gamma, alpha,
                                           total_weight)
@@ -135,7 +137,7 @@ def graph_as_hypergraph(graph_stream) -> MemoryStream:
     """Encode every edge of a graph as a net of size two (same weights)."""
     nets = []
     seen = {}
-    for record in graph_stream:
+    for record in stream_records(graph_stream):
         for v, w in zip(record.ids, record.weights):
             key = (min(record.id, v), max(record.id, v))
             if key not in seen:

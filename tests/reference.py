@@ -34,6 +34,13 @@ The edge cut, comm cost, cut-net and connectivity are summed over records
 one row entry at a time, as the metrics did before they walked a chunk's
 columns.
 
+A test reads a stream as records through :func:`stream_records` alone,
+which builds them from ``stream.chunks()`` as the streams' own iteration
+did before every reader took columns.  HeiStream's record batches
+(:func:`record_load_batch`, :func:`record_build_model` and
+:func:`record_commit_batch`) are its batch cut, model build and commit as
+they were before they read a chunk's columns.
+
 The consistency checks at the end recompute production state from scratch.
 """
 
@@ -45,6 +52,9 @@ from bisect import bisect_right
 from collections import _count_elements
 from heapq import heappop, heappush
 from fractions import Fraction
+from itertools import count, islice, repeat
+from operator import mul
+from typing import Iterator
 
 import numpy as np
 
@@ -55,7 +65,35 @@ from streamdecomp.multisection import TreeBlock, _hash_child, \
 from streamdecomp.onepass import FennelParams, fennel_block, run_onepass
 from streamdecomp.partition import UNASSIGNED, MinBlockHeap, PartitionState
 from streamdecomp.streams import FormatError, StreamedNodeRecord, \
-    _expect_end, _header, _nonempty, _parse_line, _tokens
+    _expect_end, _header, _nonempty, _parse_line, _split, _tokens
+
+
+def chunk_records(start: int, degrees, ids: list[int], weights, node_weight
+                  ) -> Iterator[StreamedNodeRecord]:
+    """The records of one chunk of columns: node ``start`` on, each with
+    the next ``degrees[i]`` of the flat ``ids`` and of the flat item
+    ``weights`` (all 1 when None) and its ``node_weight`` (1 when None)."""
+    return map(StreamedNodeRecord, count(start),
+               repeat(1) if node_weight is None else node_weight,
+               _split(ids, degrees),
+               map(mul, repeat([1]), degrees) if weights is None
+               else _split(weights, degrees))
+
+
+def stream_records(stream) -> Iterator[StreamedNodeRecord]:
+    """The records of ``stream``, one per node, from a ``stream.chunks()``
+    taken now.  Closing the records closes the chunks at once, so an
+    abandoned parse frees its spool then."""
+    return _records_of(stream.chunks())
+
+
+def _records_of(chunks) -> Iterator[StreamedNodeRecord]:
+    try:
+        for columns in chunks:
+            yield from chunk_records(*columns)
+    finally:
+        if hasattr(chunks, "close"):   # a parse or a replay, not a list's
+            chunks.close()
 
 
 def fennel_gain(weighted_degree_to_block: float, node_weight: int,
@@ -406,14 +444,14 @@ def run_records(stream, config, state: PartitionState, params: FennelParams,
         if config.algorithm == "ldg":
             if p:
                 state.clear_blocks()
-            for record in stream:
+            for record in stream_records(stream):
                 if p:
                     state.assignment[record.id] = UNASSIGNED
                 ldg(record, state)
         else:
             pass_params = FennelParams(gamma=params.gamma,
                                        alpha=params.alpha * growth ** p)
-            for record in stream:
+            for record in stream_records(stream):
                 if p:
                     state.unassign(record.id, record.weight)
                 fennel(record, state, pass_params)
@@ -430,7 +468,7 @@ def shadow_reldg(stream, config, state: PartitionState,
         current = PartitionState(state.n, state.k, state.epsilon,
                                  state.total_weight)
         current.assignment = state.assignment
-        for record in stream:
+        for record in stream_records(stream):
             state.unassign(record.id, record.weight)
             new = record_ldg_assign(record, current)
             # current shares the assignment array and already wrote it
@@ -587,7 +625,7 @@ def run_freight_reference(stream, state: PartitionState, params: FennelParams,
     """
     tracker = NetTracker(stream.header.m)
     blocks = SortedBlocks(state.k)
-    for record in stream:
+    for record in stream_records(stream):
         naive_freight_assign(record, state, tracker, blocks,
                              objective == "cutnet", params)
     return state
@@ -667,7 +705,7 @@ def run_fennel_twin(graph_stream, state: PartitionState,
     this is the graph-side half of the Fennel/FREIGHT equivalence.
     """
     blocks = SortedBlocks(state.k)
-    for record in graph_stream:
+    for record in stream_records(graph_stream):
         gains: dict[int, float] = {}
         counts: dict[int, int] = {}
         for v, w in zip(record.ids, record.weights):
@@ -952,7 +990,7 @@ def run_multisection_multipass(graph_stream, root, l_max: int,
     depth = 0
     while any(p.children for p in set(position)):
         new_weights: dict[int, float] = {}
-        for record in graph_stream:
+        for record in stream_records(graph_stream):
             node = position[record.id]
             if not node.children:
                 new_weights[id(node)] = new_weights.get(id(node), 0) + record.weight
@@ -987,6 +1025,70 @@ def run_multisection_multipass(graph_stream, root, l_max: int,
         if depth > 64:
             raise AssertionError("multi-pass reference failed to converge")
     return [p.lo for p in position]
+
+
+def record_load_batch(records: Iterator, delta: int):
+    """Oracle of ``heistream.load_batch``: the next up-to-delta records of
+    ``records``, or None when they are exhausted."""
+    return list(islice(records, delta)) or None
+
+
+def record_build_model(batch: list, state: PartitionState, config,
+                       rng: random.Random, blocks=None) -> BatchModel:
+    """Oracle of ``heistream.build_model`` on a batch of records: the same
+    model, the same float sums and the same ``rng`` draws."""
+    start = batch[0].id
+    end = batch[-1].id + 1
+    nb = len(batch)
+    assignment = state.assignment
+    num_art = state.k if any(state.block_count) else 0
+    model = BatchModel(nb, num_art)
+    model.blocks = blocks
+
+    edges: list[dict[int, float]] = [dict() for _ in range(nb)]
+    ghosts: dict[int, list[tuple[int, int]]] = {}
+    extended = config.model == "extended"
+    for local, record in enumerate(batch):
+        model.weight[local] = record.weight
+        model.true_weight[local] = record.weight
+        row = edges[local]
+        for v, w in zip(record.ids, record.weights):
+            if start <= v < end:
+                u = v - start
+            elif (block := assignment[v]) != UNASSIGNED:
+                u = nb + block
+            elif blocks is not None:
+                raise AssertionError("outside node unassigned on a later pass")
+            else:
+                if extended:
+                    ghosts.setdefault(v, []).append((local, w))
+                continue
+            if u in row:
+                row[u] += w
+            else:
+                row[u] = w
+
+    for ghost_neighbors in ghosts.values():
+        host = ghost_neighbors[rng.randrange(len(ghost_neighbors))][0]
+        model.weight[host] += 1
+        model.ghost_inflation += 1
+        for local, w in ghost_neighbors:
+            if local == host:
+                continue
+            half = w / 2
+            edges[local][host] = edges[local].get(host, 0) + half
+            edges[host][local] = edges[host].get(local, 0) + half
+
+    model.weight[nb:] = model.true_weight[nb:] = state.block_weight[:num_art]
+    model.adj = [sorted(d.items()) for d in edges]
+    return model
+
+
+def record_commit_batch(batch: list, blocks: list[int],
+                        state: PartitionState) -> None:
+    """Oracle of ``heistream.commit_batch`` on a batch of records."""
+    for record, block in zip(batch, blocks):
+        state.assign(record.id, block, record.weight)
 
 
 def restream_model(batch: list, state: PartitionState) -> BatchModel:

@@ -1,7 +1,8 @@
 """The chunk kernels of Fennel, LDG, FREIGHT and OMS against their record
 oracles in tests/reference, chunk by chunk, on parsed files of every
-``fmt``; and the runners, the metrics and every CLI command but HeiStream,
-with ``--time-core`` or without, read only ``stream.chunks()``."""
+``fmt``; and the runners, the metrics and every CLI command, with
+``--time-core`` or without, read only ``stream.chunks()`` and build no
+record."""
 
 import functools
 import json
@@ -20,14 +21,15 @@ from streamdecomp.multisection import HierarchySpec, OmsConfig, \
 from streamdecomp.onepass import FennelParams, OnePassConfig, \
     fennel_assign, fennel_penalties, ldg_assign, ldg_free, run_onepass, \
     run_restream
-from streamdecomp.streams import FormatError, MemoryStream, NodeStream, \
-    _write_node_lines, open_graph_stream, open_hypergraph_node_stream
+from streamdecomp.streams import FormatError, MemoryStream, \
+    StreamedNodeRecord, _write_node_lines, open_graph_stream, \
+    open_hypergraph_node_stream
 
 from generators import random_graph, random_hypergraph, run_setup
 from reference import ScanMinBlock, batch_fennel_assign, \
     batch_ldg_assign, parse_node_lines, record_comm_cost, \
     record_cut_net_and_connectivity, record_edge_cut, record_freight_assign, \
-    record_oms_assign
+    record_oms_assign, stream_records
 from test_multisection import _internal_blocks
 
 # fmt -> (item weights up to, node weights up to); the flags are written
@@ -39,7 +41,7 @@ N = 2 * CHUNK + CHUNK // 2 + 3   # three chunks, the last one short
 
 def write(path, memory, fmt: int, graph: bool) -> str:
     """``memory`` as a node-per-line file with the flags of ``fmt``."""
-    header, records = memory.header, list(memory)
+    header, records = memory.header, list(stream_records(memory))
     _write_node_lines(str(path), [header.n, header.m] if graph
                       else [header.n, header.m, header.pins],
                       [r.weight for r in records] if fmt >= 10 else None,
@@ -77,7 +79,7 @@ def _blocks_state(state):
 def _chunks_and_records(stream, memory):
     """Each chunk of ``stream`` (the parse, then the replay), with the
     records of ``memory`` it covers."""
-    records = iter(memory)
+    records = stream_records(memory)
     for chunk in stream.chunks():
         yield chunk, list(islice(records, len(chunk[1])))
 
@@ -200,7 +202,7 @@ class TestColumnMetrics:
         memory = _graph(fmt)
         stream = open_graph_stream(
             write(tmp_path / "g.graph", memory, fmt, graph=True))
-        records = list(memory)
+        records = list(stream_records(memory))
         flagged = MemoryStream.from_records(stream.header, records)
         rng = random.Random(f"metrics-{fmt}")
         for spec in ("2:4", "3:5:2", "64"):
@@ -297,14 +299,11 @@ class TestOmsLockstep:
 
 
 class RecordFree:
-    """A stream that has columns but no records."""
+    """A stream that has a header and columns and nothing else."""
 
     def __init__(self, stream):
         self.header = stream.header
         self.chunks = stream.chunks
-
-    def __iter__(self):
-        raise AssertionError("a record was asked for")
 
 
 @pytest.mark.usefixtures("small_chunks")
@@ -328,7 +327,8 @@ class TestNoRecords:
         memory = _hypergraph(fmt)
         stream = open_hypergraph_node_stream(
             write(tmp_path / "h.hgr", memory, fmt, graph=False))
-        memory = MemoryStream.from_records(stream.header, list(memory))
+        memory = MemoryStream.from_records(stream.header,
+                                           list(stream_records(memory)))
         runs = self._three(stream, memory, lambda s, state, params:
                            run_freight(s, state, params, objective), 7)
         assert runs[1:] == [runs[0]] * 2
@@ -340,7 +340,8 @@ class TestNoRecords:
         memory = _graph(fmt)
         stream = open_graph_stream(
             write(tmp_path / "g.graph", memory, fmt, graph=True))
-        memory = MemoryStream.from_records(stream.header, list(memory))
+        memory = MemoryStream.from_records(stream.header,
+                                           list(stream_records(memory)))
         spec = HierarchySpec.parse("2:4", "1:10")
         for run in (lambda s, state, params: run_oms(
                         s, OmsConfig(scorer=scorer), state, params),
@@ -356,7 +357,8 @@ class TestNoRecords:
         memory = _graph(fmt)
         stream = open_graph_stream(
             write(tmp_path / "g.graph", memory, fmt, graph=True))
-        memory = MemoryStream.from_records(stream.header, list(memory))
+        memory = MemoryStream.from_records(stream.header,
+                                           list(stream_records(memory)))
         for passes in (1, 3):
             config = OnePassConfig(algorithm, passes=passes)
             run = run_restream if passes > 1 else run_onepass
@@ -366,8 +368,8 @@ class TestNoRecords:
         stream.close()
 
 
-def _no_records(self):
-    raise AssertionError("a record was asked for")
+def _no_records(*args, **kwargs):
+    raise AssertionError("a record was built")
 
 
 # run name -> its command and flags, the input read from the test's files
@@ -378,16 +380,21 @@ COMMANDS = {
     "oms": ["partition", "--k", "5", "--algorithm", "oms"],
     "map": ["map", "--hierarchy", "2:4", "--distances", "1:10"],
     "hpartition": ["hpartition", "--k", "5"],
+    # batches of 30 nodes straddle the chunks of 50
+    **{f"heistream-{passes}": ["partition", "--k", "5", "--algorithm",
+                               "heistream", "--delta", "30", "--passes",
+                               str(passes)] for passes in (1, 2)},
 }
 QUALITY = ("edge_cut", "cut_net", "connectivity", "imbalance", "comm_cost")
 
 
 @pytest.mark.usefixtures("small_chunks")
 class TestCommandsWithoutRecords:
-    """``partition`` with hashing, fennel and ldg (1 and 3 passes) and oms,
-    ``map``, ``hpartition`` and ``metrics``, each also with
-    ``--time-core``, and ``bench`` run on streams whose ``__iter__``
-    raises.  They report what the spool path reports without the patch:
+    """``partition`` with hashing, fennel and ldg (1 and 3 passes), oms
+    and heistream (1 and 2 passes), ``map``, ``hpartition`` and
+    ``metrics``, each also with ``--time-core``, and ``bench`` run while
+    building a :class:`StreamedNodeRecord` raises.  They report what the
+    spool path reports without the patch:
     the same partitions and quality, cuts and comm costs equal to the sums
     over the records.  A ``--time-core`` run preloads the parse's chunks,
     three of them here."""
@@ -425,7 +432,7 @@ class TestCommandsWithoutRecords:
         graph = write(tmp_path / "g.graph", memory, fmt, graph=True)
         hypergraph = write(tmp_path / "h.hgr", hyper, fmt, graph=False)
         expected = self._runs(tmp_path, graph, hypergraph)   # the spool path
-        records, blocks = list(memory), {
+        records, blocks = list(stream_records(memory)), {
             name: list(map(int, part.split()))
             for name, (part, _) in expected.items()}
         for name, (_, run) in expected.items():
@@ -437,10 +444,9 @@ class TestCommandsWithoutRecords:
         assert (expected["hpartition"][1]["cut_net"],
                 expected["hpartition"][1]["connectivity"]) == \
             record_cut_net_and_connectivity(
-                list(hyper), blocks["hpartition"],
+                list(stream_records(hyper)), blocks["hpartition"],
                 hyper.header.has_item_weights)
-        monkeypatch.setattr(NodeStream, "__iter__", _no_records)
-        monkeypatch.setattr(MemoryStream, "__iter__", _no_records)
+        monkeypatch.setattr(StreamedNodeRecord, "__init__", _no_records)
         for flags in ((), ("--time-core",)):
             assert self._runs(tmp_path, graph, hypergraph, flags) == \
                 expected, flags
@@ -455,5 +461,12 @@ class TestCommandsWithoutRecords:
                 run = expected[name][1]
                 assert (int(row["edge_cut"]), float(row["imbalance"])) == \
                     (run["edge_cut"], run["imbalance"]), name
-        with pytest.raises(AssertionError, match="a record was asked for"):
-            list(open_graph_stream(graph))
+        assert cli.main(["bench", "--input", graph, "--algorithms",
+                         "heistream", "--k", "5", "--delta", "30",
+                         "--passes", "2", "--output", str(rows)]) == 0
+        row, = read_rows(str(rows))
+        run = expected["heistream-2"][1]
+        assert (int(row["edge_cut"]), float(row["imbalance"])) == \
+            (run["edge_cut"], run["imbalance"])
+        with pytest.raises(AssertionError, match="a record was built"):
+            list(stream_records(open_graph_stream(graph)))

@@ -1,7 +1,7 @@
-"""The column readers: ``NodeStream.chunks()`` gives the spool columns every
-record is built from, ``MemoryStream.chunks()`` the parse's chunks it keeps
-(or, from records, their columns in one chunk), and the cut-net and
-connectivity check that walks them counts what a per-record recount
+"""The column readers: ``NodeStream.chunks()`` gives the spool columns a
+test builds its records from, ``MemoryStream.chunks()`` the parse's chunks
+it keeps (or, from records, their columns in one chunk), and the cut-net
+and connectivity check that walks them counts what a per-record recount
 counts."""
 
 import operator
@@ -14,16 +14,17 @@ from streamdecomp import cli, streams
 from streamdecomp.metrics import cut_net_and_connectivity
 from streamdecomp.onepass import require_reiterable
 from streamdecomp.streams import FormatError, MemoryStream, \
-    StreamedNodeRecord, StreamHeader, _records, _write_node_lines, \
+    StreamedNodeRecord, StreamHeader, _write_node_lines, \
     open_hypergraph_node_stream
 
 from generators import random_hypergraph
-from reference import record_cut_net_and_connectivity
+from reference import chunk_records, record_cut_net_and_connectivity, \
+    stream_records
 from test_spool import FILES, opener, spool_dir, spools  # noqa: F401
 
 
 def rebuilt(chunks):
-    return [record for columns in chunks for record in _records(*columns)]
+    return [record for columns in chunks for record in chunk_records(*columns)]
 
 
 @pytest.mark.parametrize("kind, text", FILES)
@@ -39,7 +40,7 @@ def test_parse_replay_and_no_spool_chunks_rebuild_the_records(
     path.write_text("garbage\n")
     replayed = list(stream.chunks())          # the replay
     assert [list(c[1]) for c in replayed] == [list(c[1]) for c in parsed]
-    assert rebuilt(replayed) == rebuilt(parsed) == list(stream)
+    assert rebuilt(replayed) == rebuilt(parsed) == list(stream_records(stream))
     path.write_text(text)
     bare = opener(kind)(str(path), spool=False)
     assert rebuilt(bare.chunks()) == rebuilt(parsed)
@@ -62,7 +63,7 @@ def test_a_bad_line_yields_its_chunks_good_prefix_then_raises(
         next(chunks)
     records = []
     with pytest.raises(FormatError) as from_records:
-        for record in stream:
+        for record in stream_records(stream):
             records.append(record)
     assert str(from_chunks.value) == str(from_records.value) == \
         "node 4: 'x' is not an integer"
@@ -105,9 +106,11 @@ def test_memory_stream_chunk_has_the_parsed_columns(tmp_path, spool_dir,
     assert len(first) == 3
     assert all(map(operator.is_, first, parsed))
     assert all(map(operator.is_, again, parsed))
-    assert list(memory) == list(memory) == list(stream)   # from the replay
+    assert list(stream_records(memory)) == list(stream_records(memory)) \
+        == list(stream_records(stream))   # from the replay
     require_reiterable(memory)
-    one = list(MemoryStream.from_records(stream.header, list(memory))
+    one = list(MemoryStream.from_records(stream.header,
+                                         list(stream_records(memory)))
                .chunks())
     assert [columns[0] for columns in one] == [0]
     assert joined(one) == joined(parsed)   # weights where the flags say
@@ -156,9 +159,9 @@ def test_a_time_core_run_and_its_verification_build_no_record(
         totals.append(state.total_weight)
         return run(spec, stream, state, *rest)
 
-    def refused(*args):
+    def refused(*args, **kwargs):
         raise AssertionError("a record was built or flattened")
-    monkeypatch.setattr(streams, "_records", refused)
+    monkeypatch.setattr(StreamedNodeRecord, "__init__", refused)
     monkeypatch.setattr(MemoryStream, "from_records", refused)
     monkeypatch.setitem(cli.ALGORITHMS, algorithm, (kind, timed))
     path = tmp_path / "in.txt"
@@ -189,7 +192,7 @@ def test_memory_stream_refuses_records_for_chunks():
 
 def write_hypergraph(path, stream):
     header = stream.header
-    records = list(stream)
+    records = list(stream_records(stream))
     _write_node_lines(str(path), [header.n, header.m, header.pins],
                       [r.weight for r in records]
                       if header.has_node_weights else None,
@@ -216,7 +219,8 @@ def test_column_walk_equals_a_record_recount(tmp_path, monkeypatch,
         assert stream.header == memory.header
         blocks = [rng.randrange(k) for _ in range(n)]
         expected = record_cut_net_and_connectivity(
-            list(memory), blocks, memory.header.has_item_weights)
+            list(stream_records(memory)), blocks,
+            memory.header.has_item_weights)
         assert cut_net_and_connectivity(stream, blocks) == expected  # parse
         assert cut_net_and_connectivity(stream, blocks) == expected  # replay
         assert cut_net_and_connectivity(memory, blocks) == expected

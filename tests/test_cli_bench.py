@@ -19,6 +19,7 @@ from streamdecomp.partition import UNASSIGNED, PartitionState, compute_lmax
 from streamdecomp.streams import read_partition, write_graph
 
 from generators import random_graph, random_hypergraph
+from reference import stream_records
 
 
 @pytest.fixture
@@ -28,7 +29,7 @@ def graph_file(tmp_path):
     path = str(tmp_path / "g.graph")
     edges = []
     seen = set()
-    for record in stream:
+    for record in stream_records(stream):
         for v, w in zip(record.ids, record.weights):
             key = (min(record.id, v), max(record.id, v))
             if key not in seen:
@@ -43,7 +44,7 @@ def hmetis_file(tmp_path):
     rng = random.Random(8)
     stream = random_hypergraph(rng, 30, 25, max_pins=5)
     nets = {}
-    for record in stream:
+    for record in stream_records(stream):
         for e in record.ids:
             nets.setdefault(e, []).append(record.id + 1)
     path = tmp_path / "h.hgr"
@@ -729,6 +730,26 @@ class TestCliBench:
             "input error: --repeats must be >= 1\n"
         assert not out.exists() and not summary.exists()
 
+    @pytest.mark.parametrize("algorithms, bad", [
+        ("fennel,bogus", "bogus"), ("bogus,fennel", "bogus"),
+        ("ldg,,fennel", ""), ("fennel,ldg,Fennel", "Fennel")])
+    def test_bench_checks_every_algorithm_first(self, graph_file, tmp_path,
+                                                capsys, monkeypatch,
+                                                algorithms, bad):
+        # a usage error naming --algorithms and the first bad name, before
+        # any cell runs and with nothing written
+        calls = []
+        monkeypatch.setattr(cli, "execute", lambda spec: calls.append(spec))
+        out, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+        assert main(["bench", "--input", graph_file, "--algorithms",
+                     algorithms, "--k", "2", "--output", str(out),
+                     "--summary", str(summary)]) == 1
+        assert calls == []
+        assert capsys.readouterr().err == \
+            f"usage error: argument --algorithms: invalid choice: {bad!r} " \
+            f"(choose from hashing, ldg, fennel, heistream, oms)\n"
+        assert not out.exists() and not summary.exists()
+
     def test_non_integers_name_their_source(self, graph_file, tmp_path,
                                             capsys, monkeypatch):
         out = tmp_path / "rows.csv"
@@ -748,9 +769,9 @@ def _weighted_graph_file(tmp_path, edge_weights: bool) -> tuple[str, list[int]]:
     rng = random.Random(12 if edge_weights else 11)
     stream = random_graph(rng, 300, 900, max_edge_weight=9 if edge_weights
                           else 1, max_node_weight=20)
-    edges = [(r.id, v, w) for r in stream
+    edges = [(r.id, v, w) for r in stream_records(stream)
              for v, w in zip(r.ids, r.weights) if r.id < v]
-    weights = [r.weight for r in stream]
+    weights = [r.weight for r in stream_records(stream)]
     path = str(tmp_path / f"w{int(edge_weights)}.graph")
     write_graph(path, 300, edges, weights)
     return path, weights
@@ -759,13 +780,13 @@ def _weighted_graph_file(tmp_path, edge_weights: bool) -> tuple[str, list[int]]:
 def _weighted_hypergraph_file(tmp_path) -> tuple[str, list[int]]:
     stream = random_hypergraph(random.Random(13), 300, 250, max_pins=6,
                                max_node_weight=20)
-    lines = [f"300 250 {sum(len(r.ids) for r in stream)} 10"]
-    for r in stream:
+    lines = [f"300 250 {sum(len(r.ids) for r in stream_records(stream))} 10"]
+    for r in stream_records(stream):
         lines.append(" ".join([str(r.weight)] +
                               [str(e + 1) for e in r.ids]))
     path = tmp_path / "w.hgr"
     path.write_text("\n".join(lines) + "\n")
-    return str(path), [r.weight for r in stream]
+    return str(path), [r.weight for r in stream_records(stream)]
 
 
 class TestCliWeightedInputs:

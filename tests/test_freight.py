@@ -16,7 +16,7 @@ from generators import (chunk_of, graph_as_hypergraph,
 from reference import (CUT, SINGLE_BLOCK, UNTOUCHED, NetTracker,
                        ScanMinBlock, check_consistency, naive_freight_assign,
                        record_freight_assign, run_fennel_twin,
-                       run_freight_reference)
+                       run_freight_reference, stream_records)
 
 
 def freight(stream, k, objective="connectivity", **setup):
@@ -61,7 +61,7 @@ class TestNetTracker:
         blocks = SortedBlocks(4)
         params = FennelParams(alpha=0.5)
         pins_seen: dict[int, list[int]] = {}
-        for record in stream:
+        for record in stream_records(stream):
             b = place(record, state, tracker, blocks, True, params)
             for e in record.ids:
                 pins_seen.setdefault(e, []).append(b)
@@ -179,7 +179,7 @@ class TestOracleEquivalence:
                     sides.append((state, tracker, blocks))
                 (fast, fast_t, _), (slow, slow_t, slow_b) = sides
                 fast_b = SortedBlocks(k)   # the kernel's, used if unit
-                for record in stream:
+                for record in stream_records(stream):
                     chosen = place(record, fast, fast_t, fast_b, cutnet,
                                    params, stream.header)
                     expected = naive_freight_assign(
@@ -211,7 +211,7 @@ class TestWeightedNodes:
         stream = random_hypergraph(rng, 40, 50, max_pins=4, max_node_weight=5)
         state = freight(stream, 4)
         assert max(state.block_weight) <= state.l_max
-        check_consistency(state, [r.weight for r in stream])
+        check_consistency(state, [r.weight for r in stream_records(stream)])
 
     def test_weighted_min_query_is_lowest_index_lightest(self):
         # the state's weight heap must pick what a scan for the lowest-index
@@ -233,7 +233,7 @@ class TestWeightedNodes:
                 fast = freight(stream, k, objective, epsilon=0.0)
                 state, params = run_setup(stream, k, epsilon=0.0)
                 tracker = freight_module.NetTracker(stream.header.m)
-                for record in stream:
+                for record in stream_records(stream):
                     record_freight_assign(record, state, tracker,
                                           ScanMin(state),
                                           objective == "cutnet", params,

@@ -1,9 +1,12 @@
+import copy
 import random
+from contextlib import closing
 
 import pytest
 
 import reference
 import streamdecomp.heistream as hs
+from streamdecomp import streams
 from streamdecomp.heistream import (BatchModel, HeiStreamConfig, build_model,
                                     coarsen, commit_batch, initial_partition,
                                     load_batch, run_heistream,
@@ -11,10 +14,11 @@ from streamdecomp.heistream import (BatchModel, HeiStreamConfig, build_model,
 from streamdecomp.metrics import edge_cut
 from streamdecomp.onepass import FennelParams, OnePassConfig, run_onepass
 from streamdecomp.partition import UNASSIGNED, PartitionState
-from streamdecomp.streams import MemoryStream, StreamedNodeRecord
+from streamdecomp.streams import MemoryStream, open_graph_stream
 
 from generators import (gnp_graph, graph_stream_from_edges,
                         planted_partition_graph, random_graph, run_setup)
+from test_chunk_kernels import CHUNK, FMTS, N, _graph, write
 
 
 def heistream(stream, k, **config):
@@ -46,32 +50,41 @@ def model_cut_and_penalty(model: BatchModel, blocks, k, params):
     return cut + penalty, cut
 
 
+def batches(stream, delta: int):
+    """The column batches of one pass over ``stream``."""
+    chunks, rest = stream.chunks(), []
+    while (batch := load_batch(chunks, delta, rest)) is not None:
+        yield batch
+
+
 class TestLoadBatch:
     def test_batch_sizes(self):
         # n a multiple of delta: no empty last batch, which would count
         for n, expected in ((5, [2, 2, 1]), (4, [2, 2])):
-            it = iter(graph_stream_from_edges(n, []))
+            chunks, rest = graph_stream_from_edges(n, []).chunks(), []
             sizes = []
-            while (batch := load_batch(it, 2)) is not None:
-                sizes.append(len(batch))
+            while (batch := load_batch(chunks, 2, rest)) is not None:
+                sizes.append(len(batch[1]))
             assert sizes == expected
-            assert load_batch(it, 2) is None
+            assert load_batch(chunks, 2, rest) is None
 
     def test_single_batch_when_delta_large(self):
         stream = graph_stream_from_edges(5, [])
-        it = iter(stream)
-        assert len(load_batch(it, 100)) == 5
-        assert load_batch(it, 100) is None
+        chunks, rest = stream.chunks(), []
+        assert len(load_batch(chunks, 100, rest)[1]) == 5
+        assert load_batch(chunks, 100, rest) is None
 
 
 class TestBuildModel:
+    """Batches are chunks of columns, ``(start, degrees, ids, weights,
+    node_weight)``; a None column means unit weights."""
+
     def cfg(self, **kw):
         return HeiStreamConfig(delta=2, **kw)
 
     def test_first_batch_has_no_artificial_nodes(self):
         state = PartitionState(4, 4, 0.5, 4)
-        batch = [StreamedNodeRecord(0, 1, [1], [1]),
-                 StreamedNodeRecord(1, 1, [0], [1])]
+        batch = (0, [1, 1], [1, 0], None, None)   # nodes 0-1, unit weights
         model = build_model(batch, state, self.cfg(), random.Random(0))
         assert model.num_art == 0
         assert model.size == 2
@@ -81,8 +94,7 @@ class TestBuildModel:
         state = PartitionState(6, 4, 0.5, 6)
         state.assign(0, 2, 1)
         state.assign(1, 2, 1)
-        batch = [StreamedNodeRecord(2, 1, [0, 1], [1, 1]),
-                 StreamedNodeRecord(3, 1, [], [])]
+        batch = (2, [2, 0], [0, 1], None, None)
         model = build_model(batch, state, self.cfg(), random.Random(0))
         assert model.num_art == 4
         art2 = model.num_batch + 2
@@ -93,8 +105,7 @@ class TestBuildModel:
         # ghost node 2 adjacent to both batch nodes: contracted into one of
         # them, host weight +1, the other gets a half-weight edge to the host
         state = PartitionState(3, 2, 1.0, 3)
-        batch = [StreamedNodeRecord(0, 1, [2], [1]),
-                 StreamedNodeRecord(1, 1, [2], [1])]
+        batch = (0, [1, 1], [2, 2], None, None)
         model = build_model(batch, state, self.cfg(model="extended"),
                             random.Random(7))
         host = 0 if model.weight[0] == 2 else 1
@@ -106,8 +117,7 @@ class TestBuildModel:
 
     def test_basic_model_drops_ghost_edges(self):
         state = PartitionState(3, 2, 1.0, 3)
-        batch = [StreamedNodeRecord(0, 1, [2], [1]),
-                 StreamedNodeRecord(1, 1, [2], [1])]
+        batch = (0, [1, 1], [2, 2], None, None)
         model = build_model(batch, state, self.cfg(model="basic"),
                             random.Random(7))
         assert model.adj == [[], []]
@@ -117,9 +127,8 @@ class TestBuildModel:
         state = PartitionState(4, 2, 1.0, 4)
         for node, block in enumerate([0, 1, 0, 1]):
             state.assign(node, block, 1)
-        batch = [StreamedNodeRecord(0, 1, [2, 3], [1, 1]),
-                 StreamedNodeRecord(1, 1, [3], [1])]
-        previous = [state.unassign(r.id, r.weight) for r in batch]
+        batch = (0, [2, 1], [2, 3, 3], None, None)
+        previous = [state.unassign(v, 1) for v in (0, 1)]
         model = build_model(batch, state, self.cfg(), random.Random(0),
                             previous)
         assert model.num_art == 2
@@ -132,8 +141,7 @@ class TestBuildModel:
 
     def test_later_pass_rejects_unassigned_outside_neighbor(self):
         state = PartitionState(3, 2, 1.0, 3)
-        batch = [StreamedNodeRecord(0, 1, [2], [1]),
-                 StreamedNodeRecord(1, 1, [], [])]
+        batch = (0, [1, 0], [2], None, None)
         # without previous blocks node 2 is a ghost; with them, a fault
         assert build_model(batch, state, self.cfg(),
                            random.Random(0)).ghost_inflation == 1
@@ -153,28 +161,29 @@ class TestBuildModel:
         for trial in range(24):
             stream = _weighted_stream(rng, n, one_sided)
             if trial % 4 == 3:
-                records = list(stream)
+                records = list(reference.stream_records(stream))
                 for record in records:
                     record.weight = 0
                 stream = MemoryStream.from_records(stream.header, records)
             k = rng.choice([2, 5, 16])
             delta = rng.choice([1, 7, 25, n])
-            state = PartitionState(n, k, 0.5, max(1, sum(
-                r.weight for r in stream)))
-            for record in stream:
-                state.assign(record.id, rng.randrange(k), record.weight)
+            weights = [r.weight for r in reference.stream_records(stream)]
+            state = PartitionState(n, k, 0.5, max(1, sum(weights)))
+            for node, weight in enumerate(weights):
+                state.assign(node, rng.randrange(k), weight)
             config = HeiStreamConfig(delta=delta, model=model)
-            it = iter(stream)
-            while (batch := load_batch(it, delta)) is not None:
-                expected = reference.restream_model(batch, state)
-                previous = [state.unassign(r.id, r.weight) for r in batch]
+            for batch in batches(stream, delta):
+                records = list(reference.chunk_records(*batch))
+                expected = reference.restream_model(records, state)
+                previous = [state.unassign(r.id, r.weight) for r in records]
                 run_rng = random.Random(trial)
                 got = build_model(batch, state, config, run_rng, previous)
                 assert _model_fields(got) == _model_fields(expected)
                 assert run_rng.getstate() == random.Random(trial).getstate()
                 single += got.num_art == 0
-                commit_batch(batch, [rng.randrange(k) for _ in batch], state)
-            reference.check_consistency(state, [r.weight for r in stream])
+                commit_batch(batch, [rng.randrange(k) for _ in records],
+                             state)
+            reference.check_consistency(state, weights)
         assert single > 0   # n == delta: one batch, no artificial nodes
 
 
@@ -188,7 +197,7 @@ class TestCoarsen:
     def test_small_model_yields_single_level(self):
         config = HeiStreamConfig(delta=8, x=4)
         state = PartitionState(8, 2, 0.5, 8)
-        batch = [StreamedNodeRecord(i, 1, [], []) for i in range(8)]
+        batch = (0, [0] * 8, [], None, None)
         model = build_model(batch, state, config, random.Random(0))
         levels = coarsen(model, config, state, random.Random(0))
         assert len(levels) == 1
@@ -238,7 +247,7 @@ class TestCoarsen:
         config = HeiStreamConfig(delta=16, x=1, coarsen_rounds=5)
         state = PartitionState(16, 2, 0.5, 16)   # L_max 12: cluster cap 8
         assert hs.cluster_cap(state, 16) == 8
-        batch = list(stream)
+        batch, = batches(stream, 16)
         model = build_model(batch, state, config, random.Random(3))
         levels = coarsen(model, config, state, random.Random(3))
         coarsest = levels[-1].model
@@ -253,7 +262,7 @@ class TestInitialPartition:
         state = PartitionState(8, 4, 1.0, 8)
         for node, block in enumerate([0, 1, 2, 3]):
             state.assign(node, block, 1)
-        batch = [StreamedNodeRecord(4, 1, [3], [1])]   # neighbor in block 3
+        batch = (4, [1], [3], None, None)   # neighbor in block 3
         model = build_model(batch, state, config, random.Random(0))
         params = FennelParams(alpha=0.1)
         assert initial_partition(model, state, params) == [3]
@@ -265,7 +274,7 @@ class TestInitialPartition:
             state.assign(node, 0, 3 if node == 0 else 0)
         state.block_weight = [3, 3, 2]           # blocks 0,1 full
         state.block_count = [1, 1, 1]
-        batch = [StreamedNodeRecord(3, 1, [], [])]
+        batch = (3, [0], [], None, None)
         model = build_model(batch, state, config, random.Random(0))
         params = FennelParams(alpha=0.5)
         assert initial_partition(model, state, params) == [2]
@@ -384,7 +393,7 @@ class TestRefinement:
         stream = gnp_graph(rng, 60, 0.1)
         config = HeiStreamConfig(delta=60, x=1, seed=seed)
         state, params = run_setup(stream, 4, epsilon=0.1)
-        batch = list(stream)
+        batch, = batches(stream, 60)
         model = build_model(batch, state, config, rng)
         levels = coarsen(model, config, state, rng)
         coarse = initial_partition(levels[-1].model, state, params)
@@ -469,8 +478,7 @@ class TestRefinement:
 class TestCommitAndRun:
     def test_commit_uses_true_weights(self):
         state = PartitionState(3, 2, 1.0, 3)
-        batch = [StreamedNodeRecord(0, 1, [2], [1]),
-                 StreamedNodeRecord(1, 1, [2], [1])]
+        batch = (0, [1, 1], [2, 2], None, None)
         commit_batch(batch, [0, 0], state)
         assert state.block_weight == [2, 0]   # no ghost inflation committed
 
@@ -489,11 +497,10 @@ class TestCommitAndRun:
         config = HeiStreamConfig(delta=30, seed=11)
         state, params = run_setup(stream, 4)
         rng_run = random.Random(config.seed)
-        it = iter(stream)
-        while (batch := load_batch(it, config.delta)) is not None:
+        for batch in batches(stream, config.delta):
             model = build_model(batch, state, config, rng_run)
             model_total = sum(model.weight[v] for v in range(model.num_batch))
-            true_total = sum(r.weight for r in batch)
+            true_total = sum(r.weight for r in reference.chunk_records(*batch))
             assert model_total - true_total == model.ghost_inflation
             levels = coarsen(model, config, state, rng_run)
             blocks = uncoarsen_refine(
@@ -507,7 +514,7 @@ class TestCommitAndRun:
         stream = random_graph(rng, 50, 120)
         config = HeiStreamConfig(delta=64, seed=1)
         state = PartitionState(50, 4, 0.03, 50)
-        batch = load_batch(iter(stream), config.delta)
+        batch, = batches(stream, config.delta)
         model = build_model(batch, state, config, random.Random(1))
         assert model.num_art == 0
 
@@ -625,7 +632,7 @@ def _weighted_stream(rng: random.Random, n: int, one_sided: bool):
                           max_node_weight=3)
     if one_sided:
         # drop a third of the entries: many edges are listed by one end only
-        records = list(stream)
+        records = list(reference.stream_records(stream))
         for record in records:
             kept = [(v, w) for v, w in zip(record.ids, record.weights)
                     if rng.random() > 1 / 3]
@@ -711,6 +718,126 @@ class TestKernelsMatchReference:
             assert calls["refine_moves"] > 0
             assert calls["lp_merges"] > 0 or delta == 1
         return calls
+
+
+class _RecordTwin:
+    """``stream`` with its nodes as ``records`` too: every ``chunks()``
+    restarts ``self.records``, from which the oracles cut their batches."""
+
+    def __init__(self, stream, records):
+        self.header = stream.header
+        self._stream, self._records = stream, records
+        self.records = iter(())
+
+    def chunks(self):
+        self.records = iter(self._records)
+        return self._stream.chunks()
+
+
+def _state_fields(state: PartitionState):
+    return (state.assignment, state.block_weight, state.block_count,
+            state.violations)
+
+
+class TestBatchCutLockstep:
+    """``load_batch``, ``build_model``, the restream unassign and
+    ``commit_batch`` on chunk columns against the record oracles of
+    ``tests/reference.py``, batch by batch inside real runs: after every
+    batch the records of its node range, the model (``weight``,
+    ``true_weight``, ``adj``, ``ghost_inflation``), the ``rng`` state and
+    the partition state agree.  Files of every ``fmt``, replayed from the
+    spool or preloaded into a ``MemoryStream``; delta 1, one below, at and
+    one above a chunk's size, n and n + 2."""
+
+    @pytest.mark.parametrize("fmt", sorted(FMTS))
+    @pytest.mark.parametrize("source", ["replay", "memory"])
+    def test_columns_match_records(self, tmp_path, monkeypatch, fmt, source):
+        monkeypatch.setattr(streams, "SPOOL_CHUNK", CHUNK)
+        path = write(tmp_path / "g.graph", _graph(fmt), fmt, graph=True)
+        self._check(monkeypatch, path, source, CHUNK, N)
+
+    @pytest.mark.parametrize("source", ["replay", "memory"])
+    def test_at_the_real_chunk_size(self, tmp_path, monkeypatch, source):
+        chunk = streams.SPOOL_CHUNK
+        n = 3 * chunk + 5
+        memory = random_graph(random.Random(chunk), n, 2 * n,
+                              max_edge_weight=5, max_node_weight=20)
+        path = write(tmp_path / "g.graph", memory, 11, graph=True)
+        self._check(monkeypatch, path, source, chunk, n,
+                    deltas=(chunk - 1, chunk, chunk + 1),
+                    runs=((2, "extended"),))
+
+    def _check(self, monkeypatch, path, source, chunk, n,
+               deltas=(1, CHUNK - 1, CHUNK, CHUNK + 1, N, N + 2),
+               runs=((1, "extended"), (2, "extended"), (2, "basic"))):
+        records = list(reference.parse_node_lines(path, graph=True))
+        with closing(open_graph_stream(path)) as stream:
+            parsed = list(stream.chunks())   # later passes replay the spool
+            assert len(parsed) == -(-n // chunk) >= 3
+            twin = _RecordTwin(stream if source == "replay"
+                               else MemoryStream(stream.header, parsed),
+                               records)
+            for delta in deltas:
+                for passes, model in runs:
+                    config = HeiStreamConfig(delta=delta, passes=passes,
+                                             model=model)
+                    seen = self._lockstep(monkeypatch, twin, chunk, config)
+                    per_pass = -(-n // delta)
+                    assert seen["batches"] == passes * per_pass
+                    assert seen["restreamed"] == (passes - 1) * per_pass
+                    # a batch across a chunk edge joins the chunks' columns
+                    assert (seen["straddling"] > 0) == \
+                        (delta not in (1, chunk)), delta
+
+    @staticmethod
+    def _lockstep(monkeypatch, twin, chunk, config):
+        load, build, commit = hs.load_batch, hs.build_model, hs.commit_batch
+        state, params = run_setup(twin, 4, 0.1)
+        seen = dict.fromkeys(("batches", "straddling", "restreamed"), 0)
+        current = {}
+
+        def checked_load(chunks, delta, rest):
+            batch = load(chunks, delta, rest)
+            records = reference.record_load_batch(twin.records, delta)
+            if batch is None:
+                assert records is None
+                return None
+            assert list(reference.chunk_records(*batch)) == records
+            current.update(records=records, before=copy.deepcopy(state))
+            last = batch[0] + len(batch[1]) - 1
+            seen["batches"] += 1
+            seen["straddling"] += batch[0] // chunk != last // chunk
+            return batch
+
+        def checked_build(batch, state, config, rng, blocks=None):
+            records = current["records"]
+            if blocks is not None:   # unassigned as the records say
+                before = current["before"]
+                assert [before.unassign(r.id, r.weight)
+                        for r in records] == blocks
+                assert _state_fields(state) == _state_fields(before)
+                seen["restreamed"] += 1
+            twin_rng = _twin(rng)
+            expected = reference.record_build_model(records, state, config,
+                                                    twin_rng, blocks)
+            got = build(batch, state, config, rng, blocks)
+            assert _model_fields(got) == _model_fields(expected)
+            assert rng.getstate() == twin_rng.getstate()
+            return got
+
+        def checked_commit(batch, blocks, state):
+            expected = copy.deepcopy(state)
+            reference.record_commit_batch(current["records"], blocks,
+                                          expected)
+            commit(batch, blocks, state)
+            assert _state_fields(state) == _state_fields(expected)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hs, "load_batch", checked_load)
+            patch.setattr(hs, "build_model", checked_build)
+            patch.setattr(hs, "commit_batch", checked_commit)
+            run_heistream(twin, config, state, params)
+        return seen
 
 
 class TestFastPathAssumptions:

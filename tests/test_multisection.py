@@ -20,8 +20,8 @@ from generators import (chunk_of, graph_stream_from_edges, random_graph,
 from reference import (candidate_oms_assign, check_leaf_weights,
                        distance_matrix, division_distance_matrix,
                        record_oms_assign, run_multisection_multipass,
-                       scan_oms_assign, stacked_tree, total_block_slots,
-                       tree_fields)
+                       scan_oms_assign, stacked_tree, stream_records,
+                       total_block_slots, tree_fields)
 
 
 def oms(stream, k, spec=None, epsilon=0.03, alpha=None, **config):
@@ -251,7 +251,7 @@ class TestOmsAssign:
         stream = random_graph(rng, 60, 150)
         state, params = run_setup(stream, 7)
         root = build_hierarchy(7, state.l_max, params.alpha)
-        for record in stream:
+        for record in stream_records(stream):
             place(record, root, state, OmsConfig(), params)
         check_leaf_weights(root, state)
         assert state.assignment == oms(stream, 7).assignment
@@ -306,7 +306,7 @@ def _descend_in_lockstep(stream, k, epsilon, build, config):
         state, params = run_setup(stream, k, epsilon)
         root = build(state.l_max, params.alpha)
         descents.append((assign, root, _internal_blocks(root), state, params))
-    for record in stream:
+    for record in stream_records(stream):
         steps = [(assign(record, root, state, config, params),
                   state.violations, [block.child_weights for block in blocks])
                  for assign, root, blocks, state, params in descents]
@@ -378,7 +378,7 @@ class TestCandidateDescent:
         edges += [(v, u, 1) for v in range(2, 802, 2)]
         edges.append((1, u, (1 << 60) + 256))
         stream = graph_stream_from_edges(803, edges)
-        ids = list(stream)[u].ids
+        ids = list(stream_records(stream))[u].ids
         assert ids[:2] == [0, 2] and ids[-1] == 1
         spec = HierarchySpec.parse("2", "1")
         _, state = _descend_in_lockstep(
@@ -410,7 +410,7 @@ class TestCandidateDescent:
             for block in blocks:
                 block.capacities = _CountedReads(block.capacities)
             scored = fanout = 0
-            for record in graph:
+            for record in stream_records(graph):
                 leaf = place(record, root, state, OmsConfig(), params)
                 neighbors = {state.assignment[v] for v in record.ids
                              if state.assignment[v] != UNASSIGNED}

@@ -20,7 +20,8 @@ from generators import chunk_of, graph_stream_from_edges, node_chunks, \
     random_graph, run_setup
 from reference import (_neighbor_gains, check_consistency, fennel_gain,
                        record_fennel_assign, record_ldg_assign, run_records,
-                       scan_fennel_assign, scan_ldg_assign, shadow_reldg)
+                       scan_fennel_assign, scan_ldg_assign, shadow_reldg,
+                       stream_records)
 
 # the flags of a file with node and edge weights: chunk_of(records, WEIGHED)
 # keeps every weight of hand-made records
@@ -115,14 +116,14 @@ class TestLdg:
         stream = random_graph(rng, 100, 300)
         k, eps = 4, 0.1
         state = PartitionState(100, k, eps, 100)
-        got = place_ldg(list(stream), state)
+        got = place_ldg(list(stream_records(stream)), state)
 
         lmax = math.ceil((1 + eps) * 100 / k)
         assign = {}
         weights = [0] * k
         counts = [0] * k
         expected = []
-        for record in stream:
+        for record in stream_records(stream):
             best, best_key = None, None
             for i in range(k):
                 if weights[i] + 1 > lmax:
@@ -195,13 +196,13 @@ class TestFennelAssign:
         stream = random_graph(rng, 200, 600)
         state, params = run_setup(stream, k)
         alpha = params.alpha
-        got = place_fennel(list(stream), state, params)
+        got = place_fennel(list(stream_records(stream)), state, params)
 
         lmax = state.l_max
         assign = {}
         weights = [0] * k
         expected = []
-        for record in stream:
+        for record in stream_records(stream):
             best, best_key = None, None
             for i in range(k):
                 if weights[i] + 1 > lmax:
@@ -305,7 +306,7 @@ class TestRunOnepass:
         k = 4
         state, params = run_setup(stream, k)
         pen = fennel_penalties(state.block_weight, params)
-        for record in stream:
+        for record in stream_records(stream):
             fennel_assign(chunk_of([record]), state, params, pen)
             assert max(state.block_weight) <= state.l_max
 
@@ -391,7 +392,7 @@ class TestRestream:
         expected = shadow_reldg(stream, config,
                                 *run_setup(stream, k, epsilon))
         assert _outcome(got) == _outcome(expected)
-        check_consistency(got, [r.weight for r in stream])
+        check_consistency(got, [r.weight for r in stream_records(stream)])
         if case == "fallback":
             assert production_fallbacks > 0 and got.violations > 0
 
@@ -450,7 +451,7 @@ class TestCandidateSelection:
                                   max_edge_weight=max_edge_weight,
                                   max_node_weight=max_node_weight)
             if weighted == "mixed":
-                units = {set(r.weights) <= {1} for r in stream}
+                units = {set(r.weights) <= {1} for r in stream_records(stream)}
                 assert units == {False, True}
             k = rng.choice([2, 3, 8, 17, 64, 256, 512])
             epsilon = (0.0, 0.03, 0.5)[trial % 3]
@@ -512,14 +513,14 @@ class TestCandidateSelection:
         rng = random.Random(61)
         stream = random_graph(rng, 150, 400)
         plain, listed = tmp_path / "plain.graph", tmp_path / "listed.graph"
-        header = stream.header
+        header, records = stream.header, list(stream_records(stream))
         plain.write_text(f"{header.n} {header.m}\n" + "".join(
-            " ".join(str(v + 1) for v in r.ids) + "\n" for r in stream))
+            " ".join(str(v + 1) for v in r.ids) + "\n" for r in records))
         listed.write_text(f"{header.n} {header.m} 1\n" + "".join(
-            " ".join(f"{v + 1} 1" for v in r.ids) + "\n" for r in stream))
+            " ".join(f"{v + 1} 1" for v in r.ids) + "\n" for r in records))
         flagged = MemoryStream.from_records(
             StreamHeader(header.n, header.m, header.pins,
-                         has_item_weights=True), list(stream))
+                         has_item_weights=True), records)
         sources = [(stream, False), (flagged, True),
                    (open_graph_stream(str(plain)), False),
                    (open_graph_stream(str(listed)), True)]
@@ -642,7 +643,8 @@ class TestEntryPoints:
         memory = random_graph(random.Random(71), 90, 250)
         path = tmp_path / "g.graph"
         path.write_text(f"{memory.header.n} {memory.header.m}\n" + "".join(
-            " ".join(str(v + 1) for v in r.ids) + "\n" for r in memory))
+            " ".join(str(v + 1) for v in r.ids) + "\n"
+            for r in stream_records(memory)))
         stream = open_graph_stream(str(path))
         state, params = run_setup(memory, 4)
         config = OnePassConfig(algorithm=algorithm, passes=passes)
@@ -687,7 +689,7 @@ def _lockstep(stream, algorithm, k, epsilon, batch, passes, growth=2.0):
     Returns the kernel's state."""
     got, params = run_setup(stream, k, epsilon)
     expected, _ = run_setup(stream, k, epsilon)
-    records = list(stream)
+    records = list(stream_records(stream))
     for p in range(passes):
         restream = p > 0
         pass_params = FennelParams(gamma=params.gamma,

@@ -10,7 +10,7 @@ from streamdecomp.heistream import HeiStreamConfig, run_heistream
 from streamdecomp.multisection import HierarchySpec, OmsConfig, run_oms
 
 from generators import random_graph, random_hypergraph, run_setup
-from reference import check_consistency
+from reference import check_consistency, stream_records
 
 # runner name -> (node-weighted input builder, run function)
 RUNNERS = {
@@ -34,7 +34,7 @@ class TestRunnerContract:
     def test_returns_the_given_state(self, runner):
         build, run = RUNNERS[runner]
         stream = build(random.Random(5))
-        weights = [r.weight for r in stream]
+        weights = [r.weight for r in stream_records(stream)]
         state, params = run_setup(stream, 4, epsilon=0.1)
         assert state.total_weight == sum(weights) != stream.header.n
         assert run(stream, state, params) is state

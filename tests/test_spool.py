@@ -1,6 +1,6 @@
-"""The binary spool: a stream parses its text once and later iterations
-replay the records it spooled, with the same records, the same errors and
-no file left behind."""
+"""The binary spool: a stream parses its text once and later passes replay
+the columns it spooled, with the same records, the same errors and no file
+left behind."""
 
 import gc
 import json
@@ -22,6 +22,7 @@ from streamdecomp.streams import FormatError, open_graph_stream, \
     open_hypergraph_node_stream
 
 from generators import graph_stream_from_edges, run_setup
+from reference import stream_records
 from test_streams import MALFORMED
 
 
@@ -81,14 +82,14 @@ def test_replay_equals_parse(tmp_path, spool_dir, monkeypatch, kind, text):
     path = tmp_path / "in.txt"
     path.write_text(text)
     stream = opener(kind)(str(path))
-    parsed = list(stream)
+    parsed = list(stream_records(stream))
     assert len(spools(spool_dir)) == 1
     # Later passes read the spool, not the text.
     path.write_text("garbage\n")
-    assert list(stream) == parsed
-    assert list(stream) == parsed
+    assert list(stream_records(stream)) == parsed
+    assert list(stream_records(stream)) == parsed
     path.write_text(text)
-    assert parsed == list(opener(kind)(str(path), spool=False))
+    assert parsed == list(stream_records(opener(kind)(str(path), spool=False)))
     stream.close()
     assert spools(spool_dir) == []
 
@@ -99,7 +100,7 @@ def test_abandoned_iteration_leaves_no_spool(tmp_path, spool_dir,
     path = tmp_path / "g.graph"
     path.write_text("5 4\n2\n1 3\n2 4\n3 5\n4\n")
     stream = open_graph_stream(str(path))
-    it = iter(stream)
+    it = stream_records(stream)
     first = [next(it), next(it), next(it)]
     assert [r.ids for r in first] == [[1], [0, 2], [1, 3]]
     assert len(spools(spool_dir)) == 1     # the parse's own
@@ -108,10 +109,10 @@ def test_abandoned_iteration_leaves_no_spool(tmp_path, spool_dir,
     # The same graph with each neighbor list reversed: only a parse of the
     # text sees the new order.
     path.write_text("5 4\n2\n3 1\n4 2\n5 3\n4\n")
-    records = list(stream)                 # parses the text again
+    records = list(stream_records(stream))   # parses the text again
     assert [r.ids for r in records] == [[1], [2, 0], [3, 1], [4, 2], [3]]
     path.write_text("garbage\n")
-    assert list(stream) == records         # and now replays
+    assert list(stream_records(stream)) == records   # and now replays
     stream.close()
     assert spools(spool_dir) == []
 
@@ -129,7 +130,7 @@ def test_malformed_file_fails_on_every_iteration(tmp_path, spool_dir, kind,
         return                             # a bad header: nothing to spool
     for _ in range(3):
         with pytest.raises(FormatError) as raised:
-            list(stream)
+            list(stream_records(stream))
         assert message in str(raised.value)
         assert spools(spool_dir) == []
 
@@ -138,11 +139,11 @@ def test_close_deletes_the_spool(tmp_path, spool_dir):
     path = tmp_path / "h.hgr"
     path.write_text("3 2 4\n1\n1 2\n2\n")
     stream = open_hypergraph_node_stream(str(path))
-    records = list(stream)
+    records = list(stream_records(stream))
     assert len(spools(spool_dir)) == 1
     stream.close()
     assert spools(spool_dir) == []
-    assert list(stream) == records         # parses (and spools) again
+    assert list(stream_records(stream)) == records   # parses, spools again
     stream.close()
     assert spools(spool_dir) == []
 
@@ -151,7 +152,7 @@ def test_close_during_a_parse_keeps_nothing(tmp_path, spool_dir):
     path = tmp_path / "g.graph"
     path.write_text("3 2\n2\n1 3\n2\n")
     stream = open_graph_stream(str(path))
-    it = iter(stream)
+    it = stream_records(stream)
     next(it)
     stream.close()
     assert len(spools(spool_dir)) == 1     # the running parse's own
@@ -164,12 +165,12 @@ def test_value_too_large_for_the_spool_reparses(tmp_path, spool_dir):
     path = tmp_path / "g.graph"
     path.write_text(f"2 1 11\n{2 ** 40} 2 {2 ** 35}\n1 1 {2 ** 35}\n")
     stream = open_graph_stream(str(path))
-    records = list(stream)
+    records = list(stream_records(stream))
     assert records[0].weight == 2 ** 40 and records[1].weights == [2 ** 35]
     assert spools(spool_dir) == []
     # Nothing was spooled, so the next pass parses the text again.
     path.write_text(f"2 1 11\n{2 ** 41} 2 {2 ** 36}\n1 1 {2 ** 36}\n")
-    again = list(stream)
+    again = list(stream_records(stream))
     assert again[0].weight == 2 ** 41 and again[1].weights == [2 ** 36]
     assert [r.ids for r in again] == [r.ids for r in records]
 
@@ -304,14 +305,14 @@ def test_restreaming_rejects_a_one_shot_iterator():
     stream = graph_stream_from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     state, params = run_setup(stream, 2)
     with pytest.raises(TypeError, match="re-iterable"):
-        run_restream(iter(stream), OnePassConfig("fennel", passes=2), state,
-                     params)
+        run_restream(stream_records(stream),
+                     OnePassConfig("fennel", passes=2), state, params)
     with pytest.raises(TypeError, match="re-iterable"):
-        run_restream((r for r in stream), OnePassConfig("ldg", passes=3),
-                     state, params)
+        run_restream(iter(list(stream_records(stream))),
+                     OnePassConfig("ldg", passes=3), state, params)
     with pytest.raises(TypeError, match="re-iterable"):
-        run_heistream(iter(stream), HeiStreamConfig(delta=2, passes=2),
-                      state, params)
+        run_heistream(stream_records(stream),
+                      HeiStreamConfig(delta=2, passes=2), state, params)
     assert all(b == -1 for b in state.assignment)   # nothing ran
 
 
@@ -332,14 +333,14 @@ def test_a_parse_inside_a_parse_keeps_one_spool(tmp_path, spool_dir):
     path.write_text("3 2\n2\n1 3\n2\n")
     stream = open_graph_stream(str(path))
     outer = []
-    for record in stream:
+    for record in stream_records(stream):
         outer.append(record)
         if record.id == 0:
-            inner = list(stream)           # completes first and is kept
+            inner = list(stream_records(stream))   # completes first, is kept
             assert len(spools(spool_dir)) == 2
     assert outer == inner
     assert len(spools(spool_dir)) == 1     # the outer one replaced it
-    assert list(stream) == outer
+    assert list(stream_records(stream)) == outer
     stream.close()
     assert spools(spool_dir) == []
 
@@ -359,8 +360,8 @@ def test_interleaved_replays_are_equal(tmp_path, spool_dir, monkeypatch,
     path = tmp_path / "in.txt"
     path.write_text(text)
     stream = opener(kind)(str(path))
-    parsed = list(stream)
-    first, second = iter(stream), iter(stream)
+    parsed = list(stream_records(stream))
+    first, second = stream_records(stream), stream_records(stream)
     one = [next(first) for _ in range(3)]   # into the second chunk
     two = []
     for record in second:                   # one record of each in turn
@@ -378,8 +379,8 @@ def test_close_during_a_replay_lets_it_finish(tmp_path, spool_dir,
     path = tmp_path / "in.txt"
     path.write_text(text)
     stream = opener(kind)(str(path))
-    parsed = list(stream)
-    replay = iter(stream)
+    parsed = list(stream_records(stream))
+    replay = stream_records(stream)
     head = [next(replay) for _ in range(3)]
     stream.close()
     assert spools(spool_dir) == []         # the replay reads its own handle
@@ -393,12 +394,12 @@ def test_a_replay_made_before_close_finishes(tmp_path, spool_dir,
     path = tmp_path / "in.txt"
     path.write_text(text)
     stream = opener(kind)(str(path))
-    parsed = list(stream)
-    closed = iter(stream)                  # not started before close()
+    parsed = list(stream_records(stream))
+    closed = stream_records(stream)   # not started before close()
     stream.close()
     stream = opener(kind)(str(path))
-    list(stream)
-    collected = iter(stream)               # nor before the collection
+    list(stream_records(stream))
+    collected = stream_records(stream)   # nor before the collection
     del stream
     gc.collect()
     assert spools(spool_dir) == []
@@ -412,10 +413,10 @@ def test_replays_never_started_leave_no_descriptor(tmp_path, spool_dir):
     path = tmp_path / "g.graph"
     path.write_text("3 2\n2\n1 3\n2\n")
     stream = open_graph_stream(str(path))
-    list(stream)
+    list(stream_records(stream))
     before = len(os.listdir("/proc/self/fd"))
     for _ in range(100):
-        iter(stream)
+        stream_records(stream)
     gc.collect()
     assert len(os.listdir("/proc/self/fd")) == before
     stream.close()
@@ -429,7 +430,7 @@ def test_a_killed_process_leaves_no_spool(tmp_path):
     code = ("import os, signal, sys\n"
             "from streamdecomp.streams import open_graph_stream\n"
             "stream = open_graph_stream(sys.argv[1])\n"
-            "list(stream)\n"
+            "list(stream.chunks())\n"
             "assert stream._kept is not None\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n")
     src = os.path.dirname(os.path.dirname(streams.__file__))

@@ -10,7 +10,7 @@ from streamdecomp.streams import (FormatError, StreamedNodeRecord,
                                   transpose_hmetis, write_graph,
                                   write_partition)
 
-from reference import parse_node_lines
+from reference import parse_node_lines, stream_records
 
 
 def write(tmp_path, name, text):
@@ -24,7 +24,7 @@ def test_plain_metis_file(tmp_path):
     path = write(tmp_path, "g.graph", "3 2\n2\n1 3\n2\n")
     stream = open_graph_stream(path)
     assert stream.header.n == 3 and stream.header.m == 2
-    records = list(stream)
+    records = list(stream_records(stream))
     assert [r.id for r in records] == [0, 1, 2]
     assert (records[0].ids, records[0].weights) == ([1], [1])
     assert (records[1].ids, records[1].weights) == ([0, 2], [1, 1])
@@ -35,34 +35,34 @@ def test_plain_metis_file(tmp_path):
 def test_metis_weight_flags(tmp_path):
     # fmt=11: node weight first, then (neighbor, edge weight) pairs
     path = write(tmp_path, "g.graph", "2 1 11\n5 2 7\n3 1 7\n")
-    records = list(open_graph_stream(path))
+    records = list(stream_records(open_graph_stream(path)))
     assert records[0].weight == 5 and records[1].weight == 3
     assert (records[0].ids, records[0].weights) == ([1], [7])
     assert (records[1].ids, records[1].weights) == ([0], [7])
 
     # fmt=1: edge weights only
     path = write(tmp_path, "g2.graph", "2 1 1\n2 4\n1 4\n")
-    records = list(open_graph_stream(path))
+    records = list(stream_records(open_graph_stream(path)))
     assert records[0].weight == 1
     assert (records[0].ids, records[0].weights) == ([1], [4])
 
     # fmt=10: node weights only
     path = write(tmp_path, "g3.graph", "2 1 10\n9 2\n4 1\n")
-    records = list(open_graph_stream(path))
+    records = list(stream_records(open_graph_stream(path)))
     assert records[0].weight == 9
     assert (records[0].ids, records[0].weights) == ([1], [1])
 
 
 def test_comment_lines_skipped(tmp_path):
     path = write(tmp_path, "g.graph", "% a comment\n3 2\n% another\n2\n1 3\n2\n")
-    assert len(list(open_graph_stream(path))) == 3
+    assert len(list(stream_records(open_graph_stream(path)))) == 3
 
 
 def test_trailing_blank_and_comment_lines_accepted(tmp_path):
     graph = write(tmp_path, "g.graph", "3 2\n2\n1 3\n2\n\n% end\n\n")
-    assert len(list(open_graph_stream(graph))) == 3
+    assert len(list(stream_records(open_graph_stream(graph)))) == 3
     hyper = write(tmp_path, "h.hgr", "2 1 2\n1\n1\n% end\n\n")
-    assert len(list(open_hypergraph_node_stream(hyper))) == 2
+    assert len(list(stream_records(open_hypergraph_node_stream(hyper)))) == 2
     hmetis = write(tmp_path, "nets.hgr", "1 3 10\n1 2\n5\n5\n5\n\n% end\n")
     assert transpose_hmetis(hmetis, str(tmp_path / "nodes.hgr")).n == 3
 
@@ -70,19 +70,19 @@ def test_trailing_blank_and_comment_lines_accepted(tmp_path):
 def test_neighbor_out_of_range(tmp_path):
     path = write(tmp_path, "g.graph", "3 2\n2\n1 9\n2\n")
     with pytest.raises(FormatError, match="neighbor out of range"):
-        list(open_graph_stream(path))
+        list(stream_records(open_graph_stream(path)))
 
 
 def test_edge_count_mismatch(tmp_path):
     path = write(tmp_path, "g.graph", "3 5\n2\n1 3\n2\n")
     with pytest.raises(FormatError, match="edge-count mismatch"):
-        list(open_graph_stream(path))
+        list(stream_records(open_graph_stream(path)))
 
 
 def test_self_loop_rejected(tmp_path):
     path = write(tmp_path, "g.graph", "2 1\n1\n1\n")
     with pytest.raises(FormatError, match="self-loop"):
-        list(open_graph_stream(path))
+        list(stream_records(open_graph_stream(path)))
 
 
 def test_header_available_before_records(tmp_path):
@@ -96,7 +96,7 @@ def test_node_major_hypergraph(tmp_path):
     path = write(tmp_path, "h.hgr", "3 2 4\n1\n1 2\n2\n")
     stream = open_hypergraph_node_stream(path)
     assert (stream.header.n, stream.header.m, stream.header.pins) == (3, 2, 4)
-    records = list(stream)
+    records = list(stream_records(stream))
     assert (records[0].ids, records[0].weights) == ([0], [1])
     assert (records[1].ids, records[1].weights) == ([0, 1], [1, 1])
     assert (records[2].ids, records[2].weights) == ([1], [1])
@@ -105,7 +105,7 @@ def test_node_major_hypergraph(tmp_path):
 def test_isolated_hypergraph_node(tmp_path):
     # the blank middle line is node 1 with an empty incident list
     path = write(tmp_path, "h.hgr", "3 1 2\n1\n\n1\n")
-    records = list(open_hypergraph_node_stream(path))
+    records = list(stream_records(open_hypergraph_node_stream(path)))
     assert len(records) == 3
     assert (records[1].ids, records[1].weights) == ([], [])
     assert (records[0].ids, records[0].weights) == ([0], [1])
@@ -113,20 +113,20 @@ def test_isolated_hypergraph_node(tmp_path):
 
 def test_isolated_graph_node(tmp_path):
     path = write(tmp_path, "g.graph", "3 1\n2\n1\n\n")
-    records = list(open_graph_stream(path))
+    records = list(stream_records(open_graph_stream(path)))
     assert (records[2].ids, records[2].weights) == ([], [])
 
 
 def test_net_id_out_of_range(tmp_path):
     path = write(tmp_path, "h.hgr", "2 1 2\n1\n2\n")
     with pytest.raises(FormatError, match="net id out of range"):
-        list(open_hypergraph_node_stream(path))
+        list(stream_records(open_hypergraph_node_stream(path)))
 
 
 def test_pin_count_mismatch(tmp_path):
     path = write(tmp_path, "h.hgr", "2 1 5\n1\n1\n")
     with pytest.raises(FormatError, match="pin-count mismatch"):
-        list(open_hypergraph_node_stream(path))
+        list(stream_records(open_hypergraph_node_stream(path)))
 
 
 # Every malformed input a node-per-line reader must reject, both formats.
@@ -227,7 +227,7 @@ def opener(kind):
 def test_malformed_node_file(tmp_path, kind, text, message):
     path = write(tmp_path, "in.txt", text)
     with pytest.raises(FormatError, match=re.escape(message)):
-        list(opener(kind)(path))
+        list(stream_records(opener(kind)(path)))
 
 
 def noisy_file(rng: random.Random, kind: str, fmt: int, n: int,
@@ -292,10 +292,11 @@ def test_chunk_parse_equals_line_parse(tmp_path, monkeypatch, kind, fmt,
         path.write_bytes(text.encode())
         assert list(parse_node_lines(str(path), kind == "graph")) == records
         stream = opener(kind)(str(path))
-        assert list(stream) == records     # the parse
-        assert list(stream) == records     # the replay
+        assert list(stream_records(stream)) == records     # the parse
+        assert list(stream_records(stream)) == records     # the replay
         stream.close()
-        assert list(opener(kind)(str(path), spool=False)) == records
+        assert list(stream_records(opener(kind)(str(path), spool=False))) \
+            == records
 
 
 def _header_parses(kind: str, text: str) -> bool:
@@ -351,7 +352,7 @@ def test_chunk_fault_is_the_first_bad_line(tmp_path, monkeypatch, capsys,
         places.add(len(before))
         parsed = []
         with pytest.raises(FormatError) as raised:
-            parsed.extend(opener(kind)(path))
+            parsed.extend(stream_records(opener(kind)(path)))
         assert str(raised.value) == str(expected)
         assert parsed == before            # the good lines before it
         command = "partition" if graph else "hpartition"
@@ -387,7 +388,7 @@ def test_transpose_round_trips_pin_multiset(tmp_path):
     source_pins = {0: [1, 3, 4], 1: [2, 5], 2: [4, 6], 3: [1, 2, 3, 6]}
     back = {}
     weights = {}
-    for record in open_hypergraph_node_stream(out):
+    for record in stream_records(open_hypergraph_node_stream(out)):
         for e, w in zip(record.ids, record.weights):
             back.setdefault(e, []).append(record.id + 1)
             weights[e] = w
@@ -404,7 +405,7 @@ def test_transpose_isolated_node(tmp_path):
     hmetis = write(tmp_path, "nets.hgr", "1 3 10\n1 2\n5\n5\n5\n")
     out = str(tmp_path / "nodes.hgr")
     header = transpose_hmetis(hmetis, out)
-    records = list(open_hypergraph_node_stream(out))
+    records = list(stream_records(open_hypergraph_node_stream(out)))
     assert len(records) == 3
     assert (records[2].ids, records[2].weights) == ([], [])
     assert [r.weight for r in records] == [5, 5, 5]
@@ -471,5 +472,5 @@ def test_write_graph_round_trip(tmp_path):
     write_graph(path, 4, [(0, 1, 2), (1, 2, 1), (0, 3, 1)])
     stream = open_graph_stream(path)
     assert stream.header.m == 3
-    records = list(stream)
+    records = list(stream_records(stream))
     assert (records[0].ids, records[0].weights) == ([1, 3], [2, 1])
