@@ -9,7 +9,12 @@ restreaming the graph once per level, so a single pass suffices.  A node's
 neighbor leaves are counted once; a level maps each in its range to a child
 by a table (4 bytes per leaf, 4k per tree level) and, as in Fennel and
 FREIGHT, scores only the children that can win: O(distinct neighbor leaves
-+ capacity classes) per level, whatever the fan-out.  The kernel,
++ capacity classes) per level, whatever the fan-out.  Like Fennel's
+``pen``, each block keeps a table of its children's Fennel penalties, which
+the kernel rewrites for the one child a node descends into; a node of
+weight 1 scores a child by one lookup and computes no power, and the entry
+is the float of its inline penalty, since ``1 * alpha == alpha`` exactly.
+The kernel,
 :func:`oms_assign`, places a chunk of spool columns (``SPOOL_CHUNK`` nodes)
 per call and walks its flat ids and weights by offsets, so no record is
 built; ``tests/reference.py`` keeps the record-at-a-time descent as its
@@ -142,14 +147,17 @@ class TreeBlock:
 
     An internal block keeps the state of its children in per-child lists,
     indexed like ``children``: its weight (the only copy of a child's
-    weight), its capacity and its penalty scale; ``child_of[leaf - lo]`` is
-    the index of the child covering ``leaf``.  ``classes`` lists the [start,
-    stop) index runs of equally sized children, which share capacity and
-    scale.
+    weight), its capacity, its penalty scale and its Fennel penalty
+    ``pens[i] = alphas[i] * gamma * child_weights[i] ** (gamma - 1)``;
+    ``child_of[leaf - lo]`` is the index of the child covering ``leaf``.
+    ``classes`` lists the [start, stop) index runs of equally sized
+    children, which share capacity and scale.  ``pens`` starts at 0.0,
+    exact for an empty child since gamma > 1, and only a Fennel-scored
+    :func:`oms_assign` keeps it current.
     """
 
     __slots__ = ("lo", "hi", "children", "child_of", "child_weights",
-                 "capacities", "alphas", "classes", "height")
+                 "capacities", "alphas", "pens", "classes", "height")
 
     def __init__(self, lo: int, hi: int):
         self.lo = lo
@@ -159,6 +167,7 @@ class TreeBlock:
         self.child_weights: list[int] = []
         self.capacities: list[int] = []
         self.alphas: list[float] = []
+        self.pens: list[float] = []
         self.classes: list[tuple[int, int]] = []
         self.height = 0
 
@@ -185,6 +194,7 @@ def _build(lo: int, hi: int, fanouts: list[int], l_max: int,
         node.child_weights = [0] * parts
         node.capacities = [c.t * l_max for c in node.children]
         node.alphas = [heterogeneous_alpha(c, alpha) for c in node.children]
+        node.pens = [0.0] * parts
         node.classes = [(0, rem), (rem, parts)] if rem else [(0, parts)]
         node.height = 1 + max(c.height for c in node.children)
     return node
@@ -245,6 +255,10 @@ def oms_assign(chunk, root: TreeBlock, state: PartitionState,
     give).  Scored are the children holding a neighbor and each class's
     lightest child (lowest index first): no other child of a class scores
     better.  Ties go to the lighter child, then the lower index.
+
+    Under Fennel a node of weight 1 scores ``gain - pens[idx]``, the float
+    of the inline penalty heavier nodes compute; each level rewrites
+    ``pens`` for the child it takes, scored, hashed or fallen back to.
     """
     start, degrees, ids, weights, node_weight = chunk
     assignment = state.assignment
@@ -268,6 +282,7 @@ def oms_assign(chunk, root: TreeBlock, state: PartitionState,
                       for u, w in zip(ids[pos:stop], weights[pos:stop])
                       if assignment[u] != UNASSIGNED]
         pos = stop
+        table = fennel and weight == 1
         node = root
         while node.children:
             child_weights = node.child_weights
@@ -288,14 +303,17 @@ def oms_assign(chunk, root: TreeBlock, state: PartitionState,
                     for first, last in classes:
                         part = child_weights[first:last]
                         gains.setdefault(first + part.index(min(part)), 0.0)
-                capacities, alphas = node.capacities, node.alphas
+                capacities, alphas, pens = node.capacities, node.alphas, \
+                    node.pens
                 best, best_score, best_cw = -1, 0.0, 0
                 for idx, gain in gains.items():
                     cw = child_weights[idx]
                     capacity = capacities[idx]
                     if cw + weight > capacity:
                         continue
-                    if fennel:
+                    if table:
+                        score = gain - pens[idx]
+                    elif fennel:
                         score = gain - weight * alphas[idx] * gamma * cw ** g1
                     else:
                         score = gain * (1.0 - cw / capacity)
@@ -307,6 +325,9 @@ def oms_assign(chunk, root: TreeBlock, state: PartitionState,
                 state.violations += 1
                 best = child_weights.index(min(child_weights))
             child_weights[best] += weight
+            if fennel:
+                node.pens[best] = node.alphas[best] * gamma * \
+                    child_weights[best] ** g1
             node = node.children[best]
         if assignment[v] != UNASSIGNED:
             raise AssertionError(f"node {v} already assigned")

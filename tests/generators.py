@@ -55,6 +55,26 @@ def random_graph(rng: random.Random, n: int, m: int,
     return graph_stream_from_edges(n, triples, weights)
 
 
+def stream_local_edges(rng: random.Random, n: int, m: int,
+                       local_share: float = 0.9,
+                       span: int = 200) -> list[tuple[int, int, int]]:
+    """m distinct unit edges, ``local_share`` of them joining ids at most
+    ``span`` apart and the rest uniformly random ids: the locality of a
+    stream in a good order."""
+    edges = set()
+    while len(edges) < m:
+        u = rng.randrange(n)
+        if rng.random() < local_share:
+            v = u + rng.randint(1, span)
+            if v >= n:
+                v = u - rng.randint(1, span)
+        else:
+            v = rng.randrange(n)
+        if 0 <= v != u:
+            edges.add((min(u, v), max(u, v)))
+    return [(u, v, 1) for u, v in sorted(edges)]
+
+
 def gnp_graph(rng: random.Random, n: int, p: float):
     edges = [(u, v, 1) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]

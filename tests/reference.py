@@ -926,7 +926,8 @@ def stacked_tree(k: int, fanout_at_depth, l_max: int,
     ``multisection._build``: a stack walk attaches each block's children,
     the larger first, and extends ``child_of`` by each child's index once
     per leaf it covers, a second walk sets the heights and a third the
-    per-run capacities (t * l_max) and penalty scales."""
+    per-run capacities (t * l_max), penalty scales and the penalty table of
+    an empty tree (0.0 per child)."""
     root = TreeBlock(0, k - 1)
     stack = [(root, 0)]
     while stack:
@@ -949,6 +950,7 @@ def stacked_tree(k: int, fanout_at_depth, l_max: int,
         node = stack.pop()
         node.capacities = [c.t * l_max for c in node.children]
         node.alphas = [heterogeneous_alpha(c, alpha) for c in node.children]
+        node.pens = [0.0] * len(node.children)
         stack.extend(node.children)
     return root
 
@@ -971,7 +973,7 @@ def tree_fields(root) -> list[tuple]:
         out.append((node.lo, node.hi, len(node.children),
                     node.child_of.tolist(),
                     node.child_weights, node.capacities, node.alphas,
-                    node.classes, node.height))
+                    node.pens, node.classes, node.height))
         stack.extend(reversed(node.children))
     return out
 
@@ -1366,6 +1368,26 @@ def check_leaf_weights(root, state: PartitionState) -> None:
             raise AssertionError("tree weights out of sync with partition")
         return sum(weights)
     walk(root)
+
+
+def check_penalty_table(root, params: FennelParams, scorer: str) -> None:
+    """Every tree block's ``pens`` must equal the Fennel penalty table
+    recomputed from its child weights, ``alphas[i] * gamma *
+    child_weights[i] ** (gamma - 1)``; an LDG run keeps no table, so its
+    ``pens`` stay 0.0."""
+    gamma = params.gamma
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if scorer == "fennel":
+            expected = [a * gamma * cw ** (gamma - 1.0)
+                        for a, cw in zip(node.alphas, node.child_weights)]
+        else:
+            expected = [0.0] * len(node.children)
+        if node.pens != expected:
+            raise AssertionError(f"penalty table of block [{node.lo}, "
+                                 f"{node.hi}] out of sync with its weights")
+        stack.extend(node.children)
 
 
 def total_block_slots(root) -> int:

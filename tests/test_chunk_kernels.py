@@ -27,9 +27,9 @@ from streamdecomp.streams import FormatError, MemoryStream, \
 
 from generators import random_graph, random_hypergraph, run_setup
 from reference import ScanMinBlock, batch_fennel_assign, \
-    batch_ldg_assign, parse_node_lines, record_comm_cost, \
-    record_cut_net_and_connectivity, record_edge_cut, record_freight_assign, \
-    record_oms_assign, stream_records
+    batch_ldg_assign, check_penalty_table, parse_node_lines, \
+    record_comm_cost, record_cut_net_and_connectivity, record_edge_cut, \
+    record_freight_assign, record_oms_assign, stream_records
 from test_multisection import _internal_blocks
 
 # fmt -> (item weights up to, node weights up to); the flags are written
@@ -290,6 +290,7 @@ class TestOmsLockstep:
                         (hashed, epsilon, chunk[0])
                     assert [b.child_weights for b in tree_blocks[0]] == \
                         [b.child_weights for b in tree_blocks[1]]
+                    check_penalty_table(roots[0], params, scorer)
                 assert got.assignment == run_oms(
                     stream, config, *run_setup(memory, k, epsilon),
                     spec).assignment

@@ -1,27 +1,32 @@
 import functools
 import itertools
+import json
 import math
 import random
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamdecomp.cli import main
 from streamdecomp.metrics import comm_cost, edge_cut
 from streamdecomp.multisection import (HierarchySpec, OmsConfig, TreeBlock,
                                        build_from_spec, build_hierarchy,
-                                       heterogeneous_alpha, oms_assign,
-                                       run_oms)
+                                       heterogeneous_alpha, int_list,
+                                       oms_assign, run_oms)
 from streamdecomp.partition import UNASSIGNED
+from streamdecomp.streams import write_graph
 
 from generators import (chunk_of, graph_stream_from_edges, random_graph,
-                        run_setup)
+                        run_setup, stream_local_edges)
 from reference import (candidate_oms_assign, check_leaf_weights,
-                       distance_matrix, division_distance_matrix,
-                       record_oms_assign, run_multisection_multipass,
-                       scan_oms_assign, stacked_tree, stream_records,
-                       total_block_slots, tree_fields)
+                       check_penalty_table, distance_matrix,
+                       division_distance_matrix, record_oms_assign,
+                       run_multisection_multipass, scan_oms_assign,
+                       stacked_tree, stream_records, total_block_slots,
+                       tree_fields)
 
 
 def oms(stream, k, spec=None, epsilon=0.03, alpha=None, **config):
@@ -264,18 +269,21 @@ class TestOmsAssign:
 
 def _candidate_cases():
     """Random table: spec and nh-OMS trees (siblings of unequal size), unit
-    and node-weighted records, both scorers, a tight and a loose epsilon
-    (epsilon 0 runs out of room, so the exhaustion fallback runs), and with
-    and without hashing on the bottom layer."""
+    records (fmt 0) and records whose node weights of 1 to 5 mix the
+    penalty-table score of weight-1 nodes with the inline one of heavier
+    nodes, with unit (fmt 10) or weighted (fmt 11) edges; both scorers, a
+    tight and a loose epsilon (epsilon 0 runs out of room, so the
+    exhaustion fallback runs), and with and without hashing on the bottom
+    layer."""
     rng = random.Random(700)
     trees = [("spec", "4:8:8"), ("spec", "2:3:5"), ("spec", "16")]
     while len(trees) < 8:
         k, b = rng.randint(2, 300), rng.randint(2, 16)
         if k % b:                       # unequal siblings at the root
             trees.append(("nh", (k, b)))
-    for tree, weighted, scorer, eps, hashed in itertools.product(
-            trees, (False, True), ("fennel", "ldg"), (0.0, 0.5), (0, 1)):
-        yield tree, weighted, scorer, eps, hashed, rng.randrange(1 << 30)
+    for tree, fmt, scorer, eps, hashed in itertools.product(
+            trees, (0, 10, 11), ("fennel", "ldg"), (0.0, 0.5), (0, 1)):
+        yield tree, fmt, scorer, eps, hashed, rng.randrange(1 << 30)
 
 
 def _internal_blocks(root) -> list:
@@ -316,8 +324,9 @@ def _descend_in_lockstep(stream, k, epsilon, build, config):
 
 
 class _CountedReads(list):
-    """A capacities list that counts its reads: ``oms_assign`` reads one
-    capacity per child it scores."""
+    """A list that counts its reads: ``oms_assign`` reads one capacity per
+    child it scores, and one penalty scale per child it scores inline and
+    per table entry it rewrites."""
 
     reads = 0
 
@@ -334,13 +343,16 @@ class TestCandidateDescent:
 
     def test_every_step_and_run_matches_full_scan(self):
         runs = violations = 0
-        for (kind, shape), weighted, scorer, eps, hashed, seed in \
+        fennel_nodes = {"weight 1": 0, "heavier": 0}
+        for (kind, shape), fmt, scorer, eps, hashed, seed in \
                 _candidate_cases():
             rng = random.Random(seed)
             n = rng.randint(60, 160)
             stream = random_graph(rng, n, rng.randint(n, 3 * n),
-                                  max_edge_weight=3 if weighted else 1,
-                                  max_node_weight=5 if weighted else 1)
+                                  max_edge_weight=3 if fmt == 11 else 1,
+                                  max_node_weight=5 if fmt else 1)
+            assert (stream.header.has_node_weights,
+                    stream.header.has_item_weights) == (fmt > 1, fmt == 11)
             if kind == "spec":
                 spec = HierarchySpec.parse(shape, ":".join(
                     str(10 ** i) for i in range(shape.count(":") + 1)))
@@ -356,14 +368,21 @@ class TestCandidateDescent:
                                hash_bottom_layers=hashed)
             root, state = _descend_in_lockstep(stream, k, eps, build, config)
             check_leaf_weights(root, state)
-            whole = run_oms(stream, config, *run_setup(stream, k, eps), spec)
+            whole, params = run_setup(stream, k, eps)
+            check_penalty_table(root, params, scorer)
+            run_oms(stream, config, whole, params, spec)
             assert whole.assignment == state.assignment
             assert whole.block_weight == state.block_weight
             assert whole.violations == state.violations
             violations += state.violations
             runs += 1
-        assert runs == 128
+            if scorer == "fennel" and fmt:
+                for r in stream_records(stream):
+                    fennel_nodes["weight 1" if r.weight == 1 else
+                                 "heavier"] += 1
+        assert runs == 192
         assert violations > 0
+        assert min(fennel_nodes.values()) > 1000
 
     @pytest.mark.parametrize("scorer", ["fennel", "ldg"])
     def test_weights_past_2_53_sum_as_floats_in_record_order(self, scorer):
@@ -387,6 +406,34 @@ class TestCandidateDescent:
             OmsConfig(scorer=scorer))
         assert state.assignment[:u] == [0, 1] * 401
         assert state.assignment[u] == 1
+
+    @pytest.mark.parametrize("max_node_weight", [1, 5])
+    def test_weight_one_nodes_score_from_the_table(self, max_node_weight):
+        """Counted, not timed: a Fennel-scored node of weight 1 reads no
+        penalty scale while it scores, so it computes no power per scored
+        child; each level reads one, to rewrite the chosen child's table
+        entry.  A heavier node scores inline, one read per feasible scored
+        child on top."""
+        graph = random_graph(random.Random(711), 600, 1800,
+                             max_node_weight=max_node_weight)
+        spec = HierarchySpec.parse("4:8:8", "1:10:100")
+        state, params = run_setup(graph, spec.k, 0.5)
+        root = build_from_spec(spec, state.l_max, params.alpha)
+        blocks = _internal_blocks(root)
+        for block in blocks:
+            block.alphas = _CountedReads(block.alphas)
+        scoring_reads = {"weight 1": 0, "heavier": 0}
+        for record in stream_records(graph):
+            place(record, root, state, OmsConfig(), params, graph.header)
+            reads = sum(block.alphas.reads for block in blocks)
+            for block in blocks:
+                block.alphas.reads = 0
+            assert reads >= root.height
+            scoring_reads["weight 1" if record.weight == 1 else
+                          "heavier"] += reads - root.height
+        assert scoring_reads["weight 1"] == 0
+        assert (scoring_reads["heavier"] > 0) == (max_node_weight > 1)
+        check_penalty_table(root, params, "fennel")
 
     def test_children_scored_per_level(self):
         """Counted, not timed: a level scores exactly the distinct children
@@ -438,6 +485,40 @@ class TestCandidateDescent:
             counts[key] = scored, fanout
         scored, fanout = counts["64:64"]
         assert scored * 8 < fanout
+
+
+class TestIdentityBaseline:
+    """OMS against a flat partition mapped by identity (block i on PE i),
+    recounted by ``metrics --hierarchy``.  On a stream-local graph whose
+    ids are relabeled at random, OMS's comm cost is at or below the flat
+    run's with the same scorer (ROADMAP item 9; in id order flat LDG plus
+    identity can win, which stays open there)."""
+
+    @pytest.mark.parametrize("scorer", ["fennel", "ldg"])
+    @pytest.mark.parametrize("hierarchy,distances",
+                             [("4:8:8", "1:10:100"), ("8:8", "1:10")])
+    def test_map_beats_flat_identity_on_relabeled_graph(
+            self, tmp_path, capsys, scorer, hierarchy, distances):
+        rng = random.Random(0)
+        n = 2000
+        edges = stream_local_edges(rng, n, 5 * n)
+        label = list(range(n))
+        rng.shuffle(label)
+        graph = str(tmp_path / "g.graph")
+        write_graph(graph, n, [(label[u], label[v], w) for u, v, w in edges])
+        k = math.prod(int_list(hierarchy, "--hierarchy"))
+        flags = ["--hierarchy", hierarchy, "--distances", distances]
+        mapped, flat_part, flat = (str(tmp_path / name) for name in
+                                   ("map.json", "flat.part", "flat.json"))
+        assert main(["map", "--input", graph, "--algorithm", scorer, *flags,
+                     "--metrics-json", mapped]) == 0
+        assert main(["partition", "--input", graph, "--algorithm", scorer,
+                     "--k", str(k), "--output", flat_part]) == 0
+        assert main(["metrics", "--input", graph, "--partition", flat_part,
+                     *flags, "--metrics-json", flat]) == 0
+        mapped, flat = (json.loads(Path(path).read_text())["comm_cost"]
+                        for path in (mapped, flat))
+        assert 0 < mapped <= flat
 
 
 class TestMultipassEquivalence:
