@@ -30,7 +30,7 @@ import weakref
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain, count, filterfalse, islice
+from itertools import chain, count, filterfalse, islice, repeat
 from operator import attrgetter, contains, methodcaller
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -135,9 +135,9 @@ class NodeStream:
     calls (``map`` over the split lines, ``min``/``max`` for ranges and
     weights, ``operator.contains`` per line for self-loops, ``set`` sizes
     for repeated nets) into the chunk's spool columns.  A chunk that fails
-    a check goes to :func:`_parse_line` line by line: the columns of the
-    lines before its first bad line are yielded, then that line's
-    ``FormatError`` is raised, the same one a line-by-line parse raises.
+    a check, or is short, is converted again one line at a time by the same
+    :func:`_columns`: the columns of the lines before the first line it
+    rejects are yielded, then :func:`_line_fault` names that line's fault.
 
     With ``spool`` (the default) the parse also writes each chunk's columns
     to a binary spool, an anonymous temporary file of flat ``array('i')``
@@ -206,10 +206,19 @@ class NodeStream:
                     chunk = list(islice(lines, size))
                     columns = _columns(chunk, start, *layout)
                     if columns is None or len(chunk) < size:
-                        good, fault = _first_fault(chunk, start, *layout)
+                        good = next((i for i, line in enumerate(chunk)
+                                     if _columns([line], start + i, *layout)
+                                     is None), len(chunk))
+                        if columns is None and good == len(chunk):
+                            raise AssertionError(
+                                f"the chunk from node {start} is rejected, "
+                                f"but none of its lines on its own")
                         yield (start,
                                *_columns(chunk[:good], start, *layout))
-                        raise fault or FormatError(
+                        if good < len(chunk):
+                            raise _line_fault(chunk[good], start + good,
+                                              *layout)
+                        raise FormatError(
                             f"{self.path}: expected {n} node lines, got "
                             f"{start + good}")
                     del chunk   # only a failing chunk needs its text
@@ -283,8 +292,9 @@ def _columns(lines: list[str], start: int, node_weights: bool,
              item_weights: bool, bound: int, graph: bool) -> Optional[tuple]:
     """The spool columns of a chunk of node lines, node ``start`` on:
     degrees, flat 0-based ids, flat item weights and node weights (the last
-    two None when ``fmt`` has none); None when a line breaks a rule of
-    :func:`_parse_line`.
+    two None when ``fmt`` has none); None when a line breaks a rule.  It is
+    the one rule set for node lines: a rejected chunk's bad line is the
+    first line it rejects on its own.
 
     Lines are split one at a time, so that no more than one line's tokens
     are alive at once.  Without weights the ids are one ``map(int, ...)``
@@ -359,18 +369,6 @@ def _weighted_columns(lines: list[str], node_weights: bool,
     return ids, weights, node_weight
 
 
-def _first_fault(lines: list[str], start: int, *layout
-                 ) -> tuple[int, Optional[FormatError]]:
-    """The index and the error of the first bad line of a chunk, found by
-    :func:`_parse_line` line by line; ``(len(lines), None)`` when none is."""
-    for node, line in enumerate(lines, start):
-        try:
-            _parse_line(line.split(), node, *layout)
-        except FormatError as exc:
-            return node - start, exc
-    return len(lines), None
-
-
 def _read(fh, count: int) -> array:
     values = array("i")
     values.fromfile(fh, count)
@@ -383,48 +381,6 @@ def _expect_end(lines: Iterator[list[str]], message: str) -> None:
         raise FormatError(message)
 
 
-def _parse_line(parts: Sequence[str], node: int, node_weights: bool,
-                item_weights: bool, bound: int,
-                graph: bool) -> tuple[int, list[int], list[int]]:
-    """Weight, 0-based ids and id weights of one node line.
-
-    This is the per-line rule the chunk conversion of :func:`_columns`
-    checks in bulk; the parse calls it only for a chunk that fails that
-    check, line by line, to raise the first bad line's ``FormatError``.
-    The id checks run over whole lists (min, max, membership) so the per-id
-    work stays in C; a line that fails one goes to :func:`_line_fault`,
-    which names its first bad id.
-    """
-    weight = 1
-    try:
-        if node_weights:
-            if not parts:
-                raise FormatError(f"node {node}: missing node weight")
-            weight = int(parts[0])
-            if weight < 1:
-                raise FormatError(f"node {node}: node weight must be >= 1")
-            parts = parts[1:]
-        if item_weights:
-            if len(parts) % 2:
-                raise FormatError(f"node {node}: dangling "
-                                  f"{'edge' if graph else 'net'} weight")
-            weights = list(map(int, parts[1::2]))
-            ids = [int(t) - 1 for t in parts[::2]]
-        else:
-            ids = [int(t) - 1 for t in parts]
-            weights = [1] * len(ids)
-    except FormatError:
-        raise
-    except ValueError:
-        bad = next(t for t in parts if not _is_int(t))
-        raise FormatError(f"node {node}: {bad!r} is not an integer") from None
-    if ids and (min(ids) < 0 or max(ids) >= bound
-                or (node in ids if graph else len(set(ids)) < len(ids))
-                or (item_weights and min(weights) < 1)):
-        _line_fault(node, ids, weights, bound, graph)
-    return weight, ids, weights
-
-
 def _is_int(token: str) -> bool:
     try:
         int(token)
@@ -433,23 +389,44 @@ def _is_int(token: str) -> bool:
     return True
 
 
-def _line_fault(node: int, ids: list[int], weights: list[int], bound: int,
-                graph: bool) -> None:
-    """Raise for the first bad id of a node line, in line order."""
+def _line_fault(line: str, node: int, node_weights: bool,
+                item_weights: bool, bound: int, graph: bool) -> FormatError:
+    """The error of a node line that :func:`_columns` rejects on its own:
+    a missing node weight, a node weight below 1, a dangling weight, the
+    first token that is not an integer (a node weight's before the rest),
+    then the first bad id or weight in line order.  A rejected line that
+    breaks none of these rules is a fault of the program."""
+    parts = line.split()
+    bad = next(filterfalse(_is_int, parts), None)   # the first non-integer
+    if node_weights:
+        if not parts:
+            return FormatError(f"node {node}: missing node weight")
+        if parts[0] == bad:
+            return FormatError(f"node {node}: {bad!r} is not an integer")
+        if int(parts.pop(0)) < 1:
+            return FormatError(f"node {node}: node weight must be >= 1")
+    what = "edge" if graph else "net"
+    if item_weights and len(parts) % 2:
+        return FormatError(f"node {node}: dangling {what} weight")
+    if bad is not None:
+        return FormatError(f"node {node}: {bad!r} is not an integer")
+    ints = list(map(int, parts))
     seen = set()
-    for v, w in zip(ids, weights):
-        if not 0 <= v < bound:
-            what, name = ("neighbor", "n") if graph else ("net id", "m")
-            raise FormatError(f"node {node}: {what} out of range "
-                              f"({v + 1} with {name}={bound})")
-        if graph and v == node:
-            raise FormatError(f"node {node}: self-loop not allowed")
+    for v, w in zip(ints[::1 + item_weights],
+                    ints[1::2] if item_weights else repeat(1)):
+        if not 1 <= v <= bound:
+            item, name = ("neighbor", "n") if graph else ("net id", "m")
+            return FormatError(f"node {node}: {item} out of range "
+                               f"({v} with {name}={bound})")
+        if graph and v == node + 1:
+            return FormatError(f"node {node}: self-loop not allowed")
         if not graph and v in seen:
-            raise FormatError(f"node {node}: net {v + 1} listed twice")
+            return FormatError(f"node {node}: net {v} listed twice")
         if w < 1:
-            what = "edge" if graph else "net"
-            raise FormatError(f"node {node}: {what} weight must be >= 1")
+            return FormatError(f"node {node}: {what} weight must be >= 1")
         seen.add(v)
+    raise AssertionError(f"node {node}: a line is rejected, but no rule "
+                         f"names its fault")
 
 
 def open_graph_stream(path: str, spool: bool = True) -> NodeStream:

@@ -18,8 +18,10 @@ second state of per-pass weights that shares the run's assignment, and
 the two k x k PE distance matrices are built with numpy, which only the
 tests need, and the OMS tree is built by a stack walk, with heights and
 per-run constants set by two more walks.  A node-per-line file is parsed
-one line at a time, each through ``streams._parse_line``, as the stream did
-before it converted a chunk of lines at a time.  The record-at-a-time
+one line at a time, each through :func:`_parse_line`, as the stream did
+before it converted a chunk of lines at a time; it and :func:`_line_fault`
+are the per-line rules the stream kept beside its chunk conversion until
+that conversion alone decided which line is bad.  The record-at-a-time
 Fennel and LDG kernels place one record per call through
 ``PartitionState``'s own methods, find the least block by an O(k) scan
 and compute each penalty or free capacity where they score it, as the
@@ -54,7 +56,7 @@ from heapq import heappop, heappush
 from fractions import Fraction
 from itertools import count, islice, repeat
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,7 +67,7 @@ from streamdecomp.multisection import TreeBlock, _hash_child, \
 from streamdecomp.onepass import FennelParams, fennel_block, run_onepass
 from streamdecomp.partition import UNASSIGNED, MinBlockHeap, PartitionState
 from streamdecomp.streams import FormatError, StreamedNodeRecord, \
-    _expect_end, _header, _nonempty, _parse_line, _split, _tokens
+    _expect_end, _header, _is_int, _nonempty, _split, _tokens
 
 
 def chunk_records(start: int, degrees, ids: list[int], weights, node_weight
@@ -1411,6 +1413,67 @@ def bucket_ranges(blocks: SortedBlocks) -> list[tuple[int, int, int]]:
             ranges.append((c, l, end - 1))
         l = end
     return ranges
+
+
+def _parse_line(parts: Sequence[str], node: int, node_weights: bool,
+                item_weights: bool, bound: int,
+                graph: bool) -> tuple[int, list[int], list[int]]:
+    """Weight, 0-based ids and id weights of one node line.
+
+    This is the per-line rule the chunk conversion of
+    ``streams._columns`` checks in bulk, and the oracle of the error
+    ``streams._line_fault`` names for a line that conversion rejects.
+    The id checks run over whole lists (min, max, membership) so the per-id
+    work stays in C; a line that fails one goes to :func:`_line_fault`,
+    which names its first bad id.
+    """
+    weight = 1
+    try:
+        if node_weights:
+            if not parts:
+                raise FormatError(f"node {node}: missing node weight")
+            weight = int(parts[0])
+            if weight < 1:
+                raise FormatError(f"node {node}: node weight must be >= 1")
+            parts = parts[1:]
+        if item_weights:
+            if len(parts) % 2:
+                raise FormatError(f"node {node}: dangling "
+                                  f"{'edge' if graph else 'net'} weight")
+            weights = list(map(int, parts[1::2]))
+            ids = [int(t) - 1 for t in parts[::2]]
+        else:
+            ids = [int(t) - 1 for t in parts]
+            weights = [1] * len(ids)
+    except FormatError:
+        raise
+    except ValueError:
+        bad = next(t for t in parts if not _is_int(t))
+        raise FormatError(f"node {node}: {bad!r} is not an integer") from None
+    if ids and (min(ids) < 0 or max(ids) >= bound
+                or (node in ids if graph else len(set(ids)) < len(ids))
+                or (item_weights and min(weights) < 1)):
+        _line_fault(node, ids, weights, bound, graph)
+    return weight, ids, weights
+
+
+def _line_fault(node: int, ids: list[int], weights: list[int], bound: int,
+                graph: bool) -> None:
+    """Raise for the first bad id of a node line, in line order."""
+    seen = set()
+    for v, w in zip(ids, weights):
+        if not 0 <= v < bound:
+            what, name = ("neighbor", "n") if graph else ("net id", "m")
+            raise FormatError(f"node {node}: {what} out of range "
+                              f"({v + 1} with {name}={bound})")
+        if graph and v == node:
+            raise FormatError(f"node {node}: self-loop not allowed")
+        if not graph and v in seen:
+            raise FormatError(f"node {node}: net {v + 1} listed twice")
+        if w < 1:
+            what = "edge" if graph else "net"
+            raise FormatError(f"node {node}: {what} weight must be >= 1")
+        seen.add(v)
 
 
 def parse_node_lines(path: str, graph: bool):

@@ -10,6 +10,7 @@ from streamdecomp.streams import (FormatError, StreamedNodeRecord,
                                   transpose_hmetis, write_graph,
                                   write_partition)
 
+import reference
 from reference import parse_node_lines, stream_records
 
 
@@ -331,9 +332,20 @@ def shifted(kind: str, text: str, p: int) -> str:
                       *map(shift, lines)])
 
 
+# Two bad lines in one chunk: the earlier one breaks a check the chunk
+# conversion makes after the later one's (a range check after the integer
+# conversion), and is still the one named.
+TWO_BAD_LINES = [
+    pytest.param("graph", "6 3\n2\n1 3\n2 9\n5\n4 6\n5 x\n",
+                 "node 2: neighbor out of range", id="graph-range-then-token"),
+    pytest.param("hyper", "6 2 6\n1\n1\n3\n2\n2\n2 y\n",
+                 "node 2: net id out of range", id="hyper-range-then-token"),
+]
+
+
 @pytest.mark.parametrize(
     "kind, text, message",
-    [p for p in MALFORMED if _header_parses(*p.values[:2])])
+    [p for p in MALFORMED if _header_parses(*p.values[:2])] + TWO_BAD_LINES)
 def test_chunk_fault_is_the_first_bad_line(tmp_path, monkeypatch, capsys,
                                            kind, text, message):
     monkeypatch.setattr(streams, "SPOOL_CHUNK", 4)
@@ -360,6 +372,64 @@ def test_chunk_fault_is_the_first_bad_line(tmp_path, monkeypatch, capsys,
         assert f"input error: {expected}" in capsys.readouterr().err
     assert {place % 4 for place in places} == {0, 1, 2, 3}
     assert {0, 1} <= {place // 4 for place in places}
+
+
+@pytest.mark.parametrize("alone", [True, False])
+def test_rule_mismatch_is_an_internal_fault(tmp_path, monkeypatch, capsys,
+                                            alone):
+    """A good line that the chunk conversion rejects is a fault of the
+    program, not of the input: exit 3.  With ``alone`` the line is rejected
+    on its own too, and ``_line_fault`` finds no rule it breaks; without,
+    only its chunk is rejected."""
+    columns = streams._columns
+
+    def reject_node_5(lines, start, *layout):
+        if start <= 5 < start + len(lines) and (alone or len(lines) > 1):
+            return None
+        return columns(lines, start, *layout)
+    monkeypatch.setattr(streams, "_columns", reject_node_5)
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 4)
+    path = write(tmp_path, "ring.graph", "8 8\n" + "".join(
+        f"{(v - 1) % 8 + 1} {(v + 1) % 8 + 1}\n" for v in range(8)))
+    assert cli.main(["partition", "--input", path, "--k", "2"]) == 3
+    assert "internal invariant failure: AssertionError" \
+        in capsys.readouterr().err
+
+
+# Tokens of the differential test: good and bad ids and weights, and
+# strings ``int`` accepts or rejects in ways a digit test would not.
+TOKENS = ["0", "1", "2", "3", "4", "5", "6", "-1", "+2", "007", "1_0",
+          "2.5", "x", "\u0663", "1e3", "--1"]
+
+
+def test_line_fault_matches_the_line_parser():
+    """On random lines of all four fmts and both kinds, many with two or
+    more faults, ``_columns`` rejects exactly the lines the line-by-line
+    parser rejects, ``_line_fault`` names the same fault, and an accepted
+    line converts to the same values."""
+    rng = random.Random(31)
+    named = set()
+    for _ in range(20000):
+        graph = rng.random() < 0.5
+        fmt = rng.choice([0, 1, 10, 11])
+        bound = rng.randint(1, 5)
+        node = rng.randrange(bound) if graph else rng.randrange(6)
+        layout = (fmt >= 10, fmt % 2 == 1, bound, graph)
+        tokens = rng.choices(TOKENS, k=rng.randint(0, 6))
+        line = "".join(rng.choice([" ", "\t", "  "]) + t for t in tokens)
+        columns = streams._columns([line], node, *layout)
+        try:
+            weight, ids, weights = reference._parse_line(line.split(), node,
+                                                         *layout)
+        except FormatError as exc:
+            assert columns is None, line
+            assert str(streams._line_fault(line, node, *layout)) \
+                == str(exc), line
+            named.add(re.sub(r"node \d+: |\(.*\)|'.*'|\d+", "", str(exc)))
+            continue
+        assert columns == ([len(ids)], ids, weights if layout[1] else None,
+                           [weight] if layout[0] else None), line
+    assert len(named) == 11, named   # every message of either kind
 
 
 @pytest.mark.parametrize("k", [1, 256])
