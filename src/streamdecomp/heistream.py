@@ -150,19 +150,21 @@ def build_model(batch: tuple, state: PartitionState, config: HeiStreamConfig,
     model.weight[:nb] = model.true_weight[:nb] = \
         [1] * nb if node_weight is None else node_weight
 
-    edges: list[dict[int, float]] = [dict() for _ in range(nb)]
+    # One int per model node, shared by every row entry that names it.
+    model_id = list(range(nb + num_art))
+    edges: list = [dict() for _ in range(nb)]
     ghosts: dict[int, list[tuple[int, int]]] = {}
     extended = config.model == "extended"
     stop = 0
-    for local, degree in enumerate(degrees):
+    for local, degree in zip(model_id, degrees):
         pos, stop = stop, stop + degree
         row = edges[local]
         for v, w in zip(ids[pos:stop], repeat(1) if weights is None
                         else weights[pos:stop]):
             if start <= v < end:
-                u = v - start
+                u = model_id[v - start]
             elif (block := assignment[v]) != UNASSIGNED:
-                u = nb + block
+                u = model_id[nb + block]
             elif blocks is not None:
                 raise AssertionError("outside node unassigned on a later pass")
             else:
@@ -186,9 +188,16 @@ def build_model(batch: tuple, state: PartitionState, config: HeiStreamConfig,
             edges[host][local] = edges[host].get(local, 0) + half
 
     model.weight[nb:] = model.true_weight[nb:] = state.block_weight[:num_art]
-
-    model.adj = [sorted(d.items()) for d in edges]
+    model.adj = _sort_rows(edges)
     return model
+
+
+def _sort_rows(edges: list) -> list:
+    """Turn each accumulation dict of ``edges`` into its sorted row, in
+    place, so a level's dicts and rows never all exist at once."""
+    for i, d in enumerate(edges):
+        edges[i] = sorted(d.items())
+    return edges
 
 
 # One coarsening level: a contracted model plus the map down to it.
@@ -302,7 +311,7 @@ def _contract(model: BatchModel, cluster: list[int]) -> tuple[BatchModel, list[i
 
     # Coarse id of every fine node; artificial node nb + j maps to coarse_nb + j.
     coarse_id = cluster_map + list(range(coarse_nb, coarse_nb + model.num_art))
-    edges: list[dict[int, float]] = [dict() for _ in range(coarse_nb)]
+    edges: list = [dict() for _ in range(coarse_nb)]
     for cv, row in zip(cluster_map, model.adj):
         out = edges[cv]
         for u, w in row:
@@ -313,7 +322,7 @@ def _contract(model: BatchModel, cluster: list[int]) -> tuple[BatchModel, list[i
                 out[cu] += w
             else:
                 out[cu] = w
-    coarse.adj = [sorted(d.items()) for d in edges]
+    coarse.adj = _sort_rows(edges)
 
     if model.blocks is not None:
         coarse.blocks = [0] * coarse_nb
@@ -492,14 +501,17 @@ def uncoarsen_refine(levels: list[_Level], coarse_blocks: list[int],
     """Project the coarsest partition down the hierarchy, refining each level.
 
     Pass 1's coarsest level, fresh from initial partitioning, takes only
-    moves of strictly positive gain.
+    moves of strictly positive gain.  ``levels`` is consumed: each level is
+    popped as it is reached, so no coarser model is alive while a finer one
+    is refined.
     """
     blocks = coarse_blocks
     strict = levels[-1].model.blocks is None
-    for level in reversed(levels):   # the coarsest level maps to itself
-        blocks = [blocks[c] for c in level.cluster_map]
-        bw, true_bw = _seed_block_weights(level.model, blocks, state.k)
-        _refine_level(level.model, blocks, bw, true_bw, state, params,
+    while levels:   # the coarsest level maps to itself
+        model, cluster_map = levels.pop()
+        blocks = [blocks[c] for c in cluster_map]
+        bw, true_bw = _seed_block_weights(model, blocks, state.k)
+        _refine_level(model, blocks, bw, true_bw, state, params,
                       config.localsearch_rounds, rng, strict)
         strict = False
     return blocks
@@ -533,20 +545,33 @@ def commit_batch(batch: tuple, blocks: list[int],
         state.assign(v, block, weight)
 
 
-def partition_batch(batch: tuple, state: PartitionState,
-                    config: HeiStreamConfig, params: FennelParams,
-                    rng: random.Random, restream: bool = False) -> list[int]:
-    """Blocks of one batch; a restream pass first unassigns the batch."""
+def partition_batch(chunks: Iterator[tuple], rest: list,
+                    state: PartitionState, config: HeiStreamConfig,
+                    params: FennelParams, rng: random.Random,
+                    restream: bool = False) -> bool:
+    """Load, partition and commit the next batch of ``chunks``; False at
+    the end of the pass.  A restream pass first unassigns the batch.
+
+    Only this frame holds the loaded batch, so its columns go when
+    ``build_model`` returns; ``uncoarsen_refine`` drops each coarser level
+    once it has left it.
+    """
+    batch = load_batch(chunks, config.delta, rest)
+    if batch is None:
+        return False
     start, degrees, _, _, node_weight = batch
     previous = list(map(state.unassign, range(start, start + len(degrees)),
                         repeat(1) if node_weight is None else node_weight)) \
         if restream else None
     model = build_model(batch, state, config, rng, previous)
+    del batch, degrees   # commit_batch reads only start and node_weight
     levels = coarsen(model, config, state, rng)
-    coarsest = levels[-1].model
-    coarse_blocks = coarsest.blocks if restream \
-        else initial_partition(coarsest, state, params)
-    return uncoarsen_refine(levels, coarse_blocks, state, config, params, rng)
+    coarse_blocks = levels[-1].model.blocks if restream \
+        else initial_partition(levels[-1].model, state, params)
+    blocks = uncoarsen_refine(levels, coarse_blocks, state, config, params,
+                              rng)
+    commit_batch((start, None, None, None, node_weight), blocks, state)
+    return True
 
 
 def run_heistream(stream, config: HeiStreamConfig,
@@ -560,7 +585,6 @@ def run_heistream(stream, config: HeiStreamConfig,
     rng = random.Random(config.seed)
     for p in range(config.passes):
         chunks, rest = stream.chunks(), []
-        while (batch := load_batch(chunks, config.delta, rest)) is not None:
-            blocks = partition_batch(batch, state, config, params, rng, p > 0)
-            commit_batch(batch, blocks, state)
+        while partition_batch(chunks, rest, state, config, params, rng, p > 0):
+            pass
     return state

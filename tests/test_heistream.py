@@ -1,5 +1,6 @@
 import copy
 import random
+import weakref
 from contextlib import closing
 
 import pytest
@@ -416,15 +417,17 @@ class TestRefinement:
     def test_refinement_never_worsens_objective(self):
         levels, coarse, state, config, params = self.build_partitioned_model()
         rng = random.Random(9)
-        blocks = uncoarsen_refine(levels, coarse, state, config, params, rng)
+        # projection-only baseline, taken first: uncoarsen_refine pops
+        # every level off the list
         finest = levels[0].model
-        refined_obj, _ = model_cut_and_penalty(finest, blocks, 4, params)
-        # projection-only baseline
         projected = coarse
         for level in reversed(levels[:-1]):
             projected = [projected[level.cluster_map[v]]
                          for v in range(level.model.num_batch)]
         base_obj, _ = model_cut_and_penalty(finest, projected, 4, params)
+        blocks = uncoarsen_refine(levels, coarse, state, config, params, rng)
+        assert levels == []
+        refined_obj, _ = model_cut_and_penalty(finest, blocks, 4, params)
         assert refined_obj <= base_obj + 1e-9
 
     def test_node_already_in_best_block_stays(self, monkeypatch):
@@ -550,6 +553,61 @@ class TestCommitAndRun:
         runs = [heistream(stream, 4, delta=25, seed=13, passes=2).assignment
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+class TestBatchLifetime:
+    """A batch keeps only what a later phase reads: its loaded columns go
+    when ``build_model`` returns, and each coarser level once refinement
+    has left it.  Lists take no weak reference, so the id column is handed
+    to the batch as a list subclass that does."""
+
+    class _Ids(list):
+        pass
+
+    def test_one_batch_frees_what_no_later_phase_reads(self, monkeypatch):
+        stream = planted_partition_graph(random.Random(0), 400, 8, 0.2, 200)
+        load, build = hs.load_batch, hs.build_model
+        coarsen_, refine = hs.coarsen, hs._refine_level
+        ids, models = [], []
+        finest_refined = 0
+
+        def loaded(chunks, delta, rest):
+            batch = load(chunks, delta, rest)
+            if batch is None:
+                return None
+            start, degrees, column, weights, node_weight = batch
+            column = self._Ids(column)
+            ids.append(weakref.ref(column))
+            return start, degrees, column, weights, node_weight
+
+        def built(*args):
+            model = build(*args)
+            assert ids[-1]() is not None   # the column built the model
+            return model
+
+        def coarsened(model, *args):
+            assert ids[-1]() is None, "id column alive after build_model"
+            levels = coarsen_(model, *args)
+            models.extend(weakref.ref(level.model) for level in levels)
+            return levels
+
+        def refined(model, *args):
+            nonlocal finest_refined
+            if model is models[0]():
+                assert all(m() is None for m in models[1:]), \
+                    "coarser model alive"
+                finest_refined += 1
+            return refine(model, *args)
+
+        monkeypatch.setattr(hs, "load_batch", loaded)
+        monkeypatch.setattr(hs, "build_model", built)
+        monkeypatch.setattr(hs, "coarsen", coarsened)
+        monkeypatch.setattr(hs, "_refine_level", refined)
+        state = heistream(stream, 4, x=1)
+        assert len(ids) == 1 and len(models) >= 3 and finest_refined == 1
+        assert all(b != UNASSIGNED for b in state.assignment)
+        # nothing of the batch outlives the run
+        assert ids[0]() is None and all(m() is None for m in models)
 
 
 def _model_fields(model: BatchModel):
