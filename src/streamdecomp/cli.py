@@ -366,7 +366,7 @@ def cmd_bench(args) -> int:
             "--time-core"])))
     bench_mod.write_rows(args.output, rows)
     if args.summary:
-        summary = bench_mod.summarize(bench_mod.read_rows(args.output))
+        summary = bench_mod.summarize(rows)
         Path(args.summary).write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0

@@ -109,7 +109,6 @@ def freight_assign(chunk, state: PartitionState, tracker: NetTracker,
     last_block = tracker.last_block
     assignment = state.assignment
     block_weight = state.block_weight
-    block_count = state.block_count
     l_max = state.l_max
     unit = node_weight is None
     unit_nets = weights is None
@@ -174,7 +173,6 @@ def freight_assign(chunk, state: PartitionState, tracker: NetTracker,
                 raise AssertionError(f"node {node} already assigned")
             assignment[node] = best
             block_weight[best] += 1
-            block_count[best] += 1
             # SortedBlocks.increment: swap to the right edge of the run.
             c = card[best]
             p = b[best]

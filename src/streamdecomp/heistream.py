@@ -143,8 +143,10 @@ def build_model(batch: tuple, state: PartitionState, config: HeiStreamConfig,
     end = start + nb
     assignment = state.assignment
 
-    # block_count, not block_weight: weight-0 nodes count as placed too
-    num_art = state.k if any(state.block_count) else 0
+    # Artificial nodes once any node is placed, told by the batch's
+    # position: pass 1 has placed every node before the batch, a later
+    # pass every node outside it.
+    num_art = state.k if (nb < state.n if blocks is not None else start) else 0
     model = BatchModel(nb, num_art)
     model.blocks = blocks
     model.weight[:nb] = model.true_weight[:nb] = \

@@ -263,7 +263,6 @@ def oms_assign(chunk, root: TreeBlock, state: PartitionState,
     start, degrees, ids, weights, node_weight = chunk
     assignment = state.assignment
     block_weight = state.block_weight
-    block_count = state.block_count
     block_of = assignment.__getitem__
     fennel = config.scorer == "fennel"
     hashed = config.hash_bottom_layers
@@ -334,7 +333,6 @@ def oms_assign(chunk, root: TreeBlock, state: PartitionState,
         leaf = node.lo
         assignment[v] = leaf
         block_weight[leaf] += weight
-        block_count[leaf] += 1
 
 
 def _hash_child(node_id: int, weight: int, node: TreeBlock) -> int:

@@ -9,9 +9,10 @@ The Fennel and LDG kernels place a chunk of the stream's spool columns per
 call (a pass hands them each chunk of ``stream.chunks()``, so no record is
 built) and score from a per-block table built once per pass: Fennel's
 penalty ``(alpha*gamma) * c(V_i) ** (gamma-1)``, LDG's free capacity
-``1 - c(V_i)/L_max``.  A kernel rewrites a block's entry when it changes
-that block's weight, so every score is the float a per-node computation
-gives, and the partitions are the ones the per-node kernels made.
+``1 - c(V_i)/L_max`` and node count, for its ties.  A kernel rewrites a
+block's entries when a node enters or leaves that block, so every score is
+the float a per-node computation gives, and the partitions are the ones
+the per-node kernels made.
 """
 
 from __future__ import annotations
@@ -149,8 +150,9 @@ def fennel_block(gains: dict[int, float], bw: list, pen: list, load: list,
 # whose edges all weigh 1 is counted in C by ``_count_elements`` (the
 # helper behind ``Counter.update``); its integer counts convert to the same
 # floats as sums of 1.0 wherever they meet a float.  Each kernel builds the
-# heap of the key it queries from the state's live list at the top of its
-# call and pushes each block its writes change.
+# heap of the key it queries (Fennel the state's block weights, LDG the
+# pass's node counts) at the top of its call and pushes each block its
+# writes change.
 
 def fennel_assign(chunk, state: PartitionState, params: FennelParams,
                   pen: list, restream: bool = False) -> None:
@@ -167,7 +169,6 @@ def fennel_assign(chunk, state: PartitionState, params: FennelParams,
     start, degrees, ids, weights, node_weight = chunk
     assignment = state.assignment
     block_weight = state.block_weight
-    block_count = state.block_count
     order = MinBlockHeap(block_weight)
     heap = order.heap
     limit = 4 * state.k
@@ -186,7 +187,6 @@ def fennel_assign(chunk, state: PartitionState, params: FennelParams,
                 raise AssertionError(f"node {node} not assigned")
             assignment[node] = UNASSIGNED
             bw = block_weight[old] = block_weight[old] - weight
-            block_count[old] -= 1
             pen[old] = ag * bw ** g1
             heappush(heap, (bw, old))
             if len(heap) > limit:
@@ -219,7 +219,6 @@ def fennel_assign(chunk, state: PartitionState, params: FennelParams,
             raise AssertionError(f"node {node} already assigned")
         assignment[node] = best
         bw = block_weight[best] = block_weight[best] + weight
-        block_count[best] += 1
         pen[best] = ag * bw ** g1
         heappush(heap, (bw, best))
         if len(heap) > limit:
@@ -227,16 +226,17 @@ def fennel_assign(chunk, state: PartitionState, params: FennelParams,
             heap = order.heap
 
 
-def ldg_assign(chunk, state: PartitionState, free: list,
+def ldg_assign(chunk, state: PartitionState, free: list, counts: list,
                restream: bool = False) -> None:
     """Linear deterministic greedy: place each node of ``chunk`` (spool
     columns, as :func:`fennel_assign` takes them) in turn in the block of
     highest affinity times ``free[i]``.
 
     ``free`` is the free-capacity table (:func:`ldg_free`) of
-    ``state.block_weight``; the kernel rewrites the entry of each block
-    it fills.  With ``restream`` each node is first marked unassigned (a
-    ReLDG pass, which starts from cleared blocks).
+    ``state.block_weight`` and ``counts`` the pass's nodes per block; the
+    kernel rewrites both entries of each block it fills.  With
+    ``restream`` each node is first marked unassigned (a ReLDG pass, which
+    starts from cleared blocks).
 
     Ties go to the block with fewer nodes (as LDG defines), then lowest index.
     With edge weights >= 1 a feasible neighbor block scores > 0 and every
@@ -246,8 +246,7 @@ def ldg_assign(chunk, state: PartitionState, free: list,
     start, degrees, ids, weights, node_weight = chunk
     assignment = state.assignment
     block_weight = state.block_weight
-    block_count = state.block_count
-    order = MinBlockHeap(block_count)
+    order = MinBlockHeap(counts)
     heap = order.heap
     limit = 4 * state.k
     l_max = state.l_max
@@ -277,22 +276,22 @@ def ldg_assign(chunk, state: PartitionState, free: list,
                 continue
             score = g * free[i]
             if (best < 0 or score > best_score or score == best_score
-                    and (block_count[i] < best_count
-                         or block_count[i] == best_count and i < best)):
-                best, best_score, best_count = i, score, block_count[i]
+                    and (counts[i] < best_count
+                         or counts[i] == best_count and i < best)):
+                best, best_score, best_count = i, score, counts[i]
         if best < 0:
             while True:
                 size, best = heap[0]
-                if block_count[best] == size:
+                if counts[best] == size:
                     break
                 heappop(heap)
             if block_weight[best] > room:
-                best = _fewest_feasible(weight, state)
+                best = _fewest_feasible(weight, state, counts)
         if assignment[node] != UNASSIGNED:
             raise AssertionError(f"node {node} already assigned")
         assignment[node] = best
         bw = block_weight[best] = block_weight[best] + weight
-        size = block_count[best] = block_count[best] + 1
+        size = counts[best] = counts[best] + 1
         free[best] = 1.0 - bw / l_max
         heappush(heap, (size, best))
         if len(heap) > limit:
@@ -300,13 +299,13 @@ def ldg_assign(chunk, state: PartitionState, free: list,
             heap = order.heap
 
 
-def _fewest_feasible(weight: int, state: PartitionState) -> int:
+def _fewest_feasible(weight: int, state: PartitionState, counts: list) -> int:
     # The fewest-nodes block is full.  With unit weights every block is; with
     # weighted nodes a block with more nodes may still fit, so scan.
     feasible = [i for i in range(state.k)
                 if state.block_weight[i] + weight <= state.l_max]
     if feasible:
-        return min(feasible, key=lambda i: (state.block_count[i], i))
+        return min(feasible, key=lambda i: (counts[i], i))
     # No feasible block: place on the globally lightest one and flag it.
     state.violations += 1
     return min(range(state.k), key=lambda i: (state.block_weight[i], i))
@@ -315,12 +314,14 @@ def _fewest_feasible(weight: int, state: PartitionState) -> int:
 def _place_pass(stream, algorithm: str, state: PartitionState,
                 params: FennelParams, restream: bool = False) -> None:
     """One pass of Fennel or LDG over ``stream``: one penalty (Fennel) or
-    free-capacity (LDG) table for the pass, then the kernel once per chunk
-    of ``stream.chunks()``."""
+    free-capacity and node-count (LDG) table for the pass, then the kernel
+    once per chunk of ``stream.chunks()``.  Every LDG pass starts from
+    empty blocks: a fresh state, or ReLDG's cleared one."""
     if algorithm == "ldg":
         free = ldg_free(state.block_weight, state.l_max)
+        counts = [0] * state.k
         for chunk in stream.chunks():
-            ldg_assign(chunk, state, free, restream)
+            ldg_assign(chunk, state, free, counts, restream)
     else:
         pen = fennel_penalties(state.block_weight, params)
         for chunk in stream.chunks():
@@ -351,8 +352,8 @@ def run_restream(stream, config: OnePassConfig, state: PartitionState,
     """Multi-pass drivers ReLDG / ReFennel.
 
     ``stream`` must be re-iterable (a :class:`~streamdecomp.streams.NodeStream`
-    or a ``MemoryStream``), each iteration yielding the same nodes in the
-    same order; a one-shot iterator raises ``TypeError``.  ReLDG scores
+    or a ``MemoryStream``), each ``chunks()`` call giving the same nodes in
+    the same order; a one-shot iterator raises ``TypeError``.  ReLDG scores
     against block weights accumulated in the current pass only; ReFennel
     subtracts the node's own weight before scoring and multiplies alpha by
     ``restream_alpha_growth`` each pass (a growth whose last pass overflows

@@ -57,14 +57,13 @@ class MinBlockHeap:
 class PartitionState:
     """Assignment array plus per-block weights; the source of truth for balance.
 
-    ``block_count`` tracks the number of nodes per block (the LDG tie-break
-    wants node counts, not weights).  ``violations`` counts fallbacks: one
-    per node placed where no block fit (hashing: where it overfills), and
-    under OMS one per tree level where no child fit; runs never abort.
+    ``violations`` counts fallbacks: one per node placed where no block fit
+    (hashing: where it overfills), and under OMS one per tree level where
+    no child fit; runs never abort.
 
     The state keeps no ordered view of its blocks: a kernel that asks for
     the lightest block builds a :class:`MinBlockHeap` over ``block_weight``
-    or ``block_count`` and tells it of each block its writes change.
+    and tells it of each block its writes change.
     """
 
     def __init__(self, n: int, k: int, epsilon: float, total_weight: int):
@@ -77,7 +76,6 @@ class PartitionState:
         self.l_max = compute_lmax(total_weight, k, epsilon)
         self.assignment = [UNASSIGNED] * n
         self.block_weight = [0] * k
-        self.block_count = [0] * k
         self.violations = 0
 
     def assign(self, node: int, block: int, weight: int = 1) -> None:
@@ -85,7 +83,6 @@ class PartitionState:
             raise AssertionError(f"node {node} already assigned")
         self.assignment[node] = block
         self.block_weight[block] += weight
-        self.block_count[block] += 1
 
     def unassign(self, node: int, weight: int = 1) -> int:
         """Remove a node from its block (restreaming) and return the old block."""
@@ -94,9 +91,8 @@ class PartitionState:
             raise AssertionError(f"node {node} not assigned")
         self.assignment[node] = UNASSIGNED
         self.block_weight[block] -= weight
-        self.block_count[block] -= 1
         return block
 
     def clear_blocks(self) -> None:
         """Empty every block in place; the assignment stays."""
-        self.block_weight[:] = self.block_count[:] = [0] * self.k
+        self.block_weight[:] = [0] * self.k

@@ -148,8 +148,10 @@ def scan_fennel_assign(record, state: PartitionState,
     return best
 
 
-def scan_ldg_assign(record, state: PartitionState) -> int:
-    """LDG by scoring all k blocks: the oracle of ``ldg_assign``."""
+def scan_ldg_assign(record, state: PartitionState, counts: list) -> int:
+    """LDG by scoring all k blocks, ties to the fewer ``counts`` (the
+    pass's nodes per block, which the call updates): the oracle of
+    ``ldg_assign``."""
     gains = _neighbor_gains(record, state.assignment)
     best = None
     best_key = None
@@ -158,12 +160,13 @@ def scan_ldg_assign(record, state: PartitionState) -> int:
         if bw + record.weight > state.l_max:
             continue
         score = gains.get(i, 0.0) * (1.0 - bw / state.l_max)
-        key = (score, -state.block_count[i], -i)
+        key = (score, -counts[i], -i)
         if best_key is None or key > best_key:
             best, best_key = i, key
     if best is None:
         best = _exhaustion_fallback(state)
     state.assign(record.id, best, record.weight)
+    counts[best] += 1
     return best
 
 
@@ -198,6 +201,16 @@ def least_block(keys: list) -> int:
     return min(range(len(keys)), key=lambda i: (keys[i], i))
 
 
+def block_counts(state: PartitionState) -> list:
+    """Nodes per block of ``state.assignment``: the LDG count table of a
+    pass that placed exactly the assigned nodes."""
+    counts = [0] * state.k
+    for block in state.assignment:
+        if block != UNASSIGNED:
+            counts[block] += 1
+    return counts
+
+
 class ScanMinBlock:
     """``min_block()`` by :func:`least_block` over a live key list, so it
     needs no update when a key changes."""
@@ -228,9 +241,10 @@ def record_fennel_assign(record, state: PartitionState,
     return best
 
 
-def record_ldg_assign(record, state: PartitionState) -> int:
+def record_ldg_assign(record, state: PartitionState, counts: list) -> int:
     """LDG one record per call, scoring the neighbor blocks by
-    ``1 - c(V_i)/L_max`` computed per block, the fewest-nodes block by an
+    ``1 - c(V_i)/L_max`` computed per block, the fewest-nodes block of
+    ``counts`` (the pass's nodes per block, which the call updates) by an
     O(k) scan and the writes through ``state.assign``: the oracle of the
     batch kernel ``onepass.ldg_assign``."""
     gains = _neighbor_gains(record, state.assignment)
@@ -238,7 +252,6 @@ def record_ldg_assign(record, state: PartitionState) -> int:
     l_max = state.l_max
     room = l_max - weight
     block_weight = state.block_weight
-    block_count = state.block_count
     best = -1
     best_score = best_count = 0
     for i, g in gains.items():
@@ -247,17 +260,18 @@ def record_ldg_assign(record, state: PartitionState) -> int:
             continue
         score = g * (1.0 - bw / l_max)
         if (best < 0 or score > best_score or score == best_score
-                and (block_count[i] < best_count
-                     or block_count[i] == best_count and i < best)):
-            best, best_score, best_count = i, score, block_count[i]
+                and (counts[i] < best_count
+                     or counts[i] == best_count and i < best)):
+            best, best_score, best_count = i, score, counts[i]
     if best < 0:
-        best = least_block(block_count)
+        best = least_block(counts)
         if block_weight[best] > room:
             feasible = [i for i in range(state.k)
                         if block_weight[i] + weight <= l_max]
-            best = min(feasible, key=lambda i: (block_count[i], i)) \
+            best = min(feasible, key=lambda i: (counts[i], i)) \
                 if feasible else _exhaustion_fallback(state)
     state.assign(record.id, best, weight)
+    counts[best] += 1
     return best
 
 
@@ -269,7 +283,6 @@ def batch_fennel_assign(records, state: PartitionState, params: FennelParams,
     walked a chunk's columns."""
     assignment = state.assignment
     block_weight = state.block_weight
-    block_count = state.block_count
     order = MinBlockHeap(block_weight)
     heap = order.heap
     limit = 4 * state.k
@@ -286,7 +299,6 @@ def batch_fennel_assign(records, state: PartitionState, params: FennelParams,
                 raise AssertionError(f"node {node} not assigned")
             assignment[node] = UNASSIGNED
             bw = block_weight[old] = block_weight[old] - weight
-            block_count[old] -= 1
             pen[old] = ag * bw ** g1
             heappush(heap, (bw, old))
             if len(heap) > limit:
@@ -318,7 +330,6 @@ def batch_fennel_assign(records, state: PartitionState, params: FennelParams,
             raise AssertionError(f"node {node} already assigned")
         assignment[node] = best
         bw = block_weight[best] = block_weight[best] + weight
-        block_count[best] += 1
         pen[best] = ag * bw ** g1
         heappush(heap, (bw, best))
         if len(heap) > limit:
@@ -327,15 +338,15 @@ def batch_fennel_assign(records, state: PartitionState, params: FennelParams,
 
 
 def batch_ldg_assign(records, state: PartitionState, free: list,
-                     restream: bool = False) -> None:
+                     counts: list, restream: bool = False) -> None:
     """LDG on a list of records per call, with the free-capacity table
-    ``free`` kept current and the state's writes made inline: the oracle of
-    the chunk kernel ``onepass.ldg_assign``, as that kernel was before it
-    walked a chunk's columns."""
+    ``free`` and the node counts ``counts`` kept current and the state's
+    writes made inline: the oracle of the chunk kernel
+    ``onepass.ldg_assign``, as that kernel was before it walked a chunk's
+    columns."""
     assignment = state.assignment
     block_weight = state.block_weight
-    block_count = state.block_count
-    order = MinBlockHeap(block_count)
+    order = MinBlockHeap(counts)
     heap = order.heap
     limit = 4 * state.k
     l_max = state.l_max
@@ -363,25 +374,25 @@ def batch_ldg_assign(records, state: PartitionState, free: list,
                 continue
             score = g * free[i]
             if (best < 0 or score > best_score or score == best_score
-                    and (block_count[i] < best_count
-                         or block_count[i] == best_count and i < best)):
-                best, best_score, best_count = i, score, block_count[i]
+                    and (counts[i] < best_count
+                         or counts[i] == best_count and i < best)):
+                best, best_score, best_count = i, score, counts[i]
         if best < 0:
             while True:
                 count, best = heap[0]
-                if block_count[best] == count:
+                if counts[best] == count:
                     break
                 heappop(heap)
             if block_weight[best] > room:
                 feasible = [i for i in range(state.k)
                             if block_weight[i] + weight <= l_max]
-                best = min(feasible, key=lambda i: (block_count[i], i)) \
+                best = min(feasible, key=lambda i: (counts[i], i)) \
                     if feasible else _exhaustion_fallback(state)
         if assignment[node] != UNASSIGNED:
             raise AssertionError(f"node {node} already assigned")
         assignment[node] = best
         bw = block_weight[best] = block_weight[best] + weight
-        count = block_count[best] = block_count[best] + 1
+        count = counts[best] = counts[best] + 1
         free[best] = 1.0 - bw / l_max
         heappush(heap, (count, best))
         if len(heap) > limit:
@@ -438,7 +449,8 @@ def run_records(stream, config, state: PartitionState, params: FennelParams,
     """Fennel or LDG and their restreaming, one record per kernel call:
     ``config.passes`` passes, a later one unassigning each node before
     placing it (ReFennel, alpha times ``restream_alpha_growth`` per pass) or
-    placing every node again into cleared blocks (ReLDG).  The oracle of
+    placing every node again into cleared blocks (ReLDG), each LDG pass
+    counting its nodes per block afresh.  The oracle of
     ``onepass.run_onepass`` and ``run_restream``; ``fennel`` and ``ldg`` are
     per-record kernels."""
     growth = config.restream_alpha_growth
@@ -446,10 +458,11 @@ def run_records(stream, config, state: PartitionState, params: FennelParams,
         if config.algorithm == "ldg":
             if p:
                 state.clear_blocks()
+            counts = [0] * state.k
             for record in stream_records(stream):
                 if p:
                     state.assignment[record.id] = UNASSIGNED
-                ldg(record, state)
+                ldg(record, state, counts)
         else:
             pass_params = FennelParams(gamma=params.gamma,
                                        alpha=params.alpha * growth ** p)
@@ -464,15 +477,17 @@ def shadow_reldg(stream, config, state: PartitionState,
                  params: FennelParams) -> PartitionState:
     """Oracle of ReLDG in ``onepass.run_restream``: each later pass scores
     on a second ``PartitionState`` of per-pass weights that shares the run's
-    assignment, and every placement is written again into the run's state."""
+    assignment, and on per-pass node counts, and every placement is written
+    again into the run's state."""
     run_onepass(stream, config, state, params)
     for _ in range(1, config.passes):
         current = PartitionState(state.n, state.k, state.epsilon,
                                  state.total_weight)
         current.assignment = state.assignment
+        counts = [0] * state.k
         for record in stream_records(stream):
             state.unassign(record.id, record.weight)
-            new = record_ldg_assign(record, current)
+            new = record_ldg_assign(record, current, counts)
             # current shares the assignment array and already wrote it
             state.assignment[record.id] = UNASSIGNED
             state.assign(record.id, new, record.weight)
@@ -1045,7 +1060,9 @@ def record_build_model(batch: list, state: PartitionState, config,
     end = batch[-1].id + 1
     nb = len(batch)
     assignment = state.assignment
-    num_art = state.k if any(state.block_count) else 0
+    # artificial nodes once any node is placed, read from the assignment
+    placed = any(block != UNASSIGNED for block in assignment)
+    num_art = state.k if placed else 0
     model = BatchModel(nb, num_art)
     model.blocks = blocks
 
@@ -1347,15 +1364,13 @@ def division_distance_matrix(spec) -> np.ndarray:
 
 
 def check_consistency(state: PartitionState, node_weights) -> None:
-    """Recompute a state's block weights and counts from scratch and compare."""
+    """Recompute a state's block weights from scratch and compare."""
     recomputed = [0] * state.k
-    counts = [0] * state.k
     for node, block in enumerate(state.assignment):
         if block == UNASSIGNED:
             continue
         recomputed[block] += node_weights[node]
-        counts[block] += 1
-    if recomputed != state.block_weight or counts != state.block_count:
+    if recomputed != state.block_weight:
         raise AssertionError("block weights inconsistent with assignments")
 
 

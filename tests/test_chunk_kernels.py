@@ -72,8 +72,7 @@ def small_chunks(monkeypatch):
 
 
 def _blocks_state(state):
-    return (state.assignment, state.block_weight, state.block_count,
-            state.violations)
+    return state.assignment, state.block_weight, state.violations
 
 
 def _chunks_and_records(stream, memory):
@@ -135,7 +134,8 @@ class TestOnePassLockstep:
     """Fennel's and LDG's chunk kernels against the kernels that took a
     list of records, over three passes (ReFennel with alpha doubled per
     pass, ReLDG from cleared blocks): after every chunk the two states,
-    their tables (``pen`` or ``free``) and their violations agree."""
+    their tables (``pen`` or ``free``; LDG's per-pass node counts too) and
+    their violations agree."""
 
     @pytest.mark.parametrize("fmt", sorted(FMTS))
     @pytest.mark.parametrize("algorithm", ["fennel", "ldg"])
@@ -161,6 +161,7 @@ class TestOnePassLockstep:
                             expected.clear_blocks()
                         tables = [ldg_free(got.block_weight, got.l_max)
                                   for _ in range(2)]
+                        counts = [[0] * k for _ in range(2)]
                     else:
                         tables = [fennel_penalties(got.block_weight,
                                                    pass_params)
@@ -168,9 +169,11 @@ class TestOnePassLockstep:
                     for chunk, records in _chunks_and_records(stream,
                                                               memory):
                         if algorithm == "ldg":
-                            ldg_assign(chunk, got, tables[0], restream)
+                            ldg_assign(chunk, got, tables[0], counts[0],
+                                       restream)
                             batch_ldg_assign(records, expected, tables[1],
-                                             restream)
+                                             counts[1], restream)
+                            assert counts[0] == counts[1]
                         else:
                             fennel_assign(chunk, got, pass_params, tables[0],
                                           restream)

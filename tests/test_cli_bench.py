@@ -672,6 +672,8 @@ class TestCliBench:
         assert {r["algorithm"] for r in rows} == {"hashing", "ldg", "fennel"}
         summary = json.loads(Path(summary_path).read_text())
         assert len(summary) == 6
+        # the rows summarized in memory give the summary of the CSV
+        assert summary == summarize(rows)
         # fennel should not cut more than hashing on this seeded instance
         by_key = {(s["algorithm"], s["k"]): s for s in summary}
         assert by_key[("fennel", "4")]["edge_cut"] <= \

@@ -90,6 +90,24 @@ class TestBuildModel:
         assert model.num_art == 0
         assert model.size == 2
 
+    def test_first_pass_weight0_nodes_count_as_placed(self):
+        # placed weight-0 nodes leave every block weight 0, yet each batch
+        # after the first links to them through k artificial nodes, as the
+        # oracle, which scans the assignment, does
+        state = PartitionState(6, 3, 0.5, 1)
+        config = self.cfg()
+        for start, ids, num_art in ((0, [1, 0], 0), (2, [1, 2], 3),
+                                    (4, [3, 4], 3)):
+            batch = (start, [1, 1], ids, None, [0, 0])
+            model = build_model(batch, state, config, random.Random(0))
+            expected = reference.record_build_model(
+                list(reference.chunk_records(*batch)), state, config,
+                random.Random(0))
+            assert model.num_art == num_art
+            assert _model_fields(model) == _model_fields(expected)
+            commit_batch(batch, [start // 2, 0], state)
+        assert state.block_weight == [0, 0, 0]
+
     def test_parallel_past_edges_merge(self):
         # two past neighbors in block 2 -> one artificial edge of weight 2
         state = PartitionState(6, 4, 0.5, 6)
@@ -154,8 +172,8 @@ class TestBuildModel:
     def test_later_pass_matches_reference_model(self, model, one_sided):
         """The model of an unassigned batch equals the one built with the
         batch still assigned and its weights subtracted, and draws no rng
-        numbers; weight-0 nodes keep the artificial nodes as the old
-        outside test did."""
+        numbers; weight-0 nodes keep the artificial nodes, since every
+        node outside the batch is placed."""
         rng = random.Random(f"{model}-{one_sided}")
         n = 60
         single = 0
@@ -274,7 +292,6 @@ class TestInitialPartition:
         for node in range(3):
             state.assign(node, 0, 3 if node == 0 else 0)
         state.block_weight = [3, 3, 2]           # blocks 0,1 full
-        state.block_count = [1, 1, 1]
         batch = (3, [0], [], None, None)
         model = build_model(batch, state, config, random.Random(0))
         params = FennelParams(alpha=0.5)
@@ -793,8 +810,7 @@ class _RecordTwin:
 
 
 def _state_fields(state: PartitionState):
-    return (state.assignment, state.block_weight, state.block_count,
-            state.violations)
+    return state.assignment, state.block_weight, state.violations
 
 
 class TestBatchCutLockstep:

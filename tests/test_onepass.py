@@ -18,10 +18,10 @@ from streamdecomp.streams import (MemoryStream, StreamedNodeRecord,
 
 from generators import chunk_of, graph_stream_from_edges, node_chunks, \
     random_graph, run_setup
-from reference import (_neighbor_gains, check_consistency, fennel_gain,
-                       record_fennel_assign, record_ldg_assign, run_records,
-                       scan_fennel_assign, scan_ldg_assign, shadow_reldg,
-                       stream_records)
+from reference import (_neighbor_gains, block_counts, check_consistency,
+                       fennel_gain, record_fennel_assign, record_ldg_assign,
+                       run_records, scan_fennel_assign, scan_ldg_assign,
+                       shadow_reldg, stream_records)
 
 # the flags of a file with node and edge weights: chunk_of(records, WEIGHED)
 # keeps every weight of hand-made records
@@ -39,10 +39,10 @@ def place_fennel(records, state, params):
 
 def place_ldg(records, state):
     """LDG on the consecutive ``records`` as one chunk, in one kernel
-    call, from the free-capacity table of the state's block weights; the
-    blocks the records land in."""
+    call, from the free-capacity table of the state's block weights and the
+    count table of its assignment; the blocks the records land in."""
     ldg_assign(chunk_of(records, WEIGHED), state,
-               ldg_free(state.block_weight, state.l_max))
+               ldg_free(state.block_weight, state.l_max), block_counts(state))
     return [state.assignment[r.id] for r in records]
 
 
@@ -381,9 +381,9 @@ class TestRestream:
         fallbacks = [0]
         fewest = onepass._fewest_feasible
 
-        def counted(weight, state):
+        def counted(weight, state, counts):
             fallbacks[0] += 1
-            return fewest(weight, state)
+            return fewest(weight, state, counts)
 
         monkeypatch.setattr(onepass, "_fewest_feasible", counted)
         config = OnePassConfig(algorithm="ldg", passes=passes)
@@ -420,8 +420,7 @@ def _partition(stream, algorithm, k, epsilon, passes):
 
 
 def _outcome(state):
-    return (state.assignment, state.violations, state.block_weight,
-            state.block_count)
+    return state.assignment, state.violations, state.block_weight
 
 
 class TestCandidateSelection:
@@ -465,9 +464,9 @@ class TestCandidateSelection:
         scans = []
         original = onepass._fewest_feasible
 
-        def spy(weight, state):
+        def spy(weight, state, counts):
             before = state.violations
-            block = original(weight, state)
+            block = original(weight, state, counts)
             scans.append(state.violations == before)
             return block
 
@@ -553,7 +552,8 @@ class TestCandidateSelection:
                     assert block == scan_fennel_assign(row, expected, params)
                 else:
                     assert place_ldg([row], got) == \
-                        [scan_ldg_assign(row, expected)]
+                        [scan_ldg_assign(row, expected,
+                                         block_counts(expected))]
                 assert _outcome(got) == _outcome(expected)
 
     @pytest.mark.parametrize("weights", [[1, 1, 1], [2, 1]])
@@ -615,8 +615,8 @@ class TestGainsPerBlock:
 class TestEntryPoints:
     """A pass calls the module-level kernel once per chunk of
     ``stream.chunks()`` (the parse, then each replay), in stream order,
-    with one table for the whole pass, so a tracer that rebinds the kernels
-    sees every node."""
+    with one table for the whole pass (LDG: and one count table, which
+    starts empty), so a tracer that rebinds the kernels sees every node."""
 
     @pytest.mark.parametrize("algorithm", ["fennel", "ldg"])
     @pytest.mark.parametrize("passes", [1, 3])
@@ -624,6 +624,7 @@ class TestEntryPoints:
                                                    tmp_path, algorithm,
                                                    passes):
         calls = {"fennel": [], "ldg": []}
+        count_tables = []
         fennel, ldg = onepass.fennel_assign, onepass.ldg_assign
 
         def nodes(chunk):
@@ -633,9 +634,10 @@ class TestEntryPoints:
             calls["fennel"].append((nodes(chunk), pen, restream))
             fennel(chunk, state, params, pen, restream)
 
-        def counted_ldg(chunk, state, free, restream=False):
+        def counted_ldg(chunk, state, free, counts, restream=False):
             calls["ldg"].append((nodes(chunk), free, restream))
-            ldg(chunk, state, free, restream)
+            count_tables.append((counts, sum(counts)))
+            ldg(chunk, state, free, counts, restream)
 
         monkeypatch.setattr(onepass, "fennel_assign", counted_fennel)
         monkeypatch.setattr(onepass, "ldg_assign", counted_ldg)
@@ -662,6 +664,13 @@ class TestEntryPoints:
             assert all(table is made[0][1] for _, table, _ in made)
             assert {restream for *_, restream in made} == {p > 0}
             tables.append(made[0][1])
+            if algorithm == "ldg":
+                # one count table per pass, holding the nodes the pass
+                # placed before each call
+                made = count_tables[6 * p:6 * p + 6]
+                assert all(table is made[0][0] for table, _ in made)
+                assert [placed for _, placed in made] == \
+                    [ids[0] for ids in batches]
         assert len({id(table) for table in tables}) == passes
         assert state.assignment == _partition(memory, algorithm, 4, 0.03,
                                               passes).assignment
@@ -684,9 +693,10 @@ def _lockstep(stream, algorithm, k, epsilon, batch, passes, growth=2.0):
     records' columns, and its
     record-at-a-time oracle in tests/reference side by side over
     ``passes`` passes (ReFennel, alpha times ``growth`` per pass, or ReLDG
-    after the first).  After each batch both states must agree, and the
-    kernel's table must equal the one built afresh from its block weights.
-    Returns the kernel's state."""
+    after the first).  After each batch both states must agree, the
+    kernel's table must equal the one built afresh from its block weights,
+    and under LDG both count tables, empty at the start of each pass, must
+    agree.  Returns the kernel's state."""
     got, params = run_setup(stream, k, epsilon)
     expected, _ = run_setup(stream, k, epsilon)
     records = list(stream_records(stream))
@@ -702,24 +712,26 @@ def _lockstep(stream, algorithm, k, epsilon, batch, passes, growth=2.0):
         else:
             fresh = lambda: fennel_penalties(got.block_weight, pass_params)
         table = fresh()
+        counts, expected_counts = [0] * k, [0] * k
         for start in range(0, len(records), batch):
             chunk = records[start:start + batch]
             columns = chunk_of(chunk, stream.header)
             if algorithm == "ldg":
-                ldg_assign(columns, got, table, restream)
+                ldg_assign(columns, got, table, counts, restream)
             else:
                 fennel_assign(columns, got, pass_params, table, restream)
             for record in chunk:
                 if algorithm == "ldg":
                     if restream:
                         expected.assignment[record.id] = UNASSIGNED
-                    record_ldg_assign(record, expected)
+                    record_ldg_assign(record, expected, expected_counts)
                 else:
                     if restream:
                         expected.unassign(record.id, record.weight)
                     record_fennel_assign(record, expected, pass_params)
             assert _outcome(got) == _outcome(expected), (p, start)
             assert table == fresh(), (p, start)
+            assert counts == expected_counts, (p, start)
     return got
 
 
@@ -748,9 +760,9 @@ class TestBatchLockstep:
         found = []
         fewest = onepass._fewest_feasible
 
-        def spy(weight, state):
+        def spy(weight, state, counts):
             before = state.violations
-            block = fewest(weight, state)
+            block = fewest(weight, state, counts)
             found.append(state.violations == before)
             return block
 
@@ -780,8 +792,13 @@ class TestBatchLockstep:
         monkeypatch.setattr(MinBlockHeap, "rebuild", counted)
         got = _lockstep(_lockstep_graph("unit"), algorithm, k, 0.03, 1024,
                         3)
-        keys = got.block_weight if algorithm == "fennel" else got.block_count
-        built = [heap for heap in rebuilt if heap.keys is keys]
-        calls = Counter(map(id, built))     # one call, so one heap, per pass
+        # the oracle scans, so every heap is the kernel's: Fennel's over the
+        # block weights, LDG's over each pass's count table
+        calls = Counter(map(id, rebuilt))   # one call, so one heap, per pass
         assert len(calls) == 3 and max(calls.values()) > 1
-        assert all(len(heap.heap) <= 4 * k for heap in built)
+        assert all(len(heap.heap) <= 4 * k for heap in rebuilt)
+        keys = {id(heap.keys) for heap in rebuilt}
+        if algorithm == "fennel":
+            assert keys == {id(got.block_weight)}
+        else:
+            assert len(keys) == 3 and id(got.block_weight) not in keys

@@ -46,7 +46,6 @@ class TestPartitionState:
         state.assign(1, 1, 2)
         state.assign(2, 0, 5)
         assert state.block_weight == [5, 5]
-        assert state.block_count == [1, 2]
         check_consistency(state, [3, 2, 5, 0])
 
     def test_unassign(self):
