@@ -14,7 +14,7 @@ from .metrics import block_weights, comm_cost, cut_net_and_connectivity, \
 from .onepass import (FennelParams, OnePassConfig, fennel_alpha, fennel_assign,
                       fennel_penalties, hashing_assign, ldg_assign,
                       ldg_free, run_onepass, run_restream)
-from .freight import NetTracker, SortedBlocks, freight_assign, run_freight
+from .freight import SortedBlocks, freight_assign, run_freight
 from .multisection import (HierarchySpec, OmsConfig, TreeBlock,
                            build_from_spec, build_hierarchy,
                            heterogeneous_alpha, oms_assign, run_oms)

@@ -10,7 +10,7 @@ with weighted nodes), so per-node work never depends on k.
 
 :func:`freight_assign` is the whole kernel, called once per chunk of spool
 columns (``SPOOL_CHUNK`` nodes): it walks the chunk's flat ids and weights
-by offsets, so no record is built, reads the net tracker's flat arrays
+by offsets, so no record is built, reads the per-net ``last_block`` list
 directly, sums the gains in one dict (two with weighted nets, where gain
 and net count differ), compares candidates without building a key per
 block, and on unit node weights makes the state's writes and the sorted
@@ -27,21 +27,7 @@ from itertools import count, repeat
 from .onepass import FennelParams
 from .partition import UNASSIGNED, MinBlockHeap, PartitionState
 
-
-class NetTracker:
-    """Per-net block of the most recently streamed pin, and cut flags.
-
-    ``last_block[e]`` is -1 until a pin of ``e`` is placed, so a net is
-    touched iff ``last_block[e] >= 0``.  ``cut[e]`` is 1 once two of its
-    pins went to different blocks; only the cut-net objective reads and
-    writes it.  :func:`freight_assign` updates both in place.
-    """
-
-    __slots__ = ("cut", "last_block")
-
-    def __init__(self, num_nets: int):
-        self.cut = bytearray(num_nets)
-        self.last_block = [-1] * num_nets
+CUT = -2   # a net's ``last_block`` entry once it is cut, under cut-net
 
 
 class SortedBlocks:
@@ -86,7 +72,7 @@ class SortedBlocks:
         return self.card[block]
 
 
-def freight_assign(chunk, state: PartitionState, tracker: NetTracker,
+def freight_assign(chunk, state: PartitionState, last_block: list[int],
                    blocks: SortedBlocks, cutnet: bool,
                    params: FennelParams) -> None:
     """Place each node of ``chunk``, the spool columns ``(start, degrees,
@@ -105,8 +91,6 @@ def freight_assign(chunk, state: PartitionState, tracker: NetTracker,
     holds both.
     """
     start, degrees, ids, weights, node_weight = chunk
-    cut = tracker.cut
-    last_block = tracker.last_block
     assignment = state.assignment
     block_weight = state.block_weight
     l_max = state.l_max
@@ -131,14 +115,14 @@ def freight_assign(chunk, state: PartitionState, tracker: NetTracker,
             gains = counts
             for e in row:
                 d = last_block[e]
-                if d < 0 or cutnet and cut[e]:
+                if d < 0:
                     continue
                 counts[d] = counts.get(d, 0) + 1
         else:
             gains = {}
             for e, w in zip(row, weights[pos:stop]):
                 d = last_block[e]
-                if d < 0 or cutnet and cut[e]:
+                if d < 0:
                     continue
                 gains[d] = gains.get(d, 0.0) + w
                 counts[d] = counts.get(d, 0) + 1
@@ -192,9 +176,7 @@ def freight_assign(chunk, state: PartitionState, tracker: NetTracker,
         if cutnet:
             for e in row:
                 d = last_block[e]
-                if d != best and d >= 0:
-                    cut[e] = 1
-                last_block[e] = best
+                last_block[e] = best if d == best or d == -1 else CUT
         else:
             for e in row:
                 last_block[e] = best
@@ -206,16 +188,16 @@ def run_freight(stream, state: PartitionState, params: FennelParams,
     call per chunk of ``stream.chunks()``; no record is built.
 
     ``objective`` is ``connectivity`` or ``cutnet``.  Beyond the current
-    chunk the decision state is O(m + k): the net tracker plus block
-    weights; the assignment array only collects the output.
+    chunk the decision state is O(m + k): the per-net ``last_block`` list
+    plus block weights; the assignment array only collects the output.
     """
     if objective not in ("connectivity", "cutnet"):
         raise ValueError(f"unknown objective {objective!r}")
     cutnet = objective == "cutnet"
-    tracker = NetTracker(stream.header.m)
+    last_block = [-1] * stream.header.m
     # Unit weights keep SortedBlocks, whose min_block tie order differs
     # from the weight heap the kernel builds for weighted nodes.
     blocks = SortedBlocks(state.k)
     for chunk in stream.chunks():
-        freight_assign(chunk, state, tracker, blocks, cutnet, params)
+        freight_assign(chunk, state, last_block, blocks, cutnet, params)
     return state

@@ -52,8 +52,7 @@ from dataclasses import dataclass
 from itertools import chain, count, repeat
 from typing import Iterator, Optional
 
-from .onepass import (FennelParams, fennel_block, fennel_penalties,
-                      require_reiterable)
+from .onepass import FennelParams, fennel_block, fennel_penalties
 from .partition import UNASSIGNED, MinBlockHeap, PartitionState
 
 
@@ -581,9 +580,8 @@ def run_heistream(stream, config: HeiStreamConfig,
     """Buffered streaming partitioning, optionally with restream passes.
 
     Each pass cuts its batches from ``stream.chunks()``, the same nodes in
-    the same order every time; a one-shot iterator raises ``TypeError``.
+    the same order every time.
     """
-    require_reiterable(stream)
     rng = random.Random(config.seed)
     for p in range(config.passes):
         chunks, rest = stream.chunks(), []

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import _count_elements
-from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -351,16 +350,15 @@ def run_restream(stream, config: OnePassConfig, state: PartitionState,
                  params: FennelParams) -> PartitionState:
     """Multi-pass drivers ReLDG / ReFennel.
 
-    ``stream`` must be re-iterable (a :class:`~streamdecomp.streams.NodeStream`
-    or a ``MemoryStream``), each ``chunks()`` call giving the same nodes in
-    the same order; a one-shot iterator raises ``TypeError``.  ReLDG scores
-    against block weights accumulated in the current pass only; ReFennel
-    subtracts the node's own weight before scoring and multiplies alpha by
+    Each pass reads ``stream.chunks()`` (a
+    :class:`~streamdecomp.streams.NodeStream` or a ``MemoryStream``), the
+    same nodes in the same order every time.  ReLDG scores against block
+    weights accumulated in the current pass only; ReFennel subtracts the
+    node's own weight before scoring and multiplies alpha by
     ``restream_alpha_growth`` each pass (a growth whose last pass overflows
     the penalty is rejected up front).  Hashing makes one pass, since every
     later pass would repeat it.
     """
-    require_reiterable(stream)
     growth = config.restream_alpha_growth
     if config.algorithm == "fennel":
         _bounded_alpha(lambda: params.alpha * growth ** (config.passes - 1),
@@ -381,10 +379,3 @@ def run_restream(stream, config: OnePassConfig, state: PartitionState,
                                        alpha=params.alpha * growth ** p)
             _place_pass(stream, "fennel", state, pass_params, restream=True)
     return state
-
-
-def require_reiterable(stream) -> None:
-    """Reject a one-shot iterator, whose second pass would see no nodes."""
-    if isinstance(stream, Iterator):
-        raise TypeError("restreaming needs a re-iterable stream, not a "
-                        f"one-shot {type(stream).__name__}")

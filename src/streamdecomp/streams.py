@@ -581,9 +581,6 @@ class MemoryStream:
     so a reader must not change them."""
 
     def __init__(self, header: StreamHeader, chunks: list):
-        if chunks and isinstance(chunks[0], StreamedNodeRecord):
-            raise TypeError("MemoryStream takes chunks of columns; build "
-                            "one from records with from_records")
         self.header = header
         self._chunks = chunks
 
@@ -593,7 +590,9 @@ class MemoryStream:
         """A stream of ``records`` as one chunk: item and node weights only
         where the header's flags say now (None otherwise); no chunk for no
         records.  ``ValueError`` names the first record whose id is not its
-        position."""
+        position, or that lists a negative id; an id too large is left to
+        the reader that uses it, since the header cannot tell n from m as
+        its bound."""
         ids = list(map(attrgetter("id"), records))
         if ids != list(range(len(ids))):
             bad = next(i for i, v in enumerate(ids) if v != i)
@@ -601,6 +600,10 @@ class MemoryStream:
         if not records:
             return cls(header, [])
         rows = list(map(attrgetter("ids"), records))
+        lowest = [min(row, default=0) for row in rows]
+        if min(lowest) < 0:
+            bad = next(i for i, v in enumerate(lowest) if v < 0)
+            raise ValueError(f"record {bad} lists negative id {lowest[bad]}")
         return cls(header, [(
             0, list(map(len, rows)), list(chain.from_iterable(rows)),
             list(chain.from_iterable(map(attrgetter("weights"), records)))

@@ -60,6 +60,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from streamdecomp import freight
 from streamdecomp.freight import SortedBlocks
 from streamdecomp.heistream import BatchModel, _seed_block_weights
 from streamdecomp.multisection import TreeBlock, _hash_child, \
@@ -536,8 +537,8 @@ UNTOUCHED, SINGLE_BLOCK, CUT = 0, 1, 2
 class NetTracker:
     """Per-net cut status (UNTOUCHED, SINGLE_BLOCK or CUT) and the block of
     the most recently streamed pin, updated by one method call per pin: the
-    oracle of ``freight.NetTracker``, whose ``cut`` flag is ``status == CUT``
-    and whose touched nets are those with ``last_block >= 0``."""
+    oracle of the kernel's per-net ``last_block`` list (see
+    :meth:`kernel_last_block`)."""
 
     def __init__(self, num_nets: int):
         self.status = bytearray(num_nets)
@@ -553,6 +554,15 @@ class NetTracker:
 
     def is_cut(self, net: int) -> bool:
         return self.status[net] == CUT
+
+    def kernel_last_block(self, cutnet: bool) -> list[int]:
+        """What ``freight_assign``'s ``last_block`` must hold: under
+        ``cutnet`` ``freight.CUT`` exactly where the status is CUT, and
+        everywhere else the last block (-1 for an untouched net)."""
+        if not cutnet:
+            return list(self.last_block)
+        return [freight.CUT if s == CUT else d
+                for s, d in zip(self.status, self.last_block)]
 
 
 class _Bucket:
@@ -648,34 +658,15 @@ def run_freight_reference(stream, state: PartitionState, params: FennelParams,
     return state
 
 
-def record_freight_assign(record, state: PartitionState, tracker,
-                          blocks, cutnet: bool, params: FennelParams,
-                          unit: bool = True, unit_nets: bool = False) -> int:
+def record_freight_assign(record, state: PartitionState,
+                          tracker: NetTracker, blocks, cutnet: bool,
+                          params: FennelParams, unit: bool = True) -> int:
     """FREIGHT one record per call, the min block from ``blocks`` (a
     :class:`SortedBlocks` told of each choice when ``unit``, else anything
-    with ``min_block``) and the state's writes through ``state.assign``:
-    the oracle of the chunk kernel ``freight.freight_assign``.  It reads
-    the production tracker's ``cut`` and ``last_block``; ``unit_nets`` says
-    every net weighs 1, so one dict holds gains and counts."""
-    cut = tracker.cut
-    last_block = tracker.last_block
-    ids = record.ids
-    counts: dict[int, int] = {}
-    if unit_nets:
-        gains = counts
-        for e in ids:
-            d = last_block[e]
-            if d < 0 or cutnet and cut[e]:
-                continue
-            counts[d] = counts.get(d, 0) + 1
-    else:
-        gains = {}
-        for e, w in zip(ids, record.weights):
-            d = last_block[e]
-            if d < 0 or cutnet and cut[e]:
-                continue
-            gains[d] = gains.get(d, 0.0) + w
-            counts[d] = counts.get(d, 0) + 1
+    with ``min_block``), the state's writes through ``state.assign`` and the
+    per-net state in the three-state :class:`NetTracker`: the oracle of the
+    chunk kernel ``freight.freight_assign``."""
+    gains, counts = net_gains(record, tracker, cutnet)
     lightest = blocks.min_block()
     if lightest not in counts:
         gains[lightest] = counts[lightest] = 0
@@ -698,18 +689,7 @@ def record_freight_assign(record, state: PartitionState, tracker,
     if best < 0:
         state.violations += 1
         best = lightest
-    state.assign(record.id, best, weight)
-    if unit:
-        blocks.increment(best)
-    if cutnet:
-        for e in ids:
-            d = last_block[e]
-            if d != best and d >= 0:
-                cut[e] = 1
-            last_block[e] = best
-    else:
-        for e in ids:
-            last_block[e] = best
+    commit(record, best, state, tracker, blocks, unit)
     return best
 
 

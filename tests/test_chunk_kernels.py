@@ -13,7 +13,7 @@ import pytest
 
 from streamdecomp import cli, streams
 from streamdecomp.bench import read_rows
-from streamdecomp.freight import NetTracker, SortedBlocks, freight_assign, \
+from streamdecomp.freight import CUT, SortedBlocks, freight_assign, \
     run_freight
 from streamdecomp.metrics import comm_cost, edge_cut
 from streamdecomp.multisection import HierarchySpec, OmsConfig, \
@@ -26,7 +26,7 @@ from streamdecomp.streams import FormatError, MemoryStream, \
     open_hypergraph_node_stream
 
 from generators import random_graph, random_hypergraph, run_setup
-from reference import ScanMinBlock, batch_fennel_assign, \
+from reference import NetTracker, ScanMinBlock, batch_fennel_assign, \
     batch_ldg_assign, check_penalty_table, parse_node_lines, \
     record_comm_cost, record_cut_net_and_connectivity, record_edge_cut, \
     record_freight_assign, record_oms_assign, stream_records
@@ -101,25 +101,27 @@ class TestFreightLockstep:
             for epsilon in (0.0, 0.03):
                 got, params = run_setup(memory, k, epsilon)
                 expected, _ = run_setup(memory, k, epsilon)
-                trackers = NetTracker(header.m), NetTracker(header.m)
+                last_block, tracker = [-1] * header.m, NetTracker(header.m)
                 blocks = SortedBlocks(k), SortedBlocks(k)
                 least = blocks[1] if unit else \
                     ScanMinBlock(expected.block_weight)
                 for chunk, records in _chunks_and_records(stream, memory):
-                    freight_assign(chunk, got, trackers[0], blocks[0],
+                    freight_assign(chunk, got, last_block, blocks[0],
                                    cutnet, params)
                     for record in records:
-                        record_freight_assign(
-                            record, expected, trackers[1], least, cutnet,
-                            params, unit, not header.has_item_weights)
+                        record_freight_assign(record, expected, tracker,
+                                              least, cutnet, params, unit)
                     where = (k, epsilon, chunk[0])
                     assert _blocks_state(got) == _blocks_state(expected), \
                         where
-                    assert trackers[0].last_block == trackers[1].last_block
-                    assert trackers[0].cut == trackers[1].cut, where
+                    # CUT exactly where the three-state oracle's net is
+                    # cut, under cut-net only; the last block elsewhere
+                    assert last_block == tracker.kernel_last_block(cutnet), \
+                        where
                     assert [(b.a, b.b, b.card, b.end) for b in blocks[:1]] \
                         == [(b.a, b.b, b.card, b.end) for b in blocks[1:]]
                     chunks += 1
+                assert (CUT in last_block) == cutnet   # never under con
                 assert got.assignment == run_freight(
                     stream, *run_setup(memory, k, epsilon),
                     "cutnet" if cutnet else "connectivity").assignment

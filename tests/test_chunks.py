@@ -11,8 +11,11 @@ from itertools import chain
 import pytest
 
 from streamdecomp import cli, streams
-from streamdecomp.metrics import cut_net_and_connectivity
-from streamdecomp.onepass import require_reiterable
+from streamdecomp.freight import run_freight
+from streamdecomp.heistream import HeiStreamConfig, run_heistream
+from streamdecomp.metrics import cut_net_and_connectivity, edge_cut
+from streamdecomp.onepass import FennelParams, OnePassConfig, run_restream
+from streamdecomp.partition import PartitionState
 from streamdecomp.streams import FormatError, MemoryStream, \
     StreamedNodeRecord, StreamHeader, _write_node_lines, \
     open_hypergraph_node_stream
@@ -108,7 +111,6 @@ def test_memory_stream_chunk_has_the_parsed_columns(tmp_path, spool_dir,
     assert all(map(operator.is_, again, parsed))
     assert list(stream_records(memory)) == list(stream_records(memory)) \
         == list(stream_records(stream))   # from the replay
-    require_reiterable(memory)
     one = list(MemoryStream.from_records(stream.header,
                                          list(stream_records(memory)))
                .chunks())
@@ -183,10 +185,35 @@ def test_memory_stream_names_a_record_out_of_place(ids, message):
                                    for i in ids])
 
 
+@pytest.mark.parametrize("header, rows", [
+    (StreamHeader(3, 2, 4), [[1], [0, -1], [1]]),      # path 0-1-2, edge 1-2
+    (StreamHeader(3, 2, 5, has_item_weights=True),
+     [[0], [0, -1], [-2, 1]])],                        # nets 0 and 1
+    ids=["graph", "hypergraph"])
+def test_memory_stream_names_a_record_with_a_negative_id(header, rows):
+    # -1 would read the last node's block, or the block of net m-1
+    records = [StreamedNodeRecord(v, 1, ids, [2] * len(ids))
+               for v, ids in enumerate(rows)]
+    with pytest.raises(ValueError, match="^record 1 lists negative id -1$"):
+        MemoryStream.from_records(header, records)
+
+
 def test_memory_stream_refuses_records_for_chunks():
+    # a record is no chunk of columns: each first reader fails to unpack
+    # it, before any node is placed
     records = [StreamedNodeRecord(i, 1, [1 - i], [1]) for i in range(2)]
-    with pytest.raises(TypeError, match="from_records"):
-        MemoryStream(StreamHeader(2, 1, 2), records)
+    stream = MemoryStream(StreamHeader(2, 1, 2), records)
+    params = FennelParams(alpha=1.0)
+    for run in (lambda state: run_restream(
+                    stream, OnePassConfig("ldg", passes=2), state, params),
+                lambda state: run_heistream(
+                    stream, HeiStreamConfig(delta=2), state, params),
+                lambda state: run_freight(stream, state, params, "cutnet"),
+                lambda state: edge_cut(stream, [0, 1])):
+        state = PartitionState(2, 2, 0.03, 2)
+        with pytest.raises(TypeError, match="unpack"):
+            run(state)
+        assert state.assignment == [-1, -1]
     assert list(MemoryStream(StreamHeader(2, 1, 2), []).chunks()) == []
 
 

@@ -23,11 +23,11 @@ def freight(stream, k, objective="connectivity", **setup):
     return run_freight(stream, *run_setup(stream, k, **setup), objective)
 
 
-def place(record, state, tracker, blocks, cutnet, params, header=None):
+def place(record, state, last_block, blocks, cutnet, params, header=None):
     """Place one record by the chunk kernel, as a chunk of one node with the
     weight columns ``header``'s flags give (none without a header); its
     block."""
-    freight_assign(chunk_of([record], header), state, tracker, blocks,
+    freight_assign(chunk_of([record], header), state, last_block, blocks,
                    cutnet, params)
     return state.assignment[record.id]
 
@@ -50,38 +50,54 @@ class TestNetTracker:
         assert t.status[0] == CUT and t.last_block[0] == 2   # cut is absorbing
 
     def test_tracker_soundness_on_random_run(self):
-        # Under cut-net, where the production tracker keeps its cut flags:
-        # a flag agrees with the three-state method and with the pins.
+        # Under cut-net: a net's last_block entry is freight.CUT exactly
+        # where the three-state method and the pins say it is cut, and the
+        # block of its last placed pin (-1 if none) everywhere else.
         rng = random.Random(77)
         stream = random_hypergraph(rng, 60, 80, max_pins=5)
         header = stream.header
         state = PartitionState(header.n, 4, 0.03, header.n)
-        tracker = freight_module.NetTracker(header.m)
+        last_block = [-1] * header.m
         oracle = NetTracker(header.m)
         blocks = SortedBlocks(4)
         params = FennelParams(alpha=0.5)
         pins_seen: dict[int, list[int]] = {}
         for record in stream_records(stream):
-            b = place(record, state, tracker, blocks, True, params)
+            b = place(record, state, last_block, blocks, True, params)
             for e in record.ids:
                 pins_seen.setdefault(e, []).append(b)
                 oracle.observe(e, b)
-        assert pins_seen and any(tracker.cut)
+        assert pins_seen and freight_module.CUT in last_block
         for e in range(header.m):
             blocks_of_e = pins_seen.get(e, [])
             # cut iff pins streamed so far span >= 2 blocks
-            assert tracker.cut[e] == (len(set(blocks_of_e)) >= 2) == \
+            cut = len(set(blocks_of_e)) >= 2
+            assert (last_block[e] == freight_module.CUT) == cut == \
                 oracle.is_cut(e)
-            assert tracker.last_block[e] == \
-                (blocks_of_e[-1] if blocks_of_e else -1) == oracle.last_block[e]
+            assert oracle.last_block[e] == \
+                (blocks_of_e[-1] if blocks_of_e else -1)
+            if not cut:
+                assert last_block[e] == oracle.last_block[e]
 
 
 def make_assign_ctx(n, m, k, alpha=0.5):
     state = PartitionState(n, k, 0.03, n)
-    tracker = freight_module.NetTracker(m)
+    last_block = [-1] * m
     blocks = SortedBlocks(k)
     params = FennelParams(alpha=alpha)
-    return state, tracker, blocks, params
+    return state, last_block, blocks, params
+
+
+def place_cut_net_run(cutnet):
+    """The first four of 40 nodes at k=4: node 2 joins nets 1 and 2 in
+    block 0 (the tie on equal scores, counts and weights goes to the lower
+    index), so net 2, whose first pin went to block 3, is cut, and node 3
+    has net 2 alone.  The blocks chosen, and the per-net list after."""
+    state, last_block, blocks, params = make_assign_ctx(40, 3, 4, alpha=0.1)
+    chosen = [place(StreamedNodeRecord(v, 1, ids, [1] * len(ids)), state,
+                    last_block, blocks, cutnet, params)
+              for v, ids in enumerate([[0, 1], [2], [1, 2], [2]])]
+    return chosen, last_block
 
 
 class TestFreightAssign:
@@ -109,32 +125,26 @@ class TestFreightAssign:
         assert chosen == expected
 
     def test_cutnet_ignores_already_cut_net(self):
-        state, tracker, blocks, params = make_assign_ctx(5, 1, 4)
+        state, last_block, blocks, params = make_assign_ctx(5, 1, 4)
         cutnet = True
         place(StreamedNodeRecord(0, 1, [0], [1]), state,
-                       tracker, blocks, cutnet, params)
-        b0 = state.assignment[0]
-        # force the net to be cut: second pin lands elsewhere only if gain
-        # loses to the penalty; instead cut it directly via the tracker
-        tracker.last_block[0] = (b0 + 1) % 4
-        tracker.cut[0] = 1
+              last_block, blocks, cutnet, params)
+        # mark the net cut, as a second pin in another block would
+        last_block[0] = freight_module.CUT
         # now a node whose only net is cut falls through to the min query
         before = blocks.min_block()
         chosen = place(StreamedNodeRecord(1, 1, [0], [1]),
-                                state, tracker, blocks, cutnet, params)
+                       state, last_block, blocks, cutnet, params)
         assert chosen == before
 
+    def test_cutnet_drops_a_net_cut_by_the_stream(self):
+        # node 3's only net is cut, so it falls through to the min block
+        assert place_cut_net_run(True) == \
+            ([0, 3, 0, 2], [0, 0, freight_module.CUT])
+
     def test_connectivity_counts_cut_nets_via_last_block(self):
-        state, tracker, blocks, params = make_assign_ctx(5, 1, 4, alpha=0.1)
-        cutnet = False
-        place(StreamedNodeRecord(0, 1, [0], [1]), state,
-                       tracker, blocks, cutnet, params)
-        b0 = state.assignment[0]
-        assert tracker.last_block[0] == b0   # d_e = b0
-        tracker.cut[0] = 1                   # but mark it cut
-        chosen = place(StreamedNodeRecord(1, 1, [0], [1]),
-                                state, tracker, blocks, cutnet, params)
-        assert chosen == b0             # still attracted to d_e
+        # the cut net's last block 0 still draws node 3; no CUT is written
+        assert place_cut_net_run(False) == ([0, 3, 0, 0], [0, 0, 0])
 
 
 class TestOracleEquivalence:
@@ -171,7 +181,7 @@ class TestOracleEquivalence:
                     max_pins=7, max_net_weight=max_net_weight,
                     max_node_weight=max_node_weight)
                 sides = []
-                for tracker in (freight_module.NetTracker(stream.header.m),
+                for tracker in ([-1] * stream.header.m,
                                 NetTracker(stream.header.m)):
                     state, params = run_setup(stream, k, epsilon=epsilon)
                     blocks = SortedBlocks(k) if unit else \
@@ -185,11 +195,8 @@ class TestOracleEquivalence:
                     expected = naive_freight_assign(
                         record, slow, slow_t, slow_b, cutnet, params, unit)
                     assert chosen == expected, f"k={k} node {record.id}"
-                    # the cut flags live only under cut-net
-                    assert fast_t.cut == (bytearray(
-                        s == CUT for s in slow_t.status) if cutnet
-                        else bytearray(len(slow_t.status)))
-                    assert fast_t.last_block == slow_t.last_block
+                    # CUT where the oracle's net is cut, under cut-net only
+                    assert fast_t == slow_t.kernel_last_block(cutnet)
                     assert fast.block_weight == slow.block_weight
                     assert fast.violations == slow.violations
                 violations += fast.violations
@@ -232,7 +239,7 @@ class TestWeightedNodes:
                                            max_node_weight=20)
                 fast = freight(stream, k, objective, epsilon=0.0)
                 state, params = run_setup(stream, k, epsilon=0.0)
-                tracker = freight_module.NetTracker(stream.header.m)
+                tracker = NetTracker(stream.header.m)
                 for record in stream_records(stream):
                     record_freight_assign(record, state, tracker,
                                           ScanMin(state),

@@ -15,7 +15,7 @@ from streamdecomp.partition import PartitionState, compute_lmax
 from streamdecomp.streams import FormatError, MemoryStream, \
     StreamedNodeRecord, StreamHeader, open_graph_stream
 
-from generators import (graph_stream_from_edges, gnp_graph,
+from generators import (chunk_of, graph_stream_from_edges, gnp_graph,
                         hypergraph_stream_from_nets, random_graph,
                         random_hypergraph)
 from reference import (check_consistency, distance_matrix,
@@ -163,20 +163,22 @@ class TestCutNetConnectivity:
     @pytest.mark.parametrize("net, fault", [(-1, "negative"),
                                             (2, "not below m=2")])
     def test_net_id_out_of_range_is_named(self, net, fault):
-        # a negative id would otherwise count as net m-1: (1, 1) here
-        stream = MemoryStream.from_records(
-            StreamHeader(2, 2, 2), [StreamedNodeRecord(0, 1, [net], [1]),
-                                    StreamedNodeRecord(1, 1, [1], [1])])
+        # a negative id would otherwise count as net m-1: (1, 1) here;
+        # from_records refuses one, so the chunk is built by hand
+        stream = MemoryStream(StreamHeader(2, 2, 2), [chunk_of(
+            [StreamedNodeRecord(0, 1, [net], [1]),
+             StreamedNodeRecord(1, 1, [1], [1])])])
         with pytest.raises(ValueError, match=f"^node 0: a net id is {fault}$"):
             cut_net_and_connectivity(stream, [0, 1])
 
     @pytest.mark.parametrize("net", [-3, 3])
-    def test_bad_net_id_in_a_later_chunk_names_its_node(self, monkeypatch,
-                                                        net):
-        monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    def test_bad_net_id_in_a_later_chunk_names_its_node(self, net):
         records = [StreamedNodeRecord(i, 1, [0, 1], [1, 1]) for i in range(5)]
         records[3].ids = [1, net]
-        stream = MemoryStream.from_records(StreamHeader(5, 3, 10), records)
+        # two nodes a chunk, so node 3 is in the second
+        stream = MemoryStream(StreamHeader(5, 3, 10),
+                              [chunk_of(records[i:i + 2])
+                               for i in range(0, 5, 2)])
         with pytest.raises(ValueError, match="^node 3: a net id is "):
             cut_net_and_connectivity(stream, [0, 1, 0, 1, 0])
 
@@ -189,10 +191,10 @@ class TestCutNetConnectivity:
         ([0, 1, -1, 0], [7, 5, 1, 8], "node 1: a net id is negative"),
         ([0, 1, -1, 1], [7, 5, 5, 5], "node 1: a net id is negative")])
     def test_first_fault_pin_by_pin(self, ids, weights, fault):
-        stream = MemoryStream.from_records(
-            StreamHeader(2, 2, 4, has_item_weights=True),
+        header = StreamHeader(2, 2, 4, has_item_weights=True)
+        stream = MemoryStream(header, [chunk_of(
             [StreamedNodeRecord(0, 1, ids[:2], weights[:2]),
-             StreamedNodeRecord(1, 1, ids[2:], weights[2:])])
+             StreamedNodeRecord(1, 1, ids[2:], weights[2:])], header)])
         with pytest.raises(ValueError, match=f"^{fault}"):
             cut_net_and_connectivity(stream, [0, 1])
 

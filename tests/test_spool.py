@@ -302,15 +302,17 @@ def test_no_spool_survives_a_failing_run(tmp_path, spool_dir, monkeypatch,
 
 
 def test_restreaming_rejects_a_one_shot_iterator():
+    # a stream is a header plus chunks(): an iterator of records has
+    # neither, and fails at the first chunks() call, before any placement
     stream = graph_stream_from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     state, params = run_setup(stream, 2)
-    with pytest.raises(TypeError, match="re-iterable"):
+    with pytest.raises(AttributeError, match="chunks"):
         run_restream(stream_records(stream),
                      OnePassConfig("fennel", passes=2), state, params)
-    with pytest.raises(TypeError, match="re-iterable"):
+    with pytest.raises(AttributeError, match="chunks"):
         run_restream(iter(list(stream_records(stream))),
                      OnePassConfig("ldg", passes=3), state, params)
-    with pytest.raises(TypeError, match="re-iterable"):
+    with pytest.raises(AttributeError, match="chunks"):
         run_heistream(stream_records(stream),
                       HeiStreamConfig(delta=2, passes=2), state, params)
     assert all(b == -1 for b in state.assignment)   # nothing ran
