@@ -33,7 +33,7 @@ from .heistream import HeiStreamConfig, run_heistream
 from .multisection import HierarchySpec, OmsConfig, int_list, run_oms
 from .onepass import FennelParams, OnePassConfig, run_onepass, run_restream
 from .partition import PartitionState
-from .streams import FormatError, MemoryStream, open_graph_stream, \
+from .streams import MemoryStream, open_graph_stream, \
     open_hypergraph_node_stream, read_partition, transpose_hmetis, \
     write_partition
 
@@ -398,7 +398,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, ValueError) as exc:   # FormatError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # a fault of the program, not of its input

@@ -533,46 +533,15 @@ def _seed_block_weights(model: BatchModel,
     return bw, true_bw
 
 
-def commit_batch(batch: tuple, blocks: list[int],
-                 state: PartitionState) -> None:
-    """Write the batch assignment into the global state using true weights.
-
-    Ghost-inflated model weights stay inside the model; global balance is
-    accounted with the weights the stream actually carried.
+def commit_batch(start: int, node_weight: Optional[list],
+                 blocks: list[int], state: PartitionState) -> None:
+    """Write the blocks of the batch of nodes ``start`` on into the global
+    state with the true weights ``node_weight`` (None: unit weights) the
+    stream carried; ghost-inflated model weights stay inside the model.
     """
-    start, _, _, _, node_weight = batch
     for v, block, weight in zip(count(start), blocks, repeat(1)
                                 if node_weight is None else node_weight):
         state.assign(v, block, weight)
-
-
-def partition_batch(chunks: Iterator[tuple], rest: list,
-                    state: PartitionState, config: HeiStreamConfig,
-                    params: FennelParams, rng: random.Random,
-                    restream: bool = False) -> bool:
-    """Load, partition and commit the next batch of ``chunks``; False at
-    the end of the pass.  A restream pass first unassigns the batch.
-
-    Only this frame holds the loaded batch, so its columns go when
-    ``build_model`` returns; ``uncoarsen_refine`` drops each coarser level
-    once it has left it.
-    """
-    batch = load_batch(chunks, config.delta, rest)
-    if batch is None:
-        return False
-    start, degrees, _, _, node_weight = batch
-    previous = list(map(state.unassign, range(start, start + len(degrees)),
-                        repeat(1) if node_weight is None else node_weight)) \
-        if restream else None
-    model = build_model(batch, state, config, rng, previous)
-    del batch, degrees   # commit_batch reads only start and node_weight
-    levels = coarsen(model, config, state, rng)
-    coarse_blocks = levels[-1].model.blocks if restream \
-        else initial_partition(levels[-1].model, state, params)
-    blocks = uncoarsen_refine(levels, coarse_blocks, state, config, params,
-                              rng)
-    commit_batch((start, None, None, None, node_weight), blocks, state)
-    return True
 
 
 def run_heistream(stream, config: HeiStreamConfig,
@@ -580,11 +549,28 @@ def run_heistream(stream, config: HeiStreamConfig,
     """Buffered streaming partitioning, optionally with restream passes.
 
     Each pass cuts its batches from ``stream.chunks()``, the same nodes in
-    the same order every time.
+    the same order every time, and loads, partitions and commits one batch
+    at a time.  A later pass first unassigns the batch, and its previous
+    blocks replace initial partitioning.  Only this frame holds the loaded
+    batch, so its columns go when ``build_model`` returns;
+    ``uncoarsen_refine`` drops each coarser level once it has left it.
     """
     rng = random.Random(config.seed)
     for p in range(config.passes):
         chunks, rest = stream.chunks(), []
-        while partition_batch(chunks, rest, state, config, params, rng, p > 0):
-            pass
+        while (batch := load_batch(chunks, config.delta, rest)) is not None:
+            start, degrees, _, _, node_weight = batch
+            previous = list(map(state.unassign,
+                                range(start, start + len(degrees)),
+                                repeat(1) if node_weight is None
+                                else node_weight)) if p else None
+            model = build_model(batch, state, config, rng, previous)
+            del batch, degrees   # commit_batch reads only start and node_weight
+            levels = coarsen(model, config, state, rng)
+            del model   # levels holds it until uncoarsen_refine drops it
+            coarse_blocks = levels[-1].model.blocks if p \
+                else initial_partition(levels[-1].model, state, params)
+            blocks = uncoarsen_refine(levels, coarse_blocks, state, config,
+                                      params, rng)
+            commit_batch(start, node_weight, blocks, state)
     return state

@@ -145,11 +145,12 @@ def fennel_block(gains: dict[int, float], bw: list, pen: list, load: list,
 # The chunk kernels below walk a chunk's spool columns by offsets, one slice
 # of ids per node and no record; they count a node's neighbor blocks, pop
 # the least block of a MinBlockHeap and make PartitionState.assign's and
-# unassign's writes in their own loop, to spare a call per step.  A row
-# whose edges all weigh 1 is counted in C by ``_count_elements`` (the
-# helper behind ``Counter.update``); its integer counts convert to the same
-# floats as sums of 1.0 wherever they meet a float.  Each kernel builds the
-# heap of the key it queries (Fennel the state's block weights, LDG the
+# unassign's writes in their own loop, to spare a call per step.  Each row
+# of a file without edge weights is counted in C by ``_count_elements``
+# (the helper behind ``Counter.update``); its integer counts convert to the
+# same floats as sums of 1.0 wherever they meet a float.  Each row of a
+# file with edge weights is summed, all-ones rows too.  Each kernel builds
+# the heap of the key it queries (Fennel the state's block weights, LDG the
 # pass's node counts) at the top of its call and pushes each block its
 # writes change.
 
@@ -202,12 +203,11 @@ def fennel_assign(chunk, state: PartitionState, params: FennelParams,
             best = lightest
         else:
             gains: dict[int, float] = {}
-            if weights is None or \
-                    (row := weights[pos:stop]).count(1) == degree:
+            if weights is None:
                 _count_elements(gains, map(block_of, ids[pos:stop]))
                 gains.pop(UNASSIGNED, None)
             else:
-                for v, w in zip(ids[pos:stop], row):
+                for v, w in zip(ids[pos:stop], weights[pos:stop]):
                     block = assignment[v]
                     if block != UNASSIGNED:
                         gains[block] = gains.get(block, 0.0) + w
@@ -258,11 +258,11 @@ def ldg_assign(chunk, state: PartitionState, free: list, counts: list,
         if restream:
             assignment[node] = UNASSIGNED
         gains: dict[int, float] = {}
-        if weights is None or (row := weights[pos:stop]).count(1) == degree:
+        if weights is None:
             _count_elements(gains, map(block_of, ids[pos:stop]))
             gains.pop(UNASSIGNED, None)
         else:
-            for v, w in zip(ids[pos:stop], row):
+            for v, w in zip(ids[pos:stop], weights[pos:stop]):
                 block = assignment[v]
                 if block != UNASSIGNED:
                     gains[block] = gains.get(block, 0.0) + w
@@ -312,43 +312,47 @@ def _fewest_feasible(weight: int, state: PartitionState, counts: list) -> int:
 
 def _place_pass(stream, algorithm: str, state: PartitionState,
                 params: FennelParams, restream: bool = False) -> None:
-    """One pass of Fennel or LDG over ``stream``: one penalty (Fennel) or
-    free-capacity and node-count (LDG) table for the pass, then the kernel
-    once per chunk of ``stream.chunks()``.  Every LDG pass starts from
-    empty blocks: a fresh state, or ReLDG's cleared one."""
+    """One pass of hashing, Fennel or LDG over ``stream``: one penalty
+    (Fennel) or free-capacity and node-count (LDG) table for the pass, then
+    the kernel once per chunk of ``stream.chunks()``.  Every LDG pass starts
+    from empty blocks: a fresh state, or ReLDG's, emptied here; the
+    assignment keeps serving neighbor lookups, and the pass places every
+    node again, so its weights end as the totals."""
     if algorithm == "ldg":
+        if restream:
+            state.block_weight[:] = [0] * state.k
         free = ldg_free(state.block_weight, state.l_max)
         counts = [0] * state.k
         for chunk in stream.chunks():
             ldg_assign(chunk, state, free, counts, restream)
-    else:
+    elif algorithm == "fennel":
         pen = fennel_penalties(state.block_weight, params)
         for chunk in stream.chunks():
             fennel_assign(chunk, state, params, pen, restream)
+    else:
+        k, l_max, block_weight = state.k, state.l_max, state.block_weight
+        for start, degrees, _, _, node_weight in stream.chunks():
+            for node, weight in zip(range(start, start + len(degrees)),
+                                    repeat(1) if node_weight is None
+                                    else node_weight):
+                block = hashing_assign(node, k)
+                state.assign(node, block, weight)
+                if block_weight[block] > l_max:
+                    state.violations += 1   # hashing ignores weights; flag it
 
 
 def run_onepass(stream, config: OnePassConfig, state: PartitionState,
                 params: FennelParams) -> PartitionState:
     """One full pass assigning every streamed node, read from
     ``stream.chunks()``; no record is built.  Returns the final state."""
-    if config.algorithm != "hashing":
-        _place_pass(stream, config.algorithm, state, params)
-        return state
-    k, l_max, block_weight = state.k, state.l_max, state.block_weight
-    for start, degrees, _, _, node_weight in stream.chunks():
-        for node, weight in zip(range(start, start + len(degrees)),
-                                repeat(1) if node_weight is None
-                                else node_weight):
-            block = hashing_assign(node, k)
-            state.assign(node, block, weight)
-            if block_weight[block] > l_max:
-                state.violations += 1   # hashing ignores weights; flag it
+    _place_pass(stream, config.algorithm, state, params)
     return state
 
 
 def run_restream(stream, config: OnePassConfig, state: PartitionState,
                  params: FennelParams) -> PartitionState:
-    """Multi-pass drivers ReLDG / ReFennel.
+    """Multi-pass drivers ReLDG / ReFennel: pass 1 is :func:`run_onepass`,
+    and every later pass one :func:`_place_pass` with ``restream``.
 
     Each pass reads ``stream.chunks()`` (a
     :class:`~streamdecomp.streams.NodeStream` or a ``MemoryStream``), the
@@ -367,15 +371,8 @@ def run_restream(stream, config: OnePassConfig, state: PartitionState,
     run_onepass(stream, config, state, params)
     if config.algorithm == "hashing":
         return state
-
     for p in range(1, config.passes):
-        if config.algorithm == "ldg":
-            # The pass places every node again, so its weights end as the
-            # totals; the assignment keeps serving neighbor lookups.
-            state.clear_blocks()
-            _place_pass(stream, "ldg", state, params, restream=True)
-        else:
-            pass_params = FennelParams(gamma=params.gamma,
-                                       alpha=params.alpha * growth ** p)
-            _place_pass(stream, "fennel", state, pass_params, restream=True)
+        _place_pass(stream, config.algorithm, state,
+                    FennelParams(params.gamma, params.alpha * growth ** p)
+                    if config.algorithm == "fennel" else params, True)
     return state

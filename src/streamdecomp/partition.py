@@ -92,7 +92,3 @@ class PartitionState:
         self.assignment[node] = UNASSIGNED
         self.block_weight[block] -= weight
         return block
-
-    def clear_blocks(self) -> None:
-        """Empty every block in place; the assignment stays."""
-        self.block_weight[:] = [0] * self.k

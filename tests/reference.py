@@ -114,7 +114,8 @@ def fennel_gain(weighted_degree_to_block: float, node_weight: int,
 
 def _neighbor_gains(record, assignment) -> dict[int, float]:
     """Summed edge weight per neighbor block, one row entry at a time: the
-    oracle of ``onepass._gains_per_block``, which counts unit rows in C."""
+    oracle of the kernels' gain count, which counts every row of a file
+    without edge weights in C."""
     gains: dict[int, float] = {}
     for v, w in zip(record.ids, record.weights):
         block = assignment[v]
@@ -458,7 +459,7 @@ def run_records(stream, config, state: PartitionState, params: FennelParams,
     for p in range(config.passes):
         if config.algorithm == "ldg":
             if p:
-                state.clear_blocks()
+                state.block_weight[:] = [0] * state.k
             counts = [0] * state.k
             for record in stream_records(stream):
                 if p:

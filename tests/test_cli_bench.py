@@ -383,9 +383,30 @@ class TestCliErrors:
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["partition", "--input", "x"]) == 1   # missing --k
 
-    def test_missing_file_is_exit_2(self, capsys, tmp_path):
-        assert main(["partition", "--input", str(tmp_path / "nope.graph"),
-                     "--k", "2"]) == 2
+    # A path that cannot be opened as asked is an input error naming the
+    # path: missing, a directory, or under a regular file.
+    @pytest.mark.parametrize("argv, path", [
+        ("partition --input nope.graph --k 2", "nope.graph"),
+        ("partition --input dir --k 2", "dir"),
+        ("partition --input tiny.graph --k 2 --output dir", "dir"),
+        ("partition --input tiny.graph --k 2 --metrics-json dir", "dir"),
+        ("metrics --input tiny.graph --partition dir", "dir"),
+        ("transpose --input tiny.hgr --output dir", "dir"),
+        ("partition --input tiny.graph --k 2 --output tiny.graph/x.part",
+         "tiny.graph/x.part"),
+    ], ids=["missing-input", "dir-input", "dir-output", "dir-metrics-json",
+            "dir-partition", "dir-transpose-output", "output-under-file"])
+    def test_unopenable_path_is_exit_2(self, tmp_path, capsys, argv, path):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "tiny.graph").write_text("4 4\n2 4\n1 3\n2 4\n1 3\n")
+        (tmp_path / "tiny.hgr").write_text("2 3\n1 2\n2 3\n")
+        argv = [str(tmp_path / token) if token.startswith(("nope", "dir",
+                                                           "tiny"))
+                else token for token in argv.split()]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert str(tmp_path / path) in err
 
     def test_malformed_file_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"

@@ -105,7 +105,7 @@ class TestBuildModel:
                 random.Random(0))
             assert model.num_art == num_art
             assert _model_fields(model) == _model_fields(expected)
-            commit_batch(batch, [start // 2, 0], state)
+            commit_batch(batch[0], batch[4], [start // 2, 0], state)
         assert state.block_weight == [0, 0, 0]
 
     def test_parallel_past_edges_merge(self):
@@ -200,8 +200,8 @@ class TestBuildModel:
                 assert _model_fields(got) == _model_fields(expected)
                 assert run_rng.getstate() == random.Random(trial).getstate()
                 single += got.num_art == 0
-                commit_batch(batch, [rng.randrange(k) for _ in records],
-                             state)
+                commit_batch(batch[0], batch[4],
+                             [rng.randrange(k) for _ in records], state)
             reference.check_consistency(state, weights)
         assert single > 0   # n == delta: one batch, no artificial nodes
 
@@ -497,10 +497,13 @@ class TestRefinement:
 
 class TestCommitAndRun:
     def test_commit_uses_true_weights(self):
-        state = PartitionState(3, 2, 1.0, 3)
-        batch = (0, [1, 1], [2, 2], None, None)
-        commit_batch(batch, [0, 0], state)
-        assert state.block_weight == [2, 0]   # no ghost inflation committed
+        # the stream's node weights (None: unit), never a model's ghost-
+        # inflated ones
+        state = PartitionState(3, 2, 1.0, 8)
+        commit_batch(0, [3, 4], [0, 1], state)
+        commit_batch(2, None, [1], state)
+        assert state.assignment == [0, 1, 1]
+        assert state.block_weight == [3, 5]
 
     def test_full_run_assigns_everyone(self):
         rng = random.Random(71)
@@ -526,7 +529,7 @@ class TestCommitAndRun:
             blocks = uncoarsen_refine(
                 levels, initial_partition(levels[-1].model, state, params),
                 state, config, params, rng_run)
-            commit_batch(batch, blocks, state)
+            commit_batch(batch[0], batch[4], blocks, state)
         assert sum(state.block_weight) == 120
 
     def test_delta_covering_n_single_batch_no_artificial(self):
@@ -899,11 +902,11 @@ class TestBatchCutLockstep:
             assert rng.getstate() == twin_rng.getstate()
             return got
 
-        def checked_commit(batch, blocks, state):
+        def checked_commit(start, node_weight, blocks, state):
             expected = copy.deepcopy(state)
             reference.record_commit_batch(current["records"], blocks,
                                           expected)
-            commit(batch, blocks, state)
+            commit(start, node_weight, blocks, state)
             assert _state_fields(state) == _state_fields(expected)
 
         with monkeypatch.context() as patch:

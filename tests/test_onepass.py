@@ -440,7 +440,10 @@ class TestCandidateSelection:
     @pytest.mark.parametrize("passes", [1, 3])
     def test_random_graphs_match_scan(self, weighted, passes):
         # "mixed" draws edge weights 1-2, so rows whose edges all weigh 1
-        # (counted in C) sit next to weighted rows in one graph
+        # sit next to weighted rows in one graph.  The kernels sum every
+        # row of a file with edge weights, all-ones rows too, and count
+        # every row of one without (False, counted in C); the scan oracle
+        # sums every row, so both ways must give its floats
         max_edge_weight, max_node_weight, salt = {
             False: (1, 1, 0), True: (5, 20, 1), "mixed": (2, 1, 2)}[weighted]
         rng = random.Random(1000 + 10 * passes + salt)
@@ -706,8 +709,8 @@ def _lockstep(stream, algorithm, k, epsilon, batch, passes, growth=2.0):
                                    alpha=params.alpha * growth ** p)
         if algorithm == "ldg":
             if restream:
-                got.clear_blocks()
-                expected.clear_blocks()
+                got.block_weight[:] = [0] * got.k
+                expected.block_weight[:] = [0] * expected.k
             fresh = lambda: ldg_free(got.block_weight, got.l_max)
         else:
             fresh = lambda: fennel_penalties(got.block_weight, pass_params)
