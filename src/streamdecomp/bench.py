@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 CSV_COLUMNS = ["edge_cut", "cut_net", "connectivity", "imbalance",
                "comm_cost", "runtime_ms", "algorithm", "k", "epsilon", "seed"]
@@ -28,18 +28,13 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def write_rows(path: str, rows: Iterable[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({c: ("" if row.get(c) is None else row.get(c))
-                             for c in CSV_COLUMNS})
-
-
-def read_rows(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+def write_rows(fh: TextIO, rows: Iterable[dict]) -> None:
+    """Write the header and ``rows`` to ``fh``, opened with ``newline=""``."""
+    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({c: ("" if row.get(c) is None else row.get(c))
+                         for c in CSV_COLUMNS})
 
 
 def summarize(rows: Iterable[dict]) -> list[dict]:

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from operator import itemgetter
 from pathlib import Path
 
@@ -303,7 +303,8 @@ def _emit(report: dict, spec) -> None:
     else:
         sys.stdout.write(text)
     if spec.metrics_csv:
-        bench_mod.write_rows(spec.metrics_csv, [report])
+        with open(spec.metrics_csv, "w", newline="") as fh:
+            bench_mod.write_rows(fh, [report])
 
 
 def cmd_run(args) -> int:
@@ -327,6 +328,8 @@ def cmd_metrics(args) -> int:
     opener = open_hypergraph_node_stream if args.hypergraph \
         else open_graph_stream
     with closing(opener(args.input)) as stream:
+        # Only the node-weight recount reads the stream twice.
+        stream.spool = stream.header.has_node_weights
         assignment = read_partition(args.partition, stream.header.n, k)
         if k is None:
             k = max(assignment) + 1
@@ -346,8 +349,8 @@ def cmd_transpose(args) -> int:
 
 def cmd_bench(args) -> int:
     """Each grid cell is a ``partition --time-core`` run parsed by the
-    partition subparser, so the cells share its defaults; every algorithm
-    name is checked before the first cell runs."""
+    partition subparser, so the cells share its defaults.  Every argument
+    is checked and both outputs are opened before the first cell runs."""
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
     parser = _parser()
@@ -357,17 +360,19 @@ def cmd_bench(args) -> int:
     if bad := [name for name in algorithms if name not in GRAPH_ALGOS]:
         raise UsageError(f"argument --algorithms: invalid choice: {bad[0]!r} "
                          f"(choose from {', '.join(GRAPH_ALGOS)})")
-    rows = []
-    for path, algorithm, k, rep in itertools.product(
-            args.input, algorithms, ks, range(args.repeats)):
-        rows.append(execute(parser.parse_args([
+    cells = itertools.product(args.input, algorithms, ks, range(args.repeats))
+    with ExitStack() as files:
+        csv_file = files.enter_context(open(args.output, "w", newline=""))
+        summary_file = files.enter_context(open(args.summary, "w")) \
+            if args.summary else None
+        rows = [execute(parser.parse_args([
             "partition", "--input", path, "--algorithm", algorithm,
             "--k", str(k), "--seed", str(args.seed + rep), *forwarded,
-            "--time-core"])))
-    bench_mod.write_rows(args.output, rows)
-    if args.summary:
-        summary = bench_mod.summarize(rows)
-        Path(args.summary).write_text(json.dumps(summary, indent=2) + "\n")
+            "--time-core"])) for path, algorithm, k, rep in cells]
+        bench_mod.write_rows(csv_file, rows)
+        if summary_file is not None:
+            summary = bench_mod.summarize(rows)
+            summary_file.write(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 

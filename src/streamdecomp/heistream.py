@@ -1,8 +1,9 @@
 """Buffered streaming graph partitioning with a multilevel scheme per batch.
 
 Each batch of delta nodes becomes a small model graph: the batch subgraph,
-one fixed artificial node per block representing everything already assigned,
-and (extended model) future neighbors contracted into random in-batch hosts
+one fixed artificial node per block representing everything already assigned
+(it weighs what the block holds, which ``state.block_weight`` keeps), and
+(extended model) future neighbors contracted into random in-batch hosts
 with their edge weights halved.  The model is coarsened by size-constrained
 label propagation, whose cluster cap counts only the weight that can be
 committed while the batch's clusters exist (``cluster_cap``), the coarsest
@@ -79,7 +80,9 @@ class BatchModel:
     """Model graph of one batch: batch nodes first, artificial nodes last.
 
     Batch node i is the batch's i-th streamed node; artificial node
-    ``num_batch + j`` stands for block j and is fixed.  Adjacency is stored
+    ``num_batch + j`` stands for block j and is fixed.  It is an id only:
+    its weight is ``state.block_weight[j]``, so ``weight`` and
+    ``true_weight`` list the batch nodes alone.  Adjacency is stored
     on batch nodes only (artificial nodes never move, so their own lists are
     never read), each row a list of ``(id, weight)`` sorted by id with no id
     twice, so its batch entries come first.  Ghost contraction may leave
@@ -89,9 +92,8 @@ class BatchModel:
     def __init__(self, num_batch: int, num_art: int):
         self.num_batch = num_batch
         self.num_art = num_art
-        n = num_batch + num_art
-        self.weight: list[float] = [0] * n        # scoring weight (ghost-inflated)
-        self.true_weight: list[int] = [0] * n     # committed weight (capacity)
+        self.weight: list[float] = [0] * num_batch   # scored, ghost-inflated
+        self.true_weight: list[int] = [0] * num_batch   # capacity, committed
         self.adj: list[list[tuple[int, float]]] = [[] for _ in range(num_batch)]
         self.blocks: Optional[list[int]] = None   # previous pass's blocks
         self.ghost_inflation = 0                  # total contracted ghost weight
@@ -148,7 +150,7 @@ def build_model(batch: tuple, state: PartitionState, config: HeiStreamConfig,
     num_art = state.k if (nb < state.n if blocks is not None else start) else 0
     model = BatchModel(nb, num_art)
     model.blocks = blocks
-    model.weight[:nb] = model.true_weight[:nb] = \
+    model.weight[:] = model.true_weight[:] = \
         [1] * nb if node_weight is None else node_weight
 
     # One int per model node, shared by every row entry that names it.
@@ -188,7 +190,6 @@ def build_model(batch: tuple, state: PartitionState, config: HeiStreamConfig,
             edges[local][host] = edges[local].get(host, 0) + half
             edges[host][local] = edges[host].get(local, 0) + half
 
-    model.weight[nb:] = model.true_weight[nb:] = state.block_weight[:num_art]
     model.adj = _sort_rows(edges)
     return model
 
@@ -238,7 +239,7 @@ def _propagate_labels(model: BatchModel, cap: int, rounds: int,
                  if blocks[e[0]] == own_block]
                 for row, own_block in zip(model.adj, blocks)]
     cluster = list(range(nb))
-    cluster_weight = true_weight[:nb]
+    cluster_weight = true_weight[:]
     order = list(range(nb))
     for _ in range(rounds):
         _shuffle(rng, order)
@@ -292,7 +293,6 @@ def _propagate_labels(model: BatchModel, cap: int, rounds: int,
 
 def _contract(model: BatchModel, cluster: list[int]) -> tuple[BatchModel, list[int]]:
     """Contract a clustering; artificial nodes carry over one-to-one."""
-    nb = model.num_batch
     # Numbering clusters in the order of their first node keeps ids
     # deterministic.
     remap = dict.fromkeys(cluster)
@@ -307,10 +307,8 @@ def _contract(model: BatchModel, cluster: list[int]) -> tuple[BatchModel, list[i
     for cv, w, t in zip(cluster_map, model.weight, model.true_weight):
         weight[cv] += w
         true_weight[cv] += t
-    weight[coarse_nb:] = model.weight[nb:]
-    true_weight[coarse_nb:] = model.true_weight[nb:]
 
-    # Coarse id of every fine node; artificial node nb + j maps to coarse_nb + j.
+    # Coarse id of every fine node: artificial num_batch + j is coarse_nb + j.
     coarse_id = cluster_map + list(range(coarse_nb, coarse_nb + model.num_art))
     edges: list = [dict() for _ in range(coarse_nb)]
     for cv, row in zip(cluster_map, model.adj):
@@ -350,8 +348,7 @@ def cluster_cap(state: PartitionState, weight: int) -> int:
 def coarsen(model: BatchModel, config: HeiStreamConfig,
             state: PartitionState, rng: random.Random) -> list[_Level]:
     """Cluster and contract until the model is below max(|B|/(2xk), xk)."""
-    # The artificial nodes carry the committed block weights.
-    cap = cluster_cap(state, sum(model.true_weight))
+    cap = cluster_cap(state, sum(state.block_weight) + sum(model.true_weight))
     threshold = max(model.size // (2 * config.x * state.k),
                     config.x * state.k)
     levels: list[_Level] = []
@@ -371,15 +368,15 @@ def initial_partition(model: BatchModel, state: PartitionState,
                       params: FennelParams) -> list[int]:
     """Generalized Fennel on the coarsest model, by ``fennel_block``.
 
-    Block weights start from the artificial weights (the true committed block
-    weights); nodes are visited in ascending id order; ties break to the
-    lightest block, then the lowest index.  Scores see the ghost-inflated
-    weights, but the hard capacity check only counts weight that will be
-    committed, so ghosts can never unbalance the real partition.  The
-    penalty table of ``bw`` is rewritten for the block each node joins.
+    Block weights start from the committed ones in ``state``; nodes are
+    visited in ascending id order; ties break to the lightest block, then
+    the lowest index.  Scores see the ghost-inflated weights, but the hard
+    capacity check only counts weight that will be committed, so ghosts can
+    never unbalance the real partition.  The penalty table of ``bw`` is
+    rewritten for the block each node joins.
     """
     nb = model.num_batch
-    bw, true_bw = _seed_block_weights(model, [], state.k)
+    bw, true_bw = _seed_block_weights(model, [], state)
     by_bw = MinBlockHeap(bw)
     pen = fennel_penalties(bw, params)
     ag = params.alpha * params.gamma
@@ -511,22 +508,18 @@ def uncoarsen_refine(levels: list[_Level], coarse_blocks: list[int],
     while levels:   # the coarsest level maps to itself
         model, cluster_map = levels.pop()
         blocks = [blocks[c] for c in cluster_map]
-        bw, true_bw = _seed_block_weights(model, blocks, state.k)
+        bw, true_bw = _seed_block_weights(model, blocks, state)
         _refine_level(model, blocks, bw, true_bw, state, params,
                       config.localsearch_rounds, rng, strict)
         strict = False
     return blocks
 
 
-def _seed_block_weights(model: BatchModel,
-                        blocks: list[int], k: int) -> tuple[list, list]:
-    """Block weights of the artificial nodes plus those of ``blocks``."""
-    bw = [0.0] * k
-    true_bw = [0] * k
-    for j in range(model.num_art):
-        art = model.num_batch + j
-        bw[j] += model.weight[art]
-        true_bw[j] += model.true_weight[art]
+def _seed_block_weights(model: BatchModel, blocks: list[int],
+                        state: PartitionState) -> tuple[list, list]:
+    """``state``'s committed block weights plus the weights of ``blocks``."""
+    true_bw = state.block_weight[:]
+    bw = list(map(float, true_bw))   # float(w) is the float sum's 0.0 + w
     for v, b in enumerate(blocks):
         bw[b] += model.weight[v]
         true_bw[b] += model.true_weight[v]

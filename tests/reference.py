@@ -62,7 +62,7 @@ import numpy as np
 
 from streamdecomp import freight
 from streamdecomp.freight import SortedBlocks
-from streamdecomp.heistream import BatchModel, _seed_block_weights
+from streamdecomp.heistream import BatchModel
 from streamdecomp.multisection import TreeBlock, _hash_child, \
     heterogeneous_alpha
 from streamdecomp.onepass import FennelParams, fennel_block, run_onepass
@@ -1081,7 +1081,6 @@ def record_build_model(batch: list, state: PartitionState, config,
             edges[local][host] = edges[local].get(host, 0) + half
             edges[host][local] = edges[host].get(local, 0) + half
 
-    model.weight[nb:] = model.true_weight[nb:] = state.block_weight[:num_art]
     model.adj = [sorted(d.items()) for d in edges]
     return model
 
@@ -1093,12 +1092,15 @@ def record_commit_batch(batch: list, blocks: list[int],
         state.assign(record.id, block, record.weight)
 
 
-def restream_model(batch: list, state: PartitionState) -> BatchModel:
+def restream_model(batch: list,
+                   state: PartitionState) -> tuple[BatchModel, list[int]]:
     """Oracle of ``heistream.build_model`` on a later pass, built the way
     HeiStream once built it: with the batch still assigned, every neighbor
-    outside the batch becomes an artificial edge, and the batch's own
-    weights are subtracted from the artificial nodes.  No ghost forms, so
-    neither the model kind nor ``rng`` enters."""
+    outside the batch becomes an artificial edge, and the artificial
+    weights are the block weights minus the batch's own.  Returns the model
+    and those weights, which the state must hold once the batch is
+    unassigned.  No ghost forms, so neither the model kind nor ``rng``
+    enters."""
     start = batch[0].id
     end = batch[-1].id + 1
     nb = len(batch)
@@ -1122,24 +1124,20 @@ def restream_model(batch: list, state: PartitionState) -> BatchModel:
                 art = nb + block
                 edges[local][art] = edges[local].get(art, 0) + w
 
-    for j in range(num_art):
-        model.weight[nb + j] = state.block_weight[j]
-        model.true_weight[nb + j] = state.block_weight[j]
     # Artificial nodes represent every node outside this batch.
-    if num_art:
-        for local, record in enumerate(batch):
-            model.weight[nb + assignment[record.id]] -= record.weight
-            model.true_weight[nb + assignment[record.id]] -= record.weight
+    art_weight = list(state.block_weight)
+    for record in batch:
+        art_weight[assignment[record.id]] -= record.weight
     model.blocks = [assignment[r.id] for r in batch]
 
     model.adj = [sorted(d.items()) for d in edges]
-    return model
+    return model, art_weight
 
 
 def cluster_cap(state: PartitionState, model: BatchModel) -> int:
     """Oracle of the cap ``heistream.coarsen`` gives label propagation: W is
     the weight committed to the blocks plus the batch's own true weight,
-    counted from the state and the batch nodes, not the artificial ones."""
+    counted from the state and the batch nodes."""
     weight = sum(state.block_weight) + sum(model.true_weight[:model.num_batch])
     if state.k == 1:
         return max(1, state.l_max - weight)
@@ -1213,9 +1211,6 @@ def contract(model: BatchModel,
     for v in range(nb):
         coarse.weight[cluster_map[v]] += model.weight[v]
         coarse.true_weight[cluster_map[v]] += model.true_weight[v]
-    for j in range(model.num_art):
-        coarse.weight[coarse_nb + j] = model.weight[nb + j]
-        coarse.true_weight[coarse_nb + j] = model.true_weight[nb + j]
 
     edges: list[dict[int, float]] = [dict() for _ in range(coarse_nb)]
     for v in range(nb):
@@ -1237,9 +1232,11 @@ def contract(model: BatchModel,
 def scan_initial_partition(model: BatchModel, state: PartitionState,
                            params: FennelParams) -> list[int]:
     """Oracle of ``heistream.initial_partition``: scores all k blocks per
-    coarsest node through ``fennel_gain``, feasibility by ``true_bw``."""
+    coarsest node through ``fennel_gain``, feasibility by ``true_bw``; both
+    start from the state's committed block weights."""
     nb = model.num_batch
-    bw, true_bw = _seed_block_weights(model, [], state.k)
+    bw = [0.0 + w for w in state.block_weight]
+    true_bw = list(state.block_weight)
     blocks = [UNASSIGNED] * nb
     for v in range(nb):
         gains: dict[int, float] = {}

@@ -12,7 +12,6 @@ from itertools import islice
 import pytest
 
 from streamdecomp import cli, streams
-from streamdecomp.bench import read_rows
 from streamdecomp.freight import CUT, SortedBlocks, freight_assign, \
     run_freight
 from streamdecomp.metrics import comm_cost, edge_cut
@@ -30,6 +29,7 @@ from reference import NetTracker, ScanMinBlock, batch_fennel_assign, \
     batch_ldg_assign, check_penalty_table, parse_node_lines, \
     record_comm_cost, record_cut_net_and_connectivity, record_edge_cut, \
     record_freight_assign, record_oms_assign, stream_records
+from test_cli_bench import read_rows
 from test_multisection import _internal_blocks
 
 # fmt -> (item weights up to, node weights up to); the flags are written

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import math
@@ -11,8 +12,8 @@ import pytest
 
 import streamdecomp
 from streamdecomp import cli
-from streamdecomp.bench import (CSV_COLUMNS, geometric_mean, read_rows,
-                                summarize, write_rows)
+from streamdecomp.bench import CSV_COLUMNS, geometric_mean, summarize, \
+    write_rows
 from streamdecomp.cli import main
 from streamdecomp.multisection import HierarchySpec
 from streamdecomp.partition import UNASSIGNED, PartitionState, compute_lmax
@@ -20,6 +21,12 @@ from streamdecomp.streams import read_partition, write_graph
 
 from generators import random_graph, random_hypergraph
 from reference import stream_records
+
+
+def read_rows(path: str) -> list[dict]:
+    """The rows of a CSV that ``bench.write_rows`` wrote, values as text."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -91,7 +98,8 @@ class TestSummarize:
         import tempfile, os
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "rows.csv")
-            write_rows(path, rows)
+            with open(path, "w", newline="") as fh:
+                write_rows(fh, rows)
             loaded = read_rows(path)
         summary = summarize(loaded)
         assert len(summary) == 4
@@ -772,6 +780,42 @@ class TestCliBench:
             f"usage error: argument --algorithms: invalid choice: {bad!r} " \
             f"(choose from hashing, ldg, fennel, heistream, oms)\n"
         assert not out.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("bad", ["output", "summary"])
+    def test_bench_opens_its_outputs_first(self, graph_file, tmp_path,
+                                           capsys, monkeypatch, bad):
+        # a directory as --output or --summary fails with exit 2 before
+        # any cell runs, not after the whole grid
+        calls = []
+        monkeypatch.setattr(cli, "execute", lambda spec: calls.append(spec))
+        paths = {"output": tmp_path / "rows.csv",
+                 "summary": tmp_path / "summary.json", bad: tmp_path}
+        assert main(["bench", "--input", graph_file, "--algorithms",
+                     "fennel,ldg,heistream", "--k", "2,16",
+                     "--output", str(paths["output"]),
+                     "--summary", str(paths["summary"])]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and str(tmp_path) in err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_a_failing_cell_leaves_empty_outputs(self, graph_file, tmp_path,
+                                                 capsys, monkeypatch):
+        # a grid that fails part-way leaves the CSV and the summary it
+        # opened before the first cell empty
+        execute = cli.execute
+
+        def failing(spec):
+            if spec.algorithm == "ldg":
+                raise ValueError("cell failed")
+            return execute(spec)
+        monkeypatch.setattr(cli, "execute", failing)
+        out, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+        assert main(["bench", "--input", graph_file, "--algorithms",
+                     "hashing,fennel,ldg,heistream", "--k", "2",
+                     "--output", str(out), "--summary", str(summary)]) == 2
+        assert capsys.readouterr().err == "input error: cell failed\n"
+        assert out.read_text() == summary.read_text() == ""
 
     def test_non_integers_name_their_source(self, graph_file, tmp_path,
                                             capsys, monkeypatch):

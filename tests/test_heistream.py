@@ -27,16 +27,15 @@ def heistream(stream, k, **config):
                          *run_setup(stream, k))
 
 
-def model_cut_and_penalty(model: BatchModel, blocks, k, params):
+def model_cut_and_penalty(model: BatchModel, blocks, state, params):
     """Decision-relevant Fennel objective: cut weight plus weighted penalty.
 
     Both terms are conserved by contraction/projection, unlike the internal
-    edge sum (intra-cluster edges vanish at the coarse level).
+    edge sum (intra-cluster edges vanish at the coarse level).  The
+    artificial nodes weigh the state's block weights.
     """
     nb = model.num_batch
-    bw = [0.0] * k
-    for j in range(model.num_art):
-        bw[j] += model.weight[nb + j]
+    bw = [0.0 + w for w in state.block_weight]
     for v in range(nb):
         bw[blocks[v]] += model.weight[v]
     cut = 0.0
@@ -118,7 +117,9 @@ class TestBuildModel:
         assert model.num_art == 4
         art2 = model.num_batch + 2
         assert model.adj[0] == [(art2, 2)]
-        assert model.weight[art2] == 2   # block 2 weight at batch start
+        # the artificial node is an id: its weight stays in the state
+        assert len(model.weight) == len(model.true_weight) == 2
+        assert state.block_weight == [0, 0, 2, 0]
 
     def test_ghost_contraction_matches_explicit_reference(self):
         # ghost node 2 adjacent to both batch nodes: contracted into one of
@@ -154,8 +155,8 @@ class TestBuildModel:
         # node 0 connects to artificial of block 0 (future node 2) and
         # block 1 (future node 3)
         assert sorted(model.adj[0]) == [(2, 1), (3, 1)]
-        # artificial weights exclude the current batch
-        assert model.weight[2] == 1 and model.weight[3] == 1
+        # artificial weights, the state's, exclude the current batch
+        assert state.block_weight == [1, 1]
         assert model.blocks == [0, 1]
 
     def test_later_pass_rejects_unassigned_outside_neighbor(self):
@@ -193,8 +194,10 @@ class TestBuildModel:
             config = HeiStreamConfig(delta=delta, model=model)
             for batch in batches(stream, delta):
                 records = list(reference.chunk_records(*batch))
-                expected = reference.restream_model(records, state)
+                expected, art_weight = reference.restream_model(records,
+                                                                state)
                 previous = [state.unassign(r.id, r.weight) for r in records]
+                assert state.block_weight == art_weight
                 run_rng = random.Random(trial)
                 got = build_model(batch, state, config, run_rng, previous)
                 assert _model_fields(got) == _model_fields(expected)
@@ -328,13 +331,12 @@ class TestInitialPartition:
                 if rng.random() < 0.4:
                     edges[v][nb + rng.randrange(k)] = rng.randint(1, 2)
             model.adj = [sorted(d.items()) for d in edges]
-            for j in range(k):
-                model.true_weight[nb + j] = rng.randint(0, 4)
-                model.weight[nb + j] = model.true_weight[nb + j]
-            total = sum(model.true_weight)
+            art_weight = [rng.randint(0, 4) for _ in range(k)]
+            total = sum(model.true_weight) + sum(art_weight)
             epsilon = rng.choice([0.0, 0.2])
             state, oracle_state = (PartitionState(nb, k, epsilon, total)
                                    for _ in range(2))
+            state.block_weight[:] = oracle_state.block_weight[:] = art_weight
             params = FennelParams(alpha=0.7)
             got = initial_partition(model, state, params)
             expected = reference.scan_initial_partition(model, oracle_state,
@@ -349,10 +351,11 @@ class TestInitialPartition:
         # weight (10 < 11) but full by true weight (10 = L_max), while
         # block 1 (true weight 7) still fits node 1
         model = BatchModel(2, 2)
-        model.weight = [5, 1, 10, 6]
-        model.true_weight = [1, 1, 10, 6]
+        model.weight = [5, 1]
+        model.true_weight = [1, 1]
         model.adj = [[], []]
         state = PartitionState(2, 2, 0.0, 20)
+        state.block_weight = [10, 6]   # the artificial nodes' weights
         assert state.l_max == 10
         assert initial_partition(model, state, FennelParams()) == [1, 1]
         assert state.violations == 0
@@ -421,13 +424,13 @@ class TestRefinement:
         levels, coarse, state, config, params = self.build_partitioned_model()
         assert len(levels) >= 2, "instance too small to build a hierarchy"
         coarse_obj, coarse_cut = model_cut_and_penalty(
-            levels[-1].model, coarse, 4, params)
+            levels[-1].model, coarse, state, params)
         # project one level without refinement
         level = levels[-2]
         projected = [coarse[level.cluster_map[v]]
                      for v in range(level.model.num_batch)]
         fine_obj, fine_cut = model_cut_and_penalty(
-            level.model, projected, 4, params)
+            level.model, projected, state, params)
         assert fine_cut == pytest.approx(coarse_cut, abs=1e-9)
         assert fine_obj == pytest.approx(coarse_obj, abs=1e-9)
 
@@ -441,10 +444,10 @@ class TestRefinement:
         for level in reversed(levels[:-1]):
             projected = [projected[level.cluster_map[v]]
                          for v in range(level.model.num_batch)]
-        base_obj, _ = model_cut_and_penalty(finest, projected, 4, params)
+        base_obj, _ = model_cut_and_penalty(finest, projected, state, params)
         blocks = uncoarsen_refine(levels, coarse, state, config, params, rng)
         assert levels == []
-        refined_obj, _ = model_cut_and_penalty(finest, blocks, 4, params)
+        refined_obj, _ = model_cut_and_penalty(finest, blocks, state, params)
         assert refined_obj <= base_obj + 1e-9
 
     def test_node_already_in_best_block_stays(self, monkeypatch):
@@ -474,15 +477,16 @@ class TestRefinement:
         # one node tied between blocks 0 and 1 by one edge to each: the lax
         # rule moves it on a coin flip, the strict one never, and draws none
         model = BatchModel(1, 2)
-        model.weight, model.true_weight = [1, 1, 1], [1, 1, 1]
+        model.weight, model.true_weight = [1], [1]
         model.adj = [[(1, 1), (2, 1)]]
         state = PartitionState(3, 2, 1.0, 3)
+        state.block_weight = [1, 1]   # the artificial nodes' weights
         params = FennelParams(alpha=0.1)
         lax_moved = 0
         for seed in range(20):
             for strict in (False, True):
                 blocks = [0]
-                bw, true_bw = hs._seed_block_weights(model, blocks, 2)
+                bw, true_bw = hs._seed_block_weights(model, blocks, state)
                 rng = random.Random(seed)
                 before = rng.getstate()
                 gain = hs._refine_level(model, blocks, bw, true_bw, state,
@@ -756,10 +760,14 @@ class TestKernelsMatchReference:
                     if u != v:
                         edges[v][u] = rng.choice([0.5, 0.1, 1, 3])
             model.adj = [sorted(d.items()) for d in edges]
-            for j in range(k):
-                model.weight[nb + j] = rng.choice([0.3, 2.9])   # keeps bw > 0
+            # scoring weights of the artificial nodes, which keep bw > 0,
+            # and no committed weight
+            bw = [rng.choice([0.3, 2.9]) for _ in range(k)]
+            true_bw = [0] * k
             blocks = [rng.randrange(k) for _ in range(nb)]
-            bw, true_bw = hs._seed_block_weights(model, blocks, k)
+            for v, b in enumerate(blocks):
+                bw[b] += model.weight[v]
+                true_bw[b] += model.true_weight[v]
             state = PartitionState(nb, k, 0.5, sum(model.true_weight))
             params = FennelParams(alpha=rng.choice([0.1, 0.9]))
             for strict in (False, True):

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from contextlib import closing
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,8 +19,8 @@ import pytest
 from streamdecomp import cli, onepass, streams
 from streamdecomp.heistream import HeiStreamConfig, run_heistream
 from streamdecomp.onepass import OnePassConfig, run_restream
-from streamdecomp.streams import FormatError, open_graph_stream, \
-    open_hypergraph_node_stream
+from streamdecomp.streams import FormatError, MemoryStream, \
+    open_graph_stream, open_hypergraph_node_stream
 
 from generators import graph_stream_from_edges, run_setup
 from reference import stream_records
@@ -257,6 +258,30 @@ def test_cli_results_without_a_spool(tmp_path, spool_dir, monkeypatch,
     monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
     assert _cli_runs(tmp_path, cli_inputs) == spooled
     assert len(spool_dir.made) == made
+
+
+@pytest.mark.parametrize("kind, text", FILES)
+def test_metrics_spools_only_node_weighted_input(tmp_path, spool_dir,
+                                                 monkeypatch, kind, text):
+    # Only the node-weight recount reads the stream twice, so only then
+    # does metrics write a spool; it reports what a preloaded stream gives.
+    monkeypatch.setattr(streams, "SPOOL_CHUNK", 2)
+    path, part, mjson = (tmp_path / name for name in ("in.txt", "p.part",
+                                                       "m.json"))
+    path.write_text(text)
+    blocks = [0, 1, 1, 0, 2]
+    streams.write_partition(str(part), blocks)
+    with closing(opener(kind)(str(path), spool=False)) as stream:
+        memory = MemoryStream(stream.header, list(stream.chunks()))
+    expected, _ = cli._verify(memory, blocks, 3, kind == "hyper", None)
+    assert spool_dir.made == []
+    assert cli.main(["metrics", "--input", str(path), "--partition",
+                     str(part), "--metrics-json", str(mjson),
+                     *(["--hypergraph"] if kind == "hyper" else [])]) == 0
+    assert len(spool_dir.made) == memory.header.has_node_weights
+    assert spools(spool_dir) == []
+    report = json.loads(mjson.read_text())
+    assert {key: report[key] for key in expected} == expected
 
 
 def test_time_core_changes_no_result(tmp_path, cli_inputs):
